@@ -345,9 +345,10 @@ class DisCFSServer:
             identity, handle=handle, rights=Permission.all(),
             comment=f"creator credential for inode {inode.ino}",
         )
-        # The server trusts its own issuance; install it so the creator
-        # can use the file immediately without re-submitting.
-        self.session.add_credential(text)
+        # The server trusts its own issuance (it signed ``text`` two lines
+        # up, so there is nothing to verify); install it so the creator can
+        # use the file immediately without re-submitting.
+        self.session.add_credential(text, verified=True)
         self._flush_policy_state()
         return text
 

@@ -36,13 +36,13 @@ def digest_size(algorithm: str) -> int:
     return hashlib.new(algorithm).digest_size
 
 
-def hmac_digest(key: bytes, data: bytes, algorithm: str = "sha256") -> bytes:
+def hmac_digest(key: bytes, data: bytes | memoryview, algorithm: str = "sha256") -> bytes:
     """HMAC of ``data`` under ``key``; used by the ESP-like record layer."""
     algorithm = algorithm.lower()
     if algorithm not in SUPPORTED_HASHES:
         raise CryptoError(f"unsupported hash algorithm: {algorithm!r}")
-    return hmac.new(key, data, algorithm).digest()
+    return hmac.digest(key, data, algorithm)
 
 
-def constant_time_equal(a: bytes, b: bytes) -> bool:
+def constant_time_equal(a: bytes | memoryview, b: bytes | memoryview) -> bool:
     return hmac.compare_digest(a, b)

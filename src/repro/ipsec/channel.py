@@ -5,9 +5,11 @@ Record format (all integers big-endian)::
     type(1) | spi(4) | seq(8) | ciphertext | hmac-sha256(32)
 
 The MAC covers type, SPI, sequence number and ciphertext
-(encrypt-then-MAC).  The stream-cipher nonce is derived from the SPI and
-direction; the block counter offset from the sequence number, so every
-record uses a fresh keystream segment.
+(encrypt-then-MAC), and is checked before anything is decrypted.  Each
+direction of an SA has its own keys; a record's ChaCha20 nonce is
+``spi(4) | seq(8)`` and its block counter starts at 0, so every record
+has a keystream of its own.  Sequence numbers must strictly increase (a
+replay window of one: RPC is one call at a time per SA).
 
 :class:`SecureTransport` is a drop-in RPC transport: the first call runs
 the IKE handshake transparently.  :class:`SecureChannelServer` wraps a
@@ -36,15 +38,19 @@ _MAC_LEN = 32
 _RECORD_OVERHEAD = _HEADER.size + _MAC_LEN
 
 
+def _cipher(direction: DirectionState, spi: int, seq: int) -> StreamCipher:
+    # A nonce of its own per record (SPI and sequence number, as ESP does
+    # with ChaCha20), block counter from 0: no two records of an SA share
+    # keystream, however many there are and however long each is.
+    return StreamCipher(direction.enc_key,
+                        spi.to_bytes(4, "big") + seq.to_bytes(8, "big"))
+
+
 def _seal(direction: DirectionState, spi: int, payload: bytes) -> bytes:
     seq = direction.allocate_seq()
-    header = _HEADER.pack(MSG_DATA, spi, seq)
-    nonce = spi.to_bytes(4, "big") + b"\x00" * 8
-    cipher = StreamCipher(direction.enc_key, nonce)
-    # Each record gets a disjoint keystream region via the seq in the offset.
-    ciphertext = cipher.process(payload, offset=seq << 32)
-    mac = hmac_digest(direction.mac_key, header + ciphertext)
-    return header + ciphertext + mac
+    sealed = _HEADER.pack(MSG_DATA, spi, seq) \
+        + _cipher(direction, spi, seq).process(payload)
+    return sealed + hmac_digest(direction.mac_key, sealed)
 
 
 def _open(direction: DirectionState, expected_spi: int, record: bytes) -> bytes:
@@ -55,14 +61,12 @@ def _open(direction: DirectionState, expected_spi: int, record: bytes) -> bytes:
         raise IntegrityError(f"unexpected record type {mtype}")
     if spi != expected_spi:
         raise IntegrityError(f"SPI mismatch: record {spi:#x}, SA {expected_spi:#x}")
-    body, mac = record[_HEADER.size : -_MAC_LEN], record[-_MAC_LEN:]
-    expected_mac = hmac_digest(direction.mac_key, record[: -_MAC_LEN])
-    if not constant_time_equal(mac, expected_mac):
+    view = memoryview(record)  # slices of it copy nothing
+    sealed, mac = view[:-_MAC_LEN], view[-_MAC_LEN:]
+    if not constant_time_equal(mac, hmac_digest(direction.mac_key, sealed)):
         raise IntegrityError("record MAC verification failed")
     direction.accept_seq(seq)
-    nonce = spi.to_bytes(4, "big") + b"\x00" * 8
-    cipher = StreamCipher(direction.enc_key, nonce)
-    return cipher.process(body, offset=seq << 32)
+    return _cipher(direction, spi, seq).process(sealed[_HEADER.size:])
 
 
 class SecureTransport:

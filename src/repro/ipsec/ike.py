@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import secrets
 import struct
+import threading
 from dataclasses import dataclass
 
 from repro.crypto.dsa import DEFAULT_PARAMETERS, DSAKeyPair
@@ -47,6 +48,10 @@ MSG_INIT = 1
 MSG_RESP = 2
 MSG_CONFIRM = 3
 MSG_DONE = 4
+
+#: INITs a responder remembers while it waits for their CONFIRM.  An INIT
+#: costs its sender nothing, so the table is bounded: the oldest goes.
+MAX_HALF_OPEN = 1024
 
 _U32 = struct.Struct(">I")
 
@@ -121,16 +126,17 @@ class IKEInitiator:
         self.key = key
         self.identity = encode_public_key(key)
         self._x = 0
+        self._gx = b""
         self._nonce_i = b""
         self._state: _HalfOpen | None = None
 
     def initiate(self) -> bytes:
         """Build the INIT message."""
         self._x = 2 + secrets.randbelow(_GROUP.q - 3)
-        gx = pow(_GROUP.g, self._x, _GROUP.p)
+        self._gx = int_to_bytes(pow(_GROUP.g, self._x, _GROUP.p))
         self._nonce_i = secrets.token_bytes(NONCE_LEN)
         body = _pack_fields(
-            self._nonce_i, int_to_bytes(gx), self.identity.encode("utf-8")
+            self._nonce_i, self._gx, self.identity.encode("utf-8")
         )
         return bytes([MSG_INIT]) + body
 
@@ -144,8 +150,7 @@ class IKEInitiator:
         if not 1 < gy < _GROUP.p - 1:
             raise HandshakeError("responder DH value out of range")
         id_r = id_r_raw.decode("utf-8")
-        gx = int_to_bytes(pow(_GROUP.g, self._x, _GROUP.p))
-        transcript = _transcript(self._nonce_i, nonce_r, gx, gy_raw,
+        transcript = _transcript(self._nonce_i, nonce_r, self._gx, gy_raw,
                                  self.identity, id_r)
         _verify(id_r, transcript, sig_r)
 
@@ -173,6 +178,7 @@ class IKEResponder:
         self.identity = encode_public_key(key)
         self.lifetime = lifetime
         self._half_open: dict[int, _HalfOpen] = {}
+        self._lock = threading.Lock()  # guards _half_open
 
     def handle_init(self, message: bytes) -> bytes:
         """Process INIT; returns the RESP message."""
@@ -189,17 +195,21 @@ class IKEResponder:
         y = 2 + secrets.randbelow(_GROUP.q - 3)
         gy_raw = int_to_bytes(pow(_GROUP.g, y, _GROUP.p))
         nonce_r = secrets.token_bytes(NONCE_LEN)
-        spi = secrets.randbits(32) or 1
-        while spi in self._half_open:
+        half = _HalfOpen(
+            nonce_i=nonce_i, nonce_r=nonce_r, gx=gx_raw, gy=gy_raw,
+            peer_identity=id_i,
+            shared_secret=int_to_bytes(pow(gx, y, _GROUP.p)),
+        )
+        with self._lock:
             spi = secrets.randbits(32) or 1
+            while spi in self._half_open:
+                spi = secrets.randbits(32) or 1
+            if len(self._half_open) >= MAX_HALF_OPEN:
+                del self._half_open[next(iter(self._half_open))]  # oldest first
+            self._half_open[spi] = half
 
         transcript = _transcript(nonce_i, nonce_r, gx_raw, gy_raw, id_i, self.identity)
         sig_r = _sign(self.key, transcript)
-        shared = int_to_bytes(pow(gx, y, _GROUP.p))
-        self._half_open[spi] = _HalfOpen(
-            nonce_i=nonce_i, nonce_r=nonce_r, gx=gx_raw, gy=gy_raw,
-            peer_identity=id_i, shared_secret=shared,
-        )
         return bytes([MSG_RESP]) + _pack_fields(
             _U32.pack(spi), nonce_r, gy_raw, self.identity.encode("utf-8"), sig_r
         )
@@ -210,7 +220,8 @@ class IKEResponder:
             raise HandshakeError("expected CONFIRM message")
         spi_raw, sig_i = _unpack_fields(message[1:], 2)
         spi = _U32.unpack(spi_raw)[0]
-        half = self._half_open.pop(spi, None)
+        with self._lock:
+            half = self._half_open.pop(spi, None)
         if half is None:
             raise HandshakeError(f"no half-open exchange with SPI {spi:#x}")
         transcript = _transcript(half.nonce_i, half.nonce_r, half.gx, half.gy,

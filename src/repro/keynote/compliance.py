@@ -21,6 +21,17 @@ the minimum value (a chain of trust must bottom out at a requester).
 Per the paper, DisCFS runs these queries with the octal-ordered value set
 ``false < X < W < WX < R < RX < RW < RWX`` and treats the result as a unix
 permission triple.
+
+Where signatures are verified
+-----------------------------
+Once per credential, at intake.  An assertion is parsed once and never
+changes afterwards, and a signature over its ``signed_text`` is valid or
+invalid for good, so :meth:`KeyNoteSession.add_credential
+<repro.keynote.session.KeyNoteSession.add_credential>` verifies it on
+submission and hands it to the checker marked verified; queries never
+verify it again.  An assertion added to a checker directly, unmarked, is
+still verified lazily by the first query that reaches it.  The mark lives
+exactly as long as the assertion is in the checker.
 """
 
 from __future__ import annotations
@@ -65,19 +76,25 @@ class ComplianceChecker:
         #: assertion id -> frozenset of literals its conditions require the
         #: index attribute to equal (absent = unguarded, always evaluated).
         self._guards: dict[int, frozenset[str]] = {}
+        #: ids of the credentials whose signature has been verified.  Only
+        #: assertions held in the buckets above are in it (removal drops
+        #: the id), so an id cannot be reused while it is.
         self._verified: set[int] = set()
 
     # -- assertion management -------------------------------------------
 
-    def add_assertion(self, assertion: Assertion) -> None:
+    def add_assertion(self, assertion: Assertion, verified: bool = False) -> None:
         """Add a policy or credential to the checker.
 
-        Signed credentials are verified on first use (lazily) unless
-        verification is disabled.
+        ``verified`` says the caller has already verified the signature.
+        Otherwise a signed credential is verified on first use (lazily)
+        unless verification is disabled.
         """
         self._assertions_by_authorizer.setdefault(assertion.authorizer, []).append(
             assertion
         )
+        if verified:
+            self._verified.add(id(assertion))
         if self.index_attribute is not None:
             guard = _conditions_guard(assertion, self.index_attribute)
             if guard is not None:
@@ -90,6 +107,7 @@ class ComplianceChecker:
             if existing is assertion:
                 del bucket[i]
                 self._guards.pop(id(assertion), None)
+                self._verified.discard(id(assertion))
                 return True
         return False
 

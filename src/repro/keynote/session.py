@@ -24,7 +24,8 @@ class KeyNoteSession:
     ----------
     verify_signatures:
         When True (default), ``add_credential`` rejects credentials whose
-        signature does not verify, and queries re-check lazily.
+        signature does not verify.  That is the one verification a
+        credential gets: the checker is told it has been done.
     index_attribute:
         Optional attribute name for the compliance checker's sound pruning
         index (see :class:`~repro.keynote.compliance.ComplianceChecker`).
@@ -57,14 +58,20 @@ class KeyNoteSession:
             added.append(self.add_policy(assertion))
         return added
 
-    def add_credential(self, text: str | Assertion) -> Assertion:
-        """Add a signed credential; raises SignatureVerificationError if bad."""
+    def add_credential(self, text: str | Assertion,
+                       verified: bool = False) -> Assertion:
+        """Add a signed credential; raises SignatureVerificationError if bad.
+
+        ``verified`` is for a caller that made the signature itself a
+        moment ago (the server minting a creator credential).
+        """
         assertion = text if isinstance(text, Assertion) else parse_assertion(text)
         if assertion.is_policy:
             raise KeyNoteError("credentials cannot be authorized by POLICY")
-        if self._checker.verify_signatures:
-            verify_assertion(assertion)  # fail fast at submission time
-        self._checker.add_assertion(assertion)
+        if self._checker.verify_signatures and not verified:
+            verify_assertion(assertion)
+            verified = True
+        self._checker.add_assertion(assertion, verified=verified)
         self._credentials.append(assertion)
         return assertion
 

@@ -169,6 +169,75 @@ class TestCredentialSubmission:
         assert len(bob.nfs.list_credentials()) == baseline + 1
 
 
+class TestVerifyOnce:
+    """A credential's signature is checked at intake and nowhere else."""
+
+    @pytest.fixture()
+    def verifies(self, monkeypatch):
+        from repro.crypto.dsa import DSAPublicKey
+
+        calls = []
+        real = DSAPublicKey.verify
+
+        def counting(self, message, signature, hash_name="sha1"):
+            calls.append(message)
+            return real(self, message, signature, hash_name=hash_name)
+
+        monkeypatch.setattr(DSAPublicKey, "verify", counting)
+        return calls
+
+    def _requests(self, discfs, bob, rounds=5):
+        """Authorised and denied requests, each one a fresh KeyNote query."""
+        for _ in range(rounds):
+            discfs.cache.flush()
+            bob.readdir(bob.root)
+            discfs.cache.flush()
+            with pytest.raises(NFSError):
+                bob.create(bob.root, "f")
+
+    def test_one_verify_per_submitted_credential(self, discfs, bob, administrator,
+                                                 bob_id, verifies):
+        cred = administrator.grant_inode(
+            bob_id, discfs.fs.iget(discfs.fs.root_ino), rights="RX",
+            scheme=discfs.handle_scheme, subtree=True)
+        assert discfs.accept_credential(cred) == "credential accepted"
+        self._requests(discfs, bob)
+        assert len(verifies) == 1
+
+    def test_minted_creator_credential_is_not_verified(self, discfs, bob,
+                                                       administrator, bob_id,
+                                                       verifies):
+        discfs.accept_credential(administrator.grant_inode(
+            bob_id, discfs.fs.iget(discfs.fs.root_ino), rights="RWX",
+            scheme=discfs.handle_scheme))
+        fh, cred = bob.create(bob.root, "f")
+        bob.write(fh, 0, b"x")  # authorised by the creator credential alone
+        assert bob.read(fh, 0, 1) == b"x"
+        assert len(verifies) == 1  # the root grant; the server signed ``cred``
+        assert cred in {a.source_text for a in discfs.session.credentials}
+
+    def test_flipped_signature_byte_refused_at_both_doors(self, discfs, bob,
+                                                          administrator, bob_id,
+                                                          verifies):
+        from repro.keynote.parser import parse_assertion
+        from repro.nfs.server import AccessDeniedSignal
+
+        cred = administrator.grant_inode(
+            bob_id, discfs.fs.iget(discfs.fs.root_ino), rights="RX",
+            scheme=discfs.handle_scheme, subtree=True)
+        at = cred.rindex('"') - 1  # last hex digit of the signature
+        tampered = cred[:at] + ("0" if cred[at] != "0" else "1") + cred[at + 1:]
+        with pytest.raises(AccessDeniedSignal):
+            discfs.accept_credential(tampered)
+        assert len(verifies) == 1
+        # Past the session's intake, straight into the checker: verified
+        # lazily by the first query that reaches it, and left out.
+        discfs.session._checker.add_assertion(parse_assertion(tampered))
+        with pytest.raises(NFSError):
+            bob.readdir(bob.root)
+        assert len(verifies) == 2
+
+
 class TestHandleSchemes:
     def test_inode_scheme_server(self, administrator, bob_key):
         server = DisCFSServer(admin_identity=administrator.identity,

@@ -52,6 +52,50 @@ class TestStreamCipher:
     def test_empty_input(self):
         assert self.make().process(b"") == b""
 
+    def test_bytes_like_input(self):
+        sc = self.make()
+        pt = bytes(range(200))
+        assert sc.process(memoryview(pt)[10:150], 7) == sc.process(pt[10:150], 7)
+        assert sc.process(bytearray(pt)) == sc.process(pt)
+
+    def test_counter_overflow_raises_instead_of_wrapping(self):
+        sc = self.make()
+        end = StreamCipher.MAX_BLOCKS * StreamCipher.BLOCK
+        assert len(sc.keystream(end - 100, 100)) == 100  # the last block is usable
+        with pytest.raises(CryptoError):
+            sc.keystream(end - 100, 101)
+        with pytest.raises(CryptoError):
+            sc.process(b"x", offset=end)
+        with pytest.raises(CryptoError):
+            sc.keystream(-1, 10)
+
+
+class TestRFC8439Vectors:
+    """ChaCha20 as specified: the keystream is the RFC's, byte for byte."""
+
+    KEY = bytes(range(32))
+
+    def test_block_function_2_3_2(self):
+        nonce = bytes.fromhex("000000090000004a00000000")
+        block = StreamCipher(self.KEY, nonce).keystream(1 * 64, 64)
+        assert block == bytes.fromhex(
+            "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+            "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e")
+
+    def test_sunscreen_2_4_2(self):
+        nonce = bytes.fromhex("000000000000004a00000000")
+        plaintext = (
+            b"Ladies and Gentlemen of the class of '99: If I could offer you "
+            b"only one tip for the future, sunscreen would be it.")
+        assert len(plaintext) == 114
+        # The RFC starts the message at block counter 1.
+        ciphertext = StreamCipher(self.KEY, nonce).process(plaintext, offset=64)
+        assert ciphertext == bytes.fromhex(
+            "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+            "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+            "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+            "5af90bbf74a35be6b40b8eedf2785e42874d")
+
 
 class TestBlockCipher:
     def make(self):

@@ -6,7 +6,13 @@ import pytest
 
 from repro.crypto.keycodec import encode_public_key
 from repro.errors import IntegrityError, SAExpired
-from repro.ipsec.channel import SecureChannelServer, SecureTransport, _open, _seal
+from repro.ipsec.channel import (
+    _RECORD_OVERHEAD,
+    SecureChannelServer,
+    SecureTransport,
+    _open,
+    _seal,
+)
 from repro.ipsec.ike import IKEInitiator, IKEResponder
 from repro.ipsec.sa import DirectionState, SALifetime, SecurityAssociation
 from repro.rpc.transport import InProcessTransport
@@ -164,3 +170,26 @@ class TestDirectionState:
         recv = DirectionState(enc_key=b"k" * 32, mac_key=b"m" * 32)
         record = _seal(send, 42, b"the payload")
         assert _open(recv, 42, record) == b"the payload"
+
+    def test_no_two_records_share_keystream(self):
+        """The same plaintext at every seq in 1..200 gives 200 different
+        ciphertexts.  (With the sequence number in the block offset and a
+        32-bit block counter, seq and seq + 64 used to collide: a
+        two-time pad.)"""
+        send = DirectionState(enc_key=b"k" * 32, mac_key=b"m" * 32)
+        recv = DirectionState(enc_key=b"k" * 32, mac_key=b"m" * 32)
+        payload = b"the same sixty-four bytes of plaintext, every single record...."
+        bodies = set()
+        for seq in range(1, 201):
+            record = _seal(send, 42, payload)
+            assert record[:13] == b"\x10" + (42).to_bytes(4, "big") + seq.to_bytes(8, "big")
+            assert len(record) == len(payload) + _RECORD_OVERHEAD
+            bodies.add(record[13:-32])
+            assert _open(recv, 42, record) == payload
+        assert len(bodies) == 200
+
+    def test_open_accepts_any_bytes_like_record(self):
+        send = DirectionState(enc_key=b"k" * 32, mac_key=b"m" * 32)
+        recv = DirectionState(enc_key=b"k" * 32, mac_key=b"m" * 32)
+        assert _open(recv, 7, bytearray(_seal(send, 7, b"abc"))) == b"abc"
+        assert _open(recv, 7, memoryview(_seal(send, 7, b"def"))) == b"def"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.crypto.keycodec import encode_public_key
 from repro.errors import HandshakeError
+from repro.ipsec import ike
 from repro.ipsec.ike import IKEInitiator, IKEResponder, MSG_DONE
 
 
@@ -111,3 +112,57 @@ class TestHandshakeFailures:
         body = ike._pack_fields(nonce, b"\x01", identity)
         with pytest.raises(HandshakeError):
             responder.handle_init(bytes([ike.MSG_INIT]) + body)
+
+
+class TestHalfOpenTable:
+    def test_unanswered_inits_leave_a_bounded_table(self, alice_key, bob_key, monkeypatch):
+        responder = IKEResponder(bob_key)
+        init = IKEInitiator(alice_key).initiate()
+        with monkeypatch.context() as cheap:
+            # What an INIT costs the responder (two modexps, a signature)
+            # is beside the point here; 10 000 of them at full price is
+            # most of a minute.
+            cheap.setattr(ike.secrets, "randbelow", lambda n: 0)
+            cheap.setattr(ike, "_sign", lambda key, message: b"unsigned")
+            for _ in range(10_000):
+                responder.handle_init(init)
+        assert len(responder._half_open) == ike.MAX_HALF_OPEN
+
+        initiator = IKEInitiator(alice_key)
+        confirm, client_sa = initiator.handle_response(
+            responder.handle_init(initiator.initiate()))
+        done, server_sa = responder.handle_confirm(confirm)
+        assert done[0] == MSG_DONE
+        assert client_sa.send.enc_key == server_sa.recv.enc_key
+        assert len(responder._half_open) == ike.MAX_HALF_OPEN - 1
+
+    def test_oldest_half_open_exchange_goes_first(self, alice_key, bob_key, monkeypatch):
+        monkeypatch.setattr(ike, "MAX_HALF_OPEN", 2)
+        responder = IKEResponder(bob_key)
+        pending = []
+        for _ in range(3):
+            initiator = IKEInitiator(alice_key)
+            pending.append(initiator.handle_response(
+                responder.handle_init(initiator.initiate()))[0])
+        with pytest.raises(HandshakeError):
+            responder.handle_confirm(pending[0])  # pushed out by the third
+        assert responder.handle_confirm(pending[2])[0][0] == MSG_DONE
+        assert responder.handle_confirm(pending[1])[0][0] == MSG_DONE
+
+    def test_initiator_sends_the_dh_value_it_signs(self, alice_key, bob_key, monkeypatch):
+        """``handle_response`` reuses g^x from ``initiate``: one modexp
+        with the group generator per handshake on the initiator's side."""
+        calls = []
+        real_pow = pow
+
+        def counting_pow(base, exp, mod):
+            calls.append(base)
+            return real_pow(base, exp, mod)
+
+        monkeypatch.setattr(ike, "pow", counting_pow, raising=False)
+        initiator = IKEInitiator(alice_key)
+        responder = IKEResponder(bob_key)
+        resp = responder.handle_init(initiator.initiate())
+        before = len(calls)
+        initiator.handle_response(resp)
+        assert len(calls) - before == 1  # the shared secret, nothing else

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import KeyNoteError, SignatureVerificationError
+from repro.keynote import compliance
+from repro.keynote.parser import parse_assertion
 from repro.keynote.session import KeyNoteSession
 from repro.keynote.signing import sign_assertion
 
@@ -52,6 +54,33 @@ class TestCredentialManagement:
         s = KeyNoteSession()
         with pytest.raises(KeyNoteError):
             s.add_credential('Authorizer: "POLICY"\nLicensees: "x"\n')
+
+    def test_verified_mark_does_not_outlive_the_credential(self, bob_key, bob_id,
+                                                            monkeypatch):
+        """A removed credential leaves nothing behind that a later object
+        with the same ``id()`` could inherit."""
+        lazily_verified = []
+        real = compliance.verify_assertion
+
+        def counting(assertion):
+            lazily_verified.append(assertion)
+            real(assertion)
+
+        monkeypatch.setattr(compliance, "verify_assertion", counting)
+        s = KeyNoteSession()
+        s.add_policy(f'Authorizer: "POLICY"\nLicensees: "{bob_id}"\n')
+        cred = s.add_credential(
+            sign_assertion(f'Authorizer: "{bob_id}"\nLicensees: "alice"\n', bob_key))
+        assert s.query({}, ["alice"]) == "true"
+        assert lazily_verified == []  # intake verified it; the query did not
+        assert s.remove_credential(cred)
+        # The same object, so certainly the same id(), now saying something
+        # bob never signed — what id() reuse after a revocation amounts to.
+        forged = parse_assertion(cred.source_text.replace('"alice"', '"eve"'))
+        cred.licensees, cred.signed_text = forged.licensees, forged.signed_text
+        s._checker.add_assertion(cred)
+        assert s.query({}, ["eve"]) == "false"
+        assert lazily_verified == [cred]
 
     def test_remove_credential(self, bob_key, bob_id):
         s = KeyNoteSession()
