@@ -19,10 +19,13 @@ from repro.nfs.protocol import (
     Proc,
     SAttr,
     pack_fhandle,
+    pack_read_args,
     pack_sattr,
+    pack_write_args,
     raise_for_status,
+    unpack_diropok,
     unpack_fattr,
-    unpack_fhandle,
+    unpack_read_ok,
 )
 from repro.rpc.client import RPCClient
 from repro.rpc.transport import Transport
@@ -66,8 +69,7 @@ class NFSClient:
         enc.pack_string(name)
         dec = self._rpc.call(Proc.LOOKUP, enc.getvalue())
         raise_for_status(dec.unpack_enum())
-        fh = unpack_fhandle(dec)
-        attr = unpack_fattr(dec)
+        fh, attr = unpack_diropok(dec)
         dec.unpack_optional(lambda d: d.unpack_string())
         dec.done()
         return fh, attr
@@ -83,14 +85,10 @@ class NFSClient:
 
     def read(self, fh: FileHandle, offset: int, count: int) -> bytes:
         enc = XDREncoder()
-        pack_fhandle(enc, fh)
-        enc.pack_uint(offset)
-        enc.pack_uint(count)
-        enc.pack_uint(count)
+        pack_read_args(enc, fh, offset, count)
         dec = self._rpc.call(Proc.READ, enc.getvalue())
         raise_for_status(dec.unpack_enum())
-        unpack_fattr(dec)
-        data = dec.unpack_opaque(MAX_DATA)
+        data = unpack_read_ok(dec)
         dec.done()
         return data
 
@@ -99,11 +97,7 @@ class NFSClient:
             raise NFSError(NFSStat.NFSERR_INVAL,
                            f"write of {len(data)} bytes exceeds {MAX_DATA}")
         enc = XDREncoder()
-        pack_fhandle(enc, fh)
-        enc.pack_uint(0)
-        enc.pack_uint(offset)
-        enc.pack_uint(len(data))
-        enc.pack_opaque(data)
+        pack_write_args(enc, fh, offset, data)
         dec = self._rpc.call(Proc.WRITE, enc.getvalue())
         raise_for_status(dec.unpack_enum())
         attr = unpack_fattr(dec)
@@ -128,8 +122,7 @@ class NFSClient:
         pack_sattr(enc, sattr if sattr is not None else SAttr())
         dec = self._rpc.call(proc, enc.getvalue())
         raise_for_status(dec.unpack_enum())
-        fh = unpack_fhandle(dec)
-        attr = unpack_fattr(dec)
+        fh, attr = unpack_diropok(dec)
         credential = dec.unpack_optional(lambda d: d.unpack_string())
         dec.done()
         return fh, attr, credential

@@ -123,24 +123,49 @@ class FType(enum.IntEnum):
     NFLNK = 5
 
 
-_FILETYPE_TO_FTYPE = {
-    FileType.REGULAR: FType.NFREG,
-    FileType.DIRECTORY: FType.NFDIR,
-    FileType.SYMLINK: FType.NFLNK,
+#: FileType -> (ftype, the S_IFMT bits NFSv2 folds into ``mode``).
+_FTYPE_OF = {
+    FileType.REGULAR: (FType.NFREG, 0o100000),
+    FileType.DIRECTORY: (FType.NFDIR, 0o040000),
+    FileType.SYMLINK: (FType.NFLNK, 0o120000),
 }
+_FTYPES = {int(ftype): ftype for ftype in FType}
 
-_TYPE_MODE_BITS = {
-    FType.NFREG: 0o100000,
-    FType.NFDIR: 0o040000,
-    FType.NFLNK: 0o120000,
-}
+
+# ---------------------------------------------------------------------------
+# Wire records
+#
+# Every fixed run of words is one compiled layout, built from three
+# fragments.  A reply's NFS_OK arm includes the status word where the
+# server packs it (one call) and follows it where the client unpacks it
+# (the status is read first: an error reply ends there).
+# ---------------------------------------------------------------------------
+
+_FH = "QQ16x"  # ino, generation, zero fill to FHSIZE
+#: ftype, mode, nlink, uid, gid, size, blocksize, (rdev), blocks, (fsid),
+#: fileid, then atime, mtime, ctime as (seconds, microseconds).
+_FATTR = "i6I4xI4x7I"
+_SATTR = "8I"  # mode, uid, gid, size, atime, mtime
+
+FHANDLE = struct.Struct(">" + _FH)
+FATTR = struct.Struct(">" + _FATTR)
+SATTR = struct.Struct(">" + _SATTR)
+ATTRSTAT_OK = struct.Struct(">i" + _FATTR)
+DIROP_OK = struct.Struct(">i" + _FH + _FATTR)
+DIROP_OK_BODY = struct.Struct(">" + _FH + _FATTR)
+#: fhandle, offset, count, totalcount.
+READ_ARGS = struct.Struct(">" + _FH + "3I")
+#: status, fattr, length of the data that follows.
+READ_OK = struct.Struct(">i" + _FATTR + "I")
+#: The same after the status word, attributes skipped.
+READ_OK_LENGTH = struct.Struct(f">{FATTR.size}xI")
+#: fhandle, beginoffset, offset, totalcount, length of the data that follows.
+WRITE_ARGS = struct.Struct(">" + _FH + "4I")
 
 
 # ---------------------------------------------------------------------------
 # File handles
 # ---------------------------------------------------------------------------
-
-_FH_STRUCT = struct.Struct(">QQ16s")
 
 
 @dataclass(frozen=True)
@@ -151,14 +176,13 @@ class FileHandle:
     generation: int
 
     def encode(self) -> bytes:
-        return _FH_STRUCT.pack(self.ino, self.generation, b"")
+        return FHANDLE.pack(self.ino, self.generation)
 
     @classmethod
     def decode(cls, raw: bytes) -> "FileHandle":
         if len(raw) != FHSIZE:
             raise XDRError(f"file handle must be {FHSIZE} bytes, got {len(raw)}")
-        ino, generation, _pad = _FH_STRUCT.unpack(raw)
-        return cls(ino=ino, generation=generation)
+        return cls(*FHANDLE.unpack(raw))
 
     @classmethod
     def of(cls, inode: Inode) -> "FileHandle":
@@ -169,11 +193,11 @@ class FileHandle:
 
 
 def pack_fhandle(enc: XDREncoder, fh: FileHandle) -> None:
-    enc.pack_fixed_opaque(fh.encode(), FHSIZE)
+    enc.pack_struct(FHANDLE, fh.ino, fh.generation)
 
 
 def unpack_fhandle(dec: XDRDecoder) -> FileHandle:
-    return FileHandle.decode(dec.unpack_fixed_opaque(FHSIZE))
+    return FileHandle(*dec.unpack_struct(FHANDLE))
 
 
 # ---------------------------------------------------------------------------
@@ -181,23 +205,31 @@ def unpack_fhandle(dec: XDRDecoder) -> FileHandle:
 # ---------------------------------------------------------------------------
 
 
+def _time_words(t: float) -> tuple[int, int]:
+    return int(t) & 0xFFFFFFFF, int((t % 1) * 1_000_000)
+
+
+def fattr_words(inode: Inode, block_size: int,
+                mode: int | None = None) -> tuple[int, ...]:
+    """The values of one :data:`FATTR` record.  ``mode`` overrides the
+    permission bits reported (the inode is not touched)."""
+    ftype, type_bits = _FTYPE_OF[inode.ftype]
+    if mode is None:
+        mode = inode.mode
+    size = inode.size
+    atime, mtime, ctime = inode.atime, inode.mtime, inode.ctime
+    return (
+        ftype, (mode & 0o7777) | type_bits, inode.nlink, inode.uid, inode.gid,
+        min(size, 0xFFFFFFFF), block_size,
+        (size + block_size - 1) // block_size, inode.ino,
+        int(atime) & 0xFFFFFFFF, int((atime % 1) * 1_000_000),
+        int(mtime) & 0xFFFFFFFF, int((mtime % 1) * 1_000_000),
+        int(ctime) & 0xFFFFFFFF, int((ctime % 1) * 1_000_000),
+    )
+
+
 def pack_fattr(enc: XDREncoder, inode: Inode, block_size: int) -> None:
-    ftype = _FILETYPE_TO_FTYPE[inode.ftype]
-    mode = (inode.mode & 0o7777) | _TYPE_MODE_BITS[ftype]
-    enc.pack_enum(ftype)
-    enc.pack_uint(mode)
-    enc.pack_uint(inode.nlink)
-    enc.pack_uint(inode.uid)
-    enc.pack_uint(inode.gid)
-    enc.pack_uint(min(inode.size, 0xFFFFFFFF))
-    enc.pack_uint(block_size)
-    enc.pack_uint(0)  # rdev
-    enc.pack_uint((inode.size + block_size - 1) // block_size)
-    enc.pack_uint(0)  # fsid
-    enc.pack_uint(inode.ino)
-    for t in (inode.atime, inode.mtime, inode.ctime):
-        enc.pack_uint(int(t) & 0xFFFFFFFF)
-        enc.pack_uint(int((t % 1) * 1_000_000))
+    enc.pack_struct(FATTR, *fattr_words(inode, block_size))
 
 
 @dataclass
@@ -225,31 +257,44 @@ class FAttr:
     def permission_bits(self) -> int:
         return self.mode & 0o7777
 
+    @classmethod
+    def from_words(cls, words: tuple[int, ...] | list[int]) -> "FAttr":
+        """The attributes in the values of one :data:`FATTR` record."""
+        (raw_ftype, mode, nlink, uid, gid, size, blocksize, blocks, fileid,
+         asec, ausec, msec, musec, csec, cusec) = words
+        ftype = _FTYPES.get(raw_ftype)
+        if ftype is None:
+            raise XDRError(f"unknown ftype {raw_ftype}")
+        return cls(ftype, mode, nlink, uid, gid, size, blocksize, blocks,
+                   fileid, asec + ausec / 1_000_000, msec + musec / 1_000_000,
+                   csec + cusec / 1_000_000)
+
 
 def unpack_fattr(dec: XDRDecoder) -> FAttr:
-    ftype = FType(dec.unpack_enum())
-    mode = dec.unpack_uint()
-    nlink = dec.unpack_uint()
-    uid = dec.unpack_uint()
-    gid = dec.unpack_uint()
-    size = dec.unpack_uint()
-    blocksize = dec.unpack_uint()
-    dec.unpack_uint()  # rdev
-    blocks = dec.unpack_uint()
-    dec.unpack_uint()  # fsid
-    fileid = dec.unpack_uint()
-    times = []
-    for _ in range(3):
-        sec = dec.unpack_uint()
-        usec = dec.unpack_uint()
-        times.append(sec + usec / 1_000_000)
-    return FAttr(ftype=ftype, mode=mode, nlink=nlink, uid=uid, gid=gid,
-                 size=size, blocksize=blocksize, blocks=blocks, fileid=fileid,
-                 atime=times[0], mtime=times[1], ctime=times[2])
+    return FAttr.from_words(dec.unpack_struct(FATTR))
+
+
+def pack_attrstat_ok(enc: XDREncoder, fattr: tuple[int, ...]) -> None:
+    """A whole successful attrstat: status and attributes."""
+    enc.pack_struct(ATTRSTAT_OK, NFSStat.NFS_OK, *fattr)
+
+
+def pack_diropok(enc: XDREncoder, inode: Inode, fattr: tuple[int, ...]) -> None:
+    """A successful diropres up to its attributes: status, the inode's
+    handle, ``fattr``."""
+    enc.pack_struct(DIROP_OK, NFSStat.NFS_OK, inode.ino, inode.generation,
+                    *fattr)
+
+
+def unpack_diropok(dec: XDRDecoder) -> tuple[FileHandle, FAttr]:
+    """The NFS_OK arm of a diropres, after its status word."""
+    ino, generation, *words = dec.unpack_struct(DIROP_OK_BODY)
+    return FileHandle(ino, generation), FAttr.from_words(words)
 
 
 #: sattr field value meaning "do not change" (RFC 1094 uses all-ones).
 SATTR_NO_CHANGE = 0xFFFFFFFF
+_NO_TIME_CHANGE = (SATTR_NO_CHANGE, SATTR_NO_CHANGE)
 
 
 @dataclass
@@ -265,26 +310,70 @@ class SAttr:
 
 
 def pack_sattr(enc: XDREncoder, sattr: SAttr) -> None:
-    for value in (sattr.mode, sattr.uid, sattr.gid, sattr.size):
-        enc.pack_uint(SATTR_NO_CHANGE if value is None else value)
-    for t in (sattr.atime, sattr.mtime):
-        if t is None:
-            enc.pack_uint(SATTR_NO_CHANGE)
-            enc.pack_uint(SATTR_NO_CHANGE)
-        else:
-            enc.pack_uint(int(t) & 0xFFFFFFFF)
-            enc.pack_uint(int((t % 1) * 1_000_000))
+    enc.pack_struct(
+        SATTR,
+        *(SATTR_NO_CHANGE if value is None else value
+          for value in (sattr.mode, sattr.uid, sattr.gid, sattr.size)),
+        *(_NO_TIME_CHANGE if sattr.atime is None else _time_words(sattr.atime)),
+        *(_NO_TIME_CHANGE if sattr.mtime is None else _time_words(sattr.mtime)),
+    )
 
 
 def unpack_sattr(dec: XDRDecoder) -> SAttr:
-    raw = [dec.unpack_uint() for _ in range(4)]
+    *raw, asec, ausec, msec, musec = dec.unpack_struct(SATTR)
     mode, uid, gid, size = (None if v == SATTR_NO_CHANGE else v for v in raw)
-    times: list[float | None] = []
-    for _ in range(2):
-        sec = dec.unpack_uint()
-        usec = dec.unpack_uint()
-        times.append(None if sec == SATTR_NO_CHANGE else sec + usec / 1_000_000)
-    return SAttr(mode=mode, uid=uid, gid=gid, size=size, atime=times[0], mtime=times[1])
+    return SAttr(
+        mode, uid, gid, size,
+        None if asec == SATTR_NO_CHANGE else asec + ausec / 1_000_000,
+        None if msec == SATTR_NO_CHANGE else msec + musec / 1_000_000,
+    )
+
+
+# ---------------------------------------------------------------------------
+# READ / WRITE
+# ---------------------------------------------------------------------------
+
+
+def pack_read_args(enc: XDREncoder, fh: FileHandle, offset: int,
+                   count: int) -> None:
+    enc.pack_struct(READ_ARGS, fh.ino, fh.generation, offset, count, count)
+
+
+def unpack_read_args(dec: XDRDecoder) -> tuple[FileHandle, int, int]:
+    """(fhandle, offset, count); totalcount is unused, per RFC 1094."""
+    ino, generation, offset, count, _total = dec.unpack_struct(READ_ARGS)
+    return FileHandle(ino, generation), offset, count
+
+
+def pack_read_ok(enc: XDREncoder, fattr: tuple[int, ...], data: bytes) -> None:
+    """A whole successful readres: status, attributes and data."""
+    size = len(data)
+    enc.pack_struct(READ_OK, NFSStat.NFS_OK, *fattr, size)
+    enc.pack_fixed_opaque(data, size)
+
+
+def unpack_read_ok(dec: XDRDecoder) -> bytes:
+    """The data of a readres, after its status word."""
+    (size,) = dec.unpack_struct(READ_OK_LENGTH)
+    if size > MAX_DATA:
+        raise XDRError(f"read reply of {size} bytes exceeds maximum {MAX_DATA}")
+    return dec.unpack_fixed_opaque(size)
+
+
+def pack_write_args(enc: XDREncoder, fh: FileHandle, offset: int,
+                    data: bytes) -> None:
+    size = len(data)
+    enc.pack_struct(WRITE_ARGS, fh.ino, fh.generation, 0, offset, size, size)
+    enc.pack_fixed_opaque(data, size)
+
+
+def unpack_write_args(dec: XDRDecoder) -> tuple[FileHandle, int, bytes]:
+    """(fhandle, offset, data); beginoffset and totalcount are unused."""
+    ino, generation, _begin, offset, _total, size = \
+        dec.unpack_struct(WRITE_ARGS)
+    if size > MAX_DATA:
+        raise XDRError(f"opaque of {size} bytes exceeds maximum {MAX_DATA}")
+    return FileHandle(ino, generation), offset, dec.unpack_fixed_opaque(size)
 
 
 def raise_for_status(status: int) -> None:

@@ -24,11 +24,15 @@ from repro.nfs.protocol import (
     FileHandle,
     NFSStat,
     Proc,
-    pack_fattr,
-    pack_fhandle,
+    fattr_words,
+    pack_attrstat_ok,
+    pack_diropok,
+    pack_read_ok,
     stat_for_error,
     unpack_fhandle,
+    unpack_read_args,
     unpack_sattr,
+    unpack_write_args,
 )
 from repro.rpc.server import CallContext, RPCProgram
 from repro.rpc.xdr import XDRDecoder, XDREncoder
@@ -119,29 +123,21 @@ class NFSProgram(RPCProgram):
     def _inode_for(self, fh: FileHandle) -> Inode:
         return self.vfs.getattr(fh.file_id())
 
+    def _fattr_for(self, inode: Inode, ctx: CallContext) -> tuple[int, ...]:
+        """The inode's fattr values, with the permission bits the
+        controller reports to this requester."""
+        return fattr_words(inode, self.vfs.fs.block_size,
+                           self.controller.effective_mode(ctx, inode))
+
     def _attrstat(self, inode: Inode, ctx: CallContext) -> bytes:
         enc = XDREncoder()
-        enc.pack_enum(NFSStat.NFS_OK)
-        self._pack_fattr_for(enc, inode, ctx)
+        pack_attrstat_ok(enc, self._fattr_for(inode, ctx))
         return enc.getvalue()
-
-    def _pack_fattr_for(self, enc: XDREncoder, inode: Inode, ctx: CallContext) -> None:
-        reported = self.controller.effective_mode(ctx, inode)
-        # Report the controller-determined permission bits without
-        # mutating the stored inode.
-        original = inode.mode
-        try:
-            inode.mode = reported
-            pack_fattr(enc, inode, self.vfs.fs.block_size)
-        finally:
-            inode.mode = original
 
     def _diropres(self, inode: Inode, ctx: CallContext,
                   credential: str | None = None) -> bytes:
         enc = XDREncoder()
-        enc.pack_enum(NFSStat.NFS_OK)
-        pack_fhandle(enc, FileHandle.of(inode))
-        self._pack_fattr_for(enc, inode, ctx)
+        pack_diropok(enc, inode, self._fattr_for(inode, ctx))
         enc.pack_optional(credential, lambda e, c: e.pack_string(c))
         return enc.getvalue()
 
@@ -236,30 +232,23 @@ class NFSProgram(RPCProgram):
         return enc.getvalue()
 
     def _proc_read(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh = unpack_fhandle(dec)
-        offset = dec.unpack_uint()
-        count = dec.unpack_uint()
-        dec.unpack_uint()  # totalcount (unused, per RFC)
+        fh, offset, count = unpack_read_args(dec)
         if count > MAX_DATA:
             raise XDRError(f"read of {count} bytes exceeds NFS maximum {MAX_DATA}")
-        inode = self._inode_for(fh)
+        fid = fh.file_id()
+        inode = self.vfs.getattr(fid)
         self._check(ctx, "read", fh, inode)
-        data = self.vfs.read(fh.file_id(), offset, count)
+        data = self.vfs.read(fid, offset, count)
         enc = XDREncoder()
-        enc.pack_enum(NFSStat.NFS_OK)
-        self._pack_fattr_for(enc, inode, ctx)
-        enc.pack_opaque(data)
+        pack_read_ok(enc, self._fattr_for(inode, ctx), data)
         return enc.getvalue()
 
     def _proc_write(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh = unpack_fhandle(dec)
-        dec.unpack_uint()  # beginoffset (unused)
-        offset = dec.unpack_uint()
-        dec.unpack_uint()  # totalcount (unused)
-        data = dec.unpack_opaque(MAX_DATA)
-        inode = self._inode_for(fh)
+        fh, offset, data = unpack_write_args(dec)
+        fid = fh.file_id()
+        inode = self.vfs.getattr(fid)
         self._check(ctx, "write", fh, inode)
-        self.vfs.write(fh.file_id(), offset, data)
+        self.vfs.write(fid, offset, data)
         return self._attrstat(inode, ctx)
 
     def _proc_create(self, dec: XDRDecoder, ctx: CallContext) -> bytes:

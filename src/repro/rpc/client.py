@@ -27,7 +27,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable
 
 from repro.errors import ProcedureUnavailable, RPCError, TransportError
-from repro.rpc.message import AcceptStat, CallMessage, ReplyMessage
+from repro.rpc.message import AcceptStat, ReplyMessage, encode_call, next_xid
 from repro.rpc.transport import Transport, _resolve_future
 from repro.rpc.xdr import XDRDecoder
 
@@ -288,22 +288,24 @@ class RPCClient:
         self._executor: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
 
-    def _decode_reply(self, request: CallMessage, raw: bytes) -> XDRDecoder:
-        reply = ReplyMessage.decode(raw)
-        if reply.xid != request.xid:
-            raise RPCError(f"xid mismatch: sent {request.xid}, got {reply.xid}")
+    def _decode_reply(self, xid: int, proc: int, raw: bytes) -> XDRDecoder:
+        dec = XDRDecoder(raw)
+        reply = ReplyMessage.unpack(dec)
+        if reply.xid != xid:
+            raise RPCError(f"xid mismatch: sent {xid}, got {reply.xid}")
+        if reply.stat is AcceptStat.SUCCESS:
+            return dec
         if reply.stat in (AcceptStat.PROG_UNAVAIL, AcceptStat.PROC_UNAVAIL,
                           AcceptStat.PROG_MISMATCH):
             raise ProcedureUnavailable(
                 f"server cannot serve prog={self.prog} vers={self.vers} "
-                f"proc={request.proc} ({reply.stat.name})"
+                f"proc={proc} ({reply.stat.name})"
             )
-        if reply.stat != AcceptStat.SUCCESS:
-            raise RPCError(f"call failed with status {reply.stat.name}")
-        return XDRDecoder(reply.results)
+        raise RPCError(f"call failed with status {reply.stat.name}")
 
     def call(self, proc: int, args: bytes = b"", cred: bytes = b"") -> XDRDecoder:
-        """Call a procedure; returns a decoder over the results.
+        """Call a procedure; returns the reply's decoder, positioned on
+        the results.
 
         ``cred`` rides in the call's AUTH_NONE credential body — the
         slot the trace layer uses to ship span contexts; peers that
@@ -313,10 +315,10 @@ class RPCClient:
         Raises :class:`ProcedureUnavailable` for PROG/PROC_UNAVAIL and
         :class:`RPCError` for other non-success statuses or xid mismatches.
         """
-        request = CallMessage(prog=self.prog, vers=self.vers, proc=proc,
-                              args=args, auth_body=cred)
-        raw = self.transport.call(request.encode())
-        return self._decode_reply(request, raw)
+        xid = next_xid()
+        raw = self.transport.call(encode_call(
+            xid, self.prog, self.vers, proc, args, auth_body=cred))
+        return self._decode_reply(xid, proc, raw)
 
     def call_async(self, proc: int, args: bytes = b"",
                    cred: bytes = b"") -> Future:
@@ -329,9 +331,9 @@ class RPCClient:
         through the future exactly as :meth:`call` would raise them.
         ``cred`` is the optional credential body, as in :meth:`call`.
         """
-        request = CallMessage(prog=self.prog, vers=self.vers, proc=proc,
-                              args=args, auth_body=cred)
-        raw = request.encode()
+        xid = next_xid()
+        raw = encode_call(xid, self.prog, self.vers, proc, args,
+                          auth_body=cred)
         submit = getattr(self.transport, "submit", None)
         if submit is None:
             if self._executor is None:
@@ -341,7 +343,7 @@ class RPCClient:
                             max_workers=8, thread_name_prefix="rpc-async"
                         )
             return self._executor.submit(
-                lambda: self._decode_reply(request, self.transport.call(raw))
+                lambda: self._decode_reply(xid, proc, self.transport.call(raw))
             )
         outer: Future = Future()
         inner = submit(raw)
@@ -356,7 +358,7 @@ class RPCClient:
                 return
             try:
                 _resolve_future(outer, result=self._decode_reply(
-                    request, f.result()
+                    xid, proc, f.result()
                 ))
             except Exception as decode_exc:
                 _resolve_future(outer, exc=decode_exc)

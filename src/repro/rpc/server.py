@@ -5,11 +5,11 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import RPCError, XDRError
-from repro.rpc.message import AcceptStat, CallMessage, ReplyMessage
+from repro.rpc.message import AcceptStat, CallMessage, encode_reply
 from repro.rpc.xdr import XDRDecoder
 
-#: A procedure takes the XDR-decoded argument stream and per-call context,
-#: returning encoded results.
+#: A procedure takes the request's decoder, positioned on its arguments,
+#: and the per-call context, returning encoded results.
 Procedure = Callable[[XDRDecoder, "CallContext"], bytes]
 
 
@@ -73,27 +73,31 @@ class RPCServer:
         self._programs[(program.prog, program.vers)] = program
 
     def handle(self, request: bytes, peer_identity: str | None = None) -> bytes:
+        dec = XDRDecoder(request)
         try:
-            call = CallMessage.decode(request)
-        except (RPCError, XDRError) as exc:
-            # Cannot even recover an xid; answer with xid 0 / GARBAGE_ARGS.
-            return ReplyMessage(xid=0, stat=AcceptStat.GARBAGE_ARGS,
-                                results=str(exc).encode()[:64]).encode()
+            call = CallMessage.unpack(dec)
+        except RPCError as exc:
+            # The xid is the first word whatever else is wrong with the
+            # header; answering under it lets the caller fail this call
+            # instead of waiting for a reply that never matches.
+            xid = int.from_bytes(request[:4], "big") if len(request) >= 4 else 0
+            return encode_reply(xid, AcceptStat.GARBAGE_ARGS,
+                                str(exc).encode()[:64])
 
         program = self._programs.get((call.prog, call.vers))
         if program is None:
-            return ReplyMessage(xid=call.xid, stat=AcceptStat.PROG_UNAVAIL).encode()
+            return encode_reply(call.xid, AcceptStat.PROG_UNAVAIL)
         if not program.has_procedure(call.proc):
-            return ReplyMessage(xid=call.xid, stat=AcceptStat.PROC_UNAVAIL).encode()
+            return encode_reply(call.xid, AcceptStat.PROC_UNAVAIL)
 
         ctx = CallContext(call, peer_identity=peer_identity)
         try:
-            results = program.dispatch(call.proc, XDRDecoder(call.args), ctx)
+            results = program.dispatch(call.proc, dec, ctx)
         except XDRError:
-            return ReplyMessage(xid=call.xid, stat=AcceptStat.GARBAGE_ARGS).encode()
+            return encode_reply(call.xid, AcceptStat.GARBAGE_ARGS)
         except Exception:
-            return ReplyMessage(xid=call.xid, stat=AcceptStat.SYSTEM_ERR).encode()
-        return ReplyMessage(xid=call.xid, stat=AcceptStat.SUCCESS, results=results).encode()
+            return encode_reply(call.xid, AcceptStat.SYSTEM_ERR)
+        return encode_reply(call.xid, AcceptStat.SUCCESS, results)
 
     def handler_for(self, identity: str | None = None):
         """A ``bytes -> bytes`` closure with a fixed peer identity."""

@@ -17,6 +17,13 @@ side) plus accounting.  Three implementations:
   parameterized like the paper's testbed (100 Mbps Ethernet).  Virtual
   time accumulates in the model; the benchmark harness reads it to report
   paper-scale numbers without sleeping.
+
+The socket transports move a record without copying it: the marker and
+the record leave in one gathered ``sendmsg``, and a record arrives in a
+``bytearray`` of its own, filled by ``recv_into`` and handed to the
+handler (or the caller) as is.  That buffer is never reused, so a record
+may be decoded after the next one has arrived; what a decoder hands on
+is ``bytes`` (see :mod:`repro.rpc.xdr`).
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ Handler = Callable[[bytes], bytes]
 
 _RECORD_HEADER = struct.Struct(">I")
 _LAST_FRAGMENT = 0x80000000
+#: Largest record accepted, over all of its fragments.
+MAX_RECORD = 1 << 26
 
 
 class Transport(Protocol):
@@ -203,7 +212,7 @@ class PipelinedTCPTransport:
         """Send ``request`` now; the returned future resolves to the reply."""
         if len(request) < 4:
             raise TransportError("request too short to carry an xid")
-        xid = _RECORD_HEADER.unpack(request[:4])[0]
+        xid = _RECORD_HEADER.unpack_from(request)[0]
         fut: Future = Future()
         with self._lock:
             if self._closed:
@@ -261,7 +270,7 @@ class PipelinedTCPTransport:
             if len(response) < 4:
                 self._fail(TransportError("reply too short to carry an xid"))
                 return
-            xid = _RECORD_HEADER.unpack(response[:4])[0]
+            xid = _RECORD_HEADER.unpack_from(response)[0]
             with self._lock:
                 fut = self._pending.pop(xid, None)
                 self.stats.bytes_received += len(response)
@@ -285,38 +294,52 @@ class PipelinedTCPTransport:
 
 
 def _send_record(sock: socket.socket, data: bytes) -> None:
+    """Send ``data`` as one last-fragment record; the marker and the
+    record go out in one gathered write, never concatenated."""
     header = _RECORD_HEADER.pack(_LAST_FRAGMENT | len(data))
     try:
-        sock.sendall(header + data)
+        sent = sock.sendmsg((header, data))
+        if sent < len(header):
+            sock.sendall(header[sent:])
+            sent = len(header)
+        if sent < len(header) + len(data):
+            sock.sendall(memoryview(data)[sent - len(header):])
     except OSError as exc:
         raise TransportError(f"send failed: {exc}") from exc
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
+    """``n`` bytes received into a buffer of their own (never reused, so
+    a record may outlive the next receive on its connection)."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
         try:
-            chunk = sock.recv(remaining)
+            count = sock.recv_into(view[got:])
         except OSError as exc:
             raise TransportError(f"receive failed: {exc}") from exc
-        if not chunk:
+        if not count:
             raise TransportError("connection closed mid-record")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        got += count
+    return buf
 
 
-def _recv_record(sock: socket.socket) -> bytes:
-    fragments = []
+def _recv_record(sock: socket.socket) -> bytearray:
+    record = bytearray()
     while True:
         header = _RECORD_HEADER.unpack(_recv_exact(sock, 4))[0]
         length = header & ~_LAST_FRAGMENT
-        if length > 1 << 26:
-            raise TransportError(f"record fragment of {length} bytes is implausible")
-        fragments.append(_recv_exact(sock, length))
+        if len(record) + length > MAX_RECORD:
+            raise TransportError(
+                f"record of more than {MAX_RECORD} bytes is implausible")
+        fragment = _recv_exact(sock, length)
+        if record:
+            record += fragment
+        else:
+            record = fragment  # the usual one-fragment record: no copy
         if header & _LAST_FRAGMENT:
-            return b"".join(fragments)
+            return record
 
 
 class TCPServer:
@@ -349,7 +372,6 @@ class TCPServer:
             if workers > 0 else None
         )
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
 
@@ -361,11 +383,9 @@ class TCPServer:
                 continue
             except OSError:
                 break
-            thread = threading.Thread(
+            threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+            ).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

@@ -1,8 +1,22 @@
 """XDR (External Data Representation) encoding — the RFC 4506 subset NFS uses.
 
-All quantities are big-endian and padded to 4-byte alignment.  The decoder
-is strict: short buffers and unconsumed padding bytes raise
-:class:`~repro.errors.XDRError` rather than silently misparsing.
+All quantities are big-endian and padded to 4-byte alignment.  The codec
+is *compiled*: a message's fixed-layout run of words is one
+:class:`struct.Struct` moved by one :meth:`XDREncoder.pack_struct` /
+:meth:`XDRDecoder.unpack_struct` call, and the scalar methods are the
+same thing for a one-word layout.  Range checks are :mod:`struct`'s own
+(a value that does not fit its field raises :class:`~repro.errors.XDRError`).
+
+Copies.  The encoder keeps the pieces it is given and joins them once,
+in :meth:`XDREncoder.getvalue`; an opaque payload is not copied before
+that.  The decoder reads at a cursor over the record it was given
+(``unpack_from``, no slice per field) and copies only what it hands out:
+every opaque leaves as an immutable ``bytes`` of its own, also when the
+record is a transport's mutable receive buffer.
+
+The decoder is strict: short buffers, nonzero padding bytes and
+unconsumed trailing bytes raise :class:`~repro.errors.XDRError` rather
+than silently misparsing.
 """
 
 from __future__ import annotations
@@ -17,121 +31,128 @@ _I32 = struct.Struct(">i")
 _U64 = struct.Struct(">Q")
 _I64 = struct.Struct(">q")
 
+#: The zero bytes that round an ``n``-byte opaque up to a word: ``PAD[n & 3]``.
+PAD = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
+
 T = TypeVar("T")
 
 
 class XDREncoder:
     """Append-only XDR writer."""
 
+    __slots__ = ("_parts",)
+
     def __init__(self) -> None:
-        self._buf = bytearray()
+        self._parts: list[bytes] = []
+
+    def pack_struct(self, layout: struct.Struct, *values: object) -> "XDREncoder":
+        """Append one fixed-layout record (``layout`` must be big-endian
+        and a whole number of words)."""
+        try:
+            self._parts.append(layout.pack(*values))
+        except struct.error as exc:
+            raise XDRError(
+                f"cannot pack {values!r} as {layout.format!r}: {exc}") from None
+        return self
 
     # -- integers ----------------------------------------------------------
 
     def pack_uint(self, value: int) -> "XDREncoder":
-        if not 0 <= value < 1 << 32:
-            raise XDRError(f"uint out of range: {value}")
-        self._buf += _U32.pack(value)
-        return self
+        return self.pack_struct(_U32, value)
 
     def pack_int(self, value: int) -> "XDREncoder":
-        if not -(1 << 31) <= value < 1 << 31:
-            raise XDRError(f"int out of range: {value}")
-        self._buf += _I32.pack(value)
-        return self
+        return self.pack_struct(_I32, value)
 
     def pack_uhyper(self, value: int) -> "XDREncoder":
-        if not 0 <= value < 1 << 64:
-            raise XDRError(f"uhyper out of range: {value}")
-        self._buf += _U64.pack(value)
-        return self
+        return self.pack_struct(_U64, value)
 
     def pack_hyper(self, value: int) -> "XDREncoder":
-        if not -(1 << 63) <= value < 1 << 63:
-            raise XDRError(f"hyper out of range: {value}")
-        self._buf += _I64.pack(value)
-        return self
+        return self.pack_struct(_I64, value)
 
     def pack_bool(self, value: bool) -> "XDREncoder":
         return self.pack_uint(1 if value else 0)
 
-    def pack_enum(self, value: int) -> "XDREncoder":
-        return self.pack_int(int(value))
+    pack_enum = pack_int
 
     # -- byte strings -------------------------------------------------------
 
     def pack_fixed_opaque(self, data: bytes, size: int) -> "XDREncoder":
         if len(data) != size:
             raise XDRError(f"fixed opaque must be exactly {size} bytes")
-        self._buf += data
-        self._pad(size)
+        # bytes() of a bytes is the object itself; of a mutable buffer
+        # it is a snapshot, so later writes to it cannot reach the wire.
+        self._parts += (bytes(data), PAD[size & 3])
         return self
 
     def pack_opaque(self, data: bytes) -> "XDREncoder":
-        self.pack_uint(len(data))
-        self._buf += data
-        self._pad(len(data))
-        return self
+        size = len(data)
+        return self.pack_uint(size).pack_fixed_opaque(data, size)
 
     def pack_string(self, text: str) -> "XDREncoder":
         return self.pack_opaque(text.encode("utf-8"))
 
     # -- composites -------------------------------------------------------
 
-    def pack_array(self, items: list[T], pack_item: Callable[["XDREncoder", T], None]) -> "XDREncoder":
+    def pack_array(self, items: list[T], pack_item: Callable[["XDREncoder", T], object]) -> "XDREncoder":
         self.pack_uint(len(items))
         for item in items:
             pack_item(self, item)
         return self
 
-    def pack_optional(self, value: T | None, pack_item: Callable[["XDREncoder", T], None]) -> "XDREncoder":
+    def pack_optional(self, value: T | None, pack_item: Callable[["XDREncoder", T], object]) -> "XDREncoder":
         if value is None:
             return self.pack_bool(False)
         self.pack_bool(True)
         pack_item(self, value)
         return self
 
-    def _pad(self, size: int) -> None:
-        if size % 4:
-            self._buf += b"\x00" * (4 - size % 4)
-
     def getvalue(self) -> bytes:
-        return bytes(self._buf)
+        return b"".join(self._parts)
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return sum(map(len, self._parts))
 
 
 class XDRDecoder:
-    """Cursor-based XDR reader."""
+    """Cursor-based XDR reader over one record."""
 
-    def __init__(self, data: bytes):
-        self._data = data
+    __slots__ = ("_data", "_pos")
+
+    def __init__(self, data: bytes | bytearray | memoryview):
+        # A slice of a view copies nothing, so bytes() of it is the one
+        # copy an opaque makes on its way out of a mutable record.
+        self._data = data if type(data) is bytes else memoryview(data)
         self._pos = 0
 
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise XDRError(
-                f"buffer underrun: need {n} bytes at offset {self._pos}, "
-                f"have {len(self._data) - self._pos}"
-            )
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
+    def _underrun(self, need: int) -> XDRError:
+        return XDRError(
+            f"buffer underrun: need {need} bytes at offset {self._pos}, "
+            f"have {len(self._data) - self._pos}"
+        )
+
+    def unpack_struct(self, layout: struct.Struct) -> tuple:
+        """Read one fixed-layout record at the cursor."""
+        pos = self._pos
+        try:
+            values = layout.unpack_from(self._data, pos)
+        except struct.error:
+            raise self._underrun(layout.size) from None
+        self._pos = pos + layout.size
+        return values
 
     # -- integers ----------------------------------------------------------
 
     def unpack_uint(self) -> int:
-        return _U32.unpack(self._take(4))[0]
+        return self.unpack_struct(_U32)[0]
 
     def unpack_int(self) -> int:
-        return _I32.unpack(self._take(4))[0]
+        return self.unpack_struct(_I32)[0]
 
     def unpack_uhyper(self) -> int:
-        return _U64.unpack(self._take(8))[0]
+        return self.unpack_struct(_U64)[0]
 
     def unpack_hyper(self) -> int:
-        return _I64.unpack(self._take(8))[0]
+        return self.unpack_struct(_I64)[0]
 
     def unpack_bool(self) -> bool:
         value = self.unpack_uint()
@@ -139,23 +160,27 @@ class XDRDecoder:
             raise XDRError(f"bool must be 0 or 1, got {value}")
         return bool(value)
 
-    def unpack_enum(self) -> int:
-        return self.unpack_int()
+    unpack_enum = unpack_int
 
     # -- byte strings -------------------------------------------------------
 
     def unpack_fixed_opaque(self, size: int) -> bytes:
-        data = self._take(size)
-        self._skip_pad(size)
-        return data
+        pos = self._pos
+        end = pos + size
+        stop = end + (-size & 3)
+        data = self._data
+        if stop > len(data):
+            raise self._underrun(stop - pos)
+        if any(data[end:stop]):
+            raise XDRError("nonzero padding bytes")
+        self._pos = stop
+        return bytes(data[pos:end])
 
     def unpack_opaque(self, max_size: int | None = None) -> bytes:
         size = self.unpack_uint()
         if max_size is not None and size > max_size:
             raise XDRError(f"opaque of {size} bytes exceeds maximum {max_size}")
-        data = self._take(size)
-        self._skip_pad(size)
-        return data
+        return self.unpack_fixed_opaque(size)
 
     def unpack_string(self, max_size: int | None = None) -> str:
         raw = self.unpack_opaque(max_size)
@@ -177,12 +202,6 @@ class XDRDecoder:
         if self.unpack_bool():
             return unpack_item(self)
         return None
-
-    def _skip_pad(self, size: int) -> None:
-        if size % 4:
-            pad = self._take(4 - size % 4)
-            if pad.strip(b"\x00"):
-                raise XDRError("nonzero padding bytes")
 
     def done(self) -> None:
         """Assert the whole buffer was consumed."""

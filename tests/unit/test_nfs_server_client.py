@@ -209,3 +209,63 @@ class TestRemoteFile:
         with client.open(fh) as f:
             f.write(b"buffered")
         assert client.getattr(fh).size == 8
+
+
+class TestOverTCP:
+    """The same pair over real sockets: records arrive in the
+    transport's receive buffers, and nothing the filesystem keeps may
+    alias one."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_back_to_back_writes_stay_distinct(self, workers):
+        from repro.rpc.transport import TCPTransport, serve_tcp
+
+        program = NFSProgram("mem://")
+        server = RPCServer()
+        server.register(program)
+        server.register(MountProgram(program.vfs))
+        tcp = serve_tcp(server.handler_for(None), workers=workers)
+        try:
+            transport = TCPTransport(*tcp.address, timeout=5.0)
+            client = NFSClient(transport, MountClient(transport).mount("/"))
+            fh, _, _ = client.create(client.root, "f")
+            first = bytes(range(256)) * (MAX_DATA // 256)
+            second = first[::-1]
+            client.write(fh, 0, first)
+            client.write(fh, MAX_DATA, second)
+            # What the store holds is what matters: read it there too.
+            assert program.vfs.fs.read_file("/f") == first + second
+            got_first = client.read(fh, 0, MAX_DATA)
+            got_second = client.read(fh, MAX_DATA, MAX_DATA)
+            assert (got_first, got_second) == (first, second)
+            assert type(got_first) is bytes
+            transport.close()
+        finally:
+            tcp.close()
+
+
+class TestReportedMode:
+    def test_reported_mode_does_not_touch_the_inode(self, stack):
+        """GETATTR reports the controller's mode; the stored one stays,
+        also while the reply is being packed."""
+        fs, client = stack
+        fh, _, _ = client.create(client.root, "f", SAttr(mode=0o640))
+
+        class Masking:
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def effective_mode(self, ctx, inode):
+                assert inode.mode & 0o7777 == 0o640  # never swapped in
+                return 0o400
+
+        program = NFSProgram(VFS(fs))
+        masking = Masking()
+        masking.inner = program.controller
+        program.controller = masking
+        server = RPCServer()
+        server.register(program)
+        masked = NFSClient(InProcessTransport(server.handler_for(None)),
+                           client.root)
+        assert masked.getattr(fh).permission_bits == 0o400
+        assert fs.namei("/f").mode & 0o7777 == 0o640

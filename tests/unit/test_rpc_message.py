@@ -64,3 +64,39 @@ class TestReplyMessage:
         call = CallMessage(prog=1, vers=1, proc=0).encode()
         with pytest.raises(RPCError):
             ReplyMessage.decode(call)
+
+
+class TestUnknownEnumWords:
+    """A word outside its enum is a typed protocol error, not ValueError."""
+
+    def test_unknown_auth_flavor_is_rpc_error(self):
+        raw = bytearray(CallMessage(prog=1, vers=1, proc=0).encode())
+        raw[24:28] = (7).to_bytes(4, "big")  # credential flavor
+        with pytest.raises(RPCError, match="auth flavor"):
+            CallMessage.decode(bytes(raw))
+
+    def test_unknown_accept_stat_is_rpc_error(self):
+        raw = bytearray(ReplyMessage(xid=9).encode())
+        raw[20:24] = (6).to_bytes(4, "big")  # accept_stat
+        with pytest.raises(RPCError, match="accept_stat"):
+            ReplyMessage.decode(bytes(raw))
+
+    def test_decoded_enums_are_members(self):
+        call = CallMessage.decode(CallMessage(prog=1, vers=1, proc=0).encode())
+        assert call.auth_flavor is AuthFlavor.AUTH_NONE
+        reply = ReplyMessage.decode(
+            ReplyMessage(xid=1, stat=AcceptStat.SYSTEM_ERR).encode())
+        assert reply.stat is AcceptStat.SYSTEM_ERR
+
+    def test_trace_body_roundtrip(self):
+        body = bytes(range(25))  # a span context's size: padded to 28
+        call = CallMessage(prog=1, vers=1, proc=2, args=b"rest", auth_body=body)
+        decoded = CallMessage.decode(call.encode())
+        assert decoded.auth_body == body
+        assert decoded.args == b"rest"
+
+    def test_non_empty_verifier_rejected(self):
+        raw = bytearray(ReplyMessage(xid=1).encode())
+        raw[16:20] = (4).to_bytes(4, "big")  # verifier length
+        with pytest.raises(RPCError):
+            ReplyMessage.decode(bytes(raw) + b"\x00" * 4)
