@@ -4,12 +4,28 @@ The paper's scaling requirement: "The system should be able to cope with
 large numbers of files and even larger number of users accessing those
 files."  Every CREATE adds a per-file creator credential to the server's
 KeyNote session, so an uncached compliance query naively scales with the
-credential count.  Our compliance checker indexes guarded credentials by
-their HANDLE literal, making the query cost independent of store size.
+credential count.  The compliance checker files each guarded credential
+under its HANDLE literal when it is installed, and a query looks up its
+own literal, so its cost does not depend on how many others there are;
+it also works out which principals have a delegation path to the
+requester and evaluates nothing said by or to anyone else.
 
-This bench prices an uncached query with 10 / 100 / 1000 resident
-credentials, with and without the index.
+The list-scan checker this replaced is kept as
+``tests/keynote_reference.py``.  Both are timed here in the same process,
+so the assertions are ratios and do not depend on the machine: the query
+at 1000 resident credentials costs at most 1.5x the one at 10 (the scan's
+grows with the store), and 40 subtree grants to principals the requester
+has nothing to do with cost a set test each, a tenth of what evaluating
+them costs the scan.  Equality of the answers is asserted first.
+
+The parametrized bench prices an uncached query with 10 / 100 / 1000
+resident credentials, with and without the index.
 """
+
+import sys
+from functools import lru_cache
+from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -18,13 +34,18 @@ from repro.core.permissions import PERMISSION_VALUES
 from repro.keynote.ast import ComplianceValues
 from repro.keynote.session import KeyNoteSession
 
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from keynote_reference import ReferenceChecker  # noqa: E402
+
 ADMIN = Administrator.generate(seed=b"store-admin")
 USER = make_user_keypair(b"store-user")
 OCTAL = ComplianceValues(list(PERMISSION_VALUES))
-ACTION = {"app_domain": "DisCFS", "HANDLE": "target.1"}
+ACTION = {"app_domain": "DisCFS", "HANDLE": "target.1",
+          "ANCESTORS": "root.1 dir.1"}
 
 
-def build_session(n_credentials, indexed):
+@lru_cache(maxsize=None)
+def build_session(n_credentials, indexed, unrelated=0):
     session = KeyNoteSession(
         index_attribute="HANDLE" if indexed else None
     )
@@ -33,11 +54,68 @@ def build_session(n_credentials, indexed):
         session.add_credential(
             ADMIN.grant(identity_of(USER), handle=f"file{i}.1", rights="RWX")
         )
+    # Subtree grants, which no index can set aside, to principals with no
+    # delegation path to the requester:
+    for i in range(unrelated):
+        session.add_credential(
+            ADMIN.grant(f"bystander-{i}", handle="root.1", rights="RWX",
+                        subtree=True)
+        )
     # The one credential the query should match:
     session.add_credential(
         ADMIN.grant(identity_of(USER), handle="target.1", rights="RX")
     )
     return session
+
+
+def list_scan(session):
+    """The session's assertions in the checker it used to have."""
+    reference = ReferenceChecker(index_attribute="HANDLE")
+    for assertion in session.policies + session.credentials:
+        reference.add_assertion(assertion, verified=True)
+    return reference
+
+
+def best_of(fn, repeats: int = 15, loops: int = 200) -> float:
+    """Seconds per call: the fastest of ``repeats`` timings of ``loops`` calls."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = perf_counter()
+        for _ in range(loops):
+            fn()
+        best = min(best, (perf_counter() - start) / loops)
+    return best
+
+
+def priced(session):
+    """(us per query of the session, us per query of the list scan over the
+    same assertions), after checking that they agree."""
+    requester = [identity_of(USER)]
+    reference = list_scan(session)
+    assert session.query_with_trace(ACTION, requester, OCTAL) == \
+        reference.query_with_trace(ACTION, requester, OCTAL)
+    return (best_of(lambda: session.query(ACTION, requester, OCTAL)) * 1e6,
+            best_of(lambda: reference.query(ACTION, requester, OCTAL), loops=20) * 1e6)
+
+
+def test_indexed_query_does_not_grow_with_the_store():
+    small, small_scan = priced(build_session(10, True))
+    large, large_scan = priced(build_session(1000, True))
+    print(f"\nuncached query: 10 credentials {small:.1f} us, 1000 credentials "
+          f"{large:.1f} us ({large / small:.2f}x); list scan {small_scan:.1f} us "
+          f"-> {large_scan:.1f} us ({large_scan / small_scan:.1f}x)")
+    assert large <= 1.5 * small
+    assert large_scan >= 3 * large
+
+
+def test_unrelated_delegations_are_not_evaluated():
+    alone, _scan = priced(build_session(10, True))
+    crowded, crowded_scan = priced(build_session(10, True, unrelated=40))
+    print(f"\nuncached query: no bystanders {alone:.1f} us, 40 subtree grants "
+          f"to bystanders {crowded:.1f} us ({crowded / alone:.2f}x); list scan "
+          f"{crowded_scan:.1f} us")
+    assert crowded <= 2.5 * alone
+    assert crowded_scan >= 10 * crowded
 
 
 @pytest.mark.parametrize("n", (10, 100, 1000))

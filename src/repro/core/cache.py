@@ -4,12 +4,27 @@ Paper, section 5: "To improve performance, we use a cache of requested
 operations and policy results." — and the search benchmark (Figure 12)
 "was conducted with a cache size of 128 policy results."
 
-The cache maps (principal, handle, operation) to the granted
-:class:`~repro.core.permissions.Permission`, with LRU eviction at a fixed
+The cache is a map from three strings — principal, handle, operation —
+to whatever the caller decided for them, with LRU eviction at a fixed
 capacity (128 by default, configurable for the ablation benchmark) and an
 optional time-to-live for deployments whose policies depend on
-time-of-day.  Any credential submission or revocation flushes it — policy
-changed, all bets off.
+time-of-day.  It does not interpret the key or the value:
+
+* :class:`~repro.core.server.DisCFSServer` stores a
+  :data:`~repro.core.policy.Decision`, the granted
+  :class:`~repro.core.permissions.Permission` together with the keys that
+  authorized it, so the chain an audit record names is evicted and
+  flushed with the verdict it explains and nothing about a file outlives
+  its entry;
+* the server also chooses the third key component: the operation while
+  some installed assertion reads ``OPERATION``, the empty string while
+  none does (then every operation on a file is the same KeyNote query,
+  and one entry answers all of them).
+
+Entries are stamped with the clock the cache is given — the server hands
+it the one its ``@now`` / ``@hour`` policies are evaluated against, so a
+time-to-live expires by the time the policies see.  Any credential
+submission or revocation flushes the cache — policy changed, all bets off.
 """
 
 from __future__ import annotations
@@ -17,10 +32,11 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-
-from repro.core.permissions import Permission
+from typing import Callable, Generic, TypeVar
 
 CacheKey = tuple[str, str, str]  # (principal, handle, operation)
+
+V = TypeVar("V")
 
 
 @dataclass
@@ -42,44 +58,45 @@ class CacheStats:
         self.hits = self.misses = self.evictions = self.flushes = 0
 
 
-class PolicyCache:
+class PolicyCache(Generic[V]):
     """LRU cache of compliance-query results.
 
     ``capacity=0`` disables caching entirely (every lookup is a miss),
     which the ablation benchmark uses as its baseline.
     """
 
-    def __init__(self, capacity: int = 128, ttl_seconds: float | None = None):
+    def __init__(self, capacity: int = 128, ttl_seconds: float | None = None,
+                 clock: Callable[[], float] = time.time):
         if capacity < 0:
             raise ValueError("cache capacity must be >= 0")
         self.capacity = capacity
         self.ttl_seconds = ttl_seconds
-        self._entries: OrderedDict[CacheKey, tuple[Permission, float]] = OrderedDict()
+        self.clock = clock
+        self._entries: OrderedDict[CacheKey, tuple[V, float]] = OrderedDict()
         self.stats = CacheStats()
 
-    def get(self, principal: str, handle: str, operation: str) -> Permission | None:
+    def get(self, principal: str, handle: str, operation: str) -> V | None:
         key = (principal, handle, operation)
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
             return None
-        permission, stored_at = entry
-        if self.ttl_seconds is not None and time.time() - stored_at > self.ttl_seconds:
+        value, stored_at = entry
+        if self.ttl_seconds is not None and self.clock() - stored_at > self.ttl_seconds:
             del self._entries[key]
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return permission
+        return value
 
-    def put(self, principal: str, handle: str, operation: str,
-            permission: Permission) -> None:
+    def put(self, principal: str, handle: str, operation: str, value: V) -> None:
         if self.capacity == 0:
             return
         key = (principal, handle, operation)
         if key in self._entries:
             self._entries.move_to_end(key)
-        self._entries[key] = (permission, time.time())
+        self._entries[key] = (value, self.clock())
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1

@@ -34,6 +34,11 @@ APP_DOMAIN = "DisCFS"
 
 _VALUES = ComplianceValues(list(PERMISSION_VALUES))
 
+#: What a query decides: the rights, and the keys that authorized them
+#: (credential authorizers on the delegation path) — the audit log's
+#: "key B authorized" data.
+Decision = tuple[Permission, tuple[str, ...]]
+
 
 class PolicyEngine:
     """Runs DisCFS compliance queries against a KeyNote session."""
@@ -63,9 +68,8 @@ class PolicyEngine:
         handle: str,
         operation: str,
         extra_attributes: Mapping[str, str] | None = None,
-    ) -> tuple[Permission, tuple[str, ...]]:
-        """Rights plus the authorizing keys (credential authorizers on the
-        delegation path) — the audit log's "key B authorized" data."""
+    ) -> Decision:
+        """The rights ``principal`` holds, and who authorized them."""
         self.queries += 1
         action = self._action_attributes(handle, operation)
         if extra_attributes:

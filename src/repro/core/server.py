@@ -29,7 +29,7 @@ from repro.core.cache import PolicyCache
 from repro.core.credentials import CredentialIssuer
 from repro.core.handles import HandleScheme, ancestor_chain
 from repro.core.permissions import Permission, required_permission
-from repro.core.policy import PolicyEngine
+from repro.core.policy import Decision, PolicyEngine
 from repro.core.revocation import RevocationStore
 from repro.crypto.dsa import DSAKeyPair, generate_dsa_keypair
 from repro.crypto.rsa import RSAKeyPair
@@ -50,6 +50,10 @@ from repro.rpc.server import CallContext, RPCServer
 from repro.rpc.transport import InProcessTransport
 
 
+#: What a revoked key holds: nothing, authorized by nobody.
+NO_RIGHTS: Decision = (Permission.none(), ())
+
+
 class DisCFSController:
     """The access controller gluing NFS procedures to KeyNote."""
 
@@ -63,18 +67,20 @@ class DisCFSController:
         required = required_permission(op)
         if required.bits == 0:
             return
-        identity = self._server.principal_for(ctx)
+        server = self._server
+        identity = server.principal_for(ctx)
         if identity is None:
             raise AccessDeniedSignal("no authenticated identity on this channel")
-        granted = self._server.rights_for(identity, fh, op, inode)
+        handle = server.handle_scheme.render(fh)
+        granted, chain = server.decision_for(identity, handle, op, inode)
         allowed = granted.covers(required)
-        self._server.audit.record(
+        server.audit.record(
             principal=identity,
             operation=op,
-            handle=self._server.handle_scheme.render(fh),
+            handle=handle,
             granted=granted.value,
             allowed=allowed,
-            authorized_by=self._server.chain_for(identity, fh),
+            authorized_by=chain,
         )
         if not allowed:
             raise AccessDeniedSignal(
@@ -90,30 +96,26 @@ class DisCFSController:
         credential for a *file* makes it appear under the mount point,
         without the directory itself granting anything.
         """
-        identity = self._server.principal_for(ctx)
+        server = self._server
+        identity = server.principal_for(ctx)
         if identity is None:
             raise AccessDeniedSignal("no authenticated identity on this channel")
-        dir_granted = self._server.rights_for(identity, dir_fh, "lookup",
-                                              dir_inode)
-        if dir_granted.can_execute:
-            allowed = True
-            via_handle = self._server.handle_scheme.render(dir_fh)
-            chain_fh = dir_fh
-        else:
-            child_fh = FileHandle.of(child)
-            child_granted = self._server.rights_for(identity, child_fh,
-                                                    "lookup", child)
-            allowed = child_granted.bits != 0
-            via_handle = self._server.handle_scheme.render(child_fh)
-            chain_fh = child_fh
-        self._server.audit.record(
+        handle = server.handle_scheme.render(dir_fh)
+        granted, chain = server.decision_for(identity, handle, "lookup",
+                                             dir_inode)
+        allowed = granted.can_execute
+        if not allowed:
+            handle = server.handle_scheme.render_inode(child)
+            granted, chain = server.decision_for(identity, handle, "lookup",
+                                                 child)
+            allowed = granted.bits != 0
+        server.audit.record(
             principal=identity,
             operation="lookup",
-            handle=via_handle,
-            granted=(dir_granted.value if chain_fh is dir_fh
-                     else child_granted.value),
+            handle=handle,
+            granted=granted.value,
             allowed=allowed,
-            authorized_by=self._server.chain_for(identity, chain_fh),
+            authorized_by=chain,
         )
         if not allowed:
             raise AccessDeniedSignal(
@@ -129,8 +131,9 @@ class DisCFSController:
         identity = self._server.principal_for(ctx)
         if identity is None:
             return 0
-        fh = FileHandle.of(inode)
-        granted = self._server.rights_for(identity, fh, "getattr", inode)
+        handle = self._server.handle_scheme.render_inode(inode)
+        granted, _chain = self._server.decision_for(identity, handle,
+                                                    "getattr", inode)
         return granted.octal << 6  # owner triplet
 
     # -- extension procedures --------------------------------------------
@@ -227,12 +230,12 @@ class DisCFSServer:
             f'Authorizer: "POLICY"\nLicensees: "{self.admin_identity}"\n'
         )
         self.engine = PolicyEngine(self.session, clock=clock)
-        self.cache = PolicyCache(capacity=cache_capacity, ttl_seconds=cache_ttl)
+        #: Each verdict with the keys that authorized it, so audit entries
+        #: on the cached fast path carry the chain.
+        self.cache: PolicyCache[Decision] = PolicyCache(
+            capacity=cache_capacity, ttl_seconds=cache_ttl, clock=clock)
         self.revocations = RevocationStore()
         self.audit = AuditLog(capacity=audit_capacity)
-        #: (principal, handle) -> authorizing keys recorded at evaluation
-        #: time, so audit entries on the cached fast path carry the chain.
-        self._chains: dict[tuple[str, str], tuple[str, ...]] = {}
 
         self.issuer = CredentialIssuer(
             issuer_key if issuer_key is not None else generate_dsa_keypair()
@@ -289,31 +292,34 @@ class DisCFSServer:
     def rights_for(self, identity: str, fh: FileHandle, op: str,
                    inode: Inode | None) -> Permission:
         """Cached KeyNote evaluation of a principal's rights over a file."""
+        return self.decision_for(
+            identity, self.handle_scheme.render(fh), op, inode)[0]
+
+    def decision_for(self, identity: str, handle: str, op: str,
+                     inode: Inode | None) -> Decision:
+        """The rights ``identity`` holds over ``handle`` and the keys that
+        authorized them, from the cache or from KeyNote.
+
+        A query's answer depends on the assertion set, the requester and
+        the action attributes the assertions read.  While none of them
+        reads ``OPERATION``, every operation on a file gets the same
+        answer, and the cache key leaves it out.  Installing or removing
+        an assertion flushes the cache, so entries keyed one way never
+        answer lookups keyed the other.
+        """
         if self.revocations.key_revoked(identity):
-            return Permission.none()
-        handle = self.handle_scheme.render(fh)
-        cached = self.cache.get(identity, handle, op)
+            return NO_RIGHTS
+        keyed_op = op if self.session.reads("OPERATION") else ""
+        cached = self.cache.get(identity, handle, keyed_op)
         if cached is not None:
             return cached
         extra = {}
         if inode is not None:
             anchor = inode.ino if inode.is_dir else inode.parent_ino
             extra["ANCESTORS"] = ancestor_chain(self.fs, anchor, self.handle_scheme)
-        granted, chain = self.engine.evaluate_with_trace(identity, handle, op, extra)
-        self.cache.put(identity, handle, op, granted)
-        self._chains[(identity, handle)] = chain
-        return granted
-
-    def chain_for(self, identity: str, fh: FileHandle) -> tuple[str, ...]:
-        """Authorizing keys recorded for (identity, handle), for auditing."""
-        return self._chains.get(
-            (identity, self.handle_scheme.render(fh)), ()
-        )
-
-    def _flush_policy_state(self) -> None:
-        """Invalidate cached verdicts and chains after any policy change."""
-        self.cache.flush()
-        self._chains.clear()
+        decision = self.engine.evaluate_with_trace(identity, handle, op, extra)
+        self.cache.put(identity, handle, keyed_op, decision)
+        return decision
 
     # ------------------------------------------------------------------
     # Credential intake / minting / revocation
@@ -331,7 +337,7 @@ class DisCFSServer:
             self.session.add_credential(assertion)
         except (KeyNoteError, SignatureVerificationError) as exc:
             raise AccessDeniedSignal(f"credential rejected: {exc}") from exc
-        self._flush_policy_state()
+        self.cache.flush()
         return "credential accepted"
 
     def mint_creator_credential(self, identity: str | None,
@@ -349,7 +355,7 @@ class DisCFSServer:
         # up, so there is nothing to verify); install it so the creator can
         # use the file immediately without re-submitting.
         self.session.add_credential(text, verified=True)
-        self._flush_policy_state()
+        self.cache.flush()
         return text
 
     def handle_revocation(self, requester: str | None, payload: str) -> str:
@@ -370,12 +376,12 @@ class DisCFSServer:
                                    or principal in a.licensee_principals())
             if self._channel_server is not None:
                 self._channel_server.revoke_identity(principal)
-            self._flush_policy_state()
+            self.cache.flush()
             return f"revoked key {principal[:32]}..."
         if kind == "credential":
             self.revocations.revoke_credential(value)
             self._drop_credentials(lambda a: a.signature == value)
-            self._flush_policy_state()
+            self.cache.flush()
             return "revoked credential"
         raise AccessDeniedSignal(f"unknown revocation kind {kind!r}")
 

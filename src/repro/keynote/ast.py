@@ -62,18 +62,12 @@ class ComplianceValues:
             raise KeyNoteError("compliance values must be distinct")
         self._values = values
         self._rank = {v: i for i, v in enumerate(values)}
+        self.minimum = values[0]
+        self.maximum = values[-1]
 
     @property
     def values(self) -> list[str]:
         return list(self._values)
-
-    @property
-    def minimum(self) -> str:
-        return self._values[0]
-
-    @property
-    def maximum(self) -> str:
-        return self._values[-1]
 
     def rank(self, value: str) -> int:
         try:
@@ -85,10 +79,18 @@ class ComplianceValues:
         return value in self._rank
 
     def min_of(self, a: str, b: str) -> str:
-        return a if self.rank(a) <= self.rank(b) else b
+        rank = self._rank
+        try:
+            return a if rank[a] <= rank[b] else b
+        except KeyError:
+            return a if self.rank(a) <= self.rank(b) else b  # says which is unknown
 
     def max_of(self, a: str, b: str) -> str:
-        return a if self.rank(a) >= self.rank(b) else b
+        rank = self._rank
+        try:
+            return a if rank[a] >= rank[b] else b
+        except KeyError:
+            return a if self.rank(a) >= self.rank(b) else b  # says which is unknown
 
     def kth_largest(self, values: list[str], k: int) -> str:
         """The k-th largest of ``values`` (k>=1); used by threshold licensees."""

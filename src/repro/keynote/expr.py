@@ -29,13 +29,31 @@ query — mirroring the forgiving behaviour of the reference implementation,
 where a malformed assertion simply fails to contribute authority.  The
 evaluator can be run in strict mode (used by tests) where such errors
 raise :class:`~repro.errors.ExpressionError`.
+
+Compiled once
+-------------
+A program is parsed into the dataclasses below — which stay, because the
+compliance checker's guard extractor and ``extract_grant`` read them — and
+compiled into closures as it is constructed: one Python function per
+node, its operands bound, so evaluating costs the calls the expression
+needs and no dispatch on node types.  Whether a value expression yields a
+string or a number is fixed by its shape, so operand type checks are made
+at compile time (an ill-typed expression compiles to one that raises when
+reached), and a literal ``~=`` pattern is compiled with the program; only
+a pattern built from attributes is compiled when evaluated.  Compiling
+also records the program's *footprint*: the attribute names it mentions
+(``reads``) and whether a ``$`` lets it read one named at run time
+(``dereferences``).  The tree walk this replaced is kept as
+``tests/keynote_reference.py`` and compared in
+``tests/property/test_prop_keynote.py``.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping, NoReturn, Protocol
 
 from repro.errors import AssertionSyntaxError, ExpressionError
 from repro.keynote.ast import ComplianceValues
@@ -46,6 +64,14 @@ from repro.keynote.lexer import TokenStream, tokenize
 # ---------------------------------------------------------------------------
 
 Value = str | int | float
+_Attributes = Mapping[str, str]
+
+
+class _ProgramFn(Protocol):
+    """What a program compiles to."""
+
+    def __call__(self, attributes: _Attributes, values: ComplianceValues,
+                 strict: bool = False) -> str: ...
 
 
 @dataclass(frozen=True)
@@ -148,17 +174,27 @@ class Clause:
 
 @dataclass(frozen=True)
 class ConditionsProgram:
-    clauses: tuple[Clause, ...]
+    """A parsed Conditions program, compiled when it is constructed.
 
-    def evaluate(
-        self,
-        attributes: Mapping[str, str],
-        values: ComplianceValues,
-        strict: bool = False,
-    ) -> str:
-        """Evaluate the program to a compliance value."""
-        env = _Env(attributes, values, strict)
-        return _eval_program(self, env)
+    ``evaluate(attributes, values, strict=False)`` returns the program's
+    compliance value; it is the compiled closure itself, so calling it
+    costs no method hop.
+    """
+
+    clauses: tuple[Clause, ...]
+    evaluate: _ProgramFn = field(init=False, compare=False, repr=False)
+    #: The attribute names the clauses mention, nested programs included,
+    #: sorted (a tuple: a server holds one per credential).
+    reads: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    #: True if a ``$`` lets the program read an attribute named at run time,
+    #: so that ``reads`` is not all it can depend on.
+    dereferences: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        compiler = _Compiler()
+        object.__setattr__(self, "evaluate", compiler.program(self.clauses))
+        object.__setattr__(self, "reads", tuple(sorted(compiler.reads)))
+        object.__setattr__(self, "dereferences", compiler.dereferences)
 
 
 # ---------------------------------------------------------------------------
@@ -342,162 +378,245 @@ def _parse_atom(stream: TokenStream) -> ValueNode:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Compilation
 # ---------------------------------------------------------------------------
 
+#: A compiled value expression.  Whether it yields a string or a number is
+#: known when it is compiled, which a Callable type cannot say: hence Any.
+_ValueFn = Callable[[_Attributes], Any]
+_TestFn = Callable[[_Attributes], bool]
 
-class _Env:
-    __slots__ = ("attributes", "values", "strict")
-
-    def __init__(self, attributes: Mapping[str, str], values: ComplianceValues, strict: bool):
-        self.attributes = attributes
-        self.values = values
-        self.strict = strict
-
-
-def _eval_program(program: ConditionsProgram, env: _Env) -> str:
-    result = env.values.minimum
-    for clause in program.clauses:
-        try:
-            satisfied = _eval_test(clause.test, env)
-        except ExpressionError:
-            if env.strict:
-                raise
-            continue  # errored clause contributes nothing
-        if not satisfied:
-            continue
-        if clause.target is None:
-            contribution = env.values.maximum
-        elif isinstance(clause.target, ConditionsProgram):
-            contribution = _eval_program(clause.target, env)
-        else:
-            if clause.target not in env.values:
-                if env.strict:
-                    raise ExpressionError(
-                        f"value {clause.target!r} not in the query's compliance set"
-                    )
-                continue
-            contribution = clause.target
-        result = env.values.max_of(result, contribution)
-    return result
+_RELOP_FN: dict[str, Callable[[Any, Any], bool]] = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
 
 
-def _eval_test(node: TestNode, env: _Env) -> bool:
-    if isinstance(node, BoolLit):
-        return node.value
-    if isinstance(node, Not):
-        return not _eval_test(node.inner, env)
-    if isinstance(node, And):
-        return _eval_test(node.left, env) and _eval_test(node.right, env)
-    if isinstance(node, Or):
-        return _eval_test(node.left, env) or _eval_test(node.right, env)
-    if isinstance(node, Compare):
-        return _eval_compare(node, env)
-    raise ExpressionError(f"unknown test node: {node!r}")
+def _divide(left: int | float, right: int | float) -> int | float:
+    if isinstance(left, int) and isinstance(right, int):
+        # C-style truncation toward zero, like the reference engine.
+        return int(left / right)
+    return left / right
 
 
-def _eval_compare(node: Compare, env: _Env) -> bool:
-    left = _eval_value(node.left, env)
-    if node.op == "~=":
-        right = _eval_value(node.right, env)
-        if not isinstance(left, str) or not isinstance(right, str):
-            raise ExpressionError("~= requires string operands")
-        try:
-            pattern = re.compile(right)
-        except re.error as exc:
-            raise ExpressionError(f"bad regular expression: {exc}") from exc
-        return pattern.search(left) is not None
-    right = _eval_value(node.right, env)
-    left_is_str = isinstance(left, str)
-    right_is_str = isinstance(right, str)
-    if left_is_str != right_is_str:
-        raise ExpressionError(
-            f"type mismatch in comparison: {type(left).__name__} "
-            f"{node.op} {type(right).__name__}"
-        )
-    ops: dict[str, Callable[[Value, Value], bool]] = {
-        "==": lambda a, b: a == b,
-        "!=": lambda a, b: a != b,
-        "<": lambda a, b: a < b,
-        ">": lambda a, b: a > b,
-        "<=": lambda a, b: a <= b,
-        ">=": lambda a, b: a >= b,
-    }
-    return ops[node.op](left, right)
+def _modulo(left: int | float, right: int | float) -> int | float:
+    if right == 0:
+        raise ZeroDivisionError
+    result = abs(left) % abs(right)
+    return -result if left < 0 else result
 
 
-def _eval_value(node: ValueNode, env: _Env) -> Value:
-    if isinstance(node, StrLit):
-        return node.value
-    if isinstance(node, IntLit):
-        return node.value
-    if isinstance(node, FloatLit):
-        return node.value
-    if isinstance(node, Attr):
-        return env.attributes.get(node.name, "")
-    if isinstance(node, Deref):
-        name = _eval_value(node.inner, env)
-        if not isinstance(name, str):
-            raise ExpressionError("$ requires a string operand")
-        return env.attributes.get(name, "")
-    if isinstance(node, ToInt):
-        raw = _eval_value(node.inner, env)
-        if isinstance(raw, int):
-            return raw
-        if isinstance(raw, float):
-            return int(raw)
-        try:
-            return int(raw.strip() or "0", 10)
-        except ValueError as exc:
-            raise ExpressionError(f"cannot convert {raw!r} to integer") from exc
-    if isinstance(node, ToFloat):
-        raw = _eval_value(node.inner, env)
-        if isinstance(raw, (int, float)):
-            return float(raw)
-        try:
-            return float(raw.strip() or "0")
-        except ValueError as exc:
-            raise ExpressionError(f"cannot convert {raw!r} to float") from exc
-    if isinstance(node, Neg):
-        inner = _eval_value(node.inner, env)
-        if isinstance(inner, str):
-            raise ExpressionError("unary - requires a numeric operand")
-        return -inner
-    if isinstance(node, BinOp):
-        return _eval_binop(node, env)
-    raise ExpressionError(f"unknown value node: {node!r}")
+_ARITHMETIC_FN: dict[str, Callable[[int | float, int | float], int | float]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "%": _modulo,
+    "^": operator.pow,
+}
 
 
-def _eval_binop(node: BinOp, env: _Env) -> Value:
-    left = _eval_value(node.left, env)
-    right = _eval_value(node.right, env)
-    if node.op == ".":
-        if not isinstance(left, str) or not isinstance(right, str):
-            raise ExpressionError("'.' concatenation requires string operands")
-        return left + right
-    if isinstance(left, str) or isinstance(right, str):
-        raise ExpressionError(f"operator {node.op!r} requires numeric operands")
+def _compile_pattern(pattern: str) -> "re.Pattern[str]":
     try:
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if isinstance(left, int) and isinstance(right, int):
-                # C-style truncation toward zero, like the reference engine.
-                return int(left / right)
-            return left / right
-        if node.op == "%":
-            if right == 0:
-                raise ZeroDivisionError
-            result = abs(left) % abs(right)
-            return -result if left < 0 else result
-        if node.op == "^":
-            return left**right
-    except ZeroDivisionError as exc:
-        raise ExpressionError("division by zero") from exc
-    except OverflowError as exc:
-        raise ExpressionError("numeric overflow") from exc
-    raise ExpressionError(f"unknown operator: {node.op!r}")
+        return re.compile(pattern)
+    except (re.error, OverflowError) as exc:
+        raise ExpressionError(f"bad regular expression: {exc}") from exc
+
+
+def _ill_typed(message: str, *operands: _ValueFn) -> Callable[[_Attributes], NoReturn]:
+    """An expression whose operand types are wrong whatever the attributes.
+
+    The operands are still evaluated first, so an error of their own is
+    the one reported, as when the tree was walked.
+    """
+
+    def fail(attributes: _Attributes) -> NoReturn:
+        for operand in operands:
+            operand(attributes)
+        raise ExpressionError(message)
+
+    return fail
+
+
+class _Compiler:
+    """Compiles the clauses of one program, noting what they read.
+
+    Every value node has a static type — strings are literals, attributes,
+    ``$`` and ``.``; everything else is a number — so the type checks the
+    tree walk made on every evaluation are made here, once.
+    """
+
+    def __init__(self) -> None:
+        self.reads: set[str] = set()
+        self.dereferences = False
+
+    # -- values: (closure, is it a string?) --------------------------------
+
+    def value(self, node: ValueNode) -> tuple[_ValueFn, bool]:
+        if isinstance(node, (StrLit, IntLit, FloatLit)):
+            constant = node.value
+            return (lambda _attributes: constant), isinstance(node, StrLit)
+        if isinstance(node, Attr):
+            name = node.name
+            self.reads.add(name)
+            return (lambda attributes: attributes.get(name, "")), True
+        if isinstance(node, BinOp):
+            return self._binop(node)
+        if not isinstance(node, (Deref, ToInt, ToFloat, Neg)):
+            raise ExpressionError(f"unknown value node: {node!r}")
+        inner, is_str = self.value(node.inner)
+        if isinstance(node, Deref):
+            self.dereferences = True
+            if not is_str:
+                return _ill_typed("$ requires a string operand", inner), True
+            return (lambda attributes: attributes.get(inner(attributes), "")), True
+        if isinstance(node, Neg):
+            if is_str:
+                return _ill_typed("unary - requires a numeric operand", inner), False
+            return (lambda attributes: -inner(attributes)), False
+        number: type[int] | type[float]
+        number, kind = (int, "integer") if isinstance(node, ToInt) else (float, "float")
+        if not is_str:
+            return (lambda attributes: number(inner(attributes))), False
+
+        def from_string(attributes: _Attributes) -> int | float:
+            raw = inner(attributes)
+            try:
+                return number(raw.strip() or "0")
+            except ValueError as exc:
+                raise ExpressionError(f"cannot convert {raw!r} to {kind}") from exc
+
+        return from_string, False
+
+    def _binop(self, node: BinOp) -> tuple[_ValueFn, bool]:
+        left, left_is_str = self.value(node.left)
+        right, right_is_str = self.value(node.right)
+        if node.op == ".":
+            if not (left_is_str and right_is_str):
+                return _ill_typed("'.' concatenation requires string operands",
+                                  left, right), True
+            return (lambda attributes: left(attributes) + right(attributes)), True
+        if left_is_str or right_is_str:
+            return _ill_typed(f"operator {node.op!r} requires numeric operands",
+                              left, right), False
+        if node.op not in _ARITHMETIC_FN:
+            raise ExpressionError(f"unknown operator: {node.op!r}")
+        apply = _ARITHMETIC_FN[node.op]
+
+        def arithmetic(attributes: _Attributes) -> int | float:
+            try:
+                return apply(left(attributes), right(attributes))
+            except ZeroDivisionError as exc:
+                raise ExpressionError("division by zero") from exc
+            except OverflowError as exc:
+                raise ExpressionError("numeric overflow") from exc
+
+        return arithmetic, False
+
+    # -- tests -------------------------------------------------------------
+
+    def test(self, node: TestNode) -> _TestFn:
+        if isinstance(node, BoolLit):
+            truth = node.value
+            return lambda _attributes: truth
+        if isinstance(node, Not):
+            inner = self.test(node.inner)
+            return lambda attributes: not inner(attributes)
+        if isinstance(node, (And, Or)):
+            first, second = self.test(node.left), self.test(node.right)
+            if isinstance(node, And):
+                return lambda attributes: first(attributes) and second(attributes)
+            return lambda attributes: first(attributes) or second(attributes)
+        if isinstance(node, Compare):
+            return self._compare(node)
+        raise ExpressionError(f"unknown test node: {node!r}")
+
+    def _compare(self, node: Compare) -> _TestFn:
+        if node.op == "==" and isinstance(node.left, Attr) and isinstance(node.right, StrLit):
+            # The shape of nearly every test a DisCFS credential makes, and a
+            # server holds one or two per credential: one closure, not three.
+            name, literal = node.left.name, node.right.value
+            self.reads.add(name)
+            return lambda attributes: attributes.get(name, "") == literal
+        left, left_is_str = self.value(node.left)
+        right, right_is_str = self.value(node.right)
+        if node.op == "~=":
+            return self._match(node, left, right, left_is_str and right_is_str)
+        if left_is_str != right_is_str:
+            op = node.op
+
+            def mismatch(attributes: _Attributes) -> NoReturn:
+                a, b = left(attributes), right(attributes)
+                raise ExpressionError(
+                    f"type mismatch in comparison: {type(a).__name__} "
+                    f"{op} {type(b).__name__}"
+                )
+
+            return mismatch
+        relation = _RELOP_FN[node.op]
+        return lambda attributes: relation(left(attributes), right(attributes))
+
+    @staticmethod
+    def _match(node: Compare, left: _ValueFn, right: _ValueFn, strings: bool) -> _TestFn:
+        if not strings:
+            return _ill_typed("~= requires string operands", left, right)
+        if isinstance(node.right, StrLit):
+            # A literal pattern is compiled here, once; a bad one still
+            # fails the clause each time it is reached.
+            try:
+                search = _compile_pattern(node.right.value).search
+            except ExpressionError as exc:
+                return _ill_typed(str(exc), left)
+            return lambda attributes: search(left(attributes)) is not None
+
+        def match(attributes: _Attributes) -> bool:
+            subject = left(attributes)
+            return _compile_pattern(right(attributes)).search(subject) is not None
+
+        return match
+
+    # -- programs ----------------------------------------------------------
+
+    def program(self, clauses: tuple[Clause, ...]) -> _ProgramFn:
+        compiled: list[tuple[_TestFn, str | None, _ProgramFn | None]] = []
+        for clause in clauses:
+            test = self.test(clause.test)
+            if isinstance(clause.target, ConditionsProgram):
+                self.reads.update(clause.target.reads)
+                self.dereferences |= clause.target.dereferences
+                compiled.append((test, None, clause.target.evaluate))
+            else:
+                compiled.append((test, clause.target, None))
+        steps = tuple(compiled)
+
+        def run(attributes: _Attributes, values: ComplianceValues,
+                strict: bool = False) -> str:
+            result = values.minimum
+            for test, target, nested in steps:
+                try:
+                    if not test(attributes):
+                        continue
+                except ExpressionError:
+                    if strict:
+                        raise
+                    continue  # errored clause contributes nothing
+                if nested is not None:
+                    contribution = nested(attributes, values, strict)
+                elif target is None:
+                    contribution = values.maximum
+                elif target in values:
+                    contribution = target
+                elif strict:
+                    raise ExpressionError(
+                        f"value {target!r} not in the query's compliance set"
+                    )
+                else:
+                    continue
+                result = values.max_of(result, contribution)
+            return result
+
+        return run

@@ -88,6 +88,12 @@ class KeyNoteSession:
             return self._checker.remove_assertion(assertion)
         return False
 
+    def reads(self, attribute: str) -> bool:
+        """Whether any installed assertion's Conditions can depend on the
+        action attribute ``attribute``.  While none does, two queries that
+        differ only in it have the same answer."""
+        return self._checker.reads(attribute)
+
     @property
     def policies(self) -> list[Assertion]:
         return list(self._policies)
@@ -119,12 +125,7 @@ class KeyNoteSession:
 
         ``action`` is merged over the session's standing attributes.
         """
-        if not isinstance(values, ComplianceValues):
-            values = ComplianceValues(list(values))
-        merged = dict(self._action_attributes)
-        if action:
-            merged.update({k: str(v) for k, v in action.items()})
-        return self._checker.query(merged, action_authorizers, values)
+        return self.query_with_trace(action, action_authorizers, values)[0]
 
     def query_with_trace(
         self,

@@ -103,7 +103,7 @@ class TestIsolation:
         fed, servers = federation
         user_id = identity_of(fed.key)
         servers["east"].revocations.revoke_key(user_id)
-        servers["east"]._flush_policy_state()
+        servers["east"].cache.flush()
         with pytest.raises(NFSError):
             fed.read("/east/origin.txt")
         assert fed.read("/west/origin.txt") == b"west"  # untouched

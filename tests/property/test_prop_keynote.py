@@ -111,3 +111,251 @@ def test_handle_conditions_are_exact_match(handle, probe):
     ))
     result = checker.query({"HANDLE": probe}, ["u"], OCTAL)
     assert (result == "RWX") == (probe == handle)
+
+
+# ---------------------------------------------------------------------------
+# The compiled engine against the tree walk and list scan it replaced
+# (tests/keynote_reference.py)
+# ---------------------------------------------------------------------------
+
+import dataclasses  # noqa: E402
+
+import keynote_reference as ref  # noqa: E402  (tests/keynote_reference.py)
+
+from repro.keynote import expr  # noqa: E402
+from repro.keynote.expr import parse_conditions  # noqa: E402
+
+ATTRIBUTE_NAMES = ["a", "b", "n", "HANDLE", "k", "missing"]
+#: Attribute values: numbers in the shapes ``@`` and ``&`` accept and
+#: reject, and the names above, so that ``$`` lands on something.
+ATTRIBUTE_VALUES = ["", "0", "7", "42", " 12 ", "3.5", "1e3", "abc", "a.c",
+                    "a", "n", "HANDLE", "x7"]
+#: ``~=`` patterns, two of them not regular expressions.
+PATTERNS = ["a", "^a.c$", "[0-9]+", "(^| )7( |$)", "(", "a{2,1}"]
+#: Clause values, one of them outside the query's compliance set.
+TARGETS = [*PERMISSION_VALUES, "bogus"]
+
+
+def quoted(text):
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+LITERAL_STRING = st.sampled_from(ATTRIBUTE_VALUES + PATTERNS).map(quoted)
+LITERAL_INT = st.integers(min_value=0, max_value=99).map(str)
+LITERAL_FLOAT = st.sampled_from(["0.0", "0.5", "2.0", "1e3", "7.25"])
+NEGATIVE = st.sampled_from(["-7", "-2", "-0.5"])
+ATTRIBUTE = st.sampled_from(ATTRIBUTE_NAMES)
+#: ``^`` only between leaves, on a literal base: a tower of powers does not
+#: end, and a negative base under a fractional power is a complex number.
+POWER = st.tuples(
+    st.one_of(LITERAL_INT, LITERAL_FLOAT),
+    st.one_of(st.sampled_from(["-1", "0", "2", "5", "0.5"]), ATTRIBUTE.map("@".__add__)),
+).map(lambda pair: f"({pair[0]} ^ {pair[1]})")
+
+
+def wider(children):
+    """One more level of value expression; operand types are left to chance,
+    so ill-typed ones come up too."""
+    binary = st.tuples(children, st.sampled_from("+-*/%."), children).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})")
+    unary = st.tuples(st.sampled_from("@&$-"), children).map(
+        lambda t: f"{t[0]}({t[1]})")
+    return st.one_of(binary, unary, unary)
+
+
+VALUE_EXPR = st.recursive(
+    st.one_of(LITERAL_STRING, LITERAL_INT, LITERAL_FLOAT, NEGATIVE, ATTRIBUTE,
+              ATTRIBUTE, ATTRIBUTE.map("@".__add__), ATTRIBUTE.map("&".__add__),
+              POWER),
+    wider, max_leaves=6)
+COMPARISON = st.one_of(
+    st.tuples(VALUE_EXPR, st.sampled_from(["==", "!=", "<", ">", "<=", ">=", "~="]),
+              VALUE_EXPR).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+    st.tuples(VALUE_EXPR, st.sampled_from(PATTERNS)).map(
+        lambda t: f"({t[0]} ~= {quoted(t[1])})"),
+)
+TEST_EXPR = st.recursive(
+    st.one_of(COMPARISON, COMPARISON, st.sampled_from(["true", "false"])),
+    lambda children: st.one_of(
+        st.tuples(children, st.sampled_from(["&&", "||"]), children).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        children.map("!".__add__)),
+    max_leaves=4)
+
+
+def programs(children):
+    clause = st.one_of(
+        TEST_EXPR,
+        st.tuples(TEST_EXPR, st.sampled_from(TARGETS)).map(
+            lambda t: f"{t[0]} -> {quoted(t[1])}"),
+        st.tuples(TEST_EXPR, children).map(lambda t: f"{t[0]} -> {{ {t[1]} }}"),
+    )
+    return st.lists(clause, min_size=1, max_size=3).map("; ".join)
+
+
+PROGRAM = st.recursive(programs(st.nothing()), programs, max_leaves=3)
+ATTRIBUTES = st.dictionaries(ATTRIBUTE, st.sampled_from(ATTRIBUTE_VALUES))
+
+
+def outcome(call, *args):
+    """What a call does: its value, or the type of what it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - the two sides must raise alike
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=PROGRAM, attributes=ATTRIBUTES, strict=st.booleans())
+def test_compiled_program_matches_the_tree_walk(text, attributes, strict):
+    program = parse_conditions(text)
+    assert outcome(program.evaluate, attributes, OCTAL, strict) == \
+        outcome(ref.reference_evaluate, program, attributes, OCTAL, strict)
+
+
+SMALL_NUMBER = st.recursive(
+    st.one_of(st.integers(-9, 9).map(str), st.sampled_from(["0.5", "-2.5", "@n"])),
+    lambda children: st.tuples(children, st.sampled_from("+-*/%"), children).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})"),
+    max_leaves=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(number=SMALL_NUMBER, n=st.sampled_from(["3", "-4", "0"]))
+def test_compiled_arithmetic_matches_the_tree_walk(number, n):
+    """The value itself, not just one comparison with it: bracketed by
+    every threshold in a range (sign of ``%``, truncation of ``/``)."""
+    for threshold in range(-12, 13):
+        program = parse_conditions(
+            f'{number} <= {threshold} -> "R"; {number} == {threshold} -> "RWX";')
+        assert outcome(program.evaluate, {"n": n}, OCTAL, True) == \
+            outcome(ref.reference_evaluate, program, {"n": n}, OCTAL, True)
+
+
+def mentions(node, found=None):
+    """(attribute names a Conditions AST mentions, does it dereference?) —
+    by walking the dataclasses, which is not how the compiler finds them."""
+    found = found if found is not None else [set(), False]
+    if isinstance(node, expr.Attr):
+        found[0].add(node.name)
+    if isinstance(node, expr.Deref):
+        found[1] = True
+    if dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            if f.compare:  # what was parsed, not what was compiled from it
+                mentions(getattr(node, f.name), found)
+    elif isinstance(node, tuple):
+        for item in node:
+            mentions(item, found)
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=PROGRAM)
+def test_footprint_is_what_the_program_mentions(text):
+    program = parse_conditions(text)
+    names, dereferences = mentions(program)
+    assert set(program.reads) == names
+    assert program.dereferences == dereferences
+
+
+PRINCIPALS = [f"p{i}" for i in range(4)]
+PRINCIPAL = st.sampled_from(PRINCIPALS).map(quoted)
+LICENSEES = st.one_of(
+    PRINCIPAL, PRINCIPAL,
+    st.tuples(PRINCIPAL, st.sampled_from(["&&", "||"]), PRINCIPAL).map(" ".join),
+    st.tuples(st.integers(1, 3), st.lists(PRINCIPAL, min_size=3, max_size=4)).map(
+        lambda t: f"{t[0]}-of({', '.join(t[1])})"),
+    st.tuples(PRINCIPAL, PRINCIPAL, PRINCIPAL).map(
+        lambda t: f"({t[0]} && {t[1]}) || {t[2]}"),
+)
+#: Conditions of delegation-graph assertions: guarded on HANDLE by one and
+#: by two literals, unguarded, reading other attributes, dereferencing.
+GRANTED = st.sampled_from(PERMISSION_VALUES[1:])
+GRAPH_CONDITIONS = st.one_of(
+    st.none(), st.none(),
+    GRANTED.map(lambda v: f'true -> "{v}";'),
+    st.tuples(st.sampled_from(["h1", "h2"]), GRANTED).map(
+        lambda t: f'(app == "d") && (HANDLE == "{t[0]}") -> "{t[1]}";'),
+    st.tuples(GRANTED, GRANTED).map(
+        lambda t: f'HANDLE == "h1" -> "{t[0]}"; "h2" == HANDLE -> "{t[1]}";'),
+    GRANTED.map(lambda v: f'(HANDLE == "h1") || (OPERATION == "read") -> "{v}";'),
+    GRANTED.map(lambda v: f'$k == "h1" -> "{v}";'),
+    st.just('HANDLE == "h1" -> "bogus"; @n / 0 == 1 -> "RWX";'),
+)
+CONSTANTS = st.sampled_from(["", "", 'HANDLE = "h1"', 'k = "OPERATION"'])
+
+
+def graph_assertion(parts):
+    authorizer, licensees, conditions, constants = parts
+    text = f"Authorizer: {authorizer}\nLicensees: {licensees}\n"
+    if constants:
+        text = f"Local-Constants: {constants}\n" + text
+    if conditions is not None:
+        text += f"Conditions: {conditions}\n"
+    return parse_assertion(text)
+
+
+GRAPH_ASSERTION = st.tuples(
+    st.one_of(st.just('"POLICY"'), PRINCIPAL), LICENSEES,
+    GRAPH_CONDITIONS, CONSTANTS).map(graph_assertion)
+GRAPH_QUERY = st.tuples(
+    st.lists(st.sampled_from(PRINCIPALS), min_size=1, max_size=3),
+    st.fixed_dictionaries({
+        "HANDLE": st.sampled_from(["h1", "h1", "h2", "h3"]),
+        "app": st.sampled_from(["d", "d", "e"]),
+    }, optional={
+        "OPERATION": st.sampled_from(["read", "write"]),
+        "k": st.sampled_from(["HANDLE", "app"]),
+        "n": st.sampled_from(["1", "x"]),
+    }))
+#: What happens to a checker, in order: an assertion comes (True), the
+#: assertion at some position goes (False), a query is asked (None).
+GRAPH_STEPS = st.lists(st.one_of(
+    st.tuples(st.just(True), GRAPH_ASSERTION),
+    st.tuples(st.just(True), GRAPH_ASSERTION),
+    st.tuples(st.just(True), GRAPH_ASSERTION),
+    st.tuples(st.just(False), st.integers(min_value=0)),
+    st.tuples(st.none(), GRAPH_QUERY),
+    st.tuples(st.none(), GRAPH_QUERY),
+), min_size=6, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=GRAPH_STEPS, index=st.sampled_from([None, "HANDLE"]))
+def test_checker_matches_the_list_scan(steps, index):
+    """Same value and same contributors, in the same order, whatever is
+    added, removed and asked in between; and ``reads`` follows the
+    installed assertions up and down."""
+    checker = ComplianceChecker(verify_signatures=False, index_attribute=index)
+    reference = ref.ReferenceChecker(verify_signatures=False, index_attribute=index)
+    installed = []
+    for kind, payload in steps:
+        if kind is None:
+            requesters, action = payload
+            value, contributors = checker.query_with_trace(action, requesters, OCTAL)
+            expected, expected_contributors = reference.query_with_trace(
+                action, requesters, OCTAL)
+            assert value == expected
+            assert [id(a) for a in contributors] == \
+                [id(a) for a in expected_contributors]
+            continue
+        if kind:
+            installed.append(payload)
+            checker.add_assertion(payload)
+            reference.add_assertion(payload)
+        elif installed:
+            gone = installed.pop(payload % len(installed))
+            assert checker.remove_assertion(gone)
+            assert reference.remove_assertion(gone)
+        assert checker.assertions() == installed
+        footprints = [mentions(a.conditions) for a in installed]
+        for name in ("HANDLE", "OPERATION", "app", "k", "n", "other"):
+            assert checker.reads(name) == any(
+                name in names or dereferences
+                for names, dereferences in footprints)
+    for gone in installed:
+        assert checker.remove_assertion(gone)
+    # Every derived table is back to empty.
+    assert not checker._buckets and not checker._delegators
+    assert not checker._readers and checker._dereferencing == 0

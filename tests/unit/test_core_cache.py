@@ -90,6 +90,16 @@ class TestInvalidation:
         time.sleep(0.001)
         assert cache.get("u", "1", "read") is None
 
+    def test_ttl_follows_the_injected_clock(self):
+        now = [100.0]
+        cache = PolicyCache(capacity=8, ttl_seconds=10.0, clock=lambda: now[0])
+        cache.put("u", "1", "read", RWX)
+        now[0] += 10.0
+        assert cache.get("u", "1", "read") == RWX
+        now[0] += 0.5
+        assert cache.get("u", "1", "read") is None
+        assert len(cache) == 0
+
     def test_no_ttl_by_default(self):
         cache = PolicyCache(capacity=8)
         cache.put("u", "1", "read", RWX)

@@ -262,3 +262,106 @@ class TestRightsForCorners:
         granted = discfs.rights_for(bob_id, fh, "read",
                                     discfs.fs.iget(discfs.fs.root_ino))
         assert granted == Permission.none()
+
+
+class TestPolicyCacheKey:
+    """The cache key carries the operation only while some installed
+    assertion reads ``OPERATION``."""
+
+    @pytest.fixture()
+    def shared(self, discfs, bob, administrator, bob_id):
+        """A file of bob's, under Figure-5-style credentials only."""
+        bob.submit_credential(administrator.grant_inode(
+            bob_id, discfs.fs.iget(discfs.fs.root_ino), rights="RWX",
+            scheme=discfs.handle_scheme))
+        fh, _cred = bob.create(bob.root, "f")
+        bob.write(fh, 0, b"data")
+        return fh
+
+    def test_one_query_answers_every_operation_on_a_file(self, discfs, bob,
+                                                         shared):
+        assert not discfs.session.reads("OPERATION")
+        discfs.cache.flush()
+        before = discfs.engine.queries
+        assert bob.read(shared, 0, 4) == b"data"  # check, then effective_mode
+        bob.getattr(shared)
+        bob.write(shared, 0, b"DATA")
+        assert discfs.engine.queries - before == 1
+        assert len(discfs.cache) == 1
+
+    def test_operation_is_keyed_while_a_credential_reads_it(
+            self, discfs, bob, shared, administrator, alice_key, alice_id):
+        alice = DisCFSClient.connect(discfs, alice_key, secure=False)
+        alice.attach("/")
+        inode = discfs.fs.iget(shared.ino)
+        cred = administrator.grant_inode(
+            alice_id, inode, rights="RW", scheme=discfs.handle_scheme,
+            extra_condition='OPERATION == "read"')
+        alice.submit_credential(cred)
+        assert discfs.session.reads("OPERATION")
+        for first in ("read", "write"):
+            discfs.cache.flush()
+            for op in (first, "write", "read", "write"):
+                if op == "read":
+                    assert alice.read(shared, 0, 4) == b"data"
+                else:
+                    with pytest.raises(NFSError) as excinfo:
+                        alice.write(shared, 0, b"nope")
+                    assert excinfo.value.status == NFSStat.NFSERR_ACCES
+        assert {key[2] for key in discfs.cache._entries} >= {"read", "write"}
+
+        from repro.keynote.parser import parse_assertion
+        admin_client = DisCFSClient.connect(discfs, administrator.key,
+                                            secure=False)
+        admin_client.attach("/")
+        admin_client.nfs.revoke(f"credential {parse_assertion(cred).signature}")
+        assert not discfs.session.reads("OPERATION")
+        assert bob.read(shared, 0, 4) == b"data"
+        bob.getattr(shared)
+        assert {key[2] for key in discfs.cache._entries} == {""}
+        with pytest.raises(NFSError):
+            alice.read(shared, 0, 4)
+
+
+class TestDecisionsAreBounded:
+    def test_chains_live_and_die_with_their_cache_entries(self, discfs,
+                                                          administrator, bob_id):
+        """Ten thousand files touched, a 128-entry cache: what the server
+        remembers about them is 128 decisions, chains included."""
+        from repro.keynote.signing import sign_assertion
+
+        discfs.accept_credential(sign_assertion(
+            f'Authorizer: "{administrator.identity}"\nLicensees: "{bob_id}"\n'
+            'Conditions: app_domain == "DisCFS" -> "RX";\n', administrator.key))
+        for i in range(10_000):
+            granted, chain = discfs.decision_for(bob_id, f"{i}.1", "read", None)
+            assert granted.value == "RX" and chain == (administrator.identity,)
+        assert len(discfs.cache) == 128
+        assert discfs.cache.get(bob_id, "9999.1", "") == (granted, chain)
+        grown = {name: len(value) for name, value in vars(discfs).items()
+                 if isinstance(value, (dict, list, set)) and len(value) > 128}
+        assert grown == {}
+
+
+class TestCacheFollowsTheServerClock:
+    def test_ttl_expires_by_the_clock_the_policies_see(self, administrator,
+                                                       bob_key, bob_id):
+        now = [1_000_000.0]
+        server = DisCFSServer(admin_identity=administrator.identity,
+                              clock=lambda: now[0], cache_ttl=50.0)
+        administrator.trust_server(server)
+        bob = DisCFSClient.connect(server, bob_key, secure=False)
+        bob.attach("/")
+        bob.submit_credential(administrator.grant_inode(
+            bob_id, server.fs.iget(server.fs.root_ino), rights="RX",
+            scheme=server.handle_scheme, expires_at=int(now[0]) + 100))
+        bob.readdir(bob.root)
+        queries = server.engine.queries
+        now[0] += 30  # inside the TTL: answered from the cache
+        bob.readdir(bob.root)
+        assert server.engine.queries == queries
+        now[0] += 170  # past the TTL and past the credential's expiry
+        with pytest.raises(NFSError) as excinfo:
+            bob.readdir(bob.root)
+        assert excinfo.value.status == NFSStat.NFSERR_ACCES
+        assert server.engine.queries == queries + 1

@@ -121,7 +121,10 @@ class TestIndexSoundness:
         assert checker.query({"HANDLE": "1"}, ["u"], BOOL) == "true"
         checker.remove_assertion(assertion)
         assert checker.query({"HANDLE": "1"}, ["u"], BOOL) == "false"
-        assert id(assertion) not in checker._guards
+        # Nothing derived from it at intake is left behind.
+        assert "issuer" not in checker._buckets
+        assert "u" not in checker._delegators
+        assert not checker.reads("HANDLE")
 
 
 @settings(max_examples=50)

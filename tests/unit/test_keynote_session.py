@@ -148,3 +148,70 @@ class TestQueryDefaults:
         )
         octal = ["false", "X", "W", "WX", "R", "RX", "RW", "RWX"]
         assert s.query({}, ["a"], octal) == "W"
+
+
+class TestIntakeWork:
+    """What is worked out once, when an assertion is installed."""
+
+    @pytest.fixture()
+    def compiles(self, monkeypatch):
+        import re
+
+        calls = []
+        real = re.compile
+
+        def counting(pattern, flags=0):
+            calls.append(pattern)
+            return real(pattern, flags)
+
+        monkeypatch.setattr(re, "compile", counting)
+        return calls
+
+    def test_literal_patterns_are_compiled_with_the_program(self, compiles):
+        """More subtree credentials than ``re``'s cache of 512 patterns
+        holds: a query still compiles none of them."""
+        import re
+
+        s = KeyNoteSession(verify_signatures=False)
+        for i in range(600):
+            s.add_policy(
+                'Authorizer: "POLICY"\nLicensees: "u"\n'
+                f'Conditions: (HANDLE == "h{i}") || '
+                f'(ANCESTORS ~= "(^| )h{i}( |$)") -> "{"RX" if i else "R"}";\n')
+        assert len(compiles) == 600
+        re.purge()
+        del compiles[:]
+        values = ["false", "R", "RX", "RWX"]
+        action = {"HANDLE": "leaf", "ANCESTORS": "h0 h7 h599"}
+        for _ in range(5):
+            assert s.query(action, ["u"], values) == "RX"
+        assert s.query({"HANDLE": "leaf", "ANCESTORS": "h0"}, ["u"], values) == "R"
+        assert compiles == []
+
+    def test_pattern_from_attributes_is_compiled_when_evaluated(self, compiles):
+        s = KeyNoteSession(verify_signatures=False)
+        s.add_policy('Authorizer: "POLICY"\nLicensees: "u"\n'
+                     'Conditions: name ~= ("^" . prefix);\n')
+        assert compiles == []
+        assert s.query({"name": "src/a.c", "prefix": "src/"}, ["u"]) == "true"
+        assert s.query({"name": "doc/a", "prefix": "src/"}, ["u"]) == "false"
+        assert s.query({"name": "x", "prefix": "("}, ["u"]) == "false"
+        assert compiles == ["^src/", "^src/", "^("]
+
+    def test_reads_follows_the_installed_assertions(self, bob_key, bob_id):
+        s = KeyNoteSession()
+        s.add_policy(f'Authorizer: "POLICY"\nLicensees: "{bob_id}"\n'
+                     'Conditions: app_domain == "DisCFS";\n')
+        assert s.reads("app_domain") and not s.reads("OPERATION")
+        cred = s.add_credential(sign_assertion(
+            f'Authorizer: "{bob_id}"\nLicensees: "alice"\n'
+            'Conditions: OPERATION == "read" -> { HANDLE == "1"; };\n', bob_key))
+        assert s.reads("OPERATION") and s.reads("HANDLE")
+        s.remove_credential(cred)
+        assert not s.reads("OPERATION") and not s.reads("HANDLE")
+        cred = s.add_credential(sign_assertion(
+            f'Authorizer: "{bob_id}"\nLicensees: "alice"\n'
+            'Conditions: $which == "1";\n', bob_key))
+        assert s.reads("OPERATION")  # a dereference may name anything
+        s.remove_credential(cred)
+        assert not s.reads("OPERATION") and not s.reads("which")
