@@ -1,8 +1,8 @@
 """discfs-lint engine: findings, suppressions, baselines, checker plugins.
 
 The analyzers in this package encode *project* invariants — lock
-discipline, XDR protocol mirroring, the error taxonomy, registry
-coverage — that generic linters cannot know.  This module is the
+discipline, XDR protocol mirroring, the error taxonomy — that generic
+linters cannot know.  This module is the
 chassis they plug into:
 
 * :class:`Finding` — one diagnostic with a stable fingerprint, so a
@@ -297,7 +297,6 @@ class LintResult:
 
 def all_checkers() -> dict[str, Callable[[], Checker]]:
     """Rule name -> factory, for ``--rule`` selection and ``--list-rules``."""
-    from repro.analysis.coveragecheck import RegistryCoverageChecker
     from repro.analysis.fsynccheck import FsyncOrderingChecker
     from repro.analysis.leakcheck import ResourceLeakChecker
     from repro.analysis.lockcheck import LockDisciplineChecker, LockOrderChecker
@@ -312,7 +311,6 @@ def all_checkers() -> dict[str, Callable[[], Checker]]:
         LockOrderChecker,
         RPCDriftChecker,
         ErrorTaxonomyChecker,
-        RegistryCoverageChecker,
         FsyncOrderingChecker,
         SpanPropagationChecker,
         QuorumArithmeticChecker,

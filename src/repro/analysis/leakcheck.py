@@ -4,9 +4,10 @@ failure paths between acquisition and ownership hand-off.
 The registry composes stores recursively, so a builder that raises
 *after* constructing a child but *before* anyone owns it strands the
 child — an fd, an sqlite handle, a TCP connection — with no close()
-left to call it.  PR 4/5 fixed several of these by hand
-(``_build_cached``'s try/except-close, ``_build_children``'s
-``close_quietly`` sweep); this rule mechanizes the review.
+left to call it.  The spec layer funnels every composite through one
+guarded helper (``StoreSpec._over_children``: build the children,
+``close_quietly`` them if the parent's constructor raises); this rule
+mechanizes the review for everyone else.
 
 An *acquisition* is ``name = <acquirer>(...)`` where the acquirer is
 one of the project's resource-creating entry points (``open_store``,
@@ -45,8 +46,7 @@ _FuncDef = ast.FunctionDef | ast.AsyncFunctionDef
 #: Bare-name calls that hand back a resource the caller must close.
 _ACQUIRER_NAMES = frozenset({
     "open_store", "open_device", "serve_store", "build",
-    "_build_children", "TCPTransport", "PipelinedTCPTransport",
-    "ConnectionPool",
+    "TCPTransport", "PipelinedTCPTransport", "ConnectionPool",
 })
 #: ``<module>.<attr>`` acquirers.
 _ACQUIRER_ATTRS = frozenset({("os", "open")})

@@ -578,41 +578,11 @@ def cmd_reshard(args) -> int:
 
 
 def cmd_backends(args) -> int:
-    """List storage schemes and a usage example for each."""
-    from repro.storage import registered_schemes
+    """List storage schemes with the usage examples their specs declare."""
+    from repro.storage.spec import backend_rows
 
-    examples = {
-        "mem": "mem://  (options: ?blocks=N&bs=N)",
-        "file": "file:///var/lib/discfs.img",
-        "sqlite": "sqlite:///var/lib/discfs.db",
-        "shard": "shard://4  |  shard://4?base=sqlite&dir=/data  |  "
-                 "shard://mem://;mem://#fanout=2",
-        "cached": "cached://sqlite:///var/lib/discfs.db#capacity=512",
-        "remote": "remote://127.0.0.1:9001  (serve with: discfs store-serve; "
-                  "options: ?timeout=S&batch=on|off&workers=N; against a "
-                  "--policy server add #cred=FILE&key=FILE&tenant=NAME"
-                  "&rights=r|rw|admin)",
-        "tenant": "tenant://mem://#name=alice&offset=0&blocks=64&quota=32  "
-                  "(private region with block/byte quotas + op rate limit; "
-                  "store-serve --tenant-quota builds these server-side)",
-        "replica": "replica://3?w=2&r=2  |  replica://3/file:///d/r-{i}.img#w=2"
-                   "  |  replica://remote://h1:9001;remote://h2:9002#w=1&r=1"
-                   "  (also #hedge_ms=N tail-capped reads, #stamps=P "
-                   "restart-safe repair stamps)",
-        "failing": "failing://mem://#fail=1  (fault injection for drills)",
-        "journal": "journal://file:///var/lib/discfs.img  (crash recovery: "
-                   "fsynced intent log, replay on reopen; #cap=N&path=P)",
-        "lazy": "lazy://remote://127.0.0.1:9001#retry=1  (open/retry on "
-                "use; replica:// applies it to nodes down at mount)",
-        "slow": "slow://mem://#ms=5  (injectable straggler for "
-                "concurrency drills)",
-        "metered": "metered://sqlite:///var/lib/discfs.db#slow_ms=50&ring="
-                   "4096  (per-op latency histograms in stats extras + "
-                   "trace spans; see store-serve --metrics-port and "
-                   "store-trace)",
-    }
-    for scheme in registered_schemes():
-        print(f"{scheme:<8} {examples.get(scheme, f'{scheme}://')}")
+    for scheme, uri, meaning in backend_rows():
+        print(f"{scheme:<8} {uri}  --  {meaning}")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Pluggable storage backends for the DisCFS substrate.
 
-The block layer under FFS is chosen by URI — or, since the typed-spec
-redesign, by a programmatic :mod:`~repro.storage.spec` builder::
+The block layer under FFS is chosen by URI — or by a programmatic
+:mod:`~repro.storage.spec` builder::
 
     from repro.storage import open_device, open_store
     from repro.storage.spec import shard, remote
@@ -10,12 +10,12 @@ redesign, by a programmatic :mod:`~repro.storage.spec` builder::
     store = open_store(shard(remote("h1:9001"), remote("h2:9001"),
                              fanout=4))
 
-Backends compose: ``cached://shard://4#capacity=512`` is a write-back
-LRU in front of four consistent-hashed memory shards, and
-``shard://remote://h1:9001;remote://h2:9002`` spreads the ring across
-real nodes served by ``discfs store-serve``.  See
-:mod:`repro.storage.registry` for the URI grammar and README "Storage
-backends" for worked examples.
+Each scheme is *declared* once, as a :class:`~repro.storage.spec.StoreSpec`
+subclass (options, examples, ``build``); parsing, rendering, validation,
+``discfs backends`` and the README table are *derived* from that — run
+``discfs backends`` for the schemes and their grammar.  Backends compose
+(``cached://shard://4#capacity=512``), and the single-child layers share
+one forwarding base, :class:`~repro.storage.base.WrapperBlockStore`.
 
 The control plane (:mod:`repro.storage.control`) inspects and
 reconfigures mounted topologies: :func:`describe` dumps the live tree
@@ -66,7 +66,6 @@ from repro.storage.registry import (
     build,
     open_device,
     open_store,
-    register_scheme,
     registered_schemes,
     split_uri,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "open_device",
     "open_store",
     "parse_spec",
-    "register_scheme",
     "registered_schemes",
     "render_latency_table",
     "render_tenant_table",

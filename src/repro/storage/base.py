@@ -15,9 +15,12 @@ per-layer and per-shard traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from repro.errors import InvalidArgument, NoSpace
 from repro.fs.blockdev import DEFAULT_BLOCK_SIZE, BlockDeviceStats
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -333,3 +336,102 @@ class BlockStore:
     @property
     def capacity_bytes(self) -> int:
         return self.num_blocks * self.block_size
+
+
+class WrapperBlockStore(BlockStore):
+    """A store that is one ``child`` plus a delta: every method forwards.
+
+    The base for the pass-through layers (``failing://``, ``slow://``,
+    ``metered://``, ``tenant://``, ``cached://``, ``journal://`` and the
+    server's lock wrapper).  A subclass states only what it changes:
+
+    * :meth:`around` — one hook run around every forwarded operation
+      (raise, sleep, lock, time); the default calls straight through.
+    * the data hooks, where the layer holds state of its own (a cache,
+      a log, a region offset).
+
+    **The leaf rule.**  The data hooks here forward to the child's
+    *internal* hooks: this layer's public ``read``/``write`` already
+    validated, padded and counted the operation, so re-entering the
+    child's public API would count one pass-through twice and
+    zero-fill the holes ``_get`` must report as ``None``.  The child's
+    counters therefore stay at zero and this store *is* the physical
+    leaf — ``leaf_stores()`` returns ``[self]``, its stats are the I/O
+    that reached backing storage.  A subclass whose data hooks call
+    the child's public ``read``/``write`` instead (``cached://``,
+    ``journal://``: the child counts what survived this layer) sets
+    ``descends = True`` and ``leaf_stores()`` descends.
+    """
+
+    #: Data hooks call the child's public API (see the leaf rule).
+    descends = False
+    #: Holds acknowledged writes in memory, so the child's durability
+    #: is not this layer's (``cached://``'s write-back).
+    buffers_writes = False
+
+    def __init__(self, child: BlockStore, num_blocks: int | None = None):
+        super().__init__(
+            child.num_blocks if num_blocks is None else num_blocks,
+            child.block_size,
+        )
+        self.child = child
+
+    def around(self, op: str, fn: Callable[[], T]) -> T:
+        """Run ``fn`` — the forwarded child call for ``op`` (``read``,
+        ``write``, ``read_many``, ``write_many``, ``contains``,
+        ``flush``, ``close``, ``used_blocks``, ``used_block_numbers``)."""
+        return fn()
+
+    def _get(self, block_no: int) -> bytes | None:
+        return self.around("read", lambda: self.child._get(block_no))
+
+    def _put(self, block_no: int, data: bytes) -> None:
+        self.around("write", lambda: self.child._put(block_no, data))
+
+    def _get_many(self, block_nos: list[int]) -> list[bytes | None]:
+        return self.around("read_many",
+                           lambda: self.child._get_many(block_nos))
+
+    def _put_many(self, items: list[tuple[int, bytes]]) -> None:
+        self.around("write_many", lambda: self.child._put_many(items))
+
+    def _contains(self, block_no: int) -> bool:
+        return self.around("contains", lambda: self.child._contains(block_no))
+
+    def flush(self) -> None:
+        self.around("flush", self.child.flush)
+
+    def close(self) -> None:
+        self.around("close", self.child.close)
+
+    def used_blocks(self) -> int:
+        return self.around("used_blocks", self.child.used_blocks)
+
+    def used_block_numbers(self) -> list[int]:
+        return self.around("used_block_numbers",
+                           self.child.used_block_numbers)
+
+    def leaf_stores(self) -> list[BlockStore]:
+        return self.child.leaf_stores() if self.descends else [self]
+
+    def child_stores(self) -> list[BlockStore]:
+        return [self.child]
+
+    def capabilities(self) -> Capabilities:
+        child_caps = self.child.capabilities()
+        return Capabilities(
+            thread_safe=self.thread_safe,
+            durable=child_caps.durable and not self.buffers_writes,
+            networked=child_caps.networked,
+            composite=True,
+        )
+
+
+def close_quietly(stores: list[BlockStore]) -> None:
+    """Best-effort close of partially built stacks on the error path —
+    a child that fails to close must not mask the original error."""
+    for store in stores:
+        try:
+            store.close()
+        except Exception:
+            pass

@@ -19,7 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.errors import InvalidArgument
-from repro.storage.base import BlockStore, Capabilities
+from repro.storage.base import BlockStore, WrapperBlockStore
 
 DEFAULT_CAPACITY = 256
 
@@ -42,16 +42,22 @@ class CacheStats:
         self.hits = self.misses = self.evictions = self.writebacks = 0
 
 
-class CachedBlockStore(BlockStore):
-    """LRU write-back cache in front of ``child``."""
+class CachedBlockStore(WrapperBlockStore):
+    """LRU write-back cache in front of ``child``.
+
+    Not ``thread_safe`` (the LRU mutates even on reads) and not durable
+    until flushed; misses and write-backs go through the child's public
+    API, so the child's stats count the physical traffic.
+    """
 
     scheme = "cached"
+    descends = True
+    buffers_writes = True
 
     def __init__(self, child: BlockStore, capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
             raise InvalidArgument("cache capacity must be positive")
-        super().__init__(child.num_blocks, child.block_size)
-        self.child = child
+        super().__init__(child)
         self.capacity = capacity
         self.cache_stats = CacheStats()
         self._entries: OrderedDict[int, bytes] = OrderedDict()
@@ -149,21 +155,6 @@ class CachedBlockStore(BlockStore):
         # Dirty blocks the child has never seen, plus the child's own —
         # without flushing (introspection must stay stats-pure).
         return sorted(set(self.child.used_block_numbers()) | self._dirty)
-
-    def leaf_stores(self) -> list[BlockStore]:
-        return self.child.leaf_stores()
-
-    def child_stores(self) -> list[BlockStore]:
-        return [self.child]
-
-    def capabilities(self) -> Capabilities:
-        child_caps = self.child.capabilities()
-        return Capabilities(
-            thread_safe=False,  # the LRU mutates even on reads
-            durable=False,      # write-back holds dirty blocks in memory
-            networked=child_caps.networked,
-            composite=True,
-        )
 
     def _extra_stats(self) -> dict[str, float]:
         lookups = self.cache_stats.hits + self.cache_stats.misses

@@ -32,8 +32,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidArgument
-from repro.storage.base import BlockStore, Capabilities, StoreStats
-from repro.storage.registry import build, close_quietly
+from repro.storage.base import BlockStore, Capabilities, StoreStats, close_quietly
+from repro.storage.registry import build
 from repro.storage.shard import ShardedBlockStore, build_ring, ring_owner
 from repro.storage.spec import ShardSpec, SpecLike, parse_spec
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import InvalidArgument
 from repro.obs.metrics import Histogram
-from repro.storage.base import BlockStore
+from repro.storage.base import BlockStore, WrapperBlockStore
 
 MAGIC = b"DJRNL001"
 _HEADER = struct.Struct(">8sII")  # magic, block size, reserved
@@ -193,17 +193,17 @@ def inspect_journal(path: str) -> JournalInfo:
     return info
 
 
-class JournalBlockStore(BlockStore):
+class JournalBlockStore(WrapperBlockStore):
     """Write-ahead journal in front of a durable child store."""
 
     scheme = "journal"
+    descends = True  # reads and applied writes use the child's public API
 
     def __init__(self, child: BlockStore, journal_path: str,
                  cap: int = DEFAULT_JOURNAL_CAP):
         if cap <= 0:
             raise InvalidArgument("journal cap must be positive")
-        super().__init__(child.num_blocks, child.block_size)
-        self.child = child
+        super().__init__(child)
         # Writes serialize under this layer's lock, but reads go to the
         # child directly — concurrent safety is the child's to claim.
         self.thread_safe = child.thread_safe
@@ -362,9 +362,6 @@ class JournalBlockStore(BlockStore):
     def _get_many(self, block_nos: list[int]) -> list[bytes | None]:
         return list(self.child.read_many(block_nos))
 
-    def _contains(self, block_no: int) -> bool:
-        return self.child._contains(block_no)
-
     def flush(self) -> None:
         with self._lock:
             self._require_open()
@@ -399,30 +396,9 @@ class JournalBlockStore(BlockStore):
         # Deliberately do NOT close the child: sqlite's close() commits,
         # which would fake durability a real crash does not provide.
 
-    def used_blocks(self) -> int:
-        return self.child.used_blocks()
-
-    def used_block_numbers(self) -> list[int]:
-        # Writes reach the child right after the log append, so the
-        # child's enumeration is complete even before a checkpoint.
-        return self.child.used_block_numbers()
-
-    def leaf_stores(self) -> list[BlockStore]:
-        return self.child.leaf_stores()
-
-    def child_stores(self) -> list[BlockStore]:
-        return [self.child]
-
-    def capabilities(self):
-        from repro.storage.base import Capabilities
-
-        child_caps = self.child.capabilities()
-        return Capabilities(
-            thread_safe=self.thread_safe,
-            durable=child_caps.durable,
-            networked=child_caps.networked,
-            composite=True,
-        )
+    # used_blocks()/used_block_numbers() need no journal view: writes
+    # reach the child right after the log append, so the child's
+    # enumeration is complete even before a checkpoint.
 
     def _extra_stats(self) -> dict[str, float]:
         return {

@@ -28,9 +28,14 @@ from __future__ import annotations
 import threading
 import time
 
+from typing import TYPE_CHECKING
+
 from repro.errors import InvalidArgument, StoreUnavailable
 from repro.fs.blockdev import DEFAULT_BLOCK_SIZE
 from repro.storage.base import BlockStore
+
+if TYPE_CHECKING:
+    from repro.storage.spec import SpecLike
 
 #: Seconds to wait after a failed open before trying the child again.
 DEFAULT_RETRY_INTERVAL = 1.0
@@ -46,7 +51,7 @@ class LazyBlockStore(BlockStore):
 
     scheme = "lazy"
 
-    def __init__(self, uri, num_blocks: int = 16384,
+    def __init__(self, uri: SpecLike, num_blocks: int = 16384,
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  retry_interval: float = DEFAULT_RETRY_INTERVAL):
         super().__init__(num_blocks, block_size)

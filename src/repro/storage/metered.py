@@ -25,7 +25,7 @@ latency and the file backend's miss latency separately.
 from __future__ import annotations
 
 import time
-from typing import Callable, TypeVar
+from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import (
@@ -36,7 +36,7 @@ from repro.obs.trace import (
     new_root_context,
     use_context,
 )
-from repro.storage.base import BlockStore, Capabilities, StoreStats
+from repro.storage.base import BlockStore, StoreStats, T, WrapperBlockStore
 
 #: Ops slower than this are counted as slow and flagged on their span;
 #: override per mount with ``metered://…#slow_ms=``.
@@ -44,16 +44,13 @@ DEFAULT_SLOW_MS = 100.0
 
 _OPS = ("read", "write", "read_many", "write_many", "flush")
 
-T = TypeVar("T")
 
-
-class InstrumentedBlockStore(BlockStore):
+class InstrumentedBlockStore(WrapperBlockStore):
     """Times every operation of ``child``; see module docstring.
 
-    Forwards to the child's *internal* hooks (validation, padding and
-    stats already happened in this layer's public wrappers) like the
-    other overlay stores, so the measured window is exactly the child's
-    work.
+    The base forwards to the child's *internal* hooks (validation,
+    padding and stats already happened in this layer's public
+    wrappers), so the measured window is exactly the child's work.
     """
 
     scheme = "metered"
@@ -62,8 +59,8 @@ class InstrumentedBlockStore(BlockStore):
                  slow_ms: float | None = None, ring: int | None = None,
                  registry: MetricsRegistry | None = None,
                  recorder: TraceRecorder | None = None):
-        super().__init__(child.num_blocks, child.block_size)
-        self.child = child
+        super().__init__(child)
+        self.thread_safe = child.capabilities().thread_safe  # instruments lock
         #: Layer name used in metric names and ``lat:`` extras keys;
         #: defaults to the child's scheme (the layer being measured).
         self.label = label or child.scheme or "store"
@@ -80,7 +77,9 @@ class InstrumentedBlockStore(BlockStore):
 
     # -- the measured window -----------------------------------------------
 
-    def _timed(self, op: str, fn: Callable[[], T]) -> T:
+    def around(self, op: str, fn: Callable[[], T]) -> T:
+        if op not in self._hist:
+            return fn()  # introspection and close: stats-free, untimed
         parent = current_context()
         if parent is None and not self._recorder.enabled:
             # Steady-state path: a timer and one histogram record — no
@@ -121,52 +120,8 @@ class InstrumentedBlockStore(BlockStore):
                 span.attrs["slow_ms"] = self.slow_ms
             self._recorder.record(span)
 
-    # -- BlockStore interface ----------------------------------------------
-
-    def _get(self, block_no: int) -> bytes | None:
-        return self._timed("read", lambda: self.child._get(block_no))
-
-    def _put(self, block_no: int, data: bytes) -> None:
-        self._timed("write", lambda: self.child._put(block_no, data))
-
-    def _get_many(self, block_nos: list[int]) -> list[bytes | None]:
-        return self._timed("read_many", lambda: self.child._get_many(block_nos))
-
-    def _put_many(self, items: list[tuple[int, bytes]]) -> None:
-        self._timed("write_many", lambda: self.child._put_many(items))
-
-    def _contains(self, block_no: int) -> bool:
-        return self.child._contains(block_no)  # stats-free, untimed
-
-    def flush(self) -> None:
-        self._timed("flush", self.child.flush)
-
-    def close(self) -> None:
-        self.child.close()
-
-    def used_blocks(self) -> int:
-        return self.child.used_blocks()
-
-    def used_block_numbers(self) -> list[int]:
-        return self.child.used_block_numbers()
-
-    def leaf_stores(self) -> list[BlockStore]:
-        return [self]
-
-    def child_stores(self) -> list[BlockStore]:
-        return [self.child]
-
     def remote_stats(self) -> StoreStats | None:
         return self.child.remote_stats()
-
-    def capabilities(self) -> Capabilities:
-        child_caps = self.child.capabilities()
-        return Capabilities(
-            thread_safe=child_caps.thread_safe,  # instruments are locked
-            durable=child_caps.durable,
-            networked=child_caps.networked,
-            composite=True,
-        )
 
     def _extra_stats(self) -> dict[str, float]:
         """Per-op latency under the stable ``lat:`` namespace (ms)."""

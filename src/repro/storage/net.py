@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import threading
 import time
 from collections import deque
 from concurrent.futures import Future
@@ -107,7 +108,7 @@ from repro.obs.trace import (
     use_context,
 )
 from repro.storage.auth import StoreAuthGate, sign_session_request
-from repro.storage.base import BlockStore, Capabilities, StoreStats
+from repro.storage.base import BlockStore, StoreStats, T, WrapperBlockStore
 
 #: DisCFS-private program number, next to AUTH_CHANNEL's 390000 range.
 BLOCKSTORE_PROGRAM = 390010
@@ -445,7 +446,7 @@ class BlockStoreProgram(RPCProgram):
         return XDREncoder().pack_string(json.dumps(payload)).getvalue()
 
 
-class SerializedBlockStore(BlockStore):
+class SerializedBlockStore(WrapperBlockStore):
     """Lock wrapper making any store safe under concurrent callers.
 
     ``serve_store(..., workers=N)`` answers one connection's requests
@@ -454,70 +455,17 @@ class SerializedBlockStore(BlockStore):
     serializes every operation under one lock; backends that declare
     ``thread_safe`` (``mem://``, ``sqlite://``) are served unwrapped so
     their operations still overlap.
-
-    Like :class:`~repro.storage.replica.FailingBlockStore`, it forwards
-    to the child's *internal* hooks — validation, padding and stats
-    already happened in this layer's public wrappers — and stands in
-    for the child in the leaf-stats contract.
     """
 
-    def __init__(self, child: BlockStore):
-        import threading
+    thread_safe = True  # that is the point of the wrapper
 
-        super().__init__(child.num_blocks, child.block_size)
-        self.child = child
+    def __init__(self, child: BlockStore):
+        super().__init__(child)
         self._op_lock = threading.RLock()
 
-    def _get(self, block_no: int) -> bytes | None:
+    def around(self, op: str, fn: Callable[[], T]) -> T:
         with self._op_lock:
-            return self.child._get(block_no)
-
-    def _put(self, block_no: int, data: bytes) -> None:
-        with self._op_lock:
-            self.child._put(block_no, data)
-
-    def _get_many(self, block_nos: list[int]) -> list[bytes | None]:
-        with self._op_lock:
-            return list(self.child._get_many(block_nos))
-
-    def _put_many(self, items: list[tuple[int, bytes]]) -> None:
-        with self._op_lock:
-            self.child._put_many(items)
-
-    def _contains(self, block_no: int) -> bool:
-        with self._op_lock:
-            return self.child._contains(block_no)
-
-    def flush(self) -> None:
-        with self._op_lock:
-            self.child.flush()
-
-    def close(self) -> None:
-        with self._op_lock:
-            self.child.close()
-
-    def used_blocks(self) -> int:
-        with self._op_lock:
-            return self.child.used_blocks()
-
-    def used_block_numbers(self) -> list[int]:
-        with self._op_lock:
-            return self.child.used_block_numbers()
-
-    def leaf_stores(self) -> list[BlockStore]:
-        return [self]
-
-    def child_stores(self) -> list[BlockStore]:
-        return [self.child]
-
-    def capabilities(self) -> Capabilities:
-        child_caps = self.child.capabilities()
-        return Capabilities(
-            thread_safe=True,  # that is the point of the wrapper
-            durable=child_caps.durable,
-            networked=child_caps.networked,
-            composite=True,
-        )
+            return fn()
 
     def _extra_stats(self) -> dict[str, float]:
         return self.child._extra_stats()

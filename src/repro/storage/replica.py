@@ -51,9 +51,10 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import InvalidArgument, QuorumError, ReproError, StoreUnavailable
-from repro.storage.base import BlockStore, Capabilities
+from repro.storage.base import BlockStore, Capabilities, T, WrapperBlockStore
 
 _CHILD_FAILURES = (ReproError, OSError)
 
@@ -734,7 +735,7 @@ class ReplicatedBlockStore(BlockStore):
         )
 
 
-class FailingBlockStore(BlockStore):
+class FailingBlockStore(WrapperBlockStore):
     """Pass-through wrapper whose failures are switched on and off.
 
     The injectable outage the replica tests (and ``replica://`` users
@@ -749,8 +750,7 @@ class FailingBlockStore(BlockStore):
     scheme = "failing"
 
     def __init__(self, child: BlockStore, failing: bool = False):
-        super().__init__(child.num_blocks, child.block_size)
-        self.child = child
+        super().__init__(child)
         self.failing = failing
         self.failures = 0
 
@@ -762,70 +762,12 @@ class FailingBlockStore(BlockStore):
         """Stop rejecting operations (the node 'comes back')."""
         self.failing = False
 
-    def _check_up(self) -> None:
-        if self.failing:
+    def around(self, op: str, fn: Callable[[], T]) -> T:
+        # close() must still release the child of a node that is down.
+        if self.failing and op != "close":
             self.failures += 1
             raise StoreUnavailable("injected failure: store is down")
-
-    # The wrapper forwards to the child's *internal* hooks: data has
-    # already been validated/padded and counted by this layer's public
-    # wrappers, so re-entering the child's public read/write would count
-    # the same pass-through operation in two stats layers and zero-fill
-    # holes so _get could never report None.  Because the child's own
-    # counters therefore stay at zero, the wrapper reports *itself* as
-    # the physical leaf (see leaf_stores): its stats ARE the leaf count.
-
-    def _get(self, block_no: int) -> bytes | None:
-        self._check_up()
-        return self.child._get(block_no)
-
-    def _put(self, block_no: int, data: bytes) -> None:
-        self._check_up()
-        self.child._put(block_no, data)
-
-    def _get_many(self, block_nos: list[int]) -> list[bytes | None]:
-        self._check_up()
-        return list(self.child._get_many(block_nos))
-
-    def _put_many(self, items: list[tuple[int, bytes]]) -> None:
-        self._check_up()
-        self.child._put_many(items)
-
-    def _contains(self, block_no: int) -> bool:
-        self._check_up()
-        return self.child._contains(block_no)
-
-    def flush(self) -> None:
-        self._check_up()
-        self.child.flush()
-
-    def close(self) -> None:
-        self.child.close()
-
-    def used_blocks(self) -> int:
-        self._check_up()
-        return self.child.used_blocks()
-
-    def used_block_numbers(self) -> list[int]:
-        self._check_up()
-        return self.child.used_block_numbers()
-
-    def leaf_stores(self) -> list[BlockStore]:
-        # Physical traffic bypasses the child's public counters (see
-        # above), so this wrapper stands in for its child in the
-        # leaf-stats contract — summing leaf stats must still equal the
-        # I/O that reached backing storage.
-        return [self]
-
-    def child_stores(self) -> list[BlockStore]:
-        return [self.child]
-
-    def capabilities(self) -> Capabilities:
-        child_caps = self.child.capabilities()
-        return Capabilities(
-            thread_safe=False, durable=child_caps.durable,
-            networked=child_caps.networked, composite=True,
-        )
+        return fn()
 
     def _extra_stats(self) -> dict[str, float]:
         return {
@@ -838,8 +780,12 @@ class FailingBlockStore(BlockStore):
         return f"failing({state}) over {self.child.describe()}"
 
 
-class DelayedBlockStore(BlockStore):
-    """Pass-through wrapper that sleeps before every operation.
+#: The operations ``slow://`` delays: data movement, not introspection.
+_DATA_OPS = frozenset({"read", "write", "read_many", "write_many"})
+
+
+class DelayedBlockStore(WrapperBlockStore):
+    """Pass-through wrapper that sleeps before every data operation.
 
     The injectable *straggler*: ``slow://<child-uri>#ms=N`` makes one
     replica (or one shard node) pay ``N`` milliseconds per operation,
@@ -854,62 +800,16 @@ class DelayedBlockStore(BlockStore):
     scheme = "slow"
 
     def __init__(self, child: BlockStore, delay_ms: float = 0.0):
-        super().__init__(child.num_blocks, child.block_size)
-        self.child = child
+        super().__init__(child)
         self.delay_ms = float(delay_ms)
         self.delayed_ops = 0
 
-    def _sleep(self) -> None:
-        self.delayed_ops += 1
-        if self.delay_ms > 0:
-            time.sleep(self.delay_ms / 1000.0)
-
-    # Forward to the child's internal hooks for the same reason
-    # FailingBlockStore does: one stats layer, holes stay visible.
-
-    def _get(self, block_no: int) -> bytes | None:
-        self._sleep()
-        return self.child._get(block_no)
-
-    def _put(self, block_no: int, data: bytes) -> None:
-        self._sleep()
-        self.child._put(block_no, data)
-
-    def _get_many(self, block_nos: list[int]) -> list[bytes | None]:
-        self._sleep()
-        return list(self.child._get_many(block_nos))
-
-    def _put_many(self, items: list[tuple[int, bytes]]) -> None:
-        self._sleep()
-        self.child._put_many(items)
-
-    def _contains(self, block_no: int) -> bool:
-        return self.child._contains(block_no)
-
-    def flush(self) -> None:
-        self.child.flush()
-
-    def close(self) -> None:
-        self.child.close()
-
-    def used_blocks(self) -> int:
-        return self.child.used_blocks()
-
-    def used_block_numbers(self) -> list[int]:
-        return self.child.used_block_numbers()
-
-    def leaf_stores(self) -> list[BlockStore]:
-        return [self]
-
-    def child_stores(self) -> list[BlockStore]:
-        return [self.child]
-
-    def capabilities(self) -> Capabilities:
-        child_caps = self.child.capabilities()
-        return Capabilities(
-            thread_safe=False, durable=child_caps.durable,
-            networked=child_caps.networked, composite=True,
-        )
+    def around(self, op: str, fn: Callable[[], T]) -> T:
+        if op in _DATA_OPS:
+            self.delayed_ops += 1
+            if self.delay_ms > 0:
+                time.sleep(self.delay_ms / 1000.0)
+        return fn()
 
     def _extra_stats(self) -> dict[str, float]:
         return {"delayed_ops": self.delayed_ops, "delay_ms": self.delay_ms}

@@ -1,46 +1,44 @@
-"""Typed storage configuration: ``StoreSpec`` dataclasses and the URI codec.
+"""Typed storage configuration: one ``StoreSpec`` dataclass per URI scheme.
 
-Four PRs of organic growth configured the storage stack through ad-hoc
-string parsing scattered across the registry — fragment peeling here,
-per-scheme query handling there, silently ignored options everywhere.
-This module is the single typed description of a store topology:
+**Declared** — once, on the scheme's spec class: the scheme name; its
+options, each a dataclass field made with :func:`opt` that carries the
+option's type, range rule, ``?query``/``#fragment`` side and the store
+constructor argument it feeds; its ``(example URI, meaning)`` rows; a
+``build()`` that imports its store class lazily (so importing this
+module stays pure data); and, in ``_check``, whatever rule relates
+several fields.
 
-* one :class:`StoreSpec` dataclass per URI scheme (composites hold child
-  specs), comparable with ``==`` and safe to diff — which is what the
-  control plane's :func:`repro.storage.control.reshard` does with two
-  ring layouts;
-* :func:`parse_spec` turns any backend URI into a spec, and
-  :meth:`StoreSpec.to_uri` renders it back — ``parse_spec(s.to_uri())
-  == s`` holds for every spec this module can parse (the property test
-  in ``tests/property/test_prop_storage_spec.py`` proves it);
-* a programmatic builder API so topologies can be composed without
-  string plumbing::
+**Derived** — once per class, from those fields: the option-name set
+and the cross-scheme did-you-mean pool, :meth:`StoreSpec.parse`,
+:meth:`StoreSpec.to_uri`, the range half of :meth:`StoreSpec.validate`,
+scheme registration, the lower-case builder functions
+(``shard(mem(), file("/x.img"), fanout=2)``), ``discfs backends`` and the
+README table (:func:`backend_rows`).
 
-      from repro.storage.spec import shard, remote
-
-      spec = shard(remote("h1:9001"), remote("h2:9001"), fanout=4)
-      store = open_store(spec)          # registry builds from specs too
-
-* validation that *names the offending scheme and option*: unknown
-  schemes and unknown ``?``/``#`` options raise :class:`SpecError` with
-  a difflib suggestion, and the suggestion pool covers every scheme's
-  option names, so ``cached://mem://#capasity=8`` points at
-  ``#capacity=`` even though the typo lands on the ``mem://`` child.
-
-This module is pure data — it never imports store classes.  Building a
-live :class:`~repro.storage.base.BlockStore` from a spec is
-:func:`repro.storage.registry.build`'s job.
+``parse_spec(s.to_uri()) == s`` holds for every spec that has a URI
+form (``tests/property/test_prop_storage_spec.py``); a spec whose
+rendering could not re-parse to itself raises :class:`SpecError`.
+Hand-written per scheme is only what is irregular: ``remote://``'s
+``host:port`` body, and the count / ``{i}``-template / ``;``-list child
+grammar that ``shard://`` and ``replica://`` share.  Adding a backend
+is one ``StoreSpec`` subclass in one file
+(``tests/unit/test_storage_toy_scheme.py`` does exactly that).
 """
 
 from __future__ import annotations
 
 import difflib
+import math
 import os
 import re
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterator, Union
+from dataclasses import dataclass, field, fields
+from functools import cache
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterator, TypeVar, Union
 
-from repro.errors import InvalidArgument
+from repro.errors import InvalidArgument, StoreUnavailable
+
+if TYPE_CHECKING:
+    from repro.storage.base import BlockStore
 
 
 class SpecError(InvalidArgument):
@@ -49,28 +47,138 @@ class SpecError(InvalidArgument):
 
 
 # ---------------------------------------------------------------------------
-# Option plumbing
+# Options: four types, one parser / renderer / check each
 # ---------------------------------------------------------------------------
 
-#: scheme -> option names that scheme accepts (query or fragment).
-#: Populated by ``_register``; the cross-scheme suggestion pool.
-OPTIONS_BY_SCHEME: dict[str, frozenset[str]] = {}
 
-#: scheme -> spec class, for parse dispatch.
+def _on_off(text: str) -> bool:
+    value = text.lower()
+    if value in ("on", "1", "true", "yes"):
+        return True
+    if value in ("off", "0", "false", "no"):
+        return False
+    raise ValueError(text)
+
+
+#: option type -> (text parser, what a malformed value "is not")
+_TYPES: dict[type, tuple[Callable[[str], Any], str]] = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    bool: (_on_off, "on/off"),
+    str: (str, "text"),
+}
+
+#: range rule -> (predicate, how the error message ends)
+_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    ">0": (lambda v: v > 0, "must be positive"),
+    ">=0": (lambda v: v >= 0, "must be >= 0"),
+    ">=1": (lambda v: v >= 1, "must be at least 1"),
+    "x512": (lambda v: v > 0 and v % 512 == 0,
+             "must be a positive multiple of 512"),
+}
+
+
+@dataclass(frozen=True)
+class Option:
+    """How one ``key=value`` option is parsed, checked and rendered."""
+
+    kind: type                  #: int, float, bool or str
+    rule: str = ""              #: key into ``_RULES``; "" = any value
+    query: bool = False         #: rides in the ``?query`` (else ``#fragment``)
+    arg: str = ""               #: store-constructor keyword (default: its name)
+    words: tuple[str, str] = ("off", "on")  #: how a bool renders
+
+    def parse(self, text: str, label: str) -> Any:
+        convert, what = _TYPES[self.kind]
+        try:
+            return convert(text)
+        except ValueError:
+            raise SpecError(f"{label}={text!r} is not {what}") from None
+
+    def render(self, value: Any) -> str:
+        return self.words[value] if self.kind is bool else str(value)
+
+    def check(self, value: Any, label: str) -> None:
+        """Reject what would not survive ``parse(render(value))`` — a
+        non-finite float (``nan != nan``), a string holding a character
+        the option grammar reserves — or breaks the range rule."""
+        if self.kind is float and not math.isfinite(value):
+            raise SpecError(f"{label}={value} must be a finite number")
+        if self.kind is str and set(value) & set("&#"):
+            raise SpecError(
+                f"{label}={value!r} cannot contain '&' or '#' (the URI "
+                "would re-parse to a different spec)"
+            )
+        if self.rule:
+            holds, tail = _RULES[self.rule]
+            if not holds(value):
+                raise SpecError(f"{label}={value} {tail}")
+
+
+def opt(kind: type, rule: str = "", **how: Any) -> Any:
+    """Declare an option field: ``ring: int | None = opt(int, ">0")``.
+    Unset is ``None``; ``how`` are the remaining :class:`Option` fields."""
+    return field(default=None, metadata={"option": Option(kind, rule, **how)})
+
+
+def _role(role: str, **kwargs: Any) -> Any:
+    """A structural (non-option) field: the ``body`` text after
+    ``scheme://``, the single ``child`` spec, or the ``children`` list."""
+    return field(metadata={"role": role}, **kwargs)
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """What a spec class's fields declare, derived once (:func:`_shape`)."""
+
+    options: dict[str, Option]  #: option fields, declaration order
+    names: frozenset[str]       #: every option name any form accepts
+    query: frozenset[str]       #: the subset that rides in the ?query
+    fragment: frozenset[str]    #: the subset that rides in the #fragment
+    body: str                   #: name of the body-text field, or ""
+    child: str                  #: name of the single-child field, or ""
+    children: str               #: name of the child-list field, or ""
+
+
+@cache
+def _shape(cls: type[StoreSpec]) -> _Shape:
+    if "__dataclass_fields__" not in vars(cls):
+        raise TypeError(f"{cls.__name__} must be decorated with @dataclass")
+    options = {f.name: f.metadata["option"] for f in fields(cls)
+               if "option" in f.metadata}
+    roles = {f.metadata["role"]: f.name for f in fields(cls)
+             if "role" in f.metadata}
+    every = {**cls.form_options, **options}
+    return _Shape(
+        options=options,
+        names=frozenset(every),
+        query=frozenset(n for n, o in every.items() if o.query),
+        fragment=frozenset(n for n, o in options.items() if not o.query),
+        body=roles.get("body", ""),
+        child=roles.get("child", ""),
+        children=roles.get("children", ""),
+    )
+
+
+# ---------------------------------------------------------------------------
+# URI plumbing shared by every scheme
+# ---------------------------------------------------------------------------
+
+#: scheme -> spec class; filled by ``StoreSpec.__init_subclass__``.
 SPEC_TYPES: dict[str, type["StoreSpec"]] = {}
 
 
 def _suggest_option(name: str, scheme: str) -> str:
     """A ``did you mean`` hint for a misspelled option, searched first in
     ``scheme``'s own options and then across every scheme's."""
-    own = OPTIONS_BY_SCHEME.get(scheme, frozenset())
+    own = _shape(SPEC_TYPES[scheme]).names if scheme in SPEC_TYPES else ()
     close = difflib.get_close_matches(name, sorted(own), n=1)
     if close:
         return f"; did you mean '{close[0]}'?"
     pool = {
         option: owner
-        for owner, options in OPTIONS_BY_SCHEME.items()
-        for option in options
+        for owner, spec_cls in SPEC_TYPES.items()
+        for option in _shape(spec_cls).names
     }
     close = difflib.get_close_matches(name, sorted(pool), n=1)
     if close:
@@ -93,86 +201,38 @@ def _parse_pairs(text: str, scheme: str, where: str) -> dict[str, str]:
     return options
 
 
-def _check_known(
-    options: dict[str, str], known: frozenset[str], scheme: str, where: str
-) -> None:
+def _split_query(
+    rest: str, scheme: str, known: frozenset[str]
+) -> tuple[str, dict[str, str]]:
+    """``body?query`` with strict option validation."""
+    body, sep, query = rest.partition("?")
+    options = _parse_pairs(query, scheme, "query") if sep else {}
     for name in options:
         if name not in known:
             raise SpecError(
-                f"unknown {scheme}:// {where} option {name!r}"
+                f"unknown {scheme}:// query option {name!r}"
                 f"{_suggest_option(name, scheme)} "
                 f"(known: {', '.join(sorted(known)) or 'none'})"
             )
-
-
-def _int_option(options: dict[str, str], name: str, scheme: str) -> int | None:
-    if name not in options:
-        return None
-    try:
-        return int(options[name])
-    except ValueError:
-        raise SpecError(
-            f"{scheme}:// option {name}={options[name]!r} is not an integer"
-        ) from None
-
-
-def _float_option(
-    options: dict[str, str], name: str, scheme: str
-) -> float | None:
-    if name not in options:
-        return None
-    try:
-        return float(options[name])
-    except ValueError:
-        raise SpecError(
-            f"{scheme}:// option {name}={options[name]!r} is not a number"
-        ) from None
-
-
-def _bool_option(
-    options: dict[str, str], name: str, scheme: str
-) -> bool | None:
-    if name not in options:
-        return None
-    value = options[name].lower()
-    if value in ("on", "1", "true", "yes"):
-        return True
-    if value in ("off", "0", "false", "no"):
-        return False
-    raise SpecError(
-        f"{scheme}:// option {name}={options[name]!r} is not on/off"
-    )
-
-
-def _split_query(rest: str, scheme: str, known: frozenset[str]) -> tuple[str, dict[str, str]]:
-    """``body?query`` with strict option validation."""
-    body, sep, query = rest.partition("?")
-    if not sep:
-        return body, {}
-    options = _parse_pairs(query, scheme, "query")
-    _check_known(options, known, scheme, "query")
     return body, options
 
 
 def _peel_fragment(
-    rest: str, scheme: str, known: frozenset[str]
+    rest: str, scheme: str, shape: _Shape
 ) -> tuple[str, dict[str, str]]:
-    """Peel a trailing ``#key=value&...`` fragment off a composite URI.
+    """Peel a trailing ``#key=value&...`` fragment off a URI.
 
-    A fragment made exclusively of ``known`` keys belongs to this layer
-    and is consumed; a fragment sharing *no* keys with this layer passes
-    through intact (it belongs to the child URI, whose own parser will
-    validate it); a mix is ambiguous and raises, naming the stray keys.
+    A fragment made exclusively of this scheme's fragment options
+    belongs to this layer and is consumed; a fragment sharing *no* keys
+    with them passes through intact (it belongs to the child URI, whose
+    own parser will validate it); a mix is ambiguous and raises, naming
+    the stray keys.
     """
+    known = shape.fragment
     body, sep, fragment = rest.rpartition("#")
-    if not sep or not fragment:
-        return rest, {}
-    options = _parse_pairs(fragment, scheme, "fragment")
-    if not options:
-        return rest, {}
+    options = _parse_pairs(fragment, scheme, "fragment") if sep else {}
     names = set(options)
-    if names <= known:
-        _check_known(options, known, scheme, "fragment")
+    if names and names <= known:
         return body, options
     if names & known:
         stray = sorted(names - known)
@@ -180,8 +240,7 @@ def _peel_fragment(
             # A query option of this same scheme isn't a typo — it's in
             # the wrong half of the URI; don't suggest it to itself.
             f"; {name!r} belongs in the ?query, not the #fragment"
-            if name in OPTIONS_BY_SCHEME.get(scheme, frozenset())
-            else _suggest_option(name, scheme)
+            if name in shape.names else _suggest_option(name, scheme)
             for name in stray
         )
         raise SpecError(
@@ -192,270 +251,411 @@ def _peel_fragment(
     return rest, {}  # belongs to the child URI
 
 
-def _leaf_fragment_check(rest: str, scheme: str) -> str:
-    """Leaf schemes take no fragment: reject one with a suggestion, so a
-    typo'd overlay option that slid down to the child is still caught
-    (``cached://mem://#capasity=8`` names ``#capacity=``)."""
+def _no_fragment(rest: str, scheme: str, shape: _Shape) -> str:
+    """A leaf's body carries no (further) fragment: reject one with the
+    most useful hint, so a typo'd overlay option that slid down to the
+    child is still caught (``slow://mem://#mss=8`` names ``#ms=``) and
+    a ``?query`` option is sent back to its half."""
     body, sep, fragment = rest.rpartition("#")
-    if not sep:
-        return rest
-    options = _parse_pairs(fragment, scheme, "fragment")
+    options = _parse_pairs(fragment, scheme, "fragment") if sep else {}
     if not options:
-        return body
+        return body if sep else rest
     name = sorted(options)[0]
+    takes = ", ".join(sorted(shape.fragment))
+    if name in shape.query:
+        raise SpecError(
+            f"{scheme}:// option {name!r} belongs in the ?query, not the "
+            f"#fragment (write {scheme}://...?{name}=...)"
+            + (f"; the #fragment carries: {takes}" if takes else "")
+        )
+    if takes:
+        raise SpecError(
+            f"unknown {scheme}:// fragment option {name!r}"
+            f"{_suggest_option(name, scheme)} (fragment options: {takes})"
+        )
     raise SpecError(
         f"{scheme}:// takes no #fragment options (got {name!r})"
         f"{_suggest_option(name, scheme)}"
     )
 
 
-def _encode_options(pairs: list[tuple[str, object]]) -> str:
-    """Render the set (non-``None``) options as ``key=value&...``."""
-    chunks = []
-    for key, value in pairs:
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            value = "on" if value else "off"
-        chunks.append(f"{key}={value}")
-    return "&".join(chunks)
+def split_uri(uri: str) -> tuple[str, str]:
+    """Split ``scheme://rest`` (SpecError if malformed)."""
+    scheme, sep, rest = uri.partition("://")
+    if not sep or not scheme:
+        raise SpecError(
+            f"backend URI {uri!r} must look like '<scheme>://...'"
+        )
+    return scheme, rest
 
 
 # ---------------------------------------------------------------------------
-# The spec classes
+# The base class: everything derived lives here
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class StoreSpec:
-    """Base class: a typed, comparable description of one store layer."""
+    """A typed, comparable description of one store layer.
 
-    #: URI scheme this spec (de)serializes as.
+    Subclass it (``@dataclass``, a ``scheme``, :func:`opt` fields, a
+    ``build``) and the scheme is registered, parsed, rendered, validated
+    and listed; see the module docstring.
+    """
+
+    #: URI scheme this spec (de)serializes as; setting it registers.
     scheme: ClassVar[str] = ""
-    #: Option names this scheme accepts in its query/fragment.
-    options: ClassVar[frozenset[str]] = frozenset()
+    #: ``(example URI, one-line meaning)`` rows for ``discfs backends``
+    #: and the README table.
+    examples: ClassVar[tuple[tuple[str, str], ...]] = ()
+    #: Options a grammar form accepts that are not fields (the count
+    #: form of ``shard://``/``replica://`` expands them into children).
+    form_options: ClassVar[dict[str, Option]] = {}
 
-    def children(self) -> list["StoreSpec"]:
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "scheme" in vars(cls):
+            SPEC_TYPES[cls.scheme] = cls
+
+    # -- structure -----------------------------------------------------------
+
+    def children(self) -> list[StoreSpec]:
         """Child specs, outermost first (empty for leaves)."""
-        return []
+        shape = _shape(type(self))
+        if shape.child:
+            return [getattr(self, shape.child)]
+        return list(getattr(self, shape.children)) if shape.children else []
 
-    def walk(self) -> Iterator["StoreSpec"]:
+    def walk(self) -> Iterator[StoreSpec]:
         """This spec and every descendant, depth-first."""
         yield self
         for child in self.children():
             yield from child.walk()
 
+    # -- validation ----------------------------------------------------------
+
     def validate(self) -> None:
-        """Raise :class:`SpecError` on out-of-range values; recursive."""
+        """Raise :class:`SpecError` on a value that is out of range, that
+        breaks a cross-field rule, or that would render a URI which does
+        not re-parse to this spec; recursive."""
+        self._check_own()
+        self._check()
         for child in self.children():
             child.validate()
 
+    def _check_own(self) -> None:
+        shape = _shape(type(self))
+        if shape.body and set(getattr(self, shape.body)) & set("?#"):
+            raise SpecError(
+                f"{self.scheme}:// {shape.body} "
+                f"{getattr(self, shape.body)!r} cannot contain '?' or '#' "
+                "(the URI would re-parse to a different spec)"
+            )
+        for name, option in shape.options.items():
+            value = getattr(self, name)
+            if value is not None:
+                option.check(value, f"{self.scheme}:// option {name}")
+
+    def _check(self) -> None:
+        """Rules relating several fields; hand-written per scheme."""
+
+    # -- rendering -----------------------------------------------------------
+
+    def _body(self) -> str:
+        """The text between ``scheme://`` and the options."""
+        shape = _shape(type(self))
+        if shape.child:
+            return str(getattr(self, shape.child).to_uri())
+        return str(getattr(self, shape.body)) if shape.body else ""
+
     def to_uri(self) -> str:
         """Render the canonical URI; inverse of :func:`parse_spec`."""
-        raise NotImplementedError
+        self._check_own()
+        shape = _shape(type(self))
+        body = self._body()
+        halves: dict[bool, list[str]] = {True: [], False: []}
+        for name, option in shape.options.items():
+            value = getattr(self, name)
+            if value is not None:
+                halves[option.query].append(f"{name}={option.render(value)}")
+        uri = f"{self.scheme}://{body}"
+        if halves[True]:
+            uri += "?" + "&".join(halves[True])
+        if halves[False]:
+            return uri + "#" + "&".join(halves[False])
+        # No fragment of our own: a child's trailing fragment must not
+        # re-parse as this layer's.
+        _head, sep, trailing = body.rpartition("#")
+        if sep and shape.names & set(
+                _parse_pairs(trailing, self.scheme, "fragment")):
+            raise SpecError(
+                f"{self.scheme}:// with no options of its own cannot "
+                f"be rendered over a child ending in #{trailing!r} "
+                "(the fragment would re-parse as this layer's; pass "
+                "the spec object instead)"
+            )
+        return uri
+
+    # -- parsing -------------------------------------------------------------
 
     @classmethod
-    def parse(cls, rest: str) -> "StoreSpec":
-        """Parse everything after ``scheme://`` into a spec."""
+    def parse(cls, rest: str) -> StoreSpec:
+        """Parse everything after ``scheme://``: ``<child-uri>#fragment``
+        for a single-child scheme, ``<body>?query#fragment`` for a leaf."""
+        shape = _shape(cls)
+        rest, options = _peel_fragment(rest, cls.scheme, shape)
+        if shape.child:
+            if not rest:
+                raise SpecError(
+                    f"{cls.scheme}:// needs a child URI, "
+                    f"e.g. {cls.scheme}://mem://"
+                )
+            return cls._made({shape.child: parse_spec(rest)}, options)
+        rest = _no_fragment(rest, cls.scheme, shape)
+        body, query = _split_query(rest, cls.scheme, shape.query)
+        return cls._made(cls._parse_body(body), {**query, **options})
+
+    @classmethod
+    def _parse_body(cls, body: str) -> dict[str, Any]:
+        """A leaf's body text as constructor arguments."""
+        name = _shape(cls).body
+        if name:
+            return {name: body}
+        if body:
+            raise SpecError(f"{cls.scheme}:// takes no path (got {body!r})")
+        return {}
+
+    @classmethod
+    def _made(cls, parts: dict[str, Any], options: dict[str, str]) -> StoreSpec:
+        """Construct from structural ``parts`` plus option *text*, typed
+        by the option table; validated."""
+        table = _shape(cls).options
+        typed = {
+            name: table[name].parse(text, f"{cls.scheme}:// option {name}")
+            for name, text in options.items() if name in table
+        }
+        spec = cls(**parts, **typed)
+        spec.validate()
+        return spec
+
+    # -- building ------------------------------------------------------------
+
+    def build(self, num_blocks: int, block_size: int) -> BlockStore:
+        """Open the live store this spec describes.  ``num_blocks`` /
+        ``block_size`` are the mount-time geometry defaults."""
         raise NotImplementedError
 
-    # -- shared rendering helpers ------------------------------------------
+    def _store_args(self, **defaults: Any) -> dict[str, Any]:
+        """The options that are set, keyed by store-constructor keyword,
+        over ``defaults`` for the ones that are not."""
+        return defaults | {
+            option.arg or name: getattr(self, name)
+            for name, option in _shape(type(self)).options.items()
+            if getattr(self, name) is not None
+        }
 
-    def _child_list_uri(self, child_specs: list["StoreSpec"]) -> str:
-        """Semicolon-joined child URIs, rejecting shapes the flat list
-        grammar cannot express (a nested multi-child composite would be
-        re-split at the parent's semicolons)."""
-        rendered = [child.to_uri() for child in child_specs]
-        for uri in rendered:
-            if ";" in uri:
-                raise SpecError(
-                    f"{self.scheme}:// cannot express child {uri!r} in a "
-                    "semicolon list (nested multi-child composites have "
-                    "no URI form; pass the spec object instead)"
-                )
-        return ";".join(rendered)
+    def _over_children(
+        self,
+        make: Callable[[list[BlockStore]], BlockStore],
+        num_blocks: int,
+        block_size: int,
+        open_child: Callable[[StoreSpec], BlockStore] | None = None,
+    ) -> BlockStore:
+        """Build every child and hand the live stores to ``make``.  Until
+        ``make`` returns nobody else holds them, so if a later child or
+        ``make`` itself raises, the ones already built are closed."""
+        from repro.storage.base import close_quietly
 
-    def _with_fragment(self, body: str, pairs: list[tuple[str, object]]) -> str:
-        """Append ``#key=value`` options; reject ambiguous shapes where
-        an option-less composite would re-parse the child's trailing
-        fragment as its own."""
-        encoded = _encode_options(pairs)
-        if encoded:
-            return f"{self.scheme}://{body}#{encoded}"
-        head, sep, fragment = body.rpartition("#")
-        if sep and fragment:
-            trailing = _parse_pairs(fragment, self.scheme, "fragment")
-            if trailing and set(trailing) & self.options:
-                raise SpecError(
-                    f"{self.scheme}:// with no options of its own cannot "
-                    f"be rendered over a child ending in #{fragment!r} "
-                    "(the fragment would re-parse as this layer's; pass "
-                    "the spec object instead)"
-                )
-        return f"{self.scheme}://{body}"
+        built: list[BlockStore] = []
+        try:
+            for child in self.children():
+                built.append(open_child(child) if open_child
+                             else child.build(num_blocks, block_size))
+            return make(built)
+        except Exception:
+            close_quietly(built)
+            raise
+
+    def reopenable(self) -> SpecLike:
+        """What a lazy wrapper should reopen later: the canonical URI
+        where one exists, else this spec object (programmatic-only
+        topologies have no URI form, and ``open_store`` accepts specs)."""
+        try:
+            return self.to_uri()
+        except SpecError:
+            return self
+
+
+SpecLike = Union[StoreSpec, str]
+
+
+def known_schemes() -> tuple[str, ...]:
+    """Every scheme :func:`parse_spec` resolves to a typed spec."""
+    return tuple(sorted(SPEC_TYPES))
+
+
+def parse_spec(uri: SpecLike) -> StoreSpec:
+    """Parse a backend URI into its typed :class:`StoreSpec`.
+
+    A spec passed in is validated and returned as-is, so every API that
+    takes a URI string transparently takes specs too.
+    """
+    if isinstance(uri, StoreSpec):
+        uri.validate()
+        return uri
+    scheme, rest = split_uri(uri)
+    spec_cls = SPEC_TYPES.get(scheme)
+    if spec_cls is None:
+        close = difflib.get_close_matches(scheme, known_schemes(), n=1)
+        hint = f"did you mean {close[0]!r}? " if close else ""
+        raise SpecError(
+            f"unknown storage scheme {scheme!r}; {hint}"
+            f"registered: {', '.join(known_schemes())}"
+        )
+    return spec_cls.parse(rest)
+
+
+def backend_rows() -> list[tuple[str, str, str]]:
+    """``(scheme, example URI, meaning)`` for every registered scheme, in
+    declaration order — what ``discfs backends`` prints and the README
+    "Storage backends" table holds."""
+    return [
+        (scheme, uri, meaning)
+        for scheme, spec_cls in SPEC_TYPES.items()
+        for uri, meaning in spec_cls.examples
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Leaves
+# ---------------------------------------------------------------------------
 
 
 @dataclass
-class MemSpec(StoreSpec):
-    """``mem://`` — in-memory store.  Options: ``?blocks=N&bs=N``."""
+class _GeometrySpec(StoreSpec):
+    """Leaves that own their geometry: ``?blocks=N&bs=N`` override the
+    mount-time defaults."""
+
+    blocks: int | None = opt(int, ">0", query=True, arg="num_blocks")
+    bs: int | None = opt(int, "x512", query=True, arg="block_size")
+
+
+@dataclass
+class MemSpec(_GeometrySpec):
+    """``mem://`` — in-memory store."""
 
     scheme: ClassVar[str] = "mem"
-    options: ClassVar[frozenset[str]] = frozenset({"blocks", "bs"})
+    examples = (
+        ("mem://", "In-memory dict (default; options `?blocks=N&bs=N`)"),
+    )
 
-    blocks: int | None = None
-    bs: int | None = None
+    def build(self, num_blocks: int, block_size: int) -> BlockStore:
+        from repro.storage.memory import MemoryBlockStore
 
-    def validate(self) -> None:
-        _validate_geometry(self)
-
-    def to_uri(self) -> str:
-        query = _encode_options([("blocks", self.blocks), ("bs", self.bs)])
-        return f"mem://?{query}" if query else "mem://"
-
-    @classmethod
-    def parse(cls, rest: str) -> "MemSpec":
-        rest = _leaf_fragment_check(rest, cls.scheme)
-        body, options = _split_query(rest, cls.scheme, cls.options)
-        if body:
-            raise SpecError(f"mem:// takes no path (got {body!r})")
-        spec = cls(
-            blocks=_int_option(options, "blocks", cls.scheme),
-            bs=_int_option(options, "bs", cls.scheme),
-        )
-        spec.validate()
-        return spec
-
-
-def _validate_geometry(spec: "MemSpec | FileSpec | SqliteSpec") -> None:
-    if spec.blocks is not None and spec.blocks <= 0:
-        raise SpecError(
-            f"{spec.scheme}:// option blocks={spec.blocks} must be positive"
-        )
-    if spec.bs is not None and (spec.bs <= 0 or spec.bs % 512):
-        raise SpecError(
-            f"{spec.scheme}:// option bs={spec.bs} must be a positive "
-            "multiple of 512"
-        )
+        return MemoryBlockStore(**self._store_args(
+            num_blocks=num_blocks, block_size=block_size))
 
 
 @dataclass
-class FileSpec(StoreSpec):
-    """``file://<path>`` — one host file.  Options: ``?blocks=N&bs=N``."""
+class _PathSpec(StoreSpec):
+    """Path-addressed leaves: the body is a host path."""
 
-    scheme: ClassVar[str] = "file"
-    options: ClassVar[frozenset[str]] = frozenset({"blocks", "bs"})
+    path: str = _role("body", default="")
 
-    path: str = ""
-    blocks: int | None = None
-    bs: int | None = None
-
-    def validate(self) -> None:
+    def _check(self) -> None:
         if not self.path:
             raise SpecError(
-                "file:// needs a path, e.g. file:///tmp/fs.img"
+                f"{self.scheme}:// needs a path, e.g. {self.examples[0][0]}"
             )
-        _validate_geometry(self)
-
-    def to_uri(self) -> str:
-        query = _encode_options([("blocks", self.blocks), ("bs", self.bs)])
-        return f"file://{self.path}?{query}" if query else f"file://{self.path}"
-
-    @classmethod
-    def parse(cls, rest: str) -> "FileSpec":
-        rest = _leaf_fragment_check(rest, cls.scheme)
-        body, options = _split_query(rest, cls.scheme, cls.options)
-        spec = cls(
-            path=body,
-            blocks=_int_option(options, "blocks", cls.scheme),
-            bs=_int_option(options, "bs", cls.scheme),
-        )
-        spec.validate()
-        return spec
 
 
 @dataclass
-class SqliteSpec(StoreSpec):
+class FileSpec(_GeometrySpec, _PathSpec):
+    """``file://<path>`` — one host file."""
+
+    scheme: ClassVar[str] = "file"
+    examples = (
+        ("file:///path/fs.img", "One host file, sparse, survives restarts"),
+    )
+
+    def build(self, num_blocks: int, block_size: int) -> BlockStore:
+        from repro.storage.filestore import FileBlockStore
+
+        return FileBlockStore(self.path, **self._store_args(
+            num_blocks=num_blocks, block_size=block_size))
+
+
+@dataclass
+class SqliteSpec(_GeometrySpec, _PathSpec):
     """``sqlite://<path>`` — SQLite database file (``:memory:`` works)."""
 
     scheme: ClassVar[str] = "sqlite"
-    options: ClassVar[frozenset[str]] = frozenset({"blocks", "bs"})
+    examples = (
+        ("sqlite:///path/fs.db", "SQLite database, batched transactions"),
+    )
 
-    path: str = ""
-    blocks: int | None = None
-    bs: int | None = None
+    def build(self, num_blocks: int, block_size: int) -> BlockStore:
+        from repro.storage.sqlitestore import SQLiteBlockStore
 
-    def validate(self) -> None:
-        if not self.path:
-            raise SpecError(
-                "sqlite:// needs a path, e.g. sqlite:///tmp/fs.db"
-            )
-        _validate_geometry(self)
-
-    def to_uri(self) -> str:
-        query = _encode_options([("blocks", self.blocks), ("bs", self.bs)])
-        return (f"sqlite://{self.path}?{query}" if query
-                else f"sqlite://{self.path}")
-
-    @classmethod
-    def parse(cls, rest: str) -> "SqliteSpec":
-        rest = _leaf_fragment_check(rest, cls.scheme)
-        body, options = _split_query(rest, cls.scheme, cls.options)
-        spec = cls(
-            path=body,
-            blocks=_int_option(options, "blocks", cls.scheme),
-            bs=_int_option(options, "bs", cls.scheme),
-        )
-        spec.validate()
-        return spec
+        return SQLiteBlockStore(self.path, **self._store_args(
+            num_blocks=num_blocks, block_size=block_size))
 
 
 #: Rights a ``remote://``/session mount may request.
 _SESSION_RIGHTS = ("r", "rw", "admin")
 
 
+def _split_endpoint(endpoint: str, complaint: str) -> dict[str, Any]:
+    host, sep, port = endpoint.rpartition(":")
+    if not sep or not host or not port.isdigit():
+        raise SpecError(complaint)
+    return {"host": host, "port": int(port)}
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InvalidArgument(
+            f"remote:// cannot read {what} file {path!r}: {exc}"
+        ) from exc
+
+
 @dataclass
 class RemoteSpec(StoreSpec):
     """``remote://<host>:<port>`` — client for a served block store.
 
-    Query options: ``?timeout=SECONDS&batch=on|off&workers=N``.
-    Fragment options authenticate the mount against a credential-gated
-    server: ``#cred=FILE&key=FILE&tenant=NAME&rights=r|rw|admin``
-    (``cred`` holds KeyNote credentials, ``key`` the private key that
-    signs the session challenge).
+    The ``?query`` tunes the transport; the ``#fragment`` authenticates
+    the mount against a credential-gated server (``cred`` holds KeyNote
+    credentials, ``key`` the private key that signs the session
+    challenge).  Geometry comes from the server.
     """
 
     scheme: ClassVar[str] = "remote"
-    query_options: ClassVar[frozenset[str]] = frozenset(
-        {"timeout", "batch", "workers"}
+    examples = (
+        ("remote://host:9001",
+         "RPC client for a `discfs store-serve` node "
+         "(options `?timeout=S&batch=on|off&workers=N`)"),
+        ("remote://host:9001#cred=FILE&key=FILE&tenant=NAME&rights=r|rw|admin",
+         "Authenticated session against a `store-serve --policy` node"),
     )
-    fragment_options: ClassVar[frozenset[str]] = frozenset(
-        {"cred", "key", "tenant", "rights"}
-    )
-    options: ClassVar[frozenset[str]] = query_options | fragment_options
 
     host: str = ""
     port: int = 0
-    timeout: float | None = None
-    batch: bool | None = None
-    workers: int | None = None
-    cred: str | None = None
-    key: str | None = None
-    tenant: str | None = None
-    rights: str | None = None
+    timeout: float | None = opt(float, ">0", query=True)
+    batch: bool | None = opt(bool, query=True)
+    workers: int | None = opt(int, ">=1", query=True)
+    cred: str | None = opt(str)
+    key: str | None = opt(str)
+    tenant: str | None = opt(str)
+    rights: str | None = opt(str)
 
-    def validate(self) -> None:
+    def _check(self) -> None:
         if not self.host or not 0 < self.port < 65536:
             raise SpecError(
                 f"remote:// needs host:port (got {self.host!r}:{self.port}), "
                 "e.g. remote://127.0.0.1:9001"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise SpecError(
-                f"remote:// option workers={self.workers} must be at least 1"
-            )
-        if self.timeout is not None and self.timeout <= 0:
-            raise SpecError(
-                f"remote:// option timeout={self.timeout} must be positive"
             )
         if self.cred is not None and self.key is None:
             raise SpecError(
@@ -474,311 +674,243 @@ class RemoteSpec(StoreSpec):
                 f"{', '.join(_SESSION_RIGHTS)}"
             )
 
-    def to_uri(self) -> str:
-        query = _encode_options([
-            ("timeout", self.timeout), ("batch", self.batch),
-            ("workers", self.workers),
-        ])
-        fragment = _encode_options([
-            ("cred", self.cred), ("key", self.key),
-            ("tenant", self.tenant), ("rights", self.rights),
-        ])
-        uri = f"remote://{self.host}:{self.port}"
-        if query:
-            uri += f"?{query}"
-        if fragment:
-            uri += f"#{fragment}"
-        return uri
+    def _body(self) -> str:
+        return f"{self.host}:{self.port}"
 
     @classmethod
-    def parse(cls, rest: str) -> "RemoteSpec":
-        rest, fragment = _peel_fragment(rest, cls.scheme,
-                                        cls.fragment_options)
-        head, sep, stray = rest.rpartition("#")
-        if sep:
-            stray_options = _parse_pairs(stray, cls.scheme, "fragment")
-            if stray_options:
-                name = sorted(stray_options)[0]
-                if name in cls.query_options:
-                    raise SpecError(
-                        f"remote:// option {name!r} belongs in the ?query, "
-                        f"not the #fragment (write "
-                        f"remote://host:port?{name}=...; the #fragment "
-                        "carries session options: "
-                        f"{', '.join(sorted(cls.fragment_options))})"
-                    )
-                raise SpecError(
-                    f"unknown remote:// fragment option {name!r}"
-                    f"{_suggest_option(name, cls.scheme)} (fragment options: "
-                    f"{', '.join(sorted(cls.fragment_options))})"
+    def _parse_body(cls, body: str) -> dict[str, Any]:
+        return _split_endpoint(
+            body,
+            f"remote:// needs host:port (got {body!r}), "
+            "e.g. remote://127.0.0.1:9001",
+        )
+
+    def build(self, num_blocks: int, block_size: int) -> BlockStore:
+        # num_blocks/block_size are ignored: the serving node owns geometry.
+        from repro.crypto.keycodec import decode_key
+        from repro.storage.net import RemoteBlockStore
+
+        args = self._store_args()
+        if self.key is not None:
+            args["key"] = decode_key(_read_text(self.key, "key").strip())
+            if not hasattr(args["key"], "sign"):
+                raise InvalidArgument(
+                    f"remote:// key file {self.key!r} holds a public key; "
+                    "the session challenge needs the private half"
                 )
-            rest = head
-        body, options = _split_query(rest, cls.scheme, cls.query_options)
-        host, sep, port = body.rpartition(":")
-        if not sep or not host or not port.isdigit():
+        if self.cred is not None:
+            args["credentials"] = [_read_text(args.pop("cred"), "credential")]
+        return RemoteBlockStore.connect(self.host, self.port, **args)
+
+
+# ---------------------------------------------------------------------------
+# Multi-child composites: one child grammar, written once
+# ---------------------------------------------------------------------------
+
+#: base=... values the count form expands children from -> file suffix.
+_COUNT_BASES = {"mem": "", "file": "blk", "sqlite": "db"}
+
+
+@dataclass
+class _MultiChildSpec(StoreSpec):
+    """The child grammar ``shard://`` and ``replica://`` share.
+
+    ``<n>[?base=mem|file|sqlite&dir=PATH&blocks=N&bs=N]`` — *count*
+    form: ``n`` children of one kind (path-addressed ones are created
+    as ``PATH/<scheme>-<i>.blk``/``.db``), expanded to explicit
+    children at parse time; the scheme's own options may ride in the
+    query here.  ``<n>/<child-uri>`` — *template* form, ``{i}`` is the
+    child index.  ``<uri>;<uri>;...`` — explicit list.  The last two
+    carry the scheme's options in the ``#fragment``, since the children
+    may use their own queries.
+    """
+
+    form_options = {
+        "base": Option(str, query=True),
+        "dir": Option(str, query=True),
+        "blocks": Option(int, query=True),
+        "bs": Option(int, query=True),
+    }
+
+    def _check(self) -> None:
+        if not self.children():
             raise SpecError(
-                f"remote:// needs host:port (got {body!r}), "
-                "e.g. remote://127.0.0.1:9001"
+                f"{self.scheme}:// needs at least one child store"
             )
-        spec = cls(
-            host=host,
-            port=int(port),
-            timeout=_float_option(options, "timeout", cls.scheme),
-            batch=_bool_option(options, "batch", cls.scheme),
-            workers=_int_option(options, "workers", cls.scheme),
-            cred=fragment.get("cred"),
-            key=fragment.get("key"),
-            tenant=fragment.get("tenant"),
-            rights=fragment.get("rights"),
-        )
-        spec.validate()
-        return spec
 
+    def _body(self) -> str:
+        """Semicolon-joined child URIs, rejecting shapes the flat list
+        grammar cannot express (a nested multi-child composite would be
+        re-split at the parent's semicolons)."""
+        rendered = [child.to_uri() for child in self.children()]
+        for uri in rendered:
+            if ";" in uri:
+                raise SpecError(
+                    f"{self.scheme}:// cannot express child {uri!r} in a "
+                    "semicolon list (nested multi-child composites have "
+                    "no URI form; pass the spec object instead)"
+                )
+        return ";".join(rendered)
 
-#: base=... values the shard/replica count forms expand children from.
-_COUNT_BASES = ("mem", "file", "sqlite")
+    @classmethod
+    def parse(cls, rest: str) -> StoreSpec:
+        shape = _shape(cls)
+        body, options = _peel_fragment(rest, cls.scheme, shape)
+        template = re.match(r"^(\d+)/(.+://.*)$", body)
+        if template:
+            children = [
+                parse_spec(template.group(2).replace("{i}", str(i)))
+                for i in range(cls._count(template.group(1), rest))
+            ]
+        elif "://" in body:
+            children = [parse_spec(uri) for uri in body.split(";") if uri]
+        else:
+            count, query = _split_query(body, cls.scheme, shape.names)
+            options = {**query, **options}
+            children = cls._count_children(cls._count(count, rest), options)
+        return cls._made({shape.children: children}, options)
 
+    @classmethod
+    def _count(cls, text: str, rest: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise SpecError(
+                f"{cls.scheme}:// needs a count or child URIs (got {rest!r})"
+            ) from None
+        if n <= 0:
+            raise SpecError(f"{cls.scheme}:// count must be positive (got {n})")
+        return n
 
-def _expand_count_children(
-    scheme: str, prefix: str, n: int, options: dict[str, str]
-) -> list[StoreSpec]:
-    """Children for ``shard://<n>`` / ``replica://<n>``: ``?base=`` picks
-    the child scheme, ``?dir=`` the directory for path-addressed ones,
-    and ``?blocks=&bs=`` ride down onto each child."""
-    if n <= 0:
-        raise SpecError(f"{scheme}:// count must be positive (got {n})")
-    base = options.get("base", "mem")
-    directory = options.get("dir", "")
-    blocks = _int_option(options, "blocks", scheme)
-    bs = _int_option(options, "bs", scheme)
-    if base not in _COUNT_BASES:
-        close = difflib.get_close_matches(base, _COUNT_BASES, n=1)
-        hint = f"; did you mean {close[0]!r}?" if close else ""
-        raise SpecError(
-            f"unknown {scheme}:// base {base!r}{hint} "
-            f"(known: {', '.join(_COUNT_BASES)})"
-        )
-    children: list[StoreSpec] = []
-    for i in range(n):
-        if base == "mem":
-            children.append(MemSpec(blocks=blocks, bs=bs))
-            continue
-        if not directory:
+    @classmethod
+    def _count_children(cls, n: int, options: dict[str, str]) -> list[StoreSpec]:
+        scheme = cls.scheme
+        base = options.get("base", "mem")
+        if base not in _COUNT_BASES:
+            close = difflib.get_close_matches(base, _COUNT_BASES, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise SpecError(
+                f"unknown {scheme}:// base {base!r}{hint} "
+                f"(known: {', '.join(_COUNT_BASES)})"
+            )
+        if base != "mem" and not options.get("dir"):
             raise SpecError(
                 f"{scheme}://{n}?base={base} needs &dir=PATH for child files"
             )
-        ext = "blk" if base == "file" else "db"
-        path = os.path.join(directory, f"{prefix}-{i}.{ext}")
-        spec_cls = FileSpec if base == "file" else SqliteSpec
-        children.append(spec_cls(path=path, blocks=blocks, bs=bs))
-    return children
-
-
-def _parse_child_list(body: str, scheme: str) -> list[StoreSpec]:
-    children = [parse_spec(u) for u in body.split(";") if u]
-    if not children:
-        raise SpecError(f"{scheme}:// needs at least one child URI")
-    return children
-
-
-@dataclass
-class ShardSpec(StoreSpec):
-    """``shard://`` — consistent-hash ring over child stores.
-
-    URI forms: ``shard://<n>[?base=&dir=&fanout=&blocks=&bs=]`` (count
-    form, expanded to explicit children at parse time) and
-    ``shard://<uri>;<uri>;...[#fanout=N]``.
-    """
-
-    scheme: ClassVar[str] = "shard"
-    options: ClassVar[frozenset[str]] = frozenset(
-        {"base", "dir", "fanout", "blocks", "bs"}
-    )
-    #: the subset valid on the explicit-children fragment
-    fragment_options: ClassVar[frozenset[str]] = frozenset({"fanout"})
-
-    shards: list[StoreSpec] = field(default_factory=list)
-    fanout: int | None = None
-
-    def children(self) -> list[StoreSpec]:
-        return list(self.shards)
-
-    def validate(self) -> None:
-        if not self.shards:
-            raise SpecError("shard:// needs at least one child store")
-        if self.fanout is not None and self.fanout < 1:
-            raise SpecError(
-                f"shard:// option fanout={self.fanout} must be at least 1"
-            )
-        super().validate()
-
-    def to_uri(self) -> str:
-        return self._with_fragment(
-            self._child_list_uri(self.shards), [("fanout", self.fanout)]
-        )
-
-    @classmethod
-    def parse(cls, rest: str) -> "ShardSpec":
-        if "://" in rest:
-            body, options = _peel_fragment(rest, cls.scheme,
-                                           cls.fragment_options)
-            spec = cls(
-                shards=_parse_child_list(body, cls.scheme),
-                fanout=_int_option(options, "fanout", cls.scheme),
-            )
-            spec.validate()
-            return spec
-        body, options = _split_query(rest, cls.scheme, cls.options)
-        try:
-            n = int(body)
-        except ValueError:
-            raise SpecError(
-                f"shard:// needs a shard count or child URIs (got {rest!r})"
-            ) from None
-        spec = cls(
-            shards=_expand_count_children(cls.scheme, "shard", n, options),
-            fanout=_int_option(options, "fanout", cls.scheme),
-        )
-        spec.validate()
-        return spec
-
-
-@dataclass
-class ReplicaSpec(StoreSpec):
-    """``replica://`` — quorum replication over child stores.
-
-    URI forms: ``replica://<n>[?w=&r=&fanout=&hedge_ms=&stamps=&base=&
-    dir=&blocks=&bs=]`` (count form), ``replica://<n>/<child-template>``
-    (``{i}`` = replica index) and ``replica://<uri>;<uri>;...`` — the
-    template and explicit forms carry options in the fragment
-    (``#w=2&r=2&fanout=N&hedge_ms=5&stamps=/path``).
-    """
-
-    scheme: ClassVar[str] = "replica"
-    options: ClassVar[frozenset[str]] = frozenset(
-        {"w", "r", "fanout", "hedge_ms", "stamps", "base", "dir",
-         "blocks", "bs"}
-    )
-    fragment_options: ClassVar[frozenset[str]] = frozenset(
-        {"w", "r", "fanout", "hedge_ms", "stamps"}
-    )
-
-    replicas: list[StoreSpec] = field(default_factory=list)
-    w: int | None = None
-    r: int | None = None
-    fanout: int | None = None
-    hedge_ms: float | None = None
-    stamps: str | None = None
-
-    def children(self) -> list[StoreSpec]:
-        return list(self.replicas)
-
-    def validate(self) -> None:
-        n = len(self.replicas)
-        if n == 0:
-            raise SpecError("replica:// needs at least one child store")
-        if self.w is not None and not 1 <= self.w <= n:
-            raise SpecError(
-                f"replica:// write quorum w={self.w} outside 1..{n}"
-            )
-        if self.r is not None and not 1 <= self.r <= n:
-            raise SpecError(
-                f"replica:// read quorum r={self.r} outside 1..{n}"
-            )
-        if self.fanout is not None and self.fanout < 1:
-            raise SpecError(
-                f"replica:// option fanout={self.fanout} must be at least 1"
-            )
-        if self.hedge_ms is not None and self.hedge_ms < 0:
-            raise SpecError(
-                f"replica:// option hedge_ms={self.hedge_ms} must be >= 0"
-            )
-        super().validate()
-
-    def _option_pairs(self) -> list[tuple[str, object]]:
+        geometry = {name: options[name] for name in ("blocks", "bs")
+                    if name in options}
         return [
-            ("w", self.w), ("r", self.r), ("fanout", self.fanout),
-            ("hedge_ms", self.hedge_ms), ("stamps", self.stamps),
+            SPEC_TYPES[base]._made(
+                {} if base == "mem" else {"path": os.path.join(
+                    options["dir"], f"{scheme}-{i}.{_COUNT_BASES[base]}")},
+                geometry,
+            )
+            for i in range(n)
         ]
 
-    def to_uri(self) -> str:
-        return self._with_fragment(
-            self._child_list_uri(self.replicas), self._option_pairs()
+
+@dataclass
+class ShardSpec(_MultiChildSpec):
+    """``shard://`` — consistent-hash ring over child stores."""
+
+    scheme: ClassVar[str] = "shard"
+    examples = (
+        ("shard://4", "4 in-memory shards on a consistent-hash ring"),
+        ("shard://4?base=sqlite&dir=/data",
+         "4 SQLite shards created under `/data`"),
+        ("shard://mem://;sqlite:///s.db#fanout=2",
+         "Explicit child URIs, `;`-separated (`fanout` = children a batch "
+         "addresses concurrently)"),
+    )
+
+    shards: list[StoreSpec] = _role("children", default_factory=list)
+    fanout: int | None = opt(int, ">=1")
+
+    def build(self, num_blocks: int, block_size: int) -> BlockStore:
+        from repro.storage.shard import ShardedBlockStore
+
+        return self._over_children(
+            lambda built: ShardedBlockStore(built, **self._store_args()),
+            num_blocks, block_size,
         )
 
-    @classmethod
-    def _from_options(
-        cls, children: list[StoreSpec], options: dict[str, str]
-    ) -> "ReplicaSpec":
-        spec = cls(
-            replicas=children,
-            w=_int_option(options, "w", cls.scheme),
-            r=_int_option(options, "r", cls.scheme),
-            fanout=_int_option(options, "fanout", cls.scheme),
-            hedge_ms=_float_option(options, "hedge_ms", cls.scheme),
-            stamps=options.get("stamps"),
-        )
-        spec.validate()
-        return spec
 
-    @classmethod
-    def parse(cls, rest: str) -> "ReplicaSpec":
-        body, options = _peel_fragment(rest, cls.scheme,
-                                       cls.fragment_options)
-        template_match = re.match(r"^(\d+)/(.+)$", body)
-        if template_match and "://" in template_match.group(2):
-            n = int(template_match.group(1))
-            if n <= 0:
+@dataclass
+class ReplicaSpec(_MultiChildSpec):
+    """``replica://`` — quorum replication over child stores."""
+
+    scheme: ClassVar[str] = "replica"
+    examples = (
+        ("replica://3?w=2&r=2",
+         "3-way replication with write/read quorums"),
+        ("replica://3/file:///d/r-{i}.img#w=2",
+         "3 copies from a child template (`{i}` = replica index)"),
+        ("replica://remote://h1:9001;remote://h2:9002#w=1&r=1",
+         "Explicit replica URIs (`#fanout=1` = sequential fan-out)"),
+        ("replica://...#hedge_ms=N",
+         "Hedged reads: recruit one extra replica after `N` ms"),
+        ("replica://...#stamps=P",
+         "Persist version stamps to sidecar `P` (repair survives restart)"),
+    )
+
+    replicas: list[StoreSpec] = _role("children", default_factory=list)
+    w: int | None = opt(int, arg="write_quorum")
+    r: int | None = opt(int, arg="read_quorum")
+    fanout: int | None = opt(int, ">=1")
+    hedge_ms: float | None = opt(float, ">=0")
+    stamps: str | None = opt(str, arg="stamps_path")
+
+    def _check(self) -> None:
+        super()._check()
+        n = len(self.replicas)
+        for what, quorum in (("write quorum w", self.w),
+                             ("read quorum r", self.r)):
+            if quorum is not None and not 1 <= quorum <= n:
                 raise SpecError(
-                    f"replica:// count must be positive (got {n})"
+                    f"replica:// {what}={quorum} outside 1..{n}"
                 )
-            template = template_match.group(2)
-            children: list[StoreSpec] = [
-                parse_spec(template.replace("{i}", str(i))) for i in range(n)
-            ]
-            return cls._from_options(children, options)
-        if "://" in body:
-            return cls._from_options(
-                _parse_child_list(body, cls.scheme), options
-            )
-        # count form: options live in the query (fragment also accepted)
-        count, qoptions = _split_query(body, cls.scheme, cls.options)
-        options = {**qoptions, **options}
-        try:
-            n = int(count)
-        except ValueError:
-            raise SpecError(
-                f"replica:// needs a count or child URIs (got {rest!r})"
-            ) from None
-        return cls._from_options(
-            _expand_count_children(cls.scheme, "replica", n, options), options
+
+    def build(self, num_blocks: int, block_size: int) -> BlockStore:
+        from repro.storage.lazy import LazyBlockStore
+        from repro.storage.replica import ReplicatedBlockStore
+
+        def open_child(child: StoreSpec) -> BlockStore:
+            # A child unreachable at mount time (a dead remote:// node)
+            # becomes a lazy wrapper instead of failing the whole mount:
+            # the quorum covers for it until it heals.
+            try:
+                return child.build(num_blocks, block_size)
+            except StoreUnavailable:
+                return LazyBlockStore(child.reopenable(),
+                                      num_blocks=num_blocks,
+                                      block_size=block_size)
+
+        return self._over_children(
+            lambda built: ReplicatedBlockStore(built, **self._store_args()),
+            num_blocks, block_size, open_child,
         )
+
+
+# ---------------------------------------------------------------------------
+# Single-child overlays
+# ---------------------------------------------------------------------------
 
 
 @dataclass
 class _WrapperSpec(StoreSpec):
-    """Shared machinery for single-child overlay schemes."""
+    """Single-child overlay schemes: ``<scheme>://<child-uri>#options``
+    (options ride in the fragment so they never collide with the
+    child's own query)."""
 
-    child: StoreSpec = field(default_factory=MemSpec)
+    child: StoreSpec = _role("child")
 
-    def children(self) -> list[StoreSpec]:
-        return [self.child]
-
-    def _option_pairs(self) -> list[tuple[str, object]]:
-        return []
-
-    def to_uri(self) -> str:
-        return self._with_fragment(self.child.to_uri(), self._option_pairs())
-
-    @classmethod
-    def _parse_child(cls, rest: str) -> tuple[StoreSpec, dict[str, str]]:
-        body, options = _peel_fragment(rest, cls.scheme, cls.options)
-        if not body:
-            raise SpecError(
-                f"{cls.scheme}:// needs a child URI, "
-                f"e.g. {cls.scheme}://mem://"
-            )
-        return parse_spec(body), options
+    def _wrap(self, store_cls: Callable[..., BlockStore], num_blocks: int,
+              block_size: int, **defaults: Any) -> BlockStore:
+        """``store_cls(child_store, **options)`` over the built child."""
+        args = self._store_args(**defaults)
+        return self._over_children(
+            lambda built: store_cls(built[0], **args), num_blocks, block_size
+        )
 
 
 @dataclass
@@ -786,27 +918,17 @@ class CachedSpec(_WrapperSpec):
     """``cached://<child>[#capacity=N]`` — write-back LRU overlay."""
 
     scheme: ClassVar[str] = "cached"
-    options: ClassVar[frozenset[str]] = frozenset({"capacity"})
+    examples = (
+        ("cached://<child>#capacity=512",
+         "Write-back LRU overlay on any child"),
+    )
 
-    capacity: int | None = None
+    capacity: int | None = opt(int, ">0")
 
-    def validate(self) -> None:
-        if self.capacity is not None and self.capacity <= 0:
-            raise SpecError(
-                f"cached:// option capacity={self.capacity} must be positive"
-            )
-        super().validate()
+    def build(self, num_blocks: int, block_size: int) -> BlockStore:
+        from repro.storage.cache import CachedBlockStore
 
-    def _option_pairs(self) -> list[tuple[str, object]]:
-        return [("capacity", self.capacity)]
-
-    @classmethod
-    def parse(cls, rest: str) -> "CachedSpec":
-        child, options = cls._parse_child(rest)
-        spec = cls(child=child,
-                   capacity=_int_option(options, "capacity", cls.scheme))
-        spec.validate()
-        return spec
+        return self._wrap(CachedBlockStore, num_blocks, block_size)
 
 
 @dataclass
@@ -818,33 +940,18 @@ class MeteredSpec(_WrapperSpec):
     """
 
     scheme: ClassVar[str] = "metered"
-    options: ClassVar[frozenset[str]] = frozenset({"slow_ms", "ring"})
+    examples = (
+        ("metered://<child>[#slow_ms=N&ring=N]",
+         "Per-op latency histograms + span origination on any child"),
+    )
 
-    slow_ms: float | None = None
-    ring: int | None = None
+    slow_ms: float | None = opt(float, ">=0")
+    ring: int | None = opt(int, ">0")
 
-    def validate(self) -> None:
-        if self.slow_ms is not None and self.slow_ms < 0:
-            raise SpecError(
-                f"metered:// option slow_ms={self.slow_ms:g} must be >= 0"
-            )
-        if self.ring is not None and self.ring <= 0:
-            raise SpecError(
-                f"metered:// option ring={self.ring} must be positive"
-            )
-        super().validate()
+    def build(self, num_blocks: int, block_size: int) -> BlockStore:
+        from repro.storage.metered import InstrumentedBlockStore
 
-    def _option_pairs(self) -> list[tuple[str, object]]:
-        return [("slow_ms", self.slow_ms), ("ring", self.ring)]
-
-    @classmethod
-    def parse(cls, rest: str) -> "MeteredSpec":
-        child, options = cls._parse_child(rest)
-        spec = cls(child=child,
-                   slow_ms=_float_option(options, "slow_ms", cls.scheme),
-                   ring=_int_option(options, "ring", cls.scheme))
-        spec.validate()
-        return spec
+        return self._wrap(InstrumentedBlockStore, num_blocks, block_size)
 
 
 @dataclass
@@ -852,55 +959,52 @@ class FailingSpec(_WrapperSpec):
     """``failing://<child>[#fail=1]`` — injectable outage wrapper."""
 
     scheme: ClassVar[str] = "failing"
-    options: ClassVar[frozenset[str]] = frozenset({"fail"})
+    examples = (
+        ("failing://<child>[#fail=1]",
+         "Switchable fault injection (failure drills)"),
+    )
 
-    fail: bool | None = None
+    fail: bool | None = opt(bool, arg="failing", words=("0", "1"))
 
-    def _option_pairs(self) -> list[tuple[str, object]]:
-        # fail is rendered 1/0 (not on/off) to match the documented form.
-        return [("fail", {True: "1", False: "0", None: None}[self.fail])]
+    def build(self, num_blocks: int, block_size: int) -> BlockStore:
+        from repro.storage.replica import FailingBlockStore
 
-    @classmethod
-    def parse(cls, rest: str) -> "FailingSpec":
-        child, options = cls._parse_child(rest)
-        fail: bool | None = None
-        if "fail" in options:
-            fail = _bool_option(options, "fail", cls.scheme)
-        spec = cls(child=child, fail=fail)
-        spec.validate()
-        return spec
+        return self._wrap(FailingBlockStore, num_blocks, block_size)
 
 
 @dataclass
 class JournalSpec(_WrapperSpec):
-    """``journal://<child>[#cap=N&path=P]`` — write-ahead intent log."""
+    """``journal://<child>[#cap=N&path=P]`` — write-ahead intent log.
+
+    The log lives at ``<child-path>.journal`` when the child is
+    path-addressed, else pass ``#path=``; ``cap`` bounds the
+    transactions held before an automatic checkpoint.
+    """
 
     scheme: ClassVar[str] = "journal"
-    options: ClassVar[frozenset[str]] = frozenset({"cap", "path"})
+    examples = (
+        ("journal://<child>[#cap=N&path=P]",
+         "Write-ahead journal: crash recovery for any durable child"),
+    )
 
-    cap: int | None = None
-    path: str | None = None
+    cap: int | None = opt(int, ">0")
+    path: str | None = opt(str, arg="journal_path")
 
-    def validate(self) -> None:
-        if self.cap is not None and self.cap <= 0:
-            raise SpecError(
-                f"journal:// option cap={self.cap} must be positive"
-            )
-        super().validate()
+    def build(self, num_blocks: int, block_size: int) -> BlockStore:
+        from repro.storage.journal import JournalBlockStore
 
-    def _option_pairs(self) -> list[tuple[str, object]]:
-        return [("cap", self.cap), ("path", self.path)]
-
-    @classmethod
-    def parse(cls, rest: str) -> "JournalSpec":
-        child, options = cls._parse_child(rest)
-        spec = cls(
-            child=child,
-            cap=_int_option(options, "cap", cls.scheme),
-            path=options.get("path"),
-        )
-        spec.validate()
-        return spec
+        log = self.path
+        if not log:
+            child = self.child
+            if not isinstance(child, _PathSpec) or child.path == ":memory:":
+                raise InvalidArgument(
+                    f"journal:// cannot derive a log path for a "
+                    f"{child.scheme}:// child; pass an explicit "
+                    "#path=/path/to.journal"
+                )
+            log = child.path + ".journal"
+        return self._wrap(JournalBlockStore, num_blocks, block_size,
+                          journal_path=log)
 
 
 @dataclass
@@ -908,27 +1012,20 @@ class LazySpec(_WrapperSpec):
     """``lazy://<child>[#retry=S]`` — defer/retry opening the child."""
 
     scheme: ClassVar[str] = "lazy"
-    options: ClassVar[frozenset[str]] = frozenset({"retry"})
+    examples = (
+        ("lazy://<child>[#retry=S]",
+         "Open/retry the child on use instead of at mount"),
+    )
 
-    retry: float | None = None
+    retry: float | None = opt(float, ">=0", arg="retry_interval")
 
-    def validate(self) -> None:
-        if self.retry is not None and self.retry < 0:
-            raise SpecError(
-                f"lazy:// option retry={self.retry} must be >= 0"
-            )
-        super().validate()
+    def build(self, num_blocks: int, block_size: int) -> BlockStore:
+        from repro.storage.lazy import LazyBlockStore
 
-    def _option_pairs(self) -> list[tuple[str, object]]:
-        return [("retry", self.retry)]
-
-    @classmethod
-    def parse(cls, rest: str) -> "LazySpec":
-        child, options = cls._parse_child(rest)
-        spec = cls(child=child,
-                   retry=_float_option(options, "retry", cls.scheme))
-        spec.validate()
-        return spec
+        store = LazyBlockStore(self.child.reopenable(), num_blocks=num_blocks,
+                               block_size=block_size, **self._store_args())
+        store.try_connect()  # eager best effort; a down child is tolerated
+        return store
 
 
 @dataclass
@@ -936,30 +1033,23 @@ class SlowSpec(_WrapperSpec):
     """``slow://<child>[#ms=N]`` — injectable per-operation delay."""
 
     scheme: ClassVar[str] = "slow"
-    options: ClassVar[frozenset[str]] = frozenset({"ms"})
+    examples = (
+        ("slow://<child>[#ms=N]",
+         "Injectable per-operation delay (straggler drills)"),
+    )
 
-    ms: float | None = None
+    ms: float | None = opt(float, ">=0", arg="delay_ms")
 
-    def validate(self) -> None:
-        if self.ms is not None and self.ms < 0:
-            raise SpecError(f"slow:// option ms={self.ms} must be >= 0")
-        super().validate()
+    def build(self, num_blocks: int, block_size: int) -> BlockStore:
+        from repro.storage.replica import DelayedBlockStore
 
-    def _option_pairs(self) -> list[tuple[str, object]]:
-        return [("ms", self.ms)]
-
-    @classmethod
-    def parse(cls, rest: str) -> "SlowSpec":
-        child, options = cls._parse_child(rest)
-        spec = cls(child=child, ms=_float_option(options, "ms", cls.scheme))
-        spec.validate()
-        return spec
+        return self._wrap(DelayedBlockStore, num_blocks, block_size)
 
 
 @dataclass
 class TenantSpec(_WrapperSpec):
-    """``tenant://<child>#name=N[&offset=&blocks=&quota=&bytes=&rate=&burst=]``
-    — a named, quota/rate-limited window onto a region of the child.
+    """``tenant://<child>#name=N[&...]`` — a named, quota/rate-limited
+    window onto a region of the child.
 
     ``offset``/``blocks`` carve the region (defaults: 0 / the rest of
     the child); ``quota`` caps distinct blocks written, ``bytes`` the
@@ -967,270 +1057,82 @@ class TenantSpec(_WrapperSpec):
     """
 
     scheme: ClassVar[str] = "tenant"
-    options: ClassVar[frozenset[str]] = frozenset(
-        {"name", "offset", "blocks", "quota", "bytes", "rate", "burst"}
+    examples = (
+        ("tenant://<child>#name=N[&offset=&blocks=&quota=&bytes=&rate=&burst=]",
+         "Named, quota/rate-limited window onto a region of the child"),
     )
 
-    name: str | None = None
-    offset: int | None = None
-    blocks: int | None = None
-    quota: int | None = None
-    bytes: int | None = None
-    rate: float | None = None
-    burst: float | None = None
+    name: str | None = opt(str)
+    offset: int | None = opt(int, ">=0")
+    blocks: int | None = opt(int, ">0", arg="num_blocks")
+    quota: int | None = opt(int, ">0", arg="quota_blocks")
+    bytes: int | None = opt(int, ">0", arg="quota_bytes")
+    rate: float | None = opt(float, ">0", arg="rate_ops")
+    burst: float | None = opt(float, ">0")
 
-    def validate(self) -> None:
+    def _check(self) -> None:
         if not self.name:
             raise SpecError(
                 "tenant:// needs #name=..., e.g. tenant://mem://#name=alice"
             )
-        if self.offset is not None and self.offset < 0:
-            raise SpecError(
-                f"tenant:// option offset={self.offset} must be >= 0"
-            )
-        for label, value in (("blocks", self.blocks), ("quota", self.quota),
-                             ("bytes", self.bytes)):
-            if value is not None and value <= 0:
-                raise SpecError(
-                    f"tenant:// option {label}={value} must be positive"
-                )
-        for label, fvalue in (("rate", self.rate), ("burst", self.burst)):
-            if fvalue is not None and fvalue <= 0:
-                raise SpecError(
-                    f"tenant:// option {label}={fvalue} must be positive"
-                )
         if self.burst is not None and self.rate is None:
             raise SpecError("tenant:// option burst= needs rate=")
-        super().validate()
 
-    def _option_pairs(self) -> list[tuple[str, object]]:
-        return [("name", self.name), ("offset", self.offset),
-                ("blocks", self.blocks), ("quota", self.quota),
-                ("bytes", self.bytes), ("rate", self.rate),
-                ("burst", self.burst)]
+    def build(self, num_blocks: int, block_size: int) -> BlockStore:
+        from repro.storage.tenant import TenantBlockStore
 
-    @classmethod
-    def parse(cls, rest: str) -> "TenantSpec":
-        child, options = cls._parse_child(rest)
-        spec = cls(
-            child=child,
-            name=options.get("name"),
-            offset=_int_option(options, "offset", cls.scheme),
-            blocks=_int_option(options, "blocks", cls.scheme),
-            quota=_int_option(options, "quota", cls.scheme),
-            bytes=_int_option(options, "bytes", cls.scheme),
-            rate=_float_option(options, "rate", cls.scheme),
-            burst=_float_option(options, "burst", cls.scheme),
-        )
+        return self._wrap(TenantBlockStore, num_blocks, block_size)
+
+
+# ---------------------------------------------------------------------------
+# Builder API: the programmatic spelling of each scheme, derived
+# ---------------------------------------------------------------------------
+
+_S = TypeVar("_S", bound=StoreSpec)
+
+
+def _builder(cls: type[_S]) -> Callable[..., _S]:
+    """``scheme(...)``: the spec class's own constructor signature, except
+    that a multi-child scheme takes its children positionally, child
+    arguments may be URI strings, and the result is validated."""
+    shape = _shape(cls)
+
+    def make(*args: Any, **options: Any) -> _S:
+        if shape.children:
+            options[shape.children] = [parse_spec(child) for child in args]
+            args = ()
+        spec = cls(*args, **options)
+        if shape.child:
+            setattr(spec, shape.child, parse_spec(getattr(spec, shape.child)))
         spec.validate()
         return spec
 
-
-@dataclass
-class OpaqueSpec(StoreSpec):
-    """A scheme registered through the legacy ``register_scheme(scheme,
-    factory)`` hook: the registry knows how to build it, but its option
-    grammar is the factory's own, so the spec layer carries the raw
-    ``rest`` string opaquely (round-tripping verbatim)."""
-
-    scheme_name: str = ""
-    rest: str = ""
-
-    def to_uri(self) -> str:
-        return f"{self.scheme_name}://{self.rest}"
+    make.__name__ = make.__qualname__ = cls.scheme
+    make.__doc__ = cls.__doc__
+    return make
 
 
-# ---------------------------------------------------------------------------
-# Parse dispatch
-# ---------------------------------------------------------------------------
+mem = _builder(MemSpec)
+file = _builder(FileSpec)
+sqlite = _builder(SqliteSpec)
+shard = _builder(ShardSpec)
+replica = _builder(ReplicaSpec)
+cached = _builder(CachedSpec)
+metered = _builder(MeteredSpec)
+failing = _builder(FailingSpec)
+journal = _builder(JournalSpec)
+lazy = _builder(LazySpec)
+slow = _builder(SlowSpec)
+tenant = _builder(TenantSpec)
 
 
-def _register(cls: type[StoreSpec]) -> None:
-    SPEC_TYPES[cls.scheme] = cls
-    OPTIONS_BY_SCHEME[cls.scheme] = cls.options
-
-
-for _cls in (MemSpec, FileSpec, SqliteSpec, ShardSpec, CachedSpec,
-             RemoteSpec, ReplicaSpec, FailingSpec, JournalSpec, LazySpec,
-             SlowSpec, TenantSpec, MeteredSpec):
-    _register(_cls)
-
-
-def split_uri(uri: str) -> tuple[str, str]:
-    """Split ``scheme://rest`` (SpecError if malformed)."""
-    scheme, sep, rest = uri.partition("://")
-    if not sep or not scheme:
-        raise SpecError(
-            f"backend URI {uri!r} must look like '<scheme>://...'"
-        )
-    return scheme, rest
-
-
-#: Callback the registry installs so parse_spec can recognize legacy
-#: factory-registered schemes without importing the registry (which
-#: imports store classes).
-_legacy_schemes: Callable[[], tuple[str, ...]] = lambda: ()
-
-
-def _install_legacy_schemes(hook: Callable[[], tuple[str, ...]]) -> None:
-    global _legacy_schemes
-    _legacy_schemes = hook
-
-
-def known_schemes() -> tuple[str, ...]:
-    """Every scheme :func:`parse_spec` resolves to a typed spec."""
-    return tuple(sorted(SPEC_TYPES))
-
-
-SpecLike = Union[StoreSpec, str]
-
-
-def parse_spec(uri: SpecLike) -> StoreSpec:
-    """Parse a backend URI into its typed :class:`StoreSpec`.
-
-    A spec passed in is validated and returned as-is, so every API that
-    takes a URI string transparently takes specs too.
-    """
-    if isinstance(uri, StoreSpec):
-        uri.validate()
-        return uri
-    scheme, rest = split_uri(uri)
-    # A factory registered through the legacy hook wins even over a
-    # built-in scheme: register_scheme has always meant "register OR
-    # REPLACE", and replacement would be silently ignored if the typed
-    # spec were consulted first.
-    if scheme in _legacy_schemes():
-        return OpaqueSpec(scheme_name=scheme, rest=rest)
-    spec_cls = SPEC_TYPES.get(scheme)
-    if spec_cls is None:
-        pool = sorted(set(known_schemes()) | set(_legacy_schemes()))
-        close = difflib.get_close_matches(scheme, pool, n=1)
-        hint = f"did you mean {close[0]!r}? " if close else ""
-        raise SpecError(
-            f"unknown storage scheme {scheme!r}; {hint}"
-            f"registered: {', '.join(pool)}"
-        )
-    return spec_cls.parse(rest)
-
-
-# ---------------------------------------------------------------------------
-# Builder API
-# ---------------------------------------------------------------------------
-
-
-def _coerce(child: SpecLike) -> StoreSpec:
-    return parse_spec(child)
-
-
-def mem(blocks: int | None = None, bs: int | None = None) -> MemSpec:
-    """In-memory store spec."""
-    return MemSpec(blocks=blocks, bs=bs)
-
-
-def file(path: str, blocks: int | None = None,
-         bs: int | None = None) -> FileSpec:
-    """Host-file store spec."""
-    return FileSpec(path=path, blocks=blocks, bs=bs)
-
-
-def sqlite(path: str, blocks: int | None = None,
-           bs: int | None = None) -> SqliteSpec:
-    """SQLite store spec."""
-    return SqliteSpec(path=path, blocks=blocks, bs=bs)
-
-
-def remote(endpoint: str, *, timeout: float | None = None,
-           batch: bool | None = None,
-           workers: int | None = None,
-           cred: str | None = None,
-           key: str | None = None,
-           tenant_name: str | None = None,
-           rights: str | None = None) -> RemoteSpec:
-    """Remote node spec from an ``"host:port"`` endpoint.
-
-    ``cred``/``key``/``tenant_name``/``rights`` authenticate the mount
-    against a credential-gated server (the ``#cred=&key=`` fragment).
-    """
-    host, sep, port = endpoint.rpartition(":")
-    if not sep or not host or not port.isdigit():
-        raise SpecError(
-            f"remote() needs 'host:port' (got {endpoint!r})"
-        )
-    spec = RemoteSpec(host=host, port=int(port), timeout=timeout,
-                      batch=batch, workers=workers, cred=cred, key=key,
-                      tenant=tenant_name, rights=rights)
-    spec.validate()
-    return spec
-
-
-def tenant(child: SpecLike, name: str, *, offset: int | None = None,
-           blocks: int | None = None, quota: int | None = None,
-           byte_budget: int | None = None, rate: float | None = None,
-           burst: float | None = None) -> TenantSpec:
-    """Per-tenant windowed/limited view spec over ``child``."""
-    spec = TenantSpec(child=_coerce(child), name=name, offset=offset,
-                      blocks=blocks, quota=quota, bytes=byte_budget,
-                      rate=rate, burst=burst)
-    spec.validate()
-    return spec
-
-
-def shard(*children: SpecLike, fanout: int | None = None) -> ShardSpec:
-    """Consistent-hash ring spec over ``children`` (specs or URIs)."""
-    spec = ShardSpec(shards=[_coerce(c) for c in children], fanout=fanout)
-    spec.validate()
-    return spec
-
-
-def replica(*children: SpecLike, w: int | None = None, r: int | None = None,
-            fanout: int | None = None, hedge_ms: float | None = None,
-            stamps: str | None = None) -> ReplicaSpec:
-    """Quorum-replication spec over ``children`` (specs or URIs)."""
-    spec = ReplicaSpec(replicas=[_coerce(c) for c in children], w=w, r=r,
-                       fanout=fanout, hedge_ms=hedge_ms, stamps=stamps)
-    spec.validate()
-    return spec
-
-
-def cached(child: SpecLike, capacity: int | None = None) -> CachedSpec:
-    """Write-back LRU overlay spec."""
-    spec = CachedSpec(child=_coerce(child), capacity=capacity)
-    spec.validate()
-    return spec
-
-
-def metered(child: SpecLike, slow_ms: float | None = None,
-            ring: int | None = None) -> MeteredSpec:
-    """Latency-instrumentation overlay spec."""
-    spec = MeteredSpec(child=_coerce(child), slow_ms=slow_ms, ring=ring)
-    spec.validate()
-    return spec
-
-
-def journal(child: SpecLike, cap: int | None = None,
-            path: str | None = None) -> JournalSpec:
-    """Write-ahead journal overlay spec."""
-    spec = JournalSpec(child=_coerce(child), cap=cap, path=path)
-    spec.validate()
-    return spec
-
-
-def lazy(child: SpecLike, retry: float | None = None) -> LazySpec:
-    """Lazy/retrying-connect overlay spec."""
-    spec = LazySpec(child=_coerce(child), retry=retry)
-    spec.validate()
-    return spec
-
-
-def slow(child: SpecLike, ms: float | None = None) -> SlowSpec:
-    """Injectable-delay overlay spec."""
-    spec = SlowSpec(child=_coerce(child), ms=ms)
-    spec.validate()
-    return spec
-
-
-def failing(child: SpecLike, fail: bool | None = None) -> FailingSpec:
-    """Injectable-outage overlay spec."""
-    spec = FailingSpec(child=_coerce(child), fail=fail)
+def remote(endpoint: str, **options: Any) -> RemoteSpec:
+    """Remote node spec from an ``"host:port"`` endpoint; keywords name
+    :class:`RemoteSpec` options."""
+    spec = RemoteSpec(
+        **_split_endpoint(endpoint,
+                          f"remote() needs 'host:port' (got {endpoint!r})"),
+        **options,
+    )
     spec.validate()
     return spec

@@ -28,11 +28,13 @@ and :class:`~repro.errors.RateLimited`, which the RPC layer carries to
 the client as in-band status codes (not transport failures, so
 ``replica://`` never mistakes an over-quota tenant for a down node).
 
-The view forwards the child's *internal* hooks (the ``slow://`` idiom):
-one stats layer, and holes stay visible as ``None`` to overlays stacked
-above.  Tenant traffic is therefore counted *on the view*, and surfaces
-in ``snapshot().extra`` under flat ``tenant:<name>:<counter>`` keys that
-``store-inspect`` and the serving gate aggregate per tenant.
+The view forwards to the child's *internal* hooks (the
+:class:`~repro.storage.base.WrapperBlockStore` leaf rule): one stats
+layer, and holes stay visible as ``None`` to overlays stacked above.
+Tenant traffic is therefore counted *on the view* — which is the leaf
+``leaf_stores()`` reports — and surfaces in ``snapshot().extra`` under
+flat ``tenant:<name>:<counter>`` keys that ``store-inspect`` and the
+serving gate aggregate per tenant.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import time
 from typing import Callable, Optional
 
 from repro.errors import InvalidArgument, QuotaExceeded, RateLimited
-from repro.storage.base import BlockStore, Capabilities
+from repro.storage.base import BlockStore, WrapperBlockStore
 
 
 class TokenBucket:
@@ -70,7 +72,7 @@ class TokenBucket:
         return True
 
 
-class TenantBlockStore(BlockStore):
+class TenantBlockStore(WrapperBlockStore):
     """A quota- and rate-limited window onto a region of a shared store."""
 
     scheme = "tenant"
@@ -100,8 +102,8 @@ class TenantBlockStore(BlockStore):
                 f"tenant region [{offset}, {offset + num_blocks}) does not fit "
                 f"in child store of {child.num_blocks} blocks"
             )
-        super().__init__(num_blocks, child.block_size)
-        self.child = child
+        super().__init__(child, num_blocks)
+        self.thread_safe = child.capabilities().thread_safe
         self.name = name
         self.offset = offset
         self.quota_blocks = quota_blocks
@@ -224,9 +226,6 @@ class TenantBlockStore(BlockStore):
 
     # -- lifecycle ----------------------------------------------------------
 
-    def flush(self) -> None:
-        self.child.flush()
-
     def close(self) -> None:
         if self.owns_child:
             self.child.close()
@@ -240,21 +239,6 @@ class TenantBlockStore(BlockStore):
     def used_block_numbers(self) -> list[int]:
         with self._lock:
             return sorted(self._written_set())
-
-    def capabilities(self) -> Capabilities:
-        child = self.child.capabilities()
-        return Capabilities(
-            thread_safe=child.thread_safe,
-            durable=child.durable,
-            networked=child.networked,
-            composite=True,
-        )
-
-    def child_stores(self) -> list[BlockStore]:
-        return [self.child]
-
-    def leaf_stores(self) -> list[BlockStore]:
-        return self.child.leaf_stores()
 
     def describe(self) -> str:
         limits = []

@@ -8,6 +8,12 @@ child whose trailing fragment would re-parse as the wrapper's own);
 ``to_uri`` raises ``SpecError`` for those, and the property skips them —
 what it proves is that every spec **with** a URI form round-trips
 exactly, which covers everything ``parse_spec`` itself can produce.
+
+A second pass draws the string-valued fields (paths, names) from an
+alphabet full of the characters the grammar reserves (``? # & ; =``):
+there the property is "round-trips equal **or** raises ``SpecError``" —
+rendering may refuse, but must never produce a URI that parses to a
+*different* spec.
 """
 
 from __future__ import annotations
@@ -24,17 +30,13 @@ geometry = st.one_of(st.none(), st.integers(min_value=1, max_value=1 << 20))
 block_sizes = st.one_of(
     st.none(), st.integers(min_value=1, max_value=64).map(lambda n: n * 512)
 )
-#: Path text that survives a URI round trip (no ?, #, ;, & or =).
-paths = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyz0123456789_-./",
-    min_size=1, max_size=24,
-).filter(lambda p: ";" not in p)
+#: Path/name text that survives a URI round trip (no ?, #, ;, & or =).
+SAFE = "abcdefghijklmnopqrstuvwxyz0123456789_-./"
+#: Text thick with what the grammar reserves, plus the ``{i}`` template
+#: marker and ``://`` — anything ``to_uri`` accepts must still re-parse.
+WILD = "ab/._-?#&;=:{i}"
 hosts = st.sampled_from(["127.0.0.1", "h1", "node-7.local"])
 ports = st.integers(min_value=1, max_value=65535)
-tenant_names = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyz0123456789_-",
-    min_size=1, max_size=12,
-)
 millis = st.one_of(
     st.none(),
     st.floats(min_value=0.0, max_value=500.0, allow_nan=False,
@@ -43,7 +45,7 @@ millis = st.one_of(
 
 
 @st.composite
-def remote_specs(draw):
+def remote_specs(draw, paths, tenant_names):
     # The session fields have dependencies (cred/tenant/rights need key),
     # so draw key first rather than generate-and-discard invalid combos.
     key = draw(st.one_of(st.none(), paths))
@@ -66,16 +68,16 @@ def remote_specs(draw):
     )
 
 
-def leaf_specs() -> st.SearchStrategy:
+def leaf_specs(paths, tenant_names) -> st.SearchStrategy:
     return st.one_of(
-        st.builds(specs.mem, blocks=geometry, bs=block_sizes),
-        st.builds(specs.file, path=paths, blocks=geometry, bs=block_sizes),
-        st.builds(specs.sqlite, path=paths, blocks=geometry, bs=block_sizes),
-        remote_specs(),
+        st.builds(specs.MemSpec, blocks=geometry, bs=block_sizes),
+        st.builds(specs.FileSpec, path=paths, blocks=geometry, bs=block_sizes),
+        st.builds(specs.SqliteSpec, path=paths, blocks=geometry, bs=block_sizes),
+        remote_specs(paths, tenant_names),
     )
 
 
-def composite_specs(children: st.SearchStrategy) -> st.SearchStrategy:
+def composite_specs(children, paths, tenant_names) -> st.SearchStrategy:
     child_lists = st.lists(children, min_size=1, max_size=4)
 
     @st.composite
@@ -151,7 +153,18 @@ def composite_specs(children: st.SearchStrategy) -> st.SearchStrategy:
     )
 
 
-spec_trees = st.recursive(leaf_specs(), composite_specs, max_leaves=8)
+def spec_trees_over(alphabet: str) -> st.SearchStrategy:
+    paths = st.text(alphabet=alphabet, min_size=1, max_size=24)
+    names = st.text(alphabet=alphabet.replace("/", "").replace(".", ""),
+                    min_size=1, max_size=12)
+    return st.recursive(
+        leaf_specs(paths, names),
+        lambda children: composite_specs(children, paths, names),
+        max_leaves=8,
+    )
+
+
+spec_trees = spec_trees_over(SAFE)
 
 
 # -- the property -----------------------------------------------------------
@@ -168,6 +181,17 @@ def test_parse_of_to_uri_round_trips(spec):
         assume(False)
     assert parse_spec(uri) == spec
     # And rendering is a fixed point: canonical URIs re-render verbatim.
+    assert parse_spec(uri).to_uri() == uri
+
+
+@settings(max_examples=500, deadline=None)
+@given(spec_trees_over(WILD))
+def test_reserved_characters_round_trip_or_raise(spec):
+    try:
+        uri = spec.to_uri()
+    except SpecError:
+        return  # refusing to render is fine; changing meaning is not
+    assert parse_spec(uri) == spec
     assert parse_spec(uri).to_uri() == uri
 
 

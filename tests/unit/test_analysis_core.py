@@ -135,7 +135,7 @@ class TestRunLint:
         checkers = all_checkers()
         assert set(checkers) == {
             "lock-discipline", "lock-order", "rpc-drift",
-            "error-taxonomy", "registry-coverage",
+            "error-taxonomy",
             "fsync-ordering", "span-propagation",
             "quorum-arithmetic", "resource-leak",
         }

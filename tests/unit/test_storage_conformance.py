@@ -601,6 +601,46 @@ class TestLeafStores:
         assert logical_reads == 10
         assert physical_reads == 0  # written-through cache entry, never missed
 
+    #: single-child scheme -> (reads, writes) that reach backing storage
+    #: after write(1), read(1), read(2).  cached:// absorbs the write and
+    #: the read it can serve from it; every other layer passes all three.
+    SINGLE_CHILD = {
+        "failing://mem://": (2, 1),
+        "slow://mem://#ms=0": (2, 1),
+        "metered://mem://": (2, 1),
+        "tenant://mem://#name=a": (2, 1),
+        "journal://mem://#path={tmp}/leaf.journal": (2, 1),
+        "lazy://mem://": (2, 1),
+        "cached://mem://#capacity=8": (1, 0),
+    }
+
+    def test_every_single_child_scheme_is_in_the_leaf_table(self):
+        from repro.storage.spec import SPEC_TYPES, _WrapperSpec
+
+        single_child = {scheme for scheme, cls in SPEC_TYPES.items()
+                        if issubclass(cls, _WrapperSpec)}
+        assert {split_uri(t)[0] for t in self.SINGLE_CHILD} == single_child
+
+    @pytest.mark.parametrize("template", sorted(SINGLE_CHILD))
+    def test_leaf_stats_equal_what_reached_backing_storage(
+            self, template, tmp_path):
+        """The leaf-stats contract: whichever store a layer reports as
+        its leaf, the summed leaf counters are the physical I/O — so
+        ``bench/report.py``'s logical-vs-physical tables never
+        under-count a stack (``tenant://`` used to report 0/0)."""
+        s = open_store(template.replace("{tmp}", str(tmp_path)),
+                       num_blocks=BLOCKS, block_size=BS)
+        try:
+            s.write(1, b"x")
+            s.read(1)
+            s.read(2)
+            leaves = s.leaf_stores()
+            assert (sum(leaf.stats.reads for leaf in leaves),
+                    sum(leaf.stats.writes for leaf in leaves)) \
+                == self.SINGLE_CHILD[template]
+        finally:
+            s.close()
+
 
 class TestBatchedIO:
     """read_many/write_many: same semantics as looping, fewer backend ops."""

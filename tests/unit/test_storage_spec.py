@@ -292,53 +292,10 @@ class TestSchemeRegistry:
     def test_every_registered_scheme_has_a_spec_type(self):
         assert set(registered_schemes()) == set(specs.known_schemes())
 
-    def test_legacy_factory_registration_still_works(self):
-        from repro.storage import MemoryBlockStore, register_scheme
-        from repro.storage.registry import _FACTORIES
-
-        def factory(rest, num_blocks, block_size):
-            return MemoryBlockStore(num_blocks, block_size)
-
-        register_scheme("customx", factory)
-        try:
-            assert "customx" in registered_schemes()
-            spec = parse_spec("customx://whatever?opt=1")
-            assert spec.to_uri() == "customx://whatever?opt=1"
-            store = open_store("customx://", num_blocks=8, block_size=512)
-            store.write(0, b"legacy")
-            assert store.read(0).startswith(b"legacy")
-            store.close()
-        finally:
-            _FACTORIES.pop("customx", None)
-
     def test_walk_visits_every_layer(self):
         spec = parse_spec("cached://shard://2#capacity=4")
         schemes = [s.scheme for s in spec.walk()]
         assert schemes == ["cached", "shard", "mem", "mem"]
-
-    def test_legacy_factory_replaces_builtin_scheme(self):
-        """register_scheme has always meant 'register OR REPLACE' —
-        a replacement for a built-in must win over the typed spec."""
-        from repro.storage import register_scheme
-        from repro.storage.registry import _FACTORIES
-
-        calls = []
-
-        def factory(rest, num_blocks, block_size):
-            from repro.storage import MemoryBlockStore
-
-            calls.append(rest)
-            return MemoryBlockStore(num_blocks, block_size)
-
-        register_scheme("mem", factory)
-        try:
-            store = open_store("mem://", num_blocks=8, block_size=512)
-            store.close()
-            assert calls == [""]
-        finally:
-            _FACTORIES.pop("mem", None)
-        # and the typed spec is back in charge afterwards
-        assert parse_spec("mem://") == MemSpec()
 
 
 class TestProgrammaticOnlyTopologies:
@@ -445,3 +402,118 @@ class TestMeteredSpec:
             assert store.slow_ms == 7.5
         finally:
             store.close()
+
+
+class TestValuesThatCannotRoundTrip:
+    """A value whose rendered URI would not re-parse to the same spec is
+    rejected when the spec is validated or rendered — never silently
+    turned into a different spec."""
+
+    @pytest.mark.parametrize("uri, option", [
+        ("slow://mem://#ms=inf", "ms"),
+        ("slow://mem://#ms=nan", "ms"),
+        ("lazy://mem://#retry=nan", "retry"),
+        ("metered://mem://#slow_ms=nan", "slow_ms"),
+        ("remote://h:1?timeout=nan", "timeout"),
+        ("tenant://mem://#name=a&rate=nan", "rate"),
+        ("replica://3?hedge_ms=nan", "hedge_ms"),
+    ])
+    def test_non_finite_floats_rejected_at_parse_time(self, uri, option):
+        scheme = uri.partition("://")[0]
+        with pytest.raises(SpecError,
+                           match=rf"{scheme}:// option {option}=.*finite"):
+            parse_spec(uri)
+
+    def test_non_finite_floats_rejected_from_the_builder_too(self):
+        with pytest.raises(SpecError, match="slow:// option ms"):
+            specs.slow(specs.mem(), ms=float("inf"))
+        with pytest.raises(SpecError, match="finite"):
+            SlowSpec(child=MemSpec(), ms=float("nan")).to_uri()
+
+    @pytest.mark.parametrize("make, option", [
+        (lambda v: JournalSpec(child=MemSpec(), path=v), "path"),
+        (lambda v: ReplicaSpec(replicas=[MemSpec()], stamps=v), "stamps"),
+        (lambda v: specs.TenantSpec(child=MemSpec(), name=v), "name"),
+        (lambda v: RemoteSpec(host="h", port=1, key="/k", cred=v), "cred"),
+        (lambda v: RemoteSpec(host="h", port=1, key=v), "key"),
+    ])
+    @pytest.mark.parametrize("value", ["/tmp/a&cap=1", "/tmp/a#b"])
+    def test_reserved_characters_in_string_options(self, make, option, value):
+        spec = make(value)
+        with pytest.raises(SpecError, match=rf"option {option}="):
+            spec.validate()
+        with pytest.raises(SpecError, match=rf"option {option}="):
+            spec.to_uri()
+        with pytest.raises(SpecError, match=rf"option {option}="):
+            parse_spec(spec)
+
+    def test_issue_example_no_longer_changes_meaning(self):
+        # Used to render journal://file:///x/a.img#path=/tmp/a&cap=1,
+        # which re-parses as cap=1, path="/tmp/a".
+        with pytest.raises(SpecError, match="option path="):
+            specs.journal(specs.file("/x/a.img"), path="/tmp/a&cap=1")
+
+    @pytest.mark.parametrize("spec_cls", [FileSpec, SqliteSpec])
+    @pytest.mark.parametrize("path", ["/tmp/a?b", "/tmp/a#b", "/d?x=1#y=2"])
+    def test_reserved_characters_in_a_leaf_path(self, spec_cls, path):
+        with pytest.raises(SpecError, match=r"path .* cannot contain"):
+            spec_cls(path=path).validate()
+        with pytest.raises(SpecError, match=r"path .* cannot contain"):
+            spec_cls(path=path).to_uri()
+
+    def test_count_form_dir_is_covered_through_the_child_path(self):
+        with pytest.raises(SpecError, match="cannot contain"):
+            parse_spec("shard://2?base=file&dir=/tmp/a#b=1")
+
+    def test_values_that_round_trip_today_keep_working(self):
+        for spec in (
+            specs.cached(specs.file("/tmp/a;b.img"), capacity=4),
+            specs.replica(specs.mem(), specs.mem(), stamps="/tmp/s;1"),
+            specs.journal(specs.mem(), path="/tmp/j?=x"),
+        ):
+            assert parse_spec(spec.to_uri()) == spec
+
+
+class TestDerivedListings:
+    """``discfs backends`` and the README table are generated from the
+    ``examples`` rows the spec classes declare — one source, so they
+    cannot drift (this replaces the README half of the retired
+    ``registry-coverage`` lint rule)."""
+
+    def test_every_scheme_declares_example_rows(self):
+        rows = specs.backend_rows()
+        assert {scheme for scheme, _, _ in rows} == set(registered_schemes())
+        for scheme, uri, meaning in rows:
+            assert uri.startswith(f"{scheme}://") and meaning
+
+    def test_examples_without_placeholders_parse(self):
+        placeholders = ("<", "[", "...", "|")
+        concrete = [uri for _, uri, _ in specs.backend_rows()
+                    if not any(mark in uri for mark in placeholders)]
+        assert len(concrete) >= 8
+        for uri in concrete:
+            parse_spec(uri)
+
+    def test_readme_table_is_the_derived_listing(self):
+        from pathlib import Path
+
+        readme = Path(__file__).resolve().parents[2] / "README.md"
+        section = readme.read_text(encoding="utf-8").split(
+            "## Storage backends")[1]
+        table = section[section.index("| URI | Backend |"):].split("\n\n")[0]
+        rows = [
+            tuple(cell.strip().replace("\\|", "|")
+                  for cell in line.strip("|").split(" | "))
+            for line in table.splitlines()[2:]
+        ]
+        assert rows == [(f"`{uri}`", meaning)
+                        for _, uri, meaning in specs.backend_rows()]
+
+    def test_cli_prints_the_same_rows(self, capsys):
+        from repro.cli import main
+
+        assert main(["backends"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{scheme:<8} {uri}  --  {meaning}"
+            for scheme, uri, meaning in specs.backend_rows()
+        ]
