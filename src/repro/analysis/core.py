@@ -1,9 +1,8 @@
 """discfs-lint engine: findings, suppressions, baselines, checker plugins.
 
 The analyzers in this package encode *project* invariants — lock
-discipline, XDR protocol mirroring, the error taxonomy — that generic
-linters cannot know.  This module is the
-chassis they plug into:
+discipline, the error taxonomy, fsync ordering — that generic linters
+cannot know.  This module is the chassis they plug into:
 
 * :class:`Finding` — one diagnostic with a stable fingerprint, so a
   baseline file can grandfather it across line-number churn;
@@ -11,8 +10,8 @@ chassis they plug into:
   ``# discfs-lint: disable=<rule>`` suppressions, shared by every
   checker (each file is read and parsed exactly once per run);
 * :class:`Checker` — the plugin base class; a checker sees the whole
-  project so cross-file rules (lock-order graphs, client/server pairing)
-  are first-class, not bolted on;
+  project so cross-file rules (lock-order graphs) are first-class,
+  not bolted on;
 * :class:`Baseline` + :func:`run_lint` — the driver CI calls.
 
 Zero dependencies beyond the standard library, by design: the linter
@@ -300,8 +299,6 @@ def all_checkers() -> dict[str, Callable[[], Checker]]:
     from repro.analysis.fsynccheck import FsyncOrderingChecker
     from repro.analysis.leakcheck import ResourceLeakChecker
     from repro.analysis.lockcheck import LockDisciplineChecker, LockOrderChecker
-    from repro.analysis.quorumcheck import QuorumArithmeticChecker
-    from repro.analysis.rpccheck import RPCDriftChecker
     from repro.analysis.spancheck import SpanPropagationChecker
     from repro.analysis.taxonomycheck import ErrorTaxonomyChecker
 
@@ -309,11 +306,9 @@ def all_checkers() -> dict[str, Callable[[], Checker]]:
     for cls in (
         LockDisciplineChecker,
         LockOrderChecker,
-        RPCDriftChecker,
         ErrorTaxonomyChecker,
         FsyncOrderingChecker,
         SpanPropagationChecker,
-        QuorumArithmeticChecker,
         ResourceLeakChecker,
     ):
         checkers[cls.name] = cls

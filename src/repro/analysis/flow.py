@@ -1,9 +1,9 @@
 """Flow-sensitive core for the v2 checkers: per-function CFGs + dataflow.
 
 The v1 rules were syntactic walks; the invariants this package grew for
-— fsync-before-child ordering, span propagation, quorum arithmetic —
-are statements about *paths*, so they need a control-flow graph and a
-dataflow fixpoint, not a tree visitor.  This module is that shared
+— fsync-before-child ordering, span propagation — are statements
+about *paths*, so they need a control-flow graph and a dataflow
+fixpoint, not a tree visitor.  This module is that shared
 core:
 
 * :func:`build_cfg` — one :class:`CFG` per function body, built from

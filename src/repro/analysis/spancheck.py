@@ -1,29 +1,24 @@
-"""span-propagation: every RPC dispatch carries the trace envelope.
+"""span-propagation: pool hops carry the caller's contextvars.
 
-The tracing plane (PR 7) only works end-to-end if two hand-offs never
-drop the span context:
+The storage plane's fan-out pools (shard fan-out, replica lanes,
+reshard movers) run work on long-lived threads, where ``contextvars``
+do **not** flow implicitly.  Every ``submit``/``map`` on an executor
+must run the task under a ``contextvars.copy_context()`` taken on the
+*submitting* thread (``pool.submit(contextvars.copy_context().run,
+task)`` or a local ``ctx = contextvars.copy_context()`` proven, by
+must-analysis, to be assigned on every path first).  An unwrapped
+submit silently orphans every span the task starts — the reshard bug
+this rule was built on.
 
-1. **Wire hand-off** — a tracing RPC wrapper (a class that defines
-   ``_trace_start``) must pass ``cred=`` on every ``.call`` /
-   ``.call_async`` it issues; that keyword is how the span rides the
-   AUTH_NONE credential body to the server.  The NULL procedure
-   (literal proc ``0``) is exempt — it is the liveness probe and
-   carries no envelope by design.
-
-2. **Thread hand-off** — the storage plane's fan-out pools (shard
-   fan-out, replica lanes, reshard movers) run work on long-lived
-   threads, where ``contextvars`` do **not** flow implicitly.  Every
-   ``submit``/``map`` on an executor must run the task under a
-   ``contextvars.copy_context()`` taken on the *submitting* thread
-   (``pool.submit(contextvars.copy_context().run, task)`` or a local
-   ``ctx = contextvars.copy_context()`` proven, by must-analysis, to be
-   assigned on every path first).  An unwrapped submit silently orphans
-   every span the task starts — the reshard bug this rule was built on.
-
-Check 2 is scoped to storage-plane modules (path contains a
+The rule is scoped to storage-plane modules (path contains a
 ``storage`` component or the file imports ``repro.storage``): the RPC
 fallback executors submit requests that were fully encoded — span
 attached — on the caller's thread, so wrapping there is noise.
+
+The other hand-off, the span riding ``cred=`` on the wire, is not
+linted: ``RemoteBlockStore`` dispatches through one ``_call`` and one
+``_submit``, and ``tests/unit/test_obs_trace.py::TestPropagation``
+drives both.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from repro.analysis.flow import build_cfg, header_exprs, must_facts
 
 _FuncDef = ast.FunctionDef | ast.AsyncFunctionDef
 
-_RPC_DISPATCH = frozenset({"call", "call_async"})
 _EXECUTOR_DISPATCH = frozenset({"submit", "map"})
 _EXECUTOR_TYPE = "ThreadPoolExecutor"
 
@@ -93,66 +87,18 @@ def _storage_scoped(sf: SourceFile) -> bool:
 
 
 class SpanPropagationChecker(Checker):
-    """Trace envelope on RPC dispatch; contextvars across pool hops."""
+    """contextvars across pool hops."""
 
     name = "span-propagation"
     description = (
-        "RPC dispatch in tracing wrappers must pass cred= (the span "
-        "envelope); executor submit/map in the storage plane must copy "
-        "the caller's contextvars"
+        "executor submit/map in the storage plane must copy the caller's "
+        "contextvars"
     )
 
     def run(self, project: Project) -> Iterable[Finding]:
         for sf in project.files:
-            if sf.tree is None:
-                continue
-            for cls in ast.walk(sf.tree):
-                if isinstance(cls, ast.ClassDef):
-                    yield from self._check_rpc_dispatch(sf, cls)
-            if _storage_scoped(sf):
+            if sf.tree is not None and _storage_scoped(sf):
                 yield from self._check_executor_hops(sf)
-
-    # -- 1: cred= on .call / .call_async ------------------------------------
-
-    def _check_rpc_dispatch(self, sf: SourceFile,
-                            cls: ast.ClassDef) -> Iterator[Finding]:
-        method_names = {
-            stmt.name for stmt in cls.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        if "_trace_start" not in method_names:
-            return
-        for call in ast.walk(cls):
-            if not isinstance(call, ast.Call):
-                continue
-            func = call.func
-            if not (isinstance(func, ast.Attribute)
-                    and func.attr in _RPC_DISPATCH
-                    and _is_self_attr(func.value)):
-                continue
-            if call.args and isinstance(call.args[0], ast.Constant) \
-                    and call.args[0].value == 0:
-                continue  # NULL probe: no envelope by design
-            cred = next(
-                (kw.value for kw in call.keywords if kw.arg == "cred"),
-                None,
-            )
-            degenerate = isinstance(cred, ast.Constant) and not cred.value
-            if cred is None or degenerate:
-                assert isinstance(func.value, ast.Attribute)
-                yield self.finding(
-                    sf, call,
-                    f"{cls.name}: self.{func.value.attr}.{func.attr} "
-                    "dispatches without the trace envelope (no cred=)",
-                    hint=(
-                        "thread the credential from _trace_start "
-                        "through as cred=... so the span context rides "
-                        "the AUTH_NONE body; only the NULL probe "
-                        "(proc 0) may omit it"
-                    ),
-                )
-
-    # -- 2: contextvars copy across executor hops ----------------------------
 
     def _check_executor_hops(self, sf: SourceFile) -> Iterator[Finding]:
         assert sf.tree is not None

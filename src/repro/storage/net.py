@@ -27,32 +27,14 @@ pipelined connections keeps several windows in flight at once, so a
 large extent overlaps its round trips instead of paying them serially
 (``serve_store(..., workers=N)`` gives the server matching concurrency).
 
-Procedures (version 2 — every request except NULL starts with an opaque
-session token, empty before SESSION_OPEN; every reply except NULL's
-starts with a uint status, 0 = OK, else an error code followed by a
-message string)::
-
-    0 NULL                                    (ping; no v2 envelope)
-    1 GEOM        void -> uint num_blocks, uint block_size, string desc
-    2 READ        uint block_no -> opaque data
-    3 WRITE       uint block_no, opaque data -> void
-    4 READ_MANY   uint<> block_nos -> opaque<> blocks
-    5 WRITE_MANY  struct{uint, opaque}<> -> void
-    6 FLUSH       void -> void
-    7 USED        void -> uhyper used_blocks
-    8 CONTAINS    uint block_no -> bool      (stats-free, for overlays)
-    9 LIST        uint start, uint limit -> uint<> block_nos
-                                              (paginated enumeration —
-                                               the reshard primitive)
-   10 STATS       void -> string json        (served store's snapshot +
-                                               capabilities, for
-                                               ``store-inspect``)
-   11 CHALLENGE   void -> opaque nonce       (single-use, for
-                                               SESSION_OPEN; empty on an
-                                               ungated server)
-   12 SESSION_OPEN  string identity, string tenant, string rights,
-                    string<> credentials, opaque nonce, string signature
-                    -> opaque token, string granted
+Wire format (version 2): every request starts with an opaque session
+token (empty before SESSION_OPEN) and every reply with a uint status —
+0 = OK, else an error code followed by a message string.  NULL (proc 0)
+alone keeps the RPC-wide convention of empty arguments and an empty
+reply.  The procedures themselves — number, name, rights, argument and
+result fields — are declared once, in :data:`PROCEDURES`; the client
+stub, the server dispatch and both envelopes are derived from it, so
+the two ends cannot disagree about a message.
 
 When the server runs a :class:`~repro.storage.auth.StoreAuthGate`
 (``store-serve --policy``), NULL/CHALLENGE/SESSION_OPEN are the only
@@ -68,14 +50,14 @@ mistakes a denied tenant for a down node.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import json
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.errors import (
     AuthError,
@@ -84,6 +66,7 @@ from repro.errors import (
     RPCError,
     StoreUnavailable,
     TransportError,
+    XDRError,
 )
 from repro.rpc.client import ConnectionPool, RPCClient, abandon_call
 from repro.rpc.server import CallContext, RPCProgram, RPCServer
@@ -114,19 +97,6 @@ from repro.storage.base import BlockStore, StoreStats, T, WrapperBlockStore
 BLOCKSTORE_PROGRAM = 390010
 BLOCKSTORE_VERSION = 2
 
-PROC_GEOM = 1
-PROC_READ = 2
-PROC_WRITE = 3
-PROC_READ_MANY = 4
-PROC_WRITE_MANY = 5
-PROC_FLUSH = 6
-PROC_USED = 7
-PROC_CONTAINS = 8
-PROC_LIST = 9
-PROC_STATS = 10
-PROC_CHALLENGE = 11
-PROC_SESSION_OPEN = 12
-
 #: In-band reply status codes and the typed errors they carry.
 ERR_OK = 0
 ERR_AUTH = 1
@@ -137,28 +107,12 @@ _STATUS_ERRORS: dict[int, type[Exception]] = {
     ERR_QUOTA: QuotaExceeded,
     ERR_RATE: RateLimited,
 }
-_ERROR_STATUS: list[tuple[type[Exception], int]] = [
-    (AuthError, ERR_AUTH),
-    (QuotaExceeded, ERR_QUOTA),
-    (RateLimited, ERR_RATE),
-]
+_DENIALS = tuple(_STATUS_ERRORS.values())
 
-#: Minimum rights a gated proc needs; ``None`` = unauthenticated.
-PROC_RIGHTS: dict[int, Optional[str]] = {
-    0: None, PROC_CHALLENGE: None, PROC_SESSION_OPEN: None,
-    PROC_GEOM: "r", PROC_READ: "r", PROC_READ_MANY: "r",
-    PROC_CONTAINS: "r", PROC_USED: "r", PROC_LIST: "r",
-    PROC_WRITE: "rw", PROC_WRITE_MANY: "rw", PROC_FLUSH: "rw",
-    PROC_STATS: "admin",
-}
-
-PROC_NAMES: dict[int, str] = {
-    0: "NULL", PROC_GEOM: "GEOM", PROC_READ: "READ", PROC_WRITE: "WRITE",
-    PROC_READ_MANY: "READ_MANY", PROC_WRITE_MANY: "WRITE_MANY",
-    PROC_FLUSH: "FLUSH", PROC_USED: "USED", PROC_CONTAINS: "CONTAINS",
-    PROC_LIST: "LIST", PROC_STATS: "STATS", PROC_CHALLENGE: "CHALLENGE",
-    PROC_SESSION_OPEN: "SESSION_OPEN",
-}
+#: What a call can fail with below the v2 envelope — the transport, the
+#: RPC layer, or a reply that does not decode (``XDRError`` is an
+#: ``RPCError``).  All of it means "this node cannot answer".
+_WIRE_FAILURES = (TransportError, RPCError, OSError)
 
 #: Size caps for handshake fields (tokens/nonces are 16 bytes today).
 MAX_TOKEN = 64
@@ -179,6 +133,151 @@ _NO_CONTEXT = contextlib.nullcontext()
 #: trips by orders of magnitude.
 MAX_BATCH_BLOCKS = 4096
 MAX_BATCH_BYTES = 1 << 25  # 32 MiB of payload per message
+
+
+# -- field codecs -----------------------------------------------------------
+
+
+class Field(NamedTuple):
+    """One XDR field type: ``pack(enc, value)`` appends a value and
+    ``unpack(dec, lo, hi)`` reads one back.  ``lo..hi`` is the length of
+    block the decoding end accepts (only :data:`block` looks): a server
+    takes ``0..block_size`` and pads, a client exactly ``block_size``."""
+
+    pack: Callable[[XDREncoder, Any], object]
+    unpack: Callable[[XDRDecoder, int, int], Any]
+
+
+uint = Field(XDREncoder.pack_uint, lambda dec, lo, hi: dec.unpack_uint())
+uhyper = Field(XDREncoder.pack_uhyper, lambda dec, lo, hi: dec.unpack_uhyper())
+boolean = Field(XDREncoder.pack_bool, lambda dec, lo, hi: dec.unpack_bool())
+
+
+def opaque(max_size: int) -> Field:
+    return Field(XDREncoder.pack_opaque,
+                 lambda dec, lo, hi: dec.unpack_opaque(max_size))
+
+
+def string(max_size: Optional[int] = None) -> Field:
+    return Field(XDREncoder.pack_string,
+                 lambda dec, lo, hi: dec.unpack_string(max_size))
+
+
+def _unpack_block(dec: XDRDecoder, lo: int, hi: int) -> bytes:
+    data = dec.unpack_opaque(hi)
+    if len(data) < lo:
+        raise XDRError(f"block of {len(data)} bytes, expected {lo}")
+    return data
+
+
+block = Field(XDREncoder.pack_opaque, _unpack_block)
+
+
+def array(of: Field, max_items: int) -> Field:
+    return Field(
+        lambda enc, items: enc.pack_array(items, of.pack),
+        lambda dec, lo, hi: dec.unpack_array(
+            lambda d: of.unpack(d, lo, hi), max_items),
+    )
+
+
+def struct(*fields: Field) -> Field:
+    """``fields`` back to back; the value is a tuple, one item each."""
+    packers = tuple(f.pack for f in fields)
+    unpackers = tuple(f.unpack for f in fields)
+
+    def pack(enc: XDREncoder, values: Sequence[Any]) -> None:
+        if len(values) != len(packers):
+            raise XDRError(
+                f"{len(values)} values for {len(packers)} fields")
+        for pack_field, value in zip(packers, values):
+            pack_field(enc, value)
+
+    def unpack(dec: XDRDecoder, lo: int, hi: int) -> tuple:
+        return tuple(unpack_field(dec, lo, hi) for unpack_field in unpackers)
+
+    return Field(pack, unpack)
+
+
+_void = Field(lambda enc, value: None, lambda dec, lo, hi: None)
+
+
+class Procedure:
+    """One block-store procedure, declared once.
+
+    ``rights`` is the least a gated server's session must hold (``None``
+    = callable before SESSION_OPEN).  ``args`` are the positional
+    arguments of the client's ``_call(proc, *args)`` and of the server's
+    ``_proc_<name>(store, *args)``; what that handler returns is what the
+    call returns: ``None`` for no ``result`` field, the value for one, a
+    tuple for several.  Both ends run the codecs composed here."""
+
+    def __init__(self, number: int, name: str, rights: Optional[str],
+                 args: tuple[Field, ...], result: tuple[Field, ...]):
+        self.number = number
+        self.name = name
+        self.rights = rights
+        self.handler = f"_proc_{name.lower()}"
+        self._args = struct(*args)
+        self._result = (_void if not result else
+                        result[0] if len(result) == 1 else struct(*result))
+
+    def pack_args(self, enc: XDREncoder, args: Sequence[Any]) -> None:
+        self._args.pack(enc, args)
+
+    def unpack_args(self, dec: XDRDecoder, block_size: int) -> tuple:
+        """Server side: a short block is accepted (the store pads it)."""
+        return self._args.unpack(dec, 0, block_size)
+
+    def pack_result(self, enc: XDREncoder, value: Any) -> None:
+        self._result.pack(enc, value)
+
+    def unpack_result(self, dec: XDRDecoder, block_size: int) -> Any:
+        """Client side: a block that is not ``block_size`` long is
+        malformed."""
+        return self._result.unpack(dec, block_size, block_size)
+
+
+#: The program.  A row here plus a ``_proc_<name>`` method on
+#: :class:`BlockStoreProgram` is a whole procedure.
+PROCEDURES: tuple[Procedure, ...] = (
+    # -> num_blocks, block_size, description
+    GEOM := Procedure(1, "GEOM", "r", (), (uint, uint, string())),
+    READ := Procedure(2, "READ", "r", (uint,), (block,)),
+    WRITE := Procedure(3, "WRITE", "rw", (uint, block), ()),
+    READ_MANY := Procedure(4, "READ_MANY", "r",
+                           (array(uint, MAX_BATCH_BLOCKS),),
+                           (array(block, MAX_BATCH_BLOCKS),)),
+    WRITE_MANY := Procedure(5, "WRITE_MANY", "rw",
+                            (array(struct(uint, block), MAX_BATCH_BLOCKS),),
+                            ()),
+    FLUSH := Procedure(6, "FLUSH", "rw", (), ()),
+    USED := Procedure(7, "USED", "r", (), (uhyper,)),
+    # Stats-free membership, for overlays.
+    CONTAINS := Procedure(8, "CONTAINS", "r", (uint,), (boolean,)),
+    # start, limit -> one page of used block numbers (the reshard
+    # primitive).
+    LIST := Procedure(9, "LIST", "r", (uint, uint),
+                      (array(uint, LIST_PAGE),)),
+    # -> the served store's snapshot + capabilities as JSON, for
+    # ``store-inspect``.
+    STATS := Procedure(10, "STATS", "admin", (), (string(),)),
+    # -> a single-use nonce for SESSION_OPEN (empty on an ungated server).
+    CHALLENGE := Procedure(11, "CHALLENGE", None, (), (opaque(MAX_TOKEN),)),
+    # identity, tenant, rights, credentials, nonce, signature
+    # -> session token, granted rights
+    SESSION_OPEN := Procedure(
+        12, "SESSION_OPEN", None,
+        (string(MAX_IDENTITY), string(256), string(32),
+         array(string(MAX_CREDENTIAL), MAX_CREDENTIALS),
+         opaque(MAX_TOKEN), string(MAX_IDENTITY)),
+        (opaque(MAX_TOKEN), string())),
+)
+
+PROC_NAMES: dict[int, str] = {p.number: p.name for p in PROCEDURES}
+#: Minimum rights a gated proc needs; ``None`` = unauthenticated.
+PROC_RIGHTS: dict[int, Optional[str]] = {
+    p.number: p.rights for p in PROCEDURES}
 
 
 class BlockStoreProgram(RPCProgram):
@@ -204,59 +303,36 @@ class BlockStoreProgram(RPCProgram):
         #: StoreServer once the listener is bound; in-process programs
         #: keep the generic default).
         self.node = "server"
-        registry = get_registry()
         self._recorder = get_recorder()
-        #: Per-proc service-time histograms plus one queue-wait
-        #: histogram, registered eagerly so the metrics endpoint shows
-        #: the full proc surface from the first scrape.
-        self._svc_hist = {
-            proc: registry.histogram(
-                f"rpc:server:{name}:service_seconds"
-            )
-            for proc, name in PROC_NAMES.items() if proc != 0
-        }
-        self._queue_hist = registry.histogram("rpc:server:queue_wait_seconds")
+        self._queue_hist = get_registry().histogram(
+            "rpc:server:queue_wait_seconds")
         # Proc 0 (NULL) keeps the RPC-wide convention — empty args,
         # empty reply, no token/status envelope — so transport-level
         # health checks work against any program uniformly.
-        self.register(PROC_GEOM, self._gated(PROC_GEOM, self._proc_geom))
-        self.register(PROC_READ, self._gated(PROC_READ, self._proc_read))
-        self.register(PROC_WRITE, self._gated(PROC_WRITE, self._proc_write))
-        self.register(PROC_READ_MANY,
-                      self._gated(PROC_READ_MANY, self._proc_read_many))
-        self.register(PROC_WRITE_MANY,
-                      self._gated(PROC_WRITE_MANY, self._proc_write_many))
-        self.register(PROC_FLUSH, self._gated(PROC_FLUSH, self._proc_flush))
-        self.register(PROC_USED, self._gated(PROC_USED, self._proc_used))
-        self.register(PROC_CONTAINS,
-                      self._gated(PROC_CONTAINS, self._proc_contains))
-        self.register(PROC_LIST, self._gated(PROC_LIST, self._proc_list))
-        self.register(PROC_STATS, self._gated(PROC_STATS, self._proc_stats))
-        self.register(PROC_CHALLENGE,
-                      self._gated(PROC_CHALLENGE, self._proc_challenge))
-        self.register(PROC_SESSION_OPEN,
-                      self._gated(PROC_SESSION_OPEN, self._proc_session_open))
+        for proc in PROCEDURES:
+            self.register(proc.number, self._serve(proc))
 
-    def _gated(
-        self,
-        proc: int,
-        handler: Callable[[BlockStore, XDRDecoder, CallContext], bytes],
-    ) -> Callable[[XDRDecoder, CallContext], bytes]:
-        """Wrap a proc handler in the v2 envelope: consume the leading
-        session token, authorize it against the gate, run the handler on
-        the session's store view, and prefix the reply with a status —
-        turning the typed auth/quota/rate errors into in-band codes
-        instead of SYSTEM_ERR transport failures.
+    def _serve(self, proc: Procedure) -> Callable[[XDRDecoder, CallContext],
+                                                  bytes]:
+        """The v2 envelope around ``proc``'s handler: consume the leading
+        session token, authorize it against the gate, decode the
+        arguments, run the handler on the session's store view, and
+        reply with a status and the encoded result — turning the typed
+        auth/quota/rate errors into in-band codes instead of SYSTEM_ERR
+        transport failures.
 
         The wrapper is also the server-side observation point: every
-        call lands in the per-proc service histogram plus the shared
-        queue-wait histogram (arrival stamped by the transport, so the
-        worker-pool wait is split from handler time), and when the
-        client shipped a span context in the call's credential body a
-        child server span is recorded — under which the handler runs,
-        so a metered served store parents its spans correctly."""
-        name = PROC_NAMES[proc]
-        required = PROC_RIGHTS[proc]
+        call lands in the per-proc service histogram (registered here,
+        so the metrics endpoint shows the full proc surface from the
+        first scrape) plus the shared queue-wait histogram (arrival
+        stamped by the transport, so the worker-pool wait is split from
+        handler time), and when the client shipped a span context in
+        the call's credential body a child server span is recorded —
+        under which the handler runs, so a metered served store parents
+        its spans correctly."""
+        handler = getattr(self, proc.handler)
+        svc_hist = get_registry().histogram(
+            f"rpc:server:{proc.name}:service_seconds")
 
         def wrapped(dec: XDRDecoder, ctx: CallContext) -> bytes:
             received = take_request_received()
@@ -271,33 +347,34 @@ class BlockStoreProgram(RPCProgram):
             status = "ok"
             try:
                 token = dec.unpack_opaque(max_size=MAX_TOKEN)
+                enc = XDREncoder()
                 try:
                     store = self.store
-                    if self.gate is not None and required is not None:
-                        session = self.gate.authorize(token, name, required)
-                        store = session.store
+                    if self.gate is not None and proc.rights is not None:
+                        store = self.gate.authorize(
+                            token, proc.name, proc.rights).store
+                    args = proc.unpack_args(dec, store.block_size)
+                    dec.done()
                     with use_context(span_ctx) if span_ctx is not None \
                             else _NO_CONTEXT:
-                        payload = handler(store, dec, ctx)
-                except (AuthError, QuotaExceeded, RateLimited) as exc:
+                        result = handler(store, *args)
+                except _DENIALS as exc:
                     status = "denied"
-                    for err_type, code in _ERROR_STATUS:
-                        if isinstance(exc, err_type):
-                            return (XDREncoder().pack_uint(code)
-                                    .pack_string(str(exc)).getvalue())
-                    raise  # unreachable
-                return XDREncoder().pack_uint(ERR_OK).getvalue() + payload
+                    code = next(code for code, error in _STATUS_ERRORS.items()
+                                if isinstance(exc, error))
+                    return enc.pack_uint(code).pack_string(str(exc)).getvalue()
+                proc.pack_result(enc.pack_uint(ERR_OK), result)
+                return enc.getvalue()
             except Exception:
-                if status == "ok":
-                    status = "error"
+                status = "error"
                 raise
             finally:
                 service = time.perf_counter() - start
-                self._svc_hist[proc].record(service)
+                svc_hist.record(service)
                 self._queue_hist.record(queue_wait)
                 if span_ctx is not None:
                     self._recorder.record(Span(
-                        name=name, kind="server",
+                        name=proc.name, kind="server",
                         trace_id=span_ctx.trace_id,
                         span_id=span_ctx.span_id,
                         parent_id=span_ctx.parent_id,
@@ -309,129 +386,66 @@ class BlockStoreProgram(RPCProgram):
 
         return wrapped
 
-    def _proc_challenge(self, store: BlockStore, dec: XDRDecoder,
-                        ctx: CallContext) -> bytes:
-        """A single-use nonce for SESSION_OPEN (empty if ungated, so a
-        credentialed client degrades gracefully on an open server)."""
-        dec.done()
-        nonce = self.gate.issue_nonce() if self.gate is not None else b""
-        return XDREncoder().pack_opaque(nonce).getvalue()
+    def _proc_challenge(self, store: BlockStore) -> bytes:
+        """Empty if ungated, so a credentialed client degrades
+        gracefully on an open server."""
+        return self.gate.issue_nonce() if self.gate is not None else b""
 
-    def _proc_session_open(self, store: BlockStore, dec: XDRDecoder,
-                           ctx: CallContext) -> bytes:
-        identity = dec.unpack_string(max_size=MAX_IDENTITY)
-        tenant = dec.unpack_string(max_size=256)
-        rights = dec.unpack_string(max_size=32)
-        credentials = dec.unpack_array(
-            lambda d: d.unpack_string(max_size=MAX_CREDENTIAL),
-            max_items=MAX_CREDENTIALS,
-        )
-        nonce = dec.unpack_opaque(max_size=MAX_TOKEN)
-        signature = dec.unpack_string(max_size=MAX_IDENTITY)
-        dec.done()
+    def _proc_session_open(self, store: BlockStore, identity: str,
+                           tenant: str, rights: str, credentials: list[str],
+                           nonce: bytes, signature: str) -> tuple[bytes, str]:
         if self.gate is None:
             # Open server: hand back an empty token; every proc accepts it.
-            return (XDREncoder().pack_opaque(b"")
-                    .pack_string("admin").getvalue())
+            return b"", "admin"
         session = self.gate.open_session(
             identity=identity, tenant=tenant, rights=rights,
             credentials=credentials, nonce=nonce, signature=signature,
         )
-        return (XDREncoder().pack_opaque(session.token)
-                .pack_string(session.rights).getvalue())
+        return session.token, session.rights
 
-    def _proc_geom(self, store: BlockStore, dec: XDRDecoder,
-                   ctx: CallContext) -> bytes:
-        dec.done()
-        return (
-            XDREncoder()
-            .pack_uint(store.num_blocks)
-            .pack_uint(store.block_size)
-            .pack_string(store.describe())
-            .getvalue()
-        )
+    def _proc_geom(self, store: BlockStore) -> tuple[int, int, str]:
+        return store.num_blocks, store.block_size, store.describe()
 
-    def _proc_read(self, store: BlockStore, dec: XDRDecoder,
-                   ctx: CallContext) -> bytes:
-        block_no = dec.unpack_uint()
-        dec.done()
-        return XDREncoder().pack_opaque(store.read(block_no)).getvalue()
+    def _proc_read(self, store: BlockStore, block_no: int) -> bytes:
+        return store.read(block_no)
 
-    def _proc_write(self, store: BlockStore, dec: XDRDecoder,
-                    ctx: CallContext) -> bytes:
-        block_no = dec.unpack_uint()
-        data = dec.unpack_opaque(max_size=store.block_size)
-        dec.done()
+    def _proc_write(self, store: BlockStore, block_no: int,
+                    data: bytes) -> None:
         store.write(block_no, data)
-        return b""
 
-    def _proc_read_many(self, store: BlockStore, dec: XDRDecoder,
-                        ctx: CallContext) -> bytes:
-        block_nos = dec.unpack_array(
-            lambda d: d.unpack_uint(), max_items=MAX_BATCH_BLOCKS
-        )
-        dec.done()
-        blocks = store.read_many(block_nos)
-        enc = XDREncoder()
-        enc.pack_array(blocks, lambda e, b: e.pack_opaque(b))
-        return enc.getvalue()
+    def _proc_read_many(self, store: BlockStore,
+                        block_nos: list[int]) -> list[bytes]:
+        return store.read_many(block_nos)
 
-    def _proc_write_many(self, store: BlockStore, dec: XDRDecoder,
-                         ctx: CallContext) -> bytes:
-        def unpack_item(d: XDRDecoder) -> tuple[int, bytes]:
-            block_no = d.unpack_uint()
-            return block_no, d.unpack_opaque(max_size=store.block_size)
-
-        items = dec.unpack_array(unpack_item, max_items=MAX_BATCH_BLOCKS)
-        dec.done()
+    def _proc_write_many(self, store: BlockStore,
+                         items: list[tuple[int, bytes]]) -> None:
         store.write_many(items)
-        return b""
 
-    def _proc_flush(self, store: BlockStore, dec: XDRDecoder,
-                    ctx: CallContext) -> bytes:
-        dec.done()
+    def _proc_flush(self, store: BlockStore) -> None:
         store.flush()
-        return b""
 
-    def _proc_used(self, store: BlockStore, dec: XDRDecoder,
-                   ctx: CallContext) -> bytes:
-        dec.done()
-        return XDREncoder().pack_uhyper(store.used_blocks()).getvalue()
+    def _proc_used(self, store: BlockStore) -> int:
+        return store.used_blocks()
 
-    def _proc_contains(self, store: BlockStore, dec: XDRDecoder,
-                       ctx: CallContext) -> bytes:
-        block_no = dec.unpack_uint()
-        dec.done()
-        return XDREncoder().pack_bool(store._contains(block_no)).getvalue()
+    def _proc_contains(self, store: BlockStore, block_no: int) -> bool:
+        return store._contains(block_no)
 
-    def _proc_list(self, store: BlockStore, dec: XDRDecoder,
-                   ctx: CallContext) -> bytes:
+    def _proc_list(self, store: BlockStore, start: int,
+                   limit: int) -> list[int]:
         """One page of used block numbers at or past ``start``; the
         client advances ``start`` past the last entry until a page comes
         back empty.  The enumeration is recomputed per page (stateless —
         pages stay correct across concurrent writes) but sliced by
         bisection, so a page costs one sorted listing, not a linear
         filter over it."""
-        import bisect
-
-        start = dec.unpack_uint()
-        limit = dec.unpack_uint()
-        dec.done()
         limit = max(1, min(limit, LIST_PAGE))
         numbers = store.used_block_numbers()  # sorted by contract
         lo = bisect.bisect_left(numbers, start)
-        page = numbers[lo:lo + limit]
-        enc = XDREncoder()
-        enc.pack_array(page, lambda e, b: e.pack_uint(b))
-        return enc.getvalue()
+        return numbers[lo:lo + limit]
 
-    def _proc_stats(self, store: BlockStore, dec: XDRDecoder,
-                    ctx: CallContext) -> bytes:
-        """The served store's snapshot + capabilities, as JSON — the
-        control plane's window into the node's own counters.  Always the
-        *root* served store (STATS needs ``admin``); gate counters and
-        per-tenant usage ride in ``extra``."""
-        dec.done()
+    def _proc_stats(self, store: BlockStore) -> str:
+        """Always the *root* served store (STATS needs ``admin``); gate
+        counters and per-tenant usage ride in ``extra``."""
         snap = self.store.snapshot()
         caps = self.store.capabilities()
         payload = snap.to_dict()
@@ -443,7 +457,24 @@ class BlockStoreProgram(RPCProgram):
             "networked": caps.networked,
             "composite": caps.composite,
         }
-        return XDREncoder().pack_string(json.dumps(payload)).getvalue()
+        return json.dumps(payload)
+
+
+def _check_table(program: type[BlockStoreProgram],
+                 procedures: Sequence[Procedure]) -> None:
+    """Every procedure has its handler, every handler its procedure, and
+    no two procedures share a number (0 is NULL's)."""
+    numbers = [proc.number for proc in procedures]
+    declared = {proc.handler for proc in procedures}
+    defined = {name for name in dir(program) if name.startswith("_proc_")}
+    if (0 in numbers or len(set(numbers)) != len(numbers)
+            or declared != defined):
+        raise TypeError(
+            f"PROCEDURES and {program.__name__}._proc_* disagree: numbers "
+            f"{sorted(numbers)}, unmatched {sorted(declared ^ defined)}")
+
+
+_check_table(BlockStoreProgram, PROCEDURES)
 
 
 class SerializedBlockStore(WrapperBlockStore):
@@ -553,7 +584,8 @@ class RemoteBlockStore(BlockStore):
     Any transport works — :func:`connect` opens TCP for the
     ``remote://host:port`` registry form; tests wire an
     :class:`~repro.rpc.transport.InProcessTransport` straight to a
-    :class:`StoreServer`.  Transport and RPC failures surface as
+    :class:`StoreServer`.  Transport and RPC failures, a reply that does
+    not decode included, surface as
     :class:`~repro.errors.StoreUnavailable`, the signal ``replica://``
     treats as a down node.
     """
@@ -585,36 +617,24 @@ class RemoteBlockStore(BlockStore):
         self.tenant = tenant
         #: Rights granted at SESSION_OPEN (None on an open mount).
         self.session_rights: str | None = None
+        #: Unknown until GEOM answers; no handshake reply carries a block.
+        self.block_size = 0
         if key is not None:
             self._open_session(key, list(credentials or []), tenant, rights)
-        dec = self._call(PROC_GEOM)
-        num_blocks = dec.unpack_uint()
-        block_size = dec.unpack_uint()
-        self.remote_description = dec.unpack_string()
-        dec.done()
+        num_blocks, block_size, self.remote_description = self._call(GEOM)
         super().__init__(num_blocks, block_size)
 
     def _open_session(self, key, credentials: list[str], tenant: str,
                       rights: str) -> None:
         """CHALLENGE + SESSION_OPEN: prove key possession over the
         nonce, present credentials, and pocket the session token."""
-        dec = self._call(PROC_CHALLENGE)
-        nonce = dec.unpack_opaque(max_size=MAX_TOKEN)
-        dec.done()
+        nonce = self._call(CHALLENGE)
         identity = encode_public_key(key)
         signature = sign_session_request(key, nonce, identity, tenant,
                                          rights)
-        enc = XDREncoder()
-        enc.pack_string(identity)
-        enc.pack_string(tenant)
-        enc.pack_string(rights)
-        enc.pack_array(credentials, lambda e, c: e.pack_string(c))
-        enc.pack_opaque(nonce)
-        enc.pack_string(signature)
-        dec = self._call(PROC_SESSION_OPEN, enc.getvalue())
-        self._token = dec.unpack_opaque(max_size=MAX_TOKEN)
-        self.session_rights = dec.unpack_string()
-        dec.done()
+        self._token, self.session_rights = self._call(
+            SESSION_OPEN, identity, tenant, rights, credentials, nonce,
+            signature)
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: float = 10.0,
@@ -663,16 +683,33 @@ class RemoteBlockStore(BlockStore):
             transport.close()
             raise
 
-    def _frame(self, args: bytes) -> bytes:
-        """Prefix the v2 session token onto a request's arguments."""
-        return XDREncoder().pack_opaque(self._token).getvalue() + args
-
     @property
     def _node_label(self) -> str:
         return (f"{self.endpoint[0]}:{self.endpoint[1]}" if self.endpoint
                 else "in-process")
 
-    def _trace_start(self, proc: int):
+    # -- the one client stub -------------------------------------------------
+
+    def _request(self, proc: Procedure, args: tuple) -> bytes:
+        """The v2 request envelope: session token, then ``args``."""
+        enc = XDREncoder().pack_opaque(self._token)
+        proc.pack_args(enc, args)
+        return enc.getvalue()
+
+    def _reply(self, proc: Procedure, dec: XDRDecoder) -> Any:
+        """The v2 reply envelope: status, then ``proc``'s result — or a
+        server-side auth/quota/rate denial, re-raised as its typed error
+        (not StoreUnavailable — a denied tenant is not a down node)."""
+        status = dec.unpack_uint()
+        if status != ERR_OK:
+            message = dec.unpack_string()
+            dec.done()
+            raise _STATUS_ERRORS.get(status, StoreUnavailable)(message)
+        result = proc.unpack_result(dec, self.block_size)
+        dec.done()
+        return result
+
+    def _trace_start(self):
         """Derive a child span context for one RPC when a trace is
         active; returns ``(cred_bytes, span_ctx, wall, start)`` — all
         empty/None/0 when untraced, so the hot path pays one
@@ -683,13 +720,13 @@ class RemoteBlockStore(BlockStore):
         ctx = parent.child()
         return encode_context(ctx), ctx, time.time(), time.perf_counter()
 
-    def _trace_finish(self, proc: int, span_ctx, wall: float, start: float,
-                      status: str) -> None:
+    def _trace_finish(self, proc: Procedure, trace, status: str) -> None:
         """Record the client-side RPC span begun by :meth:`_trace_start`."""
+        _cred, span_ctx, wall, start = trace
         if span_ctx is None:
             return
         get_recorder().record(Span(
-            name=PROC_NAMES.get(proc, str(proc)), kind="client",
+            name=proc.name, kind="client",
             trace_id=span_ctx.trace_id, span_id=span_ctx.span_id,
             parent_id=span_ctx.parent_id, node=self._node_label,
             start=wall,
@@ -697,60 +734,52 @@ class RemoteBlockStore(BlockStore):
             status=status,
         ))
 
-    @staticmethod
-    def _check_status(dec: XDRDecoder) -> XDRDecoder:
-        """Decode the v2 reply status; re-raise server-side auth/quota/
-        rate denials as their typed errors (not StoreUnavailable — a
-        denied tenant is not a down node)."""
-        status = dec.unpack_uint()
-        if status != ERR_OK:
-            message = dec.unpack_string()
-            dec.done()
-            raise _STATUS_ERRORS.get(status, StoreUnavailable)(message)
-        return dec
-
-    def _call(self, proc: int, args: bytes = b"") -> XDRDecoder:
-        cred, span_ctx, wall, start = self._trace_start(proc)
-        status = "ok"
+    def _finish(self, proc: Procedure, trace,
+                reply: Callable[[], XDRDecoder]) -> Any:
+        """Wait for one call's reply and decode it; whatever goes wrong
+        below the v2 envelope is StoreUnavailable, and the client span
+        closes either way."""
+        status = "error"
         try:
-            try:
-                dec = self._client.call(proc, self._frame(args), cred=cred)
-            except (TransportError, RPCError, OSError) as exc:
-                raise StoreUnavailable(
-                    f"remote block store failed: {exc}"
-                ) from exc
-            return self._check_status(dec)
-        except Exception:
-            status = "error"
-            raise
+            result = self._reply(proc, reply())
+            status = "ok"
+            return result
+        except _WIRE_FAILURES as exc:
+            raise StoreUnavailable(
+                f"remote block store failed: {exc}") from exc
         finally:
-            self._trace_finish(proc, span_ctx, wall, start, status)
+            self._trace_finish(proc, trace, status)
+
+    def _call(self, proc: Procedure, *args: Any) -> Any:
+        """One blocking RPC: ``proc``'s result for ``args``."""
+        request = self._request(proc, args)
+        trace = self._trace_start()
+        return self._finish(proc, trace, lambda: self._client.call(
+            proc.number, request, cred=trace[0]))
 
     # -- async windowed batches --------------------------------------------
 
-    def _submit(self, proc: int, args: bytes) -> Future:
+    def _submit(self, proc: Procedure, *args: Any) -> tuple:
         """Start one RPC; transport errors surface as StoreUnavailable.
 
-        When a trace is active the span context rides on the future and
-        the client span is closed by :meth:`_await` (it covers the full
-        in-flight window, queueing included — that is the latency the
-        caller experienced)."""
-        cred, span_ctx, wall, start = self._trace_start(proc)
+        When a trace is active the client span is closed by
+        :meth:`_await` (it covers the full in-flight window, queueing
+        included — that is the latency the caller experienced)."""
+        request = self._request(proc, args)
+        trace = self._trace_start()
         try:
-            fut = self._client.call_async(proc, self._frame(args), cred=cred)
-        except (TransportError, RPCError, OSError) as exc:
-            self._trace_finish(proc, span_ctx, wall, start, "error")
+            fut = self._client.call_async(proc.number, request, cred=trace[0])
+        except _WIRE_FAILURES as exc:
+            self._trace_finish(proc, trace, "error")
             raise StoreUnavailable(f"remote block store failed: {exc}") from exc
-        if span_ctx is not None:
-            fut.trace_info = (proc, span_ctx, wall, start)  # type: ignore[attr-defined]
-        return fut
+        return proc, fut, trace
 
-    def _await(self, fut: Future) -> XDRDecoder:
-        trace_info = getattr(fut, "trace_info", None)
-        status = "ok"
-        try:
+    def _await(self, pending: tuple) -> Any:
+        proc, fut, trace = pending
+
+        def reply() -> XDRDecoder:
             try:
-                dec = fut.result(timeout=self.timeout)
+                return fut.result(timeout=self.timeout)
             except FutureTimeoutError:
                 # Tear the wedged connection down (failing its other
                 # in-flight windows) so a never-answering server cannot
@@ -759,94 +788,60 @@ class RemoteBlockStore(BlockStore):
                 raise StoreUnavailable(
                     f"remote call timed out after {self.timeout}s"
                 ) from None
-            except (TransportError, RPCError, OSError) as exc:
-                raise StoreUnavailable(
-                    f"remote block store failed: {exc}"
-                ) from exc
-            return self._check_status(dec)
-        except Exception:
-            status = "error"
-            raise
-        finally:
-            if trace_info is not None:
-                self._trace_finish(*trace_info, status)
+
+        return self._finish(proc, trace, reply)
 
     @property
     def _inflight_cap(self) -> int:
         """Outstanding windows kept in flight by read_many/write_many."""
         return max(2, 2 * self.workers)
 
-    # -- BlockStore interface ----------------------------------------------
-
-    def _get(self, block_no: int) -> bytes | None:
-        args = XDREncoder().pack_uint(block_no).getvalue()
-        dec = self._call(PROC_READ, args)
-        data = dec.unpack_opaque(max_size=self.block_size)
-        dec.done()
-        return data
-
-    def _put(self, block_no: int, data: bytes) -> None:
-        args = XDREncoder().pack_uint(block_no).pack_opaque(data).getvalue()
-        self._call(PROC_WRITE, args).done()
-
     @property
     def _batch_window(self) -> int:
         return max(1, min(MAX_BATCH_BLOCKS, MAX_BATCH_BYTES // self.block_size))
 
-    def _decode_read_window(self, dec: XDRDecoder, want: int) -> list:
-        blocks = dec.unpack_array(
-            lambda d: d.unpack_opaque(max_size=self.block_size),
-            max_items=MAX_BATCH_BLOCKS,
-        )
-        dec.done()
-        if len(blocks) != want:
-            raise StoreUnavailable(
-                f"remote returned {len(blocks)} blocks for {want} requested"
-            )
-        return blocks
+    def _windowed(self, proc: Procedure, items: list) -> list[tuple]:
+        """``proc`` once per window of ``items``: ``(window, result)``
+        pairs in window order.  With a connection pool and more than one
+        window, up to ``_inflight_cap`` windows are outstanding at once."""
+        size = self._batch_window
+        windows = [items[i:i + size] for i in range(0, len(items), size)]
+        if self.workers == 1 or len(windows) == 1:
+            return [(window, self._call(proc, window)) for window in windows]
+        results: list = []
+        inflight: deque[tuple] = deque()
+        try:
+            for window in windows:
+                inflight.append(self._submit(proc, window))
+                if len(inflight) >= self._inflight_cap:
+                    results.append(self._await(inflight.popleft()))
+            while inflight:
+                results.append(self._await(inflight.popleft()))
+        except Exception:
+            for _proc, fut, _trace in inflight:
+                fut.cancel()
+            raise
+        return list(zip(windows, results))
+
+    # -- BlockStore interface ----------------------------------------------
+
+    def _get(self, block_no: int) -> bytes | None:
+        return self._call(READ, block_no)
+
+    def _put(self, block_no: int, data: bytes) -> None:
+        self._call(WRITE, block_no, data)
 
     def _get_many(self, block_nos: list[int]) -> list[bytes | None]:
         if not self.batch:
             return [self._get(block_no) for block_no in block_nos]
-        window_size = self._batch_window
-        windows = [
-            block_nos[start : start + window_size]
-            for start in range(0, len(block_nos), window_size)
-        ]
-        if self.workers == 1 or len(windows) == 1:
-            out: list[bytes | None] = []
-            for window in windows:
-                enc = XDREncoder()
-                enc.pack_array(window, lambda e, b: e.pack_uint(b))
-                dec = self._call(PROC_READ_MANY, enc.getvalue())
-                out.extend(self._decode_read_window(dec, len(window)))
-            return out
-        # Windowed in-flight pipeline: keep up to _inflight_cap windows
-        # outstanding across the connection pool; results are collected
-        # in submission order so the output aligns with block_nos.
-        out = []
-        inflight: deque[tuple[list[int], Future]] = deque()
-
-        def drain_one() -> None:
-            window, fut = inflight.popleft()
-            dec = self._await(fut)
-            out.extend(self._decode_read_window(dec, len(window)))
-
-        try:
-            for window in windows:
-                enc = XDREncoder()
-                enc.pack_array(window, lambda e, b: e.pack_uint(b))
-                inflight.append(
-                    (window, self._submit(PROC_READ_MANY, enc.getvalue()))
+        out: list[bytes | None] = []
+        for window, blocks in self._windowed(READ_MANY, block_nos):
+            if len(blocks) != len(window):
+                raise StoreUnavailable(
+                    f"remote returned {len(blocks)} blocks for "
+                    f"{len(window)} requested"
                 )
-                if len(inflight) >= self._inflight_cap:
-                    drain_one()
-            while inflight:
-                drain_one()
-        except Exception:
-            for _window, fut in inflight:
-                fut.cancel()
-            raise
+            out.extend(blocks)
         return out
 
     def _put_many(self, items: list[tuple[int, bytes]]) -> None:
@@ -854,84 +849,33 @@ class RemoteBlockStore(BlockStore):
             for block_no, data in items:
                 self._put(block_no, data)
             return
-
-        def pack_window(window: list[tuple[int, bytes]]) -> bytes:
-            enc = XDREncoder()
-
-            def pack_item(e: XDREncoder, item: tuple[int, bytes]) -> None:
-                e.pack_uint(item[0])
-                e.pack_opaque(item[1])
-
-            enc.pack_array(window, pack_item)
-            return enc.getvalue()
-
-        window_size = self._batch_window
-        windows = [
-            items[start : start + window_size]
-            for start in range(0, len(items), window_size)
-        ]
-        if self.workers == 1 or len(windows) == 1:
-            for window in windows:
-                self._call(PROC_WRITE_MANY, pack_window(window)).done()
-            return
-        # Concurrent windows may land out of order, so a block that
-        # appears twice in one batch could end up holding its *older*
-        # payload.  Collapse duplicates to the last write first — the
-        # exact result sequential application would produce — and then
-        # order between windows no longer matters.
-        deduped = dict(items)
-        if len(deduped) != len(items):
-            items = list(deduped.items())
-            windows = [
-                items[start : start + window_size]
-                for start in range(0, len(items), window_size)
-            ]
-        inflight: deque[Future] = deque()
-        try:
-            for window in windows:
-                inflight.append(
-                    self._submit(PROC_WRITE_MANY, pack_window(window))
-                )
-                if len(inflight) >= self._inflight_cap:
-                    self._await(inflight.popleft()).done()
-            while inflight:
-                self._await(inflight.popleft()).done()
-        except Exception:
-            for fut in inflight:
-                fut.cancel()
-            raise
+        if self.workers > 1 and len(items) > self._batch_window:
+            # Concurrent windows may land out of order, so a block that
+            # appears twice in one batch could end up holding its *older*
+            # payload.  Collapse duplicates to the last write first — the
+            # exact result sequential application would produce — and then
+            # order between windows no longer matters.
+            items = list(dict(items).items())
+        self._windowed(WRITE_MANY, items)
 
     def _contains(self, block_no: int) -> bool:
-        args = XDREncoder().pack_uint(block_no).getvalue()
-        dec = self._call(PROC_CONTAINS, args)
-        result = dec.unpack_bool()
-        dec.done()
-        return result
+        return self._call(CONTAINS, block_no)
 
     def flush(self) -> None:
-        self._call(PROC_FLUSH).done()
+        self._call(FLUSH)
 
     def close(self) -> None:
         self._client.close()
 
     def used_blocks(self) -> int:
-        dec = self._call(PROC_USED)
-        used = dec.unpack_uhyper()
-        dec.done()
-        return used
+        return self._call(USED)
 
     def used_block_numbers(self) -> list[int]:
         """Page the served store's enumeration over LIST round trips."""
         numbers: list[int] = []
         start = 0
         while True:
-            args = (XDREncoder().pack_uint(start).pack_uint(LIST_PAGE)
-                    .getvalue())
-            dec = self._call(PROC_LIST, args)
-            page = dec.unpack_array(
-                lambda d: d.unpack_uint(), max_items=LIST_PAGE
-            )
-            dec.done()
+            page = self._call(LIST, start, LIST_PAGE)
             if not page:
                 return numbers
             numbers.extend(page)
@@ -941,9 +885,7 @@ class RemoteBlockStore(BlockStore):
         """The *served* store's snapshot (its own counters, not this
         client's), fetched over STATS — what ``store-inspect`` shows
         under a ``remote://`` node."""
-        dec = self._call(PROC_STATS)
-        payload = json.loads(dec.unpack_string())
-        dec.done()
+        payload = json.loads(self._call(STATS))
         caps = payload.pop("capabilities", {})
         snap = StoreStats(**payload)
         snap.extra = dict(snap.extra)
@@ -965,5 +907,5 @@ class RemoteBlockStore(BlockStore):
         """NULL-procedure health check (RPC-level: no v2 envelope)."""
         try:
             self._client.call(0, b"").done()
-        except (TransportError, RPCError, OSError) as exc:
+        except _WIRE_FAILURES as exc:
             raise StoreUnavailable(f"remote block store failed: {exc}") from exc

@@ -81,6 +81,34 @@ class ReplicaStats:
         self.hedged_reads = 0
 
 
+@dataclass(frozen=True, init=False)
+class Quorum:
+    """Write/read quorum sizes over ``n`` replicas: ``1 <= w, r <= n``
+    holds for every instance (``w=None`` is write-all, ``r=None``
+    read-one), so nothing downstream re-checks the range."""
+
+    n: int
+    w: int
+    r: int
+
+    def __init__(self, n: int, w: int | None = None, r: int | None = None):
+        w = n if w is None else w
+        r = 1 if r is None else r
+        for what, size in (("write quorum w", w), ("read quorum r", r)):
+            if not 1 <= size <= n:
+                raise InvalidArgument(f"{what}={size} outside 1..{n}")
+        for name, value in (("n", n), ("w", w), ("r", r)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def consistent(self) -> bool:
+        """Reads are strongly consistent iff every read quorum
+        intersects every write quorum (W + R > N).  Non-overlapping
+        configs (w=1&r=1 fan-out) are a supported eventual-consistency
+        mode, so this is a classification, not a bound."""
+        return self.w + self.r > self.n
+
+
 class ReplicatedBlockStore(BlockStore):
     """Write-fan-out / read-quorum replication over ``children``.
 
@@ -94,7 +122,8 @@ class ReplicatedBlockStore(BlockStore):
     scheme = "replica"
 
     def __init__(self, children: list[BlockStore],
-                 write_quorum: int | None = None, read_quorum: int = 1,
+                 write_quorum: int | None = None,
+                 read_quorum: int | None = None,
                  fanout: int | None = None, hedge_ms: float | None = None,
                  stamps_path: str | None = None):
         n = len(children)
@@ -103,29 +132,17 @@ class ReplicatedBlockStore(BlockStore):
         block_size = children[0].block_size
         if any(c.block_size != block_size for c in children):
             raise InvalidArgument("replica children must share one block size")
-        if write_quorum is None:
-            write_quorum = n  # write-all / read-one by default
-        if not 1 <= write_quorum <= n:
-            raise InvalidArgument(
-                f"write quorum {write_quorum} outside 1..{n}"
-            )
-        if not 1 <= read_quorum <= n:
-            raise InvalidArgument(f"read quorum {read_quorum} outside 1..{n}")
+        quorum = Quorum(n, write_quorum, read_quorum)
         if fanout is not None and fanout < 1:
             raise InvalidArgument("replica fanout must be at least 1")
         if hedge_ms is not None and hedge_ms < 0:
             raise InvalidArgument("replica hedge_ms must be >= 0")
         super().__init__(min(c.num_blocks for c in children), block_size)
         self.children = list(children)
-        #: Quorum-overlap classification, decided *before* the quorums
-        #: are kept: reads are strongly consistent iff every read
-        #: quorum intersects every write quorum (W + R > N).
-        #: Non-overlapping configs (w=1&r=1 fan-out) are a supported
-        #: eventual-consistency mode, so this is recorded and surfaced
-        #: in stats rather than rejected.
-        self.consistent_quorums = write_quorum + read_quorum > n
-        self.write_quorum = write_quorum
-        self.read_quorum = read_quorum
+        self.write_quorum = quorum.w
+        self.read_quorum = quorum.r
+        #: Surfaced in stats and ``describe`` rather than enforced.
+        self.consistent_quorums = quorum.consistent
         self.fanout = n if fanout is None else min(int(fanout), n)
         #: After this many milliseconds waiting on a racing read, one
         #: extra child is recruited — capping the tail a slow-but-alive

@@ -861,14 +861,13 @@ class ReplicaSpec(_MultiChildSpec):
     stamps: str | None = opt(str, arg="stamps_path")
 
     def _check(self) -> None:
+        from repro.storage.replica import Quorum
+
         super()._check()
-        n = len(self.replicas)
-        for what, quorum in (("write quorum w", self.w),
-                             ("read quorum r", self.r)):
-            if quorum is not None and not 1 <= quorum <= n:
-                raise SpecError(
-                    f"replica:// {what}={quorum} outside 1..{n}"
-                )
+        try:
+            Quorum(len(self.replicas), self.w, self.r)
+        except InvalidArgument as exc:
+            raise SpecError(f"replica:// {exc}") from None
 
     def build(self, num_blocks: int, block_size: int) -> BlockStore:
         from repro.storage.lazy import LazyBlockStore

@@ -54,23 +54,23 @@ class TestSuppressions:
     def test_same_line_and_line_above(self):
         sf = self._sf(
             "a = 1  # discfs-lint: disable=lock-discipline\n"
-            "# discfs-lint: disable=rpc-drift\n"
+            "# discfs-lint: disable=error-taxonomy\n"
             "b = 2\n"
             "c = 3\n"
         )
         assert sf.suppressed("lock-discipline", 1)
-        assert sf.suppressed("rpc-drift", 3)
-        assert not sf.suppressed("rpc-drift", 4)
+        assert sf.suppressed("error-taxonomy", 3)
+        assert not sf.suppressed("error-taxonomy", 4)
         assert not sf.suppressed("lock-order", 1)
 
     def test_disable_all_and_multiple_rules(self):
         sf = self._sf(
-            "b = 2  # discfs-lint: disable=lock-order, rpc-drift\n"
+            "b = 2  # discfs-lint: disable=lock-order, error-taxonomy\n"
             "a = 1  # discfs-lint: disable=all\n"
         )
         assert sf.suppressed("anything", 2)
         assert sf.suppressed("lock-order", 1)
-        assert sf.suppressed("rpc-drift", 1)
+        assert sf.suppressed("error-taxonomy", 1)
         assert not sf.suppressed("lock-discipline", 1)
 
 
@@ -134,10 +134,8 @@ class TestRunLint:
     def test_all_checkers_have_names_and_descriptions(self):
         checkers = all_checkers()
         assert set(checkers) == {
-            "lock-discipline", "lock-order", "rpc-drift",
-            "error-taxonomy",
-            "fsync-ordering", "span-propagation",
-            "quorum-arithmetic", "resource-leak",
+            "lock-discipline", "lock-order", "error-taxonomy",
+            "fsync-ordering", "span-propagation", "resource-leak",
         }
         for factory in checkers.values():
             assert factory.description

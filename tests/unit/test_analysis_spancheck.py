@@ -1,4 +1,4 @@
-"""span-propagation rule: cred= on RPC dispatch, contextvars on pools.
+"""span-propagation rule: contextvars on pools.
 
 Executor fixtures are written under a ``storage/`` directory because
 the thread-hop sub-check is scoped to the storage plane; the scope
@@ -19,58 +19,6 @@ def _run(tmp_path, source, rel="storage/mod.py"):
     path.write_text(textwrap.dedent(source), encoding="utf-8")
     project = Project(tmp_path, [path])
     return list(SpanPropagationChecker().run(project))
-
-
-_TRACING_CLIENT = """
-    class TracingClient:
-        def _trace_start(self, proc):
-            return make_envelope(proc)
-
-        def lookup(self, payload):
-            cred = self._trace_start(4)
-            return self._client.call(4, payload{cred_part})
-
-        def ping(self):
-            return self._client.call(0, b"")
-"""
-
-
-class TestRpcDispatch:
-    def test_missing_cred_is_flagged(self, tmp_path):
-        findings = _run(tmp_path, _TRACING_CLIENT.format(cred_part=""),
-                        rel="rpc/client.py")
-        assert len(findings) == 1
-        f = findings[0]
-        assert f.rule == "span-propagation"
-        assert "no cred=" in f.message
-
-    def test_degenerate_cred_is_flagged(self, tmp_path):
-        findings = _run(tmp_path,
-                        _TRACING_CLIENT.format(cred_part=", cred=b''"),
-                        rel="rpc/client.py")
-        assert len(findings) == 1
-
-    def test_threaded_cred_is_clean(self, tmp_path):
-        findings = _run(tmp_path,
-                        _TRACING_CLIENT.format(cred_part=", cred=cred"),
-                        rel="rpc/client.py")
-        assert findings == []
-
-    def test_null_probe_is_exempt(self, tmp_path):
-        # ping() above dispatches proc 0 with no cred= on every run;
-        # only lookup() ever fires, so proc 0 is provably exempt.
-        findings = _run(tmp_path,
-                        _TRACING_CLIENT.format(cred_part=", cred=cred"),
-                        rel="rpc/client.py")
-        assert findings == []
-
-    def test_untraced_classes_are_out_of_scope(self, tmp_path):
-        findings = _run(tmp_path, """
-            class PlainClient:
-                def lookup(self, payload):
-                    return self._client.call(4, payload)
-        """, rel="rpc/client.py")
-        assert findings == []
 
 
 class TestExecutorHops:

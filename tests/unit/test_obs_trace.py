@@ -149,6 +149,35 @@ class TestPropagation:
             assert span.duration_ms > 0.0
             assert span.queue_ms >= 0.0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_remote_batches_over_several_windows(self, workers, monkeypatch):
+        """``workers=1`` sends each window through the blocking call,
+        ``workers=2`` keeps them in flight through ``call_async``: on
+        either path a request that left its ``cred=`` behind would
+        arrive with no context and leave no server span."""
+        from repro.storage import net
+
+        monkeypatch.setattr(net, "MAX_BATCH_BLOCKS", 2)
+        items = [(block_no, b"T" * 256) for block_no in range(6)]
+        with StoreServer(open_store("mem://"), workers=workers) as server:
+            host, port = server.address
+            store = open_store(f"remote://{host}:{port}?workers={workers}")
+            ctx = new_root_context()
+            try:
+                with use_context(ctx):
+                    store.write_many(items)
+                    store.read_many([block_no for block_no, _ in items])
+            finally:
+                store.close()
+        spans = get_recorder().spans()
+        client_ids = {s.span_id for s in spans if s.kind == "client"}
+        for name in ("WRITE_MANY", "READ_MANY"):
+            served = [s for s in spans
+                      if s.kind == "server" and s.name == name]
+            assert len(served) == 3, (name, spans)
+            assert all(s.trace_id == ctx.trace_id for s in served)
+            assert all(s.parent_id in client_ids for s in served)
+
     def test_replica_over_remote(self):
         with StoreServer(open_store("mem://")) as s1, \
                 StoreServer(open_store("mem://")) as s2:
@@ -213,7 +242,7 @@ class TestNullCompatibility:
             BLOCKSTORE_PROGRAM,
             BLOCKSTORE_VERSION,
             ERR_OK,
-            PROC_GEOM,
+            GEOM,
         )
 
         with StoreServer(open_store("mem://")) as server:
@@ -223,7 +252,7 @@ class TestNullCompatibility:
             try:
                 enc = XDREncoder()
                 enc.pack_opaque(b"")  # v2 envelope: empty session token
-                reply = client.call(PROC_GEOM, enc.getvalue())
+                reply = client.call(GEOM.number, enc.getvalue())
                 assert reply.unpack_uint() == ERR_OK
             finally:
                 client.close()

@@ -933,6 +933,56 @@ class TestReplicaQuorums:
         with pytest.raises(InvalidArgument, match="count must be positive"):
             open_store("replica://0")
 
+    @pytest.mark.parametrize("n, w, r", [
+        (3, 0, 1), (3, 4, 1), (3, -1, 1),      # w outside 1..n
+        (3, 2, 0), (3, 2, 4), (1, None, 2),    # r outside 1..n
+    ])
+    def test_quorum_cannot_be_built_out_of_range(self, n, w, r):
+        """The cases the retired ``quorum-arithmetic`` lint fed its
+        fixtures, asked of the value type itself: there is no path to a
+        stored quorum that skips the bounds."""
+        from repro.storage.replica import Quorum, ReplicatedBlockStore
+
+        what = "read quorum" if w in (2, None) else "write quorum"
+        with pytest.raises(InvalidArgument, match=what):
+            Quorum(n, w, r)
+        children = [open_store("mem://", num_blocks=BLOCKS, block_size=BS)
+                    for _ in range(n)]
+        with pytest.raises(InvalidArgument, match=what):
+            ReplicatedBlockStore(children, write_quorum=w, read_quorum=r)
+
+    @pytest.mark.parametrize("n, w, r, consistent", [
+        (3, None, None, True),   # write-all / read-one
+        (3, 2, 2, True),
+        (3, 1, 1, False),        # accepted: the fan-out latency mode
+        (3, 2, 1, False),
+        (1, 1, 1, True),
+    ])
+    def test_overlap_is_classified_not_rejected(self, n, w, r, consistent):
+        from repro.storage.replica import Quorum, ReplicatedBlockStore
+
+        quorum = Quorum(n, w, r)
+        assert 1 <= quorum.w <= n and 1 <= quorum.r <= n
+        assert quorum.consistent is consistent
+        children = [open_store("mem://", num_blocks=BLOCKS, block_size=BS)
+                    for _ in range(n)]
+        rep = ReplicatedBlockStore(children, write_quorum=w, read_quorum=r)
+        assert (rep.write_quorum, rep.read_quorum) == (quorum.w, quorum.r)
+        assert rep.consistent_quorums is consistent
+        assert rep.snapshot().extra["consistent_quorums"] == float(consistent)
+
+    def test_spec_and_store_state_the_bound_once(self):
+        """``ReplicaSpec._check`` and the store constructor reject the
+        same values with the same words (one adds its scheme)."""
+        from repro.storage import SpecError, parse_spec
+
+        with pytest.raises(SpecError,
+                           match=r"replica:// read quorum r=5 outside 1\.\.3"):
+            parse_spec("replica://3?r=5")
+        with pytest.raises(SpecError,
+                           match=r"replica:// write quorum w=0 outside 1\.\.2"):
+            parse_spec("replica://mem://;mem://#w=0")
+
     def test_grammar_forms_agree(self):
         by_count = open_store("replica://2?w=1&r=2",
                               num_blocks=BLOCKS, block_size=BS)
