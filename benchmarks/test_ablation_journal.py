@@ -1,11 +1,12 @@
 """Ablation: write-ahead journaling on/off over the durable backends.
 
 Crash recovery is bought with fsyncs: ``journal://`` logs and syncs
-every batch before it reaches the child, so the interesting numbers are
-(a) what that does to Bonnie throughput on ``file://`` and ``sqlite://``
-children, (b) how group commit keeps the fsync count proportional to
-*batches* rather than blocks, and (c) how long replaying a crashed
-journal takes.
+each batch's isolated blocks before they reach the child, and flushes
+the child after writing a batch's runs in place, so the interesting
+numbers are (a) what that does to Bonnie throughput on ``file://`` and
+``sqlite://`` children, (b) how group commit keeps the fsync count
+proportional to *batches* rather than blocks, and (c) how long
+replaying a crashed journal takes.
 
 ``test_journal_comparison_table`` routes the sweep through the report
 harness (``repro.bench.report.run_journal_ablation``; run with ``-s``
@@ -54,7 +55,9 @@ def test_output_block_by_journaling(benchmark, journal_built):
 def test_crash_replay_time(benchmark, tmp_path):
     """Reopen-after-crash: replaying 512 journaled blocks into the
     child.  Each round journals a fresh batch, abandons the store (the
-    crash), and the measured section is the reopen that replays it."""
+    crash), and the measured section is the reopen that replays it.
+    The blocks are stride 2, so none has a neighbour in its batch and
+    every one is logged rather than written in place."""
     uri = f"journal://file://{tmp_path}/replay.img#cap=4096"
     blocks = 512
 
@@ -63,7 +66,7 @@ def test_crash_replay_time(benchmark, tmp_path):
         payload = b"R" * store.block_size
         for start in range(0, blocks, 64):
             store.write_many(
-                [(b, payload) for b in range(start, start + 64)]
+                [(2 * b, payload) for b in range(start, start + 64)]
             )
         store.abandon()
         reopened = open_store(uri, num_blocks=4096)
@@ -77,9 +80,9 @@ def test_crash_replay_time(benchmark, tmp_path):
 
 def test_journal_comparison_table(capsys, tmp_path):
     """Full sweep through the report harness, with the acceptance
-    assertions: journaling costs one group-commit fsync per batch (not
-    per block), the unjournaled configs issue almost none, and the
-    crash replay recovers every committed block."""
+    assertions: journaling costs a barrier or two per batch (not per
+    block), the unjournaled configs issue almost none, and the crash
+    replay recovers every committed block."""
     results = run_journal_ablation(
         file_size=FILE_SIZE, char_size=32 * 1024, workdir=str(tmp_path)
     )
@@ -91,14 +94,18 @@ def test_journal_comparison_table(capsys, tmp_path):
 
     for label, dev in results["device"].items():
         if label.startswith("journal"):
-            # Group commit: one fsync per journaled transaction, plus
-            # the handful of checkpoint/child flushes.
-            assert dev["journal_txns"] > 0, label
+            # Barriers per batch, log fsyncs plus child fsyncs: one log
+            # fsync per logged transaction, one child flush per batch
+            # whose runs went in place (a run is two blocks or more),
+            # plus the handful of checkpoint flushes.  A barrier that
+            # moved from the log to the child is counted, not hidden.
+            assert dev["journal_txns"] + dev["in_place"] > 0, label
             assert dev["fsyncs"] >= dev["journal_txns"], label
-            assert dev["fsyncs"] <= dev["journal_txns"] + 16, label
+            assert dev["fsyncs"] <= (dev["journal_txns"]
+                                     + dev["in_place"] // 2 + 16), label
             assert dev["journal_blocks"] >= dev["journal_txns"], label
         else:
-            assert dev["journal_txns"] == 0, label
+            assert dev["journal_txns"] == dev["in_place"] == 0, label
             assert dev["fsyncs"] <= 16, label
 
     replay = results["replay"]

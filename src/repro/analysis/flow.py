@@ -1,10 +1,9 @@
 """Flow-sensitive core for the v2 checkers: per-function CFGs + dataflow.
 
 The v1 rules were syntactic walks; the invariants this package grew for
-— fsync-before-child ordering, span propagation — are statements
-about *paths*, so they need a control-flow graph and a dataflow
-fixpoint, not a tree visitor.  This module is that shared
-core:
+— span propagation, resource lifetimes — are statements about *paths*,
+so they need a control-flow graph and a dataflow fixpoint, not a tree
+visitor.  This module is that shared core:
 
 * :func:`build_cfg` — one :class:`CFG` per function body, built from
   stdlib ``ast``.  Each node is one statement (compound statements
@@ -20,7 +19,8 @@ core:
 * :func:`must_facts` — a forward "must have occurred" analysis: the
   facts guaranteed to have been established on *every* path from entry,
   merged by set intersection at joins.  This is what dominance-style
-  rules ("the fsync must precede every child write") are phrased in.
+  rules ("the context must be copied before every submit") are phrased
+  in.
 
 Deliberate approximations, all in the conservative direction for a
 must-analysis (extra paths can only *shrink* a must-set, so they cause

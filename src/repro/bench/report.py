@@ -254,12 +254,15 @@ def run_journal_ablation(
     """Bonnie with journaling on/off over the durable backends, plus a
     measured crash replay.
 
-    What the write-ahead log costs is fsyncs (one group commit per
-    batch) and their latency; what it buys is replay — committed writes
+    What the journal costs is barriers (a log group commit per batch of
+    isolated blocks, a child flush per batch whose runs went in place)
+    and their latency; what it buys is replay — committed writes
     surviving a crash instead of rolling back to the last checkpoint.
-    Both sides are reported: per-phase throughput and fsync counts for
-    each config, then the timed replay of a deliberately "crashed"
-    journal (:meth:`JournalBlockStore.abandon`).
+    Both sides are reported: per-phase throughput, fsync counts (log and
+    child together) and blocks written in place for each config, then
+    the timed replay of a deliberately "crashed" journal
+    (:meth:`JournalBlockStore.abandon`), written in stride-2 blocks so
+    that every block is logged.
     """
     import tempfile
     import time
@@ -283,24 +286,22 @@ def run_journal_ablation(
         journal_snap = next(
             (snap for snap in snapshots if snap.scheme == "journal"), None
         )
-        row["journal_txns"] = (
-            int(journal_snap.extra["transactions"]) if journal_snap else 0
-        )
-        row["journal_blocks"] = (
-            int(journal_snap.extra["blocks_journaled"]) if journal_snap
-            else 0
-        )
+        for key, extra in (("journal_txns", "transactions"),
+                           ("journal_blocks", "blocks_journaled"),
+                           ("in_place", "blocks_in_place")):
+            row[key] = int(journal_snap.extra[extra]) if journal_snap else 0
         results["device"][label] = row
         built.fs.device.close()
 
     # Crash replay: journal a workload, abandon without checkpointing,
-    # and time the reopen that replays it into the child.
+    # and time the reopen that replays it into the child.  Stride-2
+    # blocks have no neighbour in their batch, so all of them are logged.
     uri = f"journal://file://{workdir}/replay.img#cap={REPLAY_BLOCKS * 2}"
     store = open_store(uri, num_blocks=max(REPLAY_BLOCKS * 2, 4096))
     payload = b"J" * store.block_size
     for start in range(0, REPLAY_BLOCKS, REPLAY_BATCH):
         store.write_many(
-            [(b, payload) for b in range(start, start + REPLAY_BATCH)]
+            [(2 * b, payload) for b in range(start, start + REPLAY_BATCH)]
         )
     store.abandon()
     t0 = time.monotonic()
@@ -328,7 +329,7 @@ def print_journal_report(results: dict) -> None:
         print(f"  {label:<24}{cells}")
     print(
         f"\n  {'Backend':<24}{'log.writes':>11}{'phys.writes':>12}"
-        f"{'fsyncs':>8}{'txns':>7}{'blk/txn':>9}"
+        f"{'fsyncs':>8}{'txns':>7}{'blk/txn':>9}{'in place':>10}"
     )
     for label, dev in results["device"].items():
         per_txn = (dev["journal_blocks"] / dev["journal_txns"]
@@ -336,6 +337,7 @@ def print_journal_report(results: dict) -> None:
         print(
             f"  {label:<24}{dev['writes']:>11}{dev['physical_writes']:>12}"
             f"{dev['fsyncs']:>8}{dev['journal_txns']:>7}{per_txn:>9.1f}"
+            f"{dev['in_place']:>10}"
         )
     replay = results["replay"]
     print(

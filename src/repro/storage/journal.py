@@ -1,13 +1,25 @@
-"""Write-ahead journal overlay (``journal://<child-uri>[#cap=N]``).
+"""Ordered-mode write-ahead journal (``journal://<child-uri>[#cap=N]``).
 
 Checkpoint persistence (:mod:`repro.fs.persist`) loses whatever happened
 since the last ``sync``; this layer upgrades any durable child backend
-to **crash recovery**: every write is appended to an append-only intent
-log and ``fsync``\\ ed *before* the blocks reach the child, so once a
-``write``/``write_many`` call returns, that data survives a crash at any
-later point.  On reopen, committed-but-unapplied records are replayed
-into the child and a torn tail (a record cut short by the crash, or one
-whose CRC no longer matches) is discarded.
+to **crash recovery**: once a ``write``/``write_many`` call returns, its
+blocks survive a crash at any later point.  It does so the way ext3's
+``data=ordered`` does, writing each block to disk once where it can:
+
+* **runs go in place.**  Over a child whose ``capabilities().durable``
+  holds, a block whose neighbour (``b-1`` or ``b+1``) is in the same
+  batch (deduplicated, last write wins) is written straight to the child,
+  and the child is flushed *before* anything is logged or acknowledged;
+* **isolated blocks are logged.**  The others are appended to the intent
+  log and ``fsync``\\ ed before they reach the child.  Over a child that
+  is not durable (``mem://``, ``cached://``) every block is isolated;
+* **no stale replay.**  A run that overwrites a block whose image is
+  still in the log first forces a checkpoint, so replay can never put
+  an older logged image over a newer in-place write.
+
+On reopen, committed-but-unapplied records are replayed into the child
+and a torn tail (a record cut short by the crash, or one whose CRC no
+longer matches) is discarded.
 
 On-disk format — a fixed header followed by length-prefixed records::
 
@@ -23,19 +35,19 @@ lost is, by definition, a write that was never acknowledged.
 
 Costs and amortization:
 
-* one journal ``fsync`` per transaction, not per block — a
-  ``write_many`` batch (the FFS extent paths) is a single **group
-  commit**, so durability overhead scales with batches, not blocks;
+* at most two barriers per batch, not per block — a child flush for its
+  runs and one log ``fsync`` for its isolated blocks (a **group
+  commit**) — so durability overhead scales with batches; a checkpoint
+  the batch forces adds its own;
 * the journal is truncated (checkpointed) whenever :meth:`flush` pushes
   the child to durable storage, and automatically once ``cap``
   transactions accumulate, which bounds both log growth and replay
-  time after a crash.
+  time after a crash.  Checkpointing an empty log only flushes the
+  child.
 
 ``discfs journal-inspect`` dumps and verifies a log via
-:func:`inspect_journal`.  :class:`~repro.fs.blockdev.BlockDeviceStats`
-grew an ``fsyncs`` counter so the journal ablation
-(``benchmarks/test_ablation_journal.py``) can report what the log costs
-next to what it buys.
+:func:`inspect_journal`; it shows the logged blocks only, not the runs
+that went in place.
 """
 
 from __future__ import annotations
@@ -71,6 +83,7 @@ class JournalStats:
 
     transactions: int = 0          # DATA+COMMIT pairs appended
     blocks_journaled: int = 0      # block images written to the log
+    blocks_in_place: int = 0       # run blocks written to the child only
     fsyncs: int = 0                # journal-file fsync barriers issued
     checkpoints: int = 0           # truncations after a child flush
     auto_checkpoints: int = 0      # the subset forced by the cap
@@ -80,7 +93,7 @@ class JournalStats:
     replay_seconds: float = 0.0
 
     def reset(self) -> None:
-        self.transactions = self.blocks_journaled = 0
+        self.transactions = self.blocks_journaled = self.blocks_in_place = 0
         self.fsyncs = self.checkpoints = self.auto_checkpoints = 0
         self.replayed_transactions = self.replayed_blocks = 0
         self.torn_bytes = 0
@@ -194,7 +207,7 @@ def inspect_journal(path: str) -> JournalInfo:
 
 
 class JournalBlockStore(WrapperBlockStore):
-    """Write-ahead journal in front of a durable child store."""
+    """Ordered-mode write-ahead journal in front of a child store."""
 
     scheme = "journal"
     descends = True  # reads and applied writes use the child's public API
@@ -213,8 +226,12 @@ class JournalBlockStore(WrapperBlockStore):
         # Per-instance (not registry-shared): a mounted stack can hold
         # several journals and each reports its own fsync latency.
         self._fsync_hist = Histogram("journal:fsync_seconds")
+        # Runs go in place only over a child that declares itself
+        # durable: over mem:// a flushed run still dies with the process.
+        self._in_place = child.capabilities().durable
         self._seq = 0
         self._txns_in_log = 0
+        self._logged: set[int] = set()  # blocks with an image in the log
         self._end = 0  # append offset
         # ``discfs serve``/``store-serve`` dispatch each client on its
         # own thread (the reason sqlite:// carries a lock): the append
@@ -244,6 +261,7 @@ class JournalBlockStore(WrapperBlockStore):
         self._end = _HEADER.size
         self._seq = 0
         self._txns_in_log = 0
+        self._logged.clear()
 
     def _fsync(self) -> None:
         """The journal's one durability barrier, timed: fsync latency is
@@ -271,6 +289,8 @@ class JournalBlockStore(WrapperBlockStore):
             payload += data
         rec = (self._encode_record(KIND_DATA, self._seq, bytes(payload))
                + self._encode_record(KIND_COMMIT, self._seq, b""))
+        # Before the write: an append that fails may still reach the disk.
+        self._logged.update(block_no for block_no, _data in items)
         os.pwrite(self._fd, rec, self._end)
         self._fsync()
         self._end += len(rec)
@@ -327,6 +347,8 @@ class JournalBlockStore(WrapperBlockStore):
 
     def _checkpoint(self, auto: bool = False) -> None:
         self.child.flush()
+        if not self._logged:
+            return  # nothing to truncate: the flush was the checkpoint
         self._reset_log()
         self.journal_stats.checkpoints += 1
         if auto:
@@ -351,10 +373,21 @@ class JournalBlockStore(WrapperBlockStore):
     def _put_many(self, items: list[tuple[int, bytes]]) -> None:
         with self._lock:
             self._require_open()
-            self._append_transaction(items)
-            self.child.write_many(items)
-            if self._txns_in_log >= self.cap:
-                self._checkpoint(auto=True)
+            latest = dict(items) if self._in_place else {}
+            run = {b: data for b, data in latest.items()
+                   if b - 1 in latest or b + 1 in latest}
+            if run:
+                if not self._logged.isdisjoint(run):
+                    self._checkpoint()  # or replay would undo the run
+                self.child.write_many(list(run.items()))
+                self.child.flush()
+                self.journal_stats.blocks_in_place += len(run)
+                items = [item for item in items if item[0] not in run]
+            if items:
+                self._append_transaction(items)
+                self.child.write_many(items)
+                if self._txns_in_log >= self.cap:
+                    self._checkpoint(auto=True)
 
     def _get(self, block_no: int) -> bytes | None:
         return self.child.read(block_no)
@@ -396,14 +429,16 @@ class JournalBlockStore(WrapperBlockStore):
         # Deliberately do NOT close the child: sqlite's close() commits,
         # which would fake durability a real crash does not provide.
 
-    # used_blocks()/used_block_numbers() need no journal view: writes
-    # reach the child right after the log append, so the child's
-    # enumeration is complete even before a checkpoint.
+    # used_blocks()/used_block_numbers() need no journal view: every
+    # write reaches the child before the call returns (a logged one right
+    # after its append), so the child's enumeration is complete even
+    # before a checkpoint.
 
     def _extra_stats(self) -> dict[str, float]:
         return {
             "transactions": self.journal_stats.transactions,
             "blocks_journaled": self.journal_stats.blocks_journaled,
+            "blocks_in_place": self.journal_stats.blocks_in_place,
             "journal_fsyncs": self.journal_stats.fsyncs,
             "checkpoints": self.journal_stats.checkpoints,
             "auto_checkpoints": self.journal_stats.auto_checkpoints,

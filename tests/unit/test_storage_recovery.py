@@ -1,12 +1,14 @@
 """Crash recovery: the journal:// write-ahead log and lazy replica mounts.
 
-Covers the journaling contract (group commit, fsync-before-child,
-replay of committed-but-unapplied records, torn-tail discard, capped
-checkpointing, ``journal-inspect``), the real-crash case — a writer
-SIGKILLed mid-``write_many`` whose acknowledged batches must all
-survive reopen — and the lazy-connect wrapper that lets
-``replica://remote://...`` mount with a node down and heal it on
-reconnect.
+Covers the journaling contract (ordered mode: runs in place and flushed,
+isolated blocks group-committed and fsynced before the child, the
+stale-replay checkpoint; replay of committed-but-unapplied records,
+torn-tail discard, capped checkpointing, ``journal-inspect``), the
+real-crash case — a writer SIGKILLed mid-``write_many`` whose
+acknowledged batches must all survive reopen — and the lazy-connect
+wrapper that lets ``replica://remote://...`` mount with a node down and
+heal it on reconnect.  Tests of the log's mechanics write scattered
+(stride-2) blocks or use a ``mem://`` child, so every block is logged.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class TestGroupCommit:
         s = open_store(f"journal://file://{tmp_path}/gc.img",
                        num_blocks=BLOCKS, block_size=BS)
         baseline = s.journal_stats.fsyncs
-        s.write_many([(i, b"batched") for i in range(32)])
+        s.write_many([(2 * i, b"batched") for i in range(32)])
         assert s.journal_stats.fsyncs == baseline + 1  # group commit
         assert s.journal_stats.transactions == 1
         assert s.journal_stats.blocks_journaled == 32
@@ -80,14 +82,14 @@ class TestGroupCommit:
     def test_flush_checkpoints_and_truncates(self, tmp_path):
         s = open_store(f"journal://file://{tmp_path}/cp.img",
                        num_blocks=BLOCKS, block_size=BS)
-        s.write_many([(i, b"x") for i in range(8)])
+        s.write_many([(2 * i, b"x") for i in range(8)])
         assert s.pending_transactions == 1
         grown = os.path.getsize(journal_of(s))
         s.flush()
         assert s.pending_transactions == 0
         assert os.path.getsize(journal_of(s)) < grown  # truncated to header
         assert s.journal_stats.checkpoints == 1
-        assert s.read(3).startswith(b"x")
+        assert s.read(6).startswith(b"x")
         s.close()
 
     def test_cap_forces_automatic_checkpoint(self, tmp_path):
@@ -108,6 +110,111 @@ class TestGroupCommit:
             open_store("journal://mem://")
         with pytest.raises(InvalidArgument, match="child URI"):
             open_store("journal://")
+
+
+class TestOrderedMode:
+    class Spy(MemoryBlockStore):
+        """A durable child that records what reaches it, in order."""
+
+        durable = True
+
+        def __init__(self, order):
+            super().__init__(BLOCKS, BS)
+            self.order = order
+
+        def _put_many(self, items):
+            self.order.append(("child", [b for b, _ in items]))
+            super()._put_many(items)
+
+        def flush(self):
+            self.order.append(("flush",))
+
+    def _spied(self, tmp_path, order):
+        s = JournalBlockStore(self.Spy(order), str(tmp_path / "spy.journal"))
+        real_append = s._append_transaction
+
+        def logging_append(items):
+            order.append(("journal", [b for b, _ in items]))
+            real_append(items)
+
+        s._append_transaction = logging_append
+        return s
+
+    def test_neighbours_go_in_place_and_the_isolated_block_is_logged(
+            self, tmp_path):
+        order = []
+        s = self._spied(tmp_path, order)
+        s.write_many([(4, b"four"), (5, b"five"), (9, b"nine")])
+        # The run is durable in the child before anything is logged.
+        assert order == [("child", [4, 5]), ("flush",),
+                         ("journal", [9]), ("child", [9])]
+        assert s.journal_stats.blocks_in_place == 2
+        assert s.journal_stats.blocks_journaled == 1
+        assert s.snapshot().extra["blocks_in_place"] == 2
+        assert inspect_journal(journal_of(s)).committed_blocks == 1
+        assert [s.read(b)[:4] for b in (4, 5, 9)] == [b"four", b"five",
+                                                      b"nine"]
+        s.close()
+
+    def test_duplicates_in_a_batch_keep_the_last_write(self, tmp_path):
+        order = []
+        s = self._spied(tmp_path, order)
+        s.write_many([(4, b"old"), (5, b"five"), (4, b"new")])
+        assert order == [("child", [4, 5]), ("flush",)]
+        assert s.read(4).startswith(b"new")
+        s.close()
+
+    def test_run_over_a_logged_block_checkpoints_first(self, tmp_path):
+        """Replay must never put the logged image of block 5 back over
+        the run that overwrote it in place."""
+        uri = f"journal://file://{tmp_path}/stale.img"
+        s = open_store(uri, num_blocks=BLOCKS, block_size=BS)
+        s.write(5, b"logged")
+        assert s.pending_transactions == 1
+        s.write_many([(5, b"in place"), (6, b"in place")])
+        assert s.journal_stats.checkpoints == 1
+        assert inspect_journal(journal_of(s)).committed == 0
+        s.abandon()
+        reopened = open_store(uri, num_blocks=BLOCKS, block_size=BS)
+        assert reopened.journal_stats.replayed_blocks == 0
+        assert reopened.read(5).startswith(b"in place")
+        reopened.close()
+
+    def test_run_clear_of_the_log_does_not_checkpoint(self, tmp_path):
+        s = open_store(f"journal://file://{tmp_path}/clear.img",
+                       num_blocks=BLOCKS, block_size=BS)
+        s.write(5, b"logged")
+        s.write_many([(7, b"run"), (8, b"run")])
+        assert s.journal_stats.checkpoints == 0
+        assert s.pending_transactions == 1
+        s.close()
+
+    def test_flushing_an_empty_log_issues_no_log_fsync(self, tmp_path):
+        s = open_store(f"journal://file://{tmp_path}/empty.img",
+                       num_blocks=BLOCKS, block_size=BS)
+        fsyncs = s.journal_stats.fsyncs
+        size = os.path.getsize(journal_of(s))
+        s.write_many([(i, b"run") for i in range(8)])  # in place, unlogged
+        child_fsyncs = s.child.stats.fsyncs
+        s.flush()
+        assert s.journal_stats.fsyncs == fsyncs
+        assert s.journal_stats.checkpoints == 0
+        assert s.child.stats.fsyncs == child_fsyncs + 1  # the child flushed
+        assert os.path.getsize(journal_of(s)) == size
+        s.close()
+
+    def test_a_child_that_is_not_durable_logs_everything(self, tmp_path):
+        from repro.storage import CachedBlockStore, FileBlockStore
+
+        # mem:// keeps nothing; cached:// buffers a durable file://.
+        for child in (MemoryBlockStore(BLOCKS, BS),
+                      CachedBlockStore(FileBlockStore(
+                          str(tmp_path / "leaf.img"), BLOCKS, BS))):
+            s = JournalBlockStore(child, str(tmp_path / "nd.journal"))
+            s.write_many([(i, b"run") for i in range(8)])
+            assert s.journal_stats.blocks_in_place == 0
+            assert s.journal_stats.blocks_journaled == 8
+            s.close()
 
 
 class TestConcurrentWriters:
@@ -258,7 +365,7 @@ class TestInspect:
     def test_inspect_reports_committed_and_clean_tail(self, tmp_path):
         s = open_store(f"journal://file://{tmp_path}/ins.img",
                        num_blocks=BLOCKS, block_size=BS)
-        s.write_many([(i, b"a") for i in range(3)])
+        s.write_many([(2 * i, b"a") for i in range(3)])
         s.write(9, b"b")
         info = inspect_journal(journal_of(s))
         assert info.block_size == BS
@@ -275,7 +382,7 @@ class TestInspect:
 
         s = open_store(f"journal://file://{tmp_path}/cli.img",
                        num_blocks=BLOCKS, block_size=BS)
-        s.write_many([(i, b"cli") for i in range(5)])
+        s.write_many([(2 * i, b"cli") for i in range(5)])
         s.abandon()
         with open(journal_of(s), "ab") as f:
             f.write(b"torn!")
@@ -298,6 +405,17 @@ class TestInspect:
 # The real thing: SIGKILL a writer mid-write_many, reopen, verify
 # ---------------------------------------------------------------------------
 
+#: Slot offsets one batch writes inside its 12-slot window: a run of four
+#: (written in place) and four isolated slots (logged), so a kill can
+#: land inside either path.
+_OFFSETS = (0, 1, 2, 3, 5, 7, 9, 11)
+_WINDOWS = 40  # 480 slots, then the batches wrap around and overwrite
+
+
+def _slots(batch: int) -> list[int]:
+    return [(batch % _WINDOWS) * 12 + off for off in _OFFSETS]
+
+
 _WRITER = r"""
 import sys
 from repro.storage import open_store
@@ -306,14 +424,13 @@ uri = sys.argv[1]
 store = open_store(uri, num_blocks=512, block_size=512)
 batch = 0
 while True:
-    items = []
-    for k in range(8):
-        slot = (batch * 8 + k) % 496
-        items.append((slot, b"b%d-s%d" % (batch, slot)))
-    store.write_many(items)          # returns only once the log is fsynced
-    print("ACK %d" % batch, flush=True)  # so every printed ACK is durable
+    slots = [(batch %% %d) * 12 + off for off in %r]
+    store.write_many([(slot, b"b%%d-s%%d" %% (batch, slot)) for slot in slots])
+    # write_many returns only once the run is flushed and the log is
+    # fsynced, so every printed ACK is durable.
+    print("ACK %%d" %% batch, flush=True)
     batch += 1
-"""
+""" % (_WINDOWS, _OFFSETS)
 
 
 class TestCrashRecoverySubprocess:
@@ -351,14 +468,17 @@ class TestCrashRecoverySubprocess:
         reopened = open_store(uri, num_blocks=512, block_size=512)
         assert reopened.journal_stats.replayed_transactions >= acked + 1
         # Every slot an acknowledged batch wrote holds a well-formed
-        # image — either that batch's or a later committed batch's
-        # (overwrites), never zeros and never a torn half-write.
-        slots_written = min((acked + 1) * 8, 496)
-        for slot in range(slots_written):
-            data = reopened.read(slot)
-            text = data.rstrip(b"\x00").decode()
+        # image — the last acknowledged batch's or a later one's
+        # (overwrites, in flight), never zeros, never a torn half-write
+        # and never an older batch's — on the run slots and the logged
+        # slots alike.
+        last_acked = {slot: batch for batch in range(acked + 1)
+                      for slot in _slots(batch)}
+        for slot, batch in sorted(last_acked.items()):
+            text = reopened.read(slot).rstrip(b"\x00").decode()
             assert text.endswith(f"-s{slot}"), (slot, text[:32])
             assert text.startswith("b"), (slot, text[:32])
+            assert int(text[1:text.index("-")]) >= batch, (slot, text[:32])
         reopened.close()
 
 
