@@ -1,35 +1,48 @@
 """NFS client: procedure stubs plus a small file-oriented convenience API.
 
-The convenience layer (:meth:`NFSClient.open`, returning
-:class:`RemoteFile`) gives examples and benchmarks stdio-like buffered
-I/O — relevant because Bonnie's per-character phases measure exactly that
-path (putc/getc through a user-space buffer, flushed in block-size units).
+Each stub is one call of a row of :data:`repro.nfs.protocol.PROCEDURES`
+(:meth:`repro.rpc.client.RPCClient.invoke` packs, calls, checks the
+status and unpacks); what is written here is only the shaping of values
+a row does not carry.  The convenience layer (:meth:`NFSClient.open`,
+returning :class:`RemoteFile`) gives examples and benchmarks stdio-like
+buffered I/O — relevant because Bonnie's per-character phases measure
+exactly that path (putc/getc through a user-space buffer, flushed in
+block-size units).
 """
 
 from __future__ import annotations
 
 from repro.errors import NFSError
 from repro.nfs.protocol import (
+    AUDITLOG,
+    CREATE,
+    GETATTR,
+    LINK,
+    LISTCREDS,
+    LOOKUP,
     MAX_DATA,
+    MKDIR,
     NFS_PROGRAM,
     NFS_VERSION,
+    READ,
+    READDIR,
+    READLINK,
+    REMOVE,
+    RENAME,
+    REVOKE,
+    RMDIR,
+    SETATTR,
+    STATFS,
+    SUBMITCRED,
+    SYMLINK,
+    WRITE,
     FAttr,
     FileHandle,
     NFSStat,
-    Proc,
     SAttr,
-    pack_fhandle,
-    pack_read_args,
-    pack_sattr,
-    pack_write_args,
-    raise_for_status,
-    unpack_diropok,
-    unpack_fattr,
-    unpack_read_ok,
 )
 from repro.rpc.client import RPCClient
 from repro.rpc.transport import Transport
-from repro.rpc.xdr import XDREncoder
 
 
 class NFSClient:
@@ -45,150 +58,59 @@ class NFSClient:
         self._rpc.ping()
 
     def getattr(self, fh: FileHandle) -> FAttr:
-        enc = XDREncoder()
-        pack_fhandle(enc, fh)
-        dec = self._rpc.call(Proc.GETATTR, enc.getvalue())
-        raise_for_status(dec.unpack_enum())
-        attr = unpack_fattr(dec)
-        dec.done()
-        return attr
+        return self._rpc.invoke(GETATTR, fh)
 
     def setattr(self, fh: FileHandle, sattr: SAttr) -> FAttr:
-        enc = XDREncoder()
-        pack_fhandle(enc, fh)
-        pack_sattr(enc, sattr)
-        dec = self._rpc.call(Proc.SETATTR, enc.getvalue())
-        raise_for_status(dec.unpack_enum())
-        attr = unpack_fattr(dec)
-        dec.done()
-        return attr
+        return self._rpc.invoke(SETATTR, fh, sattr)
 
     def lookup(self, dir_fh: FileHandle, name: str) -> tuple[FileHandle, FAttr]:
-        enc = XDREncoder()
-        pack_fhandle(enc, dir_fh)
-        enc.pack_string(name)
-        dec = self._rpc.call(Proc.LOOKUP, enc.getvalue())
-        raise_for_status(dec.unpack_enum())
-        fh, attr = unpack_diropok(dec)
-        dec.unpack_optional(lambda d: d.unpack_string())
-        dec.done()
+        fh, attr, _credential = self._rpc.invoke(LOOKUP, dir_fh, name)
         return fh, attr
 
     def readlink(self, fh: FileHandle) -> str:
-        enc = XDREncoder()
-        pack_fhandle(enc, fh)
-        dec = self._rpc.call(Proc.READLINK, enc.getvalue())
-        raise_for_status(dec.unpack_enum())
-        target = dec.unpack_string()
-        dec.done()
-        return target
+        return self._rpc.invoke(READLINK, fh)
 
     def read(self, fh: FileHandle, offset: int, count: int) -> bytes:
-        enc = XDREncoder()
-        pack_read_args(enc, fh, offset, count)
-        dec = self._rpc.call(Proc.READ, enc.getvalue())
-        raise_for_status(dec.unpack_enum())
-        data = unpack_read_ok(dec)
-        dec.done()
-        return data
+        return self._rpc.invoke(READ, fh, offset, count)
 
     def write(self, fh: FileHandle, offset: int, data: bytes) -> FAttr:
         if len(data) > MAX_DATA:
             raise NFSError(NFSStat.NFSERR_INVAL,
                            f"write of {len(data)} bytes exceeds {MAX_DATA}")
-        enc = XDREncoder()
-        pack_write_args(enc, fh, offset, data)
-        dec = self._rpc.call(Proc.WRITE, enc.getvalue())
-        raise_for_status(dec.unpack_enum())
-        attr = unpack_fattr(dec)
-        dec.done()
-        return attr
+        return self._rpc.invoke(WRITE, fh, offset, data)
 
     def create(self, dir_fh: FileHandle, name: str,
                sattr: SAttr | None = None) -> tuple[FileHandle, FAttr, str | None]:
         """CREATE; the third result is the creator credential, if the
         server issued one (DisCFS extension)."""
-        return self._create_like(Proc.CREATE, dir_fh, name, sattr)
+        return self._rpc.invoke(CREATE, dir_fh, name,
+                                sattr if sattr is not None else SAttr())
 
     def mkdir(self, dir_fh: FileHandle, name: str,
               sattr: SAttr | None = None) -> tuple[FileHandle, FAttr, str | None]:
-        return self._create_like(Proc.MKDIR, dir_fh, name, sattr)
-
-    def _create_like(self, proc: int, dir_fh: FileHandle, name: str,
-                     sattr: SAttr | None) -> tuple[FileHandle, FAttr, str | None]:
-        enc = XDREncoder()
-        pack_fhandle(enc, dir_fh)
-        enc.pack_string(name)
-        pack_sattr(enc, sattr if sattr is not None else SAttr())
-        dec = self._rpc.call(proc, enc.getvalue())
-        raise_for_status(dec.unpack_enum())
-        fh, attr = unpack_diropok(dec)
-        credential = dec.unpack_optional(lambda d: d.unpack_string())
-        dec.done()
-        return fh, attr, credential
+        return self._rpc.invoke(MKDIR, dir_fh, name,
+                                sattr if sattr is not None else SAttr())
 
     def remove(self, dir_fh: FileHandle, name: str) -> None:
-        self._dirop_status(Proc.REMOVE, dir_fh, name)
+        self._rpc.invoke(REMOVE, dir_fh, name)
 
     def rmdir(self, dir_fh: FileHandle, name: str) -> None:
-        self._dirop_status(Proc.RMDIR, dir_fh, name)
-
-    def _dirop_status(self, proc: int, dir_fh: FileHandle, name: str) -> None:
-        enc = XDREncoder()
-        pack_fhandle(enc, dir_fh)
-        enc.pack_string(name)
-        dec = self._rpc.call(proc, enc.getvalue())
-        raise_for_status(dec.unpack_enum())
-        dec.done()
+        self._rpc.invoke(RMDIR, dir_fh, name)
 
     def rename(self, from_dir: FileHandle, from_name: str,
                to_dir: FileHandle, to_name: str) -> None:
-        enc = XDREncoder()
-        pack_fhandle(enc, from_dir)
-        enc.pack_string(from_name)
-        pack_fhandle(enc, to_dir)
-        enc.pack_string(to_name)
-        dec = self._rpc.call(Proc.RENAME, enc.getvalue())
-        raise_for_status(dec.unpack_enum())
-        dec.done()
+        self._rpc.invoke(RENAME, from_dir, from_name, to_dir, to_name)
 
     def link(self, target: FileHandle, dir_fh: FileHandle, name: str) -> None:
-        enc = XDREncoder()
-        pack_fhandle(enc, target)
-        pack_fhandle(enc, dir_fh)
-        enc.pack_string(name)
-        dec = self._rpc.call(Proc.LINK, enc.getvalue())
-        raise_for_status(dec.unpack_enum())
-        dec.done()
+        self._rpc.invoke(LINK, target, dir_fh, name)
 
     def symlink(self, dir_fh: FileHandle, name: str, target: str) -> None:
-        enc = XDREncoder()
-        pack_fhandle(enc, dir_fh)
-        enc.pack_string(name)
-        enc.pack_string(target)
-        pack_sattr(enc, SAttr())
-        dec = self._rpc.call(Proc.SYMLINK, enc.getvalue())
-        raise_for_status(dec.unpack_enum())
-        dec.done()
+        self._rpc.invoke(SYMLINK, dir_fh, name, target, SAttr())
 
     def readdir(self, dir_fh: FileHandle, cookie: int = 0,
                 count: int = MAX_DATA) -> tuple[list[tuple[int, str, int]], bool]:
         """One READDIR round trip: ([(fileid, name, cookie)...], eof)."""
-        enc = XDREncoder()
-        pack_fhandle(enc, dir_fh)
-        enc.pack_uint(cookie)
-        enc.pack_uint(count)
-        dec = self._rpc.call(Proc.READDIR, enc.getvalue())
-        raise_for_status(dec.unpack_enum())
-        entries: list[tuple[int, str, int]] = []
-        while dec.unpack_bool():
-            fileid = dec.unpack_uint()
-            name = dec.unpack_string()
-            next_cookie = dec.unpack_uint()
-            entries.append((fileid, name, next_cookie))
-        eof = dec.unpack_bool()
-        dec.done()
-        return entries, eof
+        return self._rpc.invoke(READDIR, dir_fh, cookie, count)
 
     def readdir_all(self, dir_fh: FileHandle) -> list[tuple[int, str]]:
         """Iterate READDIR to completion."""
@@ -202,56 +124,24 @@ class NFSClient:
             cookie = entries[-1][2]
 
     def statfs(self) -> dict[str, int]:
-        enc = XDREncoder()
-        pack_fhandle(enc, self.root)
-        dec = self._rpc.call(Proc.STATFS, enc.getvalue())
-        raise_for_status(dec.unpack_enum())
-        result = {
-            "tsize": dec.unpack_uint(),
-            "bsize": dec.unpack_uint(),
-            "blocks": dec.unpack_uint(),
-            "bfree": dec.unpack_uint(),
-            "bavail": dec.unpack_uint(),
-        }
-        dec.done()
-        return result
+        tsize, bsize, blocks, bfree, bavail = self._rpc.invoke(STATFS, self.root)
+        return {"tsize": tsize, "bsize": bsize, "blocks": blocks,
+                "bfree": bfree, "bavail": bavail}
 
     # -- DisCFS extensions -------------------------------------------------
 
     def submit_credential(self, text: str) -> str:
-        enc = XDREncoder()
-        enc.pack_string(text)
-        dec = self._rpc.call(Proc.SUBMITCRED, enc.getvalue())
-        raise_for_status(dec.unpack_enum())
-        message = dec.unpack_string()
-        dec.done()
-        return message
+        return self._rpc.invoke(SUBMITCRED, text)
 
     def revoke(self, payload: str) -> str:
-        enc = XDREncoder()
-        enc.pack_string(payload)
-        dec = self._rpc.call(Proc.REVOKE, enc.getvalue())
-        raise_for_status(dec.unpack_enum())
-        message = dec.unpack_string()
-        dec.done()
-        return message
+        return self._rpc.invoke(REVOKE, payload)
 
     def list_credentials(self) -> list[str]:
-        dec = self._rpc.call(Proc.LISTCREDS)
-        raise_for_status(dec.unpack_enum())
-        creds = dec.unpack_array(lambda d: d.unpack_string())
-        dec.done()
-        return creds
+        return self._rpc.invoke(LISTCREDS)
 
     def audit_log(self, limit: int = 100) -> list[str]:
         """Fetch formatted audit records (DisCFS extension; admin only)."""
-        enc = XDREncoder()
-        enc.pack_uint(limit)
-        dec = self._rpc.call(Proc.AUDITLOG, enc.getvalue())
-        raise_for_status(dec.unpack_enum())
-        lines = dec.unpack_array(lambda d: d.unpack_string())
-        dec.done()
-        return lines
+        return self._rpc.invoke(AUDITLOG, limit)
 
     # -- path / file conveniences -----------------------------------------
 

@@ -1,29 +1,31 @@
-"""The mount program: export paths -> root file handles (RFC 1094 App. A)."""
+"""The mount program: export paths -> root file handles (RFC 1094 App. A).
+
+Declared as rows like the NFS program and served by the same
+dispatcher (:func:`repro.nfs.server.serve_table`).
+"""
 
 from __future__ import annotations
 
-from repro.errors import FSError, NFSError
 from repro.fs.vfs import VFS
 from repro.nfs.protocol import (
-    MAX_PATH,
     MOUNT_PROGRAM,
     MOUNT_VERSION,
     FileHandle,
-    NFSStat,
-    pack_fhandle,
-    stat_for_error,
-    unpack_fhandle,
+    fhandle,
+    ok,
+    pathname,
 )
+from repro.nfs.server import AccessDeniedSignal, serve_table
 from repro.rpc.client import RPCClient
-from repro.rpc.server import CallContext, RPCProgram
+from repro.rpc.server import CallContext, Procedure, RPCProgram, check_table
 from repro.rpc.transport import Transport
-from repro.rpc.xdr import XDRDecoder, XDREncoder
 
 
-class MountProc:
-    NULL = 0
-    MNT = 1
-    UMNT = 3
+MOUNT_PROCEDURES: tuple[Procedure, ...] = (
+    MNT := Procedure(1, "MNT", None, (pathname,), (ok(fhandle),)),
+    # Advisory: the reply is void, not even a status.
+    UMNT := Procedure(3, "UMNT", None, (pathname,), ()),
+)
 
 
 class MountProgram(RPCProgram):
@@ -42,8 +44,7 @@ class MountProgram(RPCProgram):
         self._exports: set[str] | None = (
             None if exports is None else {self._normalize(p) for p in exports}
         )
-        self.register(MountProc.MNT, self._proc_mnt)
-        self.register(MountProc.UMNT, self._proc_umnt)
+        serve_table(self, MOUNT_PROCEDURES)
 
     def add_export(self, path: str) -> None:
         if self._exports is None:
@@ -54,26 +55,17 @@ class MountProgram(RPCProgram):
     def _normalize(path: str) -> str:
         return "/" + "/".join(p for p in path.split("/") if p)
 
-    def _proc_mnt(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        path = self._normalize(dec.unpack_string(MAX_PATH))
-        enc = XDREncoder()
+    def _proc_mnt(self, ctx: CallContext, path: str) -> FileHandle:
+        path = self._normalize(path)
         if self._exports is not None and path not in self._exports:
-            enc.pack_enum(NFSStat.NFSERR_ACCES)
-            return enc.getvalue()
-        try:
-            inode = self.vfs.fs.namei(path)
-        # NFS wire boundary: the error is preserved in-band as the reply's
-        # NFSStat code, not swallowed.
-        except FSError as exc:  # discfs-lint: disable=error-taxonomy
-            enc.pack_enum(stat_for_error(exc))
-            return enc.getvalue()
-        enc.pack_enum(NFSStat.NFS_OK)
-        pack_fhandle(enc, FileHandle.of(inode))
-        return enc.getvalue()
+            raise AccessDeniedSignal(f"{path} is not exported")
+        return FileHandle.of(self.vfs.fs.namei(path))
 
-    def _proc_umnt(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        dec.unpack_string(MAX_PATH)
-        return b""
+    def _proc_umnt(self, ctx: CallContext, path: str) -> None:
+        """Nothing to undo: mounting keeps no state."""
+
+
+check_table(MountProgram, MOUNT_PROCEDURES)
 
 
 class MountClient:
@@ -83,17 +75,7 @@ class MountClient:
         self._client = RPCClient(transport, MOUNT_PROGRAM, MOUNT_VERSION)
 
     def mount(self, path: str = "/") -> FileHandle:
-        enc = XDREncoder()
-        enc.pack_string(path)
-        dec = self._client.call(MountProc.MNT, enc.getvalue())
-        status = dec.unpack_enum()
-        if status != NFSStat.NFS_OK:
-            raise NFSError(status, f"mount of {path!r} failed")
-        fh = unpack_fhandle(dec)
-        dec.done()
-        return fh
+        return self._client.invoke(MNT, path)
 
     def unmount(self, path: str = "/") -> None:
-        enc = XDREncoder()
-        enc.pack_string(path)
-        self._client.call(MountProc.UMNT, enc.getvalue()).done()
+        self._client.invoke(UMNT, path)

@@ -11,14 +11,23 @@ Extensions over stock NFSv2, mirroring the paper's modified server:
 * ``NFSPROC_REVOKE`` lets the administrator notify the server of bad keys
   or credentials (the paper's revocation mechanism).
 
-Plain CFS/CFS-NE servers simply do not register the extension procedures.
+Every server registers the extension procedures; a plain CFS/CFS-NE
+server's ``AllowAllController`` answers SUBMITCRED, REVOKE and AUDITLOG
+with ``NFSERR_ACCES`` and LISTCREDS with an empty list.
+
+Each procedure is one row of :data:`PROCEDURES` — number, name, the
+access the server checks, argument and reply fields — written in
+:mod:`repro.rpc.xdr`'s field vocabulary over the compiled records
+below; the server's dispatch and the client's stubs are derived from
+the rows.
 """
 
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass
+from struct import Struct
+from typing import Any, Callable
 
 from repro.errors import (
     FSError,
@@ -27,7 +36,17 @@ from repro.errors import (
 )
 from repro.fs.inode import FileType, Inode
 from repro.fs.vfs import FileId
-from repro.rpc.xdr import XDRDecoder, XDREncoder
+from repro.rpc.server import Procedure
+from repro.rpc.xdr import (
+    Field,
+    XDRDecoder,
+    XDREncoder,
+    array,
+    string,
+    struct,
+    uint,
+    void,
+)
 
 NFS_PROGRAM = 100003
 NFS_VERSION = 2
@@ -38,34 +57,6 @@ FHSIZE = 32
 MAX_DATA = 8192  # NFSv2 maximum transfer size
 MAX_NAME = 255
 MAX_PATH = 1024
-
-
-class Proc(enum.IntEnum):
-    """NFS procedure numbers (RFC 1094) plus DisCFS extensions."""
-
-    NULL = 0
-    GETATTR = 1
-    SETATTR = 2
-    ROOT = 3  # obsolete
-    LOOKUP = 4
-    READLINK = 5
-    READ = 6
-    WRITECACHE = 7  # unused
-    WRITE = 8
-    CREATE = 9
-    REMOVE = 10
-    RENAME = 11
-    LINK = 12
-    SYMLINK = 13
-    MKDIR = 14
-    RMDIR = 15
-    READDIR = 16
-    STATFS = 17
-    # --- DisCFS extensions (outside the RFC 1094 numbering) ---
-    SUBMITCRED = 100
-    REVOKE = 101
-    LISTCREDS = 102
-    AUDITLOG = 103
 
 
 class NFSStat(enum.IntEnum):
@@ -147,20 +138,20 @@ _FH = "QQ16x"  # ino, generation, zero fill to FHSIZE
 _FATTR = "i6I4xI4x7I"
 _SATTR = "8I"  # mode, uid, gid, size, atime, mtime
 
-FHANDLE = struct.Struct(">" + _FH)
-FATTR = struct.Struct(">" + _FATTR)
-SATTR = struct.Struct(">" + _SATTR)
-ATTRSTAT_OK = struct.Struct(">i" + _FATTR)
-DIROP_OK = struct.Struct(">i" + _FH + _FATTR)
-DIROP_OK_BODY = struct.Struct(">" + _FH + _FATTR)
+FHANDLE = Struct(">" + _FH)
+FATTR = Struct(">" + _FATTR)
+SATTR = Struct(">" + _SATTR)
+ATTRSTAT_OK = Struct(">i" + _FATTR)
+DIROP_OK = Struct(">i" + _FH + _FATTR)
+DIROP_OK_BODY = Struct(">" + _FH + _FATTR)
 #: fhandle, offset, count, totalcount.
-READ_ARGS = struct.Struct(">" + _FH + "3I")
+READ_ARGS = Struct(">" + _FH + "3I")
 #: status, fattr, length of the data that follows.
-READ_OK = struct.Struct(">i" + _FATTR + "I")
+READ_OK = Struct(">i" + _FATTR + "I")
 #: The same after the status word, attributes skipped.
-READ_OK_LENGTH = struct.Struct(f">{FATTR.size}xI")
+READ_OK_LENGTH = Struct(f">{FATTR.size}xI")
 #: fhandle, beginoffset, offset, totalcount, length of the data that follows.
-WRITE_ARGS = struct.Struct(">" + _FH + "4I")
+WRITE_ARGS = Struct(">" + _FH + "4I")
 
 
 # ---------------------------------------------------------------------------
@@ -384,3 +375,145 @@ def raise_for_status(status: int) -> None:
         except ValueError:
             name = f"status {status}"
         raise NFSError(status, f"server returned {name}")
+
+
+# ---------------------------------------------------------------------------
+# Field codecs and the procedure table
+#
+# A reply field writes the whole NFS_OK arm, status word included (in
+# the one compiled record where the arm has one), and reads it back
+# status first: any other status raises NFSError.  A failed reply is
+# that word alone; the server's dispatcher writes it.
+# ---------------------------------------------------------------------------
+
+fhandle = Field(pack_fhandle, lambda dec, lo, hi: unpack_fhandle(dec))
+sattr = Field(pack_sattr, lambda dec, lo, hi: unpack_sattr(dec))
+filename = string(MAX_NAME)
+pathname = string(MAX_PATH)
+
+
+def _unpack_read_args(dec: XDRDecoder, lo: int, hi: int) -> tuple:
+    fh, offset, count = unpack_read_args(dec)
+    if count > MAX_DATA:
+        raise XDRError(f"read of {count} bytes exceeds NFS maximum {MAX_DATA}")
+    return fh, offset, count
+
+
+#: READ's and WRITE's whole argument tuples: (fh, offset, count) and
+#: (fh, offset, data), one record each.
+read_args = Field(lambda enc, args: pack_read_args(enc, *args),
+                  _unpack_read_args)
+write_args = Field(lambda enc, args: pack_write_args(enc, *args),
+                   lambda dec, lo, hi: unpack_write_args(dec))
+
+
+def _reply(pack: Callable[[XDREncoder, Any], object],
+           unpack: Callable[[XDRDecoder], Any]) -> Field:
+    """A reply field: ``pack`` writes the NFS_OK arm, status word
+    included; ``unpack`` reads what follows that word."""
+
+    def unpack_ok(dec: XDRDecoder, lo: int, hi: int) -> Any:
+        status = dec.unpack_enum()
+        if status != NFSStat.NFS_OK:
+            raise_for_status(status)
+        return unpack(dec)
+
+    return Field(pack, unpack_ok)
+
+
+def ok(body: Field = void) -> Field:
+    """The NFS_OK status word, then ``body``."""
+    return _reply(
+        lambda enc, value: body.pack(enc.pack_enum(NFSStat.NFS_OK), value),
+        lambda dec: body.unpack(dec, 0, 0))
+
+
+def _pack_diropres(enc: XDREncoder, value: tuple) -> None:
+    inode, fattr, credential = value
+    pack_diropok(enc, inode, fattr)
+    enc.pack_optional(credential, XDREncoder.pack_string)
+
+
+def _unpack_diropres(dec: XDRDecoder) -> tuple[FileHandle, FAttr, str | None]:
+    fh, attr = unpack_diropok(dec)
+    return fh, attr, dec.unpack_optional(XDRDecoder.unpack_string)
+
+
+def _pack_dirlist(enc: XDREncoder, value: tuple) -> None:
+    entries, eof = value
+    enc.pack_enum(NFSStat.NFS_OK)
+    for fileid, name, cookie in entries:
+        enc.pack_bool(True)  # another entry follows
+        enc.pack_uint(fileid).pack_string(name).pack_uint(cookie)
+    enc.pack_bool(False).pack_bool(eof)
+
+
+def _unpack_dirlist(dec: XDRDecoder) -> tuple[list[tuple[int, str, int]], bool]:
+    entries = []
+    while dec.unpack_bool():
+        entries.append((dec.unpack_uint(), dec.unpack_string(),
+                        dec.unpack_uint()))
+    return entries, dec.unpack_bool()
+
+
+#: Server value: fattr words.  Client value: :class:`FAttr`.
+attrstat = _reply(pack_attrstat_ok, unpack_fattr)
+#: Server value: (inode, fattr words, creator credential or None).
+#: Client value: (handle, :class:`FAttr`, credential).
+diropres = _reply(_pack_diropres, _unpack_diropres)
+#: Server value: (fattr words, data).  Client value: the data.
+readres = _reply(lambda enc, value: pack_read_ok(enc, *value), unpack_read_ok)
+#: ([(fileid, name, cookie of the next entry)...], eof), both ends.
+dirlist = _reply(_pack_dirlist, _unpack_dirlist)
+
+#: The program.  A row here plus a ``_proc_<name>`` method on
+#: :class:`repro.nfs.server.NFSProgram` is a whole procedure.  ``access``
+#: is the operation the server checks on the first file handle before
+#: the handler runs; a handler whose check is anything else (``None``)
+#: makes it itself.  Numbers are RFC 1094's, the DisCFS extensions
+#: outside its range.
+PROCEDURES: tuple[Procedure, ...] = (
+    GETATTR := Procedure(1, "GETATTR", "getattr", (fhandle,), (attrstat,)),
+    SETATTR := Procedure(2, "SETATTR", "setattr", (fhandle, sattr),
+                         (attrstat,)),
+    # Rights on the directory or on the child (check_lookup).
+    LOOKUP := Procedure(4, "LOOKUP", None, (fhandle, filename), (diropres,)),
+    READLINK := Procedure(5, "READLINK", "readlink", (fhandle,),
+                          (ok(string()),)),
+    READ := Procedure(6, "READ", "read", read_args, (readres,)),
+    WRITE := Procedure(8, "WRITE", "write", write_args, (attrstat,)),
+    CREATE := Procedure(9, "CREATE", "create", (fhandle, filename, sattr),
+                        (diropres,)),
+    REMOVE := Procedure(10, "REMOVE", "remove", (fhandle, filename), (ok(),)),
+    # Both directories resolve before either is checked.
+    RENAME := Procedure(11, "RENAME", None,
+                        (fhandle, filename, fhandle, filename), (ok(),)),
+    # target, directory, name: both resolve before either is checked.
+    LINK := Procedure(12, "LINK", None, (fhandle, fhandle, filename), (ok(),)),
+    # directory, name, target, attributes (ignored, RFC 1094)
+    SYMLINK := Procedure(13, "SYMLINK", "symlink",
+                         (fhandle, filename, pathname, sattr), (ok(),)),
+    MKDIR := Procedure(14, "MKDIR", "mkdir", (fhandle, filename, sattr),
+                       (diropres,)),
+    RMDIR := Procedure(15, "RMDIR", "rmdir", (fhandle, filename), (ok(),)),
+    # directory, cookie, count
+    READDIR := Procedure(16, "READDIR", "readdir", (fhandle, uint, uint),
+                         (dirlist,)),
+    # -> tsize, bsize, blocks, bfree, bavail; checked with no inode.
+    STATFS := Procedure(17, "STATFS", None, (fhandle,),
+                        (ok(struct(uint, uint, uint, uint, uint)),)),
+    SUBMITCRED := Procedure(100, "SUBMITCRED", None, (string(1 << 20),),
+                            (ok(string()),)),
+    REVOKE := Procedure(101, "REVOKE", None, (string(1 << 20),),
+                        (ok(string()),)),
+    LISTCREDS := Procedure(102, "LISTCREDS", None, (), (ok(array(string())),)),
+    # limit -> formatted audit records
+    AUDITLOG := Procedure(103, "AUDITLOG", None, (uint,),
+                          (ok(array(string())),)),
+)
+
+#: Procedure numbers by name: the rows', plus NULL and RFC 1094's
+#: obsolete ROOT and WRITECACHE, which no server here answers.
+Proc = enum.IntEnum(  # type: ignore[misc]
+    "Proc", {"NULL": 0, "ROOT": 3, "WRITECACHE": 7,
+             **{proc.name: proc.number for proc in PROCEDURES}})

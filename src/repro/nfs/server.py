@@ -1,40 +1,44 @@
 """The user-level NFS server.
 
-:class:`NFSProgram` exports a :class:`repro.fs.vfs.VFS` as an RPC program.
-Access control is delegated to a pluggable :class:`AccessController`; the
-base controller allows everything (this is the CFS-NE configuration), and
-``repro.core.server`` installs the KeyNote-backed controller that makes
-the server a DisCFS server.  This mirrors the paper's architecture: the
-NFS mechanism is identical across systems, only the policy layer differs.
+:class:`NFSProgram` exports a :class:`repro.fs.vfs.VFS` as the RPC
+program declared in :data:`repro.nfs.protocol.PROCEDURES`: a row there
+and a ``_proc_<name>`` method here are a whole procedure.
+:func:`serve_table` is the one dispatcher the NFS and mount programs
+run — argument decoding (trailing bytes included), the row's access
+check, the error-to-status mapping and the reply are written there
+once.  Access control is delegated to a pluggable
+:class:`AccessController`; the base controller allows everything (this
+is the CFS-NE configuration), and ``repro.core.server`` installs the
+KeyNote-backed controller that makes the server a DisCFS server.  This
+mirrors the paper's architecture: the NFS mechanism is identical across
+systems, only the policy layer differs.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Any, Protocol, Sequence
 
-from repro.errors import FSError, XDRError
+from repro.errors import FSError
 from repro.fs.inode import Inode
-from repro.fs.vfs import VFS
+from repro.fs.vfs import VFS, FileId
 from repro.nfs.protocol import (
     MAX_DATA,
-    MAX_NAME,
-    MAX_PATH,
     NFS_PROGRAM,
     NFS_VERSION,
+    PROCEDURES,
     FileHandle,
     NFSStat,
-    Proc,
+    SAttr,
     fattr_words,
-    pack_attrstat_ok,
-    pack_diropok,
-    pack_read_ok,
     stat_for_error,
-    unpack_fhandle,
-    unpack_read_args,
-    unpack_sattr,
-    unpack_write_args,
 )
-from repro.rpc.server import CallContext, RPCProgram
+from repro.rpc.server import (
+    CallContext,
+    Handler,
+    Procedure,
+    RPCProgram,
+    check_table,
+)
 from repro.rpc.xdr import XDRDecoder, XDREncoder
 
 
@@ -106,6 +110,45 @@ class AllowAllController:
         raise AccessDeniedSignal("this server keeps no audit log")
 
 
+def serve_table(program: Any, procedures: Sequence[Procedure]) -> None:
+    """Register every row of ``procedures`` on ``program`` behind the
+    NFS dispatcher."""
+    for proc in procedures:
+        program.register(proc.number, _dispatcher(program, proc))
+
+
+def _dispatcher(program: Any, proc: Procedure) -> Handler:
+    """Unpack the arguments, all of them (a byte left over is
+    GARBAGE_ARGS); check the row's ``access`` on the first file handle,
+    whose file id and inode the handler then gets in its place; run
+    ``_proc_<name>``; reply with its result, or with the status word
+    alone for a denial or a filesystem error."""
+    handler = getattr(program, proc.handler)
+    access = proc.access
+
+    def dispatch(dec: XDRDecoder, ctx: CallContext) -> bytes:
+        args = proc.unpack_args(dec)
+        dec.done()
+        enc = XDREncoder()
+        try:
+            if access is None:
+                result = handler(ctx, *args)
+            else:
+                fh = args[0]
+                fid = fh.file_id()
+                inode = program.vfs.getattr(fid)
+                program.controller.check(ctx, access, fh, inode)
+                result = handler(ctx, fid, inode, *args[1:])
+        except AccessDeniedSignal:
+            return enc.pack_enum(NFSStat.NFSERR_ACCES).getvalue()
+        except FSError as exc:
+            return enc.pack_enum(stat_for_error(exc)).getvalue()
+        proc.pack_result(enc, result)
+        return enc.getvalue()
+
+    return dispatch
+
+
 class NFSProgram(RPCProgram):
     """The NFS RPC program bound to one VFS + controller."""
 
@@ -116,9 +159,7 @@ class NFSProgram(RPCProgram):
         # shard://, cached:// — see repro.storage).
         self.vfs = VFS(vfs) if isinstance(vfs, str) else vfs
         self.controller = controller if controller is not None else AllowAllController()
-        self._register_procedures()
-
-    # -- helpers -----------------------------------------------------------
+        serve_table(self, PROCEDURES)
 
     def _inode_for(self, fh: FileHandle) -> Inode:
         return self.vfs.getattr(fh.file_id())
@@ -129,272 +170,131 @@ class NFSProgram(RPCProgram):
         return fattr_words(inode, self.vfs.fs.block_size,
                            self.controller.effective_mode(ctx, inode))
 
-    def _attrstat(self, inode: Inode, ctx: CallContext) -> bytes:
-        enc = XDREncoder()
-        pack_attrstat_ok(enc, self._fattr_for(inode, ctx))
-        return enc.getvalue()
-
-    def _diropres(self, inode: Inode, ctx: CallContext,
-                  credential: str | None = None) -> bytes:
-        enc = XDREncoder()
-        pack_diropok(enc, inode, self._fattr_for(inode, ctx))
-        enc.pack_optional(credential, lambda e, c: e.pack_string(c))
-        return enc.getvalue()
-
-    @staticmethod
-    def _error(status: NFSStat) -> bytes:
-        enc = XDREncoder()
-        enc.pack_enum(status)
-        return enc.getvalue()
-
-    def _guarded(self, handler):
-        """Wrap a procedure body, mapping FS errors and denials to statuses."""
-
-        def wrapped(dec: XDRDecoder, ctx: CallContext) -> bytes:
-            try:
-                return handler(dec, ctx)
-            except AccessDeniedSignal:
-                return self._error(NFSStat.NFSERR_ACCES)
-            except FSError as exc:
-                return self._error(stat_for_error(exc))
-
-        return wrapped
-
-    def _check(self, ctx: CallContext, op: str, fh: FileHandle,
-               inode: Inode | None) -> None:
-        self.controller.check(ctx, op, fh, inode)
-
-    # -- procedure registration ------------------------------------------
-
-    def _register_procedures(self) -> None:
-        table = {
-            Proc.GETATTR: self._proc_getattr,
-            Proc.SETATTR: self._proc_setattr,
-            Proc.LOOKUP: self._proc_lookup,
-            Proc.READLINK: self._proc_readlink,
-            Proc.READ: self._proc_read,
-            Proc.WRITE: self._proc_write,
-            Proc.CREATE: self._proc_create,
-            Proc.REMOVE: self._proc_remove,
-            Proc.RENAME: self._proc_rename,
-            Proc.LINK: self._proc_link,
-            Proc.SYMLINK: self._proc_symlink,
-            Proc.MKDIR: self._proc_mkdir,
-            Proc.RMDIR: self._proc_rmdir,
-            Proc.READDIR: self._proc_readdir,
-            Proc.STATFS: self._proc_statfs,
-            Proc.SUBMITCRED: self._proc_submitcred,
-            Proc.REVOKE: self._proc_revoke,
-            Proc.LISTCREDS: self._proc_listcreds,
-            Proc.AUDITLOG: self._proc_auditlog,
-        }
-        for proc, handler in table.items():
-            self.register(proc, self._guarded(handler))
+    def _created(self, ctx: CallContext, inode: Inode) -> tuple:
+        """CREATE's and MKDIR's result.  The creator credential comes
+        first: the mode reported for the new inode includes its rights."""
+        credential = self.controller.on_create(ctx, inode)
+        return inode, self._fattr_for(inode, ctx), credential
 
     # -- procedures -------------------------------------------------------
+    # A row with an ``access`` hands its handler the checked file's id and
+    # inode in place of the handle.
 
-    def _proc_getattr(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh = unpack_fhandle(dec)
-        inode = self._inode_for(fh)
-        self._check(ctx, "getattr", fh, inode)
-        return self._attrstat(inode, ctx)
+    def _proc_getattr(self, ctx: CallContext, fid: FileId, inode: Inode):
+        return self._fattr_for(inode, ctx)
 
-    def _proc_setattr(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh = unpack_fhandle(dec)
-        sattr = unpack_sattr(dec)
-        inode = self._inode_for(fh)
-        self._check(ctx, "setattr", fh, inode)
+    def _proc_setattr(self, ctx: CallContext, fid: FileId, inode: Inode,
+                      sattr: SAttr):
         inode = self.vfs.setattr(
-            fh.file_id(), mode=sattr.mode, uid=sattr.uid, gid=sattr.gid,
+            fid, mode=sattr.mode, uid=sattr.uid, gid=sattr.gid,
             size=sattr.size, atime=sattr.atime, mtime=sattr.mtime,
         )
-        return self._attrstat(inode, ctx)
+        return self._fattr_for(inode, ctx)
 
-    def _proc_lookup(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh = unpack_fhandle(dec)
-        name = dec.unpack_string(MAX_NAME)
+    def _proc_lookup(self, ctx: CallContext, fh: FileHandle, name: str):
         dir_inode = self._inode_for(fh)
         # Resolve first, authorize second: DisCFS authorizes lookups by
         # directory rights OR rights on the child itself (controller's
         # choice).  Denial is indistinguishable either way (NFSERR_ACCES).
         inode = self.vfs.lookup(fh.file_id(), name)
         self.controller.check_lookup(ctx, fh, dir_inode, inode)
-        return self._diropres(inode, ctx)
+        return inode, self._fattr_for(inode, ctx), None
 
-    def _proc_readlink(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh = unpack_fhandle(dec)
-        inode = self._inode_for(fh)
-        self._check(ctx, "readlink", fh, inode)
-        target = self.vfs.readlink(fh.file_id())
-        enc = XDREncoder()
-        enc.pack_enum(NFSStat.NFS_OK)
-        enc.pack_string(target)
-        return enc.getvalue()
+    def _proc_readlink(self, ctx: CallContext, fid: FileId, inode: Inode):
+        return self.vfs.readlink(fid)
 
-    def _proc_read(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh, offset, count = unpack_read_args(dec)
-        if count > MAX_DATA:
-            raise XDRError(f"read of {count} bytes exceeds NFS maximum {MAX_DATA}")
-        fid = fh.file_id()
-        inode = self.vfs.getattr(fid)
-        self._check(ctx, "read", fh, inode)
+    def _proc_read(self, ctx: CallContext, fid: FileId, inode: Inode,
+                   offset: int, count: int):
         data = self.vfs.read(fid, offset, count)
-        enc = XDREncoder()
-        pack_read_ok(enc, self._fattr_for(inode, ctx), data)
-        return enc.getvalue()
+        return self._fattr_for(inode, ctx), data
 
-    def _proc_write(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh, offset, data = unpack_write_args(dec)
-        fid = fh.file_id()
-        inode = self.vfs.getattr(fid)
-        self._check(ctx, "write", fh, inode)
+    def _proc_write(self, ctx: CallContext, fid: FileId, inode: Inode,
+                    offset: int, data: bytes):
         self.vfs.write(fid, offset, data)
-        return self._attrstat(inode, ctx)
+        return self._fattr_for(inode, ctx)
 
-    def _proc_create(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh = unpack_fhandle(dec)
-        name = dec.unpack_string(MAX_NAME)
-        sattr = unpack_sattr(dec)
-        dir_inode = self._inode_for(fh)
-        self._check(ctx, "create", fh, dir_inode)
-        inode = self.vfs.create(fh.file_id(), name,
+    def _proc_create(self, ctx: CallContext, dir_fid: FileId, dir_inode: Inode,
+                     name: str, sattr: SAttr):
+        inode = self.vfs.create(dir_fid, name,
                                 mode=sattr.mode if sattr.mode is not None else 0o644)
         if sattr.size is not None:
             self.vfs.truncate(FileHandle.of(inode).file_id(), sattr.size)
-        credential = self.controller.on_create(ctx, inode)
-        return self._diropres(inode, ctx, credential)
+        return self._created(ctx, inode)
 
-    def _proc_remove(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh = unpack_fhandle(dec)
-        name = dec.unpack_string(MAX_NAME)
-        dir_inode = self._inode_for(fh)
-        self._check(ctx, "remove", fh, dir_inode)
-        self.vfs.remove(fh.file_id(), name)
-        return self._error(NFSStat.NFS_OK)
+    def _proc_remove(self, ctx: CallContext, dir_fid: FileId, dir_inode: Inode,
+                     name: str) -> None:
+        self.vfs.remove(dir_fid, name)
 
-    def _proc_rename(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        from_fh = unpack_fhandle(dec)
-        from_name = dec.unpack_string(MAX_NAME)
-        to_fh = unpack_fhandle(dec)
-        to_name = dec.unpack_string(MAX_NAME)
+    def _proc_rename(self, ctx: CallContext, from_fh: FileHandle,
+                     from_name: str, to_fh: FileHandle, to_name: str) -> None:
         from_dir = self._inode_for(from_fh)
         to_dir = self._inode_for(to_fh)
-        self._check(ctx, "rename", from_fh, from_dir)
-        self._check(ctx, "rename", to_fh, to_dir)
+        self.controller.check(ctx, "rename", from_fh, from_dir)
+        self.controller.check(ctx, "rename", to_fh, to_dir)
         self.vfs.rename(from_fh.file_id(), from_name, to_fh.file_id(), to_name)
-        return self._error(NFSStat.NFS_OK)
 
-    def _proc_link(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        target_fh = unpack_fhandle(dec)
-        dir_fh = unpack_fhandle(dec)
-        name = dec.unpack_string(MAX_NAME)
+    def _proc_link(self, ctx: CallContext, target_fh: FileHandle,
+                   dir_fh: FileHandle, name: str) -> None:
         target = self._inode_for(target_fh)
         dir_inode = self._inode_for(dir_fh)
-        self._check(ctx, "link_target", target_fh, target)
-        self._check(ctx, "link", dir_fh, dir_inode)
+        self.controller.check(ctx, "link_target", target_fh, target)
+        self.controller.check(ctx, "link", dir_fh, dir_inode)
         self.vfs.link(dir_fh.file_id(), name, target_fh.file_id())
-        return self._error(NFSStat.NFS_OK)
 
-    def _proc_symlink(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh = unpack_fhandle(dec)
-        name = dec.unpack_string(MAX_NAME)
-        target = dec.unpack_string(MAX_PATH)
-        unpack_sattr(dec)  # attributes of symlinks are ignored (RFC 1094)
-        dir_inode = self._inode_for(fh)
-        self._check(ctx, "symlink", fh, dir_inode)
-        self.vfs.symlink(fh.file_id(), name, target)
-        return self._error(NFSStat.NFS_OK)
+    def _proc_symlink(self, ctx: CallContext, dir_fid: FileId,
+                      dir_inode: Inode, name: str, target: str,
+                      sattr: SAttr) -> None:
+        self.vfs.symlink(dir_fid, name, target)
 
-    def _proc_mkdir(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh = unpack_fhandle(dec)
-        name = dec.unpack_string(MAX_NAME)
-        sattr = unpack_sattr(dec)
-        dir_inode = self._inode_for(fh)
-        self._check(ctx, "mkdir", fh, dir_inode)
-        inode = self.vfs.mkdir(fh.file_id(), name,
+    def _proc_mkdir(self, ctx: CallContext, dir_fid: FileId, dir_inode: Inode,
+                    name: str, sattr: SAttr):
+        inode = self.vfs.mkdir(dir_fid, name,
                                mode=sattr.mode if sattr.mode is not None else 0o755)
-        credential = self.controller.on_create(ctx, inode)
-        return self._diropres(inode, ctx, credential)
+        return self._created(ctx, inode)
 
-    def _proc_rmdir(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh = unpack_fhandle(dec)
-        name = dec.unpack_string(MAX_NAME)
-        dir_inode = self._inode_for(fh)
-        self._check(ctx, "rmdir", fh, dir_inode)
-        self.vfs.rmdir(fh.file_id(), name)
-        return self._error(NFSStat.NFS_OK)
+    def _proc_rmdir(self, ctx: CallContext, dir_fid: FileId, dir_inode: Inode,
+                    name: str) -> None:
+        self.vfs.rmdir(dir_fid, name)
 
-    def _proc_readdir(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh = unpack_fhandle(dec)
-        cookie = dec.unpack_uint()
-        count = dec.unpack_uint()
-        dir_inode = self._inode_for(fh)
-        self._check(ctx, "readdir", fh, dir_inode)
-        entries = self.vfs.readdir(fh.file_id())
-
-        enc = XDREncoder()
-        enc.pack_enum(NFSStat.NFS_OK)
+    def _proc_readdir(self, ctx: CallContext, dir_fid: FileId,
+                      dir_inode: Inode, cookie: int, count: int):
+        """The entries from ``cookie`` on that fit ``count`` bytes (at
+        least one, and a 512-byte budget at least), and eof."""
+        entries = self.vfs.readdir(dir_fid)
         budget = max(count, 512)
-        emitted = 0
+        page: list[tuple[int, str, int]] = []
         index = cookie
         while index < len(entries):
             name, ino = entries[index]
             entry_size = 3 * 4 + 4 + len(name) + 8
-            if emitted and entry_size > budget:
+            if page and entry_size > budget:
                 break
-            enc.pack_bool(True)  # another entry follows
-            enc.pack_uint(ino)
-            enc.pack_string(name)
-            enc.pack_uint(index + 1)  # cookie of the *next* entry
+            page.append((ino, name, index + 1))  # cookie of the *next* entry
             budget -= entry_size
-            emitted += 1
             index += 1
-        enc.pack_bool(False)  # no more entries in this reply
-        enc.pack_bool(index >= len(entries))  # eof
-        return enc.getvalue()
+        return page, index >= len(entries)
 
-    def _proc_statfs(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        fh = unpack_fhandle(dec)
-        self._check(ctx, "statfs", fh, None)
+    def _proc_statfs(self, ctx: CallContext, fh: FileHandle):
+        self.controller.check(ctx, "statfs", fh, None)
         info = self.vfs.statfs()
-        enc = XDREncoder()
-        enc.pack_enum(NFSStat.NFS_OK)
-        enc.pack_uint(MAX_DATA)  # tsize: optimal transfer size
-        enc.pack_uint(info["block_size"])
-        enc.pack_uint(info["total_blocks"])
-        enc.pack_uint(info["free_blocks"])
-        enc.pack_uint(info["free_blocks"])  # bavail == bfree (no reservation)
-        return enc.getvalue()
+        # tsize is the optimal transfer size; bavail == bfree (no
+        # reservation).
+        return (MAX_DATA, info["block_size"], info["total_blocks"],
+                info["free_blocks"], info["free_blocks"])
 
     # -- DisCFS extension procedures --------------------------------------
 
-    def _proc_submitcred(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        text = dec.unpack_string(max_size=1 << 20)
-        message = self.controller.submit_credential(ctx, text)
-        enc = XDREncoder()
-        enc.pack_enum(NFSStat.NFS_OK)
-        enc.pack_string(message)
-        return enc.getvalue()
+    def _proc_submitcred(self, ctx: CallContext, text: str) -> str:
+        return self.controller.submit_credential(ctx, text)
 
-    def _proc_revoke(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        payload = dec.unpack_string(max_size=1 << 20)
-        message = self.controller.revoke(ctx, payload)
-        enc = XDREncoder()
-        enc.pack_enum(NFSStat.NFS_OK)
-        enc.pack_string(message)
-        return enc.getvalue()
+    def _proc_revoke(self, ctx: CallContext, payload: str) -> str:
+        return self.controller.revoke(ctx, payload)
 
-    def _proc_listcreds(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        creds = self.controller.list_credentials(ctx)
-        enc = XDREncoder()
-        enc.pack_enum(NFSStat.NFS_OK)
-        enc.pack_array(creds, lambda e, c: e.pack_string(c))
-        return enc.getvalue()
+    def _proc_listcreds(self, ctx: CallContext) -> list[str]:
+        return self.controller.list_credentials(ctx)
 
-    def _proc_auditlog(self, dec: XDRDecoder, ctx: CallContext) -> bytes:
-        limit = dec.unpack_uint()
-        lines = self.controller.list_audit(ctx, limit)
-        enc = XDREncoder()
-        enc.pack_enum(NFSStat.NFS_OK)
-        enc.pack_array(lines, lambda e, line: e.pack_string(line))
-        return enc.getvalue()
+    def _proc_auditlog(self, ctx: CallContext, limit: int) -> list[str]:
+        return self.controller.list_audit(ctx, limit)
+
+
+check_table(NFSProgram, PROCEDURES)

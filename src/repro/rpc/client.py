@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable
+from typing import Any, Callable
 
 from repro.errors import ProcedureUnavailable, RPCError, TransportError
 from repro.rpc.message import AcceptStat, ReplyMessage, encode_call, next_xid
+from repro.rpc.server import Procedure
 from repro.rpc.transport import Transport, _resolve_future
-from repro.rpc.xdr import XDRDecoder
+from repro.rpc.xdr import XDRDecoder, XDREncoder
 
 #: Slot marker: a connection is being dialed for this slot right now.
 _DIALING = object()
@@ -319,6 +320,17 @@ class RPCClient:
         raw = self.transport.call(encode_call(
             xid, self.prog, self.vers, proc, args, auth_body=cred))
         return self._decode_reply(xid, proc, raw)
+
+    def invoke(self, proc: Procedure, *args: Any) -> Any:
+        """One call of a table-declared procedure: ``args`` packed by
+        its row, the result unpacked by it.  The whole reply must be the
+        result; a byte left over is an :class:`~repro.errors.XDRError`."""
+        enc = XDREncoder()
+        proc.pack_args(enc, args)
+        dec = self.call(proc.number, enc.getvalue())
+        result = proc.unpack_result(dec)
+        dec.done()
+        return result
 
     def call_async(self, proc: int, args: bytes = b"",
                    cred: bytes = b"") -> Future:

@@ -17,19 +17,24 @@ record is a transport's mutable receive buffer.
 The decoder is strict: short buffers, nonzero padding bytes and
 unconsumed trailing bytes raise :class:`~repro.errors.XDRError` rather
 than silently misparsing.
+
+:class:`Field` and its composers (``uint``, ``string(max)``,
+``array(of, max)``, ``struct(...)``, ...) are the vocabulary both RPC
+programs declare their procedures in (:class:`repro.rpc.server.Procedure`).
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Callable, TypeVar
+from struct import Struct
+from struct import error as StructError
+from typing import Any, Callable, NamedTuple, Sequence, TypeVar
 
 from repro.errors import XDRError
 
-_U32 = struct.Struct(">I")
-_I32 = struct.Struct(">i")
-_U64 = struct.Struct(">Q")
-_I64 = struct.Struct(">q")
+_U32 = Struct(">I")
+_I32 = Struct(">i")
+_U64 = Struct(">Q")
+_I64 = Struct(">q")
 
 #: The zero bytes that round an ``n``-byte opaque up to a word: ``PAD[n & 3]``.
 PAD = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
@@ -45,12 +50,12 @@ class XDREncoder:
     def __init__(self) -> None:
         self._parts: list[bytes] = []
 
-    def pack_struct(self, layout: struct.Struct, *values: object) -> "XDREncoder":
+    def pack_struct(self, layout: Struct, *values: object) -> "XDREncoder":
         """Append one fixed-layout record (``layout`` must be big-endian
         and a whole number of words)."""
         try:
             self._parts.append(layout.pack(*values))
-        except struct.error as exc:
+        except StructError as exc:
             raise XDRError(
                 f"cannot pack {values!r} as {layout.format!r}: {exc}") from None
         return self
@@ -130,12 +135,12 @@ class XDRDecoder:
             f"have {len(self._data) - self._pos}"
         )
 
-    def unpack_struct(self, layout: struct.Struct) -> tuple:
+    def unpack_struct(self, layout: Struct) -> tuple:
         """Read one fixed-layout record at the cursor."""
         pos = self._pos
         try:
             values = layout.unpack_from(self._data, pos)
-        except struct.error:
+        except StructError:
             raise self._underrun(layout.size) from None
         self._pos = pos + layout.size
         return values
@@ -213,3 +218,60 @@ class XDRDecoder:
     @property
     def remaining(self) -> int:
         return len(self._data) - self._pos
+
+
+# -- field codecs -----------------------------------------------------------
+
+
+class Field(NamedTuple):
+    """One XDR field type: ``pack(enc, value)`` appends a value and
+    ``unpack(dec, lo, hi)`` reads one back.  ``lo..hi`` is the length a
+    length-checked field accepts (the block store's ``block``: a server
+    takes ``0..block_size`` and pads, a client exactly ``block_size``);
+    every other field ignores it."""
+
+    pack: Callable[[XDREncoder, Any], object]
+    unpack: Callable[[XDRDecoder, int, int], Any]
+
+
+uint = Field(XDREncoder.pack_uint, lambda dec, lo, hi: dec.unpack_uint())
+uhyper = Field(XDREncoder.pack_uhyper, lambda dec, lo, hi: dec.unpack_uhyper())
+boolean = Field(XDREncoder.pack_bool, lambda dec, lo, hi: dec.unpack_bool())
+#: No bytes at all; the value is None.
+void = Field(lambda enc, value: None, lambda dec, lo, hi: None)
+
+
+def opaque(max_size: int) -> Field:
+    return Field(XDREncoder.pack_opaque,
+                 lambda dec, lo, hi: dec.unpack_opaque(max_size))
+
+
+def string(max_size: int | None = None) -> Field:
+    return Field(XDREncoder.pack_string,
+                 lambda dec, lo, hi: dec.unpack_string(max_size))
+
+
+def array(of: Field, max_items: int | None = None) -> Field:
+    return Field(
+        lambda enc, items: enc.pack_array(items, of.pack),
+        lambda dec, lo, hi: dec.unpack_array(
+            lambda d: of.unpack(d, lo, hi), max_items),
+    )
+
+
+def struct(*fields: Field) -> Field:
+    """``fields`` back to back; the value is a tuple, one item each."""
+    packers = tuple(f.pack for f in fields)
+    unpackers = tuple(f.unpack for f in fields)
+
+    def pack(enc: XDREncoder, values: Sequence[Any]) -> None:
+        if len(values) != len(packers):
+            raise XDRError(
+                f"{len(values)} values for {len(packers)} fields")
+        for pack_field, value in zip(packers, values):
+            pack_field(enc, value)
+
+    def unpack(dec: XDRDecoder, lo: int, hi: int) -> tuple:
+        return tuple([unpack_field(dec, lo, hi) for unpack_field in unpackers])
+
+    return Field(pack, unpack)

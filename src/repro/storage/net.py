@@ -57,7 +57,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from repro.errors import (
     AuthError,
@@ -69,7 +69,13 @@ from repro.errors import (
     XDRError,
 )
 from repro.rpc.client import ConnectionPool, RPCClient, abandon_call
-from repro.rpc.server import CallContext, RPCProgram, RPCServer
+from repro.rpc.server import (
+    CallContext,
+    Procedure,
+    RPCProgram,
+    RPCServer,
+    check_table,
+)
 from repro.rpc.transport import (
     PipelinedTCPTransport,
     TCPServer,
@@ -77,7 +83,18 @@ from repro.rpc.transport import (
     Transport,
     serve_tcp,
 )
-from repro.rpc.xdr import XDRDecoder, XDREncoder
+from repro.rpc.xdr import (
+    Field,
+    XDRDecoder,
+    XDREncoder,
+    array,
+    boolean,
+    opaque,
+    string,
+    struct,
+    uhyper,
+    uint,
+)
 from repro.crypto.keycodec import encode_public_key
 from repro.obs.metrics import get_registry
 from repro.obs.trace import (
@@ -135,32 +152,7 @@ MAX_BATCH_BLOCKS = 4096
 MAX_BATCH_BYTES = 1 << 25  # 32 MiB of payload per message
 
 
-# -- field codecs -----------------------------------------------------------
-
-
-class Field(NamedTuple):
-    """One XDR field type: ``pack(enc, value)`` appends a value and
-    ``unpack(dec, lo, hi)`` reads one back.  ``lo..hi`` is the length of
-    block the decoding end accepts (only :data:`block` looks): a server
-    takes ``0..block_size`` and pads, a client exactly ``block_size``."""
-
-    pack: Callable[[XDREncoder, Any], object]
-    unpack: Callable[[XDRDecoder, int, int], Any]
-
-
-uint = Field(XDREncoder.pack_uint, lambda dec, lo, hi: dec.unpack_uint())
-uhyper = Field(XDREncoder.pack_uhyper, lambda dec, lo, hi: dec.unpack_uhyper())
-boolean = Field(XDREncoder.pack_bool, lambda dec, lo, hi: dec.unpack_bool())
-
-
-def opaque(max_size: int) -> Field:
-    return Field(XDREncoder.pack_opaque,
-                 lambda dec, lo, hi: dec.unpack_opaque(max_size))
-
-
-def string(max_size: Optional[int] = None) -> Field:
-    return Field(XDREncoder.pack_string,
-                 lambda dec, lo, hi: dec.unpack_string(max_size))
+# -- the block-store program -------------------------------------------------
 
 
 def _unpack_block(dec: XDRDecoder, lo: int, hi: int) -> bytes:
@@ -173,73 +165,10 @@ def _unpack_block(dec: XDRDecoder, lo: int, hi: int) -> bytes:
 block = Field(XDREncoder.pack_opaque, _unpack_block)
 
 
-def array(of: Field, max_items: int) -> Field:
-    return Field(
-        lambda enc, items: enc.pack_array(items, of.pack),
-        lambda dec, lo, hi: dec.unpack_array(
-            lambda d: of.unpack(d, lo, hi), max_items),
-    )
-
-
-def struct(*fields: Field) -> Field:
-    """``fields`` back to back; the value is a tuple, one item each."""
-    packers = tuple(f.pack for f in fields)
-    unpackers = tuple(f.unpack for f in fields)
-
-    def pack(enc: XDREncoder, values: Sequence[Any]) -> None:
-        if len(values) != len(packers):
-            raise XDRError(
-                f"{len(values)} values for {len(packers)} fields")
-        for pack_field, value in zip(packers, values):
-            pack_field(enc, value)
-
-    def unpack(dec: XDRDecoder, lo: int, hi: int) -> tuple:
-        return tuple(unpack_field(dec, lo, hi) for unpack_field in unpackers)
-
-    return Field(pack, unpack)
-
-
-_void = Field(lambda enc, value: None, lambda dec, lo, hi: None)
-
-
-class Procedure:
-    """One block-store procedure, declared once.
-
-    ``rights`` is the least a gated server's session must hold (``None``
-    = callable before SESSION_OPEN).  ``args`` are the positional
-    arguments of the client's ``_call(proc, *args)`` and of the server's
-    ``_proc_<name>(store, *args)``; what that handler returns is what the
-    call returns: ``None`` for no ``result`` field, the value for one, a
-    tuple for several.  Both ends run the codecs composed here."""
-
-    def __init__(self, number: int, name: str, rights: Optional[str],
-                 args: tuple[Field, ...], result: tuple[Field, ...]):
-        self.number = number
-        self.name = name
-        self.rights = rights
-        self.handler = f"_proc_{name.lower()}"
-        self._args = struct(*args)
-        self._result = (_void if not result else
-                        result[0] if len(result) == 1 else struct(*result))
-
-    def pack_args(self, enc: XDREncoder, args: Sequence[Any]) -> None:
-        self._args.pack(enc, args)
-
-    def unpack_args(self, dec: XDRDecoder, block_size: int) -> tuple:
-        """Server side: a short block is accepted (the store pads it)."""
-        return self._args.unpack(dec, 0, block_size)
-
-    def pack_result(self, enc: XDREncoder, value: Any) -> None:
-        self._result.pack(enc, value)
-
-    def unpack_result(self, dec: XDRDecoder, block_size: int) -> Any:
-        """Client side: a block that is not ``block_size`` long is
-        malformed."""
-        return self._result.unpack(dec, block_size, block_size)
-
-
 #: The program.  A row here plus a ``_proc_<name>`` method on
-#: :class:`BlockStoreProgram` is a whole procedure.
+#: :class:`BlockStoreProgram` is a whole procedure; ``access`` is the
+#: least a gated server's session must hold (``None`` = callable before
+#: SESSION_OPEN).
 PROCEDURES: tuple[Procedure, ...] = (
     # -> num_blocks, block_size, description
     GEOM := Procedure(1, "GEOM", "r", (), (uint, uint, string())),
@@ -277,7 +206,7 @@ PROCEDURES: tuple[Procedure, ...] = (
 PROC_NAMES: dict[int, str] = {p.number: p.name for p in PROCEDURES}
 #: Minimum rights a gated proc needs; ``None`` = unauthenticated.
 PROC_RIGHTS: dict[int, Optional[str]] = {
-    p.number: p.rights for p in PROCEDURES}
+    p.number: p.access for p in PROCEDURES}
 
 
 class BlockStoreProgram(RPCProgram):
@@ -350,9 +279,9 @@ class BlockStoreProgram(RPCProgram):
                 enc = XDREncoder()
                 try:
                     store = self.store
-                    if self.gate is not None and proc.rights is not None:
+                    if self.gate is not None and proc.access is not None:
                         store = self.gate.authorize(
-                            token, proc.name, proc.rights).store
+                            token, proc.name, proc.access).store
                     args = proc.unpack_args(dec, store.block_size)
                     dec.done()
                     with use_context(span_ctx) if span_ctx is not None \
@@ -460,21 +389,7 @@ class BlockStoreProgram(RPCProgram):
         return json.dumps(payload)
 
 
-def _check_table(program: type[BlockStoreProgram],
-                 procedures: Sequence[Procedure]) -> None:
-    """Every procedure has its handler, every handler its procedure, and
-    no two procedures share a number (0 is NULL's)."""
-    numbers = [proc.number for proc in procedures]
-    declared = {proc.handler for proc in procedures}
-    defined = {name for name in dir(program) if name.startswith("_proc_")}
-    if (0 in numbers or len(set(numbers)) != len(numbers)
-            or declared != defined):
-        raise TypeError(
-            f"PROCEDURES and {program.__name__}._proc_* disagree: numbers "
-            f"{sorted(numbers)}, unmatched {sorted(declared ^ defined)}")
-
-
-_check_table(BlockStoreProgram, PROCEDURES)
+check_table(BlockStoreProgram, PROCEDURES)
 
 
 class SerializedBlockStore(WrapperBlockStore):

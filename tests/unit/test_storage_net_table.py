@@ -24,7 +24,7 @@ from repro.rpc.message import (
     encode_call,
     encode_reply,
 )
-from repro.rpc.server import RPCServer
+from repro.rpc.server import RPCServer, check_table
 from repro.rpc.transport import InProcessTransport
 from repro.rpc.xdr import XDREncoder
 from repro.storage import MemoryBlockStore, ReplicatedBlockStore
@@ -77,7 +77,7 @@ class TestTable:
 
     def test_names_and_rights_are_views_of_the_table(self):
         assert net.PROC_NAMES == {p.number: p.name for p in PROCEDURES}
-        assert net.PROC_RIGHTS == {p.number: p.rights for p in PROCEDURES}
+        assert net.PROC_RIGHTS == {p.number: p.access for p in PROCEDURES}
         assert net.PROC_RIGHTS[net.STATS.number] == "admin"
         assert net.PROC_RIGHTS[net.CHALLENGE.number] is None
 
@@ -95,7 +95,7 @@ class TestTable:
     ])
     def test_an_incomplete_table_does_not_import(self, broken):
         with pytest.raises(TypeError, match="disagree"):
-            net._check_table(BlockStoreProgram, broken)
+            check_table(BlockStoreProgram, broken)
 
     def test_a_13th_procedure_is_one_row_and_one_handler(self, monkeypatch):
         echo = Procedure(13, "ECHO", "rw", (net.opaque(64),),
@@ -106,7 +106,7 @@ class TestTable:
                 return data[::-1]
 
         monkeypatch.setattr(net, "PROCEDURES", PROCEDURES + (echo,))
-        net._check_table(Echoing, net.PROCEDURES)
+        check_table(Echoing, net.PROCEDURES)
         store = mount(Echoing(MemoryBlockStore(8, BLOCK)))
         assert store._call(echo, b"abc") == b"cba"
         # The row's bounds hold on both ends without further code.
