@@ -30,8 +30,8 @@ from repro.crypto.dsa import generate_dsa_keypair
 from repro.crypto.keycodec import encode_public_key
 from repro.crypto.numbers import seeded_random_bits
 from repro.storage import MemoryBlockStore, serve_store
+from repro.core.audit import AuditLog
 from repro.storage.auth import (
-    AuditLog,
     StoreAuthGate,
     TenantQuota,
     issue_store_credential,

@@ -281,7 +281,8 @@ def cmd_store_serve(args) -> int:
     """Serve one storage backend over RPC (the ``remote://`` server side)."""
     from repro.fs.blockdev import DEFAULT_BLOCK_SIZE
     from repro.storage import DEFAULT_NUM_BLOCKS, open_store
-    from repro.storage.auth import AuditLog, StoreAuthGate, TenantQuota
+    from repro.core.audit import AuditLog
+    from repro.storage.auth import StoreAuthGate, TenantQuota
     from repro.storage.net import serve_store
 
     if (args.host not in _LOOPBACK_HOSTS and not args.policy

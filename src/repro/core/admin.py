@@ -53,8 +53,7 @@ class Administrator(CredentialIssuer):
             subtree=True,
             comment="administrator delegation to DisCFS server issuer",
         )
-        server.session.add_credential(text)
-        server.cache.flush()
+        server.accept_credential(text)
         return text
 
     # -- convenience issuance ----------------------------------------------

@@ -1,4 +1,4 @@
-"""Audit logging of access decisions.
+"""The audit log of access decisions — one log, one schema, both planes.
 
 Paper, section 2: "Access to the files may be monitored by the system and
 the entity issuing the requests may be identified through its public
@@ -6,35 +6,44 @@ key" — and section 4.2: "The system may not know that Alice is trying to
 get at a file, but it can log that key A (Alice's key) was used and that
 key B (Bob's key) authorized the operation."
 
-Each :class:`AuditRecord` captures exactly that: the requesting key, the
-operation and handle, the verdict, and the *authorizing keys* — the
-authorizers of every credential that contributed authority to the
-decision (recovered from the compliance checker's trace).  Cache hits
-reuse the trace recorded when the entry was filled, so auditing does not
-force the slow path.
+Each :class:`AuditRecord` captures exactly that, on both planes: the
+requesting key, the ``operation`` and its ``target`` (a file handle on
+the DisCFS server, a tenant on a store node), the value policy
+``granted``, whether it was ``allowed``, the *authorizing keys* (the
+authorizers of every credential that contributed authority, from the
+compliance checker's trace), the ``reason`` for a denial and the time
+``ts``.  Cache hits reuse the chain recorded when the entry was filled,
+so auditing does not force the slow path.
+
+The log keeps the last ``capacity`` records in memory (what the DisCFS
+``AUDITLOG`` procedure reads) and, given a path or stream
+(``store-serve --audit-log``), appends each as one JSON object keyed by
+those field names.  Without a stream, :meth:`AuditLog.record` does no
+JSON work.
 """
 
 from __future__ import annotations
 
+import json
+import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple, Optional, TextIO
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     """One access decision."""
 
-    timestamp: float
     principal: str
     operation: str
-    handle: str
-    granted: str  # compliance value, e.g. "RX" or "false"
+    target: str
+    granted: str  # compliance value, e.g. "RX", "rw" or "false"
     allowed: bool
     #: Authorizer principals of the credentials that carried the decision
     #: (empty when denied or when policy authorized the requester directly).
-    authorized_by: tuple[str, ...] = ()
+    authorized_by: tuple[str, ...]
+    reason: str
+    ts: float
 
     def format(self, width: int = 28) -> str:
         """One-line log rendering with abbreviated keys."""
@@ -43,46 +52,52 @@ class AuditRecord:
 
         chain = " <- ".join(short(p) for p in self.authorized_by) or "(policy)"
         verdict = "ALLOW" if self.allowed else "DENY "
-        return (f"{self.timestamp:.3f} {verdict} {self.operation:<8} "
-                f"handle={self.handle:<12} key={short(self.principal)} "
-                f"via {chain}")
+        why = f" ({self.reason})" if self.reason else ""
+        return (f"{self.ts:.3f} {verdict} {self.operation:<8} "
+                f"target={self.target:<12} key={short(self.principal)} "
+                f"via {chain}{why}")
 
 
-@dataclass
 class AuditLog:
-    """A bounded in-memory audit log (ring buffer).
+    """A bounded in-memory audit log plus an optional JSON-lines stream.
 
-    ``capacity=0`` disables recording entirely (monitoring is a *may* in
-    the paper); :meth:`record` then returns None at near-zero cost.
+    ``capacity=0`` keeps nothing in memory (monitoring is a *may* in the
+    paper); without a stream :meth:`record` then returns None at
+    near-zero cost.  Appending is thread-safe.
     """
 
-    capacity: int = 10_000
-    _records: deque = field(default_factory=deque, repr=False)
+    def __init__(self, capacity: int = 10_000, path: Optional[str] = None,
+                 stream: Optional[TextIO] = None):
+        self.capacity = capacity
+        self._records: deque[AuditRecord] = deque(maxlen=capacity)
+        self._owns = stream is None and path is not None
+        if stream is None and path is not None:
+            stream = open(path, "a", encoding="utf-8")
+        self._stream = stream
+        self._lock = threading.Lock()
 
     def record(
         self,
         principal: str,
         operation: str,
-        handle: str,
+        target: str,
         granted: str,
         allowed: bool,
         authorized_by: Iterable[str] = (),
-        timestamp: float | None = None,
+        reason: str = "",
     ) -> AuditRecord | None:
-        if self.capacity == 0:
+        if self.capacity == 0 and self._stream is None:
             return None
-        entry = AuditRecord(
-            timestamp=time.time() if timestamp is None else timestamp,
-            principal=principal,
-            operation=operation,
-            handle=handle,
-            granted=granted,
-            allowed=allowed,
-            authorized_by=tuple(dict.fromkeys(authorized_by)),
-        )
+        entry = AuditRecord(principal, operation, target, granted, allowed,
+                            tuple(dict.fromkeys(authorized_by)), reason,
+                            time.time())
         self._records.append(entry)
-        while len(self._records) > self.capacity:
-            self._records.popleft()
+        if self._stream is not None:
+            line = json.dumps(entry._asdict()) + "\n"
+            with self._lock:
+                if self._stream is not None:  # not closed meanwhile
+                    self._stream.write(line)
+                    self._stream.flush()
         return entry
 
     # -- queries ------------------------------------------------------------
@@ -106,3 +121,9 @@ class AuditLog:
 
     def clear(self) -> None:
         self._records.clear()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._owns and self._stream is not None:
+                self._stream.close()
+                self._stream = None

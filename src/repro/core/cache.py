@@ -5,26 +5,15 @@ operations and policy results." — and the search benchmark (Figure 12)
 "was conducted with a cache size of 128 policy results."
 
 The cache is a map from three strings — principal, handle, operation —
-to whatever the caller decided for them, with LRU eviction at a fixed
-capacity (128 by default, configurable for the ablation benchmark) and an
-optional time-to-live for deployments whose policies depend on
-time-of-day.  It does not interpret the key or the value:
-
-* :class:`~repro.core.server.DisCFSServer` stores a
-  :data:`~repro.core.policy.Decision`, the granted
-  :class:`~repro.core.permissions.Permission` together with the keys that
-  authorized it, so the chain an audit record names is evicted and
-  flushed with the verdict it explains and nothing about a file outlives
-  its entry;
-* the server also chooses the third key component: the operation while
-  some installed assertion reads ``OPERATION``, the empty string while
-  none does (then every operation on a file is the same KeyNote query,
-  and one entry answers all of them).
-
-Entries are stamped with the clock the cache is given — the server hands
-it the one its ``@now`` / ``@hour`` policies are evaluated against, so a
-time-to-live expires by the time the policies see.  Any credential
-submission or revocation flushes the cache — policy changed, all bets off.
+to whatever the caller decided for them (the DisCFS server stores each
+verdict with the keys that authorized it, and keys the operation only
+while some assertion reads it: see
+:meth:`~repro.core.server.DisCFSServer.decision_for`), with LRU eviction
+at a fixed capacity (128 by default, configurable for the ablation
+benchmark) and an optional time-to-live, stamped with the clock of the
+:class:`~repro.core.policy.PolicyEngine` that owns it — the one its
+``@now`` / ``@hour`` policies see.  Any credential submission or
+revocation flushes the cache — policy changed, all bets off.
 """
 
 from __future__ import annotations
@@ -105,13 +94,6 @@ class PolicyCache(Generic[V]):
         """Drop everything (called on any credential/revocation change)."""
         self._entries.clear()
         self.stats.flushes += 1
-
-    def invalidate_principal(self, principal: str) -> int:
-        """Drop entries for one principal; returns how many were dropped."""
-        doomed = [k for k in self._entries if k[0] == principal]
-        for key in doomed:
-            del self._entries[key]
-        return len(doomed)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -11,48 +11,44 @@ for a short period of time."
 We implement exactly that: a server-side store of bad keys (by canonical
 principal identifier) and bad credentials (by signature, which is unique
 per credential), with optional forget-after horizons so entries for
-already-expired credentials can be aged out.
+already-expired credentials can be aged out — on the clock the policies
+are evaluated against.  Every revocation bumps :attr:`RevocationStore.epoch`,
+so a decision taken earlier (a store node's open session) can be retaken.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import Callable
 
 from repro.keynote.ast import Assertion, normalize_principal
-
-
-@dataclass
-class _Entry:
-    revoked_at: float
-    forget_at: float | None  # None = remember forever
 
 
 class RevocationStore:
     """Bad keys and bad credentials, with optional expiry of the entries."""
 
-    def __init__(self) -> None:
-        self._keys: dict[str, _Entry] = {}
-        self._credentials: dict[str, _Entry] = {}
+    def __init__(self, clock: Callable[[], float] = time.time) -> None:
+        self.clock = clock
+        #: principal / signature -> when to forget it (None = never)
+        self._keys: dict[str, float | None] = {}
+        self._credentials: dict[str, float | None] = {}
+        #: How many revocations there have been.
+        self.epoch = 0
 
     # -- marking -----------------------------------------------------------
 
     def revoke_key(self, principal: str, forget_after: float | None = None) -> None:
         """Declare a public key bad; all delegation through it dies."""
-        now = time.time()
-        self._keys[normalize_principal(principal)] = _Entry(
-            revoked_at=now,
-            forget_at=None if forget_after is None else now + forget_after,
-        )
+        self._keys[normalize_principal(principal)] = self._forget_at(forget_after)
 
     def revoke_credential(self, signature: str,
                           forget_after: float | None = None) -> None:
         """Declare one credential bad, identified by its signature string."""
-        now = time.time()
-        self._credentials[signature] = _Entry(
-            revoked_at=now,
-            forget_at=None if forget_after is None else now + forget_after,
-        )
+        self._credentials[signature] = self._forget_at(forget_after)
+
+    def _forget_at(self, forget_after: float | None) -> float | None:
+        self.epoch += 1
+        return None if forget_after is None else self.clock() + forget_after
 
     # -- checking ----------------------------------------------------------
 
@@ -72,11 +68,11 @@ class RevocationStore:
             self._check(self._keys, p) for p in assertion.licensee_principals()
         )
 
-    def _check(self, table: dict[str, _Entry], key: str) -> bool:
-        entry = table.get(key)
-        if entry is None:
+    def _check(self, table: dict[str, float | None], key: str) -> bool:
+        if key not in table:
             return False
-        if entry.forget_at is not None and time.time() > entry.forget_at:
+        forget_at = table[key]
+        if forget_at is not None and self.clock() > forget_at:
             del table[key]  # aged out (short-lived credential has expired)
             return False
         return True

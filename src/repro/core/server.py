@@ -5,10 +5,10 @@ Assembles the full stack of the paper's prototype:
 * an FFS-backed VFS (the local file storage),
 * a user-level NFS server whose every procedure is gated by a
   KeyNote-backed :class:`DisCFSController`,
-* a persistent KeyNote session seeded with the administrator's policy,
-* the policy-result cache (128 entries, per the evaluation),
-* the revocation store,
-* extension RPC procedures: SUBMITCRED, REVOKE, LISTCREDS,
+* the authority (:class:`~repro.core.policy.PolicyEngine`) seeded with
+  the administrator's policy, with a 128-entry policy cache per the
+  evaluation; the server adds only handles, ``ANCESTORS`` and the cache key,
+* extension RPC procedures: SUBMITCRED, REVOKE, LISTCREDS, AUDITLOG,
 * the credential minted and returned on CREATE/MKDIR (the paper's added
   procedures), signed by the server's *issuer key* — a key the
   administrator has delegated authority to (see
@@ -25,24 +25,21 @@ import time
 from typing import Callable
 
 from repro.core.audit import AuditLog
-from repro.core.cache import PolicyCache
-from repro.core.credentials import CredentialIssuer
+from repro.core.credentials import APP_DOMAIN, CredentialIssuer
 from repro.core.handles import HandleScheme, ancestor_chain
-from repro.core.permissions import Permission, required_permission
+from repro.core.permissions import PERMISSION_VALUES, Permission, required_permission
 from repro.core.policy import Decision, PolicyEngine
-from repro.core.revocation import RevocationStore
 from repro.crypto.dsa import DSAKeyPair, generate_dsa_keypair
 from repro.crypto.rsa import RSAKeyPair
-from repro.errors import KeyNoteError, SignatureVerificationError
+from repro.errors import CredentialError
 from repro.fs.blockdev import BlockDevice
 from repro.fs.ffs import FFS
 from repro.fs.inode import Inode
 from repro.fs.vfs import VFS
 from repro.ipsec.channel import SecureChannelServer
 from repro.ipsec.ike import IKEResponder
-from repro.keynote.ast import Assertion, normalize_principal
+from repro.keynote.ast import normalize_principal
 from repro.keynote.parser import parse_assertion
-from repro.keynote.session import KeyNoteSession
 from repro.nfs.mount import MountProgram
 from repro.nfs.protocol import FileHandle
 from repro.nfs.server import AccessDeniedSignal, NFSProgram
@@ -74,19 +71,12 @@ class DisCFSController:
         handle = server.handle_scheme.render(fh)
         granted, chain = server.decision_for(identity, handle, op, inode)
         allowed = granted.covers(required)
-        server.audit.record(
-            principal=identity,
-            operation=op,
-            handle=handle,
-            granted=granted.value,
-            allowed=allowed,
-            authorized_by=chain,
-        )
+        reason = "" if allowed else (f"operation {op} requires {required.value}, "
+                                     f"principal holds {granted.value}")
+        server.audit.record(identity, op, handle, granted.value, allowed,
+                            chain, reason)
         if not allowed:
-            raise AccessDeniedSignal(
-                f"operation {op} requires {required.value}, "
-                f"principal holds {granted.value}"
-            )
+            raise AccessDeniedSignal(reason)
 
     def check_lookup(self, ctx: CallContext, dir_fh: FileHandle,
                      dir_inode: Inode, child: Inode) -> None:
@@ -109,18 +99,12 @@ class DisCFSController:
             granted, chain = server.decision_for(identity, handle, "lookup",
                                                  child)
             allowed = granted.bits != 0
-        server.audit.record(
-            principal=identity,
-            operation="lookup",
-            handle=handle,
-            granted=granted.value,
-            allowed=allowed,
-            authorized_by=chain,
-        )
+        reason = "" if allowed else \
+            "lookup requires X on the directory or rights on the target"
+        server.audit.record(identity, "lookup", handle, granted.value, allowed,
+                            chain, reason)
         if not allowed:
-            raise AccessDeniedSignal(
-                "lookup requires X on the directory or rights on the target"
-            )
+            raise AccessDeniedSignal(reason)
 
     def effective_mode(self, ctx: CallContext, inode: Inode) -> int:
         """Report the requester's granted rights as the permission bits.
@@ -225,17 +209,17 @@ class DisCFSServer:
         self.handle_scheme = handle_scheme
         self.guest_principal = guest_principal
 
-        self.session = KeyNoteSession(index_attribute="HANDLE")
-        self.session.add_policy(
-            f'Authorizer: "POLICY"\nLicensees: "{self.admin_identity}"\n'
+        self.engine = engine = PolicyEngine(
+            f'Authorizer: "POLICY"\nLicensees: "{self.admin_identity}"\n',
+            PERMISSION_VALUES, clock, index_attribute="HANDLE",
+            cache_capacity=cache_capacity, cache_ttl=cache_ttl,
+            audit=AuditLog(capacity=audit_capacity),
         )
-        self.engine = PolicyEngine(self.session, clock=clock)
-        #: Each verdict with the keys that authorized it, so audit entries
-        #: on the cached fast path carry the chain.
-        self.cache: PolicyCache[Decision] = PolicyCache(
-            capacity=cache_capacity, ttl_seconds=cache_ttl, clock=clock)
-        self.revocations = RevocationStore()
-        self.audit = AuditLog(capacity=audit_capacity)
+        #: The engine's, bound here for the hot path.  The cache holds each
+        #: verdict with the keys that authorized it, so audit entries on
+        #: the cached fast path carry the chain.
+        self.session, self.cache = engine.session, engine.cache
+        self.revocations, self.audit = engine.revocations, engine.audit
 
         self.issuer = CredentialIssuer(
             issuer_key if issuer_key is not None else generate_dsa_keypair()
@@ -305,7 +289,9 @@ class DisCFSServer:
         reads ``OPERATION``, every operation on a file gets the same
         answer, and the cache key leaves it out.  Installing or removing
         an assertion flushes the cache, so entries keyed one way never
-        answer lookups keyed the other.
+        answer lookups keyed the other.  A revoked key is refused before
+        the cache, which a revocation made directly on the store does not
+        flush.
         """
         if self.revocations.key_revoked(identity):
             return NO_RIGHTS
@@ -313,11 +299,12 @@ class DisCFSServer:
         cached = self.cache.get(identity, handle, keyed_op)
         if cached is not None:
             return cached
-        extra = {}
+        action = {"app_domain": APP_DOMAIN, "HANDLE": handle, "OPERATION": op}
         if inode is not None:
             anchor = inode.ino if inode.is_dir else inode.parent_ino
-            extra["ANCESTORS"] = ancestor_chain(self.fs, anchor, self.handle_scheme)
-        decision = self.engine.evaluate_with_trace(identity, handle, op, extra)
+            action["ANCESTORS"] = ancestor_chain(self.fs, anchor, self.handle_scheme)
+        value, chain = self.engine.query(identity, action)
+        decision = (Permission.from_value(value), chain)
         self.cache.put(identity, handle, keyed_op, decision)
         return decision
 
@@ -328,16 +315,9 @@ class DisCFSServer:
     def accept_credential(self, text: str) -> str:
         """Validate and add a submitted credential to the session."""
         try:
-            assertion = parse_assertion(text)
-        except KeyNoteError as exc:
-            raise AccessDeniedSignal(f"malformed credential: {exc}") from exc
-        if self.revocations.credential_revoked(assertion):
-            raise AccessDeniedSignal("credential or one of its keys is revoked")
-        try:
-            self.session.add_credential(assertion)
-        except (KeyNoteError, SignatureVerificationError) as exc:
-            raise AccessDeniedSignal(f"credential rejected: {exc}") from exc
-        self.cache.flush()
+            self.engine.accept(text)
+        except CredentialError as exc:
+            raise AccessDeniedSignal(str(exc)) from exc
         return "credential accepted"
 
     def mint_creator_credential(self, identity: str | None,
@@ -354,41 +334,21 @@ class DisCFSServer:
         # The server trusts its own issuance (it signed ``text`` two lines
         # up, so there is nothing to verify); install it so the creator can
         # use the file immediately without re-submitting.
-        self.session.add_credential(text, verified=True)
-        self.cache.flush()
+        self.engine.trust(parse_assertion(text))
         return text
 
     def handle_revocation(self, requester: str | None, payload: str) -> str:
-        """REVOKE RPC: only the administrator may revoke.
-
-        Payload grammar: ``key <principal>`` or ``credential <signature>``.
-        """
+        """REVOKE RPC: only the administrator may revoke; a revoked key
+        also loses its IKE security associations."""
         if requester != self.admin_identity:
             raise AccessDeniedSignal("only the administrator may revoke")
-        kind, _, value = payload.partition(" ")
-        value = value.strip()
-        if not value:
-            raise AccessDeniedSignal("empty revocation payload")
-        if kind == "key":
-            principal = normalize_principal(value)
-            self.revocations.revoke_key(principal)
-            self._drop_credentials(lambda a: principal == a.authorizer
-                                   or principal in a.licensee_principals())
-            if self._channel_server is not None:
-                self._channel_server.revoke_identity(principal)
-            self.cache.flush()
-            return f"revoked key {principal[:32]}..."
-        if kind == "credential":
-            self.revocations.revoke_credential(value)
-            self._drop_credentials(lambda a: a.signature == value)
-            self.cache.flush()
-            return "revoked credential"
-        raise AccessDeniedSignal(f"unknown revocation kind {kind!r}")
-
-    def _drop_credentials(self, predicate: Callable[[Assertion], bool]) -> None:
-        for assertion in list(self.session.credentials):
-            if predicate(assertion):
-                self.session.remove_credential(assertion)
+        try:
+            reply, key = self.engine.revoke(payload)
+        except CredentialError as exc:
+            raise AccessDeniedSignal(str(exc)) from exc
+        if key is not None and self._channel_server is not None:
+            self._channel_server.revoke_identity(key)
+        return reply
 
 
 def make_admin_keypair(seed: bytes | None = None) -> DSAKeyPair:

@@ -188,6 +188,22 @@ def signature_scheme(identifier: str) -> tuple[str, str, str]:
     return parts[1], parts[2], parts[3]
 
 
+def verify_signature(identity: str, message: bytes, signature: str) -> None:
+    """Check the signature identifier ``signature`` over ``message``
+    against the key identifier ``identity`` (a key pair's public half).
+
+    Raises :class:`InvalidKey` if ``identity`` names no key and
+    :class:`InvalidSignature` for any other failure.
+    """
+    key = decode_key(identity)
+    public = getattr(key, "public", key)
+    algorithm, hash_name, _enc = signature_scheme(signature)
+    if algorithm != public.algorithm:
+        raise InvalidSignature(f"signature algorithm {algorithm!r} does not "
+                               f"match key type {public.algorithm!r}")
+    public.verify(message, decode_signature(signature), hash_name=hash_name)
+
+
 def decode_signature(identifier: str):
     """Decode a signature identifier to its numeric value(s).
 

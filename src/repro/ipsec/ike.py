@@ -29,13 +29,7 @@ import threading
 from dataclasses import dataclass
 
 from repro.crypto.dsa import DEFAULT_PARAMETERS, DSAKeyPair
-from repro.crypto.keycodec import (
-    decode_key,
-    decode_signature,
-    encode_public_key,
-    encode_signature,
-    signature_scheme,
-)
+from repro.crypto.keycodec import encode_public_key, encode_signature, verify_signature
 from repro.crypto.numbers import int_to_bytes
 from repro.crypto.rsa import RSAKeyPair
 from repro.errors import HandshakeError, InvalidKey, InvalidSignature
@@ -94,17 +88,10 @@ def _sign(key: DSAKeyPair | RSAKeyPair, message: bytes) -> bytes:
 
 def _verify(identity: str, message: bytes, signature: bytes) -> None:
     try:
-        key = decode_key(identity)
+        verify_signature(identity, message,
+                         signature.decode("ascii", errors="replace"))
     except InvalidKey as exc:
         raise HandshakeError(f"peer identity is not a valid key: {exc}") from exc
-    public = getattr(key, "public", key)
-    sig_text = signature.decode("ascii", errors="replace")
-    try:
-        algorithm, hash_name, _enc = signature_scheme(sig_text)
-        value = decode_signature(sig_text)
-        if algorithm != public.algorithm:
-            raise HandshakeError("signature/key algorithm mismatch")
-        public.verify(message, value, hash_name=hash_name)
     except InvalidSignature as exc:
         raise HandshakeError(f"handshake signature invalid: {exc}") from exc
 

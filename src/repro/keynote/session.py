@@ -75,17 +75,13 @@ class KeyNoteSession:
         self._credentials.append(assertion)
         return assertion
 
-    def add_credentials(self, text: str) -> list[Assertion]:
-        added = []
-        for assertion in parse_assertions(text):
-            added.append(self.add_credential(assertion))
-        return added
-
     def remove_credential(self, assertion: Assertion) -> bool:
-        """Remove a credential (e.g. upon revocation); True if it was present."""
-        if assertion in self._credentials:
-            self._credentials.remove(assertion)
-            return self._checker.remove_assertion(assertion)
+        """Remove a credential (e.g. upon revocation); True if it was
+        present.  Identity, not equality, names it, as in the checker."""
+        for i, held in enumerate(self._credentials):
+            if held is assertion:
+                del self._credentials[i]
+                return self._checker.remove_assertion(assertion)
         return False
 
     def reads(self, attribute: str) -> bool:

@@ -26,7 +26,6 @@ consistent-hash owner changed.
 
 from repro.storage.adapter import StoreBlockDevice
 from repro.storage.auth import (
-    AuditLog,
     StoreAuthGate,
     TenantQuota,
     issue_store_credential,
@@ -81,7 +80,6 @@ from repro.storage.sqlitestore import SQLiteBlockStore
 from repro.storage.tenant import TenantBlockStore
 
 __all__ = [
-    "AuditLog",
     "BLOCKSTORE_PROGRAM",
     "BlockStore",
     "BlockStoreProgram",

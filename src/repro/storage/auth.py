@@ -1,62 +1,45 @@
 """Credential-gated sessions for served block stores.
 
 DisCFS's central idea is that *credentials, not host identity* decide
-access (conf_usenix_MiltchevPIIKS03).  The NFS layer already authorizes
-per-request with KeyNote; this module brings the same model to the
-distributed block plane, so a `store-serve` ring can sit on a shared
-network and still admit only principals a policy file trusts.
+access (conf_usenix_MiltchevPIIKS03).  This module brings the NFS
+layer's model to the block plane, so a `store-serve` ring can sit on a
+shared network and admit only principals a policy file trusts.  The
+deciding — policy, credential intake, revocation, audit — is the
+authority's (:class:`~repro.core.policy.PolicyEngine`);
+:class:`StoreAuthGate` adds the handshake, the session table, tenant
+views and the rights ladder ``none < r < rw < admin``.
 
 The handshake (procs ``CHALLENGE`` + ``SESSION_OPEN`` in
-:mod:`repro.storage.net`):
-
-1. the client fetches a single-use server nonce (``CHALLENGE``);
-2. it signs ``context || nonce || identity || tenant || rights`` with
-   its private key and sends identity, requested tenant + rights, its
-   KeyNote credentials and the signature (``SESSION_OPEN``);
-3. the server checks the nonce (popped on first use — replay-safe over
-   plain TCP, no ipsec channel required), verifies the signature
-   against the claimed key, then runs a KeyNote compliance query:
-   policy + presented credentials, action attributes
-   ``app_domain "discfs-store"``, ``tenant``, ``rights``, ``now``, with
-   the client key as action authorizer and the ordered compliance
-   values ``none < r < rw < admin``;
-4. if the chain supports at least the requested rights, the server
-   mints an opaque session token; every subsequent proc carries it and
-   is authorized against the session's granted rights and confined to
-   the session tenant's :class:`~repro.storage.tenant.TenantBlockStore`
-   view.
-
-Every grant/deny — session and per-proc — can be appended to a
-structured audit log (JSON lines), the process-accounting substrate the
-security-analysis literature builds on.
+:mod:`repro.storage.net`): the client fetches a single-use nonce, signs
+``context || nonce || identity || tenant || rights`` and sends that with
+its credentials.  The server pops the nonce (replay-safe over plain
+TCP), checks the signature against the claimed key, and asks the
+authority whether policy plus the presented credentials — installed for
+that one query — grant ``rights`` to the key for ``app_domain
+"discfs-store"`` and ``tenant``.  If so it mints an opaque token; every
+later proc carries it, is held to the session's rights and confined to
+the tenant's :class:`~repro.storage.tenant.TenantBlockStore` view.  A
+revocation (proc ``REVOKE``) reaches a live session on its next proc:
+one opened before it is decided again, and dropped if it no longer
+holds its rights.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, TextIO
+from typing import Callable, Iterable, Optional
 
-from repro.crypto.keycodec import (
-    decode_key,
-    decode_signature,
-    encode_public_key,
-    signature_scheme,
-)
-from repro.errors import (
-    AuthError,
-    CryptoError,
-    InvalidArgument,
-    KeyNoteError,
-)
-from repro.keynote.ast import ComplianceValues
-from repro.keynote.session import KeyNoteSession
+from repro.core.audit import AuditLog
+from repro.core.policy import PolicyEngine
+from repro.crypto.keycodec import encode_public_key, encode_signature, verify_signature
+from repro.errors import AuthError, CredentialError, CryptoError, InvalidArgument
+from repro.keynote.ast import Assertion
 from repro.keynote.signing import sign_assertion
 from repro.storage.base import BlockStore
-from repro.storage.tenant import TenantBlockStore
+from repro.storage.tenant import TenantBlockStore, TenantQuota, carve_regions
 
 #: The ``app_domain`` action attribute every store query carries.
 APP_DOMAIN = "discfs-store"
@@ -99,8 +82,6 @@ def sign_session_request(key, nonce: bytes, identity: str, tenant: str,
                          rights: str) -> str:
     """Client half of the handshake: sign the challenge, return the
     encoded signature identifier."""
-    from repro.crypto.keycodec import encode_signature
-
     payload = session_signature_payload(nonce, identity, tenant, rights)
     raw = key.sign(payload, hash_name="sha1")
     return encode_signature(key.algorithm, "sha1", raw, "hex")
@@ -136,42 +117,6 @@ def issue_store_credential(
     return sign_assertion(body, issuer)
 
 
-@dataclass(frozen=True)
-class TenantQuota:
-    """One ``--tenant-quota`` declaration: region span plus limits."""
-
-    name: str
-    blocks: int
-    quota_bytes: Optional[int] = None
-    rate_ops: Optional[float] = None
-
-    @classmethod
-    def parse(cls, text: str) -> "TenantQuota":
-        """Parse the CLI grammar ``NAME=BLOCKS[:BYTES[:RATE]]``."""
-        name, sep, rest = text.partition("=")
-        if not sep or not name:
-            raise InvalidArgument(
-                f"bad tenant quota {text!r} "
-                "(expected NAME=BLOCKS[:BYTES[:RATE]])"
-            )
-        parts = rest.split(":")
-        if not 1 <= len(parts) <= 3:
-            raise InvalidArgument(
-                f"bad tenant quota {text!r} "
-                "(expected NAME=BLOCKS[:BYTES[:RATE]])"
-            )
-        try:
-            blocks = int(parts[0])
-            quota_bytes = int(parts[1]) if len(parts) > 1 and parts[1] else None
-            rate_ops = float(parts[2]) if len(parts) > 2 and parts[2] else None
-        except ValueError as exc:
-            raise InvalidArgument(f"bad tenant quota {text!r}: {exc}") from None
-        if blocks <= 0:
-            raise InvalidArgument(f"tenant {name!r} needs a positive span")
-        return cls(name=name, blocks=blocks, quota_bytes=quota_bytes,
-                   rate_ops=rate_ops)
-
-
 @dataclass
 class Session:
     """An authenticated client session on a served store."""
@@ -182,51 +127,20 @@ class Session:
     rights: str
     expires: float
     store: BlockStore
-
-    @property
-    def rank(self) -> int:
-        return rights_rank(self.rights)
-
-
-class AuditLog:
-    """Append-only JSON-lines audit trail (thread-safe)."""
-
-    def __init__(self, path: Optional[str] = None,
-                 stream: Optional[TextIO] = None,
-                 clock: Callable[[], float] = time.time):
-        self._stream = stream
-        self._path = path
-        self._clock = clock
-        self._lock = threading.Lock()
-        if path is not None and stream is None:
-            self._stream = open(path, "a", encoding="utf-8")
-            self._owns = True
-        else:
-            self._owns = False
-
-    def record(self, event: str, verdict: str, **fields: object) -> None:
-        if self._stream is None:
-            return
-        line = {"ts": round(self._clock(), 3), "event": event,
-                "verdict": verdict}
-        line.update({k: v for k, v in fields.items() if v is not None})
-        with self._lock:
-            self._stream.write(json.dumps(line, sort_keys=True) + "\n")
-            self._stream.flush()
-
-    def close(self) -> None:
-        if self._owns and self._stream is not None:
-            self._stream.close()
-            self._stream = None
+    #: The authority's revocation epoch this session was last decided at.
+    epoch: int = 0
+    #: The credentials it presented, kept to decide it again.
+    credentials: tuple[Assertion, ...] = ()
 
 
 class StoreAuthGate:
-    """Policy + tenant table + session state for one served store.
+    """Tenant table + session state for one served store, deciding
+    through its own :class:`~repro.core.policy.PolicyEngine` (used under
+    the gate's lock only).
 
     Construct with configuration only; :meth:`bind` attaches the served
-    store (after ``serve_store`` has decided whether to serialize it) and
-    carves the tenant regions.  ``BlockStoreProgram`` consults
-    :meth:`authorize` on every gated proc.
+    store (after ``serve_store`` has decided whether to serialize it).
+    ``BlockStoreProgram`` consults :meth:`authorize` on every gated proc.
     """
 
     def __init__(
@@ -238,21 +152,17 @@ class StoreAuthGate:
         session_ttl: float = SESSION_TTL,
         nonce_ttl: float = NONCE_TTL,
     ):
-        # Parse once at startup so a broken policy file fails loudly
-        # before the server ever binds a socket.
-        if not any(a.is_policy for a in self._load_policy(KeyNoteSession(),
-                                                          policy_text)):
-            raise InvalidArgument("policy file contains no POLICY assertions")
-        self.policy_text = policy_text
+        # Built at startup so a broken policy file fails loudly before
+        # the server ever binds a socket.
+        self.engine = PolicyEngine(policy_text, RIGHTS_LADDER, clock,
+                                   audit=audit)
         self.tenants = list(tenants)
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise InvalidArgument(f"duplicate tenant names in {names}")
-        self.audit = audit or AuditLog()
-        self._clock = clock
         self._session_ttl = session_ttl
         self._nonce_ttl = nonce_ttl
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._nonces: dict[bytes, float] = {}
         self._sessions: dict[bytes, Session] = {}
         self._store: Optional[BlockStore] = None
@@ -261,49 +171,17 @@ class StoreAuthGate:
         self.auth_denied = 0
         self.sessions_opened = 0
 
-    @staticmethod
-    def _load_policy(engine: KeyNoteSession, text: str) -> list:
-        """Install a policy file that may mix POLICY assertions with
-        pre-trusted (signed) intermediate credentials."""
-        from repro.keynote.parser import parse_assertions
-
-        added = []
-        for assertion in parse_assertions(text):
-            if assertion.is_policy:
-                added.append(engine.add_policy(assertion))
-            else:
-                added.append(engine.add_credential(assertion))
-        return added
-
     # -- binding -----------------------------------------------------------
 
     def bind(self, store: BlockStore) -> None:
-        """Attach the served store and carve per-tenant regions.
-
-        Regions are allocated sequentially in declaration order, so the
-        ``--tenant-quota`` flags *are* the layout.
-        """
-        offset = 0
-        views: dict[str, TenantBlockStore] = {}
-        for quota in self.tenants:
-            if offset + quota.blocks > store.num_blocks:
-                raise InvalidArgument(
-                    f"tenant regions ({offset + quota.blocks} blocks) exceed "
-                    f"store capacity ({store.num_blocks} blocks)"
-                )
-            views[quota.name] = TenantBlockStore(
-                store, quota.name, offset=offset, num_blocks=quota.blocks,
-                quota_blocks=None, quota_bytes=quota.quota_bytes,
-                rate_ops=quota.rate_ops, owns_child=False,
-            )
-            offset += quota.blocks
+        """Attach the served store and carve the tenant regions."""
+        self._views = carve_regions(store, self.tenants)
         self._store = store
-        self._views = views
 
     # -- challenge/session lifecycle ---------------------------------------
 
     def issue_nonce(self) -> bytes:
-        now = self._clock()
+        now = self.engine.clock()
         nonce = os.urandom(16)
         with self._lock:
             self._nonces = {
@@ -315,11 +193,22 @@ class StoreAuthGate:
             self._nonces[nonce] = now + self._nonce_ttl
         return nonce
 
-    def _deny(self, event: str, reason: str, **fields: object) -> AuthError:
+    def _deny(self, principal: str, operation: str, target: str,
+              reason: str, granted: str = "none") -> AuthError:
         with self._lock:
             self.auth_denied += 1
-        self.audit.record(event, "deny", reason=reason, **fields)
+        self.engine.audit.record(principal, operation, target, granted,
+                                 False, reason=reason)
         return AuthError(reason)
+
+    def _query(self, identity: str, tenant: str, rights: str,
+               presented: tuple[Assertion, ...]) -> tuple[str, tuple[str, ...]]:
+        """Does policy + ``presented`` delegate ``rights`` on ``tenant``
+        to this key?  (Under the lock.)"""
+        return self.engine.query_presenting(
+            identity,
+            {"app_domain": APP_DOMAIN, "tenant": tenant, "rights": rights},
+            presented)
 
     def open_session(
         self,
@@ -331,82 +220,55 @@ class StoreAuthGate:
         signature: str,
     ) -> Session:
         """Verify the handshake and mint a session; raises AuthError."""
-        ctx = {"identity": identity[:64], "tenant": tenant, "rights": rights}
-        now = self._clock()
+        def deny(reason: str, granted: str = "none") -> AuthError:
+            return self._deny(identity, "SESSION_OPEN", tenant, reason, granted)
+
+        now = self.engine.clock()
         with self._lock:
             expiry = self._nonces.pop(nonce, None)
         if expiry is None or expiry <= now:
-            raise self._deny("session_open", "unknown, expired or replayed "
-                             "challenge nonce", **ctx)
-        if rights_rank(rights) < 1:
-            raise self._deny("session_open", f"cannot request {rights!r}",
-                             **ctx)
+            raise deny("unknown, expired or replayed challenge nonce")
+        if rights not in RIGHTS_LADDER[1:]:
+            raise deny(f"cannot request {rights!r} (expected one of "
+                       f"{', '.join(RIGHTS_LADDER[1:])})")
 
         # 1. Proof of possession: the signature binds this very request
         #    (nonce, identity, tenant, rights) to the claimed key.
         try:
-            key = decode_key(identity)
-            public = getattr(key, "public", key)
-            algorithm, hash_name, _enc = signature_scheme(signature)
-            if algorithm != public.algorithm:
-                raise self._deny(
-                    "session_open",
-                    f"signature algorithm {algorithm!r} does not match "
-                    f"identity key {public.algorithm!r}", **ctx)
-            public.verify(
-                session_signature_payload(nonce, identity, tenant, rights),
-                decode_signature(signature), hash_name=hash_name,
-            )
+            verify_signature(identity, session_signature_payload(
+                nonce, identity, tenant, rights), signature)
         except CryptoError as exc:
-            raise self._deny("session_open",
-                             f"challenge signature invalid: {exc}", **ctx)
+            raise deny(f"challenge signature invalid: {exc}") from exc
 
         # 2. Tenant resolution: with a tenant table, the name must be
         #    declared (or empty for a whole-store operator session).
-        if tenant and self._views and tenant not in self._views:
-            raise self._deny("session_open", f"unknown tenant {tenant!r}",
-                             **ctx)
         if tenant and not self._views:
-            raise self._deny(
-                "session_open",
-                f"server has no tenant table; cannot grant tenant "
-                f"{tenant!r}", **ctx)
-
-        # 3. The compliance query: does policy + presented credentials
-        #    delegate ``rights`` on ``tenant`` to this key?
-        engine = KeyNoteSession()
-        self._load_policy(engine, self.policy_text)
-        try:
-            for text in credentials:
-                engine.add_credentials(text)
-        except (KeyNoteError, CryptoError) as exc:
-            raise self._deny("session_open",
-                             f"credential rejected: {exc}", **ctx)
-        granted = engine.query(
-            action={
-                "app_domain": APP_DOMAIN,
-                "tenant": tenant,
-                "rights": rights,
-                "now": str(int(now)),
-            },
-            action_authorizers=[identity],
-            values=ComplianceValues(list(RIGHTS_LADDER)),
-        )
-        if rights_rank(granted) < rights_rank(rights):
-            raise self._deny(
-                "session_open",
-                f"policy grants {granted!r}, session requested {rights!r}",
-                **ctx)
-
+            raise deny(f"server has no tenant table; cannot grant tenant "
+                       f"{tenant!r}")
+        if tenant and tenant not in self._views:
+            raise deny(f"unknown tenant {tenant!r}")
         if self._store is None:
-            raise self._deny("session_open", "gate not bound to a store",
-                             **ctx)
-        view: BlockStore = self._views.get(tenant, self._store) if tenant \
-            else self._store
+            raise deny("gate not bound to a store")
+
+        # 3. The authority's decision.
+        with self._lock:
+            try:
+                presented = tuple(a for text in credentials
+                                  for a in self.engine.intake(text))
+            except CredentialError as exc:
+                raise deny(str(exc)) from exc
+            epoch = self.engine.revocations.epoch
+            granted, chain = self._query(identity, tenant, rights, presented)
+        if rights_rank(granted) < rights_rank(rights):
+            raise deny(f"policy grants {granted!r}, session requested "
+                       f"{rights!r}", granted)
+
         token = os.urandom(16)
         session = Session(
             token=token, identity=identity, tenant=tenant, rights=rights,
-            expires=now + self._session_ttl, store=view,
+            expires=now + self._session_ttl,
+            store=self._views[tenant] if tenant else self._store,
+            epoch=epoch, credentials=presented,
         )
         with self._lock:
             self._sessions = {
@@ -414,7 +276,8 @@ class StoreAuthGate:
             }
             self._sessions[token] = session
             self.sessions_opened += 1
-        self.audit.record("session_open", "grant", granted=granted, **ctx)
+        self.engine.audit.record(identity, "SESSION_OPEN", tenant, granted,
+                                 True, chain)
         return session
 
     # -- per-proc authorization --------------------------------------------
@@ -422,22 +285,50 @@ class StoreAuthGate:
     def authorize(self, token: bytes, proc_name: str,
                   required: str) -> Session:
         """Return the live session iff it holds ``required`` rights."""
-        now = self._clock()
+        now = self.engine.clock()
         with self._lock:
             session = self._sessions.get(token)
-        if session is None or session.expires <= now:
+            if session is None or session.expires <= now:
+                raise self._deny(
+                    "", proc_name, "", f"{proc_name}: no authenticated "
+                    "session (open one with SESSION_OPEN)")
+            if session.epoch != self.engine.revocations.epoch:
+                self._recheck(session, proc_name)
+        if rights_rank(session.rights) < rights_rank(required):
             raise self._deny(
-                "proc", f"{proc_name}: no authenticated session "
-                "(open one with SESSION_OPEN)", proc=proc_name)
-        if session.rank < rights_rank(required):
-            raise self._deny(
-                "proc",
+                session.identity, proc_name, session.tenant,
                 f"{proc_name} needs {required!r} rights, session has "
-                f"{session.rights!r}", proc=proc_name,
-                tenant=session.tenant, identity=session.identity[:64])
-        self.audit.record("proc", "grant", proc=proc_name,
-                          tenant=session.tenant)
+                f"{session.rights!r}", session.rights)
+        self.engine.audit.record(session.identity, proc_name, session.tenant,
+                                 session.rights, True)
         return session
+
+    def _recheck(self, session: Session, proc_name: str) -> None:
+        """Decide a session again after a revocation (under the lock):
+        the same query over its unrevoked credentials — a revoked key
+        gets nothing — must still carry its rights, or it is dropped."""
+        revocations = self.engine.revocations
+        epoch = revocations.epoch
+        kept = tuple(a for a in session.credentials
+                     if not revocations.credential_revoked(a))
+        granted, _chain = self._query(session.identity, session.tenant,
+                                      session.rights, kept)
+        if rights_rank(granted) < rights_rank(session.rights):
+            del self._sessions[session.token]
+            raise self._deny(
+                session.identity, proc_name, session.tenant,
+                f"{proc_name}: session revoked (policy now grants "
+                f"{granted!r})", granted)
+        session.epoch, session.credentials = epoch, kept
+
+    def revoke(self, payload: str) -> str:
+        """``REVOKE``: apply a ``key <principal>`` / ``credential
+        <signature>`` notice; the sessions it touches fail their next proc."""
+        with self._lock:
+            try:
+                return self.engine.revoke(payload)[0]
+            except CredentialError as exc:
+                raise self._deny("", "REVOKE", "", str(exc)) from exc
 
     # -- introspection -----------------------------------------------------
 
@@ -454,4 +345,4 @@ class StoreAuthGate:
         return out
 
     def close(self) -> None:
-        self.audit.close()
+        self.engine.audit.close()

@@ -40,7 +40,7 @@ When the server runs a :class:`~repro.storage.auth.StoreAuthGate`
 (``store-serve --policy``), NULL/CHALLENGE/SESSION_OPEN are the only
 procs an unauthenticated client may call; everything else is authorized
 against the session's granted rights (read procs need ``r``, mutating
-procs ``rw``, STATS ``admin``) and runs against the session tenant's
+procs ``rw``, STATS and REVOKE ``admin``) and runs against the session tenant's
 :class:`~repro.storage.tenant.TenantBlockStore` view.  Authorization,
 quota and rate-limit failures come back as in-band status codes and
 re-raise client-side as the same typed errors — *not* as
@@ -201,6 +201,9 @@ PROCEDURES: tuple[Procedure, ...] = (
          array(string(MAX_CREDENTIAL), MAX_CREDENTIALS),
          opaque(MAX_TOKEN), string(MAX_IDENTITY)),
         (opaque(MAX_TOKEN), string())),
+    # "key <principal>" or "credential <signature>" -> what was revoked
+    REVOKE := Procedure(13, "REVOKE", "admin", (string(MAX_CREDENTIAL),),
+                        (string(),)),
 )
 
 PROC_NAMES: dict[int, str] = {p.number: p.name for p in PROCEDURES}
@@ -331,6 +334,12 @@ class BlockStoreProgram(RPCProgram):
             credentials=credentials, nonce=nonce, signature=signature,
         )
         return session.token, session.rights
+
+    def _proc_revoke(self, store: BlockStore, payload: str) -> str:
+        if self.gate is None:
+            raise AuthError("this node is not credential-gated: "
+                            "there is nothing to revoke")
+        return self.gate.revoke(payload)
 
     def _proc_geom(self, store: BlockStore) -> tuple[int, int, str]:
         return store.num_blocks, store.block_size, store.describe()
@@ -808,6 +817,11 @@ class RemoteBlockStore(BlockStore):
             "thread_safe") else 0.0
         snap.extra["served_durable"] = 1.0 if caps.get("durable") else 0.0
         return snap
+
+    def revoke(self, payload: str) -> str:
+        """Notify the served node of a bad key or credential (``key
+        <principal>`` / ``credential <signature>``, needs ``admin``)."""
+        return self._call(REVOKE, payload)
 
     def describe(self) -> str:
         where = f"{self.endpoint[0]}:{self.endpoint[1]}" if self.endpoint \

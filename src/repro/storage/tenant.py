@@ -34,17 +34,51 @@ layer, and holes stay visible as ``None`` to overlays stacked above.
 Tenant traffic is therefore counted *on the view* — which is the leaf
 ``leaf_stores()`` reports — and surfaces in ``snapshot().extra`` under
 flat ``tenant:<name>:<counter>`` keys that ``store-inspect`` and the
-serving gate aggregate per tenant.
+serving gate aggregate per tenant.  A gated node's ``--tenant-quota``
+declarations (:class:`TenantQuota`) become its views through
+:func:`carve_regions`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 from repro.errors import InvalidArgument, QuotaExceeded, RateLimited
 from repro.storage.base import BlockStore, WrapperBlockStore
+
+
+@dataclass(frozen=True)
+class TenantQuota:
+    """One ``--tenant-quota`` declaration: region span plus limits."""
+
+    name: str
+    blocks: int
+    quota_bytes: Optional[int] = None
+    rate_ops: Optional[float] = None
+
+    @classmethod
+    def parse(cls, text: str) -> "TenantQuota":
+        """Parse the CLI grammar ``NAME=BLOCKS[:BYTES[:RATE]]``."""
+        name, sep, rest = text.partition("=")
+        parts = rest.split(":")
+        if not sep or not name or not 1 <= len(parts) <= 3:
+            raise InvalidArgument(
+                f"bad tenant quota {text!r} "
+                "(expected NAME=BLOCKS[:BYTES[:RATE]])"
+            )
+        try:
+            blocks = int(parts[0])
+            quota_bytes = int(parts[1]) if len(parts) > 1 and parts[1] else None
+            rate_ops = float(parts[2]) if len(parts) > 2 and parts[2] else None
+        except ValueError as exc:
+            raise InvalidArgument(f"bad tenant quota {text!r}: {exc}") from None
+        if blocks <= 0:
+            raise InvalidArgument(f"tenant {name!r} needs a positive span")
+        return cls(name=name, blocks=blocks, quota_bytes=quota_bytes,
+                   rate_ops=rate_ops)
 
 
 class TokenBucket:
@@ -278,3 +312,25 @@ class TenantBlockStore(WrapperBlockStore):
         if self._bucket is not None:
             out[prefix + "rate_ops"] = float(self._bucket.rate)
         return out
+
+
+def carve_regions(store: BlockStore,
+                  quotas: Iterable[TenantQuota]) -> dict[str, TenantBlockStore]:
+    """One view of ``store`` per declared tenant.  Regions are allocated
+    sequentially in declaration order, so the ``--tenant-quota`` flags
+    *are* the layout."""
+    offset = 0
+    views: dict[str, TenantBlockStore] = {}
+    for quota in quotas:
+        if offset + quota.blocks > store.num_blocks:
+            raise InvalidArgument(
+                f"tenant regions ({offset + quota.blocks} blocks) exceed "
+                f"store capacity ({store.num_blocks} blocks)"
+            )
+        views[quota.name] = TenantBlockStore(
+            store, quota.name, offset=offset, num_blocks=quota.blocks,
+            quota_blocks=None, quota_bytes=quota.quota_bytes,
+            rate_ops=quota.rate_ops, owns_child=False,
+        )
+        offset += quota.blocks
+    return views

@@ -30,6 +30,10 @@ def _opaque(data: bytes) -> bytes:
     return XDREncoder().pack_opaque(data).getvalue()
 
 
+def _string(text: str) -> bytes:
+    return XDREncoder().pack_string(text).getvalue()
+
+
 def _write_args(block_no: int, data: bytes) -> bytes:
     return XDREncoder().pack_uint(block_no).pack_opaque(data).getvalue()
 
@@ -113,6 +117,7 @@ _WIRE = {
               lambda text: XDREncoder().pack_string(text).getvalue()),
     "CHALLENGE": (11, _void, _opaque),
     "SESSION_OPEN": (12, _session_open_args, _session_open_result),
+    "REVOKE": (13, _string, _string),
 }
 
 NUMBERS = {name: row[0] for name, row in _WIRE.items()}

@@ -46,6 +46,7 @@ VALUES = {
     "SESSION_OPEN": (st.tuples(text, text, st.text(max_size=8),
                                st.lists(text, max_size=4), tokens, text),
                      st.tuples(tokens, text)),
+    "REVOKE": (st.tuples(text), text),
 }
 
 

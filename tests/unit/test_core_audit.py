@@ -24,7 +24,7 @@ class TestAuditLogUnit:
         for i in range(12):
             log.record("k", "read", str(i), "R", True)
         assert len(log) == 5
-        assert log.records()[0].handle == "7"
+        assert log.records()[0].target == "7"
 
     def test_chain_deduplication(self):
         log = AuditLog()

@@ -75,15 +75,6 @@ class TestInvalidation:
         assert cache.get("u", "1", "read") is None
         assert cache.stats.flushes == 1
 
-    def test_invalidate_principal(self):
-        cache = PolicyCache(capacity=8)
-        cache.put("u", "1", "read", RWX)
-        cache.put("u", "2", "read", RWX)
-        cache.put("v", "1", "read", RWX)
-        assert cache.invalidate_principal("u") == 2
-        assert cache.get("v", "1", "read") is not None
-        assert cache.get("u", "1", "read") is None
-
     def test_ttl_expiry(self):
         cache = PolicyCache(capacity=8, ttl_seconds=0.0)
         cache.put("u", "1", "read", RWX)

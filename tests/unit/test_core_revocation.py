@@ -83,3 +83,36 @@ class TestShortLivedForgetting:
         store.revoke_credential(cred.signature, forget_after=0.0)
         time.sleep(0.005)
         assert not store.credential_revoked(cred)
+
+    def test_entries_age_on_the_injected_clock(self, bob_key, bob_id):
+        now = [1_000.0]
+        store = RevocationStore(clock=lambda: now[0])
+        cred = make_credential(bob_key, licensee="carol")
+        store.revoke_key(bob_id, forget_after=60.0)
+        now[0] += 59.0
+        assert store.key_revoked(bob_id) and store.credential_revoked(cred)
+        now[0] += 2.0
+        assert not store.key_revoked(bob_id)
+        assert not store.credential_revoked(cred)
+
+    def test_server_revocations_age_on_the_server_clock(self, administrator,
+                                                        bob_id):
+        """The clock the server's ``@now`` policies and cache see."""
+        from repro.core.server import DisCFSServer
+
+        now = [1_000_000.0]
+        server = DisCFSServer(admin_identity=administrator.identity,
+                              clock=lambda: now[0])
+        server.revocations.revoke_key(bob_id, forget_after=3600.0)
+        assert server.revocations.key_revoked(bob_id)
+        now[0] += 3601.0
+        assert not server.revocations.key_revoked(bob_id)
+
+
+class TestEpoch:
+    def test_every_revocation_bumps_the_epoch(self, bob_key, bob_id):
+        store = RevocationStore()
+        assert store.epoch == 0
+        store.revoke_key(bob_id)
+        store.revoke_credential(make_credential(bob_key).signature)
+        assert store.epoch == 2

@@ -29,8 +29,8 @@ from repro.errors import (
     StoreUnavailable,
 )
 from repro.storage import MemoryBlockStore, open_store
+from repro.core.audit import AuditLog
 from repro.storage.auth import (
-    AuditLog,
     StoreAuthGate,
     TenantQuota,
     issue_store_credential,
@@ -261,6 +261,156 @@ class TestSessionHandshake:
         for exc_type in (AuthError, QuotaExceeded, RateLimited):
             assert not issubclass(exc_type, StoreUnavailable)
 
+    def test_unknown_rights_word_is_denied_like_any_other(self, keys, policy):
+        """Denied through the gate's one path: counted and audited."""
+        stream = io.StringIO()
+        gate = StoreAuthGate(policy, audit=AuditLog(stream=stream))
+        gate.bind(MemoryBlockStore(BLOCKS, BS))
+        key = keys["op"]
+        identity = encode_public_key(key)
+        nonce = gate.issue_nonce()
+        with pytest.raises(AuthError, match="superuser"):
+            gate.open_session(
+                identity, "", "superuser", [], nonce,
+                sign_session_request(key, nonce, identity, "", "superuser"))
+        assert gate.auth_denied == 1
+        [line] = [json.loads(ln) for ln in stream.getvalue().splitlines()]
+        assert (line["operation"], line["allowed"]) == ("SESSION_OPEN", False)
+        assert "superuser" in line["reason"]
+
+
+# -- one authority: intake cost and revocation --------------------------------
+
+
+def count_calls(monkeypatch, fn, keep=lambda *args: True) -> list:
+    """Record the calls of module-level ``fn`` made through any name a
+    ``repro`` module binds it by (``keep`` filters by arguments)."""
+    import sys
+
+    calls: list = []
+
+    def counting(*args, **kwargs):
+        if keep(*args):
+            calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro"):
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestOneAuthority:
+    def test_ten_opens_verify_the_credential_once_and_never_reparse_policy(
+            self, keys, policy, monkeypatch):
+        from repro.keynote.parser import parse_assertions
+        from repro.keynote.signing import verify_assertion
+
+        gate = StoreAuthGate(policy, tenants=[TenantQuota("alice", 16)])
+        gate.bind(MemoryBlockStore(BLOCKS, BS))
+        verifies = count_calls(monkeypatch, verify_assertion)
+        policy_parses = count_calls(monkeypatch, parse_assertions,
+                                    keep=lambda text: text == policy)
+        key = keys["alice"]
+        identity = encode_public_key(key)
+        credential = cred_for(keys, "alice", "alice")
+        for _ in range(10):
+            nonce = gate.issue_nonce()
+            gate.open_session(
+                identity, "alice", "rw", [credential], nonce,
+                sign_session_request(key, nonce, identity, "alice", "rw"))
+        assert len(verifies) == 1
+        assert len(policy_parses) == 0
+        # Each credential stayed scoped to its own query.
+        assert gate.engine.session.credentials == []
+
+    def test_concurrent_opens_leave_the_session_as_they_found_it(
+            self, keys, policy):
+        """Presented credentials are installed and removed under the
+        gate's lock: with many threads opening and authorizing at once,
+        every open succeeds and none leaves a credential behind."""
+        import sys
+        import threading
+
+        gate = StoreAuthGate(policy, tenants=[TenantQuota("alice", 16)])
+        gate.bind(MemoryBlockStore(BLOCKS, BS))
+        key = keys["alice"]
+        identity = encode_public_key(key)
+        credential = cred_for(keys, "alice", "alice")
+        errors: list[Exception] = []
+
+        def worker():
+            try:
+                for _ in range(4):
+                    nonce = gate.issue_nonce()
+                    session = gate.open_session(
+                        identity, "alice", "rw", [credential], nonce,
+                        sign_session_request(key, nonce, identity, "alice",
+                                             "rw"))
+                    gate.authorize(session.token, "WRITE", "rw")
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert gate.sessions_opened == 32
+        assert gate.engine.session.credentials == []
+
+    def test_revoked_key_stops_the_next_read(self, gated, keys):
+        alice = gated.connect(key=keys["alice"],
+                              credentials=[cred_for(keys, "alice", "alice")],
+                              tenant="alice")
+        alice.write(0, b"before")
+        op = gated.connect(key=keys["op"], rights="admin")
+        assert op.revoke(f"key {encode_public_key(keys['alice'])}") \
+            .startswith("revoked key")
+        with pytest.raises(AuthError, match="session revoked"):
+            alice.read(0)
+        with pytest.raises(AuthError, match="no authenticated session"):
+            alice.read(0)   # the session is gone, not just refused once
+        with pytest.raises(AuthError, match="revoked"):
+            gated.connect(key=keys["alice"],
+                          credentials=[cred_for(keys, "alice", "alice")],
+                          tenant="alice")
+
+    def test_revoked_credential_kills_the_tenant_session_only(self, gated,
+                                                              keys):
+        from repro.keynote.parser import parse_assertion
+
+        credential = cred_for(keys, "alice", "alice")
+        alice = gated.connect(key=keys["alice"], credentials=[credential],
+                              tenant="alice")
+        op = gated.connect(key=keys["op"], rights="admin")
+        alice.read(0)
+        op.revoke(f"credential {parse_assertion(credential).signature}")
+        with pytest.raises(AuthError, match="session revoked"):
+            alice.read(0)
+        op.write(0, b"operator")        # decided again, and still admin
+        assert op.read(0)[:8] == b"operator"
+
+    def test_revocation_needs_admin_and_the_grammar(self, gated, keys):
+        alice = gated.connect(key=keys["alice"],
+                              credentials=[cred_for(keys, "alice", "alice")],
+                              tenant="alice")
+        with pytest.raises(AuthError, match="needs 'admin'"):
+            alice.revoke(f"key {encode_public_key(keys['bob'])}")
+        op = gated.connect(key=keys["op"], rights="admin")
+        for bad in ("key", "certificate 12", ""):
+            with pytest.raises(AuthError, match="revocation"):
+                op.revoke(bad)
+
 
 # -- tenant isolation over one shared ring -----------------------------------
 
@@ -428,13 +578,14 @@ class TestGatePlumbing:
             gate.authorize(b"bogus", "READ", "r")
         lines = [json.loads(line) for line in
                  stream.getvalue().splitlines()]
-        assert [(ln["event"], ln["verdict"]) for ln in lines] == [
-            ("session_open", "grant"),
-            ("proc", "grant"),
-            ("proc", "deny"),
+        assert [(ln["operation"], ln["allowed"]) for ln in lines] == [
+            ("SESSION_OPEN", True),
+            ("WRITE", True),
+            ("READ", False),
         ]
         assert lines[0]["granted"] == "admin"   # what policy delegates
-        assert lines[2]["proc"] == "READ"
+        assert lines[0]["principal"] == identity
+        assert "no authenticated session" in lines[2]["reason"]
         assert all("ts" in ln for ln in lines)
 
     def test_denials_surface_in_stats(self, gated, keys):

@@ -55,6 +55,7 @@ SAMPLES = {
     "STATS": ((), "{}"),
     "CHALLENGE": ((), b"n" * 16),
     "SESSION_OPEN": (("id", "t", "rw", ["c"], b"n", "sig"), (b"tok", "rw")),
+    "REVOKE": (("key k",), "revoked key k..."),
 }
 
 by_name = pytest.mark.parametrize("proc", PROCEDURES, ids=lambda p: p.name)
@@ -90,15 +91,15 @@ class TestTable:
     @pytest.mark.parametrize("broken", [
         PROCEDURES + (Procedure(2, "ECHO", "r", (), ()),),   # number taken
         PROCEDURES + (Procedure(0, "ECHO", "r", (), ()),),   # NULL's number
-        PROCEDURES + (Procedure(13, "ECHO", "r", (), ()),),  # no handler
+        PROCEDURES + (Procedure(14, "ECHO", "r", (), ()),),  # no handler
         PROCEDURES[:-1],                                     # orphan handler
     ])
     def test_an_incomplete_table_does_not_import(self, broken):
         with pytest.raises(TypeError, match="disagree"):
             check_table(BlockStoreProgram, broken)
 
-    def test_a_13th_procedure_is_one_row_and_one_handler(self, monkeypatch):
-        echo = Procedure(13, "ECHO", "rw", (net.opaque(64),),
+    def test_a_new_procedure_is_one_row_and_one_handler(self, monkeypatch):
+        echo = Procedure(14, "ECHO", "rw", (net.opaque(64),),
                          (net.opaque(64),))
 
         class Echoing(BlockStoreProgram):
