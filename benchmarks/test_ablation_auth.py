@@ -9,8 +9,9 @@ on every proc which the server resolves with a dict lookup and a rank
 compare.
 
 ``test_auth_comparison_table`` routes the sweep through the report
-harness (``repro.bench.report.run_auth_ablation``; run with ``-s`` to
-see the table, or ``python -m repro.bench.report --auth`` standalone)
+harness (``repro.bench.report.ABLATIONS["auth"]``; run with ``-s`` to
+see the table, or ``python -m repro.bench.report --ablation auth``
+standalone)
 and asserts the acceptance claims:
 
 * an authenticated mount still moves blocks — steady-state vectored
@@ -25,7 +26,7 @@ import io
 
 import pytest
 
-from repro.bench.report import print_auth_report, run_auth_ablation
+from repro.bench.report import ABLATIONS, print_table
 from repro.crypto.dsa import generate_dsa_keypair
 from repro.crypto.keycodec import encode_public_key
 from repro.crypto.numbers import seeded_random_bits
@@ -110,14 +111,15 @@ def test_auth_comparison_table(capsys):
     """Full sweep through the report harness, with the acceptance
     assertions (wall-clock based, hence the flaky marker; the 2x
     envelope is far above the measured per-proc overhead)."""
-    results = run_auth_ablation(blocks=BLOCKS, rounds=8,
-                                block_size=BLOCK_SIZE)
+    params = dict(blocks=BLOCKS, rounds=8, block_size=BLOCK_SIZE)
+    rows = ABLATIONS["auth"].run(**params)
     with capsys.disabled():
-        print_auth_report(results)
+        print_table("auth", rows, **params)
+    results = {row["label"]: row for row in rows}
 
-    open_row = results["rows"]["open"]
+    open_row = results["open"]
     for label in ("session (operator)", "session (tenant)"):
-        gated = results["rows"][label]
+        gated = results[label]
         assert gated["write_s"] <= open_row["write_s"] * 2.0, (label, results)
         assert gated["read_s"] <= open_row["read_s"] * 2.0, (label, results)
         # The handshake carries the crypto: it must dominate the open

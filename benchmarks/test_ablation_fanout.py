@@ -9,8 +9,8 @@ model what a real ring of loaded nodes costs without needing real
 remote hosts.
 
 ``test_fanout_comparison_table`` routes the sweep through the report
-harness (``repro.bench.report.run_fanout_ablation``; run with ``-s``
-to see the tables, or ``python -m repro.bench.report --fanout``
+harness (``repro.bench.report.ABLATIONS["fanout"]``; run with ``-s``
+to see the tables, or ``python -m repro.bench.report --ablation fanout``
 standalone) and asserts the two acceptance claims:
 
 * concurrent ``read_many``/``write_many`` on a 4-node
@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.bench.report import print_fanout_report, run_fanout_ablation
+from repro.bench.report import ABLATIONS, print_table
 from repro.storage import (
     DelayedBlockStore,
     MemoryBlockStore,
@@ -97,23 +97,24 @@ def test_fanout_comparison_table(capsys):
     """Full sweep through the report harness, with the acceptance
     assertions (wall-clock based, hence the flaky marker — the margins
     are generous: the sleeps dominate any scheduler noise)."""
-    results = run_fanout_ablation(node_counts=(1, 2, 4), rounds=8,
-                                  blocks=BLOCKS, delay_ms=NODE_MS,
-                                  slow_ms=SLOW_MS)
+    params = dict(node_counts=(1, 2, 4), rounds=8, blocks=BLOCKS,
+                  delay_ms=NODE_MS, slow_ms=SLOW_MS)
+    rows = ABLATIONS["fanout"].run(**params)
     with capsys.disabled():
-        print_fanout_report(results)
+        print_table("fanout", rows, **params)
+    results = {row["label"]: row for row in rows}
 
-    four = results["shard"][4]
+    four = results["4 nodes"]
     assert four["write_speedup"] >= 2.0, four
     assert four["read_speedup"] >= 2.0, four
 
     # w=2 returns at the 2nd-fastest replica: concurrent write latency
     # must come in clearly under the straggler's per-op delay, while the
     # sequential mount cannot help paying it on every round.
-    concurrent = results["replica"]["concurrent"]
-    sequential = results["replica"]["sequential"]
-    assert concurrent["write_ms_per_round"] < SLOW_MS, results["replica"]
-    assert sequential["write_ms_per_round"] >= SLOW_MS, results["replica"]
+    concurrent = results["w=2 concurrent"]
+    sequential = results["w=2 sequential"]
+    assert concurrent["write_ms_per_round"] < SLOW_MS, (concurrent, sequential)
+    assert sequential["write_ms_per_round"] >= SLOW_MS, (concurrent, sequential)
     assert concurrent["background_writes"] > 0
 
 

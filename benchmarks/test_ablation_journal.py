@@ -9,16 +9,16 @@ proportional to *batches* rather than blocks, and (c) how long
 replaying a crashed journal takes.
 
 ``test_journal_comparison_table`` routes the sweep through the report
-harness (``repro.bench.report.run_journal_ablation``; run with ``-s``
-to see the table, or ``python -m repro.bench.report --journal``
+harness (``repro.bench.report.ABLATIONS["journal"]``; run with ``-s``
+to see the table, or ``python -m repro.bench.report --ablation journal``
 standalone) and asserts the headline relationships.
 """
 
 import pytest
 
-from repro.bench.bonnie import phase_output_block
+from repro.bench.bonnie import PHASES, phase_output_block
 from repro.bench.harness import make_target
-from repro.bench.report import print_journal_report, run_journal_ablation
+from repro.bench.report import ABLATIONS, REPLAY_BLOCKS, print_table
 from repro.storage import open_store
 
 from conftest import BONNIE_PATH, FILE_SIZE
@@ -83,16 +83,18 @@ def test_journal_comparison_table(capsys, tmp_path):
     assertions: journaling costs a barrier or two per batch (not per
     block), the unjournaled configs issue almost none, and the crash
     replay recovers every committed block."""
-    results = run_journal_ablation(
+    rows = ABLATIONS["journal"].run(
         file_size=FILE_SIZE, char_size=32 * 1024, workdir=str(tmp_path)
     )
     with capsys.disabled():
-        print_journal_report(results)
+        print_table("journal", rows, file_size=FILE_SIZE)
+    results = {row["label"]: row for row in rows}
+    replay = results.pop("crash replay")
 
-    for label, bonnie in results["bonnie"].items():
-        assert all(bonnie.kps(p) > 0 for p in bonnie.phases), label
+    for label, bonnie in results.items():
+        assert all(bonnie[p] > 0 for p in PHASES), label
 
-    for label, dev in results["device"].items():
+    for label, dev in results.items():
         if label.startswith("journal"):
             # Barriers per batch, log fsyncs plus child fsyncs: one log
             # fsync per logged transaction, one child flush per batch
@@ -108,10 +110,8 @@ def test_journal_comparison_table(capsys, tmp_path):
             assert dev["journal_txns"] == dev["in_place"] == 0, label
             assert dev["fsyncs"] <= 16, label
 
-    replay = results["replay"]
-    from repro.bench.report import REPLAY_BLOCKS
-    assert replay["blocks"] == REPLAY_BLOCKS
+    assert replay["replayed_blocks"] == REPLAY_BLOCKS
     # Group commit on the batched path: far fewer durable transactions
     # (and thus fsyncs) than blocks made crash-safe.
-    assert replay["transactions"] * 16 <= replay["blocks"]
-    assert replay["seconds"] >= 0.0
+    assert replay["replayed_txns"] * 16 <= replay["replayed_blocks"]
+    assert replay["replay_ms"] >= 0.0

@@ -13,15 +13,15 @@ vectored workloads, and also checks the latency the wrapper reports
 back (``lat:<layer>:<op>:<quantile>`` stats extras) is self-consistent.
 
 ``test_metered_comparison_table`` routes the sweep through the report
-harness (``repro.bench.report.run_metered_ablation``; run with ``-s``
-to see the table, or ``python -m repro.bench.report --metered``
+harness (``repro.bench.report.ABLATIONS["metered"]``; run with ``-s``
+to see the table, or ``python -m repro.bench.report --ablation metered``
 standalone) and asserts the acceptance claim: metering stays within
 10% of the un-metered backend on vectored ops.
 """
 
 import pytest
 
-from repro.bench.report import print_metered_report, run_metered_ablation
+from repro.bench.report import ABLATIONS, print_table
 from repro.obs.metrics import get_registry
 from repro.storage import open_store
 
@@ -64,21 +64,19 @@ def test_metered_comparison_table(capsys):
     retry, same de-flake recipe as the scaling bench — to keep
     shared-runner noise from failing a real property.  The nightly
     trajectory records the true overhead trend)."""
-    results = run_metered_ablation(blocks=BLOCKS, rounds=30,
-                                   block_size=BLOCK_SIZE)
-    if max(results["overhead"]["write_pct"],
-           results["overhead"]["read_pct"]) > 25.0:
-        results = run_metered_ablation(blocks=BLOCKS, rounds=30,
-                                       block_size=BLOCK_SIZE)
+    params = dict(blocks=BLOCKS, rounds=30, block_size=BLOCK_SIZE)
+    rows = ABLATIONS["metered"].run(**params)
+    if max(rows[1]["write_cost_pct"], rows[1]["read_cost_pct"]) > 25.0:
+        rows = ABLATIONS["metered"].run(**params)
     with capsys.disabled():
-        print_metered_report(results)
+        print_table("metered", rows, **params)
+    row = {r["label"]: r for r in rows}["metered://mem://"]
 
-    assert results["overhead"]["write_pct"] <= 25.0, results
-    assert results["overhead"]["read_pct"] <= 25.0, results
+    assert row["write_cost_pct"] <= 25.0, rows
+    assert row["read_cost_pct"] <= 25.0, rows
 
     # The wrapper's own latency readback must be present and sane:
     # vectored percentiles are positive and p99 >= p50.
-    row = results["rows"]["metered://mem://"]
     for op in ("write_many", "read_many"):
         p50 = row[f"{op}_p50_ms"]
         p99 = row[f"{op}_p99_ms"]

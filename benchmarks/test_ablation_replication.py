@@ -7,18 +7,18 @@ unless the vectored ``read_many``/``write_many`` path batches them —
 this bench measures both costs over the Bonnie phases.
 
 ``test_replication_comparison_table`` routes the sweep through the
-report harness (``repro.bench.report.run_replication_ablation``; run
+report harness (``repro.bench.report.ABLATIONS["replication"]``; run
 with ``-s`` to see the table, or
-``python -m repro.bench.report --replication`` standalone) and asserts
+``python -m repro.bench.report --ablation replication`` standalone) and asserts
 the two headline numbers: physical writes scale with the replica
 factor, and batching cuts RPC round trips by an order of magnitude.
 """
 
 import pytest
 
-from repro.bench.bonnie import phase_input_block, phase_output_block
+from repro.bench.bonnie import PHASES, phase_input_block, phase_output_block
 from repro.bench.harness import make_target
-from repro.bench.report import print_replication_report, run_replication_ablation
+from repro.bench.report import ABLATIONS, print_table
 
 from conftest import BONNIE_PATH, FILE_SIZE, prepare_file
 
@@ -83,25 +83,26 @@ def test_replication_comparison_table(capsys):
     """Full sweep through the report harness, with the two acceptance
     assertions: physical-write amplification tracks the replica factor,
     and batched remote I/O needs far fewer RPC round trips."""
-    results = run_replication_ablation(
+    rows = ABLATIONS["replication"].run(
         file_size=FILE_SIZE, char_size=32 * 1024
     )
     with capsys.disabled():
-        print_replication_report(results)
+        print_table("replication", rows, file_size=FILE_SIZE)
+    results = {row["label"]: row for row in rows}
+    batched = results.pop("remote (batched)")
+    per_block = results.pop("remote (per-block)")
 
-    for uri, bonnie in results["bonnie"].items():
-        assert all(bonnie.kps(p) > 0 for p in bonnie.phases), uri
+    for uri, bonnie in results.items():
+        assert all(bonnie[p] > 0 for p in PHASES), uri
 
     # Write amplification: physical writes ~= replicas x logical writes
     # (read-one keeps physical reads near logical).
-    for uri, dev in results["device"].items():
+    for uri, dev in results.items():
         if dev["replicas"] > 1:
             assert dev["physical_writes"] >= dev["replicas"] * dev["writes"] * 0.9, uri
 
     # Batching is the distributed-viability claim: the same Bonnie
     # workload in a fraction of the round trips.
-    batched = results["rpc"]["remote (batched)"]
-    per_block = results["rpc"]["remote (per-block)"]
     assert batched["reads"] == per_block["reads"]
     assert batched["writes"] == per_block["writes"]
     assert batched["round_trips"] * 4 < per_block["round_trips"], (

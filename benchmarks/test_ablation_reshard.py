@@ -10,16 +10,16 @@ verify, swap atomically — and this ablation measures it on real
 ``remote://`` TCP nodes.
 
 ``test_reshard_comparison_table`` routes through the report harness
-(``repro.bench.report.run_reshard_ablation``; run with ``-s`` for the
-table, or ``python -m repro.bench.report --reshard`` standalone) and
-asserts the ISSUE acceptance: a 3→4 migration moves ≈1/4 of the blocks
+(``repro.bench.report.ABLATIONS["reshard"]``; run with ``-s`` for the
+table, or ``python -m repro.bench.report --ablation reshard``
+standalone) and asserts the acceptance claim: a 3→4 migration moves ≈1/4 of the blocks
 — asserted well under 50% — with every payload intact and served from
 the new ring.
 """
 
 import pytest
 
-from repro.bench.report import print_reshard_report, run_reshard_ablation
+from repro.bench.report import ABLATIONS, print_table
 from repro.storage import MemoryBlockStore, open_store, reshard, serve_store
 from repro.storage import spec as specs
 from repro.storage.shard import build_ring, ring_owner
@@ -30,12 +30,12 @@ BLOCK_SIZE = 4096
 
 def test_reshard_comparison_table(capsys):
     """Full sweep through the report harness + acceptance assertions."""
-    results = run_reshard_ablation(blocks=BLOCKS, block_size=BLOCK_SIZE)
+    rows = ABLATIONS["reshard"].run(blocks=BLOCKS, block_size=BLOCK_SIZE)
     with capsys.disabled():
-        print_reshard_report(results)
+        print_table("reshard", rows, blocks=BLOCKS, block_size=BLOCK_SIZE)
 
-    grow = results["rows"][0]
-    assert (grow["before"], grow["after"]) == (3, 4)
+    grow = rows[0]
+    assert grow["label"] == "3->4"
     assert grow["total_blocks"] == BLOCKS
     # ≈1/4 of the keyspace moves on 3→4; consistent hashing keeps it
     # WELL under the 50% ceiling (modulo placement would move ~75%).
@@ -43,8 +43,8 @@ def test_reshard_comparison_table(capsys):
     assert 0.10 < grow["moved_fraction"] < 0.45
     assert grow["verified"] and grow["intact"]
 
-    shrink = results["rows"][1]
-    assert (shrink["before"], shrink["after"]) == (4, 3)
+    shrink = rows[1]
+    assert shrink["label"] == "4->3"
     assert shrink["moved_blocks"] < 0.5 * shrink["total_blocks"]
     assert shrink["intact"]
 

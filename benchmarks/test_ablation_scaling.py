@@ -25,16 +25,23 @@ def test_output_block_across_sizes(benchmark, size):
     benchmark.extra_info["kps"] = round(result.kps)
 
 
+#: Timings per (size, system) cell; a cell's throughput is the fastest
+#: of them (the end-to-end runner's fastest-of-k estimator).
+REPEATS = 3
+
+
 def _measure_ratios() -> list[float]:
-    ratios = []
-    for size in SIZES:
-        kps = {}
-        for system in ("CFS-NE", "DisCFS"):
-            built = make_target(system)
-            result = phase_output_block(built.target, "/r.dat", size)
-            kps[system] = result.kps
-        ratios.append(kps["DisCFS"] / kps["CFS-NE"])
-    return ratios
+    """DisCFS / CFS-NE throughput per size.  The repetitions interleave —
+    each one times every cell — so a slow spell on the host lands on
+    all cells alike instead of skewing one ratio."""
+    best: dict = {}
+    for _rep in range(REPEATS):
+        for size in SIZES:
+            for system in ("CFS-NE", "DisCFS"):
+                built = make_target(system)
+                kps = phase_output_block(built.target, "/r.dat", size).kps
+                best[size, system] = max(best.get((size, system), 0.0), kps)
+    return [best[size, "DisCFS"] / best[size, "CFS-NE"] for size in SIZES]
 
 
 @pytest.mark.flaky
@@ -42,17 +49,11 @@ def test_ratio_stability_across_sizes():
     """DisCFS : CFS-NE throughput ratio is size-stable (within 3x band).
 
     Wall-clock ratios wobble under machine load (ROADMAP flake triage),
-    so the band is generous and a failing measurement gets one clean
-    retry — a genuine regression fails both runs; scheduler noise
-    doesn't.
+    so the band is generous and every cell is the fastest of
+    ``REPEATS`` interleaved timings.
     """
-    for attempt in (1, 2):
-        ratios = _measure_ratios()
-        stable = max(ratios) / min(ratios) < 3.0
-        # And the central claim at every size: DisCFS is within a small
-        # factor of CFS-NE (the paper shows them virtually identical).
-        close = all(r > 0.4 for r in ratios)
-        if stable and close:
-            return
-    assert stable, ratios
-    assert close, ratios
+    ratios = _measure_ratios()
+    assert max(ratios) / min(ratios) < 3.0, ratios
+    # And the central claim at every size: DisCFS is within a small
+    # factor of CFS-NE (the paper shows them virtually identical).
+    assert all(r > 0.4 for r in ratios), ratios

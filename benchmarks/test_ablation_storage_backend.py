@@ -10,14 +10,15 @@ overlay — so backend choice is a measured trade-off.
 ``test_backend_comparison_table`` additionally routes the full sweep
 through the report harness (``repro.bench.report``), emitting the same
 style of per-backend table the figure reports use (run with ``-s`` to see
-it; ``python -m repro.bench.report --backends`` prints it standalone).
+it; ``python -m repro.bench.report --ablation backends`` prints it
+standalone).
 """
 
 import pytest
 
-from repro.bench.bonnie import phase_input_block, phase_output_block
+from repro.bench.bonnie import PHASES, phase_input_block, phase_output_block
 from repro.bench.harness import make_target
-from repro.bench.report import print_backend_report, run_backend_ablation
+from repro.bench.report import ABLATIONS, print_table
 
 from conftest import BONNIE_PATH, FILE_SIZE, prepare_file
 
@@ -63,18 +64,18 @@ def test_input_block_by_backend(benchmark, backend_built):
 def test_backend_comparison_table(tmp_path, capsys):
     """Full Bonnie sweep per backend, printed via the report harness."""
     backends = tuple(t.format(tmp=tmp_path) for t in BACKENDS.values())
-    results = run_backend_ablation(
-        backends, system="FFS", file_size=FILE_SIZE, char_size=32 * 1024
+    rows = ABLATIONS["backends"].run(
+        backends, file_size=FILE_SIZE, char_size=32 * 1024
     )
     with capsys.disabled():
-        print_backend_report(results)
+        print_table("backends", rows, file_size=FILE_SIZE)
+    results = {row["label"]: row for row in rows}
 
     # Every backend completed every phase with sane throughput numbers.
     for uri in backends:
-        bonnie = results["bonnie"][uri]
-        assert all(bonnie.kps(p) > 0 for p in bonnie.phases)
-        assert results["device"][uri]["writes"] > 0
+        assert all(results[uri][p] > 0 for p in PHASES)
+        assert results[uri]["writes"] > 0
     # The write-back cache must absorb physical I/O relative to logical.
     cached_uri = BACKENDS["cached-sqlite"].format(tmp=tmp_path)
-    cached_dev = results["device"][cached_uri]
+    cached_dev = results[cached_uri]
     assert cached_dev["physical_reads"] < cached_dev["reads"]

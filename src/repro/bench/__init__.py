@@ -10,10 +10,13 @@ over the OpenBSD kernel sources (Figure 12).
 * :mod:`repro.bench.bonnie` — the five Bonnie phases,
 * :mod:`repro.bench.workloads` — the synthetic kernel-source tree,
 * :mod:`repro.bench.search` — the line/word/byte counting search,
-* :mod:`repro.bench.timing` — a disk cost model for virtual-time
-  reporting at paper scale,
+* :mod:`repro.bench.timing` — disk and network cost models for
+  virtual-time reporting at paper scale,
 * :mod:`repro.bench.harness` — builds each system and runs the suite,
-* :mod:`repro.bench.report` — prints paper-style tables.
+* :mod:`repro.bench.report` — prints paper-style tables, the figures
+  plus the ablation table (``ABLATIONS``),
+* :mod:`repro.bench.modeled` — the figures at testbed scale, priced
+  from the device and transport counters under the two models.
 """
 
 from repro.bench.bonnie import BonnieResult, run_bonnie

@@ -153,12 +153,8 @@ def run_bonnie(
     if char_size is None:
         char_size = file_size
     result = BonnieResult(system=target.name, file_size=file_size)
-
-    result.phases["output_char"] = phase_output_char(target, path, char_size)
-    result.phases["output_block"] = phase_output_block(target, path, file_size)
-    result.phases["rewrite"] = phase_rewrite(target, path, file_size)
-    result.phases["input_char"] = phase_input_char(target, path, char_size)
-    result.phases["input_block"] = phase_input_block(target, path, file_size)
-
+    for phase in PHASES:
+        size = char_size if phase.endswith("_char") else file_size
+        result.phases[phase] = run_phase(target, phase, path, size)
     target.remove_file(path)
     return result

@@ -20,7 +20,7 @@ and exposes its internals for stats collection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bench.targets import FilesystemTarget, LocalFFSTarget, NFSTarget
 from repro.cfs.client import cfs_attach
@@ -31,7 +31,7 @@ from repro.core.permissions import Permission
 from repro.core.server import DisCFSServer
 from repro.fs.blockdev import BlockDevice, MemoryBlockDevice
 from repro.fs.ffs import FFS
-from repro.rpc.transport import LatencyModel, SimulatedLatencyTransport
+from repro.rpc.transport import Transport
 from repro.storage import open_device
 
 SYSTEMS = ("FFS", "CFS-NE", "CFS", "DisCFS", "DisCFS-IPsec")
@@ -51,7 +51,9 @@ class BuiltSystem:
     fs: FFS
     server: object | None = None
     client: object | None = None
-    extras: dict = field(default_factory=dict)
+    #: The client's RPC transport (None for local FFS); its ``stats``
+    #: count the round trips and bytes the modeled report charges.
+    transport: Transport | None = None
 
     @property
     def device_stats(self):
@@ -74,7 +76,6 @@ def make_target(
     system: str,
     cache_capacity: int = 128,
     device_blocks: int = DEFAULT_DEVICE_BLOCKS,
-    network_model: LatencyModel | None = None,
     backend: str | None = None,
 ) -> BuiltSystem:
     """Build a named system on a fresh filesystem.
@@ -82,11 +83,6 @@ def make_target(
     ``backend``: storage URI the filesystem's device is opened from
     (default in-memory).  The backend ablation sweeps this axis while
     everything above the block layer stays identical.
-
-    ``network_model``: wrap the network systems' transports in a
-    virtual-time :class:`SimulatedLatencyTransport` charging the model for
-    every RPC (used by the paper-scale modeled report; FFS, being local,
-    is unaffected).  The model lands in ``extras["network_model"]``.
     """
     if system == "FFS":
         fs = FFS(_fresh_device(device_blocks, backend))
@@ -98,10 +94,6 @@ def make_target(
             encrypt=(system == "CFS"),
         )
         transport = server.in_process_transport("cfs-user")
-        extras = {}
-        if network_model is not None:
-            transport = SimulatedLatencyTransport(transport, network_model)
-            extras["network_model"] = network_model
         client = cfs_attach(transport, "/")
         return BuiltSystem(
             name=system,
@@ -109,7 +101,7 @@ def make_target(
             fs=server.fs,
             server=server,
             client=client,
-            extras=extras,
+            transport=transport,
         )
 
     if system in ("DisCFS", "DisCFS-IPsec"):
@@ -121,18 +113,9 @@ def make_target(
         )
         admin.trust_server(server)
         user_key = make_user_keypair(b"bench-user")
-        extras: dict = {"admin": admin, "user_key": user_key}
-        if network_model is not None and system == "DisCFS":
-            transport = SimulatedLatencyTransport(
-                server.in_process_transport(identity_of(user_key)),
-                network_model,
-            )
-            extras["network_model"] = network_model
-            client = DisCFSClient(transport, user_key)
-        else:
-            client = DisCFSClient.connect(
-                server, user_key, secure=(system == "DisCFS-IPsec")
-            )
+        client = DisCFSClient.connect(
+            server, user_key, secure=(system == "DisCFS-IPsec")
+        )
         client.attach("/")
         # The administrator grants the benchmark user the whole tree —
         # the equivalent of Bob's Figure 5 credential for his workspace.
@@ -151,7 +134,7 @@ def make_target(
             fs=server.fs,
             server=server,
             client=client,
-            extras=extras,
+            transport=client.transport,
         )
 
     raise ValueError(f"unknown system {system!r}; choose from {SYSTEMS}")

@@ -8,8 +8,9 @@ each Bonnie phase:
 
 * **disk time** from the block-device counters under the
   Quantum-Fireball model (:mod:`repro.bench.timing`),
-* **network time** from the RPC byte/round-trip counters under the
-  100 Mbps :class:`~repro.rpc.transport.LatencyModel` (zero for FFS),
+* **network time** from the client transport's RPC byte/round-trip
+  counters under the 100 Mbps :class:`~repro.bench.timing.LatencyModel`
+  (zero for FFS, which has no transport),
 
 and taking the phase time as ``max(disk, network)`` — the testbed's
 bottleneck resource; Python CPU time is excluded since a 2001 C daemon's
@@ -21,12 +22,12 @@ same ordering as the wall-clock comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.bench.bonnie import PHASES, run_phase
 from repro.bench.harness import PAPER_SYSTEMS, make_target
-from repro.bench.timing import QUANTUM_FIREBALL_CT10, DiskModel
-from repro.rpc.transport import LatencyModel
+from repro.bench.timing import QUANTUM_FIREBALL_CT10, DiskModel, LatencyModel
+from repro.rpc.transport import TransportStats
 
 
 @dataclass
@@ -59,33 +60,27 @@ def run_modeled_bonnie(
     of Python putc calls adds nothing to a virtual-time estimate.
     """
     network = LatencyModel()  # 100 Mbps Ethernet defaults
-    built = make_target(system, network_model=network)
+    built = make_target(system)
     device_stats = built.fs.device.stats
+    rpc_stats = built.transport.stats if built.transport else TransportStats()
 
     results: dict[str, ModeledPhase] = {}
     for phase in ("output_block", "rewrite", "input_block"):
         device_stats.reset()
-        network.reset()
+        rpc_stats.reset()
         measured = run_phase(built.target, phase, "/modeled.dat", file_size)
         results[phase] = ModeledPhase(
             phase=phase,
             nbytes=measured.nbytes,
             disk_seconds=disk_model.time_for(device_stats),
-            network_seconds=network.virtual_time,
+            network_seconds=network.time_for(rpc_stats),
         )
-    # Char phases: same I/O volume and pattern as the block phases, plus
-    # the (real, historical) stdio per-byte CPU cost which we approximate
-    # with the paper-era ~0.1 us/byte -> dominated by disk/net anyway.
-    results["output_char"] = ModeledPhase(
-        "output_char", results["output_block"].nbytes,
-        results["output_block"].disk_seconds,
-        results["output_block"].network_seconds,
-    )
-    results["input_char"] = ModeledPhase(
-        "input_char", results["input_block"].nbytes,
-        results["input_block"].disk_seconds,
-        results["input_block"].network_seconds,
-    )
+    # Char phases: same I/O volume and pattern as the block phases (the
+    # paper-era stdio per-byte CPU cost, ~0.1 us/byte, is dominated by
+    # disk/net anyway).
+    for char, block in (("output_char", "output_block"),
+                        ("input_char", "input_block")):
+        results[char] = replace(results[block], phase=char)
     return results
 
 
@@ -97,13 +92,12 @@ def print_modeled_report(file_size: int = 1 << 22) -> dict:
     }
     print(f"\nModeled (testbed-scale) Bonnie throughput, {file_size >> 20} MiB file")
     print("(Quantum Fireball CT10 disk model + 100 Mbps Ethernet model)")
-    header = f"  {'phase':<14}" + "".join(f"{s:>12}" for s in PAPER_SYSTEMS)
-    print(header + "   (K/sec)")
+    print(f"  {'phase':<14}" + "".join(f"{s:>12}" for s in PAPER_SYSTEMS)
+          + "   (K/sec)")
     for phase in PHASES:
-        row = f"  {phase:<14}"
-        for system in PAPER_SYSTEMS:
-            row += f"{all_results[system][phase].kps:>12.0f}"
-        print(row)
+        print(f"  {phase:<14}" + "".join(
+            f"{all_results[system][phase].kps:>12.0f}"
+            for system in PAPER_SYSTEMS))
     return all_results
 
 

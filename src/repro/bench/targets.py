@@ -32,8 +32,6 @@ class BufferedFile(Protocol):
 
     def seek(self, offset: int) -> None: ...
 
-    def tell(self) -> int: ...
-
     def flush(self) -> None: ...
 
 
@@ -122,9 +120,6 @@ class _LocalFile:
         self.flush()
         self._pos = offset
 
-    def tell(self) -> int:
-        return self._pos
-
 
 class LocalFFSTarget:
     """Direct (in-process, no RPC) access to an FFS instance."""
@@ -146,13 +141,9 @@ class LocalFFSTarget:
         self.fs.remove(dino, name)
 
     def listdir(self, path: str) -> list[tuple[str, bool]]:
-        dir_inode = self.fs.namei(path)
-        out = []
-        for name, ino in self.fs.readdir(dir_inode.ino):
-            if name in (".", ".."):
-                continue
-            out.append((name, self.fs.iget(ino).is_dir))
-        return out
+        return [(name, self.fs.iget(ino).is_dir)
+                for name, ino in self.fs.readdir(self.fs.namei(path).ino)
+                if name not in (".", "..")]
 
     def file_size(self, path: str) -> int:
         return self.fs.namei(path).size
@@ -170,12 +161,14 @@ class NFSTarget:
         self.client = client
         self.name = name
 
-    def _walk(self, path: str):
-        return self.client.walk(path)
+    def _parent(self, path: str):
+        """The parent directory's handle and the last path component."""
+        directory, _, name = path.strip("/").rpartition("/")
+        return (self.client.walk(directory)[0] if directory
+                else self.client.root), name
 
     def create_file(self, path: str) -> RemoteFile:
-        directory, _, name = path.strip("/").rpartition("/")
-        dir_fh, _ = self._walk(directory) if directory else (self.client.root, None)
+        dir_fh, name = self._parent(path)
         try:
             fh, _ = self.client.lookup(dir_fh, name)
             self.client.setattr(fh, SAttr(size=0))
@@ -184,24 +177,18 @@ class NFSTarget:
         return self.client.open(fh)
 
     def open_file(self, path: str) -> RemoteFile:
-        fh, _attr = self._walk(path)
+        fh, _attr = self.client.walk(path)
         return self.client.open(fh)
 
     def remove_file(self, path: str) -> None:
-        directory, _, name = path.strip("/").rpartition("/")
-        dir_fh, _ = self._walk(directory) if directory else (self.client.root, None)
-        self.client.remove(dir_fh, name)
+        self.client.remove(*self._parent(path))
 
     def listdir(self, path: str) -> list[tuple[str, bool]]:
-        dir_fh, _ = self._walk(path)
-        out = []
-        for _fileid, name in self.client.readdir_all(dir_fh):
-            if name in (".", ".."):
-                continue
-            _fh, attr = self.client.lookup(dir_fh, name)
-            out.append((name, attr.is_dir))
-        return out
+        dir_fh, _ = self.client.walk(path)
+        return [(name, self.client.lookup(dir_fh, name)[1].is_dir)
+                for _fileid, name in self.client.readdir_all(dir_fh)
+                if name not in (".", "..")]
 
     def file_size(self, path: str) -> int:
-        _fh, attr = self._walk(path)
+        _fh, attr = self.client.walk(path)
         return attr.size

@@ -2,15 +2,16 @@
 
 Wall-clock measurements of a pure-Python stack compare the three systems
 fairly against each other, but their absolute numbers are nothing like the
-paper's 2001 testbed.  For paper-scale reporting, the harness can combine:
+paper's 2001 testbed.  For paper-scale reporting, :mod:`repro.bench.modeled`
+charges two models, each reading counters the stack already keeps:
 
-* measured wall time (CPU cost of the protocol/policy layers),
 * a **disk model** charging seek + transfer time for the block I/O the
   workload actually performed (read off the device's counters), modeled
   after the testbed's Quantum Fireball CT10 (5400 rpm, ~9 ms seek,
   ~15 MB/s media rate),
-* the RPC transport's :class:`~repro.rpc.transport.LatencyModel`
-  (100 Mbps Ethernet) virtual time.
+* a **network model** charging round-trip + wire time for the RPC
+  traffic the workload actually sent (read off the transport's
+  counters), modeled after the testbed's 100 Mbps Ethernet.
 
 EXPERIMENTS.md reports both wall-clock and modeled numbers.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.fs.blockdev import BlockDeviceStats
+from repro.rpc.transport import TransportStats
 
 
 @dataclass
@@ -48,19 +50,19 @@ QUANTUM_FIREBALL_CT10 = DiskModel()
 
 
 @dataclass
-class MeasuredTime:
-    """A measurement with its virtual-time components."""
+class LatencyModel:
+    """Round-trip + wire model of the client/server network.
 
-    wall_seconds: float
-    disk_seconds: float = 0.0
-    network_seconds: float = 0.0
+    Defaults approximate the paper's testbed: 100 Mbps Ethernet between
+    two hosts on the same segment (~0.2 ms RTT for small frames,
+    12.5 MB/s line rate).
+    """
 
-    @property
-    def modeled_seconds(self) -> float:
-        """Paper-scale estimate: protocol CPU + modeled disk + modeled net."""
-        return self.wall_seconds + self.disk_seconds + self.network_seconds
+    rtt_seconds: float = 0.0002
+    bandwidth_bytes_per_second: float = 12_500_000.0
 
-    def throughput_kps(self, nbytes: int, modeled: bool = False) -> float:
-        """Throughput in units of 1024 bytes/second (Bonnie's K/sec)."""
-        seconds = self.modeled_seconds if modeled else self.wall_seconds
-        return (nbytes / 1024.0) / seconds if seconds > 0 else float("inf")
+    def time_for(self, stats: TransportStats) -> float:
+        """Modeled network time for the RPC traffic recorded in ``stats``:
+        every call pays a round trip, every byte either way wire time."""
+        wire = stats.bytes_sent + stats.bytes_received
+        return stats.calls * self.rtt_seconds + wire / self.bandwidth_bytes_per_second

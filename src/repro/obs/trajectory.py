@@ -1,14 +1,16 @@
 """Schema-versioned perf-trajectory records (``BENCH_<topic>.json``).
 
-ROADMAP item 3's measurement prerequisite: every nightly bench run
-appends one record per ablation topic — ops/s, latency quantiles,
-fsyncs, write amplification, git sha, date — to a ``BENCH_<topic>.json``
-array in the repo root (or any directory).  Because records accumulate
-across runs under a stable schema, any later optimization PR can be
-judged against the trajectory instead of a single before/after pair.
+Every nightly bench run appends one record per ablation — every
+numeric cell of its table as ``<row>:<column>`` (ops/s, latency
+quantiles, fsyncs, round trips, ...), plus git sha and date — to a
+``BENCH_<ablation>.json`` array in the repo root (or any directory).
+Because records accumulate across runs under a stable schema, any later
+optimization can be judged against the trajectory instead of a single
+before/after pair.
 
-``python -m repro.bench.report --emit-trajectory DIR`` writes these;
-``nightly.yml`` uploads them as artifacts.
+``python -m repro.bench.report --ablation all --emit-trajectory DIR``
+writes these; ``nightly.yml`` uploads them as artifacts and commits
+them.
 """
 
 from __future__ import annotations

@@ -7,10 +7,8 @@ pieces DisCFS needs:
 * :mod:`repro.rpc.message` — call/reply framing with transaction ids and
   accept status codes,
 * :mod:`repro.rpc.transport` — pluggable transports: in-process (fast,
-  deterministic, used by most tests/benchmarks), TCP sockets with record
-  marking (used by the distributed examples), and a latency-injecting
-  wrapper that models the paper's 100 Mbps Ethernet for virtual-time
-  accounting,
+  deterministic, used by most tests/benchmarks) and TCP sockets with
+  record marking (used by the distributed examples),
 * :mod:`repro.rpc.server` / :mod:`repro.rpc.client` — program dispatch
   and call stubs.
 
@@ -21,13 +19,7 @@ exactly how the prototype bound NFS requests to IKE identities.
 
 from repro.rpc.client import RPCClient
 from repro.rpc.server import RPCProgram, RPCServer
-from repro.rpc.transport import (
-    InProcessTransport,
-    LatencyModel,
-    SimulatedLatencyTransport,
-    TCPTransport,
-    serve_tcp,
-)
+from repro.rpc.transport import InProcessTransport, TCPTransport, serve_tcp
 from repro.rpc.xdr import XDRDecoder, XDREncoder
 
 __all__ = [
@@ -36,8 +28,6 @@ __all__ = [
     "RPCServer",
     "InProcessTransport",
     "TCPTransport",
-    "SimulatedLatencyTransport",
-    "LatencyModel",
     "serve_tcp",
     "XDREncoder",
     "XDRDecoder",

@@ -10,11 +10,11 @@ Two concurrency building blocks live here besides the classic blocking
   :class:`ConnectionPool`) the call is in flight before the method
   returns; otherwise a small thread pool runs the blocking call, so
   callers get the same futures API over every transport.
-* :class:`ConnectionPool` — up to ``size`` lazily-created connections to
-  one endpoint, presented as a single transport.  In-flight calls are
-  spread over the least-loaded connections, broken connections are
-  discarded and re-dialed on next use, and a failure on one pool slot
-  fails only the calls routed over that slot.
+* :class:`ConnectionPool` — up to ``size`` lazily-created pipelined
+  connections to one endpoint, presented as a single transport.
+  In-flight calls are spread over the least-loaded connections, broken
+  connections are discarded and re-dialed on next use, and a failure on
+  one pool slot fails only the calls routed over that slot.
 
 No asyncio: everything is plain threads and ``concurrent.futures``, the
 same machinery the storage fan-out layers build on.
@@ -29,7 +29,11 @@ from typing import Any, Callable
 from repro.errors import ProcedureUnavailable, RPCError, TransportError
 from repro.rpc.message import AcceptStat, ReplyMessage, encode_call, next_xid
 from repro.rpc.server import Procedure
-from repro.rpc.transport import Transport, _resolve_future
+from repro.rpc.transport import (
+    PipelinedTCPTransport,
+    Transport,
+    _resolve_future,
+)
 from repro.rpc.xdr import XDRDecoder, XDREncoder
 
 #: Slot marker: a connection is being dialed for this slot right now.
@@ -49,27 +53,18 @@ def abandon_call(fut: Future, reason: str) -> None:
     transport = getattr(fut, "pool_transport", None)
     if transport is None:
         return
-    exc = TransportError(reason)
-    fail = getattr(transport, "_fail", None)
-    if fail is not None:
-        fail(exc)  # resolves every pending call on that connection
-    else:
-        transport.broken = True  # type: ignore[attr-defined]
-        try:
-            transport.close()  # unblocks a fallback-executor call
-        except Exception:
-            pass
+    transport._fail(TransportError(reason))  # fails its pending calls
 
 
 class ConnectionPool:
     """Fan calls over up to ``size`` connections to one endpoint.
 
-    ``factory`` dials one new transport (it may raise, e.g. ``OSError``
-    when the peer is down — the error surfaces on the call that needed
-    the new connection).  Connections are created lazily: a workload
-    with one call in flight at a time uses one connection no matter the
-    pool size, and ``created`` counts how many the pool ever dialed, so
-    tests can assert reuse.
+    ``factory`` dials one new :class:`PipelinedTCPTransport` (it may
+    raise, e.g. ``OSError`` when the peer is down — the error surfaces
+    on the call that needed the new connection).  Connections are
+    created lazily: a workload with one call in flight at a time uses
+    one connection no matter the pool size, and ``created`` counts how
+    many the pool ever dialed, so tests can assert reuse.
 
     The pool implements the transport protocol (``call``/``close``)
     plus ``submit``, so an :class:`RPCClient` works over it unchanged.
@@ -79,8 +74,8 @@ class ConnectionPool:
     actually riding that connection.
     """
 
-    def __init__(self, factory: Callable[[], Transport], size: int = 4,
-                 timeout: float | None = None):
+    def __init__(self, factory: Callable[[], PipelinedTCPTransport],
+                 size: int = 4, timeout: float | None = None):
         if size < 1:
             raise ValueError("pool needs at least one connection slot")
         self.factory = factory
@@ -93,15 +88,13 @@ class ConnectionPool:
         self._inflight = [0] * size
         self._cond = threading.Condition()
         self._closed = False
-        #: Fallback executor for transports without ``submit``.
-        self._executor: ThreadPoolExecutor | None = None
 
     # -- slot management ----------------------------------------------------
 
-    def _acquire(self) -> tuple[int, Transport]:
-        discarded: list[Transport] = []
+    def _acquire(self) -> tuple[int, PipelinedTCPTransport]:
+        discarded: list[PipelinedTCPTransport] = []
         slot = -1
-        reuse: tuple[int, Transport] | None = None
+        reuse: tuple[int, PipelinedTCPTransport] | None = None
         try:
             with self._cond:
                 while slot < 0 and reuse is None:
@@ -111,7 +104,7 @@ class ConnectionPool:
                         transport = self._slots[idx]
                         if (transport is not None
                                 and transport is not _DIALING
-                                and getattr(transport, "broken", None)):
+                                and transport.broken):
                             self._slots[idx] = None
                             discarded.append(transport)
                     live = [idx for idx in range(self.size)
@@ -168,21 +161,19 @@ class ConnectionPool:
 
     @staticmethod
     def _close_quietly(transports: list) -> None:
-        """Close discarded transports so broken connections don't leak
-        their sockets until GC (pipelined ones already closed in _fail;
-        plain TCP ones have not)."""
+        """Close discarded transports; best effort (a broken one already
+        closed its socket in ``_fail``)."""
         while transports:
             try:
                 transports.pop().close()
             except Exception:
                 pass
 
-    def _release(self, slot: int, transport: Transport) -> None:
+    def _release(self, slot: int, transport: PipelinedTCPTransport) -> None:
         dropped = None
         with self._cond:
             self._inflight[slot] -= 1
-            if (getattr(transport, "broken", None)
-                    and self._slots[slot] is transport):
+            if transport.broken and self._slots[slot] is transport:
                 self._slots[slot] = None
                 dropped = transport
             self._cond.notify_all()
@@ -191,44 +182,16 @@ class ConnectionPool:
 
     # -- transport protocol -------------------------------------------------
 
-    def _dispatch(self, transport: Transport, request: bytes) -> "Future[bytes]":
-        """Start one call on an already-acquired transport."""
-        inner_submit = getattr(transport, "submit", None)
-        if inner_submit is not None:
-            return inner_submit(request)
-        if self._executor is None:
-            with self._cond:
-                if self._executor is None:
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=self.size,
-                        thread_name_prefix="rpc-pool",
-                    )
-        return self._executor.submit(
-            self._call_marking_broken, transport, request
-        )
-
     def submit(self, request: bytes) -> "Future[bytes]":
         slot, transport = self._acquire()
         try:
-            fut = self._dispatch(transport, request)
+            fut = transport.submit(request)
         except Exception:
             self._release(slot, transport)
             raise
         fut.pool_transport = transport  # type: ignore[attr-defined]  # lets abandon_call tear it down
         fut.add_done_callback(lambda _f: self._release(slot, transport))
         return fut
-
-    @staticmethod
-    def _call_marking_broken(transport: Transport, request: bytes) -> bytes:
-        """Blocking-call fallback: plain transports don't self-report
-        brokenness the way pipelined ones do, so tag the transport on a
-        transport-level failure — _release then discards the slot
-        instead of preferring the dead-but-idle connection forever."""
-        try:
-            return transport.call(request)
-        except (TransportError, OSError):
-            transport.broken = True  # type: ignore[attr-defined]
-            raise
 
     def call(self, request: bytes) -> bytes:
         """Blocking call with the pool's deadline.
@@ -245,7 +208,7 @@ class ConnectionPool:
 
         slot, transport = self._acquire()
         try:
-            fut = self._dispatch(transport, request)
+            fut = transport.submit(request)
             fut.pool_transport = transport  # type: ignore[attr-defined]  # for abandon_call symmetry
             try:
                 return fut.result(timeout=self.timeout)
@@ -270,13 +233,10 @@ class ConnectionPool:
                 return
             self._closed = True
             slots, self._slots = list(self._slots), [None] * self.size
-            executor, self._executor = self._executor, None
             self._cond.notify_all()
         for transport in slots:
             if transport is not None and transport is not _DIALING:
                 transport.close()
-        if executor is not None:
-            executor.shutdown(wait=False)
 
 
 class RPCClient:

@@ -1,7 +1,9 @@
 """RPC transports.
 
 A transport is anything with ``call(request: bytes) -> bytes`` (client
-side) plus accounting.  Three implementations:
+side) plus accounting (:class:`TransportStats`: calls and bytes each
+way, which the modeled report prices under a network model).  Three
+implementations:
 
 * :class:`InProcessTransport` — the server handler is invoked directly;
   fast and deterministic.  Most tests and the wall-clock benchmarks use
@@ -12,11 +14,6 @@ side) plus accounting.  Three implementations:
   :meth:`~PipelinedTCPTransport.submit` returns a future and a background
   reader matches replies to requests by xid, so independent calls overlap
   on one connection (and a ``workers=N`` server may answer out of order).
-* :class:`SimulatedLatencyTransport` — wraps another transport and charges
-  a virtual-time cost per round trip from a :class:`LatencyModel`
-  parameterized like the paper's testbed (100 Mbps Ethernet).  Virtual
-  time accumulates in the model; the benchmark harness reads it to report
-  paper-scale numbers without sleeping.
 
 The socket transports move a record without copying it: the marker and
 the record leave in one gathered ``sendmsg``, and a record arrives in a
@@ -34,7 +31,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from repro.errors import TransportError
@@ -84,51 +81,6 @@ class InProcessTransport:
 
     def close(self) -> None:
         self._closed = True
-
-
-@dataclass
-class LatencyModel:
-    """Virtual-time cost model for one RPC round trip.
-
-    Defaults approximate the paper's testbed: 100 Mbps Ethernet between
-    two hosts on the same segment (~0.2 ms RTT for small frames,
-    12.5 MB/s line rate).
-    """
-
-    rtt_seconds: float = 0.0002
-    bandwidth_bytes_per_second: float = 12_500_000.0
-    #: Accumulated virtual network time.
-    virtual_time: float = field(default=0.0)
-
-    def charge(self, request_bytes: int, response_bytes: int) -> float:
-        cost = self.rtt_seconds + (
-            (request_bytes + response_bytes) / self.bandwidth_bytes_per_second
-        )
-        self.virtual_time += cost
-        return cost
-
-    def reset(self) -> None:
-        self.virtual_time = 0.0
-
-
-class SimulatedLatencyTransport:
-    """Wraps a transport, charging virtual time per call (no sleeping)."""
-
-    def __init__(self, inner: Transport, model: LatencyModel | None = None):
-        self.inner = inner
-        self.model = model if model is not None else LatencyModel()
-        self.stats = TransportStats()
-
-    def call(self, request: bytes) -> bytes:
-        self.stats.calls += 1
-        self.stats.bytes_sent += len(request)
-        response = self.inner.call(request)
-        self.stats.bytes_received += len(response)
-        self.model.charge(len(request), len(response))
-        return response
-
-    def close(self) -> None:
-        self.inner.close()
 
 
 class TCPTransport:

@@ -7,10 +7,11 @@ from repro.bench.bonnie import PHASES, run_bonnie, run_phase
 from repro.bench.harness import PAPER_SYSTEMS, SYSTEMS, make_target
 from repro.bench.search import run_search
 from repro.bench.targets import LocalFFSTarget
-from repro.bench.timing import QUANTUM_FIREBALL_CT10, DiskModel, MeasuredTime
+from repro.bench.timing import QUANTUM_FIREBALL_CT10, DiskModel, LatencyModel
 from repro.bench.workloads import SourceTreeSpec, generate_source_tree
 from repro.fs.blockdev import BlockDeviceStats
 from repro.fs.ffs import FFS
+from repro.rpc.transport import InProcessTransport, TransportStats
 
 SMALL = 64 * 1024  # 64 KiB keeps test wall time low
 
@@ -214,11 +215,37 @@ class TestTiming:
     def test_quantum_fireball_profile(self):
         assert QUANTUM_FIREBALL_CT10.media_rate_bytes_per_second > 1e6
 
-    def test_measured_time_throughput(self):
-        m = MeasuredTime(wall_seconds=1.0, disk_seconds=1.0)
-        assert m.throughput_kps(1024 * 100) == pytest.approx(100.0)
-        assert m.throughput_kps(1024 * 100, modeled=True) == pytest.approx(50.0)
-        assert m.modeled_seconds == 2.0
+    def test_latency_model_accounting(self):
+        stats = TransportStats(calls=2, bytes_sent=1000, bytes_received=1000)
+        model = LatencyModel(rtt_seconds=0.001,
+                             bandwidth_bytes_per_second=1_000_000)
+        # 2 round trips + 2000 bytes at 1 MB/s
+        assert model.time_for(stats) == pytest.approx(0.002 + 0.002)
+        assert model.time_for(TransportStats()) == 0.0
+
+    def test_latency_model_matches_per_call_charging(self):
+        """Pricing the transport's totals equals charging every recorded
+        call its own round trip plus wire time, as a per-call wrapper
+        would have accumulated it."""
+        sizes = [(12, 300), (4096, 40), (0, 0), (8500, 8200), (77, 1)]
+        replies = iter(b"r" * out for _, out in sizes)
+        transport = InProcessTransport(lambda request: next(replies))
+        for request_bytes, _ in sizes:
+            transport.call(b"q" * request_bytes)
+        model = LatencyModel(rtt_seconds=0.0003,
+                             bandwidth_bytes_per_second=9_000_000.0)
+        per_call = 0.0
+        for request_bytes, response_bytes in sizes:
+            per_call += model.rtt_seconds + (
+                (request_bytes + response_bytes)
+                / model.bandwidth_bytes_per_second)
+        assert model.time_for(transport.stats) == pytest.approx(
+            per_call, rel=1e-12)
+
+    def test_latency_model_defaults_are_the_testbed_ethernet(self):
+        model = LatencyModel()
+        assert model.bandwidth_bytes_per_second == 12_500_000.0  # 100 Mbps
+        assert 0.0 < model.rtt_seconds < 0.001
 
 
 class TestModeledReport:
@@ -251,12 +278,103 @@ class TestModeledReport:
         assert "Modeled" in out and "DisCFS" in out
 
     def test_network_model_wiring(self):
-        from repro.rpc.transport import LatencyModel
+        """The modeled network time is priced from the built system's
+        own transport counters, which see every RPC the client sends."""
+        from repro.bench.modeled import run_modeled_bonnie
 
-        model = LatencyModel()
-        built = make_target("DisCFS", device_blocks=1024, network_model=model)
+        built = make_target("DisCFS", device_blocks=1024)
+        assert built.transport is built.client.transport
+        built.transport.stats.reset()
         f = built.target.create_file("/n.dat")
         f.write(b"x" * 20000)
         f.flush()
-        assert model.virtual_time > 0.0
-        assert built.extras["network_model"] is model
+        assert built.transport.stats.calls > 0
+        assert LatencyModel().time_for(built.transport.stats) > 0.0
+        assert make_target("FFS", device_blocks=1024).transport is None
+
+        phase = run_modeled_bonnie("DisCFS", file_size=64 * 1024)["rewrite"]
+        assert phase.network_seconds > 0.0
+
+
+class TestAblationTable:
+    def test_journal_run_leaves_no_scratch_files(self, tmp_path, monkeypatch):
+        """Without a ``workdir`` the journal ablation's images, databases
+        and replay journal live in a temporary directory that is gone
+        when the run returns."""
+        import tempfile
+
+        from repro.bench.report import ABLATIONS
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        rows = ABLATIONS["journal"].run(file_size=16 * 1024, char_size=1024)
+        assert rows[-1]["label"] == "crash replay"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_print_table_and_trajectory_fields(self, capsys):
+        from repro.bench.report import print_table, trajectory_fields
+
+        rows = [
+            {"label": "open", "mount_ms": 1.25, "write_ops_s": 100.0,
+             "read_ops_s": 200.0, "write_s": 1.0, "read_s": 1.0,
+             "write_cost_pct": 0.0, "read_cost_pct": 0.0},
+            {"label": "session (tenant)", "mount_ms": 9.5,
+             "write_ops_s": 50.0, "read_ops_s": 150.0, "write_s": 2.0,
+             "read_s": 1.3, "write_cost_pct": 100.0, "read_cost_pct": 30.0},
+        ]
+        print_table("auth", rows, blocks=7)
+        out = capsys.readouterr().out
+        assert "Auth ablation — 7 blocks x 12 rounds" in out
+        assert "session (tenant)" in out and "+100.0" in out
+        # write_s/read_s feed the cost columns but are not cells.
+        assert trajectory_fields("auth", rows) == {
+            "open:mount_ms": 1.25, "open:write_ops_s": 100.0,
+            "open:read_ops_s": 200.0, "open:write_cost_pct": 0.0,
+            "open:read_cost_pct": 0.0,
+            "session_tenant:mount_ms": 9.5,
+            "session_tenant:write_ops_s": 50.0,
+            "session_tenant:read_ops_s": 150.0,
+            "session_tenant:write_cost_pct": 100.0,
+            "session_tenant:read_cost_pct": 30.0,
+        }
+
+    def test_missing_cells_print_a_dash_and_tables_select_rows(self, capsys):
+        from repro.bench.report import print_table
+
+        rows = [{"label": "mem://", "write_ops_s": 1.0, "read_ops_s": 2.0},
+                {"label": "crash replay", "replayed_blocks": 3,
+                 "replayed_txns": 1, "replay_ms": 0.5}]
+        print_table("metered", rows[:1])
+        assert capsys.readouterr().out.split("\n")[3].split()[-1] == "-"
+        print_table("journal", rows[1:])
+        out = capsys.readouterr().out
+        assert "crash replay" in out and "output_char" not in out
+
+    def test_cli_runs_named_ablations_and_emits_trajectory(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.bench import report
+        from repro.obs.trajectory import read_records
+
+        calls = []
+
+        def fake_run(configs=(), file_size=0, char_size=0):
+            calls.append((file_size, char_size))
+            return [{"label": "mem://", "reads": 3, "writes": 4,
+                     "physical_reads": 3, "physical_writes": 4, "leaves": 1}]
+
+        monkeypatch.setitem(report.ABLATIONS, "backends",
+                            report.ABLATIONS["backends"]._replace(run=fake_run))
+        report.main(["--systems", "FFS", "--file-size", "16384",
+                     "--char-size", "1024", "--ablation", "backends",
+                     "--emit-trajectory", str(tmp_path)])
+        assert calls == [(16384, 1024)]
+        assert "Storage backend ablation" in capsys.readouterr().out
+        [record] = read_records(tmp_path / "BENCH_backends.json")
+        assert record["topic"] == "backends"
+        assert record["mem://:physical_writes"] == 4
+
+    def test_cli_rejects_unknown_ablation(self, capsys):
+        from repro.bench import report
+
+        with pytest.raises(SystemExit):
+            report.main(["--ablation", "nope"])
+        assert "invalid choice" in capsys.readouterr().err

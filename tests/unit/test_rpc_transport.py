@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import TransportError
-from repro.rpc.transport import (
-    InProcessTransport,
-    LatencyModel,
-    SimulatedLatencyTransport,
-    TCPTransport,
-    serve_tcp,
-)
+from repro.rpc.transport import InProcessTransport, TCPTransport, serve_tcp
 
 
 class TestInProcessTransport:
@@ -30,31 +24,6 @@ class TestInProcessTransport:
         t.close()
         with pytest.raises(TransportError):
             t.call(b"x")
-
-
-class TestLatencyModel:
-    def test_charge_accumulates(self):
-        model = LatencyModel(rtt_seconds=0.001,
-                             bandwidth_bytes_per_second=1_000_000)
-        cost = model.charge(1000, 1000)
-        assert cost == pytest.approx(0.001 + 0.002)
-        model.charge(0, 0)
-        assert model.virtual_time == pytest.approx(0.004)
-
-    def test_reset(self):
-        model = LatencyModel()
-        model.charge(100, 100)
-        model.reset()
-        assert model.virtual_time == 0.0
-
-    def test_simulated_transport_charges(self):
-        inner = InProcessTransport(lambda req: b"resp")
-        model = LatencyModel(rtt_seconds=0.5, bandwidth_bytes_per_second=1e9)
-        t = SimulatedLatencyTransport(inner, model)
-        t.call(b"req")
-        t.call(b"req")
-        assert model.virtual_time >= 1.0
-        assert t.stats.calls == 2
 
 
 class TestTCPTransport:

@@ -454,26 +454,6 @@ class TestPipelinedTransport:
         finally:
             mem_server.close()
 
-    def test_pool_discards_broken_plain_transport(self, server):
-        """The thread-pool fallback path (transports without submit)
-        must also stop routing to a connection that died."""
-        from repro.rpc.transport import TCPTransport
-
-        host, port = server.address
-        pool = ConnectionPool(lambda: TCPTransport(host, port, timeout=5.0),
-                              size=2)
-        client = RPCClient(pool, BLOCKSTORE_PROGRAM, BLOCKSTORE_VERSION)
-        client.ping()
-        with pool._cond:
-            victim = next(t for t in pool._slots if t is not None)
-        victim._sock.close()  # the node "reboots" under the pool
-        with pytest.raises(TransportError):
-            client.ping()
-        assert getattr(victim, "broken", None)
-        client.ping()  # slot discarded, fresh connection dialed
-        assert pool.created == 2
-        client.close()
-
     def test_put_many_duplicate_blocks_keep_last_write(self, server,
                                                        monkeypatch):
         """A batch carrying the same block twice must end with the later
