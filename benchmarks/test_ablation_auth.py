@@ -106,16 +106,30 @@ def test_mount_by_auth(benchmark, principals, mode):
     benchmark.extra_info["mode"] = mode
 
 
+#: Sweeps per comparison; every compared cell is the fastest of them.
+REPEATS = 3
+#: The cells the acceptance assertions compare.
+TIMED = ("write_s", "read_s", "mount_ms")
+
+
 @pytest.mark.flaky
 def test_auth_comparison_table(capsys):
-    """Full sweep through the report harness, with the acceptance
+    """Full sweeps through the report harness, with the acceptance
     assertions (wall-clock based, hence the flaky marker; the 2x
-    envelope is far above the measured per-proc overhead)."""
+    envelope is far above the measured per-proc overhead).  The sweeps
+    interleave — each one times every mount — so a slow spell on the
+    host lands on all rows alike, and each compared cell is the fastest
+    of ``REPEATS``."""
     params = dict(blocks=BLOCKS, rounds=8, block_size=BLOCK_SIZE)
-    rows = ABLATIONS["auth"].run(**params)
+    results: dict[str, dict] = {}
+    for _rep in range(REPEATS):
+        rows = ABLATIONS["auth"].run(**params)
+        for row in rows:
+            best = results.setdefault(row["label"], dict(row))
+            for key in TIMED:
+                best[key] = min(best[key], row[key])
     with capsys.disabled():
         print_table("auth", rows, **params)
-    results = {row["label"]: row for row in rows}
 
     open_row = results["open"]
     for label in ("session (operator)", "session (tenant)"):

@@ -1,8 +1,8 @@
 """discfs-lint: project-specific static analysis.
 
 Encodes invariants generic linters cannot know — lock discipline and
-lock-acquisition ordering, the error-taxonomy contract, span
-propagation across thread pools and resource lifetimes.  Entry points:
+lock-acquisition ordering, the error-taxonomy contract and resource
+lifetimes.  Entry points:
 
 * CLI: ``discfs lint [PATHS] [--rule R] [--json] [--baseline FILE]``
 * API: :func:`repro.analysis.core.run_lint`

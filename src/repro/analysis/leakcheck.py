@@ -39,7 +39,6 @@ import ast
 from typing import Iterable, Iterator
 
 from repro.analysis.core import Checker, Finding, Project, SourceFile
-from repro.analysis.flow import header_exprs
 
 _FuncDef = ast.FunctionDef | ast.AsyncFunctionDef
 
@@ -69,6 +68,23 @@ def _is_acquirer_call(node: ast.AST) -> bool:
     if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
         return (func.value.id, func.attr) in _ACQUIRER_ATTRS
     return False
+
+
+def header_exprs(stmt: ast.stmt) -> list[ast.expr]:
+    """The expressions evaluated *at* a statement — for a compound
+    statement that is just its header (test / iterable / context items);
+    the nested bodies are statements of their own."""
+    if isinstance(stmt, (ast.If, ast.While)):
+        return [stmt.test]
+    if isinstance(stmt, (ast.For, ast.AsyncFor)):
+        return [stmt.iter, stmt.target]
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return [item.context_expr for item in stmt.items]
+    if isinstance(stmt, (ast.Try, ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return []
+    return [child for child in ast.iter_child_nodes(stmt)
+            if isinstance(child, ast.expr)]
 
 
 def _lambda_nodes(root: ast.AST) -> set[int]:

@@ -49,8 +49,12 @@ optionally ``--credential FILE`` (repeatable).  See
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import signal
 import sys
+import threading
+from typing import Callable
 
 from repro.core.admin import Administrator
 from repro.core.client import DisCFSClient
@@ -78,6 +82,11 @@ def _write(path: str, text: str, secret: bool = False) -> None:
         f.write(text)
     if secret:
         os.chmod(path, 0o600)
+
+
+def _principal_arg(value: str) -> str:
+    """A principal given inline, or the path of a file holding one."""
+    return _read(value).strip() if os.path.exists(value) else value
 
 
 def _load_keypair(path: str):
@@ -119,11 +128,9 @@ def cmd_identity(args) -> int:
 
 def cmd_issue(args) -> int:
     issuer = CredentialIssuer(_load_keypair(args.key))
-    licensee = _read(args.licensee).strip() if os.path.exists(args.licensee) \
-        else args.licensee
     text = issuer.grant(
-        licensee, handle=args.handle, rights=args.rights,
-        comment=args.comment, subtree=args.subtree,
+        _principal_arg(args.licensee), handle=args.handle,
+        rights=args.rights, comment=args.comment, subtree=args.subtree,
         expires_at=args.expires_at, hours=_parse_hours(args.hours),
     )
     _emit_credential(text, args.out)
@@ -132,8 +139,7 @@ def cmd_issue(args) -> int:
 
 def cmd_delegate(args) -> int:
     issuer = CredentialIssuer(_load_keypair(args.key))
-    licensee = _read(args.licensee).strip() if os.path.exists(args.licensee) \
-        else args.licensee
+    licensee = _principal_arg(args.licensee)
     text = issuer.delegate(
         _read(args.credential), licensee, rights=args.rights,
         comment=args.comment, expires_at=args.expires_at,
@@ -190,6 +196,25 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _wait_for_stop() -> Callable[[], None]:
+    """Install a SIGTERM handler now and return the wait for it (or for
+    Ctrl-C).  Servers call this before announcing readiness: a manager
+    that stops them at once must still get a clean shutdown."""
+    stop = threading.Event()
+    try:
+        signal.signal(signal.SIGTERM, lambda _signum, _frame: stop.set())
+    except ValueError:  # pragma: no cover - off the main thread
+        pass
+
+    def wait() -> None:
+        try:
+            stop.wait()
+        except KeyboardInterrupt:  # pragma: no cover - interactive path
+            pass
+
+    return wait
+
+
 def _import_host_tree(server: DisCFSServer, host_dir: str) -> int:
     """Copy a host directory tree into the server's filesystem."""
     imported = 0
@@ -211,8 +236,7 @@ def cmd_serve(args) -> int:
     from repro.fs.ffs import FFS
     from repro.storage import open_device
 
-    admin_identity = _read(args.admin_identity).strip() \
-        if os.path.exists(args.admin_identity) else args.admin_identity
+    admin_identity = _principal_arg(args.admin_identity)
     # Restore a previous checkpoint when the backend holds one (what makes
     # `--backend file:///var/lib/discfs.img` survive restarts); otherwise
     # build a fresh filesystem on the backend.
@@ -240,32 +264,15 @@ def cmd_serve(args) -> int:
         persist.sync(server.fs)
         server.fs.device.flush()
 
-    stop = None
-    if not args.oneshot:
-        # Checkpoint on SIGTERM (process managers, `docker stop`) as well
-        # as Ctrl-C, so durable backends keep their state however the
-        # server is shut down.  Installed before announcing readiness: a
-        # manager that stops us immediately must still get a checkpoint.
-        import signal
-        import threading
-
-        stop = threading.Event()
-        try:
-            signal.signal(signal.SIGTERM, lambda _signum, _frame: stop.set())
-        except ValueError:  # pragma: no cover - serve() off the main thread
-            pass
-
+    # Checkpoint on SIGTERM (process managers, `docker stop`) as well as
+    # Ctrl-C, so durable backends keep their state however the server is
+    # shut down.
+    wait_for_stop = None if args.oneshot else _wait_for_stop()
     print(f"DisCFS serving on {host}:{port} "
           f"(issuer identity {server.issuer_identity[:40]}..., "
           f"backend {args.backend})")
-    if args.oneshot:  # used by the tests: exit instead of blocking
-        checkpoint()
-        tcp.close()
-        return 0
-    try:
-        stop.wait()
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
+    if wait_for_stop is not None:  # --oneshot (the tests) exits at once
+        wait_for_stop()
     checkpoint()
     tcp.close()
     return 0
@@ -335,17 +342,7 @@ def cmd_store_serve(args) -> int:
         metrics_server = serve_metrics(host=args.host,
                                        port=args.metrics_port)
 
-    stop = None
-    if not args.oneshot:
-        import signal
-        import threading
-
-        stop = threading.Event()
-        try:
-            signal.signal(signal.SIGTERM, lambda _signum, _frame: stop.set())
-        except ValueError:  # pragma: no cover - off the main thread
-            pass
-
+    wait_for_stop = None if args.oneshot else _wait_for_stop()
     # The announce line is machine-readable: the integration tests (and a
     # two-terminal walkthrough) parse host:port out of it.
     auth = (f"keynote, {len(gate.tenants)} tenant(s)" if gate is not None
@@ -359,16 +356,8 @@ def cmd_store_serve(args) -> int:
         mhost, mport = metrics_server.address
         print(f"metrics serving on {mhost}:{mport} "
               f"(/metrics /metrics.json /trace.json)", flush=True)
-    if args.oneshot:  # used by the tests: exit instead of blocking
-        if metrics_server is not None:
-            metrics_server.close()
-        server.close()
-        store.close()
-        return 0
-    try:
-        stop.wait()
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
+    if wait_for_stop is not None:  # --oneshot (the tests) exits at once
+        wait_for_stop()
     if metrics_server is not None:
         metrics_server.close()
     server.close()
@@ -381,12 +370,9 @@ def cmd_store_issue(args) -> int:
     client presents at SESSION_OPEN (``remote://...#cred=FILE``)."""
     from repro.storage.auth import issue_store_credential
 
-    issuer = _load_keypair(args.key)
-    licensee = _read(args.licensee).strip() if os.path.exists(args.licensee) \
-        else args.licensee
     text = issue_store_credential(
-        issuer, licensee, args.tenant, rights=args.rights,
-        expires_at=args.expires_at, comment=args.comment,
+        _load_keypair(args.key), _principal_arg(args.licensee), args.tenant,
+        rights=args.rights, expires_at=args.expires_at, comment=args.comment,
     )
     _emit_credential(text, args.out)
     return 0
@@ -631,29 +617,22 @@ def _connect(args) -> DisCFSClient:
 
 
 def cmd_ls(args) -> int:
-    client = _connect(args)
-    try:
+    with contextlib.closing(_connect(args)) as client:
         fh, _ = client.walk(args.path)
         for _ino, name in client.readdir(fh):
             if name not in (".", ".."):
                 print(name)
-    finally:
-        client.close()
     return 0
 
 
 def cmd_cat(args) -> int:
-    client = _connect(args)
-    try:
+    with contextlib.closing(_connect(args)) as client:
         sys.stdout.buffer.write(client.read_path(args.path))
-    finally:
-        client.close()
     return 0
 
 
 def cmd_put(args) -> int:
-    client = _connect(args)
-    try:
+    with contextlib.closing(_connect(args)) as client:
         with open(args.local, "rb") as f:
             data = f.read()
         client.write_path(args.path, data)
@@ -661,20 +640,15 @@ def cmd_put(args) -> int:
         if client.wallet and args.save_credential:
             _write(args.save_credential, client.wallet[-1])
             print(f"creator credential saved to {args.save_credential}")
-    finally:
-        client.close()
     return 0
 
 
 def cmd_rm(args) -> int:
-    client = _connect(args)
-    try:
+    with contextlib.closing(_connect(args)) as client:
         directory, _, name = args.path.strip("/").rpartition("/")
         dir_fh, _ = client.walk(directory) if directory else (client.root, None)
         client.remove(dir_fh, name)
         print(f"removed {args.path}")
-    finally:
-        client.close()
     return 0
 
 
@@ -682,51 +656,38 @@ def cmd_stat(args) -> int:
     """Print a remote file's handle (what credentials bind rights to)."""
     from repro.core.handles import HandleScheme
 
-    client = _connect(args)
-    try:
+    with contextlib.closing(_connect(args)) as client:
         fh, attr = client.walk(args.path)
         print(f"handle     : {HandleScheme.INODE_GENERATION.render(fh)}")
         print(f"handle(ino): {HandleScheme.INODE.render(fh)}")
         print(f"type       : {'dir' if attr.is_dir else 'file'}")
         print(f"size       : {attr.size}")
         print(f"mode       : {attr.permission_bits:03o} (your granted rights)")
-    finally:
-        client.close()
     return 0
 
 
 def cmd_submit(args) -> int:
-    client = _connect(args)
-    try:
+    with contextlib.closing(_connect(args)) as client:
         for path in args.files:
             message = client.submit_credential(_read(path))
             print(f"{path}: {message}")
-    finally:
-        client.close()
     return 0
 
 
 def cmd_audit(args) -> int:
-    client = _connect(args)
-    try:
+    with contextlib.closing(_connect(args)) as client:
         for line in client.nfs.audit_log(limit=args.limit):
             print(line)
-    finally:
-        client.close()
     return 0
 
 
 def cmd_revoke(args) -> int:
-    client = _connect(args)
-    try:
+    with contextlib.closing(_connect(args)) as client:
         if args.kind == "key":
-            value = _read(args.value).strip() if os.path.exists(args.value) \
-                else args.value
+            value = _principal_arg(args.value)
         else:
             value = parse_assertion(_read(args.value)).signature
         print(client.nfs.revoke(f"{args.kind} {value}"))
-    finally:
-        client.close()
     return 0
 
 

@@ -410,13 +410,29 @@ def _modulo(left: int | float, right: int | float) -> int | float:
     return -result if left < 0 else result
 
 
+#: Size cap on an integer power, in bits.  ``abs(base).bit_length() *
+#: exponent`` bounds the result's size and is checked before computing,
+#: so a hostile ``10 ^ 100000000`` costs nothing.
+MAX_POWER_BITS = 4096
+
+
+def _power(base: int | float, exponent: int | float) -> int | float:
+    if (isinstance(base, int) and isinstance(exponent, int) and abs(base) > 1
+            and abs(base).bit_length() * exponent > MAX_POWER_BITS):
+        raise ExpressionError("numeric overflow")
+    result = base**exponent
+    if isinstance(result, complex):
+        raise ExpressionError("complex result")
+    return result
+
+
 _ARITHMETIC_FN: dict[str, Callable[[int | float, int | float], int | float]] = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
     "/": _divide,
     "%": _modulo,
-    "^": operator.pow,
+    "^": _power,
 }
 
 

@@ -7,7 +7,10 @@ it in the ONC RPC credential field (an XDR opaque old peers decode and
 ignore, so the trace field is NULL-compatible in both directions).  The
 server records one span per proc with the queue-wait vs. service-time
 split; :func:`mark_request_received` is how the transport layer hands
-the receive timestamp across the worker-pool boundary.
+the receive timestamp across the worker-pool boundary.  Inside one
+process the active context is a :mod:`contextvars` variable, and
+:class:`ContextExecutor` carries it across every pool hop on the
+client side.
 
 Spans land in a process-wide :class:`TraceRecorder`: a bounded ring
 buffer plus an optional JSON-lines log (``store-serve --trace-log``).
@@ -22,10 +25,12 @@ import json
 import os
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Any, Callable, TypeVar
 
 __all__ = [
+    "ContextExecutor",
     "Span",
     "SpanContext",
     "TraceRecorder",
@@ -45,6 +50,8 @@ __all__ = [
 DEFAULT_RING = 2048
 
 _NO_PARENT = "0" * 16
+
+_T = TypeVar("_T")
 
 
 def _hex_id(nbytes: int) -> str:
@@ -84,9 +91,10 @@ def current_context() -> SpanContext | None:
 class use_context:
     """Context manager installing ``ctx`` as the active span context.
 
-    The fan-out layers (``replica://`` lanes, ``shard://`` pools) copy
-    the ambient :mod:`contextvars` context into their worker threads,
-    so a context activated here is visible to every child dispatch.
+    Every pool that runs a caller's work (``replica://`` lanes,
+    ``shard://`` fan-out, reshard movers, ``call_async``) is a
+    :class:`ContextExecutor`, so a context activated here is visible to
+    every child dispatch.
     """
 
     def __init__(self, ctx: SpanContext | None) -> None:
@@ -101,6 +109,22 @@ class use_context:
         if self._token is not None:
             _active.reset(self._token)
             self._token = None
+
+
+class ContextExecutor(ThreadPoolExecutor):
+    """A thread pool whose tasks run in their submitter's context.
+
+    Pool threads outlive many operations and :mod:`contextvars` do not
+    flow into them, so ``submit`` runs each task in a
+    :func:`contextvars.copy_context` taken on the submitting thread at
+    submission time — one copy per task, since one context cannot be
+    entered by two threads at once.  ``map`` goes through ``submit``.
+    """
+
+    def submit(self, fn: Callable[..., _T], /, *args: Any,
+               **kwargs: Any) -> Future[_T]:
+        return super().submit(contextvars.copy_context().run, fn,
+                              *args, **kwargs)
 
 
 # -- wire format ------------------------------------------------------------

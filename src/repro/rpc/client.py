@@ -23,10 +23,11 @@ same machinery the storage fan-out layers build on.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Any, Callable
 
 from repro.errors import ProcedureUnavailable, RPCError, TransportError
+from repro.obs.trace import ContextExecutor
 from repro.rpc.message import AcceptStat, ReplyMessage, encode_call, next_xid
 from repro.rpc.server import Procedure
 from repro.rpc.transport import (
@@ -246,8 +247,8 @@ class RPCClient:
         self.transport = transport
         self.prog = prog
         self.vers = vers
-        self._executor: ThreadPoolExecutor | None = None
-        self._lock = threading.Lock()
+        self._executor = ContextExecutor(max_workers=8,
+                                         thread_name_prefix="rpc-async")
 
     def _decode_reply(self, xid: int, proc: int, raw: bytes) -> XDRDecoder:
         dec = XDRDecoder(raw)
@@ -299,21 +300,17 @@ class RPCClient:
         Over a pipelined transport (or :class:`ConnectionPool`) the
         request is on the wire before this returns, so several
         ``call_async`` invocations overlap their round trips; elsewhere
-        a client-owned thread pool supplies the overlap.  Errors arrive
-        through the future exactly as :meth:`call` would raise them.
-        ``cred`` is the optional credential body, as in :meth:`call`.
+        a client-owned :class:`~repro.obs.trace.ContextExecutor`
+        supplies the overlap, running the blocking call in the caller's
+        context.  Errors arrive through the future exactly as
+        :meth:`call` would raise them.  ``cred`` is the optional
+        credential body, as in :meth:`call`.
         """
         xid = next_xid()
         raw = encode_call(xid, self.prog, self.vers, proc, args,
                           auth_body=cred)
         submit = getattr(self.transport, "submit", None)
         if submit is None:
-            if self._executor is None:
-                with self._lock:
-                    if self._executor is None:
-                        self._executor = ThreadPoolExecutor(
-                            max_workers=8, thread_name_prefix="rpc-async"
-                        )
             return self._executor.submit(
                 lambda: self._decode_reply(xid, proc, self.transport.call(raw))
             )
@@ -343,6 +340,5 @@ class RPCClient:
         self.call(0).done()
 
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
+        self._executor.shutdown(wait=False)
         self.transport.close()

@@ -24,14 +24,13 @@ separate from the bytes:
 
 from __future__ import annotations
 
-import contextvars
 import threading
 import time
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidArgument
+from repro.obs.trace import ContextExecutor
 from repro.storage.base import BlockStore, Capabilities, StoreStats, close_quietly
 from repro.storage.registry import build
 from repro.storage.shard import ShardedBlockStore, build_ring, ring_owner
@@ -424,20 +423,9 @@ def reshard(
 
         pairs = list(moves)
         if len(pairs) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(8, len(pairs)),
-                thread_name_prefix="reshard",
-            ) as pool:
-                # Copy the caller's contextvars per task so an active
-                # trace span parents the mover writes (one Context
-                # cannot be entered concurrently — copy per submission,
-                # like the shard fan-out pool does).
-                futures = [
-                    pool.submit(contextvars.copy_context().run,
-                                move_pair, pair)
-                    for pair in pairs
-                ]
-                moved = [fut.result() for fut in futures]
+            with ContextExecutor(max_workers=min(8, len(pairs)),
+                                 thread_name_prefix="reshard") as pool:
+                moved = list(pool.map(move_pair, pairs))
         else:
             moved = [move_pair(pair) for pair in pairs]
         report.moved_blocks = sum(moved)

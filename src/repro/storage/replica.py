@@ -20,8 +20,10 @@ answers are still required, so a slow-but-alive child inside the chosen
 Each child has its own single-thread lane, so operations against one
 replica always apply in submission order — a straggler from batch 17
 can never land on top of batch 18 — while different replicas overlap
-freely.  ``fanout=1`` restores the strictly sequential loop (the
-baseline the fanout ablation measures against).
+freely.  A lane is a :class:`~repro.obs.trace.ContextExecutor`, so an
+active trace span parents the child's spans.  ``fanout=1`` restores the
+strictly sequential loop (the baseline the fanout ablation measures
+against).
 
 Freshness is decided by per-block **version stamps**: a counter bumped on
 every write and recorded per child.  A child that missed a write (it was
@@ -44,16 +46,16 @@ is the injectable failure used to test exactly that, and
 
 from __future__ import annotations
 
-import contextvars
 import json
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import InvalidArgument, QuorumError, ReproError, StoreUnavailable
+from repro.obs.trace import ContextExecutor
 from repro.storage.base import BlockStore, Capabilities, T, WrapperBlockStore
 
 _CHILD_FAILURES = (ReproError, OSError)
@@ -174,9 +176,12 @@ class ReplicatedBlockStore(BlockStore):
         #: Guards _clock, _versions, and replica_stats against the
         #: background lanes.
         self._lock = threading.Lock()
-        #: One ordered lane per child (created lazily in concurrent mode).
-        self._lanes: list[ThreadPoolExecutor | None] = [None] * n
-        self._lanes_lock = threading.Lock()
+        #: One ordered lane per child; a lane starts its thread on the
+        #: first submit, so the sequential mode never starts any.
+        self._lanes = [
+            ContextExecutor(max_workers=1, thread_name_prefix=f"replica-{idx}")
+            for idx in range(n)
+        ]
         #: Child operations in flight (foreground + background).
         self._pending = 0
         self._drain_cv = threading.Condition()
@@ -187,27 +192,12 @@ class ReplicatedBlockStore(BlockStore):
     def _concurrent(self) -> bool:
         return self.fanout > 1 and len(self.children) > 1
 
-    def _lane(self, idx: int) -> ThreadPoolExecutor:
-        with self._lanes_lock:
-            lane = self._lanes[idx]
-            if lane is None:
-                lane = self._lanes[idx] = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix=f"replica-{idx}"
-                )
-            return lane
-
     def _submit_child(self, idx: int, fn) -> Future:
-        """Queue ``fn`` on child ``idx``'s ordered lane.
-
-        The caller's :mod:`contextvars` context is copied into the lane
-        so an active trace span parents the child's spans (a lane
-        thread outlives many operations and would otherwise see none).
-        """
+        """Queue ``fn`` on child ``idx``'s ordered lane."""
         with self._drain_cv:
             self._pending += 1
         try:
-            ctx = contextvars.copy_context()
-            fut = self._lane(idx).submit(ctx.run, fn)
+            fut = self._lanes[idx].submit(fn)
         except BaseException:
             with self._drain_cv:
                 self._pending -= 1
@@ -673,11 +663,8 @@ class ReplicatedBlockStore(BlockStore):
     def close(self) -> None:
         self.drain()
         self._save_stamps()
-        with self._lanes_lock:
-            lanes, self._lanes = self._lanes, [None] * len(self.children)
-        for lane in lanes:
-            if lane is not None:
-                lane.shutdown(wait=True)
+        for lane in self._lanes:
+            lane.shutdown(wait=True)
         for child in self.children:
             try:
                 child.close()

@@ -17,6 +17,8 @@ round trips overlap, so a batch costs roughly the slowest child's share
 instead of the sum of every child's (``fanout=1`` restores the
 sequential loop; the fanout ablation measures the difference).  Results
 are position-aligned either way, so concurrency never changes answers.
+The fan-out pool is a :class:`~repro.obs.trace.ContextExecutor`, so an
+active trace span parents the per-shard spans.
 
 Each child keeps its own :class:`~repro.fs.blockdev.BlockDeviceStats`, so
 benchmarks can report per-shard traffic and verify balance.
@@ -25,12 +27,10 @@ benchmarks can report per-shard traffic and verify balance.
 from __future__ import annotations
 
 import bisect
-import contextvars
 import hashlib
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import InvalidArgument
+from repro.obs.trace import ContextExecutor
 from repro.storage.base import BlockStore, Capabilities
 
 #: Virtual nodes per shard; 64 keeps the ring balanced within a few
@@ -107,8 +107,7 @@ class ShardedBlockStore(BlockStore):
         if fanout < 1:
             raise InvalidArgument("shard fanout must be at least 1")
         self.fanout = min(int(fanout), len(children))
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_lock = threading.Lock()
+        self._executor = self._new_pool()
         # children + ring live in ONE attribute so a topology swap
         # (reshard) is a single atomic assignment: a concurrent reader
         # never sees the new children with the old ring or vice versa.
@@ -155,26 +154,19 @@ class ShardedBlockStore(BlockStore):
         else:
             new_fanout = min(self.fanout, len(children))
         if new_fanout != self.fanout:
-            # The lazily created pool was sized for the old fanout;
-            # retire it so the next fan-out builds one at the new width
-            # (in-flight tasks on the old pool run to completion).
+            # The pool was sized for the old fanout: swap in one at the
+            # new width (in-flight tasks on the old pool run to
+            # completion).
             self.fanout = new_fanout
-            with self._executor_lock:
-                executor, self._executor = self._executor, None
-            if executor is not None:
-                executor.shutdown(wait=False)
+            executor, self._executor = self._executor, self._new_pool()
+            executor.shutdown(wait=False)
         self._topology = (list(children), ring, ring_shard)
 
     # -- fan-out machinery -------------------------------------------------
 
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.fanout,
-                    thread_name_prefix="shard-fanout",
-                )
-            return self._executor
+    def _new_pool(self) -> ContextExecutor:
+        return ContextExecutor(max_workers=self.fanout,
+                               thread_name_prefix="shard-fanout")
 
     def _fan_out(self, tasks: list) -> list:
         """Run ``tasks`` (thunks) concurrently; every task is attempted
@@ -182,12 +174,7 @@ class ShardedBlockStore(BlockStore):
         Returns the task results in order."""
         if self.fanout == 1 or len(tasks) == 1:
             return [task() for task in tasks]
-        # Copy the caller's contextvars so an active trace span parents
-        # the per-shard spans run on the long-lived pool threads.
-        futures = [
-            self._pool().submit(contextvars.copy_context().run, task)
-            for task in tasks
-        ]
+        futures = [self._executor.submit(task) for task in tasks]
         results = []
         first_exc: BaseException | None = None
         for fut in futures:
@@ -294,10 +281,7 @@ class ShardedBlockStore(BlockStore):
             except BaseException as exc:
                 if first_exc is None:
                     first_exc = exc
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
+        self._executor.shutdown(wait=True)
         if first_exc is not None:
             raise first_exc
 

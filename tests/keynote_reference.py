@@ -4,14 +4,16 @@ This is the Conditions interpreter ``repro.keynote.expr`` had before a
 program was compiled into closures when it is parsed, and the compliance
 checker ``repro.keynote.compliance`` had before it bucketed assertions by
 guard literal and pruned principals with no delegation path to a
-requester.  Both stay here, unchanged in what they compute, as what the
-compiled engine is compared against
+requester.  Both stay here, unchanged in what they compute apart from
+``^`` (bounded like the program's: an integer power past
+``MAX_POWER_BITS`` and a complex result are ``ExpressionError``), as
+what the compiled engine is compared against
 (``tests/property/test_prop_keynote.py``,
 ``benchmarks/test_ablation_credential_store.py``).
 
 The AST node types, ``ComplianceValues``, the licensee expressions, the
-guard extractor and signature verification are the program's own; only
-the evaluation is duplicated.
+guard extractor, the power size cap and signature verification are the
+program's own; only the evaluation is duplicated.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.keynote.compliance import (
     _conditions_guard,
 )
 from repro.keynote.expr import (
+    MAX_POWER_BITS,
     And,
     Attr,
     BinOp,
@@ -219,7 +222,14 @@ def _eval_binop(node: BinOp, env: _Env) -> Value:
             result = abs(left) % abs(right)
             return -result if left < 0 else result
         if node.op == "^":
-            return left**right
+            if (isinstance(left, int) and isinstance(right, int)
+                    and abs(left) > 1
+                    and abs(left).bit_length() * right > MAX_POWER_BITS):
+                raise ExpressionError("numeric overflow")
+            result = left**right
+            if isinstance(result, complex):
+                raise ExpressionError("complex result")
+            return result
     except ZeroDivisionError as exc:
         raise ExpressionError("division by zero") from exc
     except OverflowError as exc:

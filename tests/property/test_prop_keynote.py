@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.permissions import PERMISSION_VALUES
+from repro.errors import ExpressionError
 from repro.keynote.ast import ComplianceValues
 from repro.keynote.compliance import ComplianceChecker
 from repro.keynote.parser import parse_assertion
@@ -145,8 +146,8 @@ LITERAL_INT = st.integers(min_value=0, max_value=99).map(str)
 LITERAL_FLOAT = st.sampled_from(["0.0", "0.5", "2.0", "1e3", "7.25"])
 NEGATIVE = st.sampled_from(["-7", "-2", "-0.5"])
 ATTRIBUTE = st.sampled_from(ATTRIBUTE_NAMES)
-#: ``^`` only between leaves, on a literal base: a tower of powers does not
-#: end, and a negative base under a fractional power is a complex number.
+#: ``^`` only between leaves, on a literal base; the powers an attacker
+#: would write have their own strategy, ``HOSTILE_POWER`` below.
 POWER = st.tuples(
     st.one_of(LITERAL_INT, LITERAL_FLOAT),
     st.one_of(st.sampled_from(["-1", "0", "2", "5", "0.5"]), ATTRIBUTE.map("@".__add__)),
@@ -230,6 +231,37 @@ def test_compiled_arithmetic_matches_the_tree_walk(number, n):
             f'{number} <= {threshold} -> "R"; {number} == {threshold} -> "RWX";')
         assert outcome(program.evaluate, {"n": n}, OCTAL, True) == \
             outcome(ref.reference_evaluate, program, {"n": n}, OCTAL, True)
+
+
+#: Powers an attacker would write: integer results on both sides of the
+#: size cap, exponents far past it, negative bases under fractional
+#: exponents (complex results) and float powers out of range.
+HOSTILE_BASE = st.one_of(
+    st.integers(-(2**70), 2**70).map(lambda n: f"(0 - {-n})" if n < 0 else str(n)),
+    st.sampled_from(["@h", "&h", "0.5", "1e300", "(0 - 0.5)"]))
+HOSTILE_EXPONENT = st.one_of(
+    st.integers(0, 10**8).map(str),
+    st.integers(0, 5000).map(str),
+    st.sampled_from(["0.5", "1e300", "(0 - 3)", "(99 ^ 99)", "@e", "&e"]))
+HOSTILE_POWER = st.tuples(HOSTILE_BASE, HOSTILE_EXPONENT).map(
+    lambda pair: f"({pair[0]} ^ {pair[1]})")
+HOSTILE_ATTRIBUTES = st.fixed_dictionaries({
+    "h": st.sampled_from(["-8", "-1", "0", "2", "10", "1e308", "-0.5"]),
+    "e": st.sampled_from(["0.5", "-2", "1.5", "4096", "3000000", "1e9"]),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(power=HOSTILE_POWER, attributes=HOSTILE_ATTRIBUTES, strict=st.booleans())
+def test_hostile_powers_match_the_tree_walk(power, attributes, strict):
+    """Both engines bound ``^`` alike: a value, or ``ExpressionError``
+    (never a ``TypeError`` from a complex number, never an unbounded
+    computation)."""
+    program = parse_conditions(
+        f'{power} < 1 -> "R"; {power} >= 1 -> "RWX"; {power} == {power} -> "W";')
+    compiled = outcome(program.evaluate, attributes, OCTAL, strict)
+    assert compiled in (*PERMISSION_VALUES, ExpressionError)
+    assert compiled == outcome(ref.reference_evaluate, program, attributes, OCTAL, strict)
 
 
 def mentions(node, found=None):

@@ -135,7 +135,7 @@ class TestRunLint:
         checkers = all_checkers()
         assert set(checkers) == {
             "lock-discipline", "lock-order", "error-taxonomy",
-            "span-propagation", "resource-leak",
+            "resource-leak",
         }
         for factory in checkers.values():
             assert factory.description

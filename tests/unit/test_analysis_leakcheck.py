@@ -8,10 +8,11 @@ introduced, so the rule demonstrably separates the two.
 
 from __future__ import annotations
 
+import ast
 import textwrap
 
 from repro.analysis.core import Project
-from repro.analysis.leakcheck import ResourceLeakChecker
+from repro.analysis.leakcheck import ResourceLeakChecker, header_exprs
 
 
 def _run(tmp_path, source, rel="storage/registry.py"):
@@ -126,3 +127,10 @@ class TestKnownGood:
                 return Wrapper(store)
         """, rel="src/repro/bench/flood.py")
         assert findings == []
+
+
+def test_compound_statement_is_its_header_only():
+    # The if *test* is a plain name: the call in the body is a statement
+    # of its own, not part of the header's.
+    stmt = ast.parse("if flag:\n    danger()").body[0]
+    assert header_exprs(stmt) == [stmt.test]

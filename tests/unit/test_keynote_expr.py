@@ -1,5 +1,7 @@
 """Unit tests for the Conditions expression language."""
 
+import time
+
 import pytest
 
 from repro.errors import AssertionSyntaxError, ExpressionError
@@ -156,6 +158,34 @@ class TestNumericExpressions:
         text = '(@hour >= 9) && (@hour < 17) -> "true";'
         assert ev(text, {"hour": "12"}) == "true"
         assert ev(text, {"hour": "20"}) == "false"
+
+
+class TestHostileNumbers:
+    """A Conditions program comes from whoever signed the credential: a
+    power must cost bounded time and fail typed, leaving the clause
+    unsatisfied."""
+
+    def test_huge_integer_power_is_unsatisfied_at_once(self):
+        start = time.perf_counter()
+        assert ev('10 ^ 3000000 == 1 -> "true";') == "false"
+        assert time.perf_counter() - start < 0.05
+
+    def test_complex_power_is_unsatisfied(self):
+        assert ev("&a ^ &b < 1;", {"a": "-8", "b": "0.5"}) == "false"
+
+    @pytest.mark.parametrize("text, attrs", [
+        ("10 ^ 3000000 == 1;", {}),
+        ("&a ^ &b < 1;", {"a": "-8", "b": "0.5"}),
+    ])
+    def test_strict_raises_expression_error(self, text, attrs):
+        with pytest.raises(ExpressionError):
+            ev(text, attrs, strict=True)
+
+    def test_powers_inside_the_cap_still_compute(self):
+        assert ev("2 ^ 2048 > 0;") == "true"
+        assert ev("1 ^ 1000000 == 1;") == "true"
+        assert ev("2 ^ (0 - 1) == 0.5;") == "true"
+        assert ev("&a ^ 2 == 64.0;", {"a": "-8"}) == "true"
 
 
 class TestTypeErrors:

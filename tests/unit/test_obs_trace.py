@@ -11,7 +11,9 @@ body simply means "no trace".  No new enum values, no envelope changes.
 
 from __future__ import annotations
 
+import contextvars
 import json
+import threading
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.obs import (
 )
 from repro.obs.trace import (
     TRACE_WIRE_MAGIC,
+    ContextExecutor,
     decode_context,
     encode_context,
     use_context,
@@ -114,16 +117,60 @@ class TestTraceRecorder:
         assert restored.kind == "store"
 
 
-def _client_write_read(uri: str, blocks=(0,)):
-    """Mount ``uri``, run a traced write+read per block, return the
+_probe: contextvars.ContextVar[str] = contextvars.ContextVar(
+    "probe", default="unset")
+
+
+class TestContextExecutor:
+    """Every pool that runs a caller's work is one of these, so what it
+    promises is what keeps spans parented across thread hops."""
+
+    def test_context_is_copied_at_submission(self):
+        started = threading.Event()
+
+        def task():
+            started.wait(5)
+            return _probe.get()
+
+        with ContextExecutor(max_workers=1) as pool:
+            token = _probe.set("at submit")
+            try:
+                fut = pool.submit(task)
+                _probe.set("after submit")
+                started.set()
+                assert fut.result(5) == "at submit"
+            finally:
+                _probe.reset(token)
+
+    def test_concurrent_tasks_each_get_their_own_copy(self):
+        both_running = threading.Barrier(2, timeout=5)
+
+        def task(name):
+            _probe.set(name)
+            both_running.wait()
+            return _probe.get()
+
+        with ContextExecutor(max_workers=2) as pool:
+            futures = [pool.submit(task, name) for name in ("a", "b")]
+            assert [fut.result(5) for fut in futures] == ["a", "b"]
+        assert _probe.get() == "unset"
+
+    def test_map_carries_context(self):
+        ctx = new_root_context()
+        with ContextExecutor(max_workers=2) as pool, use_context(ctx):
+            seen = list(pool.map(lambda _i: current_context(), range(4)))
+        assert seen == [ctx] * 4
+
+
+def _client_write_read(uri: str):
+    """Mount ``uri``, run a traced write+read of block 0, return the
     root context the client used."""
     store = open_store(uri)
     ctx = new_root_context()
     try:
         with use_context(ctx):
-            for block_no in blocks:
-                store.write(block_no, b"T" * 256)
-                assert store.read(block_no) is not None
+            store.write(0, b"T" * 256)
+            assert store.read(0) is not None
             # Write-back layers (cached://) only touch the child on
             # flush; keep it inside the traced scope.
             store.flush()
@@ -186,21 +233,32 @@ class TestPropagation:
             ctx = _client_write_read(uri)
         server_spans = [s for s in get_recorder().spans()
                         if s.kind == "server"]
-        # Quorum W=2: the write alone lands on both nodes.
-        nodes = {s.node for s in server_spans}
-        assert len(nodes) == 2, server_spans
+        # Quorum W=2: the write alone lands on both nodes, sent from the
+        # lanes (FLUSH is sent from the caller's own thread).
+        written = {s.node for s in server_spans if s.name.startswith("WRITE")}
+        assert len(written) == 2, server_spans
         assert all(s.trace_id == ctx.trace_id for s in server_spans)
 
     def test_shard_over_remote(self):
+        """A vectored batch over both ring owners goes out on the fan-out
+        pool; single-block ops would run on the caller's thread."""
         with StoreServer(open_store("mem://")) as s1, \
                 StoreServer(open_store("mem://")) as s2:
             uri = ("shard://remote://{}:{};remote://{}:{}#fanout=2"
                    .format(*s1.address, *s2.address))
-            ctx = _client_write_read(uri, blocks=range(16))
+            store = open_store(uri)
+            ctx = new_root_context()
+            try:
+                with use_context(ctx):
+                    store.write_many([(b, b"T" * 256) for b in range(16)])
+                    assert None not in store.read_many(list(range(16)))
+            finally:
+                store.close()
         server_spans = [s for s in get_recorder().spans()
                         if s.kind == "server"]
-        nodes = {s.node for s in server_spans}
-        assert len(nodes) == 2, "16 blocks never hit both ring owners"
+        for name in ("WRITE_MANY", "READ_MANY"):
+            nodes = {s.node for s in server_spans if s.name == name}
+            assert len(nodes) == 2, "16 blocks never hit both ring owners"
         assert all(s.trace_id == ctx.trace_id for s in server_spans)
 
     def test_cached_journal_over_remote(self, tmp_path):
