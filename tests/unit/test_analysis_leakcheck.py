@@ -11,6 +11,8 @@ from __future__ import annotations
 import ast
 import textwrap
 
+import pytest
+
 from repro.analysis.core import Project
 from repro.analysis.leakcheck import ResourceLeakChecker, header_exprs
 
@@ -50,6 +52,26 @@ class TestSeededViolations:
         findings = _run(tmp_path, """
             def open_nested(uri):
                 return Wrapper(open_store(uri))
+        """)
+        assert len(findings) == 1
+        assert "unnameable" in findings[0].message
+
+    def test_call_in_a_loop_header_is_a_raiser(self, tmp_path):
+        findings = _run(tmp_path, """
+            def scan(uri, items):
+                store = open_store(uri)
+                for item in items():
+                    pass
+                store.close()
+        """)
+        assert len(findings) == 1
+        assert "an intervening statement" in findings[0].message
+
+    def test_nested_acquirer_in_a_with_header_is_flagged(self, tmp_path):
+        findings = _run(tmp_path, """
+            def open_scoped(uri):
+                with Wrapper(open_store(uri)) as store:
+                    store.flush()
         """)
         assert len(findings) == 1
         assert "unnameable" in findings[0].message
@@ -134,3 +156,18 @@ def test_compound_statement_is_its_header_only():
     # of its own, not part of the header's.
     stmt = ast.parse("if flag:\n    danger()").body[0]
     assert header_exprs(stmt) == [stmt.test]
+
+
+@pytest.mark.parametrize("source, header", [
+    ("while busy():\n    danger()", lambda s: [s.test]),
+    ("for x in items():\n    danger()", lambda s: [s.iter, s.target]),
+    ("with open_store(a) as s, lock:\n    danger()",
+     lambda s: [item.context_expr for item in s.items]),
+    ("try:\n    danger()\nexcept E:\n    pass", lambda s: []),
+    ("def f():\n    danger()", lambda s: []),
+    ("class C:\n    x = danger()", lambda s: []),
+    ("x = danger()", lambda s: [s.targets[0], s.value]),
+])
+def test_header_exprs_by_statement_kind(source, header):
+    stmt = ast.parse(source).body[0]
+    assert header_exprs(stmt) == header(stmt)

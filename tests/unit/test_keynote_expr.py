@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import AssertionSyntaxError, ExpressionError
 from repro.keynote.ast import ComplianceValues
-from repro.keynote.expr import parse_conditions
+from repro.keynote.expr import MAX_POWER_BITS, parse_conditions
 
 BOOL = ComplianceValues(["false", "true"])
 OCTAL = ComplianceValues(["false", "X", "W", "WX", "R", "RX", "RW", "RWX"])
@@ -186,6 +186,33 @@ class TestHostileNumbers:
         assert ev("1 ^ 1000000 == 1;") == "true"
         assert ev("2 ^ (0 - 1) == 0.5;") == "true"
         assert ev("&a ^ 2 == 64.0;", {"a": "-8"}) == "true"
+
+    @pytest.mark.parametrize("text, attrs, message", [
+        ("(0 - 10) ^ 3000000 > 0;", {}, "numeric overflow"),
+        ("10.0 ^ 400 > 0;", {}, "numeric overflow"),
+        ("10 ^ 400.0 > 0;", {}, "numeric overflow"),
+        ("0 ^ (0 - 1) > 0;", {}, "division by zero"),
+        ("&a ^ &b < 1;", {"a": "-8", "b": "0.5"}, "complex result"),
+    ])
+    def test_strict_names_the_failure(self, text, attrs, message):
+        with pytest.raises(ExpressionError, match=message):
+            ev(text, attrs, strict=True)
+
+    def test_cap_is_exact(self):
+        # 2 is two bits wide, so 2 ^ n is charged 2n bits.
+        at_cap = MAX_POWER_BITS // 2
+        assert ev(f"2 ^ {at_cap} > 0;") == "true"
+        with pytest.raises(ExpressionError, match="numeric overflow"):
+            ev(f"2 ^ {at_cap + 1} > 0;", strict=True)
+
+    def test_unit_and_zero_bases_are_not_capped(self):
+        start = time.perf_counter()
+        assert ev("(0 - 1) ^ 3000001 == (0 - 1);") == "true"
+        assert ev("0 ^ 3000000 == 0;") == "true"
+        assert time.perf_counter() - start < 0.05
+
+    def test_huge_negative_exponent_underflows_to_zero(self):
+        assert ev("10 ^ (0 - 3000000) == 0.0;") == "true"
 
 
 class TestTypeErrors:

@@ -34,7 +34,8 @@ from repro.obs.trace import (
 )
 from repro.rpc.client import RPCClient
 from repro.rpc.message import CallMessage
-from repro.rpc.transport import TCPTransport
+from repro.rpc.server import RPCProgram, RPCServer
+from repro.rpc.transport import InProcessTransport, TCPTransport
 from repro.storage import open_store
 from repro.storage.net import StoreServer
 
@@ -159,6 +160,58 @@ class TestContextExecutor:
         ctx = new_root_context()
         with ContextExecutor(max_workers=2) as pool, use_context(ctx):
             seen = list(pool.map(lambda _i: current_context(), range(4)))
+        assert seen == [ctx] * 4
+
+    def test_a_task_does_not_see_the_previous_tasks_changes(self):
+        # One worker, so both tasks run on the same pool thread.
+        with ContextExecutor(max_workers=1) as pool:
+            pool.submit(_probe.set, "left behind").result(5)
+            assert pool.submit(_probe.get).result(5) == "unset"
+
+    def test_nested_submit_carries_the_tasks_context(self):
+        with ContextExecutor(max_workers=2) as pool:
+            def outer():
+                _probe.set("outer task")
+                return pool.submit(_probe.get).result(5)
+
+            assert pool.submit(outer).result(5) == "outer task"
+
+    def test_arguments_reach_the_task(self):
+        with ContextExecutor(max_workers=1) as pool:
+            fut = pool.submit(lambda a, *, b: (a, b, _probe.get()), 1, b=2)
+            assert fut.result(5) == (1, 2, "unset")
+
+    def test_task_errors_arrive_through_the_future(self):
+        def fail():
+            raise KeyError("from the pool")
+
+        with ContextExecutor(max_workers=1) as pool:
+            with pytest.raises(KeyError, match="from the pool"):
+                pool.submit(fail).result(5)
+
+    def test_call_async_fallback_runs_in_callers_context(self):
+        """A blocking-only transport (no ``submit``) makes ``call_async``
+        use the client's own pool; the call must still see the caller's
+        active span."""
+        seen = []
+
+        class ContextNotingTransport(InProcessTransport):
+            def call(self, request):
+                seen.append(current_context())
+                return super().call(request)
+
+        server = RPCServer()
+        server.register(RPCProgram(200000, 1, name="probe"))
+        client = RPCClient(ContextNotingTransport(server.handler_for()),
+                           200000, 1)
+        ctx = new_root_context()
+        try:
+            with use_context(ctx):
+                futures = [client.call_async(0) for _ in range(4)]
+            for fut in futures:
+                fut.result(5)
+        finally:
+            client.close()
         assert seen == [ctx] * 4
 
 

@@ -127,6 +127,46 @@ class TestParallelMatchesSequential:
         store.close()
 
 
+class TestPoolLifetime:
+    """Fan-out pools are built with their store, start threads only when
+    work is first submitted, and are shut down by ``close()``."""
+
+    def test_sequential_replica_starts_no_lane_thread(self):
+        store = ReplicatedBlockStore(
+            [MemoryBlockStore(64, BS) for _ in range(3)],
+            write_quorum=2, read_quorum=2, fanout=1)
+        store.write_many([(b, b"q" * BS) for b in range(8)])
+        assert store.read_many(list(range(8))) == [b"q" * BS] * 8
+        assert all(not lane._threads for lane in store._lanes)
+        store.close()
+
+    def test_sequential_shard_starts_no_pool_thread(self):
+        store = ShardedBlockStore(
+            [MemoryBlockStore(64, BS) for _ in range(4)], fanout=1)
+        store.write_many([(b, b"q" * BS) for b in range(32)])
+        assert store.read_many(list(range(32))) == [b"q" * BS] * 32
+        assert not store._executor._threads
+        store.close()
+
+    def test_replica_close_shuts_down_every_lane(self):
+        store = ReplicatedBlockStore(
+            [MemoryBlockStore(64, BS) for _ in range(3)],
+            write_quorum=2, read_quorum=2)
+        store.write_many([(b, b"q" * BS) for b in range(8)])
+        store.close()
+        for lane in store._lanes:
+            with pytest.raises(RuntimeError):
+                lane.submit(lambda: None)
+
+    def test_shard_close_shuts_down_the_pool(self):
+        store = ShardedBlockStore(
+            [MemoryBlockStore(64, BS) for _ in range(4)], fanout=4)
+        store.write_many([(b, b"q" * BS) for b in range(32)])
+        store.close()
+        with pytest.raises(RuntimeError):
+            store._executor.submit(lambda: None)
+
+
 class TestQuorumReturn:
     """W-of-n writes return at the W-th fastest replica."""
 

@@ -23,7 +23,7 @@ from repro.storage import (
     serve_store,
 )
 from repro.storage import spec as specs
-from repro.storage.shard import build_ring, ring_owner
+from repro.storage.shard import ShardedBlockStore, build_ring, ring_owner
 
 BLOCKS = 512
 BS = 512
@@ -322,6 +322,34 @@ class TestReshard:
             assert store._executor is not old_pool
             store.write_many([(b, b"wide now") for b in range(16)])
             assert store._executor._max_workers == 8
+        finally:
+            store.close()
+
+    def test_swap_to_fewer_children_narrows_the_pool(self):
+        store = ShardedBlockStore(
+            [MemoryBlockStore(BLOCKS, BS) for _ in range(4)], fanout=4)
+        try:
+            old_pool = store._executor
+            store.swap_children([MemoryBlockStore(BLOCKS, BS)
+                                 for _ in range(2)])
+            assert store.fanout == 2
+            assert store._executor._max_workers == 2
+            with pytest.raises(RuntimeError):
+                old_pool.submit(lambda: None)  # retired, not leaked
+            store.write_many([(b, b"narrow") for b in range(16)])
+            assert all(data.startswith(b"narrow")
+                       for data in store.read_many(list(range(16))))
+        finally:
+            store.close()
+
+    def test_swap_at_the_same_width_keeps_the_pool(self):
+        store = ShardedBlockStore(
+            [MemoryBlockStore(BLOCKS, BS) for _ in range(4)], fanout=4)
+        try:
+            pool = store._executor
+            store.swap_children([MemoryBlockStore(BLOCKS, BS)
+                                 for _ in range(4)])
+            assert store._executor is pool
         finally:
             store.close()
 
