@@ -19,7 +19,7 @@ standalone) and asserts the two acceptance claims:
   replica, not the straggler (which completes on the background lane).
 """
 
-import time
+import threading
 
 import pytest
 
@@ -27,9 +27,11 @@ from repro.bench.report import ABLATIONS, print_table
 from repro.storage import (
     DelayedBlockStore,
     MemoryBlockStore,
+    ReplicatedBlockStore,
     open_store,
     serve_store,
 )
+from repro.storage.base import WrapperBlockStore
 
 #: Per-operation emulated node latency (ms) and the straggler's latency.
 NODE_MS = 3.0
@@ -92,21 +94,41 @@ def test_read_many_by_fanout(benchmark, ring, fanout):
     benchmark.extra_info["fanout"] = fanout
 
 
+#: Sweeps per comparison; every compared cell is the fastest of them.
+REPEATS = 3
+#: The timed cells the acceptance assertions compare.
+TIMED = ("sequential_write_s", "concurrent_write_s", "sequential_read_s",
+         "concurrent_read_s", "write_ms_per_round")
+
+
 @pytest.mark.flaky
 def test_fanout_comparison_table(capsys):
-    """Full sweep through the report harness, with the acceptance
+    """Full sweeps through the report harness, with the acceptance
     assertions (wall-clock based, hence the flaky marker — the margins
-    are generous: the sleeps dominate any scheduler noise)."""
+    are generous: the sleeps dominate any scheduler noise).  The sweeps
+    interleave, so a slow spell on the host lands on all rows alike, and
+    each compared cell is the fastest of ``REPEATS``."""
     params = dict(node_counts=(1, 2, 4), rounds=8, blocks=BLOCKS,
                   delay_ms=NODE_MS, slow_ms=SLOW_MS)
-    rows = ABLATIONS["fanout"].run(**params)
+    results: dict[str, dict] = {}
+    for _rep in range(REPEATS):
+        rows = ABLATIONS["fanout"].run(**params)
+        for row in rows:
+            best = results.setdefault(row["label"], dict(row))
+            for key in TIMED:
+                if key in row:
+                    best[key] = min(best[key], row[key])
+            if "background_writes" in row:
+                best["background_writes"] = max(best["background_writes"],
+                                                row["background_writes"])
     with capsys.disabled():
         print_table("fanout", rows, **params)
-    results = {row["label"]: row for row in rows}
 
     four = results["4 nodes"]
-    assert four["write_speedup"] >= 2.0, four
-    assert four["read_speedup"] >= 2.0, four
+    write_speedup = four["sequential_write_s"] / four["concurrent_write_s"]
+    read_speedup = four["sequential_read_s"] / four["concurrent_read_s"]
+    assert write_speedup >= 2.0, four
+    assert read_speedup >= 2.0, four
 
     # w=2 returns at the 2nd-fastest replica: concurrent write latency
     # must come in clearly under the straggler's per-op delay, while the
@@ -118,23 +140,39 @@ def test_fanout_comparison_table(capsys):
     assert concurrent["background_writes"] > 0
 
 
-@pytest.mark.flaky
+class HeldStore(WrapperBlockStore):
+    """A replica whose writes wait until the test lets them through."""
+
+    def __init__(self, child):
+        super().__init__(child)
+        self.release = threading.Event()
+
+    def around(self, op, fn):
+        if op in ("write", "write_many"):
+            self.release.wait()
+        return fn()
+
+
 def test_quorum_return_does_not_outrun_drain():
     """The quorum-W fast path is not allowed to lie about durability:
-    drain() (and therefore flush()) must wait for the straggler."""
-    slow_child = DelayedBlockStore(MemoryBlockStore(64, 512), delay_ms=80.0)
-    from repro.storage import ReplicatedBlockStore
-
+    write_many returns while the third replica is still held, and
+    drain() (and therefore flush()) waits until it lands."""
+    held = HeldStore(MemoryBlockStore(64, 512))
     store = ReplicatedBlockStore(
-        [MemoryBlockStore(64, 512), MemoryBlockStore(64, 512), slow_child],
+        [MemoryBlockStore(64, 512), MemoryBlockStore(64, 512), held],
         write_quorum=2, read_quorum=2,
     )
     try:
-        t0 = time.perf_counter()
         store.write_many([(b, b"q" * 512) for b in range(4)])
-        returned_ms = (time.perf_counter() - t0) * 1000
-        store.drain()
-        assert returned_ms < 60.0, returned_ms
-        assert slow_child.child._get(0) == b"q" * 512
+        assert held.child._get(0) is None  # returned at w=2, third held
+        drainer = threading.Thread(target=store.drain)
+        drainer.start()
+        drainer.join(timeout=0.05)
+        assert drainer.is_alive()  # drain waits on the held replica
+        held.release.set()
+        drainer.join(timeout=10)
+        assert not drainer.is_alive()
+        assert held.child._get(0) == b"q" * 512
     finally:
+        held.release.set()
         store.close()

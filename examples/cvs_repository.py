@@ -31,7 +31,7 @@ AUTHORS = ("miltchev", "prevelakis", "sotiris", "angelos", "jms")
 
 def main(backend: str = "mem://") -> None:
     admin = Administrator.generate(seed=b"host-admin")
-    server = DisCFSServer(admin_identity=admin.identity, backend=backend)
+    server = DisCFSServer(admin_identity=admin.identity, device=backend)
     admin.trust_server(server)
     print(f"repository storage backend: {backend}")
 

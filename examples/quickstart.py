@@ -26,7 +26,7 @@ from repro.core.admin import identity_of, make_user_keypair
 def main(backend: str = "mem://") -> None:
     # --- server bootstrap (one-time administrator involvement) ---------
     admin = Administrator.generate(seed=b"quickstart-admin")
-    server = DisCFSServer(admin_identity=admin.identity, backend=backend)
+    server = DisCFSServer(admin_identity=admin.identity, device=backend)
     admin.trust_server(server)
     print(f"server storage backend: {backend}")
 

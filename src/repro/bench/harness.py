@@ -29,10 +29,9 @@ from repro.core.admin import Administrator, identity_of, make_user_keypair
 from repro.core.client import DisCFSClient
 from repro.core.permissions import Permission
 from repro.core.server import DisCFSServer
-from repro.fs.blockdev import BlockDevice, MemoryBlockDevice
 from repro.fs.ffs import FFS
 from repro.rpc.transport import Transport
-from repro.storage import open_device
+from repro.storage import StoreBlockDevice, open_device
 
 SYSTEMS = ("FFS", "CFS-NE", "CFS", "DisCFS", "DisCFS-IPsec")
 
@@ -66,10 +65,8 @@ class BuiltSystem:
         return None
 
 
-def _fresh_device(device_blocks: int, backend: str | None) -> BlockDevice:
-    if backend is None:
-        return MemoryBlockDevice(num_blocks=device_blocks)
-    return open_device(backend, num_blocks=device_blocks)
+def _fresh_device(device_blocks: int, backend: str | None) -> StoreBlockDevice:
+    return open_device(backend or "mem://", num_blocks=device_blocks)
 
 
 def make_target(

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fs.blockdev import BlockDeviceStats
 from repro.rpc.transport import TransportStats
+from repro.storage.base import BlockDeviceStats
 
 
 @dataclass

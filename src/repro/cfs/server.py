@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.cfs.cipher_layer import EncryptingVFS
-from repro.fs.blockdev import BlockDevice
 from repro.fs.ffs import FFS
 from repro.fs.vfs import VFS
 from repro.nfs.mount import MountProgram
 from repro.nfs.server import NFSProgram
 from repro.rpc.server import RPCServer
 from repro.rpc.transport import InProcessTransport
+
+if TYPE_CHECKING:
+    from repro.storage.adapter import StoreBlockDevice
+    from repro.storage.spec import SpecLike
 
 
 class CFSServer:
@@ -19,23 +24,19 @@ class CFSServer:
     paper's baseline: identical NFS plumbing, no cryptography, no KeyNote.
 
     The server owns its filesystem unless one is supplied (the benchmark
-    harness passes a shared FFS so all systems store to the same substrate).
+    harness passes a shared FFS so all systems store to the same substrate);
+    an owned one is built on ``device`` — a device, URI or spec, as
+    :class:`~repro.fs.ffs.FFS` takes.
     """
 
     def __init__(
         self,
         fs: FFS | None = None,
-        device: BlockDevice | None = None,
+        device: StoreBlockDevice | SpecLike | None = None,
         encrypt: bool = False,
         master_key: bytes = b"cfs-default-master-key",
-        backend: str | None = None,
     ):
-        # ``backend`` is a storage URI (mem://, sqlite://, shard://, ...)
-        # resolved through the repro.storage registry; ``device``/``fs``
-        # take precedence for callers that construct their own.
-        self.fs = fs if fs is not None else FFS(
-            device if device is not None else backend
-        )
+        self.fs = fs if fs is not None else FFS(device)
         self.encrypt = encrypt
         if encrypt:
             self.vfs: VFS = EncryptingVFS(self.fs, master_key)

@@ -286,8 +286,8 @@ _LOOPBACK_HOSTS = ("127.0.0.1", "localhost", "::1")
 
 def cmd_store_serve(args) -> int:
     """Serve one storage backend over RPC (the ``remote://`` server side)."""
-    from repro.fs.blockdev import DEFAULT_BLOCK_SIZE
     from repro.storage import DEFAULT_NUM_BLOCKS, open_store
+    from repro.storage.base import DEFAULT_BLOCK_SIZE
     from repro.core.audit import AuditLog
     from repro.storage.auth import StoreAuthGate, TenantQuota
     from repro.storage.net import serve_store

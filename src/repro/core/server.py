@@ -22,7 +22,7 @@ raw transport) are denied everything that requires rights.
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.audit import AuditLog
 from repro.core.credentials import APP_DOMAIN, CredentialIssuer
@@ -32,7 +32,6 @@ from repro.core.policy import Decision, PolicyEngine
 from repro.crypto.dsa import DSAKeyPair, generate_dsa_keypair
 from repro.crypto.rsa import RSAKeyPair
 from repro.errors import CredentialError
-from repro.fs.blockdev import BlockDevice
 from repro.fs.ffs import FFS
 from repro.fs.inode import Inode
 from repro.fs.vfs import VFS
@@ -45,6 +44,10 @@ from repro.nfs.protocol import FileHandle
 from repro.nfs.server import AccessDeniedSignal, NFSProgram
 from repro.rpc.server import CallContext, RPCServer
 from repro.rpc.transport import InProcessTransport
+
+if TYPE_CHECKING:
+    from repro.storage.adapter import StoreBlockDevice
+    from repro.storage.spec import SpecLike
 
 
 #: What a revoked key holds: nothing, authorized by nobody.
@@ -164,11 +167,11 @@ class DisCFSServer:
         before those credentials carry authority.
     handle_scheme:
         INODE_GENERATION (default) or the prototype's bare INODE.
-    backend:
-        Storage-backend URI (``mem://``, ``file://``, ``sqlite://``,
-        ``shard://``, ``cached://``) the server's filesystem is built on
-        when neither ``fs`` nor ``device`` is given; resolved through
-        :func:`repro.storage.open_device`.
+    device:
+        What the server's filesystem is built on when no ``fs`` is
+        given: a device, or a storage-backend URI or spec (``mem://``,
+        ``file://``, ``sqlite://``, ``shard://``, ``cached://``) — see
+        :class:`~repro.fs.ffs.FFS`.  Default ``mem://``.
     cache_capacity / cache_ttl:
         Policy cache parameters (paper evaluation: 128 entries).
     clock:
@@ -187,7 +190,7 @@ class DisCFSServer:
         self,
         admin_identity: str,
         fs: FFS | None = None,
-        device: BlockDevice | None = None,
+        device: StoreBlockDevice | SpecLike | None = None,
         issuer_key: DSAKeyPair | RSAKeyPair | None = None,
         server_key: DSAKeyPair | RSAKeyPair | None = None,
         handle_scheme: HandleScheme = HandleScheme.INODE_GENERATION,
@@ -196,14 +199,8 @@ class DisCFSServer:
         clock: Callable[[], float] = time.time,
         guest_principal: str | None = None,
         audit_capacity: int = 10_000,
-        backend: str | None = None,
     ):
-        # ``backend`` is a storage URI (mem://, sqlite://, shard://, ...)
-        # resolved through the repro.storage registry; ``device``/``fs``
-        # take precedence for callers that construct their own.
-        self.fs = fs if fs is not None else FFS(
-            device if device is not None else backend
-        )
+        self.fs = fs if fs is not None else FFS(device)
         self.vfs = VFS(self.fs)
         self.admin_identity = normalize_principal(admin_identity)
         self.handle_scheme = handle_scheme

@@ -4,8 +4,6 @@ The paper's evaluation compares DisCFS and CFS-NE against the local
 OpenBSD fast filesystem (FFS) on a real disk.  This package provides the
 equivalent substrate for the reproduction:
 
-* :mod:`repro.fs.blockdev` — block devices (memory- and file-backed) with
-  I/O accounting, so benchmarks can attribute costs,
 * :mod:`repro.fs.inode` — inodes with attributes and generation numbers,
 * :mod:`repro.fs.ffs` — an inode+block filesystem: directories, regular
   files, hard/symbolic links, rename, sparse files,
@@ -15,9 +13,12 @@ The same FFS instance backs all three measured systems: "FFS" benchmarks
 talk to it directly, while CFS-NE and DisCFS reach it through their
 NFS-over-RPC stacks — mirroring the paper's setup where all servers
 ultimately stored files on the local disk.
+
+The blocks live below this package, in :mod:`repro.storage`: FFS runs on
+the :class:`~repro.storage.adapter.StoreBlockDevice` that
+:func:`~repro.storage.registry.open_device` builds from a backend URI.
 """
 
-from repro.fs.blockdev import BlockDeviceStats, FileBlockDevice, MemoryBlockDevice
 from repro.fs.ffs import FFS
 from repro.fs.inode import FileType
 from repro.fs.vfs import VFS
@@ -26,7 +27,4 @@ __all__ = [
     "FFS",
     "FileType",
     "VFS",
-    "MemoryBlockDevice",
-    "FileBlockDevice",
-    "BlockDeviceStats",
 ]

@@ -16,6 +16,7 @@ checked here.
 from __future__ import annotations
 
 import struct
+from typing import TYPE_CHECKING
 
 from repro.errors import (
     DirectoryNotEmpty,
@@ -27,8 +28,11 @@ from repro.errors import (
     NoSpace,
     NotADirectory,
 )
-from repro.fs.blockdev import BlockDevice, MemoryBlockDevice, device_from_uri
 from repro.fs.inode import FileType, Inode, InodeTable
+
+if TYPE_CHECKING:
+    from repro.storage.adapter import StoreBlockDevice
+    from repro.storage.spec import SpecLike
 
 MAX_NAME_LEN = 255
 
@@ -44,12 +48,16 @@ class FFS:
     metadata change, atime on read).
     """
 
-    def __init__(self, device: BlockDevice | str | None = None) -> None:
-        # A string is a storage-backend URI ("mem://", "sqlite:///fs.db",
-        # "cached://shard://4", ...) resolved through repro.storage.
-        if isinstance(device, str):
-            device = device_from_uri(device)
-        self.device = device if device is not None else MemoryBlockDevice()
+    def __init__(self, device: StoreBlockDevice | SpecLike | None = None) -> None:
+        # The one constructor taking a URI or spec ("mem://",
+        # "sqlite:///fs.db", "cached://shard://4", ...); None is mem://.
+        # Imported here: repro.storage reaches back to this module
+        # (storage.auth -> repro.core -> core.server -> fs.ffs).
+        from repro.storage import StoreBlockDevice, open_device
+
+        if not isinstance(device, StoreBlockDevice):
+            device = open_device("mem://" if device is None else device)
+        self.device = device
         self.block_size = self.device.block_size
         self._inodes = InodeTable()
         # Block 0 reserved as a pseudo-superblock; data blocks from 1.

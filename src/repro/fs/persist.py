@@ -2,8 +2,8 @@
 
 ``FFS`` keeps inode and allocation metadata in memory; file *data* and
 directory blocks already live on the block device.  This module adds a
-checkpoint mechanism so a filesystem on a :class:`FileBlockDevice`
-survives process restarts:
+checkpoint mechanism so a filesystem on a durable backend (``file://``,
+``sqlite://``, ``journal://...``) survives process restarts:
 
 * :func:`sync` serializes the inode table, allocator state and directory
   caches into blocks taken from the normal allocator, and records their
@@ -25,11 +25,14 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from typing import TYPE_CHECKING
 
 from repro.errors import FSError, InvalidArgument
-from repro.fs.blockdev import BlockDevice
 from repro.fs.ffs import FFS
-from repro.fs.inode import FileType, Inode
+from repro.fs.inode import FileType, Inode, InodeTable
+
+if TYPE_CHECKING:
+    from repro.storage.adapter import StoreBlockDevice
 
 MAGIC = b"DisCFSv1"
 _SUPER = struct.Struct(">8sII32s")  # magic, metadata length, block count, sha256
@@ -182,7 +185,7 @@ def _release_old_checkpoint(fs: FFS) -> list[int]:
     already free — a failed sync may have released them once) and report
     them so :func:`sync` can defer their reuse past the commit point."""
     try:
-        block_list = _read_checkpoint_blocks(fs.device)
+        _length, _digest, block_list = _read_superblock(fs.device)
     except FSError:
         return []
     already_free = set(fs._free_blocks)
@@ -192,35 +195,21 @@ def _release_old_checkpoint(fs: FFS) -> list[int]:
     return block_list
 
 
-def _read_checkpoint_blocks(device: BlockDevice) -> list[int]:
-    super_block = device.read_block(0)
-    magic, length, count, _digest = _SUPER.unpack_from(super_block)
-    if magic != MAGIC:
-        raise FSError("device holds no DisCFS checkpoint")
-    offset = _SUPER.size
-    return [
-        _U32.unpack_from(super_block, offset + 4 * i)[0] for i in range(count)
-    ]
-
-
-def load(device: BlockDevice | str) -> FFS:
-    """Rebuild a filesystem from a checkpointed device.
-
-    ``device`` may be a backend URI (``file:///path``, ``sqlite:///path``,
-    ``shard://...``); it is resolved through the storage registry.
-    """
-    if isinstance(device, str):
-        from repro.fs.blockdev import device_from_uri
-
-        device = device_from_uri(device)
+def _read_superblock(device: StoreBlockDevice) -> tuple[int, bytes, list[int]]:
+    """The checkpoint's payload length, digest and block list."""
     super_block = device.read_block(0)
     magic, length, count, digest = _SUPER.unpack_from(super_block)
     if magic != MAGIC:
         raise InvalidArgument("device holds no DisCFS checkpoint")
-    offset = _SUPER.size
-    block_list = [
-        _U32.unpack_from(super_block, offset + 4 * i)[0] for i in range(count)
-    ]
+    block_list = [_U32.unpack_from(super_block, _SUPER.size + 4 * i)[0]
+                  for i in range(count)]
+    return length, digest, block_list
+
+
+def load(device: StoreBlockDevice) -> FFS:
+    """Rebuild a filesystem from a checkpointed device (a backend URI
+    becomes one through :func:`repro.storage.open_device`)."""
+    length, digest, block_list = _read_superblock(device)
     payload = b"".join(device.read_block(b) for b in block_list)[:length]
     if hashlib.sha256(payload).digest() != digest:
         raise FSError("filesystem metadata checksum mismatch")
@@ -228,8 +217,6 @@ def load(device: BlockDevice | str) -> FFS:
     fs = FFS.__new__(FFS)  # bypass mkfs: we restore state instead
     fs.device = device
     fs.block_size = device.block_size
-    from repro.fs.inode import InodeTable
-
     fs._inodes = InodeTable()
     fs._next_block = 1
     fs._free_blocks = []

@@ -36,10 +36,8 @@ class VFS:
     instead of silently touching a recycled inode.
     """
 
-    def __init__(self, fs: FFS | str) -> None:
-        # A string is a storage-backend URI: build a fresh FFS on that
-        # backend (VFS("sqlite:///fs.db") mirrors FFS("sqlite:///fs.db")).
-        self.fs = FFS(fs) if isinstance(fs, str) else fs
+    def __init__(self, fs: FFS) -> None:
+        self.fs = fs
 
     # -- identity ----------------------------------------------------------
 

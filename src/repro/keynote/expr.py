@@ -57,7 +57,7 @@ from typing import Any, Callable, Mapping, NoReturn, Protocol
 
 from repro.errors import AssertionSyntaxError, ExpressionError
 from repro.keynote.ast import ComplianceValues
-from repro.keynote.lexer import TokenStream, tokenize
+from repro.keynote.lexer import TokenStream, check_depth, tokenize
 
 # ---------------------------------------------------------------------------
 # AST
@@ -235,7 +235,7 @@ def _parse_clause(stream: TokenStream) -> Clause:
     test = _parse_test(stream)
     if stream.match_op("->"):
         if stream.match_op("{"):
-            inner = _parse_program(stream)
+            inner = stream.nested(_parse_program)
             stream.expect_op("}")
             return Clause(test=test, target=inner)
         tok = stream.current
@@ -249,7 +249,9 @@ def _parse_clause(stream: TokenStream) -> Clause:
 
 
 def _parse_test(stream: TokenStream) -> TestNode:
-    return _parse_or(stream)
+    test = _parse_or(stream)
+    check_depth(test)  # before ConditionsProgram compiles it
+    return test
 
 
 def _parse_or(stream: TokenStream) -> TestNode:
@@ -268,7 +270,7 @@ def _parse_and(stream: TokenStream) -> TestNode:
 
 def _parse_not(stream: TokenStream) -> TestNode:
     if stream.match_op("!"):
-        return Not(_parse_not(stream))
+        return Not(stream.nested(_parse_not))
     return _parse_primary_test(stream)
 
 
@@ -288,7 +290,7 @@ def _parse_primary_test(stream: TokenStream) -> TestNode:
         except AssertionSyntaxError:
             stream._pos = saved
         stream.expect_op("(")
-        inner = _parse_or(stream)
+        inner = stream.nested(_parse_or)
         stream.expect_op(")")
         return inner
     return _parse_comparison(stream)
@@ -336,7 +338,7 @@ def _parse_power(stream: TokenStream) -> ValueNode:
     node = _parse_unary(stream)
     if stream.match_op("^"):
         # Right-associative.
-        return BinOp("^", node, _parse_power(stream))
+        return BinOp("^", node, stream.nested(_parse_power))
     return node
 
 
@@ -344,7 +346,7 @@ def _parse_unary(stream: TokenStream) -> ValueNode:
     tok = stream.current
     if tok.kind == "OP" and tok.value in ("-", "@", "&", "$"):
         stream.advance()
-        inner = _parse_unary(stream)
+        inner = stream.nested(_parse_unary)
         return {"-": Neg, "@": ToInt, "&": ToFloat, "$": Deref}[tok.value](inner)
     return _parse_atom(stream)
 
@@ -369,7 +371,7 @@ def _parse_atom(stream: TokenStream) -> ValueNode:
         return Attr(tok.value)
     if tok.kind == "OP" and tok.value == "(":
         stream.advance()
-        node = _parse_value_expr(stream)
+        node = stream.nested(_parse_value_expr)
         stream.expect_op(")")
         return node
     raise AssertionSyntaxError(

@@ -13,13 +13,27 @@ cannot appear in their grammar.  Token kinds:
 Operators: ``( ) { } && || ! == != <= >= < > ~= -> ; + - * / % ^ . @ & $ , =``
 (longest-match-first, so ``&&`` beats ``&``, ``==`` beats ``=`` and ``->``
 beats ``-``; the single ``=`` only appears in Local-Constants bindings).
+
+Both parsers are recursive descent, and so is everything that walks what
+they build, so both refuse input nested deeper than :data:`MAX_DEPTH`
+with an :class:`~repro.errors.AssertionSyntaxError` — a credential holder
+chooses these texts, and a ``RecursionError`` must never escape intake.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
+from typing import Any, Callable, TypeVar
 
 from repro.errors import AssertionSyntaxError
+
+T = TypeVar("T")
+
+#: How deep either parser goes: brackets, prefix operators and clause
+#: blocks open at once (:meth:`TokenStream.nested`), and the height of
+#: each expression tree it builds (:func:`check_depth` — a long ``||`` or
+#: ``+`` chain is deep without a single bracket).
+MAX_DEPTH = 64
 
 _OPERATORS = (
     "&&", "||", "==", "!=", "<=", ">=", "~=", "->",
@@ -133,6 +147,7 @@ class TokenStream:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self.depth = 0
 
     @property
     def current(self) -> Token:
@@ -164,3 +179,31 @@ class TokenStream:
 
     def at_end(self) -> bool:
         return self.current.kind == "EOF"
+
+    def nested(self, parse: Callable[..., T], *args: Any) -> T:
+        """``parse(self, *args)`` one level deeper, refused past MAX_DEPTH."""
+        if self.depth >= MAX_DEPTH:
+            raise AssertionSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels",
+                column=self.current.position,
+            )
+        self.depth += 1
+        try:
+            return parse(self, *args)
+        finally:
+            self.depth -= 1
+
+
+def check_depth(tree: object) -> None:
+    """Refuse a parsed expression tree taller than MAX_DEPTH, measured
+    without recursion: the compiler and the evaluators recurse on it."""
+    stack = [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise AssertionSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels")
+        for value in vars(node).values():
+            for child in value if isinstance(value, tuple) else (value,):
+                if is_dataclass(child):
+                    stack.append((child, depth + 1))

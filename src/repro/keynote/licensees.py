@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 from repro.errors import AssertionSyntaxError
 from repro.keynote.ast import ComplianceValues, normalize_principal
-from repro.keynote.lexer import TokenStream, tokenize
+from repro.keynote.lexer import TokenStream, check_depth, tokenize
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,7 @@ def parse_licensees(
     if stream.at_end():
         return None
     expr = _parse_or(stream, constants)
+    check_depth(expr)
     if not stream.at_end():
         tok = stream.current
         raise AssertionSyntaxError(
@@ -122,7 +123,7 @@ def _parse_primary(stream: TokenStream, constants: Mapping[str, str]) -> License
     tok = stream.current
     if tok.kind == "OP" and tok.value == "(":
         stream.advance()
-        node = _parse_or(stream, constants)
+        node = stream.nested(_parse_or, constants)
         stream.expect_op(")")
         return node
     if tok.kind == "INT":
@@ -158,9 +159,9 @@ def _parse_threshold(stream: TokenStream, constants: Mapping[str, str]) -> Thres
         )
     stream.advance()
     stream.expect_op("(")
-    members: list[LicenseeExpr] = [_parse_or(stream, constants)]
+    members: list[LicenseeExpr] = [stream.nested(_parse_or, constants)]
     while stream.match_op(","):
-        members.append(_parse_or(stream, constants))
+        members.append(stream.nested(_parse_or, constants))
     stream.expect_op(")")
     if k > len(members):
         raise AssertionSyntaxError(

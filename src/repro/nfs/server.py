@@ -152,12 +152,9 @@ def _dispatcher(program: Any, proc: Procedure) -> Handler:
 class NFSProgram(RPCProgram):
     """The NFS RPC program bound to one VFS + controller."""
 
-    def __init__(self, vfs: VFS | str, controller: AccessController | None = None):
+    def __init__(self, vfs: VFS, controller: AccessController | None = None):
         super().__init__(NFS_PROGRAM, NFS_VERSION, name="nfs")
-        # A string is a storage-backend URI: export a fresh filesystem on
-        # that backend (the registry resolves mem://, file://, sqlite://,
-        # shard://, cached:// — see repro.storage).
-        self.vfs = VFS(vfs) if isinstance(vfs, str) else vfs
+        self.vfs = vfs
         self.controller = controller if controller is not None else AllowAllController()
         serve_table(self, PROCEDURES)
 

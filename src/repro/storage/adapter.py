@@ -1,75 +1,56 @@
-"""Adapter presenting a :class:`BlockStore` behind the ``BlockDevice`` API.
+"""The block device FFS runs on: one :class:`BlockStore` stack.
 
-The fs/nfs/cli layers were written against
-:class:`repro.fs.blockdev.BlockDevice`; this shim lets them run unchanged
-on any registry backend while callers migrate incrementally.  Device-level
-stats (what the bench cost models read via ``fs.device.stats``) are
-recorded here exactly as the legacy devices did; the wrapped store (and
-any stores *it* wraps) keep their own per-layer counters.
+:func:`~repro.storage.registry.open_device` builds one from a URI or
+spec; ``FFS(device)`` takes it.  The device keeps its own stats — what
+the bench cost models read via ``fs.device.stats`` — one record per
+block FFS moves, while the wrapped store (and any stores *it* wraps)
+keep their own per-layer counters.  Range, size and padding are the
+store's checks.
 """
 
 from __future__ import annotations
 
-from repro.errors import InvalidArgument
-from repro.fs.blockdev import BlockDevice
-from repro.storage.base import BlockStore
+from repro.storage.base import BlockDeviceStats, BlockStore
 
 
-class StoreBlockDevice(BlockDevice):
-    """A ``BlockDevice`` view over any :class:`BlockStore`."""
+class StoreBlockDevice:
+    """A block device view over any :class:`BlockStore`."""
 
     def __init__(self, store: BlockStore, uri: str | None = None):
-        super().__init__(store.num_blocks, store.block_size)
         self.store = store
         self.uri = uri
+        self.num_blocks = store.num_blocks
+        self.block_size = store.block_size
+        self.stats = BlockDeviceStats()
 
-    def _read(self, block_no: int) -> bytes:
-        return self.store.read(block_no)
+    def read_block(self, block_no: int) -> bytes:
+        data = self.store.read(block_no)
+        self.stats.record_read(block_no, self.block_size)
+        return data
 
-    def _write(self, block_no: int, data: bytes) -> None:
+    def write_block(self, block_no: int, data: bytes) -> None:
         self.store.write(block_no, data)
+        self.stats.record_write(block_no, self.block_size)
 
     def read_blocks(self, block_nos: list[int]) -> list[bytes]:
         # Device-level stats stay per-block (the bench cost models read
         # them); the store sees one vectored call it can batch per child
         # or per RPC round trip.
+        blocks = self.store.read_many(block_nos)
         for block_no in block_nos:
-            self._check_range(block_no)
             self.stats.record_read(block_no, self.block_size)
-        return self.store.read_many(block_nos)
+        return blocks
 
     def write_blocks(self, items: list[tuple[int, bytes]]) -> None:
-        for block_no, data in items:
-            self._check_range(block_no)
-            if len(data) > self.block_size:
-                raise InvalidArgument(
-                    f"data ({len(data)} bytes) exceeds block size "
-                    f"({self.block_size})"
-                )
+        self.store.write_many(items)
         for block_no, _data in items:
             self.stats.record_write(block_no, self.block_size)
-        self.store.write_many(items)
 
     def flush(self) -> None:
         self.store.flush()
 
     def close(self) -> None:
         self.store.close()
-
-    def used_blocks(self) -> int:
-        return self.store.used_blocks()
-
-    def used_block_numbers(self) -> list[int]:
-        return self.store.used_block_numbers()
-
-    def capabilities(self):
-        """The wrapped store's typed capability flags (uniform probe for
-        the fs/bench layers — no duck-typing on store internals)."""
-        return self.store.capabilities()
-
-    def snapshot(self):
-        """The wrapped store's :class:`~repro.storage.base.StoreStats`."""
-        return self.store.snapshot()
 
     def __enter__(self) -> "StoreBlockDevice":
         return self

@@ -1,26 +1,85 @@
 """The abstract block store: what every storage backend implements.
 
 A :class:`BlockStore` is a flat array of fixed-size blocks addressed by
-integer block number, the same contract :class:`repro.fs.blockdev.BlockDevice`
-exposes — but stores are *composable* (``shard://`` and ``cached://`` wrap
-other stores) and *URI-addressable* (see :mod:`repro.storage.registry`).
+integer block number.  Stores are *composable* (``shard://`` and
+``cached://`` wrap other stores) and *URI-addressable* (see
+:mod:`repro.storage.registry`); FFS runs on one stack of them through
+:class:`~repro.storage.adapter.StoreBlockDevice`.
 
-Every store counts its operations in a
-:class:`~repro.fs.blockdev.BlockDeviceStats`, so the benchmark cost models
-that attribute simulated disk time keep working no matter which backend
-(or stack of backends) sits underneath, and composite stores can report
-per-layer and per-shard traffic.
+Every store — and the device above the stack — counts its operations in
+a :class:`BlockDeviceStats`, so the benchmark cost models that attribute
+simulated disk time keep working no matter which backend (or stack of
+backends) sits underneath, and composite stores can report per-layer and
+per-shard traffic.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 from repro.errors import InvalidArgument, NoSpace
-from repro.fs.blockdev import DEFAULT_BLOCK_SIZE, BlockDeviceStats
 
 T = TypeVar("T")
+
+DEFAULT_BLOCK_SIZE = 8192
+
+
+@dataclass
+class BlockDeviceStats:
+    """Operation counters, reset-able between benchmark phases.
+
+    Increments are atomic (guarded by a per-instance lock, like the
+    :mod:`repro.obs.metrics` instruments): the counters are shared by
+    concurrent paths — replica straggler lanes, shard fan-out pools,
+    ``store-serve --workers`` threads — where a bare ``x += 1``
+    read-modify-write silently loses updates.
+    """
+
+    reads: int = 0
+    writes: int = 0
+    bytes_read: int = 0
+    bytes_written: int = 0
+    # Tracks the previous block number to let cost models distinguish
+    # sequential from random access.
+    last_block: int = field(default=-1, repr=False)
+    seeks: int = 0
+    # Real durability barriers issued (os.fsync and equivalents): the
+    # cost axis the journal ablation reports, since a write-ahead log
+    # trades throughput for exactly these.
+    fsyncs: int = 0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def record_read(self, block_no: int, nbytes: int) -> None:
+        with self._lock:
+            self.reads += 1
+            self.bytes_read += nbytes
+            if block_no != self.last_block + 1:
+                self.seeks += 1
+            self.last_block = block_no
+
+    def record_write(self, block_no: int, nbytes: int) -> None:
+        with self._lock:
+            self.writes += 1
+            self.bytes_written += nbytes
+            if block_no != self.last_block + 1:
+                self.seeks += 1
+            self.last_block = block_no
+
+    def record_fsync(self) -> None:
+        with self._lock:
+            self.fsyncs += 1
+
+    def reset(self) -> None:
+        with self._lock:
+            self.reads = self.writes = 0
+            self.bytes_read = self.bytes_written = 0
+            self.seeks = 0
+            self.fsyncs = 0
+            self.last_block = -1
 
 
 @dataclass(frozen=True)
@@ -60,7 +119,7 @@ class StoreStats:
     """Uniform point-in-time stats snapshot every store can produce.
 
     Core I/O counters come from the store's
-    :class:`~repro.fs.blockdev.BlockDeviceStats`; layer-specific
+    :class:`BlockDeviceStats`; layer-specific
     counters (cache hits, quorum repairs, journal transactions, ...)
     ride in ``extra`` keyed by counter name, so consumers — the bench
     report tables, ``discfs store-inspect`` — read one shape no matter
@@ -96,8 +155,7 @@ class BlockStore:
 
     Subclasses implement :meth:`_get` / :meth:`_put`; the public
     :meth:`read` / :meth:`write` wrappers validate ranges, zero-fill
-    unwritten blocks, pad short writes, and record stats — mirroring the
-    semantics callers already rely on from ``BlockDevice``.
+    unwritten blocks, pad short writes, and record stats.
 
     Stats increments are atomic: :class:`BlockDeviceStats.record_read`
     and friends hold a per-instance lock, so the counters stay exact

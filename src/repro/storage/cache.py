@@ -6,7 +6,7 @@ eviction or :meth:`flush` — the classic write-back discipline, so a
 ``cached://sqlite://...`` stack absorbs Bonnie's rewrite phase at memory
 speed while the child still holds everything after a flush.
 
-The overlay's own :class:`~repro.fs.blockdev.BlockDeviceStats` counts the
+The overlay's own :class:`~repro.storage.base.BlockDeviceStats` counts the
 *logical* traffic callers issued; the child's stats count the *physical*
 traffic that survived the cache — the difference is what the ablation
 measures.  Hit/miss/eviction/write-back counts live in

@@ -28,8 +28,7 @@ import json
 import os
 
 from repro.errors import InvalidArgument
-from repro.fs.blockdev import DEFAULT_BLOCK_SIZE
-from repro.storage.base import BlockStore
+from repro.storage.base import DEFAULT_BLOCK_SIZE, BlockStore
 
 
 class FileBlockStore(BlockStore):

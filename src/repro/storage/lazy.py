@@ -31,8 +31,7 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.errors import InvalidArgument, StoreUnavailable
-from repro.fs.blockdev import DEFAULT_BLOCK_SIZE
-from repro.storage.base import BlockStore
+from repro.storage.base import DEFAULT_BLOCK_SIZE, BlockStore
 
 if TYPE_CHECKING:
     from repro.storage.spec import SpecLike

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.fs.blockdev import DEFAULT_BLOCK_SIZE
-from repro.storage.base import BlockStore
+from repro.storage.base import DEFAULT_BLOCK_SIZE, BlockStore
 
 
 class MemoryBlockStore(BlockStore):

@@ -13,10 +13,8 @@ raise :class:`~repro.storage.spec.SpecError` with a did-you-mean hint.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.fs.blockdev import DEFAULT_BLOCK_SIZE
-from repro.storage.base import BlockStore
+from repro.storage.adapter import StoreBlockDevice
+from repro.storage.base import DEFAULT_BLOCK_SIZE, BlockStore
 from repro.storage.spec import (
     SpecError,
     SpecLike,
@@ -24,9 +22,6 @@ from repro.storage.spec import (
     parse_spec,
     split_uri,
 )
-
-if TYPE_CHECKING:
-    from repro.storage.adapter import StoreBlockDevice
 
 DEFAULT_NUM_BLOCKS = 16384
 
@@ -58,14 +53,11 @@ def open_device(
     num_blocks: int = DEFAULT_NUM_BLOCKS,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> StoreBlockDevice:
-    """Resolve a backend URI to a ``BlockDevice``-compatible adapter.
+    """Resolve a backend URI (or spec) to the block device FFS runs on.
 
-    This is the constructor the fs/nfs/cli layers use: existing callers
-    keep the ``BlockDevice`` API while the storage stack underneath is
-    chosen by URI.
+    The one place a URI becomes a device: ``FFS(uri)`` and every layer
+    above it come through here.
     """
-    from repro.storage.adapter import StoreBlockDevice
-
     spec = parse_spec(uri)
     try:
         canonical: str | None = spec.to_uri()

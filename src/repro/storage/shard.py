@@ -20,7 +20,7 @@ are position-aligned either way, so concurrency never changes answers.
 The fan-out pool is a :class:`~repro.obs.trace.ContextExecutor`, so an
 active trace span parents the per-shard spans.
 
-Each child keeps its own :class:`~repro.fs.blockdev.BlockDeviceStats`, so
+Each child keeps its own :class:`~repro.storage.base.BlockDeviceStats`, so
 benchmarks can report per-shard traffic and verify balance.
 """
 

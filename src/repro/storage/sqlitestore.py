@@ -21,8 +21,7 @@ import sqlite3
 import threading
 
 from repro.errors import InvalidArgument
-from repro.fs.blockdev import DEFAULT_BLOCK_SIZE
-from repro.storage.base import BlockStore
+from repro.storage.base import DEFAULT_BLOCK_SIZE, BlockStore
 
 #: Commit the write transaction after this many buffered writes.
 COMMIT_EVERY = 512

@@ -12,8 +12,11 @@ what the compiled engine is compared against
 ``benchmarks/test_ablation_credential_store.py``).
 
 The AST node types, ``ComplianceValues``, the licensee expressions, the
-guard extractor, the power size cap and signature verification are the
-program's own; only the evaluation is duplicated.
+guard extractor, the power size cap, the parsers — so the nesting cap,
+``MAX_DEPTH``: the walk below only ever sees trees that deep, and
+``test_hostile_depths_are_refused_or_match_the_tree_walk`` drives it
+there — and signature verification are the program's own; only the
+evaluation is duplicated.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.fs.blockdev import MemoryBlockDevice
 from repro.fs.ffs import FFS
+from repro.storage import open_device
 
 
 @settings(max_examples=50)
@@ -25,7 +25,7 @@ from repro.fs.ffs import FFS
     )
 )
 def test_writes_match_oracle(ops):
-    fs = FFS(MemoryBlockDevice(num_blocks=4096))
+    fs = FFS(open_device("mem://", num_blocks=4096))
     inode = fs.create(fs.root_ino, "f")
     oracle = bytearray()
     for offset, data in ops:
@@ -44,7 +44,7 @@ def test_writes_match_oracle(ops):
     tail=st.binary(min_size=1, max_size=2000),
 )
 def test_truncate_then_write_matches_oracle(initial, new_size, tail):
-    fs = FFS(MemoryBlockDevice(num_blocks=4096))
+    fs = FFS(open_device("mem://", num_blocks=4096))
     inode = fs.create(fs.root_ino, "f")
     fs.write(inode.ino, 0, initial) if initial else None
     fs.truncate(inode.ino, new_size)
@@ -65,7 +65,7 @@ class FFSDirectoryMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.fs = FFS(MemoryBlockDevice(num_blocks=4096))
+        self.fs = FFS(open_device("mem://", num_blocks=4096))
         self.model: dict[str, bytes] = {}
 
     names = st.sampled_from([f"f{i}" for i in range(8)])

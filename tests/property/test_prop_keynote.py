@@ -123,8 +123,10 @@ import dataclasses  # noqa: E402
 
 import keynote_reference as ref  # noqa: E402  (tests/keynote_reference.py)
 
+from repro.errors import AssertionSyntaxError  # noqa: E402
 from repro.keynote import expr  # noqa: E402
 from repro.keynote.expr import parse_conditions  # noqa: E402
+from repro.keynote.lexer import MAX_DEPTH  # noqa: E402
 
 ATTRIBUTE_NAMES = ["a", "b", "n", "HANDLE", "k", "missing"]
 #: Attribute values: numbers in the shapes ``@`` and ``&`` accept and
@@ -262,6 +264,38 @@ def test_hostile_powers_match_the_tree_walk(power, attributes, strict):
     compiled = outcome(program.evaluate, attributes, OCTAL, strict)
     assert compiled in (*PERMISSION_VALUES, ExpressionError)
     assert compiled == outcome(ref.reference_evaluate, program, attributes, OCTAL, strict)
+
+
+#: Ways a credential holder can nest, each ``k`` levels deep.
+DEPTH_SHAPES = {
+    "brackets": lambda k: "(" * k + 'a == "x"' + ")" * k,
+    "negations": lambda k: "!" * k + 'a == "x"',
+    "or chain": lambda k: " || ".join(['a == "x"'] * k),
+    "and chain": lambda k: " && ".join(['a != "y"'] * k),
+    "unary minus": lambda k: "@n == " + "-" * k + "7",
+    "sum chain": lambda k: "@n < " + " + ".join(["1"] * k),
+    "clause blocks": lambda k: 'a == "x" -> {' * (k - 1) + "true" + "}" * (k - 1),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from(sorted(DEPTH_SHAPES)),
+       k=st.integers(1, 3 * MAX_DEPTH),
+       attributes=st.fixed_dictionaries({"a": st.sampled_from(["x", "y"]),
+                                         "n": st.sampled_from(["-7", "7"])}),
+       strict=st.booleans())
+def test_hostile_depths_are_refused_or_match_the_tree_walk(shape, k, attributes,
+                                                           strict):
+    """Past the cap a syntax error, well inside it a program both engines
+    evaluate alike — never a ``RecursionError`` on either side."""
+    try:
+        program = parse_conditions(DEPTH_SHAPES[shape](k) + ";")
+    except AssertionSyntaxError:
+        assert k > MAX_DEPTH // 2
+        return
+    assert k <= MAX_DEPTH
+    assert outcome(program.evaluate, attributes, OCTAL, strict) == \
+        outcome(ref.reference_evaluate, program, attributes, OCTAL, strict)
 
 
 def mentions(node, found=None):

@@ -9,9 +9,9 @@ from repro.bench.search import run_search
 from repro.bench.targets import LocalFFSTarget
 from repro.bench.timing import QUANTUM_FIREBALL_CT10, DiskModel, LatencyModel
 from repro.bench.workloads import SourceTreeSpec, generate_source_tree
-from repro.fs.blockdev import BlockDeviceStats
 from repro.fs.ffs import FFS
 from repro.rpc.transport import InProcessTransport, TransportStats
+from repro.storage.base import BlockDeviceStats
 
 SMALL = 64 * 1024  # 64 KiB keeps test wall time low
 

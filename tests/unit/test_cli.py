@@ -137,6 +137,7 @@ class TestServeSigterm:
 
         import repro.cli
         from repro.fs import persist
+        from repro.storage import open_device
 
         src = tmp_path / "content"
         src.mkdir()
@@ -172,7 +173,7 @@ class TestServeSigterm:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-        restored = persist.load(backend)
+        restored = persist.load(open_device(backend))
         assert restored.read_file("/keep.txt") == b"survives sigterm"
         restored.device.close()
 

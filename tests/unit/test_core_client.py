@@ -160,15 +160,15 @@ class TestWalletPersistence:
         """The full durability story: filesystem checkpoint + client
         wallet = everything needed to resume after both sides restart."""
         from repro.core.server import DisCFSServer
-        from repro.fs.blockdev import FileBlockDevice
         from repro.fs.ffs import FFS
         from repro.fs.persist import load, sync
+        from repro.storage import open_device
         from repro.core.admin import identity_of
 
-        disk = str(tmp_path / "srv.img")
+        disk = f"file://{tmp_path / 'srv.img'}"
         wallet = str(tmp_path / "wallet.creds")
 
-        with FileBlockDevice(disk, num_blocks=2048) as device:
+        with open_device(disk, num_blocks=2048) as device:
             fs = FFS(device)
             server = DisCFSServer(admin_identity=administrator.identity, fs=fs)
             administrator.trust_server(server)
@@ -184,7 +184,7 @@ class TestWalletPersistence:
             bob.save_wallet(wallet)
             sync(fs)
 
-        with FileBlockDevice(disk, num_blocks=2048) as device:
+        with open_device(disk, num_blocks=2048) as device:
             fs2 = load(device)
             server2 = DisCFSServer(admin_identity=administrator.identity,
                                    fs=fs2)

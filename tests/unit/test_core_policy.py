@@ -8,7 +8,7 @@ from repro.core.credentials import issue_credential
 from repro.core.permissions import PERMISSION_VALUES, Permission
 from repro.core.policy import PolicyEngine
 from repro.crypto.keycodec import encode_public_key
-from repro.errors import InvalidArgument, RevokedError
+from repro.errors import CredentialError, InvalidArgument, RevokedError
 
 
 def engine_with(admin_key, *credentials, clock=time.time):
@@ -126,3 +126,18 @@ class TestIntake:
         assert engine.query_presenting(bob_id, action, presented)[0] == "R"
         assert engine.session.credentials == []
         assert engine.query(bob_id, action)[0] == "false"
+
+    @pytest.mark.parametrize("licensees, conditions", [
+        ('"bob"', "(" * 3000 + 'app_domain == "DisCFS"' + ")" * 3000 + ";"),
+        ("(" * 3000 + '"bob"' + ")" * 3000, "true;"),
+    ], ids=["conditions", "licensees"])
+    def test_deep_nesting_is_a_malformed_credential(self, admin_key,
+                                                    licensees, conditions):
+        """Once a RecursionError escaped intake (SUBMITCRED and
+        SESSION_OPEN) untyped; the signature is never reached."""
+        text = (f'Authorizer: "{encode_public_key(admin_key)}"\n'
+                f"Licensees: {licensees}\nConditions: {conditions}\n"
+                'Signature: "sig-dsa-sha1-hex:00"\n')
+        with pytest.raises(CredentialError,
+                           match="malformed credential: .*nested deeper"):
+            engine_with(admin_key).intake(text)

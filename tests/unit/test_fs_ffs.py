@@ -12,13 +12,13 @@ from repro.errors import (
     NoSpace,
     NotADirectory,
 )
-from repro.fs.blockdev import MemoryBlockDevice
 from repro.fs.ffs import FFS
+from repro.storage import open_device
 
 
 @pytest.fixture()
 def fs():
-    return FFS(MemoryBlockDevice(num_blocks=512))
+    return FFS(open_device("mem://", num_blocks=512))
 
 
 class TestCreateAndLookup:
@@ -347,13 +347,13 @@ class TestSetattr:
 
 class TestSpaceExhaustion:
     def test_enospc(self):
-        fs = FFS(MemoryBlockDevice(num_blocks=4))
+        fs = FFS(open_device("mem://", num_blocks=4))
         f = fs.create(fs.root_ino, "big")
         with pytest.raises(NoSpace):
             fs.write(f.ino, 0, b"x" * (10 * fs.block_size))
 
     def test_freed_space_reusable(self):
-        fs = FFS(MemoryBlockDevice(num_blocks=6))
+        fs = FFS(open_device("mem://", num_blocks=6))
         f = fs.create(fs.root_ino, "a")
         fs.write(f.ino, 0, b"x" * (3 * fs.block_size))
         fs.remove(fs.root_ino, "a")

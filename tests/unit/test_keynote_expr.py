@@ -7,6 +7,7 @@ import pytest
 from repro.errors import AssertionSyntaxError, ExpressionError
 from repro.keynote.ast import ComplianceValues
 from repro.keynote.expr import MAX_POWER_BITS, parse_conditions
+from repro.keynote.lexer import MAX_DEPTH
 
 BOOL = ComplianceValues(["false", "true"])
 OCTAL = ComplianceValues(["false", "X", "W", "WX", "R", "RX", "RW", "RWX"])
@@ -213,6 +214,47 @@ class TestHostileNumbers:
 
     def test_huge_negative_exponent_underflows_to_zero(self):
         assert ev("10 ^ (0 - 3000000) == 0.0;") == "true"
+
+
+#: Conditions 3 000 levels deep, one per way of nesting: each once made
+#: ``parse_conditions`` (or compiling what it built) raise RecursionError.
+DEEP = 3000
+HOSTILE_DEPTHS = {
+    "test parentheses": "(" * DEEP + 'a == "x"' + ")" * DEEP + ";",
+    "value parentheses": "a == " + "(" * DEEP + '"x"' + ")" * DEEP + ";",
+    "negations": "!" * DEEP + 'a == "x";',
+    "unary minus": "a == " + "-" * DEEP + "1;",
+    "power tower": "1 == " + " ^ ".join(["1"] * DEEP) + ";",
+    "or chain": " || ".join(['a == "x"'] * DEEP) + ";",
+    "sum chain": "1 == " + " + ".join(["1"] * DEEP) + ";",
+    "clause blocks": 'true -> {' * DEEP + "true" + "}" * DEEP + ";",
+}
+
+
+class TestHostileDepth:
+    """Nesting is the credential holder's choice too: past ``MAX_DEPTH``
+    it is a syntax error, in bounded time, whatever nests."""
+
+    @pytest.mark.parametrize("text", HOSTILE_DEPTHS.values(),
+                             ids=HOSTILE_DEPTHS.keys())
+    def test_refused_typed_and_fast(self, text):
+        start = time.perf_counter()
+        with pytest.raises(AssertionSyntaxError, match="nested deeper"):
+            parse_conditions(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_brackets_at_the_cap_parse(self):
+        at_cap = "(" * MAX_DEPTH + 'a == "x"' + ")" * MAX_DEPTH + ";"
+        assert ev(at_cap, {"a": "x"}) == "true"
+        with pytest.raises(AssertionSyntaxError, match="nested deeper"):
+            parse_conditions("(" + at_cap[:-1] + ");")
+
+    def test_chain_height_is_capped_exactly(self):
+        # n comparisons or-ed: n - 1 Or nodes over a Compare over a leaf.
+        fits = " || ".join(['a == "x"'] * (MAX_DEPTH - 1)) + ";"
+        assert ev(fits, {"a": "x"}) == "true"
+        with pytest.raises(AssertionSyntaxError, match="nested deeper"):
+            parse_conditions(" || ".join(['a == "x"'] * MAX_DEPTH) + ";")
 
 
 class TestTypeErrors:

@@ -1,9 +1,12 @@
 """Unit tests for licensee expressions."""
 
+import time
+
 import pytest
 
 from repro.errors import AssertionSyntaxError
 from repro.keynote.ast import ComplianceValues
+from repro.keynote.lexer import MAX_DEPTH
 from repro.keynote.licensees import (
     AndExpr,
     OrExpr,
@@ -105,3 +108,32 @@ class TestEvaluation:
         assert evaluate('("a" && "b") || "c"', cv, OCTAL) == "RWX"
         # octal order: min(RW=6, RX=5) = RX
         assert evaluate('"a" && "b"', cv, OCTAL) == "RX"
+
+
+DEEP = 3000
+
+
+class TestHostileDepth:
+    """Each shape once raised RecursionError out of ``parse_licensees``
+    (or out of the first walk over what it built)."""
+
+    @pytest.mark.parametrize("text", [
+        "(" * DEEP + '"k"' + ")" * DEEP,
+        " || ".join(['"k"'] * DEEP),
+        " && ".join(['"k"'] * DEEP),
+        "1-of(" * DEEP + '"k"' + ")" * DEEP,
+    ], ids=["parentheses", "or chain", "and chain", "thresholds"])
+    def test_refused_typed_and_fast(self, text):
+        start = time.perf_counter()
+        with pytest.raises(AssertionSyntaxError, match="nested deeper"):
+            parse_licensees(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_at_the_cap_parses(self):
+        assert evaluate("(" * MAX_DEPTH + '"a"' + ")" * MAX_DEPTH,
+                        {"a": "true"}) == "true"
+        chain = " || ".join(f'"k{i}"' for i in range(MAX_DEPTH))
+        assert parse_licensees(chain).principals() == {
+            f"k{i}" for i in range(MAX_DEPTH)}
+        with pytest.raises(AssertionSyntaxError, match="nested deeper"):
+            parse_licensees(chain + ' || "one-more"')

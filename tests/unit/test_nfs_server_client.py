@@ -220,7 +220,7 @@ class TestOverTCP:
     def test_back_to_back_writes_stay_distinct(self, workers):
         from repro.rpc.transport import TCPTransport, serve_tcp
 
-        program = NFSProgram("mem://")
+        program = NFSProgram(VFS(FFS("mem://")))
         server = RPCServer()
         server.register(program)
         server.register(MountProgram(program.vfs))

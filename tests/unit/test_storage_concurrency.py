@@ -619,7 +619,7 @@ class TestAtomicStatsCounters:
     OPS = 2500
 
     def test_no_lost_updates_under_contention(self):
-        from repro.fs.blockdev import BlockDeviceStats
+        from repro.storage.base import BlockDeviceStats
 
         stats = BlockDeviceStats()
 

@@ -15,7 +15,6 @@ import threading
 import pytest
 
 from repro.errors import InvalidArgument, NoSpace
-from repro.fs.blockdev import BlockDeviceStats
 from repro.fs.ffs import FFS
 from repro.fs import persist
 from repro.storage import (
@@ -26,6 +25,7 @@ from repro.storage import (
     registered_schemes,
     split_uri,
 )
+from repro.storage.base import BlockDeviceStats
 
 BLOCKS = 64
 BS = 512
@@ -353,7 +353,7 @@ def test_filesystem_checkpoint_survives_reopen(template, tmp_path):
     persist.sync(fs)
     fs.device.close()
 
-    restored = persist.load(uri)
+    restored = persist.load(open_device(uri))
     assert restored.read_file("/survives.txt") == b"still here after reopen"
     restored.device.close()
 

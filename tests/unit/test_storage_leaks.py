@@ -75,7 +75,7 @@ class TestBuilderFailureClosesChildren:
     def test_open_device_adapter_failure_closes_store(
             self, closed_stores, monkeypatch):
         monkeypatch.setattr(
-            "repro.storage.adapter.StoreBlockDevice", _raising
+            "repro.storage.registry.StoreBlockDevice", _raising
         )
         with pytest.raises(_Boom):
             open_device("mem://", num_blocks=BLOCKS, block_size=BS)

@@ -650,7 +650,7 @@ class TestFilesystemOnJournal:
     def test_checkpointed_fs_survives_abandon(self, tmp_path):
         from repro.fs import persist
         from repro.fs.ffs import FFS
-        from repro.storage import StoreBlockDevice
+        from repro.storage import StoreBlockDevice, open_device
 
         uri = f"journal://file://{tmp_path}/fs.img"
         store = open_store(uri, num_blocks=2048)
@@ -660,7 +660,7 @@ class TestFilesystemOnJournal:
         fs.write_file("/extra.txt", b"journaled but not checkpointed")
         store.abandon()    # crash
 
-        restored = persist.load(uri)
+        restored = persist.load(open_device(uri))
         assert restored.read_file("/durable.txt") == \
             b"acknowledged and journaled"
         restored.device.close()
