@@ -1,8 +1,7 @@
 """discfs-lint: project-specific static analysis.
 
-Encodes invariants generic linters cannot know — lock discipline and
-lock-acquisition ordering, the error-taxonomy contract and resource
-lifetimes.  Entry points:
+Encodes invariants generic linters cannot know — lock discipline,
+lock-acquisition ordering and resource lifetimes.  Entry points:
 
 * CLI: ``discfs lint [PATHS] [--rule R] [--json] [--baseline FILE]``
 * API: :func:`repro.analysis.core.run_lint`

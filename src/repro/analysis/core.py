@@ -1,7 +1,7 @@
 """discfs-lint engine: findings, suppressions, baselines, checker plugins.
 
 The analyzers in this package encode *project* invariants — lock
-discipline, the error taxonomy, resource lifetimes — that generic linters
+discipline, lock ordering, resource lifetimes — that generic linters
 cannot know.  This module is the chassis they plug into:
 
 * :class:`Finding` — one diagnostic with a stable fingerprint, so a
@@ -298,13 +298,11 @@ def all_checkers() -> dict[str, Callable[[], Checker]]:
     """Rule name -> factory, for ``--rule`` selection and ``--list-rules``."""
     from repro.analysis.leakcheck import ResourceLeakChecker
     from repro.analysis.lockcheck import LockDisciplineChecker, LockOrderChecker
-    from repro.analysis.taxonomycheck import ErrorTaxonomyChecker
 
     checkers: dict[str, Callable[[], Checker]] = {}
     for cls in (
         LockDisciplineChecker,
         LockOrderChecker,
-        ErrorTaxonomyChecker,
         ResourceLeakChecker,
     ):
         checkers[cls.name] = cls

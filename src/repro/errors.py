@@ -133,7 +133,10 @@ class AuthError(FSError):
 
     Deliberately *not* a :class:`StoreUnavailable`: a credential the
     server rejects is a caller problem, and ``replica://`` must not
-    treat it as a down node and fail over around it.
+    treat it as a down node and fail over around it.  Like
+    :class:`QuotaExceeded` and :class:`RateLimited`, it surfaces
+    unchanged through every composite store; the guard is the
+    behavioural matrix in ``tests/unit/test_storage_denials.py``.
     """
 
     errno_name = "EACCES"

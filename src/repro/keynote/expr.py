@@ -50,6 +50,7 @@ also records the program's *footprint*: the attribute names it mentions
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -428,6 +429,15 @@ def _power(base: int | float, exponent: int | float) -> int | float:
     return result
 
 
+def _finite(number: int | float) -> int | float:
+    """``number`` unless it is a NaN or an infinity, which would compare
+    wrongly (``nan == nan`` is false, ``inf`` passes every ``>``): a
+    non-finite number is an evaluation error wherever it arises."""
+    if isinstance(number, float) and not math.isfinite(number):
+        raise ExpressionError("non-finite number")
+    return number
+
+
 _ARITHMETIC_FN: dict[str, Callable[[int | float, int | float], int | float]] = {
     "+": operator.add,
     "-": operator.sub,
@@ -477,6 +487,8 @@ class _Compiler:
     def value(self, node: ValueNode) -> tuple[_ValueFn, bool]:
         if isinstance(node, (StrLit, IntLit, FloatLit)):
             constant = node.value
+            if isinstance(node, FloatLit) and not math.isfinite(node.value):
+                return _ill_typed("non-finite number"), False
             return (lambda _attributes: constant), isinstance(node, StrLit)
         if isinstance(node, Attr):
             name = node.name
@@ -499,14 +511,22 @@ class _Compiler:
         number: type[int] | type[float]
         number, kind = (int, "integer") if isinstance(node, ToInt) else (float, "float")
         if not is_str:
-            return (lambda attributes: number(inner(attributes))), False
+
+            def from_number(attributes: _Attributes) -> int | float:
+                try:
+                    return number(inner(attributes))
+                except OverflowError as exc:
+                    raise ExpressionError("numeric overflow") from exc
+
+            return from_number, False
 
         def from_string(attributes: _Attributes) -> int | float:
             raw = inner(attributes)
             try:
-                return number(raw.strip() or "0")
+                converted = number(raw.strip() or "0")
             except ValueError as exc:
                 raise ExpressionError(f"cannot convert {raw!r} to {kind}") from exc
+            return _finite(converted)
 
         return from_string, False
 
@@ -527,7 +547,7 @@ class _Compiler:
 
         def arithmetic(attributes: _Attributes) -> int | float:
             try:
-                return apply(left(attributes), right(attributes))
+                return _finite(apply(left(attributes), right(attributes)))
             except ZeroDivisionError as exc:
                 raise ExpressionError("division by zero") from exc
             except OverflowError as exc:

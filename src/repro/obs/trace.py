@@ -25,12 +25,13 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Any, Callable, TypeVar
 
 __all__ = [
     "ContextExecutor",
+    "InlineExecutor",
     "Span",
     "SpanContext",
     "TraceRecorder",
@@ -125,6 +126,27 @@ class ContextExecutor(ThreadPoolExecutor):
                **kwargs: Any) -> Future[_T]:
         return super().submit(contextvars.copy_context().run, fn,
                               *args, **kwargs)
+
+
+class InlineExecutor(Executor):
+    """An executor that runs each task on the submitting thread.
+
+    ``submit`` returns an already-completed :class:`Future`, so code
+    written against a pool — submit, then read results or attach done
+    callbacks — runs strictly sequentially over this one, in the
+    caller's context, with no thread started.  The ``fanout=1`` mode of
+    ``replica://`` and ``shard://`` is this executor in place of their
+    pools: one code path, two schedules.
+    """
+
+    def submit(self, fn: Callable[..., _T], /, *args: Any,
+               **kwargs: Any) -> Future[_T]:
+        fut: Future[_T] = Future()
+        try:
+            fut.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
 
 
 # -- wire format ------------------------------------------------------------

@@ -15,15 +15,15 @@ slowest.  Stragglers finish on a background lane (counted in
 for them.  Reads dispatch ``R`` children *concurrently* (instead of one
 after another) and recruit the next child whenever one fails; all ``R``
 answers are still required, so a slow-but-alive child inside the chosen
-``R`` bounds the read — hedging past stragglers is a noted follow-up
-(ROADMAP).
+``R`` bounds the read unless ``hedge_ms`` recruits one more.
 Each child has its own single-thread lane, so operations against one
 replica always apply in submission order — a straggler from batch 17
 can never land on top of batch 18 — while different replicas overlap
 freely.  A lane is a :class:`~repro.obs.trace.ContextExecutor`, so an
-active trace span parents the child's spans.  ``fanout=1`` restores the
-strictly sequential loop (the baseline the fanout ablation measures
-against).
+active trace span parents the child's spans.  ``fanout=1`` (the
+fanout ablation's baseline) makes every lane an
+:class:`~repro.obs.trace.InlineExecutor`, which runs each child
+operation on the caller's thread: the same path, strictly sequential.
 
 Freshness is decided by per-block **version stamps**: a counter bumped on
 every write and recorded per child.  A child that missed a write (it was
@@ -36,12 +36,19 @@ so children stay plain byte stores (any backend URI works, including
 ``remote://``); when a store is reopened over already-populated children
 the stamps start empty, i.e. all copies are presumed equally fresh.
 
-Child failures — :class:`~repro.errors.StoreUnavailable` from a dead
-``remote://`` node, any :class:`~repro.errors.ReproError` or ``OSError``
-— degrade the quorum rather than failing the operation, and are counted
-in :class:`ReplicaStats`.  :class:`FailingBlockStore` (``failing://``)
-is the injectable failure used to test exactly that, and
-:class:`DelayedBlockStore` (``slow://``) the injectable straggler.
+Only an **outage** degrades the quorum: a child raising
+:class:`~repro.errors.StoreUnavailable` (a dead ``remote://`` node, a
+failed nested quorum) or ``OSError`` is counted in :class:`ReplicaStats`
+and the operation carries on with the others.  A typed denial
+(:class:`~repro.errors.AuthError`, :class:`~repro.errors.QuotaExceeded`,
+:class:`~repro.errors.RateLimited`) is an answer about the caller: it
+propagates unchanged, so a node that applied a ``REVOKE`` or enforces a
+quota is never outvoted — unless it answers after a write quorum has
+returned, when it lands in the background like any straggler's result.
+Read-repair's write-back is the exception: the caller only asked to
+read, so a child refusing the repair is skipped and counted like an
+outage.  :class:`FailingBlockStore` (``failing://``) is the injectable
+outage, and :class:`DelayedBlockStore` (``slow://``) the straggler.
 """
 
 from __future__ import annotations
@@ -54,11 +61,22 @@ from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import InvalidArgument, QuorumError, ReproError, StoreUnavailable
-from repro.obs.trace import ContextExecutor
+from repro.errors import (
+    AuthError,
+    InvalidArgument,
+    QuorumError,
+    QuotaExceeded,
+    RateLimited,
+    StoreUnavailable,
+)
+from repro.obs.trace import ContextExecutor, InlineExecutor
 from repro.storage.base import BlockStore, Capabilities, T, WrapperBlockStore
 
-_CHILD_FAILURES = (ReproError, OSError)
+#: An outage: the only child outcome the quorum fails over.
+_CHILD_FAILURES = (StoreUnavailable, OSError)
+#: What read-repair's best-effort write-back skips: an outage, or a
+#: child that refuses the repair with a typed denial.
+_REPAIR_REFUSALS = (*_CHILD_FAILURES, AuthError, QuotaExceeded, RateLimited)
 
 #: Version of the stamps-sidecar JSON format (``#stamps=PATH``).
 _STAMPS_FORMAT = 1
@@ -114,10 +132,10 @@ class Quorum:
 class ReplicatedBlockStore(BlockStore):
     """Write-fan-out / read-quorum replication over ``children``.
 
-    ``fanout`` controls concurrency: ``1`` runs the legacy sequential
-    loops; any larger value (or ``None``, the default) gives every
-    child its own ordered lane and overlaps them.  Replica ordering
-    needs a full lane per child, so the knob is effectively
+    ``fanout`` controls concurrency: ``1`` runs every lane inline on
+    the caller's thread; any larger value (or ``None``, the default)
+    gives every child its own ordered lane and overlaps them.  Replica
+    ordering needs a full lane per child, so the knob is effectively
     sequential-vs-concurrent rather than a width.
     """
 
@@ -176,10 +194,11 @@ class ReplicatedBlockStore(BlockStore):
         #: Guards _clock, _versions, and replica_stats against the
         #: background lanes.
         self._lock = threading.Lock()
-        #: One ordered lane per child; a lane starts its thread on the
-        #: first submit, so the sequential mode never starts any.
+        #: One ordered lane per child (its thread starts on the first
+        #: submit); the sequential mode runs every lane inline instead.
         self._lanes = [
             ContextExecutor(max_workers=1, thread_name_prefix=f"replica-{idx}")
+            if self._concurrent else InlineExecutor()
             for idx in range(n)
         ]
         #: Child operations in flight (foreground + background).
@@ -213,8 +232,6 @@ class ReplicatedBlockStore(BlockStore):
 
     def _child_op(self, idx: int, fn):
         """Run ``fn(child)`` in order with that child's queued writes."""
-        if not self._concurrent:
-            return fn(self.children[idx])
         return self._submit_child(
             idx, lambda: fn(self.children[idx])
         ).result()
@@ -333,9 +350,6 @@ class ReplicatedBlockStore(BlockStore):
             self._clock += 1
             version = self._clock
             self._stamps_dirty = True
-        if not self._concurrent:
-            self._put_many_sequential(items, version)
-            return
         n = len(self.children)
         need = self.write_quorum
         cv = threading.Condition()
@@ -394,43 +408,13 @@ class ReplicatedBlockStore(BlockStore):
                 f"need {need}"
             )
 
-    def _put_many_sequential(self, items: list[tuple[int, bytes]],
-                             version: int) -> None:
-        successes = 0
-        failed = 0
-        for idx, child in enumerate(self.children):
-            try:
-                child.write_many(items)
-            except _CHILD_FAILURES:
-                failed += 1
-                with self._lock:
-                    self.replica_stats.child_failures += 1
-                continue
-            with self._lock:
-                stamps = self._versions[idx]
-                for block_no, _data in items:
-                    if stamps.get(block_no, 0) < version:
-                        stamps[block_no] = version
-            successes += 1
-        if failed:
-            with self._lock:
-                self.replica_stats.degraded_writes += 1
-        if successes < self.write_quorum:
-            raise QuorumError(
-                f"write quorum not met: {successes}/{len(self.children)} "
-                f"replicas accepted, need {self.write_quorum}"
-            )
-
     # -- read path ---------------------------------------------------------
 
     def _get(self, block_no: int) -> bytes | None:
         return self._get_many([block_no])[0]
 
     def _get_many(self, block_nos: list[int]) -> list[bytes | None]:
-        if self._concurrent:
-            responses, failed = self._collect_reads_racing(block_nos)
-        else:
-            responses, failed = self._collect_reads_sequential(block_nos)
+        responses, failed = self._collect_reads(block_nos)
         if failed:
             with self._lock:
                 self.replica_stats.degraded_reads += 1
@@ -441,27 +425,13 @@ class ReplicatedBlockStore(BlockStore):
             )
         return self._resolve_reads(block_nos, responses)
 
-    def _collect_reads_sequential(
-        self, block_nos: list[int]
-    ) -> tuple[list[tuple[int, list[bytes]]], int]:
-        responses: list[tuple[int, list[bytes]]] = []
-        failed = 0
-        for idx, child in enumerate(self.children):
-            if len(responses) >= self.read_quorum:
-                break
-            try:
-                responses.append((idx, child.read_many(block_nos)))
-            except _CHILD_FAILURES:
-                failed += 1
-                with self._lock:
-                    self.replica_stats.child_failures += 1
-        return responses, failed
-
-    def _collect_reads_racing(
+    def _collect_reads(
         self, block_nos: list[int]
     ) -> tuple[list[tuple[int, list[bytes]]], int]:
         """Race the read quorum: R children in flight at once, the next
-        child dispatched whenever one fails, first R answers win.
+        child dispatched whenever one fails, first R answers win.  Over
+        inline lanes each dispatch has answered before the next, so the
+        race is the sequential read-until-R loop.
 
         With ``hedge_ms`` set, a round that produces no answer within
         the budget recruits **one** extra child beyond the chosen R —
@@ -521,7 +491,7 @@ class ReplicatedBlockStore(BlockStore):
             raise fatal
         # Late extra answers (two children finishing together) are kept:
         # more responders can only improve freshness.  Sort by child
-        # index so tie-breaks match the sequential path.
+        # index so tie-breaks do not depend on who answered first.
         responses.sort(key=lambda r: r[0])
         return responses, failed
 
@@ -606,10 +576,10 @@ class ReplicatedBlockStore(BlockStore):
                         [(b, data) for b, data, _v in triples]
                     ),
                 )
-            except _CHILD_FAILURES:
+            except _REPAIR_REFUSALS:
                 with self._lock:
                     self.replica_stats.child_failures += 1
-                continue  # still down; a later read will retry
+                continue  # down or refusing; a later read will retry
             with self._lock:
                 stamps = self._versions[idx]
                 scheduled = self._scheduled[idx]
@@ -635,10 +605,7 @@ class ReplicatedBlockStore(BlockStore):
             try:
                 if self._child_op(idx, lambda c: c._contains(block_no)):
                     return True
-            # Per-replica probe: one child refusing (or down) must not
-            # veto the OR across the others; quorum semantics, not a
-            # swallowed denial.
-            except _CHILD_FAILURES:  # discfs-lint: disable=error-taxonomy
+            except _CHILD_FAILURES:
                 continue
         return False
 

@@ -14,11 +14,13 @@ Vectored ``read_many``/``write_many`` batches are grouped per owning
 child and — when ``fanout`` allows — dispatched to the children
 **concurrently**: with ``remote://`` children on independent nodes the
 round trips overlap, so a batch costs roughly the slowest child's share
-instead of the sum of every child's (``fanout=1`` restores the
-sequential loop; the fanout ablation measures the difference).  Results
-are position-aligned either way, so concurrency never changes answers.
-The fan-out pool is a :class:`~repro.obs.trace.ContextExecutor`, so an
-active trace span parents the per-shard spans.
+instead of the sum of every child's.  ``fanout=1`` makes the pool an
+:class:`~repro.obs.trace.InlineExecutor`, which runs each child's
+portion on the caller's thread, one after another, through the same
+path (the fanout ablation measures the difference).  Results are
+position-aligned either way, so concurrency never changes answers.
+The concurrent pool is a :class:`~repro.obs.trace.ContextExecutor`, so
+an active trace span parents the per-shard spans.
 
 Each child keeps its own :class:`~repro.storage.base.BlockDeviceStats`, so
 benchmarks can report per-shard traffic and verify balance.
@@ -28,9 +30,10 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+from concurrent.futures import Executor
 
 from repro.errors import InvalidArgument
-from repro.obs.trace import ContextExecutor
+from repro.obs.trace import ContextExecutor, InlineExecutor
 from repro.storage.base import BlockStore, Capabilities
 
 #: Virtual nodes per shard; 64 keeps the ring balanced within a few
@@ -41,6 +44,10 @@ VNODES_PER_SHARD = 64
 #: enough to cover every ring the benchmarks run, without an unbounded
 #: thread pool when someone mounts a 64-way ring.
 DEFAULT_MAX_FANOUT = 8
+
+#: The pool of a ``fanout=1`` ring, and where any one-task fan-out
+#: runs: the caller's thread.
+_INLINE = InlineExecutor()
 
 
 def _ring_hash(key: str) -> int:
@@ -164,17 +171,19 @@ class ShardedBlockStore(BlockStore):
 
     # -- fan-out machinery -------------------------------------------------
 
-    def _new_pool(self) -> ContextExecutor:
+    def _new_pool(self) -> Executor:
+        if self.fanout == 1:
+            return _INLINE
         return ContextExecutor(max_workers=self.fanout,
                                thread_name_prefix="shard-fanout")
 
     def _fan_out(self, tasks: list) -> list:
-        """Run ``tasks`` (thunks) concurrently; every task is attempted
-        even when an earlier one fails, then the first error is raised.
-        Returns the task results in order."""
-        if self.fanout == 1 or len(tasks) == 1:
-            return [task() for task in tasks]
-        futures = [self._executor.submit(task) for task in tasks]
+        """Run ``tasks`` (thunks) on the fan-out pool — a lone task
+        inline; every task is attempted even when an earlier one fails,
+        then the first error is raised.  Returns the task results in
+        order."""
+        executor = self._executor if len(tasks) > 1 else _INLINE
+        futures = [executor.submit(task) for task in tasks]
         results = []
         first_exc: BaseException | None = None
         for fut in futures:

@@ -6,8 +6,10 @@ checker ``repro.keynote.compliance`` had before it bucketed assertions by
 guard literal and pruned principals with no delegation path to a
 requester.  Both stay here, unchanged in what they compute apart from
 ``^`` (bounded like the program's: an integer power past
-``MAX_POWER_BITS`` and a complex result are ``ExpressionError``), as
-what the compiled engine is compared against
+``MAX_POWER_BITS`` and a complex result are ``ExpressionError``) and
+non-finite floats (a NaN or an infinity — literal, converted or
+computed — is ``ExpressionError``, as is a number too large to convert
+to a float), as what the compiled engine is compared against
 (``tests/property/test_prop_keynote.py``,
 ``benchmarks/test_ablation_credential_store.py``).
 
@@ -21,6 +23,7 @@ evaluation is duplicated.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Callable, Iterable, Mapping
 
@@ -162,7 +165,7 @@ def _eval_value(node: ValueNode, env: _Env) -> Value:
     if isinstance(node, IntLit):
         return node.value
     if isinstance(node, FloatLit):
-        return node.value
+        return _finite(node.value)
     if isinstance(node, Attr):
         return env.attributes.get(node.name, "")
     if isinstance(node, Deref):
@@ -183,9 +186,12 @@ def _eval_value(node: ValueNode, env: _Env) -> Value:
     if isinstance(node, ToFloat):
         raw = _eval_value(node.inner, env)
         if isinstance(raw, (int, float)):
-            return float(raw)
+            try:
+                return float(raw)
+            except OverflowError as exc:
+                raise ExpressionError("numeric overflow") from exc
         try:
-            return float(raw.strip() or "0")
+            return _finite(float(raw.strip() or "0"))
         except ValueError as exc:
             raise ExpressionError(f"cannot convert {raw!r} to float") from exc
     if isinstance(node, Neg):
@@ -198,6 +204,12 @@ def _eval_value(node: ValueNode, env: _Env) -> Value:
     raise ExpressionError(f"unknown value node: {node!r}")
 
 
+def _finite(number: Value) -> Value:
+    if isinstance(number, float) and not math.isfinite(number):
+        raise ExpressionError("non-finite number")
+    return number
+
+
 def _eval_binop(node: BinOp, env: _Env) -> Value:
     left = _eval_value(node.left, env)
     right = _eval_value(node.right, env)
@@ -207,24 +219,28 @@ def _eval_binop(node: BinOp, env: _Env) -> Value:
         return left + right
     if isinstance(left, str) or isinstance(right, str):
         raise ExpressionError(f"operator {node.op!r} requires numeric operands")
+    return _finite(_arithmetic(node.op, left, right))
+
+
+def _arithmetic(op: str, left: int | float, right: int | float) -> Value:
     try:
-        if node.op == "+":
+        if op == "+":
             return left + right
-        if node.op == "-":
+        if op == "-":
             return left - right
-        if node.op == "*":
+        if op == "*":
             return left * right
-        if node.op == "/":
+        if op == "/":
             if isinstance(left, int) and isinstance(right, int):
                 # C-style truncation toward zero, like the reference engine.
                 return int(left / right)
             return left / right
-        if node.op == "%":
+        if op == "%":
             if right == 0:
                 raise ZeroDivisionError
             result = abs(left) % abs(right)
             return -result if left < 0 else result
-        if node.op == "^":
+        if op == "^":
             if (isinstance(left, int) and isinstance(right, int)
                     and abs(left) > 1
                     and abs(left).bit_length() * right > MAX_POWER_BITS):
@@ -237,7 +253,7 @@ def _eval_binop(node: BinOp, env: _Env) -> Value:
         raise ExpressionError("division by zero") from exc
     except OverflowError as exc:
         raise ExpressionError("numeric overflow") from exc
-    raise ExpressionError(f"unknown operator: {node.op!r}")
+    raise ExpressionError(f"unknown operator: {op!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -237,10 +237,12 @@ def test_compiled_arithmetic_matches_the_tree_walk(number, n):
 
 #: Powers an attacker would write: integer results on both sides of the
 #: size cap, exponents far past it, negative bases under fractional
-#: exponents (complex results) and float powers out of range.
+#: exponents (complex results), float powers out of range, and
+#: non-finite floats — literal, converted from an attribute, computed.
 HOSTILE_BASE = st.one_of(
     st.integers(-(2**70), 2**70).map(lambda n: f"(0 - {-n})" if n < 0 else str(n)),
-    st.sampled_from(["@h", "&h", "0.5", "1e300", "(0 - 0.5)"]))
+    st.sampled_from(["@h", "&h", "0.5", "1e300", "(0 - 0.5)", "1e999",
+                     "(1e300 * 1e300)", "&(2 ^ 2000)"]))
 HOSTILE_EXPONENT = st.one_of(
     st.integers(0, 10**8).map(str),
     st.integers(0, 5000).map(str),
@@ -248,8 +250,10 @@ HOSTILE_EXPONENT = st.one_of(
 HOSTILE_POWER = st.tuples(HOSTILE_BASE, HOSTILE_EXPONENT).map(
     lambda pair: f"({pair[0]} ^ {pair[1]})")
 HOSTILE_ATTRIBUTES = st.fixed_dictionaries({
-    "h": st.sampled_from(["-8", "-1", "0", "2", "10", "1e308", "-0.5"]),
-    "e": st.sampled_from(["0.5", "-2", "1.5", "4096", "3000000", "1e9"]),
+    "h": st.sampled_from(["-8", "-1", "0", "2", "10", "1e308", "-0.5",
+                          "inf", "-inf", "nan", "1e999"]),
+    "e": st.sampled_from(["0.5", "-2", "1.5", "4096", "3000000", "1e9",
+                          "inf", "nan"]),
 })
 
 
@@ -257,8 +261,9 @@ HOSTILE_ATTRIBUTES = st.fixed_dictionaries({
 @given(power=HOSTILE_POWER, attributes=HOSTILE_ATTRIBUTES, strict=st.booleans())
 def test_hostile_powers_match_the_tree_walk(power, attributes, strict):
     """Both engines bound ``^`` alike: a value, or ``ExpressionError``
-    (never a ``TypeError`` from a complex number, never an unbounded
-    computation)."""
+    (never a ``TypeError`` from a complex number, never an
+    ``OverflowError``, never an unbounded computation, never a NaN or an
+    infinity compared as if it were a number)."""
     program = parse_conditions(
         f'{power} < 1 -> "R"; {power} >= 1 -> "RWX"; {power} == {power} -> "W";')
     compiled = outcome(program.evaluate, attributes, OCTAL, strict)
@@ -274,7 +279,7 @@ DEPTH_SHAPES = {
     "and chain": lambda k: " && ".join(['a != "y"'] * k),
     "unary minus": lambda k: "@n == " + "-" * k + "7",
     "sum chain": lambda k: "@n < " + " + ".join(["1"] * k),
-    "clause blocks": lambda k: 'a == "x" -> {' * (k - 1) + "true" + "}" * (k - 1),
+    "clause blocks": lambda k: 'a == "x" -> {' * k + "true" + "}" * k,
 }
 
 

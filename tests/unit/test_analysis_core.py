@@ -134,8 +134,7 @@ class TestRunLint:
     def test_all_checkers_have_names_and_descriptions(self):
         checkers = all_checkers()
         assert set(checkers) == {
-            "lock-discipline", "lock-order", "error-taxonomy",
-            "resource-leak",
+            "lock-discipline", "lock-order", "resource-leak",
         }
         for factory in checkers.values():
             assert factory.description

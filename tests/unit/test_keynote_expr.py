@@ -215,6 +215,33 @@ class TestHostileNumbers:
     def test_huge_negative_exponent_underflows_to_zero(self):
         assert ev("10 ^ (0 - 3000000) == 0.0;") == "true"
 
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e999", " Infinity "])
+    def test_non_finite_conversion_is_unsatisfied(self, raw):
+        assert ev("&a > 0;", {"a": raw}) == "false"
+        assert ev("&a <= 0;", {"a": raw}) == "false"
+        with pytest.raises(ExpressionError, match="non-finite"):
+            ev("&a == &a;", {"a": raw}, strict=True)
+
+    @pytest.mark.parametrize("text", [
+        "1e300 * 1e300 > 0;",                     # inf
+        "(1e300 * 1e300) - (1e300 * 1e300) < 1;",  # nan
+        "1e999 > 0;",                             # an infinite literal
+        "0.0 - 1e999 < 0;",
+    ])
+    def test_non_finite_arithmetic_is_unsatisfied(self, text):
+        assert ev(text) == "false"
+        with pytest.raises(ExpressionError, match="non-finite"):
+            ev(text, strict=True)
+
+    def test_integer_too_large_for_a_float_is_typed(self):
+        assert ev("&(2 ^ 2000) > 0;") == "false"
+        with pytest.raises(ExpressionError, match="numeric overflow"):
+            ev("&(2 ^ 2000) > 0;", strict=True)
+
+    def test_large_finite_floats_still_compute(self):
+        assert ev("&a > 1e300;", {"a": "1e308"}) == "true"
+        assert ev("1e300 * 1e8 > 0;") == "true"
+
 
 #: Conditions 3 000 levels deep, one per way of nesting: each once made
 #: ``parse_conditions`` (or compiling what it built) raise RecursionError.

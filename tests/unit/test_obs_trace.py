@@ -28,6 +28,7 @@ from repro.obs import (
 from repro.obs.trace import (
     TRACE_WIRE_MAGIC,
     ContextExecutor,
+    InlineExecutor,
     decode_context,
     encode_context,
     use_context,
@@ -213,6 +214,33 @@ class TestContextExecutor:
         finally:
             client.close()
         assert seen == [ctx] * 4
+
+
+class TestInlineExecutor:
+    """The ``fanout=1`` schedule of the replica lanes and the shard pool:
+    each task has run, on the caller's thread, when ``submit`` returns."""
+
+    def test_runs_on_the_callers_thread_before_submit_returns(self):
+        ran_on = []
+        fut = InlineExecutor().submit(
+            lambda: ran_on.append(threading.current_thread()) or 7)
+        assert ran_on == [threading.current_thread()]
+        assert fut.done() and fut.result() == 7
+
+    def test_sees_the_callers_context(self):
+        ctx = new_root_context()
+        with use_context(ctx):
+            assert InlineExecutor().submit(current_context).result() == ctx
+
+    def test_errors_arrive_through_the_future(self):
+        fut = InlineExecutor().submit(lambda: {}["missing"])
+        assert isinstance(fut.exception(), KeyError)
+
+    def test_done_callbacks_run_at_once(self):
+        seen = []
+        InlineExecutor().submit(int, "3").add_done_callback(
+            lambda fut: seen.append(fut.result()))
+        assert seen == [3]
 
 
 def _client_write_read(uri: str):

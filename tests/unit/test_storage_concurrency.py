@@ -25,6 +25,7 @@ import time
 
 import pytest
 
+from held_store import HeldBlockStore  # tests/held_store.py
 from repro.errors import QuorumError, StoreUnavailable, TransportError
 from repro.rpc.client import ConnectionPool, RPCClient
 from repro.rpc.transport import PipelinedTCPTransport
@@ -132,20 +133,22 @@ class TestPoolLifetime:
     work is first submitted, and are shut down by ``close()``."""
 
     def test_sequential_replica_starts_no_lane_thread(self):
+        before = set(threading.enumerate())
         store = ReplicatedBlockStore(
             [MemoryBlockStore(64, BS) for _ in range(3)],
             write_quorum=2, read_quorum=2, fanout=1)
         store.write_many([(b, b"q" * BS) for b in range(8)])
         assert store.read_many(list(range(8))) == [b"q" * BS] * 8
-        assert all(not lane._threads for lane in store._lanes)
+        assert set(threading.enumerate()) <= before
         store.close()
 
     def test_sequential_shard_starts_no_pool_thread(self):
+        before = set(threading.enumerate())
         store = ShardedBlockStore(
             [MemoryBlockStore(64, BS) for _ in range(4)], fanout=1)
         store.write_many([(b, b"q" * BS) for b in range(32)])
         assert store.read_many(list(range(32))) == [b"q" * BS] * 32
-        assert not store._executor._threads
+        assert set(threading.enumerate()) <= before
         store.close()
 
     def test_replica_close_shuts_down_every_lane(self):
@@ -167,6 +170,16 @@ class TestPoolLifetime:
             store._executor.submit(lambda: None)
 
 
+def _held_replica():
+    """Two prompt replicas and one held on the test's say-so."""
+    held = HeldBlockStore(MemoryBlockStore(64, BS))
+    store = ReplicatedBlockStore(
+        [MemoryBlockStore(64, BS), MemoryBlockStore(64, BS), held],
+        write_quorum=2, read_quorum=2,
+    )
+    return store, held
+
+
 class TestQuorumReturn:
     """W-of-n writes return at the W-th fastest replica."""
 
@@ -179,16 +192,18 @@ class TestQuorumReturn:
         )
         return store, slow
 
-    @pytest.mark.flaky
     def test_write_returns_before_straggler(self):
-        store, slow = self._straggler_store()
-        t0 = time.perf_counter()
-        store.write_many([(b, b"w" * BS) for b in range(8)])
-        elapsed = time.perf_counter() - t0
-        assert elapsed < 0.1, elapsed
-        assert store.replica_stats.background_writes == 1
+        store, held = _held_replica()
+        held.hold()
+        try:
+            store.write_many([(b, b"w" * BS) for b in range(8)])
+            # Returned while the third write cannot have landed.
+            assert held.child._get(0) is None
+            assert store.replica_stats.background_writes == 1
+        finally:
+            held.release()
         store.drain()
-        assert slow.child._get(0) == b"w" * BS
+        assert held.child._get(0) == b"w" * BS
         store.close()
 
     def test_flush_waits_for_straggler(self):
@@ -326,21 +341,33 @@ class TestFailureIsolation:
         assert store.read_many(list(range(64))) == [payload] * 64
         store.close()
 
-    @pytest.mark.flaky
     def test_dead_node_timeout_does_not_starve_replica_reads(self):
-        """A timing-out node occupies only its own lane: reads racing the
-        healthy replicas return promptly."""
-        slow = DelayedBlockStore(MemoryBlockStore(64, BS), delay_ms=500.0)
-        store = ReplicatedBlockStore(
-            [MemoryBlockStore(64, BS), MemoryBlockStore(64, BS), slow],
-            write_quorum=2, read_quorum=2,
-        )
-        store.write_many([(b, b"t" * BS) for b in range(4)])
-        t0 = time.perf_counter()
-        assert store.read_many([0, 1, 2, 3]) == [b"t" * BS] * 4
-        elapsed = time.perf_counter() - t0
-        assert elapsed < 0.4, elapsed
+        """A node stuck mid-request occupies only its own lane: reads
+        racing the healthy replicas return while it is still stuck."""
+        store, held = _held_replica()
+        held.hold()
+        try:
+            store.write_many([(b, b"t" * BS) for b in range(4)])
+            assert store.read_many([0, 1, 2, 3]) == [b"t" * BS] * 4
+            assert held.child._get(0) is None  # still stuck
+        finally:
+            held.release()
         store.drain()
+        store.close()
+
+    def test_sequential_shard_runs_every_child_before_raising(self):
+        """``fanout=1`` keeps the fan-out contract: a failing child does
+        not stop its siblings' portions, and its error still surfaces."""
+        mem = MemoryBlockStore(BLOCKS, BS)
+        store = ShardedBlockStore(
+            [FailingBlockStore(MemoryBlockStore(BLOCKS, BS), failing=True),
+             mem], fanout=1)
+        items = [(b, bytes([b]) * BS) for b in range(32)]
+        assert store.shard_for(items[0][0]) == 0  # the failing group first
+        with pytest.raises(StoreUnavailable):
+            store.write_many(items)
+        assert mem.used_block_numbers() == sorted(
+            b for b, _data in items if store.shard_for(b) == 1)
         store.close()
 
     def test_remote_timeout_surfaces_as_store_unavailable(self):
@@ -592,18 +619,22 @@ class TestHedgedReads:
         finally:
             store.close()
 
-    @pytest.mark.flaky
     def test_hedge_caps_the_tail(self):
-        store = self._mount(slow_ms=250, hedge_ms=10)
+        """The read returns while the raced child is still held: the
+        hedge, not the straggler, answered it."""
+        held = HeldBlockStore(MemoryBlockStore(BLOCKS, BS),
+                              ops=("read", "read_many"))
+        store = ReplicatedBlockStore(
+            [held, MemoryBlockStore(BLOCKS, BS), MemoryBlockStore(BLOCKS, BS)],
+            write_quorum=2, read_quorum=1, hedge_ms=5)
         try:
             store.write(9, b"tail capped")
             store.drain()
-            t0 = time.perf_counter()
+            held.hold()
             assert store.read(9).startswith(b"tail capped")
-            elapsed = time.perf_counter() - t0
-            # well under the 250 ms the un-hedged read would pay
-            assert elapsed < 0.2
+            assert store.replica_stats.hedged_reads == 1
         finally:
+            held.release()
             store.close()
 
 
