@@ -12,7 +12,8 @@ Both signatures cover the full handshake transcript (nonces, DH public
 values, both identities), so neither side can be impersonated and the DH
 exchange cannot be man-in-the-middled by an attacker without one of the
 signature keys.  The DH group is the Schnorr subgroup of the library's
-default DSA parameters (160-bit exponents, 1024-bit modulus).
+default DSA parameters (160-bit exponents, 1024-bit modulus), so each
+side's ``g^x`` reads that group's comb table (``DSAParameters.gpow``).
 
 The responder learns — and records on the SA — the *initiator's public
 key*: the identity every subsequent request on the channel is attributed
@@ -120,7 +121,7 @@ class IKEInitiator:
     def initiate(self) -> bytes:
         """Build the INIT message."""
         self._x = 2 + secrets.randbelow(_GROUP.q - 3)
-        self._gx = int_to_bytes(pow(_GROUP.g, self._x, _GROUP.p))
+        self._gx = int_to_bytes(_GROUP.gpow(self._x))
         self._nonce_i = secrets.token_bytes(NONCE_LEN)
         body = _pack_fields(
             self._nonce_i, self._gx, self.identity.encode("utf-8")
@@ -180,7 +181,7 @@ class IKEResponder:
         id_i = id_i_raw.decode("utf-8")
 
         y = 2 + secrets.randbelow(_GROUP.q - 3)
-        gy_raw = int_to_bytes(pow(_GROUP.g, y, _GROUP.p))
+        gy_raw = int_to_bytes(_GROUP.gpow(y))
         nonce_r = secrets.token_bytes(NONCE_LEN)
         half = _HalfOpen(
             nonce_i=nonce_i, nonce_r=nonce_r, gx=gx_raw, gy=gy_raw,

@@ -1,15 +1,23 @@
 """Unit tests for DSA signatures."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.core.credentials import issue_credential
+from repro.core.permissions import PERMISSION_VALUES
+from repro.core.policy import PolicyEngine
+from repro.crypto import dsa
 from repro.crypto.dsa import (
     DEFAULT_PARAMETERS,
     DSAParameters,
     generate_dsa_keypair,
     generate_parameters,
 )
+from repro.crypto.keycodec import decode_key, encode_public_key
 from repro.crypto.numbers import seeded_random_bits
-from repro.errors import InvalidKey, InvalidSignature
+from repro.errors import CredentialError, CryptoError, InvalidKey, InvalidSignature
 
 
 class TestParameters:
@@ -108,3 +116,90 @@ class TestKeyGeneration:
         k2 = generate_dsa_keypair(rand=seeded_random_bits(b"f2"))
         assert k1.public.fingerprint() == k1.public.fingerprint()
         assert k1.public.fingerprint() != k2.public.fingerprint()
+
+
+#: Entries of the library group's comb table: a row of 2^w per w-bit digit of q.
+TABLE_LEN = -(-DEFAULT_PARAMETERS.q.bit_length() // dsa._W) << dsa._W
+
+
+class TestGeneratorTable:
+    """Only the library group gets the comb table; a key holder's own
+    parameters go through ``pow`` and allocate nothing."""
+
+    @pytest.fixture(scope="class")
+    def hostile(self):
+        return generate_parameters(512, 160, rand=seeded_random_bits(b"hostile-512"))
+
+    @pytest.fixture()
+    def empty_table(self, monkeypatch):
+        table: list[int] = []
+        monkeypatch.setattr(dsa, "_COMB", table)
+        return table
+
+    def test_library_group_fills_the_table_once(self, empty_table):
+        assert DEFAULT_PARAMETERS.gpow(DEFAULT_PARAMETERS.q) == 1
+        assert len(empty_table) == TABLE_LEN
+        assert empty_table[1] == DEFAULT_PARAMETERS.g
+        before = list(empty_table)
+        DEFAULT_PARAMETERS.gpow(12345)
+        assert empty_table == before
+
+    def test_racing_first_uses_all_see_a_whole_table(self, empty_table):
+        """Threads that find the table empty may each build it; every
+        power must still be right and the table one table long."""
+        exponents = [DEFAULT_PARAMETERS.q - 1 - 7919 * i for i in range(8)]
+        wrong = []
+
+        def power(e):
+            if DEFAULT_PARAMETERS.gpow(e) != pow(DEFAULT_PARAMETERS.g, e, DEFAULT_PARAMETERS.p):
+                wrong.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=power, args=(e,)) for e in exponents]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(empty_table) == TABLE_LEN
+
+    def test_decoded_library_parameters_share_the_table(self, empty_table):
+        """keycodec builds a fresh DSAParameters per key: equality is by value."""
+        key = generate_dsa_keypair(rand=seeded_random_bits(b"decoded"))
+        empty_table.clear()
+        decoded = decode_key(encode_public_key(key))
+        assert decoded.params is not DEFAULT_PARAMETERS
+        decoded.verify(b"m", key.sign(b"m"))
+        assert empty_table
+
+    def test_hostile_credentials_verify_without_a_table(self, hostile, empty_table,
+                                                        admin_key):
+        engine = PolicyEngine(
+            f'Authorizer: "POLICY"\nLicensees: "{encode_public_key(admin_key)}"\n',
+            PERMISSION_VALUES)
+        for i in range(4):
+            key = generate_dsa_keypair(hostile, rand=seeded_random_bits(b"h%d" % i))
+            cred = issue_credential(key, "dsa-hex:00", handle=str(i), rights="R")
+            assert len(engine.intake(cred)) == 1
+            tampered = cred.replace(f'HANDLE == "{i}"', f'HANDLE == "{i + 1}"')
+            assert tampered != cred
+            with pytest.raises(CredentialError, match="signature"):
+                engine.intake(tampered)
+        assert empty_table == []
+
+    def test_gpow_on_other_parameters_is_pow(self, hostile, empty_table):
+        for e in (0, 1, 2, hostile.q - 1, hostile.q):
+            assert hostile.gpow(e) == pow(hostile.g, e, hostile.p)
+        assert empty_table == []
+
+    @pytest.mark.parametrize("params", ["library", "hostile"])
+    def test_exponent_outside_0_q_is_refused(self, params, hostile):
+        group = DEFAULT_PARAMETERS if params == "library" else hostile
+        for e in (-1, -(1 << 200), group.q + 1, 1 << 200):
+            with pytest.raises(CryptoError, match=r"outside \[0, q\]"):
+                group.gpow(e)

@@ -1051,6 +1051,7 @@ class TestReadRepair:
         rep.write_many([(i, b"v1") for i in range(8)])
         children[1].fail()
         rep.write_many([(i, b"v2") for i in range(8)])
+        rep.drain()  # child 1's lane must fail v2 before the heal, not after
         children[1].heal()
         datas = rep.read_many(list(range(8)))
         assert all(d.startswith(b"v2") for d in datas)
