@@ -30,7 +30,9 @@ directly inside another call's arguments is always flagged: the result
 is unnameable, so no cleanup can ever reference it.
 
 Scope: library code.  ``bench/`` and ``cli.py`` are leaf programs whose
-resources die with the process, so they are excluded by path.
+resources die with the process, so they are excluded by their path
+inside the ``repro`` package — the same files whatever directory the
+lint runs from.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ _ACQUIRER_ATTRS = frozenset({("os", "open")})
 _SAFE_CONSUMERS = frozenset({"close_quietly"})
 #: Container hand-off methods: ownership moves to the container.
 _ESCAPE_METHODS = frozenset({"append", "add", "put"})
-#: Paths outside the rule: process-lifetime resources.
-_EXCLUDED_PREFIXES = ("src/repro/bench/",)
-_EXCLUDED_FILES = frozenset({"src/repro/cli.py"})
+#: Paths inside the ``repro`` package outside the rule: process-lifetime
+#: resources.
+_EXCLUDED_PREFIXES = ("bench/",)
+_EXCLUDED_FILES = frozenset({"cli.py"})
 
 
 def _is_acquirer_call(node: ast.AST) -> bool:
@@ -202,9 +205,12 @@ class ResourceLeakChecker(Checker):
 
     @staticmethod
     def _excluded(sf: SourceFile) -> bool:
-        return sf.rel in _EXCLUDED_FILES or any(
-            sf.rel.startswith(prefix) for prefix in _EXCLUDED_PREFIXES
-        )
+        path = sf.path.resolve()
+        package = next((p for p in path.parents if p.name == "repro"), None)
+        if package is None:
+            return False
+        inner = path.relative_to(package).as_posix()
+        return inner in _EXCLUDED_FILES or inner.startswith(_EXCLUDED_PREFIXES)
 
     def _check_function(self, sf: SourceFile,
                         fn: _FuncDef) -> Iterator[Finding]:

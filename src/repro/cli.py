@@ -1,49 +1,15 @@
-"""The ``discfs`` command-line tool.
+"""The discfs command-line tool: the workflows the paper describes
+operationally -- key management, credential issuance, delegation and
+inspection (the "send it via email" artifacts), running a server, and
+client file operations over the secure channel.
 
-Wraps the library in the workflows the paper describes operationally:
-key management, credential issuance/delegation/inspection (the
-"send it via email" artifacts), running a server, and client file
-operations over the secure channel.
-
-Commands
---------
-==================  ====================================================
-``keygen``          generate a DSA (or RSA) keypair into a key file
-``identity``        print a key file's public principal identifier
-``issue``           issue a credential (issuer key -> licensee id)
-``delegate``        re-grant an existing credential to another key
-``inspect``         pretty-print a credential's fields
-``verify``          check a credential's signature
-``serve``           run a DisCFS server on a TCP port, optionally
-                    importing a host directory into its filesystem;
-                    ``--backend URI`` picks the storage backend
-``store-serve``     export a storage backend over RPC on a TCP port —
-                    the node other servers reach as ``remote://``;
-                    ``--policy FILE`` gates every call behind a KeyNote
-                    session, ``--tenant-quota`` carves tenant regions,
-                    ``--metrics-port`` serves Prometheus/JSON metrics,
-                    ``--trace-log`` appends spans for ``store-trace``
-``store-issue``     issue a storage-plane credential (tenant + rights)
-``store-inspect``   mount a backend URI and print its live topology:
-                    per-layer capabilities and stats (``--json`` for
-                    machines, ``--parse`` to validate without mounting)
-``store-trace``     reconstruct cross-node span trees from the JSON-line
-                    files ``store-serve --trace-log`` (and traced
-                    clients) append, flagging slow operations
-``reshard``         migrate a mounted ``shard://`` ring to a new layout,
-                    moving only the blocks whose ring owner changed
-``backends``        list the registered storage-backend URI schemes
-``journal-inspect`` dump and verify a ``journal://`` write-ahead log
-``ls/cat/put/rm``   client operations against a running server
-``stat``            print a remote file's handle and granted rights
-``submit``          submit credential files to a server
-``revoke``          administrator revocation (key or credential)
-``audit``           dump the server's audit log (administrator only)
-==================  ====================================================
-
-Every client command takes ``--server HOST:PORT --key KEYFILE`` and
-optionally ``--credential FILE`` (repeatable).  See
-``tests/unit/test_cli.py`` for end-to-end invocations.
+Each subcommand is one :class:`Command` row, declared by :func:`command`
+on its handler: name, help, ``add_argument`` specs and a ``client`` flag.
+The parser, the command list ``discfs --help`` prints and :func:`main`'s
+dispatch are derived from :data:`COMMANDS`.  A client row also takes
+:data:`CLIENT_ARGS`, and :func:`main` hands its handler the connected
+:class:`DisCFSClient` and closes it after.  Malformed values are usage
+errors (exit 2) through each argument's ``type=``.
 """
 
 from __future__ import annotations
@@ -54,7 +20,8 @@ import os
 import signal
 import sys
 import threading
-from typing import Callable
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.core.admin import Administrator
 from repro.core.client import DisCFSClient
@@ -96,11 +63,81 @@ def _load_keypair(path: str):
     return key
 
 
+#: One ``add_argument`` call as data: ``(flags, options)``.
+Arg = tuple[tuple[str, ...], dict[str, Any]]
+
+
+def arg(*flags: str, **options: Any) -> Arg:
+    return flags, options
+
+
+@dataclass(frozen=True)
+class Command:
+    """One ``discfs`` subcommand.  ``run(args)`` returns the exit code; a
+    ``client`` row's ``run(client, args)`` gets the connected client."""
+
+    name: str
+    help: str
+    run: Callable[..., int]
+    args: tuple[Arg, ...]
+    client: bool
+
+
+#: Every subcommand, in declaration (and ``discfs --help``) order.
+COMMANDS: list[Command] = []
+
+
+def command(name: str, help: str, *args: Arg, client: bool = False):
+    """Declare the decorated handler as the subcommand ``name``."""
+
+    def declare(run: Callable[..., int]) -> Callable[..., int]:
+        COMMANDS.append(Command(name, help, run, args, client))
+        return run
+
+    return declare
+
+
+def _hours(spec: str) -> tuple[int, int]:
+    """``--hours START-END``: the daily window a credential is valid in."""
+    start, _, end = spec.partition("-")
+    if not (start.isdecimal() and end.isdecimal()):
+        raise argparse.ArgumentTypeError(f"expected START-END, not {spec!r}")
+    return int(start), int(end)
+
+
+def _host_port(spec: str) -> tuple[str, int]:
+    host, _, port = spec.partition(":")
+    if not (port.isdecimal() and 0 < int(port) < 65536):
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, not {spec!r}")
+    return host, int(port)
+
+
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+    return int(text)
+
+
+#: What every client row takes before its own arguments.
+CLIENT_ARGS: tuple[Arg, ...] = (
+    arg("--server", required=True, metavar="HOST:PORT", type=_host_port),
+    arg("--key", required=True, help="private key file"),
+    arg("--attach", default="/", help="remote path to mount"),
+    arg("--credential", action="append", metavar="FILE",
+        help="credential file to submit (repeatable)"),
+)
+
+
 # ---------------------------------------------------------------------------
 # Key management
 # ---------------------------------------------------------------------------
 
 
+@command("keygen", "generate a keypair",
+         arg("--out", required=True),
+         arg("--algorithm", choices=("dsa", "rsa"), default="dsa"),
+         arg("--bits", type=int, default=1024, help="RSA modulus bits"),
+         arg("--seed", help="deterministic seed (tests/demos only)"))
 def cmd_keygen(args) -> int:
     rand = seeded_random_bits(args.seed.encode()) if args.seed else None
     if args.algorithm == "dsa":
@@ -114,6 +151,8 @@ def cmd_keygen(args) -> int:
     return 0
 
 
+@command("identity", "print a key file's principal",
+         arg("--key", required=True))
 def cmd_identity(args) -> int:
     key = decode_key(_read(args.key).strip())
     public = getattr(key, "public", key)
@@ -126,17 +165,36 @@ def cmd_identity(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@command("issue", "issue a credential",
+         arg("--key", required=True, help="issuer private key file"),
+         arg("--licensee", required=True,
+             help="principal id or file containing one"),
+         arg("--handle", required=True),
+         arg("--rights", default="RWX"),
+         arg("--comment", default=""),
+         arg("--subtree", action="store_true"),
+         arg("--expires-at", type=int, default=None),
+         arg("--hours", type=_hours, help="e.g. 9-17"),
+         arg("--out"))
 def cmd_issue(args) -> int:
     issuer = CredentialIssuer(_load_keypair(args.key))
     text = issuer.grant(
         _principal_arg(args.licensee), handle=args.handle,
         rights=args.rights, comment=args.comment, subtree=args.subtree,
-        expires_at=args.expires_at, hours=_parse_hours(args.hours),
+        expires_at=args.expires_at, hours=args.hours,
     )
     _emit_credential(text, args.out)
     return 0
 
 
+@command("delegate", "re-grant a credential",
+         arg("--key", required=True, help="delegator private key file"),
+         arg("--credential", required=True, help="original credential"),
+         arg("--licensee", required=True),
+         arg("--rights", default=None),
+         arg("--comment", default=""),
+         arg("--expires-at", type=int, default=None),
+         arg("--out"))
 def cmd_delegate(args) -> int:
     issuer = CredentialIssuer(_load_keypair(args.key))
     licensee = _principal_arg(args.licensee)
@@ -148,13 +206,6 @@ def cmd_delegate(args) -> int:
     return 0
 
 
-def _parse_hours(spec: str | None):
-    if not spec:
-        return None
-    start, _, end = spec.partition("-")
-    return (int(start), int(end))
-
-
 def _emit_credential(text: str, out: str | None) -> None:
     if out:
         _write(out, text)
@@ -163,6 +214,8 @@ def _emit_credential(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+@command("inspect", "pretty-print a credential",
+         arg("--credential", required=True))
 def cmd_inspect(args) -> int:
     assertion = parse_assertion(_read(args.credential))
     print(f"authorizer : {assertion.authorizer[:64]}...")
@@ -180,6 +233,8 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+@command("verify", "verify a credential signature",
+         arg("--credential", required=True))
 def cmd_verify(args) -> int:
     assertion = parse_assertion(_read(args.credential))
     try:
@@ -231,6 +286,21 @@ def _import_host_tree(server: DisCFSServer, host_dir: str) -> int:
     return imported
 
 
+@command("serve", "run a DisCFS server",
+         arg("--admin-identity", required=True,
+             help="administrator principal (or file containing it)"),
+         arg("--trust-key",
+             help="admin private key file: auto-install server trust"),
+         arg("--import-dir", help="host directory to import"),
+         arg("--host", default="127.0.0.1"),
+         arg("--port", type=int, default=0),
+         arg("--cache", type=int, default=128),
+         arg("--backend", default="mem://", metavar="URI",
+             help="storage backend URI: mem://, file://PATH, "
+                  "sqlite://PATH, shard://N, cached://URI, "
+                  "remote://HOST:PORT, replica://N, journal://URI "
+                  "(default mem://; see `discfs backends`)"),
+         arg("--oneshot", action="store_true", help=argparse.SUPPRESS))
 def cmd_serve(args) -> int:
     from repro.fs import persist
     from repro.fs.ffs import FFS
@@ -284,6 +354,43 @@ def cmd_serve(args) -> int:
 _LOOPBACK_HOSTS = ("127.0.0.1", "localhost", "::1")
 
 
+@command("store-serve", "export a storage backend over RPC (remote://)",
+         arg("--backend", default="mem://", metavar="URI",
+             help="backend URI to serve (default mem://)"),
+         arg("--host", default="127.0.0.1"),
+         arg("--port", type=int, default=0),
+         arg("--blocks", type=_positive_int, default=None,
+             help="store size in blocks (default: registry default)"),
+         arg("--bs", type=_positive_int, default=None,
+             help="block size in bytes (default 8192)"),
+         arg("--workers", type=int, default=4,
+             help="request-handling threads per node: pipelined "
+                  "clients (remote://...?workers=N) overlap calls "
+                  "on one connection; 0 = answer each connection "
+                  "sequentially (default 4)"),
+         arg("--policy", metavar="FILE",
+             help="KeyNote policy file: require an authenticated "
+                  "SESSION_OPEN (clients mount with "
+                  "remote://...#cred=FILE&key=FILE) and authorize "
+                  "every call against the session's rights"),
+         arg("--tenant-quota", action="append", metavar="SPEC",
+             help="carve a private tenant region on the served "
+                  "store: NAME=BLOCKS[:BYTES[:RATE]] (repeatable; "
+                  "needs --policy)"),
+         arg("--audit-log", metavar="FILE",
+             help="append one JSON line per auth decision "
+                  "(needs --policy)"),
+         arg("--insecure", action="store_true",
+             help="serve a non-loopback address WITHOUT --policy "
+                  "(anyone reaching the port gets full read/write)"),
+         arg("--metrics-port", type=int, default=None, metavar="PORT",
+             help="also serve /metrics (Prometheus text), "
+                  "/metrics.json and /trace.json over HTTP on this "
+                  "port (0 = ephemeral; announced on a second line)"),
+         arg("--trace-log", metavar="FILE",
+             help="append one JSON line per recorded span "
+                  "(feed the files to: discfs store-trace)"),
+         arg("--oneshot", action="store_true", help=argparse.SUPPRESS))
 def cmd_store_serve(args) -> int:
     """Serve one storage backend over RPC (the ``remote://`` server side)."""
     from repro.storage import DEFAULT_NUM_BLOCKS, open_store
@@ -365,6 +472,18 @@ def cmd_store_serve(args) -> int:
     return 0
 
 
+@command("store-issue",
+         "issue a storage-plane credential (tenant + r/rw/admin rights)",
+         arg("--key", required=True, help="issuer private key file"),
+         arg("--licensee", required=True,
+             help="principal id or file containing one"),
+         arg("--tenant", default="",
+             help="tenant the grant is scoped to (empty: whole store)"),
+         arg("--rights", default="rw", choices=("r", "rw", "admin")),
+         arg("--comment", default=""),
+         arg("--expires-at", type=int, default=None,
+             help="unix time after which the credential is dead"),
+         arg("--out"))
 def cmd_store_issue(args) -> int:
     """Issue a KeyNote credential for the *storage* plane: the artifact a
     client presents at SESSION_OPEN (``remote://...#cred=FILE``)."""
@@ -378,20 +497,23 @@ def cmd_store_issue(args) -> int:
     return 0
 
 
+@command("store-inspect",
+         "print a backend's live topology (capabilities + stats per layer)",
+         arg("backend", metavar="URI", help="backend URI to mount and inspect"),
+         arg("--json", action="store_true",
+             help="emit the topology tree as JSON"),
+         arg("--parse", action="store_true",
+             help="validate and canonicalize the URI without "
+                  "mounting anything"),
+         arg("--exercise", action="store_true",
+             help="read block 0 twice first so the stats are "
+                  "non-zero (demos; never writes)"))
 def cmd_store_inspect(args) -> int:
     """Mount a backend and print the live topology (the control plane's
     ``describe`` tree: per-layer capabilities + stats snapshots)."""
     import json as _json
 
-    from repro.storage import (
-        describe,
-        latency_usage,
-        open_store,
-        parse_spec,
-        render_latency_table,
-        render_tenant_table,
-        tenant_usage,
-    )
+    from repro.storage import describe, open_store, parse_spec
 
     spec = parse_spec(args.backend)
     if args.parse:
@@ -411,28 +533,17 @@ def cmd_store_inspect(args) -> int:
         else:
             print(f"backend: {spec.to_uri()}")
             print(tree.render())
-            # A gated server folds its auth verdicts and every tenant
-            # view's counters into the STATS extras; local tenant://
-            # mounts publish the same flat keys.  Regroup them into the
-            # per-tenant usage table.
-            tenants: dict[str, dict[str, float]] = {}
-            latencies: dict[tuple[str, str], dict[str, float]] = {}
-            auth_denied = 0.0
-            for node in tree.walk():
-                for snap in (node.stats, node.remote):
-                    if snap is None:
-                        continue
-                    auth_denied += snap.extra.get("auth_denied", 0.0)
-                    for name, fields in tenant_usage(snap.extra).items():
-                        tenants.setdefault(name, {}).update(fields)
-                    for key, fields in latency_usage(snap.extra).items():
-                        latencies.setdefault(key, {}).update(fields)
-            if tenants:
-                print()
-                print(render_tenant_table(tenants))
-            if latencies:
-                print()
-                print(render_latency_table(latencies))
+            tenants, latencies, auth_denied = _regroup(tree)
+            _print_table(("tenant", "region", "used", "reads", "writes",
+                          "bytes-w", "limits", "denied"),
+                         [_tenant_row(name, fields)
+                          for name, fields in sorted(tenants.items())])
+            _print_table(("layer", "op", "count", "p50(ms)", "p95(ms)",
+                          "p99(ms)"),
+                         [(*layer_op, str(int(fields.get("count", 0))),
+                           *(f"{fields.get(q, 0.0):.3f}"
+                             for q in ("p50", "p95", "p99")))
+                          for layer_op, fields in sorted(latencies.items())])
             if auth_denied:
                 print(f"auth: {int(auth_denied)} request(s) denied")
     finally:
@@ -440,6 +551,72 @@ def cmd_store_inspect(args) -> int:
     return 0
 
 
+def _regroup(tree) -> tuple[dict[str, dict[str, float]],
+                           dict[tuple[str, ...], dict[str, float]], float]:
+    """Regroup every node's flat ``tenant:<name>:<field>`` and
+    ``lat:<layer>:<op>:<field>`` stats extras (a gated server's STATS fold
+    in every tenant view's) per tenant and per (layer, op), and total
+    ``auth_denied``.  A key missing a segment is ignored, not guessed at."""
+    tenants: dict[str, dict[str, float]] = {}
+    latencies: dict[tuple[str, ...], dict[str, float]] = {}
+    auth_denied = 0.0
+    for node in tree.walk():
+        for snap in (node.stats, node.remote):
+            if snap is None:
+                continue
+            auth_denied += snap.extra.get("auth_denied", 0.0)
+            for key, value in snap.extra.items():
+                row, _, field_name = key.rpartition(":")
+                kind, _, name = row.partition(":")
+                layer_op = tuple(name.split(":"))
+                if not (name and field_name):
+                    continue
+                if kind == "tenant":
+                    tenants.setdefault(name, {})[field_name] = value
+                elif kind == "lat" and len(layer_op) == 2 and all(layer_op):
+                    latencies.setdefault(layer_op, {})[field_name] = value
+    return tenants, latencies, auth_denied
+
+
+def _tenant_row(name: str, fields: dict[str, float]) -> tuple[str, ...]:
+    offset, blocks = int(fields.get("offset", 0)), int(fields.get("blocks", 0))
+    limits = ",".join(
+        spec.format(fields[key]) for key, spec in (
+            ("quota_blocks", "{:.0f}blk"), ("quota_bytes", "{:.0f}B"),
+            ("rate_ops", "{:g}/s"),
+        ) if key in fields
+    )
+    denied = fields.get("quota_denied", 0) + fields.get("rate_denied", 0)
+    return (name, f"[{offset},{offset + blocks})",
+            *(str(int(fields.get(key, 0)))
+              for key in ("used", "reads", "writes", "bytes_written")),
+            limits or "-", str(int(denied)))
+
+
+def _print_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
+    """Rows (if any) under a header after a blank line, in left-aligned
+    columns two spaces apart, trailing blanks trimmed."""
+    if not rows:
+        return
+    table = [header, *rows]
+    widths = [max(len(row[col]) for row in table) for col in range(len(header))]
+    print()
+    for row in table:
+        print("  ".join(cell.ljust(width)
+                        for cell, width in zip(row, widths)).rstrip())
+
+
+@command("store-trace",
+         "reconstruct cross-node span trees from --trace-log span files",
+         arg("files", nargs="+", metavar="SPANS.jsonl",
+             help="JSON-lines span files (store-serve --trace-log "
+                  "output, one per node, plus any client logs)"),
+         arg("--trace", metavar="ID",
+             help="only show traces whose id starts with ID"),
+         arg("--slow-ms", type=float, default=None,
+             help="flag spans at or above this duration (default 100)"),
+         arg("--json", action="store_true",
+             help="emit the reconstructed trees as JSON"))
 def cmd_store_trace(args) -> int:
     """Join span logs (``store-serve --trace-log`` / client JSONL files)
     into per-trace trees: client call → per-node server spans, with the
@@ -537,6 +714,15 @@ def cmd_store_trace(args) -> int:
     return 0
 
 
+@command("reshard",
+         "migrate a shard:// ring to a new layout "
+         "(moves only ring-owner-changed blocks)",
+         arg("old", metavar="OLD_URI",
+             help="the currently deployed shard:// layout"),
+         arg("new", metavar="NEW_URI", help="the target shard:// layout"),
+         arg("--no-verify", action="store_true",
+             help="skip re-reading moved blocks from their new "
+                  "owner before the swap"))
 def cmd_reshard(args) -> int:
     """Migrate a shard:// ring to a new layout (the control plane's
     flagship: only blocks whose consistent-hash owner changed move)."""
@@ -564,6 +750,7 @@ def cmd_reshard(args) -> int:
     return 0
 
 
+@command("backends", "list storage-backend URI schemes")
 def cmd_backends(args) -> int:
     """List storage schemes with the usage examples their specs declare."""
     from repro.storage.spec import backend_rows
@@ -573,6 +760,10 @@ def cmd_backends(args) -> int:
     return 0
 
 
+@command("journal-inspect", "dump/verify a journal:// write-ahead log",
+         arg("journal", help="path to the journal file"),
+         arg("--records", action="store_true",
+             help="also list every record in the log"))
 def cmd_journal_inspect(args) -> int:
     """Dump and verify a write-ahead journal file."""
     from repro.storage import inspect_journal
@@ -600,97 +791,23 @@ def cmd_journal_inspect(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Client operations
-# ---------------------------------------------------------------------------
-
-
-def _connect(args) -> DisCFSClient:
-    host, _, port = args.server.partition(":")
-    raw = TCPTransport(host, int(port))
-    key = _load_keypair(args.key)
-    client = DisCFSClient(SecureTransport(raw, IKEInitiator(key)), key)
-    client.attach(args.attach)
-    for path in args.credential or ():
-        client.submit_credential(_read(path))
-    return client
-
-
-def cmd_ls(args) -> int:
-    with contextlib.closing(_connect(args)) as client:
-        fh, _ = client.walk(args.path)
-        for _ino, name in client.readdir(fh):
-            if name not in (".", ".."):
-                print(name)
-    return 0
-
-
-def cmd_cat(args) -> int:
-    with contextlib.closing(_connect(args)) as client:
-        sys.stdout.buffer.write(client.read_path(args.path))
-    return 0
-
-
-def cmd_put(args) -> int:
-    with contextlib.closing(_connect(args)) as client:
-        with open(args.local, "rb") as f:
-            data = f.read()
-        client.write_path(args.path, data)
-        print(f"wrote {len(data)} bytes to {args.path}")
-        if client.wallet and args.save_credential:
-            _write(args.save_credential, client.wallet[-1])
-            print(f"creator credential saved to {args.save_credential}")
-    return 0
-
-
-def cmd_rm(args) -> int:
-    with contextlib.closing(_connect(args)) as client:
-        directory, _, name = args.path.strip("/").rpartition("/")
-        dir_fh, _ = client.walk(directory) if directory else (client.root, None)
-        client.remove(dir_fh, name)
-        print(f"removed {args.path}")
-    return 0
-
-
-def cmd_stat(args) -> int:
-    """Print a remote file's handle (what credentials bind rights to)."""
-    from repro.core.handles import HandleScheme
-
-    with contextlib.closing(_connect(args)) as client:
-        fh, attr = client.walk(args.path)
-        print(f"handle     : {HandleScheme.INODE_GENERATION.render(fh)}")
-        print(f"handle(ino): {HandleScheme.INODE.render(fh)}")
-        print(f"type       : {'dir' if attr.is_dir else 'file'}")
-        print(f"size       : {attr.size}")
-        print(f"mode       : {attr.permission_bits:03o} (your granted rights)")
-    return 0
-
-
-def cmd_submit(args) -> int:
-    with contextlib.closing(_connect(args)) as client:
-        for path in args.files:
-            message = client.submit_credential(_read(path))
-            print(f"{path}: {message}")
-    return 0
-
-
-def cmd_audit(args) -> int:
-    with contextlib.closing(_connect(args)) as client:
-        for line in client.nfs.audit_log(limit=args.limit):
-            print(line)
-    return 0
-
-
-def cmd_revoke(args) -> int:
-    with contextlib.closing(_connect(args)) as client:
-        if args.kind == "key":
-            value = _principal_arg(args.value)
-        else:
-            value = parse_assertion(_read(args.value)).signature
-        print(client.nfs.revoke(f"{args.kind} {value}"))
-    return 0
-
-
+@command("lint", "run the project-specific static analyzers (discfs-lint)",
+         arg("paths", nargs="*", metavar="PATH",
+             help="files or directories to lint (default: src/repro)"),
+         arg("--rule", action="append", metavar="RULE",
+             help="run only this rule (repeatable; see --list-rules)"),
+         arg("--json", action="store_true",
+             help="machine-readable findings + summary"),
+         arg("--baseline", metavar="FILE",
+             help="grandfather findings whose fingerprint is in FILE"),
+         arg("--diff", metavar="REF",
+             help="lint only python files changed vs git REF "
+                  "(intersected with PATH; new-vs-baseline "
+                  "findings still gate)"),
+         arg("--write-baseline", metavar="FILE",
+             help="write current findings to FILE as a new baseline"),
+         arg("--list-rules", action="store_true",
+             help="list available rules and exit"))
 def cmd_lint(args) -> int:
     import json
     from pathlib import Path
@@ -772,265 +889,137 @@ def cmd_lint(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Client operations
+# ---------------------------------------------------------------------------
+
+
+def _connect(args) -> DisCFSClient:
+    raw = TCPTransport(*args.server)
+    key = _load_keypair(args.key)
+    client = DisCFSClient(SecureTransport(raw, IKEInitiator(key)), key)
+    client.attach(args.attach)
+    for path in args.credential or ():
+        client.submit_credential(_read(path))
+    return client
+
+
+@command("ls", "list a remote directory",
+         arg("path", nargs="?", default="/"), client=True)
+def cmd_ls(client: DisCFSClient, args) -> int:
+    fh, _ = client.walk(args.path)
+    for _ino, name in client.readdir(fh):
+        if name not in (".", ".."):
+            print(name)
+    return 0
+
+
+@command("cat", "print a remote file", arg("path"), client=True)
+def cmd_cat(client: DisCFSClient, args) -> int:
+    sys.stdout.buffer.write(client.read_path(args.path))
+    return 0
+
+
+@command("put", "upload a local file",
+         arg("local"),
+         arg("path"),
+         arg("--save-credential", metavar="FILE",
+             help="store the creator credential here"),
+         client=True)
+def cmd_put(client: DisCFSClient, args) -> int:
+    with open(args.local, "rb") as f:
+        data = f.read()
+    client.write_path(args.path, data)
+    print(f"wrote {len(data)} bytes to {args.path}")
+    if client.wallet and args.save_credential:
+        _write(args.save_credential, client.wallet[-1])
+        print(f"creator credential saved to {args.save_credential}")
+    return 0
+
+
+@command("rm", "remove a remote file", arg("path"), client=True)
+def cmd_rm(client: DisCFSClient, args) -> int:
+    directory, _, name = args.path.strip("/").rpartition("/")
+    dir_fh, _ = client.walk(directory) if directory else (client.root, None)
+    client.remove(dir_fh, name)
+    print(f"removed {args.path}")
+    return 0
+
+
+@command("stat", "print a remote file's handle and rights", arg("path"),
+         client=True)
+def cmd_stat(client: DisCFSClient, args) -> int:
+    """Print a remote file's handle (what credentials bind rights to)."""
+    from repro.core.handles import HandleScheme
+
+    fh, attr = client.walk(args.path)
+    print(f"handle     : {HandleScheme.INODE_GENERATION.render(fh)}")
+    print(f"handle(ino): {HandleScheme.INODE.render(fh)}")
+    print(f"type       : {'dir' if attr.is_dir else 'file'}")
+    print(f"size       : {attr.size}")
+    print(f"mode       : {attr.permission_bits:03o} (your granted rights)")
+    return 0
+
+
+@command("submit", "submit credential files", arg("files", nargs="+"),
+         client=True)
+def cmd_submit(client: DisCFSClient, args) -> int:
+    for path in args.files:
+        message = client.submit_credential(_read(path))
+        print(f"{path}: {message}")
+    return 0
+
+
+@command("audit", "dump the server audit log (admin)",
+         arg("--limit", type=int, default=100), client=True)
+def cmd_audit(client: DisCFSClient, args) -> int:
+    for line in client.nfs.audit_log(limit=args.limit):
+        print(line)
+    return 0
+
+
+@command("revoke", "administrator revocation",
+         arg("kind", choices=("key", "credential")),
+         arg("value", help="principal/file (key) or credential file"),
+         client=True)
+def cmd_revoke(client: DisCFSClient, args) -> int:
+    if args.kind == "key":
+        value = _principal_arg(args.value)
+    else:
+        value = parse_assertion(_read(args.value)).signature
+    print(client.nfs.revoke(f"{args.kind} {value}"))
+    return 0
+
+
+# ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
 
-def _add_client_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--server", required=True, metavar="HOST:PORT")
-    parser.add_argument("--key", required=True, help="private key file")
-    parser.add_argument("--attach", default="/", help="remote path to mount")
-    parser.add_argument("--credential", action="append", metavar="FILE",
-                        help="credential file to submit (repeatable)")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="discfs", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("keygen", help="generate a keypair")
-    p.add_argument("--out", required=True)
-    p.add_argument("--algorithm", choices=("dsa", "rsa"), default="dsa")
-    p.add_argument("--bits", type=int, default=1024, help="RSA modulus bits")
-    p.add_argument("--seed", help="deterministic seed (tests/demos only)")
-    p.set_defaults(func=cmd_keygen)
-
-    p = sub.add_parser("identity", help="print a key file's principal")
-    p.add_argument("--key", required=True)
-    p.set_defaults(func=cmd_identity)
-
-    p = sub.add_parser("issue", help="issue a credential")
-    p.add_argument("--key", required=True, help="issuer private key file")
-    p.add_argument("--licensee", required=True,
-                   help="principal id or file containing one")
-    p.add_argument("--handle", required=True)
-    p.add_argument("--rights", default="RWX")
-    p.add_argument("--comment", default="")
-    p.add_argument("--subtree", action="store_true")
-    p.add_argument("--expires-at", type=int, default=None)
-    p.add_argument("--hours", help="e.g. 9-17")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_issue)
-
-    p = sub.add_parser("delegate", help="re-grant a credential")
-    p.add_argument("--key", required=True, help="delegator private key file")
-    p.add_argument("--credential", required=True, help="original credential")
-    p.add_argument("--licensee", required=True)
-    p.add_argument("--rights", default=None)
-    p.add_argument("--comment", default="")
-    p.add_argument("--expires-at", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_delegate)
-
-    p = sub.add_parser("inspect", help="pretty-print a credential")
-    p.add_argument("--credential", required=True)
-    p.set_defaults(func=cmd_inspect)
-
-    p = sub.add_parser("verify", help="verify a credential signature")
-    p.add_argument("--credential", required=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("serve", help="run a DisCFS server")
-    p.add_argument("--admin-identity", required=True,
-                   help="administrator principal (or file containing it)")
-    p.add_argument("--trust-key",
-                   help="admin private key file: auto-install server trust")
-    p.add_argument("--import-dir", help="host directory to import")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0)
-    p.add_argument("--cache", type=int, default=128)
-    p.add_argument("--backend", default="mem://", metavar="URI",
-                   help="storage backend URI: mem://, file://PATH, "
-                        "sqlite://PATH, shard://N, cached://URI, "
-                        "remote://HOST:PORT, replica://N, journal://URI "
-                        "(default mem://; see `discfs backends`)")
-    p.add_argument("--oneshot", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser("store-serve",
-                       help="export a storage backend over RPC (remote://)")
-    p.add_argument("--backend", default="mem://", metavar="URI",
-                   help="backend URI to serve (default mem://)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0)
-    p.add_argument("--blocks", type=int, default=None,
-                   help="store size in blocks (default: registry default)")
-    p.add_argument("--bs", type=int, default=None,
-                   help="block size in bytes (default 8192)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="request-handling threads per node: pipelined "
-                        "clients (remote://...?workers=N) overlap calls "
-                        "on one connection; 0 = answer each connection "
-                        "sequentially (default 4)")
-    p.add_argument("--policy", metavar="FILE",
-                   help="KeyNote policy file: require an authenticated "
-                        "SESSION_OPEN (clients mount with "
-                        "remote://...#cred=FILE&key=FILE) and authorize "
-                        "every call against the session's rights")
-    p.add_argument("--tenant-quota", action="append", metavar="SPEC",
-                   help="carve a private tenant region on the served "
-                        "store: NAME=BLOCKS[:BYTES[:RATE]] (repeatable; "
-                        "needs --policy)")
-    p.add_argument("--audit-log", metavar="FILE",
-                   help="append one JSON line per auth decision "
-                        "(needs --policy)")
-    p.add_argument("--insecure", action="store_true",
-                   help="serve a non-loopback address WITHOUT --policy "
-                        "(anyone reaching the port gets full read/write)")
-    p.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
-                   help="also serve /metrics (Prometheus text), "
-                        "/metrics.json and /trace.json over HTTP on this "
-                        "port (0 = ephemeral; announced on a second line)")
-    p.add_argument("--trace-log", metavar="FILE",
-                   help="append one JSON line per recorded span "
-                        "(feed the files to: discfs store-trace)")
-    p.add_argument("--oneshot", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_store_serve)
-
-    p = sub.add_parser("store-issue",
-                       help="issue a storage-plane credential "
-                            "(tenant + r/rw/admin rights)")
-    p.add_argument("--key", required=True, help="issuer private key file")
-    p.add_argument("--licensee", required=True,
-                   help="principal id or file containing one")
-    p.add_argument("--tenant", default="",
-                   help="tenant the grant is scoped to (empty: whole store)")
-    p.add_argument("--rights", default="rw", choices=("r", "rw", "admin"))
-    p.add_argument("--comment", default="")
-    p.add_argument("--expires-at", type=int, default=None,
-                   help="unix time after which the credential is dead")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_store_issue)
-
-    p = sub.add_parser("store-inspect",
-                       help="print a backend's live topology "
-                            "(capabilities + stats per layer)")
-    p.add_argument("backend", metavar="URI",
-                   help="backend URI to mount and inspect")
-    p.add_argument("--json", action="store_true",
-                   help="emit the topology tree as JSON")
-    p.add_argument("--parse", action="store_true",
-                   help="validate and canonicalize the URI without "
-                        "mounting anything")
-    p.add_argument("--exercise", action="store_true",
-                   help="read block 0 twice first so the stats are "
-                        "non-zero (demos; never writes)")
-    p.set_defaults(func=cmd_store_inspect)
-
-    p = sub.add_parser("store-trace",
-                       help="reconstruct cross-node span trees from "
-                            "--trace-log span files")
-    p.add_argument("files", nargs="+", metavar="SPANS.jsonl",
-                   help="JSON-lines span files (store-serve --trace-log "
-                        "output, one per node, plus any client logs)")
-    p.add_argument("--trace", metavar="ID",
-                   help="only show traces whose id starts with ID")
-    p.add_argument("--slow-ms", type=float, default=None,
-                   help="flag spans at or above this duration "
-                        "(default 100)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the reconstructed trees as JSON")
-    p.set_defaults(func=cmd_store_trace)
-
-    p = sub.add_parser("reshard",
-                       help="migrate a shard:// ring to a new layout "
-                            "(moves only ring-owner-changed blocks)")
-    p.add_argument("old", metavar="OLD_URI",
-                   help="the currently deployed shard:// layout")
-    p.add_argument("new", metavar="NEW_URI",
-                   help="the target shard:// layout")
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip re-reading moved blocks from their new "
-                        "owner before the swap")
-    p.set_defaults(func=cmd_reshard)
-
-    p = sub.add_parser("backends", help="list storage-backend URI schemes")
-    p.set_defaults(func=cmd_backends)
-
-    p = sub.add_parser("journal-inspect",
-                       help="dump/verify a journal:// write-ahead log")
-    p.add_argument("journal", help="path to the journal file")
-    p.add_argument("--records", action="store_true",
-                   help="also list every record in the log")
-    p.set_defaults(func=cmd_journal_inspect)
-
-    p = sub.add_parser(
-        "lint",
-        help="run the project-specific static analyzers (discfs-lint)",
+    clients = ", ".join(row.name for row in COMMANDS if row.client)
+    parser = argparse.ArgumentParser(
+        prog="discfs", description=__doc__.partition("\n\n")[0],
+        epilog=f"client commands ({clients}) connect with "
+               f"--server HOST:PORT --key KEYFILE",
     )
-    p.add_argument("paths", nargs="*", metavar="PATH",
-                   help="files or directories to lint (default: src/repro)")
-    p.add_argument("--rule", action="append", metavar="RULE",
-                   help="run only this rule (repeatable; see --list-rules)")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable findings + summary")
-    p.add_argument("--baseline", metavar="FILE",
-                   help="grandfather findings whose fingerprint is in FILE")
-    p.add_argument("--diff", metavar="REF",
-                   help="lint only python files changed vs git REF "
-                        "(intersected with PATH; new-vs-baseline "
-                        "findings still gate)")
-    p.add_argument("--write-baseline", metavar="FILE",
-                   help="write current findings to FILE as a new baseline")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list available rules and exit")
-    p.set_defaults(func=cmd_lint)
-
-    p = sub.add_parser("ls", help="list a remote directory")
-    _add_client_args(p)
-    p.add_argument("path", nargs="?", default="/")
-    p.set_defaults(func=cmd_ls)
-
-    p = sub.add_parser("cat", help="print a remote file")
-    _add_client_args(p)
-    p.add_argument("path")
-    p.set_defaults(func=cmd_cat)
-
-    p = sub.add_parser("put", help="upload a local file")
-    _add_client_args(p)
-    p.add_argument("local")
-    p.add_argument("path")
-    p.add_argument("--save-credential", metavar="FILE",
-                   help="store the creator credential here")
-    p.set_defaults(func=cmd_put)
-
-    p = sub.add_parser("rm", help="remove a remote file")
-    _add_client_args(p)
-    p.add_argument("path")
-    p.set_defaults(func=cmd_rm)
-
-    p = sub.add_parser("stat", help="print a remote file's handle and rights")
-    _add_client_args(p)
-    p.add_argument("path")
-    p.set_defaults(func=cmd_stat)
-
-    p = sub.add_parser("submit", help="submit credential files")
-    _add_client_args(p)
-    p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_submit)
-
-    p = sub.add_parser("audit", help="dump the server audit log (admin)")
-    _add_client_args(p)
-    p.add_argument("--limit", type=int, default=100)
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("revoke", help="administrator revocation")
-    _add_client_args(p)
-    p.add_argument("kind", choices=("key", "credential"))
-    p.add_argument("value", help="principal/file (key) or credential file")
-    p.set_defaults(func=cmd_revoke)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for row in COMMANDS:
+        p = sub.add_parser(row.name, help=row.help)
+        for flags, options in (CLIENT_ARGS if row.client else ()) + row.args:
+            p.add_argument(*flags, **options)
+        p.set_defaults(row=row)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    row: Command = args.row
     try:
-        return args.func(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        if not row.client:
+            return row.run(args)
+        with contextlib.closing(_connect(args)) as client:
+            return row.run(client, args)
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -37,11 +37,7 @@ from repro.storage.control import (
     SpecTree,
     describe,
     iter_stores,
-    latency_usage,
-    render_latency_table,
-    render_tenant_table,
     reshard,
-    tenant_usage,
 )
 from repro.storage.filestore import FileBlockStore
 from repro.storage.journal import (
@@ -116,15 +112,11 @@ __all__ = [
     "inspect_journal",
     "issue_store_credential",
     "iter_stores",
-    "latency_usage",
     "open_device",
     "open_store",
     "parse_spec",
     "registered_schemes",
-    "render_latency_table",
-    "render_tenant_table",
     "reshard",
     "serve_store",
     "split_uri",
-    "tenant_usage",
 ]

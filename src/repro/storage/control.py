@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidArgument
@@ -137,127 +136,6 @@ def iter_stores(store: BlockStore):
     yield store
     for child in store.child_stores():
         yield from iter_stores(child)
-
-
-# ---------------------------------------------------------------------------
-# tenant usage
-# ---------------------------------------------------------------------------
-
-
-def tenant_usage(extra: Mapping[str, float]) -> dict[str, dict[str, float]]:
-    """Group flat ``tenant:<name>:<field>`` stats extras into per-tenant rows.
-
-    :class:`~repro.storage.tenant.TenantBlockStore` publishes its usage
-    as flat extra counters so they survive the wire-format STATS payload
-    unchanged; a gated ``store-serve`` merges every tenant view's extras
-    into one snapshot.  This undoes the flattening for rendering:
-    ``{"tenant:alice:used": 3.0}`` becomes ``{"alice": {"used": 3.0}}``.
-    Keys without a field segment are ignored rather than guessed at.
-    """
-    tenants: dict[str, dict[str, float]] = {}
-    for key, value in extra.items():
-        if not key.startswith("tenant:"):
-            continue
-        name, sep, field_name = key[len("tenant:"):].rpartition(":")
-        if not sep or not name or not field_name:
-            continue
-        tenants.setdefault(name, {})[field_name] = value
-    return tenants
-
-
-def render_tenant_table(tenants: Mapping[str, Mapping[str, float]]) -> str:
-    """Aligned per-tenant usage table (``discfs store-inspect`` prints
-    it under the topology tree when a gated node reports tenants)."""
-
-    def limits(fields: Mapping[str, float]) -> str:
-        parts = []
-        if "quota_blocks" in fields:
-            parts.append(f"{int(fields['quota_blocks'])}blk")
-        if "quota_bytes" in fields:
-            parts.append(f"{int(fields['quota_bytes'])}B")
-        if "rate_ops" in fields:
-            parts.append(f"{fields['rate_ops']:g}/s")
-        return ",".join(parts) or "-"
-
-    rows = [("tenant", "region", "used", "reads", "writes",
-             "bytes-w", "limits", "denied")]
-    for name in sorted(tenants):
-        fields = tenants[name]
-        offset = int(fields.get("offset", 0))
-        blocks = int(fields.get("blocks", 0))
-        denied = int(fields.get("quota_denied", 0)
-                     + fields.get("rate_denied", 0))
-        rows.append((
-            name,
-            f"[{offset},{offset + blocks})",
-            str(int(fields.get("used", 0))),
-            str(int(fields.get("reads", 0))),
-            str(int(fields.get("writes", 0))),
-            str(int(fields.get("bytes_written", 0))),
-            limits(fields),
-            str(denied),
-        ))
-    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
-    return "\n".join(
-        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in rows
-    )
-
-
-# ---------------------------------------------------------------------------
-# per-layer latency
-# ---------------------------------------------------------------------------
-
-
-def latency_usage(
-    extra: Mapping[str, float],
-) -> dict[tuple[str, str], dict[str, float]]:
-    """Group flat ``lat:<layer>:<op>:<field>`` stats extras into
-    per-(layer, op) rows.
-
-    :class:`~repro.storage.metered.InstrumentedBlockStore` publishes its
-    histogram readbacks under this stable key namespace (fields:
-    ``p50``/``p95``/``p99`` in milliseconds plus ``count``) so they
-    survive the wire-format STATS payload and ``store-inspect --json``
-    unchanged.  This undoes the flattening for rendering:
-    ``{"lat:mem:read:p99": 0.2}`` becomes ``{("mem", "read"): {"p99":
-    0.2}}``.  Malformed keys are ignored rather than guessed at.
-    """
-    rows: dict[tuple[str, str], dict[str, float]] = {}
-    for key, value in extra.items():
-        if not key.startswith("lat:"):
-            continue
-        parts = key.split(":")
-        if len(parts) != 4 or not all(parts[1:]):
-            continue
-        _, layer, op, field_name = parts
-        rows.setdefault((layer, op), {})[field_name] = value
-    return rows
-
-
-def render_latency_table(
-    rows: Mapping[tuple[str, str], Mapping[str, float]],
-) -> str:
-    """Aligned per-layer latency table (``discfs store-inspect`` prints
-    it under the topology tree when a metered node reports latencies)."""
-    table = [("layer", "op", "count", "p50(ms)", "p95(ms)", "p99(ms)")]
-    for layer, op in sorted(rows):
-        fields = rows[(layer, op)]
-        table.append((
-            layer,
-            op,
-            str(int(fields.get("count", 0))),
-            f"{fields.get('p50', 0.0):.3f}",
-            f"{fields.get('p95', 0.0):.3f}",
-            f"{fields.get('p99', 0.0):.3f}",
-        ))
-    widths = [max(len(row[col]) for row in table)
-              for col in range(len(table[0]))]
-    return "\n".join(
-        "  ".join(cell.ljust(width)
-                  for cell, width in zip(row, widths)).rstrip()
-        for row in table
-    )
 
 
 # ---------------------------------------------------------------------------

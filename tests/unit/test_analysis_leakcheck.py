@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import ast
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro.analysis.core import Project
 from repro.analysis.leakcheck import ResourceLeakChecker, header_exprs
 
@@ -149,6 +151,16 @@ class TestKnownGood:
                 return Wrapper(store)
         """, rel="src/repro/bench/flood.py")
         assert findings == []
+
+    @pytest.mark.parametrize("root", ["package parent", "elsewhere"])
+    def test_package_is_clean_from_any_root(self, root, tmp_path):
+        # The exclusions match the path inside the ``repro`` package, so
+        # linting it from ``src/`` or an unrelated directory sees the
+        # same files as from the repository root.
+        package = Path(repro.cli.__file__).parent
+        project = Project(package.parent if root == "package parent"
+                          else tmp_path, [package])
+        assert list(ResourceLeakChecker().run(project)) == []
 
 
 def test_compound_statement_is_its_header_only():
