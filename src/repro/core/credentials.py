@@ -36,7 +36,7 @@ from repro.crypto.rsa import RSAKeyPair
 from repro.errors import CredentialError
 from repro.keynote.ast import Assertion
 from repro.keynote.parser import parse_assertion
-from repro.keynote.signing import sign_assertion
+from repro.keynote.signing import signed_assertion
 from repro.core.permissions import Permission
 
 APP_DOMAIN = "DisCFS"
@@ -103,12 +103,20 @@ def issue_credential(
     """
     if isinstance(rights, str):
         rights = Permission.from_string(rights) if rights != "false" else Permission.none()
-    if rights.bits == 0:
-        raise CredentialError("refusing to issue a credential granting no rights")
     spec = CredentialSpec(
         handle=handle, rights=rights, subtree=subtree, expires_at=expires_at,
         not_before=not_before, hours=hours, extra_condition=extra_condition,
     )
+    return issued_credential(issuer, licensee, spec, comment).source_text
+
+
+def issued_credential(issuer: DSAKeyPair | RSAKeyPair, licensee: str,
+                      spec: CredentialSpec, comment: str = "") -> Assertion:
+    """Create and sign the credential ``spec`` describes; returns it
+    parsed, as ``parse_assertion`` parses its text (``source_text``) —
+    it is parsed once, while it is signed."""
+    if spec.rights.bits == 0:
+        raise CredentialError("refusing to issue a credential granting no rights")
     licensees_field = licensee if _looks_like_expression(licensee) else _quote(licensee)
     body_lines = [
         "KeyNote-Version: 2",
@@ -119,7 +127,7 @@ def issue_credential(
     if comment:
         body_lines.append(f"Comment: {comment}")
     body = "\n".join(body_lines) + "\n"
-    return sign_assertion(body, issuer)
+    return signed_assertion(body, issuer)
 
 
 def _looks_like_expression(licensee: str) -> bool:

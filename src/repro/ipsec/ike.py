@@ -82,6 +82,14 @@ def _transcript(nonce_i: bytes, nonce_r: bytes, gx: bytes, gy: bytes,
                         id_i.encode("utf-8"), id_r.encode("utf-8"))
 
 
+def _identity(raw: bytes) -> str:
+    """A peer's identity field, which must be UTF-8 text."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise HandshakeError("peer identity is not UTF-8 text") from exc
+
+
 def _sign(key: DSAKeyPair | RSAKeyPair, message: bytes) -> bytes:
     raw = key.sign(message, hash_name="sha1")
     return encode_signature(key.algorithm, "sha1", raw).encode("ascii")
@@ -137,7 +145,7 @@ class IKEInitiator:
         gy = int.from_bytes(gy_raw, "big")
         if not 1 < gy < _GROUP.p - 1:
             raise HandshakeError("responder DH value out of range")
-        id_r = id_r_raw.decode("utf-8")
+        id_r = _identity(id_r_raw)
         transcript = _transcript(self._nonce_i, nonce_r, self._gx, gy_raw,
                                  self.identity, id_r)
         _verify(id_r, transcript, sig_r)
@@ -178,7 +186,7 @@ class IKEResponder:
         gx = int.from_bytes(gx_raw, "big")
         if not 1 < gx < _GROUP.p - 1:
             raise HandshakeError("initiator DH value out of range")
-        id_i = id_i_raw.decode("utf-8")
+        id_i = _identity(id_i_raw)
 
         y = 2 + secrets.randbelow(_GROUP.q - 3)
         gy_raw = int_to_bytes(_GROUP.gpow(y))

@@ -58,7 +58,7 @@ from typing import Any, Callable, Mapping, NoReturn, Protocol
 
 from repro.errors import AssertionSyntaxError, ExpressionError
 from repro.keynote.ast import ComplianceValues
-from repro.keynote.lexer import TokenStream, check_depth, tokenize
+from repro.keynote.lexer import TokenStream, lex
 
 # ---------------------------------------------------------------------------
 # AST
@@ -209,175 +209,140 @@ def parse_conditions(text: str) -> ConditionsProgram:
     An empty body is the always-true program (RFC 2704: an empty Conditions
     field means no conditions, i.e. maximum trust for any action).
     """
-    stream = TokenStream(tokenize(text))
-    program = _parse_program(stream, top_level=True)
-    if not stream.at_end():
-        tok = stream.current
+    parser = _Parser(lex(text))
+    program = parser.program(top_level=True)
+    if not parser.at_end():
+        _kind, value, position = parser.current
         raise AssertionSyntaxError(
-            f"trailing garbage in conditions: {tok.value!r}", column=tok.position
-        )
+            f"trailing garbage in conditions: {value!r}", column=position)
     return program
 
 
-def _parse_program(stream: TokenStream, top_level: bool = False) -> ConditionsProgram:
-    clauses: list[Clause] = []
-    while not stream.at_end():
-        if stream.current.kind == "OP" and stream.current.value == "}":
-            break
-        clauses.append(_parse_clause(stream))
-        if not stream.match_op(";"):
-            break
-    if not clauses and not top_level:
-        raise AssertionSyntaxError("empty clause block")
-    return ConditionsProgram(tuple(clauses))
+Node = TestNode | ValueNode
+_TESTS = (BoolLit, Compare, Not, And, Or)
+
+#: Binary operators by how tightly they bind, loosest first.
+_OR, _AND, _RELOP, _ADDITIVE, _MULTIPLICATIVE, _POWER = range(1, 7)
+_PRECEDENCE = {
+    "||": _OR, "&&": _AND,
+    **dict.fromkeys(("==", "!=", "<=", ">=", "<", ">", "~="), _RELOP),
+    **dict.fromkeys("+-.", _ADDITIVE),
+    **dict.fromkeys("*/%", _MULTIPLICATIVE),
+    "^": _POWER,
+}
+_PREFIX: dict[str, type[Not | Neg | ToInt | ToFloat | Deref]] = {
+    "!": Not, "-": Neg, "@": ToInt, "&": ToFloat, "$": Deref}
 
 
-def _parse_clause(stream: TokenStream) -> Clause:
-    test = _parse_test(stream)
-    if stream.match_op("->"):
-        if stream.match_op("{"):
-            inner = stream.nested(_parse_program)
-            stream.expect_op("}")
-            return Clause(test=test, target=inner)
-        tok = stream.current
-        if tok.kind != "STRING":
-            raise AssertionSyntaxError(
-                "expected compliance value string or '{' after '->'", column=tok.position
-            )
-        stream.advance()
-        return Clause(test=test, target=tok.value)
-    return Clause(test=test, target=None)
+class _Parser(TokenStream):
+    """Precedence climbing over the token list.  Tests and values are one
+    grammar here, each operand typed by what it turned out to be, so ``(``
+    needs no second reading: whether it holds a test or a value says if it
+    is a bracketed test or starts a comparison.  Each node's height is
+    known when it is built, and one past MAX_DEPTH is refused then."""
 
+    def program(self, top_level: bool = False) -> ConditionsProgram:
+        clauses: list[Clause] = []
+        while True:
+            kind, value, _position = self._tokens[self._pos]
+            if kind == "EOF" or (kind == "OP" and value == "}"):
+                break
+            clauses.append(self.clause())
+            if not self.match_op(";"):
+                break
+        if not clauses and not top_level:
+            raise AssertionSyntaxError("empty clause block")
+        return ConditionsProgram(tuple(clauses))
 
-def _parse_test(stream: TokenStream) -> TestNode:
-    test = _parse_or(stream)
-    check_depth(test)  # before ConditionsProgram compiles it
-    return test
+    def clause(self) -> Clause:
+        test = self.expression(_OR)[0]
+        if not isinstance(test, _TESTS):
+            self._refuse("comparison operator")
+        if self.match_op("->"):
+            if self.match_op("{"):
+                inner = self.nested(_Parser.program)
+                self.expect_op("}")
+                return Clause(test=test, target=inner)
+            kind, value, position = self.current
+            if kind != "STRING":
+                raise AssertionSyntaxError(
+                    "expected compliance value string or '{' after '->'", column=position
+                )
+            self.advance()
+            return Clause(test=test, target=value)
+        return Clause(test=test, target=None)
 
+    def expression(self, loosest: int) -> tuple[Node, int]:
+        """An operand and every binary operator binding at least as
+        tightly as ``loosest`` after it, and the height of their tree."""
+        tokens = self._tokens
+        node, height = self.operand()
+        while True:
+            kind, op, position = tokens[self._pos]
+            binding = _PRECEDENCE.get(op) if kind == "OP" else None
+            if binding is None or binding < loosest:
+                return node, height
+            self._pos += 1
+            # ``^`` is right-associative, the others left-associative.
+            right: Node
+            if binding == _POWER:
+                right, right_height = self.nested(_Parser.expression, _POWER)
+            else:
+                right, right_height = self.expression(binding + 1)
+            tests = binding <= _AND  # else values, on both sides
+            if isinstance(node, _TESTS) != tests or isinstance(right, _TESTS) != tests:
+                raise AssertionSyntaxError(
+                    f"{op!r} needs {'tests' if tests else 'values'} on both sides",
+                    column=position)
+            if tests:
+                node = (Or if binding == _OR else And)(node, right)
+            else:
+                node = (Compare if binding == _RELOP else BinOp)(op, node, right)
+            node, height = self.grown(node, height, right_height)
 
-def _parse_or(stream: TokenStream) -> TestNode:
-    node = _parse_and(stream)
-    while stream.match_op("||"):
-        node = Or(node, _parse_and(stream))
-    return node
+    def operand(self) -> tuple[Node, int]:
+        """A literal, an attribute, ``true``/``false``, a bracketed test
+        or value, or a prefix operator and its operand."""
+        kind, value, position = self._tokens[self._pos]
+        if kind == "STRING":
+            self._pos += 1
+            return StrLit(value), 1
+        if kind == "IDENT":
+            self._pos += 1
+            if value in ("true", "false"):
+                return BoolLit(value == "true"), 1
+            return Attr(value), 1
+        if kind == "INT":
+            self._pos += 1
+            try:
+                return IntLit(int(value)), 1
+            except ValueError as exc:  # more digits than int() converts
+                raise AssertionSyntaxError("integer literal too long", column=position) from exc
+        if kind == "FLOAT":
+            self._pos += 1
+            return FloatLit(float(value)), 1
+        if kind == "OP" and value == "(":
+            self._pos += 1
+            node, height = self.nested(_Parser.expression, _OR)
+            self.expect_op(")")
+            return node, height
+        if kind == "OP" and value in _PREFIX:
+            self._pos += 1
+            if value == "!":  # binds looser than a comparison, tighter than &&
+                inner, height = self.nested(_Parser.expression, _RELOP)
+            else:  # binds tighter than ^
+                inner, height = self.nested(_Parser.operand)
+            test = value == "!"
+            if isinstance(inner, _TESTS) != test:
+                raise AssertionSyntaxError(
+                    f"{value!r} needs a {'test' if test else 'value'} after it", column=position)
+            return self.grown(_PREFIX[value](inner), height)
+        self._refuse("value expression")
 
-
-def _parse_and(stream: TokenStream) -> TestNode:
-    node = _parse_not(stream)
-    while stream.match_op("&&"):
-        node = And(node, _parse_not(stream))
-    return node
-
-
-def _parse_not(stream: TokenStream) -> TestNode:
-    if stream.match_op("!"):
-        return Not(stream.nested(_parse_not))
-    return _parse_primary_test(stream)
-
-
-def _parse_primary_test(stream: TokenStream) -> TestNode:
-    tok = stream.current
-    if tok.kind == "IDENT" and tok.value in ("true", "false"):
-        # Could still be a comparison like `true == x`? `true`/`false` are
-        # reserved words in tests; RFC treats them as boolean literals only.
-        stream.advance()
-        return BoolLit(tok.value == "true")
-    if tok.kind == "OP" and tok.value == "(":
-        # Ambiguous: "(test)" vs "(value-expr) RELOP value-expr".
-        # Try the comparison reading first; backtrack to the test reading.
-        saved = stream._pos
-        try:
-            return _parse_comparison(stream)
-        except AssertionSyntaxError:
-            stream._pos = saved
-        stream.expect_op("(")
-        inner = stream.nested(_parse_or)
-        stream.expect_op(")")
-        return inner
-    return _parse_comparison(stream)
-
-
-_RELOPS = ("==", "!=", "<=", ">=", "<", ">", "~=")
-
-
-def _parse_comparison(stream: TokenStream) -> TestNode:
-    left = _parse_value_expr(stream)
-    tok = stream.current
-    if tok.kind == "OP" and tok.value in _RELOPS:
-        stream.advance()
-        right = _parse_value_expr(stream)
-        return Compare(tok.value, left, right)
-    raise AssertionSyntaxError(
-        f"expected comparison operator, found {tok.value or tok.kind!r}",
-        column=tok.position,
-    )
-
-
-def _parse_value_expr(stream: TokenStream) -> ValueNode:
-    return _parse_additive(stream)
-
-
-def _parse_additive(stream: TokenStream) -> ValueNode:
-    node = _parse_multiplicative(stream)
-    while True:
-        tok = stream.match_op("+", "-", ".")
-        if tok is None:
-            return node
-        node = BinOp(tok.value, node, _parse_multiplicative(stream))
-
-
-def _parse_multiplicative(stream: TokenStream) -> ValueNode:
-    node = _parse_power(stream)
-    while True:
-        tok = stream.match_op("*", "/", "%")
-        if tok is None:
-            return node
-        node = BinOp(tok.value, node, _parse_power(stream))
-
-
-def _parse_power(stream: TokenStream) -> ValueNode:
-    node = _parse_unary(stream)
-    if stream.match_op("^"):
-        # Right-associative.
-        return BinOp("^", node, stream.nested(_parse_power))
-    return node
-
-
-def _parse_unary(stream: TokenStream) -> ValueNode:
-    tok = stream.current
-    if tok.kind == "OP" and tok.value in ("-", "@", "&", "$"):
-        stream.advance()
-        inner = stream.nested(_parse_unary)
-        return {"-": Neg, "@": ToInt, "&": ToFloat, "$": Deref}[tok.value](inner)
-    return _parse_atom(stream)
-
-
-def _parse_atom(stream: TokenStream) -> ValueNode:
-    tok = stream.current
-    if tok.kind == "STRING":
-        stream.advance()
-        return StrLit(tok.value)
-    if tok.kind == "INT":
-        stream.advance()
-        return IntLit(int(tok.value))
-    if tok.kind == "FLOAT":
-        stream.advance()
-        return FloatLit(float(tok.value))
-    if tok.kind == "IDENT":
-        if tok.value in ("true", "false"):
-            raise AssertionSyntaxError(
-                f"{tok.value!r} cannot appear in a value expression", column=tok.position
-            )
-        stream.advance()
-        return Attr(tok.value)
-    if tok.kind == "OP" and tok.value == "(":
-        stream.advance()
-        node = stream.nested(_parse_value_expr)
-        stream.expect_op(")")
-        return node
-    raise AssertionSyntaxError(
-        f"expected value expression, found {tok.value or tok.kind!r}", column=tok.position
-    )
+    def _refuse(self, expected: str) -> NoReturn:
+        kind, value, position = self.current
+        raise AssertionSyntaxError(
+            f"expected {expected}, found {value or kind!r}", column=position)
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,28 @@ Operators: ``( ) { } && || ! == != <= >= < > ~= -> ; + - * / % ^ . @ & $ , =``
 (longest-match-first, so ``&&`` beats ``&``, ``==`` beats ``=`` and ``->``
 beats ``-``; the single ``=`` only appears in Local-Constants bindings).
 
-Both parsers are recursive descent, and so is everything that walks what
-they build, so both refuse input nested deeper than :data:`MAX_DEPTH`
-with an :class:`~repro.errors.AssertionSyntaxError` — a credential holder
-chooses these texts, and a ``RecursionError`` must never escape intake.
+The scan splits the text at its quotes, so code and string bodies
+alternate.  A body is one slice, however long the key it holds; only one
+holding a backslash is rewritten, escape by escape (an escaped quote split
+it, and the halves are joined).  The code between bodies is read by one
+call of a compiled regular expression, :data:`_LEXEMES`, and a token's
+kind follows from its first character.  A numeral is decimal digits (any
+script's: ``٣`` is 3) with an optional fraction and exponent; one that
+would not convert (``²``, ``1e+``) is refused here, as is any character
+no token starts with.  :func:`lex` gives the parsers the tokens as plain
+``(kind, value, position)`` tuples, :func:`tokenize` as :class:`Token`.
+
+Both parsers are recursive, and so is everything that walks what they
+build, so both refuse input nested deeper than :data:`MAX_DEPTH` with an
+:class:`~repro.errors.AssertionSyntaxError` — a credential holder chooses
+these texts, and a ``RecursionError`` must never escape intake.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, is_dataclass
-from typing import Any, Callable, TypeVar
+import re
+import string
+from typing import Any, Callable, NamedTuple, NoReturn, Sequence, TypeVar
 
 from repro.errors import AssertionSyntaxError
 
@@ -31,19 +43,39 @@ T = TypeVar("T")
 
 #: How deep either parser goes: brackets, prefix operators and clause
 #: blocks open at once (:meth:`TokenStream.nested`), and the height of
-#: each expression tree it builds (:func:`check_depth` — a long ``||`` or
-#: ``+`` chain is deep without a single bracket).
+#: each expression tree it builds (:meth:`TokenStream.grown` — a long
+#: ``||`` or ``+`` chain is deep without a single bracket).
 MAX_DEPTH = 64
 
-_OPERATORS = (
-    "&&", "||", "==", "!=", "<=", ">=", "~=", "->",
-    "(", ")", "{", "}", "!", "<", ">", ";", "+", "-", "*", "/", "%", "^",
-    ".", "@", "&", "$", ",", "=",
+#: ``(kind, value, position)``: a token as the parsers read it.
+RawToken = tuple[str, str, int]
+
+_BLANKS = " \t\r\n"
+#: Blanks, then a token — an identifier, an operator, a numeral, or what
+#: may be an identifier led by a non-ASCII character — or a character no
+#: token starts with.
+_LEXEMES = re.compile(
+    r"""([ \t\r\n]*)(?:
+        ( [A-Za-z_]\w*
+        | &&|\|\||[=!<>~]=|->|[(){}!<>;+\-*/%^@&$,=]|\.(?!\d)
+        | \d*\.\d+(?:[eE](?:[+-]\d*|\d+))?
+        | \d+(?:[eE](?:[+-]\d*|\d+))?
+        | [^\W\d]\w*
+        )
+      | (.)
+    )""",
+    re.VERBOSE | re.DOTALL,
 )
+#: A token's kind by its first character, where that settles it.
+_KIND_OF = {
+    **dict.fromkeys(string.ascii_letters + "_", "IDENT"),
+    **dict.fromkeys("(){}!<>;+-*/%^@&$,=|~", "OP"),
+}
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPED = {"n": "\n", "t": "\t", "r": "\r"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     position: int
@@ -54,138 +86,126 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize an expression string; raises AssertionSyntaxError on garbage."""
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == '"':
-            literal, i = _read_string(text, i)
-            tokens.append(Token("STRING", literal, i))
-            continue
-        if ch.isdigit() or (
-            ch == "." and i + 1 < n and text[i + 1].isdigit()
-        ):
-            tok, i = _read_number(text, i)
-            tokens.append(tok)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+    return [Token(*token) for token in lex(text)]
+
+
+def lex(text: str) -> list[RawToken]:
+    """:func:`tokenize`, the tokens as plain tuples."""
+    tokens: list[RawToken] = []
+    append = tokens.append
+    pieces = text.split('"')
+    last = len(pieces) - 1
+    pos = i = 0
+    while True:
+        code = pieces[i]
+        if code:
+            end = pos + len(code)
+            for blanks, lexeme, bad in _LEXEMES.findall(code.rstrip(_BLANKS)):
+                pos += len(blanks)
+                if bad:
+                    _refuse(bad, pos)
+                append((_KIND_OF.get(lexeme[0]) or _kind_of(lexeme, pos), lexeme, pos))
+                pos += len(lexeme)
+            pos = end
+        if i == last:
+            break
+        i += 1
+        literal = pieces[i]
+        if _escapes_quote(literal):  # an escaped quote split the body: join it up
+            body = [literal]
+            while _escapes_quote(body[-1]) and i < last:
                 i += 1
-            tokens.append(Token("IDENT", text[start:i], start))
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                # "." followed by a digit was handled as a number above, so a
-                # bare "." here is concatenation.
-                tokens.append(Token("OP", op, i))
-                i += len(op)
-                break
-        else:
-            raise AssertionSyntaxError(f"unexpected character {ch!r} in expression", column=i)
-    tokens.append(Token("EOF", "", n))
+                body += ('"', pieces[i])
+            literal = "".join(body)
+        if i == last:  # no quote closes it, or only an escaped one
+            raise AssertionSyntaxError("unterminated string literal", column=pos)
+        append(("STRING", _ESCAPE.sub(_unescape, literal) if "\\" in literal else literal,
+                pos))
+        pos += len(literal) + 2
+        i += 1
+    append(("EOF", "", len(text)))
     return tokens
 
 
-def _read_string(text: str, i: int) -> tuple[str, int]:
-    """Read a quoted string starting at ``text[i] == '"'``."""
-    out: list[str] = []
-    i += 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= n:
-                raise AssertionSyntaxError("dangling escape in string literal", column=i)
-            nxt = text[i + 1]
-            out.append({"n": "\n", "t": "\t", "r": "\r"}.get(nxt, nxt))
-            i += 2
-            continue
-        if ch == '"':
-            return "".join(out), i + 1
-        out.append(ch)
-        i += 1
-    raise AssertionSyntaxError("unterminated string literal", column=i)
+def _escapes_quote(body: str) -> bool:
+    """True if ``body`` ends in a backslash that escapes what follows it."""
+    return body.endswith("\\") and (len(body) - len(body.rstrip("\\"))) % 2 == 1
 
 
-def _read_number(text: str, i: int) -> tuple[Token, int]:
-    start = i
-    n = len(text)
-    seen_dot = False
-    seen_exp = False
-    while i < n:
-        ch = text[i]
-        if ch.isdigit():
-            i += 1
-        elif ch == "." and not seen_dot and not seen_exp:
-            # Only a digit after the dot makes it part of the number;
-            # otherwise it is the concatenation operator.
-            if i + 1 < n and text[i + 1].isdigit():
-                seen_dot = True
-                i += 1
-            else:
-                break
-        elif ch in "eE" and not seen_exp and i + 1 < n and (
-            text[i + 1].isdigit() or text[i + 1] in "+-"
-        ):
-            seen_exp = True
-            i += 2 if text[i + 1] in "+-" else 1
-        else:
-            break
-    lexeme = text[start:i]
-    kind = "FLOAT" if (seen_dot or seen_exp) else "INT"
-    return Token(kind, lexeme, start), i
+def _unescape(match: re.Match[str]) -> str:
+    char = match.group(1)
+    return _ESCAPED.get(char, char)
+
+
+def _kind_of(lexeme: str, pos: int) -> str:
+    """The kind of a numeral, of a lone ``.``, or of a token led by a
+    non-ASCII character."""
+    lead = lexeme[0]
+    if lexeme == ".":
+        return "OP"
+    if lead == "." or lead.isdecimal():
+        if lexeme.isdecimal():
+            return "INT"
+        if lexeme[-1] in "+-":
+            raise AssertionSyntaxError(f"malformed numeral {lexeme!r}", column=pos)
+        return "FLOAT"
+    if lead.isalpha():
+        return "IDENT"
+    _refuse(lead, pos)
+
+
+def _refuse(char: str, pos: int) -> NoReturn:
+    if char.isdigit():  # but not a decimal digit: ² or ①
+        raise AssertionSyntaxError(f"malformed numeral at {char!r}", column=pos)
+    raise AssertionSyntaxError(f"unexpected character {char!r} in expression", column=pos)
 
 
 class TokenStream:
-    """A small cursor over a token list used by both parsers."""
+    """A cursor over a token list, shared by the parsers."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: Sequence[RawToken]):
         self._tokens = tokens
         self._pos = 0
         self.depth = 0
 
     @property
-    def current(self) -> Token:
+    def current(self) -> RawToken:
         return self._tokens[self._pos]
 
-    def peek(self, offset: int = 1) -> Token:
+    def peek(self, offset: int = 1) -> RawToken:
         idx = min(self._pos + offset, len(self._tokens) - 1)
         return self._tokens[idx]
 
-    def advance(self) -> Token:
+    def advance(self) -> RawToken:
         tok = self._tokens[self._pos]
         if self._pos < len(self._tokens) - 1:
             self._pos += 1
         return tok
 
-    def match_op(self, *ops: str) -> Token | None:
-        tok = self.current
-        if tok.kind == "OP" and tok.value in ops:
-            return self.advance()
+    def match_op(self, *ops: str) -> RawToken | None:
+        kind, value, _position = tok = self._tokens[self._pos]
+        if kind == "OP" and value in ops:
+            self._pos += 1
+            return tok
         return None
 
-    def expect_op(self, op: str) -> Token:
-        tok = self.current
-        if tok.kind != "OP" or tok.value != op:
+    def expect_op(self, op: str) -> RawToken:
+        kind, value, position = tok = self._tokens[self._pos]
+        if kind != "OP" or value != op:
             raise AssertionSyntaxError(
-                f"expected {op!r}, found {tok.value or tok.kind!r}", column=tok.position
-            )
-        return self.advance()
+                f"expected {op!r}, found {value or kind!r}", column=position)
+        self._pos += 1
+        return tok
 
     def at_end(self) -> bool:
-        return self.current.kind == "EOF"
+        return self._tokens[self._pos][0] == "EOF"
 
     def nested(self, parse: Callable[..., T], *args: Any) -> T:
         """``parse(self, *args)`` one level deeper, refused past MAX_DEPTH."""
         if self.depth >= MAX_DEPTH:
             raise AssertionSyntaxError(
                 f"expression nested deeper than {MAX_DEPTH} levels",
-                column=self.current.position,
+                column=self.current[2],
             )
         self.depth += 1
         try:
@@ -193,17 +213,12 @@ class TokenStream:
         finally:
             self.depth -= 1
 
-
-def check_depth(tree: object) -> None:
-    """Refuse a parsed expression tree taller than MAX_DEPTH, measured
-    without recursion: the compiler and the evaluators recurse on it."""
-    stack = [(tree, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > MAX_DEPTH:
-            raise AssertionSyntaxError(
-                f"expression nested deeper than {MAX_DEPTH} levels")
-        for value in vars(node).values():
-            for child in value if isinstance(value, tuple) else (value,):
-                if is_dataclass(child):
-                    stack.append((child, depth + 1))
+    def grown(self, node: T, *heights: int) -> tuple[T, int]:
+        """``node`` and its height, one more than its tallest child's
+        (``heights``), refused past MAX_DEPTH: the compiler and the
+        evaluators recurse on the tree."""
+        height = max(heights) + 1
+        if height > MAX_DEPTH:
+            raise AssertionSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
+                                       column=self.current[2])
+        return node, height

@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 from repro.errors import AssertionSyntaxError
 from repro.keynote.ast import ComplianceValues, normalize_principal
-from repro.keynote.lexer import TokenStream, check_depth, tokenize
+from repro.keynote.lexer import TokenStream, lex
 
 
 @dataclass(frozen=True)
@@ -92,74 +92,76 @@ def parse_licensees(
     it (this is how assertions name keys symbolically).
     """
     constants = dict(local_constants or {})
-    stream = TokenStream(tokenize(text))
+    stream = TokenStream(lex(text))
     if stream.at_end():
         return None
-    expr = _parse_or(stream, constants)
-    check_depth(expr)
+    expr = _parse_or(stream, constants)[0]
     if not stream.at_end():
-        tok = stream.current
+        _kind, value, position = stream.current
         raise AssertionSyntaxError(
-            f"trailing garbage in licensees: {tok.value!r}", column=tok.position
-        )
+            f"trailing garbage in licensees: {value!r}", column=position)
     return expr
 
 
-def _parse_or(stream: TokenStream, constants: Mapping[str, str]) -> LicenseeExpr:
-    node = _parse_and(stream, constants)
+def _parse_or(stream: TokenStream, constants: Mapping[str, str]) -> tuple[LicenseeExpr, int]:
+    """An ``||`` chain, and the height of its tree."""
+    node, height = _parse_and(stream, constants)
     while stream.match_op("||"):
-        node = OrExpr(node, _parse_and(stream, constants))
-    return node
+        right, right_height = _parse_and(stream, constants)
+        node, height = stream.grown(OrExpr(node, right), height, right_height)
+    return node, height
 
 
-def _parse_and(stream: TokenStream, constants: Mapping[str, str]) -> LicenseeExpr:
-    node = _parse_primary(stream, constants)
+def _parse_and(stream: TokenStream, constants: Mapping[str, str]) -> tuple[LicenseeExpr, int]:
+    node, height = _parse_primary(stream, constants)
     while stream.match_op("&&"):
-        node = AndExpr(node, _parse_primary(stream, constants))
-    return node
+        right, right_height = _parse_primary(stream, constants)
+        node, height = stream.grown(AndExpr(node, right), height, right_height)
+    return node, height
 
 
-def _parse_primary(stream: TokenStream, constants: Mapping[str, str]) -> LicenseeExpr:
-    tok = stream.current
-    if tok.kind == "OP" and tok.value == "(":
+def _parse_primary(stream: TokenStream,
+                   constants: Mapping[str, str]) -> tuple[LicenseeExpr, int]:
+    kind, value, position = stream.current
+    if kind == "OP" and value == "(":
         stream.advance()
         node = stream.nested(_parse_or, constants)
         stream.expect_op(")")
         return node
-    if tok.kind == "INT":
+    if kind == "INT":
         # K-of(...) threshold: INT '-' IDENT(of) '(' list ')'
         return _parse_threshold(stream, constants)
-    if tok.kind == "STRING":
+    if kind == "STRING":
         stream.advance()
-        return Principal(_resolve(tok.value, constants))
-    if tok.kind == "IDENT":
+        return Principal(_resolve(value, constants)), 1
+    if kind == "IDENT":
         stream.advance()
-        if tok.value not in constants:
+        if value not in constants:
             raise AssertionSyntaxError(
-                f"unknown licensee name {tok.value!r} "
-                "(not defined in Local-Constants)",
-                column=tok.position,
+                f"unknown licensee name {value!r} (not defined in Local-Constants)",
+                column=position,
             )
-        return Principal(normalize_principal(constants[tok.value]))
-    raise AssertionSyntaxError(
-        f"expected principal, found {tok.value or tok.kind!r}", column=tok.position
-    )
+        return Principal(normalize_principal(constants[value])), 1
+    raise AssertionSyntaxError(f"expected principal, found {value or kind!r}", column=position)
 
 
-def _parse_threshold(stream: TokenStream, constants: Mapping[str, str]) -> Threshold:
-    k_tok = stream.advance()
-    k = int(k_tok.value)
+def _parse_threshold(stream: TokenStream,
+                     constants: Mapping[str, str]) -> tuple[Threshold, int]:
+    _kind, k_text, position = stream.advance()
+    try:
+        k = int(k_text)
+    except ValueError as exc:  # more digits than int() converts
+        raise AssertionSyntaxError("threshold K too long", column=position) from exc
     if k < 1:
-        raise AssertionSyntaxError("threshold K must be >= 1", column=k_tok.position)
+        raise AssertionSyntaxError("threshold K must be >= 1", column=position)
     stream.expect_op("-")
-    of_tok = stream.current
-    if of_tok.kind != "IDENT" or of_tok.value.lower() != "of":
+    kind, value, position = stream.current
+    if kind != "IDENT" or value.lower() != "of":
         raise AssertionSyntaxError(
-            f"expected 'of' in threshold, found {of_tok.value!r}", column=of_tok.position
-        )
+            f"expected 'of' in threshold, found {value!r}", column=position)
     stream.advance()
     stream.expect_op("(")
-    members: list[LicenseeExpr] = [stream.nested(_parse_or, constants)]
+    members = [stream.nested(_parse_or, constants)]
     while stream.match_op(","):
         members.append(stream.nested(_parse_or, constants))
     stream.expect_op(")")
@@ -167,7 +169,8 @@ def _parse_threshold(stream: TokenStream, constants: Mapping[str, str]) -> Thres
         raise AssertionSyntaxError(
             f"threshold K={k} exceeds the {len(members)} listed principals"
         )
-    return Threshold(k=k, members=tuple(members))
+    nodes, heights = zip(*members)
+    return stream.grown(Threshold(k=k, members=nodes), *heights)
 
 
 def _resolve(name: str, constants: Mapping[str, str]) -> str:

@@ -21,7 +21,7 @@ import re
 from repro.errors import AssertionSyntaxError
 from repro.keynote.ast import POLICY_PRINCIPAL, Assertion, normalize_principal
 from repro.keynote.expr import parse_conditions
-from repro.keynote.lexer import TokenStream, tokenize
+from repro.keynote.lexer import TokenStream, lex
 from repro.keynote.licensees import parse_licensees
 
 _FIELD_NAMES = {
@@ -34,7 +34,9 @@ _FIELD_NAMES = {
     "signature": "Signature",
 }
 
-_FIELD_RE = re.compile(r"^([A-Za-z][A-Za-z0-9-]*)\s*:(.*)$")
+#: A field's label; its value is the rest of the line (a regular
+#: expression would take it a character at a time).
+_FIELD_RE = re.compile(r"([A-Za-z][A-Za-z0-9-]*)\s*:")
 
 
 def parse_assertion(text: str) -> Assertion:
@@ -108,10 +110,10 @@ def _split_fields(text: str) -> tuple[dict[str, str], list[str], int]:
 
     offset = 0
     for raw_line in text.splitlines(keepends=True):
-        line = raw_line.rstrip("\n").rstrip("\r")
+        line = raw_line.rstrip("\r\n")  # a line holds no other \r or \n
         line_start = offset
         offset += len(raw_line)
-        if not line.strip():
+        if not line or line.isspace():
             if current_field is not None:
                 raise AssertionSyntaxError("blank line inside assertion")
             continue
@@ -123,7 +125,7 @@ def _split_fields(text: str) -> tuple[dict[str, str], list[str], int]:
         match = _FIELD_RE.match(line)
         if match is None:
             raise AssertionSyntaxError(f"malformed field line: {line[:60]!r}")
-        raw_name, value = match.group(1), match.group(2)
+        raw_name, value = match.group(1), line[match.end():]
         name = _FIELD_NAMES.get(raw_name.lower())
         if name is None:
             raise AssertionSyntaxError(f"unknown field: {raw_name!r}")
@@ -147,54 +149,36 @@ def _parse_local_constants(text: str) -> dict[str, str]:
     constants: dict[str, str] = {}
     if not text.strip():
         return constants
-    stream = TokenStream(tokenize(text))
+    stream = TokenStream(lex(text))
     while not stream.at_end():
-        name_tok = stream.current
-        if name_tok.kind != "IDENT":
+        kind, name, position = stream.current
+        if kind != "IDENT":
             raise AssertionSyntaxError(
-                f"expected constant name, found {name_tok.value!r}",
-                column=name_tok.position,
-            )
+                f"expected constant name, found {name!r}", column=position)
         stream.advance()
-        eq = stream.current
-        if not (eq.kind == "OP" and eq.value == "="):
+        stream.expect_op("=")
+        kind, value, position = stream.current
+        if kind != "STRING":
             raise AssertionSyntaxError(
-                f"expected '=' after constant name {name_tok.value!r}",
-                column=eq.position,
-            )
+                f"constant {name!r} must be assigned a quoted string", column=position)
         stream.advance()
-        val_tok = stream.current
-        if val_tok.kind != "STRING":
-            raise AssertionSyntaxError(
-                f"constant {name_tok.value!r} must be assigned a quoted string",
-                column=val_tok.position,
-            )
-        stream.advance()
-        if name_tok.value in constants:
-            raise AssertionSyntaxError(f"duplicate constant: {name_tok.value!r}")
-        constants[name_tok.value] = val_tok.value
+        if name in constants:
+            raise AssertionSyntaxError(f"duplicate constant: {name!r}")
+        constants[name] = value
     return constants
 
 
 def _parse_authorizer(text: str, constants: dict[str, str]) -> str:
-    stream = TokenStream(tokenize(text))
-    tok = stream.current
-    if tok.kind == "STRING":
-        stream.advance()
-        value = tok.value
-    elif tok.kind == "IDENT":
-        stream.advance()
-        if tok.value == POLICY_PRINCIPAL:
-            value = POLICY_PRINCIPAL
-        elif tok.value in constants:
-            value = constants[tok.value]
-        else:
+    tokens = lex(text)
+    kind, value, _position = tokens[0]
+    if kind == "IDENT" and value != POLICY_PRINCIPAL:
+        if value not in constants:
             raise AssertionSyntaxError(
-                f"unknown authorizer name {tok.value!r} (not in Local-Constants)"
-            )
-    else:
+                f"unknown authorizer name {value!r} (not in Local-Constants)")
+        value = constants[value]
+    elif kind not in ("STRING", "IDENT"):
         raise AssertionSyntaxError("Authorizer must be a principal or POLICY")
-    if not stream.at_end():
+    if len(tokens) > 2:  # more than the principal and EOF
         raise AssertionSyntaxError("trailing garbage after Authorizer principal")
     if value in constants:
         value = constants[value]

@@ -9,6 +9,8 @@ parser records that exact byte range in ``Assertion.signed_text``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.crypto.dsa import DSAKeyPair
 from repro.crypto.keycodec import encode_public_key, encode_signature, verify_signature
 from repro.crypto.rsa import RSAKeyPair
@@ -24,31 +26,37 @@ from repro.keynote.parser import parse_assertion
 _SIGNATURE_LABEL = "Signature:"
 
 
-def sign_assertion(
-    body: str,
-    key: DSAKeyPair | RSAKeyPair,
-    hash_name: str = "sha1",
-    encoding: str = "hex",
-) -> str:
+def sign_assertion(body: str, key: DSAKeyPair | RSAKeyPair, hash_name: str = "sha1",
+                   encoding: str = "hex") -> str:
     """Sign an assertion body, returning the complete credential text.
 
     ``body`` is the assertion without a Signature field; its Authorizer
     must correspond to ``key`` (checked, so you cannot accidentally issue a
     credential the verifier will reject).
     """
+    return signed_assertion(body, key, hash_name, encoding).source_text
+
+
+def signed_assertion(body: str, key: DSAKeyPair | RSAKeyPair, hash_name: str = "sha1",
+                     encoding: str = "hex") -> Assertion:
+    """:func:`sign_assertion`, returning the credential as ``parse_assertion``
+    parses its text: the parse that validated the body, with the signature."""
     body = body.rstrip("\n") + "\n"
     parsed = parse_assertion(body)  # validates syntax early
     if parsed.is_policy:
         raise AssertionSyntaxError("POLICY assertions are never signed")
+    if parsed.is_signed:
+        raise AssertionSyntaxError("assertion is already signed")
     expected = encode_public_key(key)
     if parsed.authorizer != expected:
         raise SignatureVerificationError(
             "signing key does not match the assertion's Authorizer"
         )
-    signed_bytes = (body + _SIGNATURE_LABEL).encode("utf-8")
-    raw_signature = key.sign(signed_bytes, hash_name=hash_name)
+    signed_text = body + _SIGNATURE_LABEL
+    raw_signature = key.sign(signed_text.encode("utf-8"), hash_name=hash_name)
     identifier = encode_signature(key.algorithm, hash_name, raw_signature, encoding)
-    return f'{body}{_SIGNATURE_LABEL} "{identifier}"\n'
+    return replace(parsed, signature=identifier, signed_text=signed_text,
+                   source_text=f'{signed_text} "{identifier}"\n')
 
 
 def verify_assertion(assertion: Assertion) -> None:

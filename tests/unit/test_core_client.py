@@ -5,6 +5,7 @@ import pytest
 from repro.core.admin import identity_of
 from repro.core.client import DisCFSClient
 from repro.errors import NFSError, NotAttached
+from repro.nfs.protocol import NFSStat
 
 
 @pytest.fixture()
@@ -73,6 +74,34 @@ class TestWallet:
         alice.attach("/")
         messages = alice.submit_credentials(creds)
         assert messages == ["credential accepted"] * 2
+
+
+def _signed(key, conditions):
+    """A credential from ``key`` to itself, signed as is: no parse first."""
+    from repro.crypto.keycodec import encode_signature
+
+    identity = identity_of(key)
+    body = (f'KeyNote-Version: 2\nAuthorizer: "{identity}"\n'
+            f'Licensees: "{identity}"\nConditions: {conditions}\nSignature:')
+    signature = encode_signature("dsa", "sha1", key.sign(body.encode("utf-8")))
+    return f'{body} "{signature}"\n'
+
+
+class TestMalformedSubmissions:
+    """A credential that does not parse is a denial (``NFSERR_ACCES``),
+    whatever is wrong with it — never a server error."""
+
+    @pytest.mark.parametrize("conditions", [
+        '(a == 1e+) -> "RWX";',  # a numeral with no exponent digits
+        '(a == ²) -> "RWX";',    # a digit that is not a decimal digit
+        '(a == "x" -> "RWX";',   # a missing bracket
+    ])
+    def test_refused_as_access_denied(self, discfs, alice_key, conditions):
+        alice = DisCFSClient.connect(discfs, alice_key, secure=False)
+        alice.attach("/")
+        with pytest.raises(NFSError) as info:
+            alice.submit_credentials([_signed(alice_key, conditions)])
+        assert info.value.status == NFSStat.NFSERR_ACCES
 
 
 class TestPathHelpers:

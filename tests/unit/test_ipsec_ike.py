@@ -114,6 +114,35 @@ class TestHandshakeFailures:
             responder.handle_init(bytes([ike.MSG_INIT]) + body)
 
 
+class TestIdentityField:
+    """The identity fields are peer-chosen bytes: ones that are not UTF-8
+    text are a failed handshake, not a ``UnicodeDecodeError``."""
+
+    NOT_UTF8 = b"\xff\xfe"
+
+    def test_responder_refuses_a_non_utf8_initiator_identity(self, alice_key, bob_key):
+        nonce, gx, _identity = ike._unpack_fields(IKEInitiator(alice_key).initiate()[1:], 3)
+        init = bytes([ike.MSG_INIT]) + ike._pack_fields(nonce, gx, self.NOT_UTF8)
+        with pytest.raises(HandshakeError, match="UTF-8"):
+            IKEResponder(bob_key).handle_init(init)
+
+    def test_channel_server_answers_it_with_a_handshake_error(self, alice_key, bob_key):
+        from repro.ipsec.channel import SecureChannelServer
+
+        server = SecureChannelServer(IKEResponder(bob_key), lambda request, identity: request)
+        nonce, gx, _identity = ike._unpack_fields(IKEInitiator(alice_key).initiate()[1:], 3)
+        with pytest.raises(HandshakeError):
+            server.handle(bytes([ike.MSG_INIT]) + ike._pack_fields(nonce, gx, self.NOT_UTF8))
+
+    def test_initiator_refuses_a_non_utf8_responder_identity(self, alice_key, bob_key):
+        initiator = IKEInitiator(alice_key)
+        resp = IKEResponder(bob_key).handle_init(initiator.initiate())
+        spi, nonce_r, gy, _identity, sig = ike._unpack_fields(resp[1:], 5)
+        forged = bytes([ike.MSG_RESP]) + ike._pack_fields(spi, nonce_r, gy, self.NOT_UTF8, sig)
+        with pytest.raises(HandshakeError, match="UTF-8"):
+            initiator.handle_response(forged)
+
+
 class TestHalfOpenTable:
     def test_unanswered_inits_leave_a_bounded_table(self, alice_key, bob_key, monkeypatch):
         responder = IKEResponder(bob_key)

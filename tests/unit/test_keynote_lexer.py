@@ -1,9 +1,13 @@
 """Unit tests for the KeyNote expression lexer."""
 
+import time
+
 import pytest
 
 from repro.errors import AssertionSyntaxError
-from repro.keynote.lexer import Token, TokenStream, tokenize
+from repro.keynote.ast import ComplianceValues
+from repro.keynote.expr import parse_conditions
+from repro.keynote.lexer import Token, TokenStream, lex, tokenize
 
 
 def kinds(text):
@@ -106,3 +110,66 @@ class TestTokenStream:
         for _ in range(3):
             stream.advance()
         assert stream.at_end()
+
+
+class TestOnePassScan:
+    """What the one-pass scan fixed, and what it must keep."""
+
+    def test_string_position_is_its_opening_quote(self):
+        assert [t.position for t in tokenize('"abc" "def" -> "x";')] == [0, 6, 12, 15, 18, 19]
+
+    def test_string_position_in_a_conditions_error(self):
+        with pytest.raises(AssertionSyntaxError) as info:
+            parse_conditions('"abc" "def" -> "x";')
+        assert info.value.column == 6
+
+    def test_every_escape(self):
+        assert kinds(r'"\n\t\r\q\\\""') == [("STRING", '\n\t\rq\\"')]
+
+    def test_escaped_quotes_do_not_move_later_positions(self):
+        toks = tokenize(r'"a\"b" x')
+        assert toks[0] == Token("STRING", 'a"b', 0)
+        assert toks[1].position == 7
+
+    @pytest.mark.parametrize("numeral", ["1e+", "1e-", "2.5E+", "²", "1²", "³.5"])
+    def test_malformed_numerals_are_syntax_errors(self, numeral):
+        with pytest.raises(AssertionSyntaxError, match="malformed numeral"):
+            tokenize(numeral)
+        with pytest.raises(AssertionSyntaxError):
+            parse_conditions(f'a == {numeral} -> "x";')
+
+    @pytest.mark.parametrize("conditions", [
+        'a == 1e+ -> "x";', 'a == 1e- -> "x";', 'a == ² -> "x";', 'a == 1² -> "x";',
+        '@a == 1e² -> "x";', '@a == .² -> "x";',
+    ])
+    def test_no_numeral_escapes_as_value_error(self, conditions):
+        with pytest.raises(AssertionSyntaxError):
+            parse_conditions(conditions)
+
+    def test_any_scripts_decimal_digits_are_numerals(self):
+        assert kinds("٣ ٣.٥ 1e٣") == [("INT", "٣"), ("FLOAT", "٣.٥"), ("FLOAT", "1e٣")]
+        program = parse_conditions('@a == ٣ -> "yes";')
+        assert program.evaluate({"a": "3"}, ComplianceValues(["no", "yes"])) == "yes"
+
+    def test_non_decimal_numeric_characters(self):
+        assert kinds("x² é_1") == [("IDENT", "x²"), ("IDENT", "é_1")]
+        for text in ("½", "Ⅻ", "①"):
+            with pytest.raises(AssertionSyntaxError):
+                tokenize(text)
+
+    def test_blanks_are_only_space_tab_cr_lf(self):
+        assert kinds(" \t\r\na\n") == [("IDENT", "a")]
+        with pytest.raises(AssertionSyntaxError):
+            tokenize("a\x0bb")
+
+    def test_lex_is_tokenize_as_plain_tuples(self):
+        text = '(a == "x\\ty") && (@b <= 2.5) -> "RWX";'
+        assert lex(text) == [tuple(t) for t in tokenize(text)]
+        assert all(type(t) is tuple for t in lex(text))
+
+    def test_hostile_lengths_scan_in_linear_time(self):
+        start = time.perf_counter()
+        tokenize('"' + '\\"' * 50_000 + '"')
+        tokenize("a" + " " * 200_000 + "b" + " " * 200_000)
+        tokenize('"' + "k" * 1_000_000 + '"')
+        assert time.perf_counter() - start < 1.0

@@ -5,7 +5,7 @@ import pytest
 from repro.crypto.keycodec import encode_public_key
 from repro.errors import AssertionSyntaxError, SignatureVerificationError
 from repro.keynote.parser import parse_assertion
-from repro.keynote.signing import sign_assertion, verify_assertion
+from repro.keynote.signing import sign_assertion, signed_assertion, verify_assertion
 
 
 def body_for(key, licensee="alice"):
@@ -43,6 +43,20 @@ class TestSigning:
     def test_policy_cannot_be_signed(self, bob_key):
         with pytest.raises(AssertionSyntaxError):
             sign_assertion('Authorizer: "POLICY"\nLicensees: "x"\n', bob_key)
+
+
+class TestSignedAssertion:
+    """What signing returns parsed is what parsing the credential gives."""
+
+    @pytest.mark.parametrize("options", [{}, {"encoding": "base64"}, {"hash_name": "sha256"}])
+    def test_is_the_parse_of_its_text(self, bob_key, options):
+        credential = signed_assertion(body_for(bob_key) + "Comment: c\n\n\n", bob_key, **options)
+        assert credential == parse_assertion(credential.source_text)
+        verify_assertion(credential)
+
+    def test_a_signed_body_is_refused(self, bob_key):
+        with pytest.raises(AssertionSyntaxError, match="already signed"):
+            signed_assertion(sign_assertion(body_for(bob_key), bob_key), bob_key)
 
 
 class TestVerification:
