@@ -47,7 +47,7 @@ _FuncDef = ast.FunctionDef | ast.AsyncFunctionDef
 #: Bare-name calls that hand back a resource the caller must close.
 _ACQUIRER_NAMES = frozenset({
     "open_store", "open_device", "serve_store", "build",
-    "TCPTransport", "PipelinedTCPTransport", "ConnectionPool",
+    "TCPTransport", "PipelinedTCPTransport",
 })
 #: ``<module>.<attr>`` acquirers.
 _ACQUIRER_ATTRS = frozenset({("os", "open")})

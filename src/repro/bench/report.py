@@ -261,7 +261,7 @@ def _fanout(node_counts: tuple[int, ...] = FANOUT_NODE_COUNTS,
             slow_ms: float = 25.0, block_size: int = 4096) -> list[dict]:
     """Sequential vs concurrent fan-out over TCP nodes that charge
     ``delay_ms`` per RPC: a ring at ``#fanout=1`` pays the *sum* of the
-    nodes' shares, at ``#fanout=N`` (pooled connections) the *slowest*;
+    nodes' shares, at ``#fanout=N`` (pipelined connections) the *slowest*;
     three replicas at ``w=2``, one ``slow_ms`` behind, pay the straggler
     per write only when sequential (concurrent leaves it to a drained,
     counted background lane)."""
@@ -278,8 +278,8 @@ def _fanout(node_counts: tuple[int, ...] = FANOUT_NODE_COUNTS,
             children = [f"remote://{h}:{p}" for h, p in addresses]
             with mount(f"shard://{';'.join(children)}#fanout=1") as store:
                 seq = _vectored_rounds(store, blocks, rounds)
-            pooled = ";".join(f"{child}?workers=2" for child in children)
-            with mount(f"shard://{pooled}#fanout={n}") as store:
+            pipelined = ";".join(f"{child}?workers=2" for child in children)
+            with mount(f"shard://{pipelined}#fanout={n}") as store:
                 conc = _vectored_rounds(store, blocks, rounds)
         rows.append({"label": f"{n} nodes",
                      "sequential_write_s": seq["write_s"],

@@ -52,13 +52,6 @@ class DisCFSFederation:
         self._mounts[prefix] = client
         return client
 
-    def mount_client(self, prefix: str, client: DisCFSClient) -> None:
-        """Register an already-attached client (e.g. one over TCP)."""
-        prefix = self._normalize(prefix)
-        if prefix in self._mounts:
-            raise DisCFSError(f"prefix {prefix!r} is already mounted")
-        self._mounts[prefix] = client
-
     def unmount(self, prefix: str) -> None:
         client = self._mounts.pop(self._normalize(prefix), None)
         if client is None:

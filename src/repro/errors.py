@@ -114,10 +114,6 @@ class NameTooLong(FSError):
     errno_name = "ENAMETOOLONG"
 
 
-class ReadOnlyFilesystem(FSError):
-    errno_name = "EROFS"
-
-
 class StoreUnavailable(FSError):
     """A storage backend (remote node, replica child) cannot be reached."""
 

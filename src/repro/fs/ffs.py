@@ -375,10 +375,6 @@ class FFS:
         dino, name = self._split_path(path)
         return self.create(dino, name, mode)
 
-    def mkdir_path(self, path: str, mode: int = 0o755) -> Inode:
-        dino, name = self._split_path(path)
-        return self.mkdir(dino, name, mode)
-
     def makedirs(self, path: str, mode: int = 0o755) -> Inode:
         """Create every missing component of ``path`` (like os.makedirs)."""
         inode = self.iget(self.root_ino)

@@ -46,11 +46,6 @@ class MountProgram(RPCProgram):
         )
         serve_table(self, MOUNT_PROCEDURES)
 
-    def add_export(self, path: str) -> None:
-        if self._exports is None:
-            self._exports = set()
-        self._exports.add(self._normalize(path))
-
     @staticmethod
     def _normalize(path: str) -> str:
         return "/" + "/".join(p for p in path.split("/") if p)

@@ -132,29 +132,39 @@ class PipelinedTCPTransport:
     arrive in any order — which is exactly what a ``workers=N`` server
     produces when a fast call overtakes a slow one.
 
-    A transport error fails every pending future and marks the
-    connection broken (``broken`` is the original error); pools discard
-    broken transports and reconnect, so one dead connection never
-    poisons calls routed over its siblings.  ``timeout`` bounds the
-    synchronous :meth:`call` path; future-based callers apply their own
-    deadline via ``Future.result(timeout)``.
+    A transport error (or :meth:`abandon`) fails every call in flight on
+    the connection together and marks it broken (``broken`` is the
+    error); the next :meth:`submit` dials a fresh socket and reader, and
+    ``dials`` counts how many were ever opened.  ``timeout`` bounds
+    connecting and the synchronous :meth:`call` path; future-based
+    callers apply their own deadline via ``Future.result(timeout)``.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # The reader blocks in recv; close() unblocks it by closing the
-        # socket, so no per-recv timeout is needed once connected.
-        self._sock.settimeout(None)
+        self.address = (host, port)
         self.timeout = timeout
         self.stats = TransportStats()
+        self.dials = 0
         self._send_lock = threading.Lock()
         self._lock = threading.Lock()
-        self._pending: dict[int, Future] = {}
         self._closed = False
+        self._dial()
+
+    def _dial(self) -> None:
+        """Connect a fresh socket and start its reader (``OSError`` if
+        the peer cannot be reached)."""
+        sock = socket.create_connection(self.address, timeout=self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # The reader blocks in recv until _fail shuts the socket down,
+        # so no per-recv timeout is needed once connected.
+        sock.settimeout(None)
+        self._sock = sock
+        self._pending: dict[int, Future] = {}
         self.broken: TransportError | None = None
+        self.dials += 1
         self._reader = threading.Thread(
-            target=self._read_loop, name="rpc-pipeline-reader", daemon=True
+            target=self._read_loop, args=(sock,), name="rpc-pipeline-reader",
+            daemon=True,
         )
         self._reader.start()
 
@@ -170,17 +180,21 @@ class PipelinedTCPTransport:
             if self._closed:
                 raise TransportError("transport is closed")
             if self.broken is not None:
-                raise TransportError(f"transport is broken: {self.broken}")
+                try:
+                    self._dial()
+                except OSError as exc:
+                    raise TransportError(f"re-dial failed: {exc}") from exc
             if xid in self._pending:
                 raise TransportError(f"xid {xid} already in flight")
             self._pending[xid] = fut
+            sock = self._sock
             self.stats.calls += 1
             self.stats.bytes_sent += len(request)
         try:
             with self._send_lock:
-                _send_record(self._sock, request)
+                _send_record(sock, request)
         except TransportError as exc:
-            self._fail(exc)
+            self._fail(exc, sock)
         return fut
 
     def call(self, request: bytes) -> bytes:
@@ -191,11 +205,14 @@ class PipelinedTCPTransport:
             # The reply may still arrive, but the caller's deadline has
             # passed; tear the connection down so pending state cannot
             # grow without bound and callers see a clean error.
-            exc = TransportError(
-                f"no reply within {self.timeout}s (connection dropped)"
-            )
-            self._fail(exc)
-            raise exc from None
+            reason = f"no reply within {self.timeout}s (connection dropped)"
+            self.abandon(reason)
+            raise TransportError(reason) from None
+
+    def abandon(self, reason: str) -> None:
+        """Tear the connection down: every call in flight on it fails
+        with ``reason``, and the next :meth:`submit` re-dials."""
+        self._fail(TransportError(reason))
 
     @property
     def pending_calls(self) -> int:
@@ -205,44 +222,54 @@ class PipelinedTCPTransport:
     def close(self) -> None:
         with self._lock:
             self._closed = True
-        self._fail(TransportError("transport closed"), closing=True)
+        self._fail(TransportError("transport closed"))
 
     # -- internals ----------------------------------------------------------
 
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                response = _recv_record(self._sock)
-            except TransportError as exc:
+    def _read_loop(self, sock: socket.socket) -> None:
+        """Resolve replies on ``sock`` until it fails; the reader owns
+        the socket and closes it on the way out."""
+        try:
+            while True:
+                try:
+                    response = _recv_record(sock)
+                except TransportError as exc:
+                    self._fail(exc, sock)
+                    return
+                if len(response) < 4:
+                    self._fail(TransportError("reply too short to carry an xid"),
+                               sock)
+                    return
+                xid = _RECORD_HEADER.unpack_from(response)[0]
                 with self._lock:
-                    quiet = self._closed
-                if not quiet:
-                    self._fail(exc)
-                return
-            if len(response) < 4:
-                self._fail(TransportError("reply too short to carry an xid"))
-                return
-            xid = _RECORD_HEADER.unpack_from(response)[0]
-            with self._lock:
-                fut = self._pending.pop(xid, None)
-                self.stats.bytes_received += len(response)
-            if fut is None:
-                # A reply for a call that timed out or was never ours:
-                # drop it; xids are unique so nothing can mis-match.
-                continue
-            _resolve_future(fut, result=response)
+                    fut = self._pending.pop(xid, None)
+                    self.stats.bytes_received += len(response)
+                if fut is not None:
+                    _resolve_future(fut, result=response)
+                # else: a reply for a call that timed out or was never
+                # ours; xids are unique, so nothing can mis-match.
+        finally:
+            with self._send_lock, self._lock:  # no send or shutdown on it
+                sock.close()
 
-    def _fail(self, exc: TransportError, closing: bool = False) -> None:
+    def _fail(self, exc: TransportError,
+              sock: socket.socket | None = None) -> None:
+        """Break ``sock``'s connection (default: the current one): its
+        calls in flight fail with ``exc``.  The socket is shut down, not
+        closed — a close would neither wake the reader blocked in recv
+        nor tell the peer; the reader closes it as it exits."""
         with self._lock:
-            if not closing and self.broken is None:
+            sock = sock or self._sock
+            pending: dict[int, Future] = {}
+            if sock is self._sock and self.broken is None:
                 self.broken = exc
-            pending, self._pending = self._pending, {}
+                pending, self._pending = self._pending, {}
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already shut down, or closed by its reader
         for fut in pending.values():
             _resolve_future(fut, exc=exc)
-        try:
-            self._sock.close()
-        except OSError:
-            pass
 
 
 def _send_record(sock: socket.socket, data: bytes) -> None:
@@ -304,6 +331,9 @@ class TCPServer:
     request order; that is legal because RPC replies carry the call's
     xid, and it is what lets a pipelined client overlap calls on a
     single connection instead of queueing behind the slowest one.
+
+    :meth:`close` stops accepting and shuts every accepted connection
+    down, so a client still connected sees the server go away.
     """
 
     def __init__(self, handler: Handler, host: str = "127.0.0.1", port: int = 0,
@@ -324,6 +354,8 @@ class TCPServer:
             if workers > 0 else None
         )
         self._stop = threading.Event()
+        self._conns: set[socket.socket] = set()
+        self._conns_lock = threading.Lock()
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
 
@@ -335,6 +367,11 @@ class TCPServer:
                 continue
             except OSError:
                 break
+            with self._conns_lock:
+                if self._stop.is_set():
+                    conn.close()
+                    break
+                self._conns.add(conn)
             threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True
             ).start()
@@ -342,7 +379,7 @@ class TCPServer:
     def _serve_connection(self, conn: socket.socket) -> None:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         send_lock = threading.Lock()
-        with conn:
+        try:
             while not self._stop.is_set():
                 try:
                     request = _recv_record(conn)
@@ -353,8 +390,11 @@ class TCPServer:
                 # program layer splits from service time for tracing.
                 received = time.perf_counter()
                 if self._pool is not None:
-                    self._pool.submit(self._handle_one, conn, send_lock,
-                                      request, received)
+                    try:
+                        self._pool.submit(self._handle_one, conn, send_lock,
+                                          request, received)
+                    except RuntimeError:  # close() shut the pool down
+                        return
                     continue
                 try:
                     mark_request_received(received)
@@ -365,6 +405,11 @@ class TCPServer:
                     _send_record(conn, response)
                 except TransportError:
                     return
+        finally:
+            with self._conns_lock:
+                self._conns.discard(conn)
+            with send_lock:  # no worker is mid-reply on it
+                conn.close()
 
     def _handle_one(self, conn: socket.socket, send_lock: threading.Lock,
                     request: bytes, received: float | None = None) -> None:
@@ -374,7 +419,7 @@ class TCPServer:
             response = self._handler(request)
         except Exception:  # handler bug: drop connection, keep server
             try:
-                conn.close()
+                conn.shutdown(socket.SHUT_RDWR)  # wakes its reading thread
             except OSError:
                 pass
             return
@@ -386,6 +431,12 @@ class TCPServer:
 
     def close(self) -> None:
         self._stop.set()
+        with self._conns_lock:  # held: no connection closes meanwhile
+            for conn in self._conns:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer reset it first
         if self._pool is not None:
             self._pool.shutdown(wait=False)
         try:

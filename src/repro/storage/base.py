@@ -160,7 +160,7 @@ class BlockStore:
     Stats increments are atomic: :class:`BlockDeviceStats.record_read`
     and friends hold a per-instance lock, so the counters stay exact
     even where concurrent paths share a store — replica straggler
-    lanes, shard fan-out pools, pooled ``remote://`` windows and
+    lanes, shard fan-out pools, pipelined ``remote://`` windows and
     ``store-serve --workers`` threads all drive the same child from
     several threads at once (a bare ``x += 1`` there silently loses
     updates; ``tests/unit/test_storage_concurrency.py`` regresses

@@ -22,10 +22,11 @@ extents in one message, and :class:`RemoteBlockStore` routes the
 ``read_many``/``write_many`` cold paths through them.  ``?batch=off``
 forces per-block calls — the knob the replication ablation uses to
 price the round trips batching saves.  ``?workers=N`` adds the other
-distributed win: a :class:`~repro.rpc.client.ConnectionPool` of
-pipelined connections keeps several windows in flight at once, so a
-large extent overlaps its round trips instead of paying them serially
-(``serve_store(..., workers=N)`` gives the server matching concurrency).
+distributed win: one pipelined connection
+(:class:`~repro.rpc.transport.PipelinedTCPTransport`) keeps up to ``2N``
+windows in flight at once, so a large extent overlaps its round trips
+instead of paying them serially (``serve_store(..., workers=N)`` gives
+the server matching concurrency).
 
 Wire format (version 2): every request starts with an opaque session
 token (empty before SESSION_OPEN) and every reply with a uint status —
@@ -68,7 +69,7 @@ from repro.errors import (
     TransportError,
     XDRError,
 )
-from repro.rpc.client import ConnectionPool, RPCClient, abandon_call
+from repro.rpc.client import RPCClient
 from repro.rpc.server import (
     CallContext,
     Procedure,
@@ -530,13 +531,13 @@ class RemoteBlockStore(BlockStore):
         #: ``(host, port)`` for TCP mounts (None for in-process
         #: transports) — lets the control plane name the node.
         self.endpoint = endpoint
-        # A connection pool multiplexes concurrent callers safely; a
-        # single blocking transport does not.
+        # A pipelined connection multiplexes concurrent callers safely;
+        # a single blocking transport does not.
         self.thread_safe = self.workers > 1
         #: Session token carried on every request (empty = no session;
         #: an ungated server accepts that on every proc).  The token is
-        #: server-global, not per-connection, so one session covers the
-        #: whole connection pool.
+        #: server-global, not per-connection, so the session outlives a
+        #: re-dial of the pipelined connection.
         self._token = b""
         self.tenant = tenant
         #: Rights granted at SESSION_OPEN (None on an open mount).
@@ -568,39 +569,27 @@ class RemoteBlockStore(BlockStore):
         """Open a TCP client for the store at ``host:port``.
 
         ``workers=1`` (the default) is one classic blocking connection.
-        ``workers=N`` builds a :class:`~repro.rpc.client.ConnectionPool`
-        of pipelined connections, so the windowed ``read_many``/
-        ``write_many`` batches (and any concurrent callers) keep up to
-        ``N`` requests in flight on independent connections.
+        ``workers=N`` opens one pipelined connection instead, so the
+        windowed ``read_many``/``write_many`` batches keep up to ``2N``
+        windows in flight (and concurrent callers share it); a broken
+        connection is re-dialed on next use.  A dial failure is
+        :class:`~repro.errors.StoreUnavailable` either way.
 
         ``key``/``credentials`` authenticate the mount against a
         credential-gated server (``tenant`` selects the namespace,
         ``rights`` what the session asks for).
         """
-        auth = dict(key=key, credentials=credentials, tenant=tenant,
-                    rights=rights)
-        if workers > 1:
-            pool = ConnectionPool(
-                lambda: PipelinedTCPTransport(host, port, timeout=timeout),
-                size=workers, timeout=timeout,
-            )
-            try:
-                return cls(pool, batch=batch, workers=workers,
-                           timeout=timeout, endpoint=(host, port), **auth)
-            except Exception:
-                # Handshake failed: don't leak dialed connections (retry
-                # loops waiting for a node would pile up descriptors).
-                pool.close()
-                raise
+        dial = PipelinedTCPTransport if workers > 1 else TCPTransport
         try:
-            transport = TCPTransport(host, port, timeout=timeout)
+            transport = dial(host, port, timeout=timeout)
         except OSError as exc:
             raise StoreUnavailable(
                 f"cannot reach block store at {host}:{port}: {exc}"
             ) from exc
         try:
-            return cls(transport, batch=batch, timeout=timeout,
-                       endpoint=(host, port), **auth)
+            return cls(transport, batch=batch, workers=workers,
+                       timeout=timeout, endpoint=(host, port), key=key,
+                       credentials=credentials, tenant=tenant, rights=rights)
         except Exception:
             # GEOM handshake failed: don't leak the connected socket
             # (retry loops waiting for a node would pile up descriptors).
@@ -707,8 +696,11 @@ class RemoteBlockStore(BlockStore):
             except FutureTimeoutError:
                 # Tear the wedged connection down (failing its other
                 # in-flight windows) so a never-answering server cannot
-                # accumulate pending calls against the pool.
-                abandon_call(fut, f"no reply within {self.timeout}s")
+                # accumulate pending calls against it.
+                fut.cancel()
+                abandon = getattr(self._client.transport, "abandon", None)
+                if abandon is not None:
+                    abandon(f"no reply within {self.timeout}s")
                 raise StoreUnavailable(
                     f"remote call timed out after {self.timeout}s"
                 ) from None
@@ -726,7 +718,7 @@ class RemoteBlockStore(BlockStore):
 
     def _windowed(self, proc: Procedure, items: list) -> list[tuple]:
         """``proc`` once per window of ``items``: ``(window, result)``
-        pairs in window order.  With a connection pool and more than one
+        pairs in window order.  With ``workers>1`` and more than one
         window, up to ``_inflight_cap`` windows are outstanding at once."""
         size = self._batch_window
         windows = [items[i:i + size] for i in range(0, len(items), size)]

@@ -5,6 +5,9 @@ import pytest
 from repro.errors import TransportError
 from repro.rpc.transport import InProcessTransport, TCPTransport, serve_tcp
 
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning")
+
 
 class TestInProcessTransport:
     def test_echo(self):

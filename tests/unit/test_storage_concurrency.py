@@ -1,7 +1,7 @@
 """Concurrency regression suite for the fan-out storage stack.
 
 The concurrent paths (shard fan-out, replica quorum-W writes and racing
-reads, pooled pipelined RPC) must be *behaviourally invisible*: the same
+reads, pipelined RPC) must be *behaviourally invisible*: the same
 answers as the sequential paths, just sooner.  This suite pins that
 down:
 
@@ -9,10 +9,11 @@ down:
   and concurrent mounts of the same composite;
 * quorum-W writes return at the 2nd-fastest replica while the straggler
   completes on its background lane (and ``drain``/``flush`` wait);
-* a connection pool reuses its connections — across calls and across
-  remounts — instead of re-dialing per operation;
+* one pipelined connection serves a mount — sequential and concurrent
+  calls alike — re-dials only after it broke, and a closed connection
+  really closes (its reader, the server's thread and the socket end);
 * one dead/slow node fails its own operations without starving its
-  siblings or poisoning other in-flight calls on the pool;
+  siblings;
 * a shard child that fails ``flush``/``close`` no longer prevents its
   siblings from flushing/closing (the first error still propagates).
 """
@@ -27,7 +28,7 @@ import pytest
 
 from held_store import HeldBlockStore  # tests/held_store.py
 from repro.errors import QuorumError, StoreUnavailable, TransportError
-from repro.rpc.client import ConnectionPool, RPCClient
+from repro.rpc.client import RPCClient
 from repro.rpc.transport import PipelinedTCPTransport
 from repro.storage import (
     BlockStore,
@@ -40,10 +41,13 @@ from repro.storage import (
     open_store,
     serve_store,
 )
-from repro.storage.net import BLOCKSTORE_PROGRAM, BLOCKSTORE_VERSION
+from repro.storage.net import BLOCKSTORE_PROGRAM, BLOCKSTORE_VERSION, READ
 
 BLOCKS = 256
 BS = 512
+
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning")
 
 
 def _seeded_workload(seed: int, ops: int = 40):
@@ -249,8 +253,19 @@ class TestQuorumReturn:
         store.close()
 
 
-class TestConnectionPool:
-    """Pool reuse, rebuild after breakage, and failure isolation."""
+def _wait_for_threads_to_end(before: set, timeout: float = 2.0) -> set:
+    """Threads started since ``before`` still alive after ``timeout``."""
+    deadline = time.perf_counter() + timeout
+    while True:
+        alive = {t for t in threading.enumerate() if t not in before}
+        if not alive or time.perf_counter() > deadline:
+            return alive
+        time.sleep(0.02)
+
+
+class TestOneConnection:
+    """One pipelined connection per mount: reuse, re-dial after
+    breakage, remount, and a close that actually closes."""
 
     @pytest.fixture
     def server(self):
@@ -258,69 +273,95 @@ class TestConnectionPool:
         yield server
         server.close()
 
-    def test_pool_reuses_connections(self, server):
-        host, port = server.address
-        pool = ConnectionPool(
-            lambda: PipelinedTCPTransport(host, port, timeout=5.0), size=3)
-        client = RPCClient(pool, BLOCKSTORE_PROGRAM, BLOCKSTORE_VERSION)
+    def _client(self, server):
+        transport = PipelinedTCPTransport(*server.address, timeout=5.0)
+        return transport, RPCClient(transport, BLOCKSTORE_PROGRAM,
+                                    BLOCKSTORE_VERSION)
+
+    def test_one_dial_serves_sequential_and_concurrent_calls(self, server):
+        transport, client = self._client(server)
         for _round in range(50):
             client.ping()
-        # Sequential pings need exactly one connection; nothing re-dials.
-        assert pool.created == 1
         futs = [client.call_async(0) for _ in range(30)]
         for fut in futs:
             fut.result(timeout=5.0).done()
-        assert pool.created <= pool.size
+        assert transport.dials == 1
+        assert transport.pending_calls == 0
         client.close()
 
-    def test_pool_survives_remount(self, server):
-        """Closing one mount and opening another against the same node
-        works and dials fresh connections (no state bleeds across)."""
+    def test_broken_connection_is_redialed(self, server):
+        transport, client = self._client(server)
+        client.ping()
+        transport._fail(TransportError("injected breakage"))
+        assert transport.broken is not None
+        client.ping()  # the next submit dials a fresh socket and reader
+        assert transport.dials == 2
+        assert transport.broken is None
+        client.close()
+
+    def test_abandon_fails_every_call_in_flight(self):
+        server = serve_store(DelayedBlockStore(MemoryBlockStore(BLOCKS, BS),
+                                               delay_ms=500.0), workers=4)
+        transport, client = self._client(server)
+        store = RemoteBlockStore(transport, workers=2, timeout=5.0)
+        futs = [store._submit(READ, b) for b in range(4)]
+        transport.abandon("gave up")
+        for _proc, fut, _trace in futs:
+            with pytest.raises(TransportError, match="gave up"):
+                fut.result(timeout=1.0)
+        assert transport.pending_calls == 0
+        store.close()
+        server.close()
+
+    def test_remount_dials_a_fresh_connection(self, server):
         host, port = server.address
-        uri_store = RemoteBlockStore.connect(host, port, workers=2)
-        uri_store.write_many([(b, b"r" * BS) for b in range(64)])
-        uri_store.close()
+        store = RemoteBlockStore.connect(host, port, workers=2)
+        store.write_many([(b, b"r" * BS) for b in range(64)])
+        store.close()
         remounted = RemoteBlockStore.connect(host, port, workers=2)
         assert remounted.read_many(list(range(64))) == [b"r" * BS] * 64
-        pool = remounted._client.transport
-        assert isinstance(pool, ConnectionPool)
-        assert pool.created <= pool.size
+        transport = remounted._client.transport
+        assert isinstance(transport, PipelinedTCPTransport)
+        assert transport.dials == 1
         remounted.close()
 
-    def test_broken_slot_is_redialed(self, server):
-        host, port = server.address
-        pool = ConnectionPool(
-            lambda: PipelinedTCPTransport(host, port, timeout=5.0), size=2)
-        client = RPCClient(pool, BLOCKSTORE_PROGRAM, BLOCKSTORE_VERSION)
+    def test_reader_exits_on_close(self, server):
+        transport, client = self._client(server)
         client.ping()
-        # Break the live connection behind the pool's back.
-        with pool._cond:
-            live = [t for t in pool._slots if t is not None][0]
-        live._fail(TransportError("injected breakage"))
-        client.ping()  # pool discards the broken slot and re-dials
-        assert pool.created == 2
-        assert pool.live_connections == 1
+        reader = transport._reader
         client.close()
+        reader.join(timeout=1.0)
+        assert not reader.is_alive()
 
-    def test_pool_slot_failure_does_not_poison_siblings(self, server):
-        """A dead connection fails its own in-flight calls; calls on the
-        other pool connections complete."""
+    def test_mount_close_cycles_leave_no_threads(self, server):
         host, port = server.address
-        pool = ConnectionPool(
-            lambda: PipelinedTCPTransport(host, port, timeout=5.0), size=2)
-        client = RPCClient(pool, BLOCKSTORE_PROGRAM, BLOCKSTORE_VERSION)
-        # Force both connections into existence with concurrent calls.
-        futs = [client.call_async(0) for _ in range(8)]
-        for fut in futs:
-            fut.result(timeout=5.0)
-        assert pool.live_connections == 2
-        with pool._cond:
-            victim = next(t for t in pool._slots if t is not None)
-        victim._fail(TransportError("node rebooted"))
-        # Every subsequent call still succeeds (rerouted or re-dialed).
-        for _round in range(10):
-            client.ping()
-        client.close()
+        start = threading.active_count()
+        for cycle in range(300):
+            store = open_store(f"remote://{host}:{port}?workers=2")
+            store.write_many([(b, bytes([cycle & 0xFF]) * BS)
+                              for b in range(8)])
+            store.close()
+        deadline = time.perf_counter() + 2.0
+        while (threading.active_count() > start + 5
+               and time.perf_counter() < deadline):
+            time.sleep(0.02)
+        assert threading.active_count() <= start + 5
+
+    @pytest.mark.parametrize("workers", [0, 4])
+    def test_server_close_drops_open_mounts(self, workers):
+        before = set(threading.enumerate())
+        server = serve_store(MemoryBlockStore(BLOCKS, BS), workers=workers)
+        host, port = server.address
+        mounts = [open_store(f"remote://{host}:{port}{query}")
+                  for query in ("", "?workers=2")]
+        for store in mounts:
+            store.write(1, b"o" * BS)
+        server.close()
+        for store in mounts:
+            with pytest.raises(StoreUnavailable):
+                store.read(1)
+            store.close()
+        assert not _wait_for_threads_to_end(before)
 
 
 class TestFailureIsolation:
@@ -381,13 +422,9 @@ class TestFailureIsolation:
         payload = b"z" * BS
         with pytest.raises(StoreUnavailable):
             store.write_many([(b, payload) for b in range(BLOCKS)])
-        # The wedged connection was torn down and its slot released —
-        # a server that never answers must not pin in-flight state.
-        pool = store._client.transport
-        deadline = time.perf_counter() + 2.0
-        while time.perf_counter() < deadline and any(pool._inflight):
-            time.sleep(0.05)
-        assert not any(pool._inflight)
+        # The wedged connection was torn down — a server that never
+        # answers must not pin in-flight state.
+        assert store._client.transport.pending_calls == 0
         store.close()
         server.close()
 
@@ -540,8 +577,8 @@ class TestPipelinedTransport:
         store.close()
 
     def test_concurrent_mixed_traffic_through_worker_server(self, server):
-        """Many threads hammer one remote mount (pool of pipelined
-        connections) and every byte comes back intact."""
+        """Many threads hammer one remote mount (one pipelined
+        connection) and every byte comes back intact."""
         host, port = server.address
         store = RemoteBlockStore.connect(host, port, workers=3)
         errors = []
