@@ -12,9 +12,9 @@ requester and evaluates nothing said by or to anyone else.
 
 The list-scan checker this replaced is kept as
 ``tests/keynote_reference.py``.  Both are timed here in the same process,
-so the assertions are ratios and do not depend on the machine: the query
-at 1000 resident credentials costs at most 1.5x the one at 10 (the scan's
-grows with the store), and 40 subtree grants to principals the requester
+in turn, so the assertions are ratios and do not depend on the machine:
+the query at 1000 resident credentials costs at most 1.5x the one at 10
+(the scan's grows with the store), and 40 subtree grants to principals the requester
 has nothing to do with cost a set test each, a tenth of what evaluating
 them costs the scan.  Equality of the answers is asserted first.
 
@@ -76,31 +76,39 @@ def list_scan(session):
     return reference
 
 
-def best_of(fn, repeats: int = 15, loops: int = 200) -> float:
-    """Seconds per call: the fastest of ``repeats`` timings of ``loops`` calls."""
-    best = float("inf")
+def best_of(timed, repeats: int = 60) -> list[float]:
+    """Seconds per call of each ``(fn, loops)`` in ``timed``: the fastest
+    of ``repeats`` timings of ``loops`` calls.  The timings are taken in
+    turn, so a burst of load on the machine slows every one of them and
+    not only whichever happened to be running."""
+    best = [float("inf")] * len(timed)
     for _ in range(repeats):
-        start = perf_counter()
-        for _ in range(loops):
-            fn()
-        best = min(best, (perf_counter() - start) / loops)
+        for i, (fn, loops) in enumerate(timed):
+            start = perf_counter()
+            for _ in range(loops):
+                fn()
+            best[i] = min(best[i], (perf_counter() - start) / loops)
     return best
 
 
-def priced(session):
+def priced(*sessions):
     """(us per query of the session, us per query of the list scan over the
-    same assertions), after checking that they agree."""
+    same assertions) for each session, after checking that they agree."""
     requester = [identity_of(USER)]
-    reference = list_scan(session)
-    assert session.query_with_trace(ACTION, requester, OCTAL) == \
-        reference.query_with_trace(ACTION, requester, OCTAL)
-    return (best_of(lambda: session.query(ACTION, requester, OCTAL)) * 1e6,
-            best_of(lambda: reference.query(ACTION, requester, OCTAL), loops=20) * 1e6)
+    timed = []
+    for session in sessions:
+        reference = list_scan(session)
+        assert session.query_with_trace(ACTION, requester, OCTAL) == \
+            reference.query_with_trace(ACTION, requester, OCTAL)
+        timed += [(lambda s=session: s.query(ACTION, requester, OCTAL), 50),
+                  (lambda r=reference: r.query(ACTION, requester, OCTAL), 5)]
+    us = [seconds * 1e6 for seconds in best_of(timed)]
+    return [tuple(us[i:i + 2]) for i in range(0, len(us), 2)]
 
 
 def test_indexed_query_does_not_grow_with_the_store():
-    small, small_scan = priced(build_session(10, True))
-    large, large_scan = priced(build_session(1000, True))
+    (small, small_scan), (large, large_scan) = priced(
+        build_session(10, True), build_session(1000, True))
     print(f"\nuncached query: 10 credentials {small:.1f} us, 1000 credentials "
           f"{large:.1f} us ({large / small:.2f}x); list scan {small_scan:.1f} us "
           f"-> {large_scan:.1f} us ({large_scan / small_scan:.1f}x)")
@@ -109,8 +117,8 @@ def test_indexed_query_does_not_grow_with_the_store():
 
 
 def test_unrelated_delegations_are_not_evaluated():
-    alone, _scan = priced(build_session(10, True))
-    crowded, crowded_scan = priced(build_session(10, True, unrelated=40))
+    (alone, _scan), (crowded, crowded_scan) = priced(
+        build_session(10, True), build_session(10, True, unrelated=40))
     print(f"\nuncached query: no bystanders {alone:.1f} us, 40 subtree grants "
           f"to bystanders {crowded:.1f} us ({crowded / alone:.2f}x); list scan "
           f"{crowded_scan:.1f} us")

@@ -3,12 +3,11 @@
 Encodes invariants generic linters cannot know — lock discipline,
 lock-acquisition ordering and resource lifetimes.  Entry points:
 
-* CLI: ``discfs lint [PATHS] [--rule R] [--json] [--baseline FILE]``
+* CLI: ``discfs lint [PATHS] [--rule R] [--json] [--list-rules]``
 * API: :func:`repro.analysis.core.run_lint`
 """
 
 from repro.analysis.core import (
-    Baseline,
     Checker,
     Finding,
     LintResult,
@@ -19,7 +18,6 @@ from repro.analysis.core import (
 )
 
 __all__ = [
-    "Baseline",
     "Checker",
     "Finding",
     "LintResult",

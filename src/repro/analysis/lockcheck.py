@@ -578,9 +578,8 @@ class LockDisciplineChecker(Checker):
                         f"(guarded mutation at line {witness.line})"
                     ),
                     hint=(
-                        f"wrap the mutation in `with self.{guard}:`, or "
-                        "suppress with a justification if the path is "
-                        "provably single-threaded"
+                        f"wrap the mutation in `with self.{guard}:` (only "
+                        "methods reachable solely from __init__ are exempt)"
                     ),
                     line=mut.line, col=mut.col,
                 )
@@ -616,10 +615,6 @@ class LockOrderChecker(Checker):
                 by_pair[(cycle[i], cycle[(i + 1) % len(cycle)])]
                 for i in range(len(cycle))
             ]
-            # A suppression on any participating acquisition covers the
-            # whole cycle — the cycle is one fact, not N facts.
-            if any(e.sf.suppressed(self.name, e.line) for e in edges):
-                continue
             path = " -> ".join(f"{c}.{lk}" for c, lk in cycle)
             first = f"{cycle[0][0]}.{cycle[0][1]}"
             witnesses = "; ".join(

@@ -18,7 +18,7 @@ from typing import Protocol
 
 from repro.fs.ffs import FFS
 from repro.nfs.client import NFSClient, RemoteFile
-from repro.nfs.protocol import MAX_DATA, SAttr
+from repro.nfs.protocol import SAttr
 
 
 class BufferedFile(Protocol):
@@ -58,83 +58,20 @@ class FilesystemTarget(Protocol):
 # ---------------------------------------------------------------------------
 
 
-class _LocalFile:
-    """Buffered file over direct FFS calls (stdio analogue for "FFS")."""
-
-    def __init__(self, fs: FFS, ino: int, buffer_size: int = MAX_DATA):
-        self._fs = fs
-        self._ino = ino
-        self._buffer_size = buffer_size
-        self._pos = 0
-        self._wbuf = bytearray()
-        self._wbuf_offset = 0
-        self._rbuf = b""
-        self._rbuf_offset = 0
-
-    def write(self, data: bytes) -> int:
-        if not self._wbuf:
-            self._wbuf_offset = self._pos
-        elif self._wbuf_offset + len(self._wbuf) != self._pos:
-            self.flush()
-            self._wbuf_offset = self._pos
-        self._wbuf += data
-        self._pos += len(data)
-        while len(self._wbuf) >= self._buffer_size:
-            chunk = bytes(self._wbuf[: self._buffer_size])
-            self._fs.write(self._ino, self._wbuf_offset, chunk)
-            del self._wbuf[: self._buffer_size]
-            self._wbuf_offset += len(chunk)
-        return len(data)
-
-    def putc(self, byte: int) -> None:
-        self.write(bytes((byte,)))
-
-    def flush(self) -> None:
-        if self._wbuf:
-            self._fs.write(self._ino, self._wbuf_offset, bytes(self._wbuf))
-            self._wbuf.clear()
-
-    def read(self, count: int) -> bytes:
-        self.flush()
-        out = bytearray()
-        while count > 0:
-            start = self._pos - self._rbuf_offset
-            if 0 <= start < len(self._rbuf):
-                chunk = self._rbuf[start : start + count]
-            else:
-                self._rbuf = self._fs.read(self._ino, self._pos, self._buffer_size)
-                self._rbuf_offset = self._pos
-                if not self._rbuf:
-                    break
-                chunk = self._rbuf[:count]
-            self._pos += len(chunk)
-            out += chunk
-            count -= len(chunk)
-        return bytes(out)
-
-    def getc(self) -> int | None:
-        data = self.read(1)
-        return data[0] if data else None
-
-    def seek(self, offset: int) -> None:
-        self.flush()
-        self._pos = offset
-
-
 class LocalFFSTarget:
-    """Direct (in-process, no RPC) access to an FFS instance."""
+    """Direct (in-process, no RPC) access to an FFS instance; its files
+    are the same stdio buffer the NFS targets use, over FFS calls."""
 
     def __init__(self, fs: FFS, name: str = "FFS"):
         self.fs = fs
         self.name = name
 
-    def create_file(self, path: str) -> _LocalFile:
+    def create_file(self, path: str) -> RemoteFile:
         inode = self.fs.write_file(path, b"")
-        return _LocalFile(self.fs, inode.ino)
+        return RemoteFile(self.fs, inode.ino)
 
-    def open_file(self, path: str) -> _LocalFile:
-        inode = self.fs.namei(path)
-        return _LocalFile(self.fs, inode.ino)
+    def open_file(self, path: str) -> RemoteFile:
+        return RemoteFile(self.fs, self.fs.namei(path).ino)
 
     def remove_file(self, path: str) -> None:
         dino, name = self.fs._split_path(path)

@@ -797,22 +797,14 @@ def cmd_journal_inspect(args) -> int:
          arg("--rule", action="append", metavar="RULE",
              help="run only this rule (repeatable; see --list-rules)"),
          arg("--json", action="store_true",
-             help="machine-readable findings + summary"),
-         arg("--baseline", metavar="FILE",
-             help="grandfather findings whose fingerprint is in FILE"),
-         arg("--diff", metavar="REF",
-             help="lint only python files changed vs git REF "
-                  "(intersected with PATH; new-vs-baseline "
-                  "findings still gate)"),
-         arg("--write-baseline", metavar="FILE",
-             help="write current findings to FILE as a new baseline"),
+             help="machine-readable findings"),
          arg("--list-rules", action="store_true",
              help="list available rules and exit"))
 def cmd_lint(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.analysis import Baseline, all_checkers, run_lint
+    from repro.analysis import all_checkers, run_lint
 
     if args.list_rules:
         for name, factory in sorted(all_checkers().items()):
@@ -826,51 +818,11 @@ def cmd_lint(args) -> int:
         print(f"error: no such path: {missing[0]}", file=sys.stderr)
         return 2
 
-    if getattr(args, "diff", None):
-        import subprocess
-        try:
-            proc = subprocess.run(
-                ["git", "diff", "--name-only", "--diff-filter=d",
-                 args.diff, "--", "*.py"],
-                cwd=root, capture_output=True, text=True, check=True,
-            )
-        except FileNotFoundError:
-            print("error: --diff requires git on PATH", file=sys.stderr)
-            return 2
-        except subprocess.CalledProcessError as exc:
-            detail = (exc.stderr or "").strip() or f"exit {exc.returncode}"
-            print(f"error: git diff {args.diff} failed: {detail}",
-                  file=sys.stderr)
-            return 2
-        scope = [p.resolve() for p in paths]
-        changed: list[Path] = []
-        for rel in proc.stdout.splitlines():
-            candidate = (root / rel).resolve()
-            if not candidate.is_file():
-                continue
-            if any(candidate == s or s in candidate.parents
-                   for s in scope):
-                changed.append(root / rel)
-        if not changed:
-            print(f"discfs-lint: no changed python files vs {args.diff}")
-            return 0
-        paths = changed
-
-    baseline = None
-    if args.baseline and Path(args.baseline).is_file():
-        baseline = Baseline.load(Path(args.baseline))
-
     try:
-        result = run_lint(paths, root, rules=args.rule, baseline=baseline)
+        result = run_lint(paths, root, rules=args.rule)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        Baseline.from_findings(result.findings).save(Path(args.write_baseline))
-        print(f"wrote {len(result.findings)} finding(s) to "
-              f"{args.write_baseline}; annotate each with a justification")
-        return 0
 
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -878,13 +830,8 @@ def cmd_lint(args) -> int:
 
     for finding in result.findings:
         print(finding.render())
-    errors = sum(1 for f in result.findings if f.severity == "error")
-    print(
-        f"discfs-lint: {result.files_checked} file(s), "
-        f"{errors} error(s), {len(result.findings) - errors} warning(s), "
-        f"{result.suppressed} suppressed, "
-        f"{result.grandfathered} grandfathered"
-    )
+    print(f"discfs-lint: {result.files_checked} file(s), "
+          f"{len(result.findings)} finding(s)")
     return result.exit_code
 
 

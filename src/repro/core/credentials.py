@@ -221,9 +221,3 @@ def extract_grant(assertion: Assertion) -> tuple[str, Permission, bool]:
     if rights is None:
         rights = Permission.all()
     return handle, rights, subtree
-
-
-def extract_handle_and_rights(assertion: Assertion) -> tuple[str, Permission]:
-    """Back-compat wrapper around :func:`extract_grant`."""
-    handle, rights, _subtree = extract_grant(assertion)
-    return handle, rights

@@ -10,8 +10,8 @@ first principles on top of :mod:`hashlib`:
 * :mod:`repro.crypto.dsa` — DSA with deterministic (RFC-6979 style) nonces,
 * :mod:`repro.crypto.rsa` — RSA with PKCS#1 v1.5 style signatures,
 * :mod:`repro.crypto.keycodec` — the KeyNote ``ALGORITHM:hexdata`` codecs,
-* :mod:`repro.crypto.cipher` — a stream cipher and CBC mode used by the
-  CFS baseline and the IPsec-like channel.
+* :mod:`repro.crypto.cipher` — a stream cipher and a block cipher used
+  by the CFS baseline and the IPsec-like channel.
 
 These are *reproduction-grade* implementations: correct, deterministic and
 well-tested, but not hardened against side channels; do not reuse them for

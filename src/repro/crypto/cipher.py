@@ -9,8 +9,8 @@ block offset), not DES itself.  We provide:
   nonce; checked against the RFC's vectors) used by the secure channel
   and the CFS data transform (seekable keystream),
 * :class:`BlockCipher` — a small 16-round Feistel block cipher (128-bit
-  blocks) with ECB/CBC helpers used by the CFS encryption layer, where
-  random access to file blocks requires position-keyed encryption.
+  blocks); the CFS layer chains its ``encrypt_block``/``decrypt_block``
+  under a zero IV to encrypt file names.
 
 The keystream is computed for all the blocks of a call at once.  A Python
 big int is the only wide register the standard library has, so the state
@@ -177,34 +177,6 @@ class BlockCipher:
             ), left
         return left + right
 
-    def encrypt_cbc(self, data: bytes, iv: bytes) -> bytes:
-        """CBC-encrypt ``data`` (must be block-aligned)."""
-        if len(data) % self.BLOCK:
-            raise CryptoError("CBC input must be block-aligned")
-        if len(iv) != self.BLOCK:
-            raise CryptoError("IV must be one block")
-        out = bytearray()
-        prev = iv
-        for i in range(0, len(data), self.BLOCK):
-            block = bytes(a ^ b for a, b in zip(data[i : i + self.BLOCK], prev))
-            enc = self.encrypt_block(block)
-            out += enc
-            prev = enc
-        return bytes(out)
-
-    def decrypt_cbc(self, data: bytes, iv: bytes) -> bytes:
-        if len(data) % self.BLOCK:
-            raise CryptoError("CBC input must be block-aligned")
-        if len(iv) != self.BLOCK:
-            raise CryptoError("IV must be one block")
-        out = bytearray()
-        prev = iv
-        for i in range(0, len(data), self.BLOCK):
-            enc = data[i : i + self.BLOCK]
-            dec = self.decrypt_block(enc)
-            out += bytes(a ^ b for a, b in zip(dec, prev))
-            prev = enc
-        return bytes(out)
 
 
 def derive_key(*parts: bytes, length: int = 32, label: bytes = b"repro-kdf-v1") -> bytes:

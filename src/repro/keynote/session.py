@@ -38,7 +38,6 @@ class KeyNoteSession:
                                           index_attribute=index_attribute)
         self._policies: list[Assertion] = []
         self._credentials: list[Assertion] = []
-        self._action_attributes: dict[str, str] = {}
 
     # -- policy & credential management --------------------------------
 
@@ -98,17 +97,6 @@ class KeyNoteSession:
     def credentials(self) -> list[Assertion]:
         return list(self._credentials)
 
-    # -- action attributes ----------------------------------------------
-
-    def add_action_attribute(self, name: str, value: str) -> None:
-        """Set a session-scoped action attribute (merged into each query)."""
-        if not name or name.startswith("_"):
-            raise KeyNoteError(f"invalid action attribute name: {name!r}")
-        self._action_attributes[name] = str(value)
-
-    def clear_action_attributes(self) -> None:
-        self._action_attributes.clear()
-
     # -- query -------------------------------------------------------------
 
     def query(
@@ -117,10 +105,7 @@ class KeyNoteSession:
         action_authorizers: Iterable[str] = (),
         values: ComplianceValues | list[str] = ("false", "true"),
     ) -> str:
-        """Run a compliance query; returns one of ``values``.
-
-        ``action`` is merged over the session's standing attributes.
-        """
+        """Run a compliance query; returns one of ``values``."""
         return self.query_with_trace(action, action_authorizers, values)[0]
 
     def query_with_trace(
@@ -132,7 +117,6 @@ class KeyNoteSession:
         """Query returning the contributing assertions (for audit logs)."""
         if not isinstance(values, ComplianceValues):
             values = ComplianceValues(list(values))
-        merged = dict(self._action_attributes)
-        if action:
-            merged.update({k: str(v) for k, v in action.items()})
-        return self._checker.query_with_trace(merged, action_authorizers, values)
+        attributes = {k: str(v) for k, v in action.items()} if action else {}
+        return self._checker.query_with_trace(attributes, action_authorizers,
+                                              values)

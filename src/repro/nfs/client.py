@@ -12,6 +12,8 @@ block-size units).
 
 from __future__ import annotations
 
+from typing import Any, Protocol
+
 from repro.errors import NFSError
 from repro.nfs.protocol import (
     AUDITLOG,
@@ -160,14 +162,28 @@ class NFSClient:
         self._rpc.close()
 
 
-class RemoteFile:
-    """Buffered sequential I/O over one remote file (stdio analogue).
+class FileIO(Protocol):
+    """Positional file I/O by handle: what :class:`RemoteFile` buffers.
 
-    Maintains independent read/write positions like a C ``FILE`` opened
-    for update; Bonnie's putc/getc/rewrite loops run through this class.
+    An :class:`NFSClient` with a :class:`FileHandle` has this shape, and
+    so does :class:`~repro.fs.ffs.FFS` with an inode number.
     """
 
-    def __init__(self, client: NFSClient, fh: FileHandle, buffer_size: int = MAX_DATA):
+    def read(self, handle: Any, offset: int, count: int, /) -> bytes: ...
+
+    def write(self, handle: Any, offset: int, data: bytes, /) -> object: ...
+
+
+class RemoteFile:
+    """Buffered sequential I/O over one file (stdio analogue).
+
+    ``client`` is anything with :class:`FileIO`'s ``read``/``write``
+    shape and ``fh`` the handle it takes.  Maintains independent
+    read/write positions like a C ``FILE`` opened for update; Bonnie's
+    putc/getc/rewrite loops run through this class.
+    """
+
+    def __init__(self, client: FileIO, fh: Any, buffer_size: int = MAX_DATA):
         if buffer_size <= 0 or buffer_size > MAX_DATA:
             buffer_size = MAX_DATA
         self._client = client

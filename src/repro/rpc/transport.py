@@ -84,28 +84,61 @@ class InProcessTransport:
 
 
 class TCPTransport:
-    """Client side of an RPC connection over TCP with record marking."""
+    """Client side of an RPC connection over TCP with record marking.
+
+    One call at a time on one socket.  Any failure inside :meth:`call`
+    (a timeout included) closes the socket, so a late reply can never be
+    read as the next call's; the next call dials a fresh one.  The failed
+    call itself is not retried.  ``timeout`` bounds connecting and every
+    send and receive.
+    """
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.address = (host, port)
+        self.timeout = timeout
         self._lock = threading.Lock()
+        self._closed = False
         self.stats = TransportStats()
+        self._sock: socket.socket | None = self._dial()
+
+    def _dial(self) -> socket.socket:
+        sock = socket.create_connection(self.address, timeout=self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
 
     def call(self, request: bytes) -> bytes:
         with self._lock:
+            if self._closed:
+                raise TransportError("transport is closed")
+            if self._sock is None:
+                try:
+                    self._sock = self._dial()
+                except OSError as exc:
+                    raise TransportError(f"re-dial failed: {exc}") from exc
             self.stats.calls += 1
             self.stats.bytes_sent += len(request)
-            _send_record(self._sock, request)
-            response = _recv_record(self._sock)
+            try:
+                _send_record(self._sock, request)
+                response = _recv_record(self._sock)
+            except BaseException:
+                self._sock.close()
+                self._sock = None
+                raise
             self.stats.bytes_received += len(response)
             return response
 
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self._closed = True
+        sock = self._sock
+        if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)  # wakes a call blocked in recv
+            except OSError:
+                pass
+        with self._lock:  # the woken call has let go of the socket
+            if self._sock is not None:
+                self._sock.close()
+                self._sock = None
 
 
 def _resolve_future(fut: Future, result: bytes | None = None,
@@ -332,8 +365,9 @@ class TCPServer:
     xid, and it is what lets a pipelined client overlap calls on a
     single connection instead of queueing behind the slowest one.
 
-    :meth:`close` stops accepting and shuts every accepted connection
-    down, so a client still connected sees the server go away.
+    :meth:`close` stops accepting, frees the port and shuts every
+    accepted connection down, so a client still connected sees the
+    server go away.
     """
 
     def __init__(self, handler: Handler, host: str = "127.0.0.1", port: int = 0,
@@ -440,9 +474,12 @@ class TCPServer:
         if self._pool is not None:
             self._pool.shutdown(wait=False)
         try:
-            self._listener.close()
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
         except OSError:
             pass
+        # Once the accept loop has let go, the port is free to serve again.
+        self._accept_thread.join(timeout=1.0)
+        self._listener.close()
 
 
 def serve_tcp(handler: Handler, host: str = "127.0.0.1", port: int = 0,

@@ -58,17 +58,6 @@ def test_block_cipher_bijective(key, block):
     assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
 
 
-@settings(max_examples=50)
-@given(key=st.binary(min_size=16, max_size=32),
-       blocks=st.integers(min_value=1, max_value=8),
-       iv=st.binary(min_size=16, max_size=16),
-       data=st.data())
-def test_cbc_roundtrip(key, blocks, iv, data):
-    payload = data.draw(st.binary(min_size=16 * blocks, max_size=16 * blocks))
-    cipher = BlockCipher(key)
-    assert cipher.decrypt_cbc(cipher.encrypt_cbc(payload, iv), iv) == payload
-
-
 @settings(max_examples=100)
 @given(parts=st.lists(st.binary(max_size=32), min_size=1, max_size=4),
        length=st.integers(min_value=1, max_value=64))

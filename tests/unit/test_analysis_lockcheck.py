@@ -32,7 +32,7 @@ class TestLockDiscipline:
         assert finding.rule == "lock-discipline"
         assert "Store.reset" in finding.message
         assert "_count" in finding.message
-        assert finding.severity == "error"
+        assert result.exit_code == 1
 
     def test_consistent_locking_is_clean(self, tmp_path):
         result = _lint(tmp_path, """\
@@ -117,25 +117,6 @@ class TestLockDiscipline:
                         runner(callback)
             """)
         assert any("callback" in f.message for f in result.findings)
-
-    def test_suppression_comment_silences_finding(self, tmp_path):
-        result = _lint(tmp_path, """\
-            import threading
-
-            class Store:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._count = 0
-
-                def bump(self):
-                    with self._lock:
-                        self._count += 1
-
-                def reset(self):
-                    self._count = 0  # discfs-lint: disable=lock-discipline
-            """)
-        assert result.findings == []
-        assert result.suppressed == 1
 
 
 class TestLockOrder:
@@ -253,37 +234,5 @@ class TestLockOrder:
                     with self._lock:
                         with self._io_lock:
                             self._n += 1
-            """)
-        assert [f for f in result.findings if f.rule == "lock-order"] == []
-
-    def test_cycle_suppressed_on_any_edge_line(self, tmp_path):
-        result = _lint(tmp_path, """\
-            import threading
-
-            class Alpha:
-                def __init__(self, beta: "Beta"):
-                    self._lock = threading.Lock()
-                    self._beta = beta
-
-                def forward(self):
-                    with self._lock:
-                        self._beta.poke()  # discfs-lint: disable=lock-order
-
-                def poke(self):
-                    with self._lock:
-                        pass
-
-            class Beta:
-                def __init__(self, alpha: "Alpha"):
-                    self._lock = threading.Lock()
-                    self._alpha = alpha
-
-                def forward(self):
-                    with self._lock:
-                        self._alpha.poke()
-
-                def poke(self):
-                    with self._lock:
-                        pass
             """)
         assert [f for f in result.findings if f.rule == "lock-order"] == []

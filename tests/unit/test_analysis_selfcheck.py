@@ -1,53 +1,36 @@
-"""Self-check: ``discfs lint src/repro`` must be clean against the
-shipped baseline — the gate CI enforces, run as a test so a drifting
-checker or a new violation fails close to the change that caused it."""
+"""Self-check: ``discfs lint src/repro`` must find nothing — the gate CI
+enforces, run as a test so a drifting checker or a new violation fails
+close to the change that caused it."""
 
 import json
-import subprocess
 from pathlib import Path
 
-import pytest
-
-from repro.analysis.core import Baseline, run_lint
+from repro.analysis.core import run_lint
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-BASELINE = REPO_ROOT / "lint-baseline.json"
 
 
 class TestSelfCheck:
-    def test_src_repro_is_clean_against_shipped_baseline(self):
-        baseline = Baseline.load(BASELINE)
-        result = run_lint([REPO_ROOT / "src" / "repro"], REPO_ROOT,
-                          baseline=baseline)
+    def test_src_repro_is_clean(self):
+        result = run_lint([REPO_ROOT / "src" / "repro"], REPO_ROOT)
         rendered = "\n".join(f.render() for f in result.findings)
         assert result.findings == [], f"discfs-lint found:\n{rendered}"
         assert result.exit_code == 0
 
-    def test_shipped_baseline_is_empty_or_fully_justified(self):
-        raw = json.loads(BASELINE.read_text())
-        assert raw["version"] == 1
-        for entry in raw["findings"]:
-            assert entry.get("justification"), (
-                f"baseline entry {entry.get('fingerprint')} has no "
-                "justification — fix the finding or document why not"
-            )
-
     def test_cli_lint_exits_zero(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)
-        code = main(["lint", "src/repro", "--baseline",
-                     str(BASELINE)])
+        code = main(["lint", "src/repro"])
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "discfs-lint:" in out
+        assert "0 finding(s)" in out
 
     def test_cli_json_shape(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)
-        code = main(["lint", "src/repro", "--json",
-                     "--baseline", str(BASELINE)])
+        code = main(["lint", "src/repro", "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert payload["summary"]["errors"] == 0
+        assert payload["findings"] == []
         assert payload["files_checked"] > 50
 
     def test_cli_unknown_rule_is_usage_error(self, monkeypatch, capsys):
@@ -55,76 +38,3 @@ class TestSelfCheck:
         code = main(["lint", "src/repro", "--rule", "no-such-rule"])
         assert code == 2
         assert "unknown rule" in capsys.readouterr().err
-
-    def test_cli_write_baseline_round_trip(self, monkeypatch, tmp_path,
-                                           capsys):
-        monkeypatch.chdir(REPO_ROOT)
-        out_file = tmp_path / "new-baseline.json"
-        code = main(["lint", "src/repro", "--write-baseline",
-                     str(out_file)])
-        assert code == 0
-        raw = json.loads(out_file.read_text())
-        assert raw["version"] == 1
-        assert raw["findings"] == []  # src/repro is clean
-        del capsys
-
-
-def _git(repo, *argv):
-    subprocess.run(
-        ["git", "-c", "user.email=lint@test", "-c", "user.name=lint",
-         *argv],
-        cwd=repo, check=True, capture_output=True, text=True,
-    )
-
-
-class TestDiffMode:
-    """``--diff REF``: lint only the python files changed vs REF, so a
-    PR gate pays for its own changes, not the whole tree."""
-
-    LEAKY = (
-        "def open_wrapped(uri):\n"
-        "    store = open_store(uri)\n"
-        "    return Wrapper(store)\n"
-    )
-    CLEAN = "def nothing():\n    return None\n"
-
-    @pytest.fixture
-    def repo(self, tmp_path, monkeypatch):
-        (tmp_path / "storage").mkdir()
-        (tmp_path / "storage" / "a.py").write_text(self.CLEAN)
-        # b.py carries a pre-existing violation that --diff must skip.
-        (tmp_path / "storage" / "b.py").write_text(self.LEAKY)
-        _git(tmp_path, "init", "-q")
-        _git(tmp_path, "add", ".")
-        _git(tmp_path, "commit", "-qm", "seed")
-        monkeypatch.chdir(tmp_path)
-        return tmp_path
-
-    def test_no_changes_is_a_clean_noop(self, repo, capsys):
-        code = main(["lint", "storage", "--diff", "HEAD"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "no changed python files" in out
-
-    def test_only_changed_files_are_linted(self, repo, capsys):
-        (repo / "storage" / "a.py").write_text(self.LEAKY)
-        code = main(["lint", "storage", "--diff", "HEAD"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "storage/a.py" in out  # the new violation gates
-        assert "storage/b.py" not in out  # the old one is out of scope
-
-    def test_changes_outside_the_lint_paths_are_ignored(self, repo,
-                                                        capsys):
-        (repo / "elsewhere").mkdir()
-        (repo / "elsewhere" / "c.py").write_text(self.LEAKY)
-        _git(repo, "add", "elsewhere")
-        code = main(["lint", "storage", "--diff", "HEAD"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "no changed python files" in out
-
-    def test_unknown_ref_is_usage_error(self, repo, capsys):
-        code = main(["lint", "storage", "--diff", "no-such-ref"])
-        assert code == 2
-        assert "git diff no-such-ref failed" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from repro.bench.targets import LocalFFSTarget
 from repro.bench.timing import QUANTUM_FIREBALL_CT10, DiskModel, LatencyModel
 from repro.bench.workloads import SourceTreeSpec, generate_source_tree
 from repro.fs.ffs import FFS
+from repro.nfs.client import MAX_DATA
 from repro.rpc.transport import InProcessTransport, TransportStats
 from repro.storage.base import BlockDeviceStats
 
@@ -51,6 +52,58 @@ class TestTargets:
         g.write(b"ab")
         g.flush()
         assert built.target.file_size("/x") == 2
+
+
+class TestLocalFile:
+    """``LocalFFSTarget`` files are :class:`RemoteFile` over direct FFS
+    calls: the same stdio buffering the NFS targets get."""
+
+    @pytest.fixture
+    def target(self):
+        fs = FFS()
+        calls = []
+        write = fs.write
+
+        def counted_write(ino, offset, data):
+            calls.append((offset, len(data)))
+            return write(ino, offset, data)
+
+        fs.write = counted_write
+        target = LocalFFSTarget(fs)
+        target.writes = calls
+        return target
+
+    def test_putc_goes_out_in_buffer_sized_chunks(self, target):
+        f = target.create_file("/c")
+        target.writes.clear()  # creating the file is not the stdio buffer's
+        payload = bytes(i % 251 for i in range(2 * MAX_DATA + 10))
+        for byte in payload:
+            f.putc(byte)
+        assert target.writes == [(0, MAX_DATA), (MAX_DATA, MAX_DATA)]
+        f.flush()
+        assert target.writes[-1] == (2 * MAX_DATA, 10)
+        assert target.open_file("/c").read(len(payload) + 1) == payload
+
+    def test_read_sees_unflushed_writes(self, target):
+        f = target.create_file("/u")
+        target.writes.clear()
+        f.write(b"abc")
+        assert target.writes == []
+        f.seek(0)
+        assert f.read(3) == b"abc"
+        assert target.file_size("/u") == 3
+
+    def test_rewrite_in_place_keeps_the_size(self, target):
+        f = target.create_file("/r")
+        f.write(bytes(100))
+        f.flush()
+        g = target.open_file("/r")
+        assert g.read(10) == bytes(10)
+        g.seek(0)
+        g.write(b"XY")
+        g.flush()
+        assert target.file_size("/r") == 100
+        assert target.open_file("/r").read(4) == b"XY\0\0"
 
 
 class TestBonnie:

@@ -5,7 +5,7 @@ import pytest
 from repro.core.credentials import (
     CredentialIssuer,
     CredentialSpec,
-    extract_handle_and_rights,
+    extract_grant,
     issue_credential,
 )
 from repro.core.permissions import Permission
@@ -119,7 +119,7 @@ class TestDelegation:
         delegated = bob.delegate(original, alice_id, rights="RX")
         assertion = parse_assertion(delegated)
         verify_assertion(assertion)
-        handle, rights = extract_handle_and_rights(assertion)
+        handle, rights, _subtree = extract_grant(assertion)
         assert handle == "5.2"
         assert rights.value == "RX"
 
@@ -127,7 +127,7 @@ class TestDelegation:
                                                   bob_id, alice_id):
         original = issue_credential(admin_key, bob_id, handle="5.2", rights="RW")
         delegated = CredentialIssuer(bob_key).delegate(original, alice_id)
-        _h, rights = extract_handle_and_rights(parse_assertion(delegated))
+        _h, rights, _s = extract_grant(parse_assertion(delegated))
         assert rights.value == "RW"
 
     def test_grant_helper(self, bob_key, alice_id):
@@ -149,7 +149,7 @@ class TestExtraction:
         )
         assertion = parse_assertion(sign_assertion(body, bob_key))
         with pytest.raises(CredentialError):
-            extract_handle_and_rights(assertion)
+            extract_grant(assertion)
 
     def test_extract_no_conditions(self, bob_key):
         from repro.crypto.keycodec import encode_public_key
@@ -158,7 +158,7 @@ class TestExtraction:
         body = f'Authorizer: "{encode_public_key(bob_key)}"\nLicensees: "x"\n'
         assertion = parse_assertion(sign_assertion(body, bob_key))
         with pytest.raises(CredentialError):
-            extract_handle_and_rights(assertion)
+            extract_grant(assertion)
 
 
 class TestConditionsText:

@@ -136,30 +136,6 @@ class TestBlockCipher:
         with pytest.raises(CryptoError):
             BlockCipher(b"tiny")
 
-    def test_cbc_roundtrip(self):
-        bc = self.make()
-        data = bytes(range(128))
-        iv = b"\x42" * 16
-        assert bc.decrypt_cbc(bc.encrypt_cbc(data, iv), iv) == data
-
-    def test_cbc_iv_matters(self):
-        bc = self.make()
-        data = bytes(32)
-        assert bc.encrypt_cbc(data, b"\x00" * 16) != bc.encrypt_cbc(data, b"\x01" * 16)
-
-    def test_cbc_chaining(self):
-        bc = self.make()
-        # Identical plaintext blocks must encrypt differently under CBC.
-        ct = bc.encrypt_cbc(bytes(32), b"\x07" * 16)
-        assert ct[:16] != ct[16:]
-
-    def test_cbc_alignment_enforced(self):
-        bc = self.make()
-        with pytest.raises(CryptoError):
-            bc.encrypt_cbc(b"x" * 15, b"\x00" * 16)
-        with pytest.raises(CryptoError):
-            bc.decrypt_cbc(b"x" * 16, b"\x00" * 8)
-
 
 class TestDeriveKey:
     def test_length(self):

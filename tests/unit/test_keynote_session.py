@@ -101,37 +101,33 @@ class TestCredentialManagement:
 
 
 class TestActionAttributes:
-    def test_session_attributes_merged(self):
-        s = KeyNoteSession()
-        s.add_policy(
-            'Authorizer: "POLICY"\nLicensees: "a"\n'
-            'Conditions: app_domain == "DisCFS";\n'
-        )
-        s.add_action_attribute("app_domain", "DisCFS")
-        assert s.query({}, ["a"]) == "true"
+    """A query's action attributes are exactly the ones it is given: the
+    session keeps none between queries."""
 
-    def test_query_attributes_override_session(self):
+    def _session(self, conditions):
         s = KeyNoteSession()
         s.add_policy(
-            'Authorizer: "POLICY"\nLicensees: "a"\nConditions: x == "q";\n'
+            f'Authorizer: "POLICY"\nLicensees: "a"\nConditions: {conditions};\n'
         )
-        s.add_action_attribute("x", "session")
+        return s
+
+    def test_attributes_do_not_outlive_their_query(self):
+        s = self._session('x == "q"')
         assert s.query({"x": "q"}, ["a"]) == "true"
         assert s.query({}, ["a"]) == "false"
+        assert s.query(None, ["a"]) == "false"
 
-    def test_reserved_names_rejected(self):
-        s = KeyNoteSession()
-        with pytest.raises(KeyNoteError):
-            s.add_action_attribute("_MAX_TRUST", "true")
-        with pytest.raises(KeyNoteError):
-            s.add_action_attribute("", "x")
+    def test_values_are_compared_as_strings(self):
+        s = self._session('n == "5" && @n + 1 == 6')
+        assert s.query({"n": 5}, ["a"]) == "true"
+        assert s.query({"n": "5"}, ["a"]) == "true"
+        assert s.query({"n": 6}, ["a"]) == "false"
 
-    def test_clear_attributes(self):
-        s = KeyNoteSession()
-        s.add_action_attribute("k", "v")
-        s.clear_action_attributes()
-        s.add_policy('Authorizer: "POLICY"\nLicensees: "a"\nConditions: k == "v";\n')
-        assert s.query({}, ["a"]) == "false"
+    def test_caller_action_is_left_alone(self):
+        s = self._session('n == "5"')
+        action = {"n": 5}
+        assert s.query_with_trace(action, ["a"])[0] == "true"
+        assert action == {"n": 5}
 
 
 class TestQueryDefaults:

@@ -1,9 +1,17 @@
 """Unit tests for RPC transports."""
 
+import threading
+import time
+
 import pytest
 
 from repro.errors import TransportError
-from repro.rpc.transport import InProcessTransport, TCPTransport, serve_tcp
+from repro.rpc.transport import (
+    InProcessTransport,
+    PipelinedTCPTransport,
+    TCPTransport,
+    serve_tcp,
+)
 
 pytestmark = pytest.mark.filterwarnings(
     "error::pytest.PytestUnhandledThreadExceptionWarning")
@@ -80,6 +88,125 @@ class TestTCPTransport:
             for _ in range(10):
                 client.call(b"x")
         client.close()
+
+
+def _request(xid: int, body: bytes = b"fast") -> bytes:
+    """A request the echo handlers below answer with itself; its first
+    four bytes are the xid the pipelined transport matches replies on."""
+    return xid.to_bytes(4, "big") + body
+
+
+@pytest.mark.parametrize("transport", [TCPTransport, PipelinedTCPTransport])
+class TestConnectionLifecycle:
+    """A failed call drops its connection and the next call dials a new
+    one, on both TCP transports; a closed transport stays closed."""
+
+    @pytest.fixture
+    def slow_echo(self):
+        """An echo server that holds requests ending in ``slow`` until
+        released; yields (server, release event, slow requests seen)."""
+        release = threading.Event()
+        seen = []
+
+        def handler(req):
+            if req.endswith(b"slow"):
+                seen.append(req)
+                release.wait(5.0)
+            return req
+
+        server = serve_tcp(handler)
+        yield server, release, seen
+        release.set()
+        server.close()
+
+    def test_late_reply_is_never_read_as_the_next(self, transport, slow_echo):
+        server, release, _seen = slow_echo
+        client = transport(*server.address, timeout=0.2)
+        with pytest.raises(TransportError):
+            client.call(_request(1, b"slow"))
+        release.set()
+        time.sleep(0.1)  # the late reply goes out, to a dropped connection
+        for xid in range(2, 7):
+            assert client.call(_request(xid)) == _request(xid)
+        client.close()
+
+    def test_failed_call_is_not_retried(self, transport, slow_echo):
+        server, release, seen = slow_echo
+        client = transport(*server.address, timeout=0.2)
+        with pytest.raises(TransportError):
+            client.call(_request(1, b"slow"))
+        release.set()
+        assert client.call(_request(2)) == _request(2)
+        assert seen == [_request(1, b"slow")]
+        client.close()
+
+    def test_failed_redial_is_a_transport_error(self, transport):
+        server = serve_tcp(lambda req: req)
+        client = transport(*server.address, timeout=1.0)
+        assert client.call(_request(1)) == _request(1)
+        server.close()
+        errors = []
+        for xid in (2, 3):
+            with pytest.raises(TransportError) as exc:
+                client.call(_request(xid))
+            errors.append(str(exc.value))
+        assert "re-dial failed" in errors[-1]
+        client.close()
+
+    def test_restarted_server_is_redialed(self, transport):
+        server = serve_tcp(lambda req: req)
+        host, port = server.address
+        client = transport(host, port, timeout=1.0)
+        assert client.call(_request(1)) == _request(1)
+        server.close()
+        with pytest.raises(TransportError):
+            client.call(_request(2))
+        served = []
+        server = serve_tcp(lambda req: served.append(req) or req,
+                           host=host, port=port)
+        try:
+            for xid in range(3, 6):
+                assert client.call(_request(xid)) == _request(xid)
+            assert served == [_request(xid) for xid in range(3, 6)]
+        finally:
+            client.close()
+            server.close()
+
+    def test_close_is_idempotent_and_final(self, transport):
+        server = serve_tcp(lambda req: req)
+        try:
+            client = transport(*server.address)
+            assert client.call(_request(1)) == _request(1)
+            client.close()
+            client.close()
+            with pytest.raises(TransportError, match="transport is closed"):
+                client.call(_request(2))
+        finally:
+            server.close()
+
+    def test_close_wakes_a_blocked_call(self, transport, slow_echo):
+        server, _release, seen = slow_echo
+        client = transport(*server.address, timeout=10.0)
+        outcome = []
+
+        def blocked_call():
+            try:
+                outcome.append(client.call(_request(1, b"slow")))
+            except TransportError as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=blocked_call)
+        caller.start()
+        deadline = time.monotonic() + 2.0
+        while not seen and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert seen, "the call never reached the server"
+        started = time.monotonic()
+        client.close()
+        caller.join(timeout=2.0)
+        assert not caller.is_alive()
+        assert time.monotonic() - started < 2.0
+        assert len(outcome) == 1 and isinstance(outcome[0], TransportError)
 
 
 class TestRecordMarking:

@@ -9,9 +9,11 @@ down:
   and concurrent mounts of the same composite;
 * quorum-W writes return at the 2nd-fastest replica while the straggler
   completes on its background lane (and ``drain``/``flush`` wait);
-* one pipelined connection serves a mount — sequential and concurrent
-  calls alike — re-dials only after it broke, and a closed connection
-  really closes (its reader, the server's thread and the socket end);
+* one connection serves a mount — sequential and concurrent calls
+  alike — re-dials only after it broke (a failed call, blocking or
+  pipelined, never leaves its reply for the next), and a closed
+  connection really closes (its reader, the server's thread and the
+  socket end);
 * one dead/slow node fails its own operations without starving its
   siblings;
 * a shard child that fails ``flush``/``close`` no longer prevents its
@@ -264,8 +266,9 @@ def _wait_for_threads_to_end(before: set, timeout: float = 2.0) -> set:
 
 
 class TestOneConnection:
-    """One pipelined connection per mount: reuse, re-dial after
-    breakage, remount, and a close that actually closes."""
+    """One connection per mount: reuse, re-dial after breakage (a
+    timeout or a restarted node, on both TCP transports), remount, and a
+    close that actually closes."""
 
     @pytest.fixture
     def server(self):
@@ -362,6 +365,56 @@ class TestOneConnection:
                 store.read(1)
             store.close()
         assert not _wait_for_threads_to_end(before)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_timed_out_call_does_not_poison_the_next(self, workers):
+        slow = DelayedBlockStore(MemoryBlockStore(BLOCKS, BS))
+        server = serve_store(slow, workers=4)
+        host, port = server.address
+        store = open_store(
+            f"remote://{host}:{port}?workers={workers}&timeout=0.2")
+        store.write(1, b"a" * BS)
+        store.write(2, b"b" * BS)
+        slow.delay_ms = 400.0
+        with pytest.raises(StoreUnavailable):
+            store.read(1)
+        slow.delay_ms = 0.0
+        time.sleep(0.4)  # the late reply goes out, to a dropped connection
+        # Every later call gets its own reply.
+        for _ in range(5):
+            assert store.read(2) == b"b" * BS
+            assert store.read(1) == b"a" * BS
+        store.close()
+        server.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_restarted_node_is_redialed(self, workers):
+        backing = MemoryBlockStore(BLOCKS, BS)
+        server = serve_store(backing, workers=4)
+        host, port = server.address
+        store = open_store(f"remote://{host}:{port}?workers={workers}")
+        store.write(1, b"r" * BS)
+        server.close()
+        # The node is down: one call meets the old connection's end, the
+        # next a failed re-dial.
+        for _ in range(2):
+            with pytest.raises(StoreUnavailable):
+                store.read(1)
+        server = serve_store(backing, host=host, port=port, workers=4)
+        for _ in range(5):
+            assert store.read(1) == b"r" * BS
+        store.close()
+        server.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_call_after_close_is_refused(self, server, workers):
+        host, port = server.address
+        store = open_store(f"remote://{host}:{port}?workers={workers}")
+        store.read(0)
+        transport = store._client.transport
+        store.close()
+        with pytest.raises(TransportError, match="transport is closed"):
+            transport.call(b"\0" * 8)
 
 
 class TestFailureIsolation:
