@@ -9,8 +9,8 @@ server records one span per proc with the queue-wait vs. service-time
 split; :func:`mark_request_received` is how the transport layer hands
 the receive timestamp across the worker-pool boundary.  Inside one
 process the active context is a :mod:`contextvars` variable, and
-:class:`ContextExecutor` carries it across every pool hop on the
-client side.
+:class:`ContextExecutor` and :class:`ContextLane` carry it across every
+pool hop on the client side.
 
 Spans land in a process-wide :class:`TraceRecorder`: a bounded ring
 buffer plus an optional JSON-lines log (``store-serve --trace-log``).
@@ -23,14 +23,17 @@ from __future__ import annotations
 import contextvars
 import json
 import os
+import queue
 import threading
 import time
+import weakref
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Any, Callable, TypeVar
 
 __all__ = [
     "ContextExecutor",
+    "ContextLane",
     "InlineExecutor",
     "Span",
     "SpanContext",
@@ -92,10 +95,10 @@ def current_context() -> SpanContext | None:
 class use_context:
     """Context manager installing ``ctx`` as the active span context.
 
-    Every pool that runs a caller's work (``replica://`` lanes,
-    ``shard://`` fan-out, reshard movers, ``call_async``) is a
-    :class:`ContextExecutor`, so a context activated here is visible to
-    every child dispatch.
+    Every pool that runs a caller's work is a :class:`ContextExecutor`
+    (``shard://`` fan-out, reshard movers, ``call_async``) or a
+    :class:`ContextLane` (``replica://``), so a context activated here
+    is visible to every child dispatch.
     """
 
     def __init__(self, ctx: SpanContext | None) -> None:
@@ -128,6 +131,57 @@ class ContextExecutor(ThreadPoolExecutor):
                               *args, **kwargs)
 
 
+class ContextLane:
+    """One daemon thread running tasks in submission order, each in the
+    context copied at ``submit``, with no :class:`Future`: a task reports
+    its own outcome and must not raise.  The thread starts with the first
+    task and holds only the queue, so an unclosed lane ends it when
+    collected; ``close`` lets queued tasks finish, then ``submit`` raises
+    :class:`RuntimeError`."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.closed = False
+        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self._stop = weakref.finalize(self, self._tasks.put, None)
+        self._lock = threading.Lock()
+        self._thread: threading.Thread | None = None
+        self._submitted, self._ran = 0, [0]  # _ran: the thread's count
+
+    @property
+    def waking(self) -> bool:
+        """Whether tasks are queued while none runs: the thread has yet
+        to take one up."""
+        return self._submitted - self._ran[0] == self._tasks.qsize() > 0
+
+    def submit(self, fn: Callable[[], object]) -> None:
+        task = (contextvars.copy_context(), fn)
+        with self._lock:
+            if self.closed:
+                raise RuntimeError(f"lane {self.name} is closed")
+            self._submitted += 1
+            self._tasks.put(task)
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=_run_lane, args=(self._tasks, self._ran),
+                    name=self.name, daemon=True)
+                self._thread.start()
+
+    def close(self) -> None:
+        with self._lock:
+            self.closed = True
+            self._stop()  # the end-of-tasks mark, queued once
+        if self._thread is not None:
+            self._thread.join()
+
+
+def _run_lane(tasks: queue.SimpleQueue, ran: list[int]) -> None:
+    while (task := tasks.get()) is not None:
+        task[0].run(task[1])
+        ran[0] += 1
+        del task  # idle, hold nothing that keeps the lane's owner alive
+
+
 class InlineExecutor(Executor):
     """An executor that runs each task on the submitting thread.
 
@@ -135,8 +189,8 @@ class InlineExecutor(Executor):
     written against a pool — submit, then read results or attach done
     callbacks — runs strictly sequentially over this one, in the
     caller's context, with no thread started.  The ``fanout=1`` mode of
-    ``replica://`` and ``shard://`` is this executor in place of their
-    pools: one code path, two schedules.
+    ``shard://`` is this executor in place of its pool: one code path,
+    two schedules.
     """
 
     def submit(self, fn: Callable[..., _T], /, *args: Any,

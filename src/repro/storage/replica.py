@@ -10,20 +10,22 @@ assumes of its IPFS substrate.
 The fan-out is **concurrent** by default: writes are issued to every
 child in parallel and the call returns as soon as ``W`` children have
 accepted, so latency tracks the ``W``-th fastest replica instead of the
-slowest.  Stragglers finish on a background lane (counted in
+slowest.  Stragglers finish in the background (counted in
 :attr:`ReplicaStats.background_writes`); :meth:`drain`/``flush`` wait
 for them.  Reads dispatch ``R`` children *concurrently* (instead of one
 after another) and recruit the next child whenever one fails; all ``R``
 answers are still required, so a slow-but-alive child inside the chosen
 ``R`` bounds the read unless ``hedge_ms`` recruits one more.
-Each child has its own single-thread lane, so operations against one
-replica always apply in submission order — a straggler from batch 17
-can never land on top of batch 18 — while different replicas overlap
-freely.  A lane is a :class:`~repro.obs.trace.ContextExecutor`, so an
-active trace span parents the child's spans.  ``fanout=1`` (the
-fanout ablation's baseline) makes every lane an
-:class:`~repro.obs.trace.InlineExecutor`, which runs each child
-operation on the caller's thread: the same path, strictly sequential.
+Each child has its own lane (:class:`~repro.obs.trace.ContextLane`),
+one thread running that child's tasks in submission order — a
+straggler from batch 17 can never land on top of batch 18 — while
+different replicas overlap freely.  A call posts its child tasks to the
+lanes; each puts ``(idx, exc, result)`` on the call's own queue, which
+the caller reads until its quorum is decided.  A task runs in the
+context copied when it was posted, so an active trace span parents the
+child's spans.  ``fanout=1`` (the fanout ablation's baseline) has no
+lanes and runs each task on the caller's thread: the same path,
+strictly sequential.
 
 Freshness is decided by per-block **version stamps**: a counter bumped on
 every write and recorded per child.  A child that missed a write (it was
@@ -57,8 +59,9 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
+from functools import partial
+from queue import Empty, SimpleQueue
 from typing import Callable
 
 from repro.errors import (
@@ -69,7 +72,7 @@ from repro.errors import (
     RateLimited,
     StoreUnavailable,
 )
-from repro.obs.trace import ContextExecutor, InlineExecutor
+from repro.obs.trace import ContextLane
 from repro.storage.base import BlockStore, Capabilities, T, WrapperBlockStore
 
 #: An outage: the only child outcome the quorum fails over.
@@ -81,6 +84,9 @@ _REPAIR_REFUSALS = (*_CHILD_FAILURES, AuthError, QuotaExceeded, RateLimited)
 #: Version of the stamps-sidecar JSON format (``#stamps=PATH``).
 _STAMPS_FORMAT = 1
 
+#: Lets runnable threads take the CPU (and the interpreter lock).
+_yield_cpu = getattr(os, "sched_yield", lambda: time.sleep(0))
+
 
 @dataclass
 class ReplicaStats:
@@ -90,8 +96,8 @@ class ReplicaStats:
     degraded_reads: int = 0     # read quorums assembled past >=1 failure
     repaired_blocks: int = 0    # blocks rewritten onto lagging children
     child_failures: int = 0     # individual child operations that failed
-    background_writes: int = 0  # child writes that finished after quorum-W
-                                # already let the caller continue
+    background_writes: int = 0  # child writes the caller did not wait
+                                # for: n - w per fault-free write
     hedged_reads: int = 0       # extra reads dispatched past hedge_ms
 
     def reset(self) -> None:
@@ -132,8 +138,8 @@ class Quorum:
 class ReplicatedBlockStore(BlockStore):
     """Write-fan-out / read-quorum replication over ``children``.
 
-    ``fanout`` controls concurrency: ``1`` runs every lane inline on
-    the caller's thread; any larger value (or ``None``, the default)
+    ``fanout`` controls concurrency: ``1`` runs every child task inline
+    on the caller's thread; any larger value (or ``None``, the default)
     gives every child its own ordered lane and overlaps them.  Replica
     ordering needs a full lane per child, so the knob is effectively
     sequential-vs-concurrent rather than a width.
@@ -194,16 +200,10 @@ class ReplicatedBlockStore(BlockStore):
         #: Guards _clock, _versions, and replica_stats against the
         #: background lanes.
         self._lock = threading.Lock()
-        #: One ordered lane per child (its thread starts on the first
-        #: submit); the sequential mode runs every lane inline instead.
-        self._lanes = [
-            ContextExecutor(max_workers=1, thread_name_prefix=f"replica-{idx}")
-            if self._concurrent else InlineExecutor()
-            for idx in range(n)
-        ]
-        #: Child operations in flight (foreground + background).
-        self._pending = 0
-        self._drain_cv = threading.Condition()
+        #: One ordered lane per child; the sequential mode has none and
+        #: runs every task inline.
+        self._lanes = ([ContextLane(f"replica-{idx}") for idx in range(n)]
+                       if self._concurrent else [])
 
     # -- lanes -------------------------------------------------------------
 
@@ -211,38 +211,42 @@ class ReplicatedBlockStore(BlockStore):
     def _concurrent(self) -> bool:
         return self.fanout > 1 and len(self.children) > 1
 
-    def _submit_child(self, idx: int, fn) -> Future:
-        """Queue ``fn`` on child ``idx``'s ordered lane."""
-        with self._drain_cv:
-            self._pending += 1
-        try:
-            fut = self._lanes[idx].submit(fn)
-        except BaseException:
-            with self._drain_cv:
-                self._pending -= 1
-                self._drain_cv.notify_all()
-            raise
-        fut.add_done_callback(self._one_done)
-        return fut
+    def _post(self, idx: int, done: SimpleQueue,
+              fn: Callable[[], object]) -> None:
+        """Run ``fn`` on child ``idx``'s lane after every task posted
+        there before it (at once, inline, without lanes); its outcome
+        lands on ``done``."""
+        def task() -> None:
+            try:
+                result = fn()
+            except BaseException as exc:  # the caller re-raises it
+                done.put((idx, exc, None))
+            else:
+                done.put((idx, None, result))
 
-    def _one_done(self, _fut: Future) -> None:
-        with self._drain_cv:
-            self._pending -= 1
-            self._drain_cv.notify_all()
+        if self._lanes:
+            self._lanes[idx].submit(task)
+        else:
+            task()
 
-    def _child_op(self, idx: int, fn):
-        """Run ``fn(child)`` in order with that child's queued writes."""
-        return self._submit_child(
-            idx, lambda: fn(self.children[idx])
-        ).result()
+    def _gather(self, tasks: dict[int, Callable[[], object]]
+                ) -> list[tuple[int, BaseException | None, object]]:
+        """Run one task per child, overlapped, and wait for all of them:
+        the outcomes in child order."""
+        if not tasks:
+            return []
+        done: SimpleQueue = SimpleQueue()
+        for idx, fn in tasks.items():
+            self._post(idx, done, fn)
+        return sorted((done.get() for _ in tasks), key=lambda o: o[0])
 
     def drain(self) -> None:
-        """Wait until no child operation (background included) is in
-        flight — the barrier ``flush``/``close`` use so quorum-W returns
-        never outrun durability."""
-        with self._drain_cv:
-            while self._pending:
-                self._drain_cv.wait()
+        """Wait until every task posted so far (background writes
+        included) has run — one no-op task per open lane, the barrier
+        ``flush``/``close`` use so quorum-W returns never outrun durability."""
+        self._gather({idx: lambda: None
+                      for idx, lane in enumerate(self._lanes)
+                      if not lane.closed})
 
     # -- stamp persistence -------------------------------------------------
 
@@ -330,11 +334,19 @@ class ReplicatedBlockStore(BlockStore):
                         scheduled.pop(block_no, None)
 
     def _child_write(self, idx: int, items: list[tuple[int, bytes]],
-                     version: int) -> None:
+                     version: int, degraded: list[int]) -> None:
+        """One child's share of a write.  It counts its own outage: the
+        caller stops listening at quorum.  ``degraded`` is per write."""
         try:
             self.children[idx].write_many(items)
-        except BaseException:
+        except BaseException as exc:
             self._withdraw_scheduled(idx, items, version)
+            if isinstance(exc, _CHILD_FAILURES):
+                with self._lock:
+                    self.replica_stats.child_failures += 1
+                    if not degraded:
+                        degraded.append(idx)
+                        self.replica_stats.degraded_writes += 1
             raise
         with self._lock:
             stamps = self._versions[idx]
@@ -346,60 +358,47 @@ class ReplicatedBlockStore(BlockStore):
                     scheduled[block_no] = version
 
     def _put_many(self, items: list[tuple[int, bytes]]) -> None:
+        n = len(self.children)
+        need = self.write_quorum
         with self._lock:
             self._clock += 1
             version = self._clock
             self._stamps_dirty = True
-        n = len(self.children)
-        need = self.write_quorum
-        cv = threading.Condition()
-        state = {"ok": 0, "fail": 0, "done": 0, "fatal": None,
-                 "degraded": False}
-
-        def on_done(fut: Future) -> None:
-            exc = fut.exception()
-            with cv:
-                state["done"] += 1
-                if exc is None:
-                    state["ok"] += 1
-                elif isinstance(exc, _CHILD_FAILURES):
-                    state["fail"] += 1
-                    with self._lock:
-                        self.replica_stats.child_failures += 1
-                        if not state["degraded"]:
-                            state["degraded"] = True
-                            self.replica_stats.degraded_writes += 1
-                else:
-                    if state["fatal"] is None:
-                        state["fatal"] = exc
-                cv.notify_all()
-
-        for idx in range(n):
-            with self._lock:
-                scheduled = self._scheduled[idx]
+            for scheduled in self._scheduled:
                 for block_no, _data in items:
-                    if scheduled.get(block_no, 0) < version:
-                        scheduled[block_no] = version
+                    scheduled[block_no] = version  # the newest stamp yet
+        done: SimpleQueue = SimpleQueue()
+        degraded: list[int] = []
+        for idx in range(n):
             try:
-                self._submit_child(
-                    idx,
-                    lambda idx=idx: self._child_write(idx, items, version),
-                ).add_done_callback(on_done)
+                self._post(idx, done, partial(self._child_write, idx, items,
+                                              version, degraded))
             except BaseException:
-                # Nothing was queued: withdraw the scheduled promise so
-                # a later read still repairs this child.
-                self._withdraw_scheduled(idx, items, version)
+                # Nothing was queued from here on: withdraw the scheduled
+                # promises so a later read still repairs these children.
+                for rest in range(idx, n):
+                    self._withdraw_scheduled(rest, items, version)
                 raise
 
-        with cv:
-            while (state["fatal"] is None and state["ok"] < need
-                   and state["fail"] <= n - need and state["done"] < n):
-                cv.wait()
-            ok, fatal = state["ok"], state["fatal"]
-            background = n - state["done"]
-        if background:
+        ok = failed = heard = 0
+        fatal: BaseException | None = None
+        while fatal is None and ok < need and failed <= n - need:
+            _idx, exc, _result = done.get()
+            heard += 1
+            if exc is None:
+                ok += 1
+            elif isinstance(exc, _CHILD_FAILURES):
+                failed += 1
+            else:
+                fatal = exc
+        if self._lanes:
+            # Under the interpreter lock this thread could run on and
+            # starve an idle lane that has yet to take up its write; hand
+            # the CPU over until each has, so no write is left unstarted.
+            while any(lane.waking for lane in self._lanes):
+                _yield_cpu()
             with self._lock:
-                self.replica_stats.background_writes += background
+                self.replica_stats.background_writes += n - heard
         if fatal is not None:
             raise fatal
         if ok < need:
@@ -429,9 +428,9 @@ class ReplicatedBlockStore(BlockStore):
         self, block_nos: list[int]
     ) -> tuple[list[tuple[int, list[bytes]]], int]:
         """Race the read quorum: R children in flight at once, the next
-        child dispatched whenever one fails, first R answers win.  Over
-        inline lanes each dispatch has answered before the next, so the
-        race is the sequential read-until-R loop.
+        child dispatched whenever one fails, first R answers win.  Without
+        lanes each dispatch has answered before the next, so the race is
+        the sequential read-until-R loop.
 
         With ``hedge_ms`` set, a round that produces no answer within
         the budget recruits **one** extra child beyond the chosen R —
@@ -439,59 +438,49 @@ class ReplicatedBlockStore(BlockStore):
         alive (a dead child already triggers recruitment via failure).
         """
         n = len(self.children)
+        done: SimpleQueue = SimpleQueue()
         responses: list[tuple[int, list[bytes]]] = []
-        failed = 0
-        pending: dict[Future, int] = {}
-        next_idx = 0
+        failed = in_flight = dispatched = 0
 
-        def submit_next() -> None:
-            nonlocal next_idx
-            if next_idx >= n:
-                return
-            idx = next_idx
-            next_idx += 1
-            fut = self._submit_child(
-                idx, lambda idx=idx: self.children[idx].read_many(block_nos)
-            )
-            pending[fut] = idx
+        def dispatch_next() -> bool:
+            nonlocal in_flight, dispatched
+            if dispatched >= n:
+                return False
+            child = self.children[dispatched]
+            self._post(dispatched, done, partial(child.read_many, block_nos))
+            dispatched += 1
+            in_flight += 1
+            return True
 
-        for _ in range(min(self.read_quorum, n)):
-            submit_next()
-        hedge_armed = self.hedge_ms is not None and next_idx < n
-        fatal: BaseException | None = None
-        while pending and len(responses) < self.read_quorum and fatal is None:
-            timeout = self.hedge_ms / 1000.0 if hedge_armed else None
-            done, _running = wait(list(pending), timeout=timeout,
-                                  return_when=FIRST_COMPLETED)
-            if not done:
+        for _ in range(self.read_quorum):
+            dispatch_next()
+        hedge = (self.hedge_ms / 1000.0
+                 if self.hedge_ms is not None and dispatched < n else None)
+        while in_flight and len(responses) < self.read_quorum:
+            try:
+                idx, exc, datas = done.get(timeout=hedge)
+            except Empty:
                 # Hedge budget elapsed with a slow-but-alive child still
                 # holding up the quorum: dispatch one extra read.  Count
                 # only when a spare child actually existed to dispatch
                 # (failures may have exhausted the list meanwhile).
-                hedge_armed = False
-                dispatched_before = next_idx
-                submit_next()
-                if next_idx > dispatched_before:
+                hedge = None
+                if dispatch_next():
                     with self._lock:
                         self.replica_stats.hedged_reads += 1
                 continue
-            for fut in done:
-                idx = pending.pop(fut)
-                exc = fut.exception()
-                if exc is None:
-                    responses.append((idx, fut.result()))
-                elif isinstance(exc, _CHILD_FAILURES):
-                    failed += 1
-                    with self._lock:
-                        self.replica_stats.child_failures += 1
-                    submit_next()
-                elif fatal is None:
-                    fatal = exc
-        if fatal is not None:
-            raise fatal
-        # Late extra answers (two children finishing together) are kept:
-        # more responders can only improve freshness.  Sort by child
-        # index so tie-breaks do not depend on who answered first.
+            in_flight -= 1
+            if exc is None:
+                responses.append((idx, datas))
+            elif isinstance(exc, _CHILD_FAILURES):
+                failed += 1
+                with self._lock:
+                    self.replica_stats.child_failures += 1
+                dispatch_next()
+            else:
+                raise exc
+        # Sort by child index so tie-breaks do not depend on who
+        # answered first.
         responses.sort(key=lambda r: r[0])
         return responses, failed
 
@@ -527,20 +516,19 @@ class ReplicatedBlockStore(BlockStore):
                     upgrades.setdefault(holder, []).append(
                         (pos, best_version)
                     )
-        for holder, entries in upgrades.items():
-            positions = [pos for pos, _version in entries]
-            try:
-                datas = self._child_op(
-                    holder,
-                    lambda c, positions=positions: c.read_many(
-                        [block_nos[pos] for pos in positions]
-                    ),
-                )
-            except _CHILD_FAILURES:
+        fetched = self._gather({
+            holder: partial(self.children[holder].read_many,
+                            [block_nos[pos] for pos, _version in entries])
+            for holder, entries in upgrades.items()
+        })
+        for holder, exc, datas in fetched:
+            if exc is not None:
+                if not isinstance(exc, _CHILD_FAILURES):
+                    raise exc
                 with self._lock:
                     self.replica_stats.child_failures += 1
                 continue  # holder down: serve the responder copy
-            for (pos, version), data in zip(entries, datas):
+            for (pos, version), data in zip(upgrades[holder], datas):
                 out[pos] = data
                 versions[pos] = version
         repairs: dict[int, list[tuple[int, bytes, int]]] = {}
@@ -568,18 +556,19 @@ class ReplicatedBlockStore(BlockStore):
         self, repairs: dict[int, list[tuple[int, bytes, int]]]
     ) -> None:
         """Best-effort write-back of winning copies to lagging children."""
-        for idx, triples in repairs.items():
-            try:
-                self._child_op(
-                    idx,
-                    lambda c, triples=triples: c.write_many(
-                        [(b, data) for b, data, _v in triples]
-                    ),
-                )
-            except _REPAIR_REFUSALS:
+        written = self._gather({
+            idx: partial(self.children[idx].write_many,
+                         [(b, data) for b, data, _v in triples])
+            for idx, triples in repairs.items()
+        })
+        for idx, exc, _result in written:
+            if exc is not None:
+                if not isinstance(exc, _REPAIR_REFUSALS):
+                    raise exc
                 with self._lock:
                     self.replica_stats.child_failures += 1
                 continue  # down or refusing; a later read will retry
+            triples = repairs[idx]
             with self._lock:
                 stamps = self._versions[idx]
                 scheduled = self._scheduled[idx]
@@ -599,14 +588,16 @@ class ReplicatedBlockStore(BlockStore):
                 return True
         # Diverged children (e.g. reopened after independent histories)
         # may hold the block on any replica: OR across the reachable
-        # ones.  Through _child_op so the probe queues in order with any
-        # in-flight background writes instead of racing them.
-        for idx in range(len(self.children)):
-            try:
-                if self._child_op(idx, lambda c: c._contains(block_no)):
-                    return True
-            except _CHILD_FAILURES:
-                continue
+        # ones, in child order.  Through the lanes, so each probe queues
+        # behind that child's in-flight writes instead of racing them.
+        for _idx, exc, found in self._gather({
+            idx: partial(child._contains, block_no)
+            for idx, child in enumerate(self.children)
+        }):
+            if exc is None and found:
+                return True
+            if exc is not None and not isinstance(exc, _CHILD_FAILURES):
+                raise exc
         return False
 
     def flush(self) -> None:
@@ -631,41 +622,34 @@ class ReplicatedBlockStore(BlockStore):
         self.drain()
         self._save_stamps()
         for lane in self._lanes:
-            lane.shutdown(wait=True)
+            lane.close()
         for child in self.children:
             try:
                 child.close()
             except _CHILD_FAILURES:
                 continue
 
+    def _ask_reachable(self, what: str) -> list:
+        """Every reachable child's answer to ``child.<what>()``, each
+        asked in order with that child's queued writes."""
+        answers = []
+        for _idx, exc, answer in self._gather({
+            idx: getattr(child, what)
+            for idx, child in enumerate(self.children)
+        }):
+            if exc is None:
+                answers.append(answer)
+            elif not isinstance(exc, _CHILD_FAILURES):
+                raise exc
+        if not answers:
+            raise StoreUnavailable(f"no replica reachable for {what}()")
+        return answers
+
     def used_blocks(self) -> int:
-        best: int | None = None
-        for idx in range(len(self.children)):
-            try:
-                used = self._child_op(idx, lambda c: c.used_blocks())
-            except _CHILD_FAILURES:
-                continue
-            best = used if best is None else max(best, used)
-        if best is None:
-            raise StoreUnavailable("no replica reachable for used_blocks()")
-        return best
+        return max(self._ask_reachable("used_blocks"))
 
     def used_block_numbers(self) -> list[int]:
-        numbers: set[int] = set()
-        reachable = 0
-        for idx in range(len(self.children)):
-            try:
-                numbers.update(
-                    self._child_op(idx, lambda c: c.used_block_numbers())
-                )
-            except _CHILD_FAILURES:
-                continue
-            reachable += 1
-        if not reachable:
-            raise StoreUnavailable(
-                "no replica reachable for used_block_numbers()"
-            )
-        return sorted(numbers)
+        return sorted(set().union(*self._ask_reachable("used_block_numbers")))
 
     def leaf_stores(self) -> list[BlockStore]:
         return [leaf for c in self.children for leaf in c.leaf_stores()]

@@ -12,6 +12,7 @@ body simply means "no trace".  No new enum values, no envelope changes.
 from __future__ import annotations
 
 import contextvars
+import gc
 import json
 import threading
 
@@ -28,6 +29,7 @@ from repro.obs import (
 from repro.obs.trace import (
     TRACE_WIRE_MAGIC,
     ContextExecutor,
+    ContextLane,
     InlineExecutor,
     decode_context,
     encode_context,
@@ -216,8 +218,77 @@ class TestContextExecutor:
         assert seen == [ctx] * 4
 
 
+class TestContextLane:
+    """A ``replica://`` child's lane: one thread, tasks in submission
+    order, each in the context copied when it was submitted."""
+
+    def test_tasks_run_in_order_each_in_its_submit_context(self):
+        lane = ContextLane("lane-order")
+        seen = []
+        finished = threading.Event()
+        try:
+            for i in range(50):
+                token = _probe.set(f"task {i}")
+                lane.submit(lambda i=i: seen.append(
+                    (i, _probe.get(), threading.current_thread().name)))
+                _probe.reset(token)
+            # A task's own changes stay in its copy.
+            lane.submit(lambda: _probe.set("left behind"))
+            lane.submit(lambda: seen.append(_probe.get()))
+            lane.submit(finished.set)
+            assert finished.wait(5)
+        finally:
+            lane.close()
+        assert seen[:50] == [(i, f"task {i}", "lane-order")
+                             for i in range(50)]
+        assert seen[50:] == ["unset"]
+        assert _probe.get() == "unset"
+
+    def test_carries_the_active_span(self):
+        lane = ContextLane("lane-span")
+        ctx = new_root_context()
+        seen = []
+        with use_context(ctx):
+            lane.submit(lambda: seen.append(current_context()))
+        lane.close()
+        assert seen == [ctx]
+
+    def test_close_runs_the_queued_tasks_then_ends_the_thread(self):
+        lane = ContextLane("lane-close")
+        gate = threading.Event()
+        seen = []
+        lane.submit(lambda: gate.wait(5))
+        for i in range(5):
+            lane.submit(lambda i=i: seen.append(i))
+        assert not lane.waking and not lane.closed
+        gate.set()
+        lane.close()
+        assert lane.closed and not lane.waking
+        assert seen == [0, 1, 2, 3, 4]
+        assert "lane-close" not in {t.name for t in threading.enumerate()}
+
+    @pytest.mark.parametrize("used", [True, False])
+    def test_submit_after_close_raises(self, used):
+        lane = ContextLane("lane-closed")
+        if used:
+            lane.submit(lambda: None)
+        lane.close()
+        lane.close()  # idempotent
+        with pytest.raises(RuntimeError, match="closed"):
+            lane.submit(lambda: None)
+
+    def test_an_unclosed_lane_ends_its_thread_when_collected(self):
+        lane = ContextLane("lane-dropped")
+        lane.submit(lambda: None)
+        thread = lane._thread
+        del lane
+        gc.collect()
+        thread.join(5)
+        assert not thread.is_alive()
+
+
 class TestInlineExecutor:
-    """The ``fanout=1`` schedule of the replica lanes and the shard pool:
+    """The ``fanout=1`` schedule of the shard pool:
     each task has run, on the caller's thread, when ``submit`` returns."""
 
     def test_runs_on_the_callers_thread_before_submit_returns(self):

@@ -22,6 +22,7 @@ down:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import threading
 import time
@@ -29,7 +30,12 @@ import time
 import pytest
 
 from held_store import HeldBlockStore  # tests/held_store.py
-from repro.errors import QuorumError, StoreUnavailable, TransportError
+from repro.errors import (
+    QuorumError,
+    QuotaExceeded,
+    StoreUnavailable,
+    TransportError,
+)
 from repro.rpc.client import RPCClient
 from repro.rpc.transport import PipelinedTCPTransport
 from repro.storage import (
@@ -43,6 +49,7 @@ from repro.storage import (
     open_store,
     serve_store,
 )
+from repro.storage.base import WrapperBlockStore
 from repro.storage.net import BLOCKSTORE_PROGRAM, BLOCKSTORE_VERSION, READ
 
 BLOCKS = 256
@@ -84,6 +91,21 @@ def _apply(store: BlockStore, steps) -> list:
     return results
 
 
+class _Refusing(WrapperBlockStore):
+    """Answers reads with a typed denial while ``refusing`` is set."""
+
+    scheme = "refusing"
+
+    def __init__(self, child: BlockStore):
+        super().__init__(child)
+        self.refusing = False
+
+    def around(self, op, fn):
+        if self.refusing and op in ("read", "read_many"):
+            raise QuotaExceeded("test child refuses the read")
+        return fn()
+
+
 class TestParallelMatchesSequential:
     """Fan-out must never change answers, only latency."""
 
@@ -121,6 +143,57 @@ class TestParallelMatchesSequential:
             assert len(copies) == 1, block_no
         sequential.close()
         concurrent.close()
+
+    @pytest.mark.parametrize("seed", [5, 41])
+    def test_replica_fanout_equals_sequential_under_faults(self, seed):
+        """Seeded outages, toggled between steps, and one typed denial:
+        the sequential schedule is the oracle for the answers, the
+        per-child stamps and every counter but ``background_writes``."""
+        mounts = {}
+        for mode, fanout in (("sequential", 1), ("concurrent", None)):
+            nodes = [_Refusing(MemoryBlockStore(BLOCKS, BS))
+                     for _ in range(3)]
+            switches = [FailingBlockStore(node) for node in nodes]
+            mounts[mode] = (ReplicatedBlockStore(
+                switches, write_quorum=2, read_quorum=2, fanout=fanout),
+                switches, nodes)
+        rng = random.Random(seed)
+        steps = _seeded_workload(seed, ops=96)
+        denial_at = 48
+        answers: dict[str, list] = {mode: [] for mode in mounts}
+        for step_no, (kind, arg) in enumerate(steps):
+            if step_no % 8 == 0:
+                # One child down at a time, or none -- and none at the
+                # denial, so both modes read children 0 and 1 for it.
+                down = None if step_no == denial_at else rng.choice(
+                    [None, 0, 1, 2])
+                for store, switches, _nodes in mounts.values():
+                    store.drain()
+                    for idx, switch in enumerate(switches):
+                        switch.failing = idx == down
+            for mode, (store, _switches, nodes) in mounts.items():
+                if step_no == denial_at:
+                    nodes[1].refusing = True
+                    with pytest.raises(QuotaExceeded):
+                        store.read_many(list(range(8)))
+                    nodes[1].refusing = False
+                if kind == "write":
+                    store.write_many(arg)
+                else:
+                    answers[mode].append(store.read_many(arg))
+        assert answers["sequential"] == answers["concurrent"]
+        stamps, stats = [], []
+        for store, _switches, _nodes in mounts.values():
+            store.drain()
+            stamps.append(store._versions)
+            counters = dataclasses.asdict(store.replica_stats)
+            del counters["background_writes"]
+            stats.append(counters)
+            store.close()
+        assert stamps[0] == stamps[1]
+        assert stats[0] == stats[1]
+        assert stats[0]["child_failures"] > 0
+        assert stats[0]["repaired_blocks"] > 0
 
     def test_shard_of_slow_children_still_correct(self):
         store = ShardedBlockStore(
@@ -167,6 +240,17 @@ class TestPoolLifetime:
             with pytest.raises(RuntimeError):
                 lane.submit(lambda: None)
 
+    def test_replica_mount_close_cycles_leave_no_lane_threads(self):
+        before = set(threading.enumerate())
+        for cycle in range(20):
+            store = open_store("replica://mem://;mem://;mem://#w=2&r=2")
+            store.write_many([(b, bytes([cycle]) * store.block_size)
+                              for b in range(8)])
+            assert store.read(7) == bytes([cycle]) * store.block_size
+            store.close()
+        alive = _wait_for_threads_to_end(before)
+        assert not [t.name for t in alive if t.name.startswith("replica-")]
+
     def test_shard_close_shuts_down_the_pool(self):
         store = ShardedBlockStore(
             [MemoryBlockStore(64, BS) for _ in range(4)], fanout=4)
@@ -210,6 +294,20 @@ class TestQuorumReturn:
             held.release()
         store.drain()
         assert held.child._get(0) == b"w" * BS
+        store.close()
+
+    @pytest.mark.parametrize("w, per_write", [(2, 1), (3, 0)])
+    def test_background_writes_count_what_the_caller_left(self, w,
+                                                          per_write):
+        """The caller stops listening at quorum: exactly n - w child
+        writes per fault-free write are left to the background."""
+        store = ReplicatedBlockStore(
+            [MemoryBlockStore(64, BS) for _ in range(3)],
+            write_quorum=w, read_quorum=2)
+        for round_no in range(1, 11):
+            store.write_many([(round_no, b"b" * BS)])
+            assert store.replica_stats.background_writes == (
+                per_write * round_no)
         store.close()
 
     def test_flush_waits_for_straggler(self):

@@ -891,6 +891,7 @@ class TestReplicaQuorums:
     def test_write_fans_out_to_all_children(self):
         rep, children = make_replica()
         rep.write(4, b"everywhere")
+        rep.drain()  # the third copy of a w=2 write lands in the background
         for child in children:
             assert child.child.read(4).startswith(b"everywhere")
 
@@ -1036,6 +1037,7 @@ class TestReadRepair:
     def test_repair_waits_until_the_child_heals(self):
         rep, children = make_replica(n=3, w=2, r=2)
         rep.write(2, b"v1")
+        rep.drain()  # child 2 holds v1 before it goes down
         children[2].fail()
         rep.write(2, b"v2")
         # Reads while the child is down must not crash on the failed
