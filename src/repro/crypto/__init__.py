@@ -1,11 +1,12 @@
-"""Pure-Python cryptographic substrate.
+"""Cryptographic substrate.
 
 The DisCFS prototype relied on OpenBSD's libcrypto for DSA keys and
 signatures (credentials carry ``dsa-hex:`` keys and ``sig-dsa-sha1-hex:``
-signatures, see Figure 5 of the paper).  No third-party crypto package is
-available offline, so this package implements the required primitives from
-first principles on top of :mod:`hashlib`:
+signatures, see Figure 5 of the paper).  This package builds the required
+primitives on :mod:`hashlib` and the libcrypto it links, with no
+third-party package:
 
+* :mod:`repro.crypto.libcrypto` — ChaCha20 and ``BN_mod_exp`` via ctypes,
 * :mod:`repro.crypto.numbers` — modular arithmetic and prime generation,
 * :mod:`repro.crypto.dsa` — DSA with deterministic (RFC-6979 style) nonces,
 * :mod:`repro.crypto.rsa` — RSA with PKCS#1 v1.5 style signatures,

@@ -1,4 +1,4 @@
-"""RSA signatures (PKCS#1 v1.5 style) in pure Python.
+"""RSA signatures (PKCS#1 v1.5 style).
 
 KeyNote (RFC 2704) defines ``rsa-hex:`` keys and ``sig-rsa-sha1-hex:``
 signatures alongside DSA; DisCFS can use either.  The benchmark suite uses
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.crypto import numbers
 from repro.crypto.hashes import digest
+from repro.crypto.libcrypto import modexp
 from repro.crypto.numbers import RandomBits, default_random_bits
 from repro.errors import InvalidKey, InvalidSignature
 
@@ -38,7 +39,7 @@ class RSAPublicKey:
         k = (self.n.bit_length() + 7) // 8
         if not 0 <= signature < self.n:
             raise InvalidSignature("signature out of range")
-        em = pow(signature, self.e, self.n).to_bytes(k, "big")
+        em = modexp(signature, self.e, self.n).to_bytes(k, "big")
         expected = _emsa_pkcs1_v15(message, k, hash_name)
         if em != expected:
             raise InvalidSignature("RSA signature mismatch")
@@ -72,8 +73,8 @@ class RSAKeyPair:
         dp = self.d % (self.p - 1)
         dq = self.d % (self.q - 1)
         qinv = numbers.modinv(self.q, self.p)
-        m1 = pow(m, dp, self.p)
-        m2 = pow(m, dq, self.q)
+        m1 = modexp(m, dp, self.p)
+        m2 = modexp(m, dq, self.q)
         h = (qinv * (m1 - m2)) % self.p
         return m2 + h * self.q
 

@@ -12,8 +12,9 @@ Both signatures cover the full handshake transcript (nonces, DH public
 values, both identities), so neither side can be impersonated and the DH
 exchange cannot be man-in-the-middled by an attacker without one of the
 signature keys.  The DH group is the Schnorr subgroup of the library's
-default DSA parameters (160-bit exponents, 1024-bit modulus), so each
-side's ``g^x`` reads that group's comb table (``DSAParameters.gpow``).
+default DSA parameters (160-bit exponents, 1024-bit modulus); each side
+refuses a peer DH value outside it (``v^q != 1``) before it signs or
+keeps state.  Every power is libcrypto's ``BN_mod_exp``.
 
 The responder learns — and records on the SA — the *initiator's public
 key*: the identity every subsequent request on the channel is attributed
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 
 from repro.crypto.dsa import DEFAULT_PARAMETERS, DSAKeyPair
 from repro.crypto.keycodec import encode_public_key, encode_signature, verify_signature
+from repro.crypto.libcrypto import modexp
 from repro.crypto.numbers import int_to_bytes
 from repro.crypto.rsa import RSAKeyPair
 from repro.errors import HandshakeError, InvalidKey, InvalidSignature
@@ -80,6 +82,16 @@ def _transcript(nonce_i: bytes, nonce_r: bytes, gx: bytes, gy: bytes,
                 id_i: str, id_r: str) -> bytes:
     return _pack_fields(nonce_i, nonce_r, gx, gy,
                         id_i.encode("utf-8"), id_r.encode("utf-8"))
+
+
+def _dh_value(raw: bytes, side: str) -> int:
+    """A peer's DH public value: an element of the order-q subgroup other than 1."""
+    value = int.from_bytes(raw, "big")
+    if not 1 < value < _GROUP.p - 1:
+        raise HandshakeError(f"{side} DH value out of range")
+    if modexp(value, _GROUP.q, _GROUP.p) != 1:
+        raise HandshakeError(f"{side} DH value is not in the subgroup")
+    return value
 
 
 def _identity(raw: bytes) -> str:
@@ -142,15 +154,13 @@ class IKEInitiator:
             raise HandshakeError("expected RESP message")
         spi_raw, nonce_r, gy_raw, id_r_raw, sig_r = _unpack_fields(message[1:], 5)
         spi = _U32.unpack(spi_raw)[0]
-        gy = int.from_bytes(gy_raw, "big")
-        if not 1 < gy < _GROUP.p - 1:
-            raise HandshakeError("responder DH value out of range")
+        gy = _dh_value(gy_raw, "responder")
         id_r = _identity(id_r_raw)
         transcript = _transcript(self._nonce_i, nonce_r, self._gx, gy_raw,
                                  self.identity, id_r)
         _verify(id_r, transcript, sig_r)
 
-        shared = int_to_bytes(pow(gy, self._x, _GROUP.p))
+        shared = int_to_bytes(modexp(gy, self._x, _GROUP.p))
         sa = SecurityAssociation.derive(
             spi=spi,
             shared_secret=shared,
@@ -183,9 +193,7 @@ class IKEResponder:
         nonce_i, gx_raw, id_i_raw = _unpack_fields(message[1:], 3)
         if len(nonce_i) != NONCE_LEN:
             raise HandshakeError("bad initiator nonce length")
-        gx = int.from_bytes(gx_raw, "big")
-        if not 1 < gx < _GROUP.p - 1:
-            raise HandshakeError("initiator DH value out of range")
+        gx = _dh_value(gx_raw, "initiator")
         id_i = _identity(id_i_raw)
 
         y = 2 + secrets.randbelow(_GROUP.q - 3)
@@ -194,7 +202,7 @@ class IKEResponder:
         half = _HalfOpen(
             nonce_i=nonce_i, nonce_r=nonce_r, gx=gx_raw, gy=gy_raw,
             peer_identity=id_i,
-            shared_secret=int_to_bytes(pow(gx, y, _GROUP.p)),
+            shared_secret=int_to_bytes(modexp(gx, y, _GROUP.p)),
         )
         with self._lock:
             spi = secrets.randbits(32) or 1

@@ -4,7 +4,7 @@ from chacha_reference import reference_keystream  # tests/chacha_reference.py
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.cipher import _BATCH, BlockCipher, StreamCipher, derive_key
+from repro.crypto.cipher import BlockCipher, StreamCipher, derive_key
 
 KEY = st.binary(min_size=32, max_size=32)
 NONCE = st.binary(min_size=12, max_size=12)
@@ -22,10 +22,8 @@ _LAST = StreamCipher.MAX_BLOCKS * StreamCipher.BLOCK  # one past the last keystr
            st.integers(min_value=0, max_value=300),
            st.integers(min_value=0, max_value=20_000)))
 def test_batched_keystream_equals_per_block_reference(key, nonce, offset, length):
-    """Lengths reach past the internal batch cap (20 000 B > 256 blocks);
-    offsets are mostly unaligned and go up to the last block the 32-bit
+    """Lengths reach 20 000 B (313 blocks); offsets are mostly unaligned and go up to the last block the 32-bit
     counter can name."""
-    assert 20_000 > _BATCH * 64
     length = min(length, _LAST - offset)
     got = StreamCipher(key, nonce).keystream(offset, length)
     assert got == reference_keystream(key, nonce, offset, length)

@@ -1,9 +1,10 @@
-"""Property tests: the comb-table DSA against the pow-based reference.
+"""Property tests: the libcrypto DSA against the pow-based reference.
 
-``DSAParameters.gpow`` reads a fixed-base table for the library group;
-``tests/dsa_reference.py`` is the code it replaced, one ``pow`` per
+Every power in sign, verify, key generation and IKE is libcrypto's
+``BN_mod_exp`` (``repro.crypto.libcrypto.modexp``);
+``tests/dsa_reference.py`` is the pure-Python code, one ``pow`` per
 exponentiation.  Powers, signatures (bit for bit), verify verdicts and
-IKE's DH public values must all agree.
+IKE's DH public values must all agree, and ``modexp`` must be ``pow``.
 """
 
 from unittest import mock
@@ -16,23 +17,38 @@ from dsa_reference import (  # tests/dsa_reference.py
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import dsa
 from repro.crypto.dsa import DEFAULT_PARAMETERS, DSAKeyPair, generate_dsa_keypair
+from repro.crypto.libcrypto import modexp
 from repro.crypto.numbers import seeded_random_bits
 from repro.errors import InvalidSignature
 from repro.ipsec import ike
 
 P, Q, G = DEFAULT_PARAMETERS.p, DEFAULT_PARAMETERS.q, DEFAULT_PARAMETERS.g
 
-#: 0, 1, q - 1, q and one either side of every comb row boundary.
+#: Bits per digit of the fixed-base comb the library once used: its row
+#: boundaries stay as edge exponents.
+W = 5
+
+#: 0, 1, q - 1, q and one either side of every 5-bit digit boundary.
 EDGES = sorted({0, 1, Q - 1, Q}
-               | {e for k in range(Q.bit_length() // dsa._W + 2)
-                  for e in ((1 << (dsa._W * k)) - 1, (1 << (dsa._W * k)) + 1)
+               | {e for k in range(Q.bit_length() // W + 2)
+                  for e in ((1 << (W * k)) - 1, (1 << (W * k)) + 1)
                   if 0 <= e <= Q})
 EXPONENT = st.one_of(st.sampled_from(EDGES), st.integers(min_value=0, max_value=Q))
 PRIVATE = st.integers(min_value=1, max_value=Q - 1)
 MESSAGE = st.binary(max_size=256)
 HASH = st.sampled_from(["sha1", "sha256"])
+
+
+#: Moduli of every shape: 1, 2, even, odd, a power of two, the group's p.
+MODULUS = st.one_of(
+    st.sampled_from([1, 2, 3, 1 << 64, (1 << 64) + 1, P, P - 1, Q]),
+    st.integers(min_value=1, max_value=1 << 1100))
+#: Bases below, at and far past the modulus, and negative ones.
+BASE = st.one_of(st.sampled_from([0, 1, 2, -1, P - 1, P, P + 1, G]),
+                 st.integers(min_value=-(1 << 1200), max_value=1 << 1200))
+#: Exponents from the edges above up to well past q.
+POWER = st.one_of(st.sampled_from(EDGES), st.integers(min_value=0, max_value=1 << 1100))
 
 
 def keypair(x: int) -> DSAKeyPair:
@@ -41,13 +57,19 @@ def keypair(x: int) -> DSAKeyPair:
 
 def test_edges_reach_both_ends_of_the_table():
     assert EDGES[0] == 0 and EDGES[-1] == Q
-    assert (1 << (dsa._W * (Q.bit_length() // dsa._W - 1))) + 1 in EDGES
+    assert (1 << (W * (Q.bit_length() // W - 1))) + 1 in EDGES
 
 
 @settings(max_examples=300, deadline=None)
 @given(e=EXPONENT)
 def test_gpow_equals_pow(e):
     assert DEFAULT_PARAMETERS.gpow(e) == pow(G, e, P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=BASE, exp=POWER, mod=MODULUS)
+def test_modexp_equals_pow(base, exp, mod):
+    assert modexp(base, exp, mod) == pow(base, exp, mod)
 
 
 @settings(max_examples=60, deadline=None)

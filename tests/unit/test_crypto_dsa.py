@@ -1,21 +1,18 @@
 """Unit tests for DSA signatures."""
 
-import sys
-import threading
-
 import pytest
 
 from repro.core.credentials import issue_credential
 from repro.core.permissions import PERMISSION_VALUES
 from repro.core.policy import PolicyEngine
-from repro.crypto import dsa
 from repro.crypto.dsa import (
     DEFAULT_PARAMETERS,
     DSAParameters,
+    DSAPublicKey,
     generate_dsa_keypair,
     generate_parameters,
 )
-from repro.crypto.keycodec import decode_key, encode_public_key
+from repro.crypto.keycodec import encode_public_key
 from repro.crypto.numbers import seeded_random_bits
 from repro.errors import CredentialError, CryptoError, InvalidKey, InvalidSignature
 
@@ -118,67 +115,16 @@ class TestKeyGeneration:
         assert k1.public.fingerprint() != k2.public.fingerprint()
 
 
-#: Entries of the library group's comb table: a row of 2^w per w-bit digit of q.
-TABLE_LEN = -(-DEFAULT_PARAMETERS.q.bit_length() // dsa._W) << dsa._W
-
-
-class TestGeneratorTable:
-    """Only the library group gets the comb table; a key holder's own
-    parameters go through ``pow`` and allocate nothing."""
+class TestOtherParameters:
+    """A key holder's own parameters take the library group's path: their
+    powers are ``pow``'s and their credentials verify and refuse as the
+    library group's do."""
 
     @pytest.fixture(scope="class")
     def hostile(self):
         return generate_parameters(512, 160, rand=seeded_random_bits(b"hostile-512"))
 
-    @pytest.fixture()
-    def empty_table(self, monkeypatch):
-        table: list[int] = []
-        monkeypatch.setattr(dsa, "_COMB", table)
-        return table
-
-    def test_library_group_fills_the_table_once(self, empty_table):
-        assert DEFAULT_PARAMETERS.gpow(DEFAULT_PARAMETERS.q) == 1
-        assert len(empty_table) == TABLE_LEN
-        assert empty_table[1] == DEFAULT_PARAMETERS.g
-        before = list(empty_table)
-        DEFAULT_PARAMETERS.gpow(12345)
-        assert empty_table == before
-
-    def test_racing_first_uses_all_see_a_whole_table(self, empty_table):
-        """Threads that find the table empty may each build it; every
-        power must still be right and the table one table long."""
-        exponents = [DEFAULT_PARAMETERS.q - 1 - 7919 * i for i in range(8)]
-        wrong = []
-
-        def power(e):
-            if DEFAULT_PARAMETERS.gpow(e) != pow(DEFAULT_PARAMETERS.g, e, DEFAULT_PARAMETERS.p):
-                wrong.append(e)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=power, args=(e,)) for e in exponents]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
-        assert len(empty_table) == TABLE_LEN
-
-    def test_decoded_library_parameters_share_the_table(self, empty_table):
-        """keycodec builds a fresh DSAParameters per key: equality is by value."""
-        key = generate_dsa_keypair(rand=seeded_random_bits(b"decoded"))
-        empty_table.clear()
-        decoded = decode_key(encode_public_key(key))
-        assert decoded.params is not DEFAULT_PARAMETERS
-        decoded.verify(b"m", key.sign(b"m"))
-        assert empty_table
-
-    def test_hostile_credentials_verify_without_a_table(self, hostile, empty_table,
-                                                        admin_key):
+    def test_hostile_credentials_verify_and_refuse_tampering(self, hostile, admin_key):
         engine = PolicyEngine(
             f'Authorizer: "POLICY"\nLicensees: "{encode_public_key(admin_key)}"\n',
             PERMISSION_VALUES)
@@ -190,12 +136,22 @@ class TestGeneratorTable:
             assert tampered != cred
             with pytest.raises(CredentialError, match="signature"):
                 engine.intake(tampered)
-        assert empty_table == []
 
-    def test_gpow_on_other_parameters_is_pow(self, hostile, empty_table):
+    def test_a_zero_modulus_is_a_credential_error(self, admin_key):
+        """The key's parameters are the submitter's: ``p = 0`` must come
+        out of intake as a refusal, not as an untyped ``ValueError``."""
+        key = generate_dsa_keypair(rand=seeded_random_bits(b"zero-p"))
+        cred = issue_credential(key, "dsa-hex:00", handle="1", rights="R")
+        zero_p = DSAPublicKey(DSAParameters(p=0, q=key.params.q, g=key.params.g), key.y)
+        engine = PolicyEngine(
+            f'Authorizer: "POLICY"\nLicensees: "{encode_public_key(admin_key)}"\n',
+            PERMISSION_VALUES)
+        with pytest.raises(CredentialError):
+            engine.intake(cred.replace(encode_public_key(key), encode_public_key(zero_p)))
+
+    def test_gpow_on_other_parameters_is_pow(self, hostile):
         for e in (0, 1, 2, hostile.q - 1, hostile.q):
             assert hostile.gpow(e) == pow(hostile.g, e, hostile.p)
-        assert empty_table == []
 
     @pytest.mark.parametrize("params", ["library", "hostile"])
     def test_exponent_outside_0_q_is_refused(self, params, hostile):

@@ -114,6 +114,44 @@ class TestHandshakeFailures:
             responder.handle_init(bytes([ike.MSG_INIT]) + body)
 
 
+class TestSubgroupCheck:
+    """A DH value in range but outside the order-q subgroup is refused
+    before the receiver spends a signature or keeps any state on it."""
+
+    NOT_IN_SUBGROUP = 3
+
+    def test_the_value_is_in_range_but_not_in_the_subgroup(self):
+        group = ike._GROUP
+        assert 1 < self.NOT_IN_SUBGROUP < group.p - 1
+        assert pow(self.NOT_IN_SUBGROUP, group.q, group.p) != 1
+
+    def test_responder_refuses_an_init_outside_the_subgroup(self, alice_key, bob_key,
+                                                           monkeypatch):
+        signs = []
+        monkeypatch.setattr(ike, "_sign", lambda key, message: signs.append(message))
+        responder = IKEResponder(bob_key)
+        nonce, _gx, identity = ike._unpack_fields(IKEInitiator(alice_key).initiate()[1:], 3)
+        forged = bytes([ike.MSG_INIT]) + ike._pack_fields(
+            nonce, bytes([self.NOT_IN_SUBGROUP]), identity)
+        with pytest.raises(HandshakeError, match="subgroup"):
+            responder.handle_init(forged)
+        assert responder._half_open == {}
+        assert signs == []
+
+    def test_initiator_refuses_a_resp_outside_the_subgroup(self, alice_key, bob_key,
+                                                          monkeypatch):
+        initiator = IKEInitiator(alice_key)
+        resp = IKEResponder(bob_key).handle_init(initiator.initiate())
+        spi, nonce_r, _gy, identity, sig = ike._unpack_fields(resp[1:], 5)
+        forged = bytes([ike.MSG_RESP]) + ike._pack_fields(
+            spi, nonce_r, bytes([self.NOT_IN_SUBGROUP]), identity, sig)
+        signs = []
+        monkeypatch.setattr(ike, "_sign", lambda key, message: signs.append(message))
+        with pytest.raises(HandshakeError, match="subgroup"):
+            initiator.handle_response(forged)
+        assert signs == []
+
+
 class TestIdentityField:
     """The identity fields are peer-chosen bytes: ones that are not UTF-8
     text are a failed handshake, not a ``UnicodeDecodeError``."""
@@ -179,19 +217,21 @@ class TestHalfOpenTable:
         assert responder.handle_confirm(pending[1])[0][0] == MSG_DONE
 
     def test_initiator_sends_the_dh_value_it_signs(self, alice_key, bob_key, monkeypatch):
-        """``handle_response`` reuses g^x from ``initiate``: one modexp
-        with the group generator per handshake on the initiator's side."""
+        """``handle_response`` reuses g^x from ``initiate``: past the
+        subgroup check on g^y, its one DH modexp is the shared secret."""
         calls = []
-        real_pow = pow
+        real_modexp = ike.modexp
 
-        def counting_pow(base, exp, mod):
-            calls.append(base)
-            return real_pow(base, exp, mod)
+        def counting_modexp(base, exp, mod):
+            calls.append((base, exp))
+            return real_modexp(base, exp, mod)
 
-        monkeypatch.setattr(ike, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(ike, "modexp", counting_modexp)
         initiator = IKEInitiator(alice_key)
         responder = IKEResponder(bob_key)
         resp = responder.handle_init(initiator.initiate())
+        gy = int.from_bytes(ike._unpack_fields(resp[1:], 5)[2], "big")
         before = len(calls)
         initiator.handle_response(resp)
-        assert len(calls) - before == 1  # the shared secret, nothing else
+        # The subgroup check and the shared secret, nothing else.
+        assert calls[before:] == [(gy, ike._GROUP.q), (gy, initiator._x)]
