@@ -364,10 +364,10 @@ _LOOPBACK_HOSTS = ("127.0.0.1", "localhost", "::1")
          arg("--bs", type=_positive_int, default=None,
              help="block size in bytes (default 8192)"),
          arg("--workers", type=int, default=4,
-             help="request-handling threads per node: pipelined "
-                  "clients (remote://...?workers=N) overlap calls "
-                  "on one connection; 0 = answer each connection "
-                  "sequentially (default 4)"),
+             help="threads per node for a pipelined backlog: "
+                  "pipelined clients (remote://...?workers=N) overlap "
+                  "calls on one connection; 0 = answer each "
+                  "connection's requests in turn (default 4)"),
          arg("--policy", metavar="FILE",
              help="KeyNote policy file: require an authenticated "
                   "SESSION_OPEN (clients mount with "

@@ -114,13 +114,17 @@ class DSAPublicKey:
     algorithm = "dsa"
 
     def verify(self, message: bytes, signature: tuple[int, int], hash_name: str = "sha1") -> None:
-        """Verify ``signature`` over ``message``; raise InvalidSignature on failure."""
+        """Verify ``signature`` over ``message``; raise InvalidSignature on
+        failure, whatever numbers a submitted (unvalidated) key carries."""
         p, q = self.params.p, self.params.q
         r, s = signature
-        if not (0 < r < q and 0 < s < q):
-            raise InvalidSignature("signature components out of range")
+        if not (0 < r < q and 0 < s < q) or p < 2:
+            raise InvalidSignature("signature components or modulus out of range")
         h = _truncated_digest(hash_name, message, q)
-        w = numbers.modinv(s, q)
+        try:
+            w = numbers.modinv(s, q)
+        except ValueError:  # a composite q
+            raise InvalidSignature("s has no inverse mod q") from None
         u1 = (h * w) % q
         u2 = (r * w) % q
         v = ((self.params.gpow(u1) * modexp(self.y, u2, p)) % p) % q

@@ -15,12 +15,12 @@ implementations:
   reader matches replies to requests by xid, so independent calls overlap
   on one connection (and a ``workers=N`` server may answer out of order).
 
-The socket transports move a record without copying it: the marker and
-the record leave in one gathered ``sendmsg``, and a record arrives in a
-``bytearray`` of its own, filled by ``recv_into`` and handed to the
-handler (or the caller) as is.  That buffer is never reused, so a record
-may be decoded after the next one has arrived; what a decoder hands on
-is ``bytes`` (see :mod:`repro.rpc.xdr`).
+The socket transports send a record without copying it: the marker and
+the record leave in one gathered ``sendmsg``.  A socket is read through
+one buffer, usually one ``recv`` per record, and every record handed to
+the handler (or the caller) is a ``bytearray`` of its own, so it may be
+decoded after the next one has arrived; what a decoder hands on is
+``bytes`` (see :mod:`repro.rpc.xdr`).
 """
 
 from __future__ import annotations
@@ -104,6 +104,7 @@ class TCPTransport:
     def _dial(self) -> socket.socket:
         sock = socket.create_connection(self.address, timeout=self.timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._reader = _RecordReader(sock)
         return sock
 
     def call(self, request: bytes) -> bytes:
@@ -119,7 +120,7 @@ class TCPTransport:
             self.stats.bytes_sent += len(request)
             try:
                 _send_record(self._sock, request)
-                response = _recv_record(self._sock)
+                response = self._reader.read()
             except BaseException:
                 self._sock.close()
                 self._sock = None
@@ -262,10 +263,11 @@ class PipelinedTCPTransport:
     def _read_loop(self, sock: socket.socket) -> None:
         """Resolve replies on ``sock`` until it fails; the reader owns
         the socket and closes it on the way out."""
+        reader = _RecordReader(sock)
         try:
             while True:
                 try:
-                    response = _recv_record(sock)
+                    response = reader.read()
                 except TransportError as exc:
                     self._fail(exc, sock)
                     return
@@ -320,50 +322,84 @@ def _send_record(sock: socket.socket, data: bytes) -> None:
         raise TransportError(f"send failed: {exc}") from exc
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytearray:
-    """``n`` bytes received into a buffer of their own (never reused, so
-    a record may outlive the next receive on its connection)."""
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
+class _RecordReader:
+    """The records arriving on one socket.  A receive fills what room the
+    buffer has, so a record, its marker and whatever was pipelined behind
+    them (:attr:`buffered`) usually take one ``recv``; the rest of a record
+    that did not arrive whole is received straight into its own buffer."""
+
+    #: Buffer size: room for a block-sized record and what follows it.
+    CHUNK = 1 << 14
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._buf = bytearray(self.CHUNK)
+        self._view = memoryview(self._buf)
+        self._start = self._end = 0  # the received bytes not handed out
+
+    @property
+    def buffered(self) -> int:
+        """Bytes received past the last record handed out."""
+        return self._end - self._start
+
+    def read(self) -> bytearray:
+        """The next record, a copy of its own (``TransportError`` on a
+        failed or closed connection, or past :data:`MAX_RECORD`)."""
+        record = bytearray()
+        while True:
+            while self._end - self._start < 4:
+                kept = self._end - self._start  # a marker's first bytes
+                self._buf[:kept] = self._buf[self._start:self._end]
+                self._start, self._end = 0, kept
+                self._end += self._recv_into(self._view[kept:])
+            header = _RECORD_HEADER.unpack_from(self._buf, self._start)[0]
+            self._start += 4
+            length = header & ~_LAST_FRAGMENT
+            if len(record) + length > MAX_RECORD:
+                raise TransportError(
+                    f"record of more than {MAX_RECORD} bytes is implausible")
+            fragment = self._take(length)
+            if record:
+                record += fragment
+            else:
+                record = fragment  # the usual one-fragment record: no join
+            if header & _LAST_FRAGMENT:
+                return record
+
+    def _take(self, n: int) -> bytearray:
+        start, got = self._start, self._end - self._start
+        if got >= n:
+            self._start = start + n
+            return self._buf[start:start + n]
+        out = bytearray(n)
+        out[:got] = self._view[start:self._end]
+        self._start = self._end = 0
+        view = memoryview(out)
+        while got < n:
+            got += self._recv_into(view[got:])
+        return out
+
+    def _recv_into(self, view: memoryview) -> int:
         try:
-            count = sock.recv_into(view[got:])
+            count = self._sock.recv_into(view)
         except OSError as exc:
             raise TransportError(f"receive failed: {exc}") from exc
         if not count:
             raise TransportError("connection closed mid-record")
-        got += count
-    return buf
-
-
-def _recv_record(sock: socket.socket) -> bytearray:
-    record = bytearray()
-    while True:
-        header = _RECORD_HEADER.unpack(_recv_exact(sock, 4))[0]
-        length = header & ~_LAST_FRAGMENT
-        if len(record) + length > MAX_RECORD:
-            raise TransportError(
-                f"record of more than {MAX_RECORD} bytes is implausible")
-        fragment = _recv_exact(sock, length)
-        if record:
-            record += fragment
-        else:
-            record = fragment  # the usual one-fragment record: no copy
-        if header & _LAST_FRAGMENT:
-            return record
+        return count
 
 
 class TCPServer:
     """A threaded record-marked TCP server dispatching to a handler.
 
-    With ``workers=0`` (the default) each connection's requests are
-    handled sequentially in that connection's thread — replies come back
-    in request order.  With ``workers=N`` requests are dispatched to a
-    shared pool and replies are sent as they complete, possibly out of
-    request order; that is legal because RPC replies carry the call's
-    xid, and it is what lets a pipelined client overlap calls on a
-    single connection instead of queueing behind the slowest one.
+    Each connection's thread answers the requests it reads, so a client
+    with one call at a time never waits for a thread switch.  With
+    ``workers=N`` a request with bytes of a further one buffered behind
+    it goes to a shared pool while the thread reads on, so a pipelined
+    backlog is answered concurrently, possibly out of request order
+    (legal: RPC replies carry the call's xid).  A request that arrived
+    alone is answered before the thread reads again: what is pipelined
+    behind it waits for it, then overlaps.
 
     :meth:`close` stops accepting, frees the port and shuts every
     accepted connection down, so a client still connected sees the
@@ -412,56 +448,45 @@ class TCPServer:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        reader = _RecordReader(conn)
         send_lock = threading.Lock()
         try:
             while not self._stop.is_set():
                 try:
-                    request = _recv_record(conn)
+                    request = reader.read()
                 except TransportError:
                     return
-                # Stamp arrival now: with a worker pool, the gap until a
-                # worker picks the request up is queue wait, which the
-                # program layer splits from service time for tracing.
+                # The gap until the handler starts is queue wait, which
+                # the program layer splits from service time for tracing.
                 received = time.perf_counter()
-                if self._pool is not None:
+                if self._pool is not None and reader.buffered:
                     try:
-                        self._pool.submit(self._handle_one, conn, send_lock,
+                        self._pool.submit(self._answer, conn, send_lock,
                                           request, received)
                     except RuntimeError:  # close() shut the pool down
                         return
-                    continue
-                try:
-                    mark_request_received(received)
-                    response = self._handler(request)
-                except Exception:  # handler bug: drop connection, keep server
-                    return
-                try:
-                    _send_record(conn, response)
-                except TransportError:
-                    return
+                else:
+                    self._answer(conn, send_lock, request, received)
         finally:
             with self._conns_lock:
                 self._conns.discard(conn)
             with send_lock:  # no worker is mid-reply on it
                 conn.close()
 
-    def _handle_one(self, conn: socket.socket, send_lock: threading.Lock,
-                    request: bytes, received: float | None = None) -> None:
-        """Worker-pool path: handle and reply, racing sibling requests."""
+    def _answer(self, conn: socket.socket, send_lock: threading.Lock,
+                request: bytes, received: float) -> None:
+        """Handle ``request`` and reply.  A handler bug or a failed send
+        shuts the connection down (waking its reading thread)."""
         try:
             mark_request_received(received)
             response = self._handler(request)
-        except Exception:  # handler bug: drop connection, keep server
-            try:
-                conn.shutdown(socket.SHUT_RDWR)  # wakes its reading thread
-            except OSError:
-                pass
-            return
-        try:
             with send_lock:
                 _send_record(conn, response)
-        except TransportError:
-            pass  # client went away; its reader already saw the close
+        except Exception:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     def close(self) -> None:
         self._stop.set()

@@ -218,9 +218,10 @@ class BlockStoreProgram(RPCProgram):
 
     The store's own ``read``/``write`` wrappers run server-side, so the
     served node keeps authoritative stats and range validation; client
-    stores layer their *local* stats on top.  Thread safety is the
-    backend's concern (``TCPServer`` dispatches each connection on its
-    own thread; ``mem://`` is safe under the GIL, ``sqlite://``
+    stores layer their *local* stats on top.  The program takes no
+    lock: ``TCPServer`` answers each connection on its own thread, and
+    :class:`StoreServer` serializes a backend that does not declare
+    ``thread_safe`` (``mem://`` is safe under the GIL, ``sqlite://``
     serializes internally).
     """
 
@@ -405,12 +406,12 @@ check_table(BlockStoreProgram, PROCEDURES)
 class SerializedBlockStore(WrapperBlockStore):
     """Lock wrapper making any store safe under concurrent callers.
 
-    ``serve_store(..., workers=N)`` answers one connection's requests
-    from several threads, but most composite stores (``cached://``'s
-    LRU mutates even on reads) assume a single caller.  This wrapper
-    serializes every operation under one lock; backends that declare
-    ``thread_safe`` (``mem://``, ``sqlite://``) are served unwrapped so
-    their operations still overlap.
+    A served store is called from every connection's thread (and, for a
+    pipelined backlog, from worker threads), but most composite stores
+    (``cached://``'s LRU mutates even on reads) assume a single caller.
+    This wrapper serializes every operation under one lock; backends
+    that declare ``thread_safe`` (``mem://``, ``sqlite://``) are served
+    unwrapped so their operations still overlap.
     """
 
     thread_safe = True  # that is the point of the wrapper
@@ -444,14 +445,12 @@ class StoreServer:
         self.store = store
         self.gate = gate
         served = store
-        if not store.capabilities().thread_safe and (
-            workers > 0 or (gate is not None and gate.tenants)
-        ):
-            # Worker threads would race a backend that does not claim
-            # concurrent-caller safety; serialize its operations
-            # (network/pipelining still overlaps).  Tenant views make
-            # even a sequential server multi-caller: each connection
-            # runs on its own thread and the views share one child.
+        if not store.capabilities().thread_safe:
+            # Every connection is answered on its own thread (and a
+            # pipelined backlog on worker threads), so even a server
+            # without workers has concurrent callers; serialize the
+            # operations of a backend that does not claim to be safe
+            # under them (network/pipelining still overlaps).
             served = SerializedBlockStore(store)
         self.program = BlockStoreProgram(served, gate=gate)
         rpc = RPCServer()
@@ -487,13 +486,14 @@ def serve_store(store: BlockStore, host: str = "127.0.0.1",
                 gate: Optional[StoreAuthGate] = None) -> StoreServer:
     """Serve ``store`` over TCP; returns the running :class:`StoreServer`.
 
-    ``workers=N`` answers each connection's requests from a thread pool
-    (replies may come back out of request order — xid matching on the
-    client makes that safe), so pipelined clients overlap server-side
-    work too; ``workers=0`` keeps the sequential per-connection loop.
-    Backends that do not declare ``thread_safe`` are wrapped in
-    :class:`SerializedBlockStore` first, so worker threads never race
-    an unlocked store.
+    Each connection's thread answers its requests itself; ``workers=N``
+    adds a pool that answers a request with a further one already
+    buffered behind it (replies may come back out of request order —
+    xid matching on the client makes that safe), so a pipelined client
+    overlaps server-side work too; ``workers=0`` answers every request
+    in turn.  Backends that do not declare ``thread_safe`` are wrapped
+    in :class:`SerializedBlockStore` first, so concurrent connections
+    and workers never race an unlocked store.
 
     ``gate=StoreAuthGate(...)`` credential-gates the server: clients
     must SESSION_OPEN with KeyNote credentials the gate's policy

@@ -224,19 +224,19 @@ class TestRecordMarking:
     def test_fragments_are_reassembled(self):
         import struct
 
-        from repro.rpc.transport import _recv_record
+        from repro.rpc.transport import _RecordReader
 
         a, b = self._pair()
         with a, b:
             a.sendall(struct.pack(">I", 3) + b"abc"
                       + struct.pack(">I", 0)
                       + struct.pack(">I", 0x80000000 | 2) + b"de")
-            assert _recv_record(b) == b"abcde"
+            assert _RecordReader(b).read() == b"abcde"
 
     def test_send_record_frames_one_last_fragment(self):
         import struct
 
-        from repro.rpc.transport import _recv_record, _send_record
+        from repro.rpc.transport import _RecordReader, _send_record
 
         a, b = self._pair()
         with a, b:
@@ -245,7 +245,7 @@ class TestRecordMarking:
             _send_record(a, b"")
             assert b.recv(11) == b"payload" + struct.pack(">I", 0x80000000)
             _send_record(a, bytes(range(200)))
-            assert _recv_record(b) == bytes(range(200))
+            assert _RecordReader(b).read() == bytes(range(200))
 
     def test_record_without_last_fragment_is_capped(self, monkeypatch):
         """Each fragment is plausible, the record never ends: the cap is
@@ -270,7 +270,7 @@ class TestRecordMarking:
         with a, b:
             sender.start()
             with pytest.raises(TransportError, match="implausible"):
-                transport._recv_record(b)
+                transport._RecordReader(b).read()
         sender.join(timeout=5.0)
         assert not sender.is_alive()
 
@@ -283,4 +283,4 @@ class TestRecordMarking:
         with a, b:
             a.sendall(struct.pack(">I", 0x80000000 | (transport.MAX_RECORD + 1)))
             with pytest.raises(TransportError, match="implausible"):
-                transport._recv_record(b)
+                transport._RecordReader(b).read()

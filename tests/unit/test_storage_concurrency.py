@@ -884,3 +884,137 @@ class TestAtomicStatsCounters:
         assert snap.writes == self.THREADS * 200
         assert snap.reads == self.THREADS * 200
         store.close()
+
+
+class _Probe(WrapperBlockStore):
+    """Records the thread that runs each operation and how many callers
+    are inside at once; ``entered`` is set by the first one in."""
+
+    def __init__(self, child: BlockStore, thread_safe: bool,
+                 hold: float = 0.0):
+        super().__init__(child)
+        self.thread_safe = thread_safe
+        self.hold = hold  # seconds inside, to widen any race
+        self.entered = threading.Event()
+        self.threads: list[str] = []
+        self.inside = self.most_inside = 0
+        self._lock = threading.Lock()
+
+    def around(self, op, fn):
+        with self._lock:
+            self.inside += 1
+            self.most_inside = max(self.most_inside, self.inside)
+            self.threads.append(threading.current_thread().name)
+        self.entered.set()
+        try:
+            time.sleep(self.hold)
+            return fn()
+        finally:
+            with self._lock:
+                self.inside -= 1
+
+
+def _hammer_concurrently(mounts: list, rounds: int = 10) -> None:
+    """Each mount writes and reads back its own blocks on its own thread."""
+    def hammer(store, base: int) -> None:
+        for i in range(rounds):
+            store.write(base + i, bytes([base]) * BS)
+            assert store.read(base + i) == bytes([base]) * BS
+
+    threads = [threading.Thread(target=hammer, args=(store, 1 + n * rounds))
+               for n, store in enumerate(mounts)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+
+
+class TestInlineService:
+    """A node answers a request on the connection's own thread; only a
+    request with a further one buffered behind it goes to the worker
+    pool."""
+
+    @pytest.mark.parametrize("workers", [0, 1, 4])
+    def test_connections_never_race_an_unsafe_backend(self, workers):
+        """Every connection has a thread, so even ``workers=0`` has
+        concurrent callers: a store that does not declare thread_safe is
+        served serialized at every workers value."""
+        probe = _Probe(MemoryBlockStore(BLOCKS, BS), thread_safe=False,
+                       hold=0.001)
+        server = serve_store(probe, workers=workers)
+        host, port = server.address
+        mounts = [open_store(f"remote://{host}:{port}") for _ in range(4)]
+        try:
+            _hammer_concurrently(mounts)
+        finally:
+            for store in mounts:
+                store.close()
+            server.close()
+        assert probe.most_inside == 1
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_lone_requests_never_change_thread(self, workers):
+        """A blocking mount never has a request buffered behind another,
+        so no worker thread ever answers it."""
+        probe = _Probe(MemoryBlockStore(BLOCKS, BS), thread_safe=True)
+        server = serve_store(probe, workers=workers)
+        host, port = server.address
+        mounts = [open_store(f"remote://{host}:{port}") for _ in range(3)]
+        try:
+            _hammer_concurrently(mounts)
+            mounts[0].write_many([(b, b"m" * BS) for b in range(100, 140)])
+        finally:
+            for store in mounts:
+                store.close()
+            server.close()
+        assert len(probe.threads) > 3 * 10 * 2
+        assert not [name for name in probe.threads
+                    if name.startswith("rpc-server-worker")]
+
+    def test_pipelined_backlog_still_overlaps(self):
+        """Two reads a ``?workers=2`` mount pipelines behind one in
+        service are both buffered when it ends: the first goes to a
+        worker, the second is answered on the connection's thread, and
+        both finish one delay later, not two."""
+        delay = 0.25
+        probe = _Probe(DelayedBlockStore(MemoryBlockStore(BLOCKS, BS),
+                                         delay_ms=delay * 1000),
+                       thread_safe=True)
+        server = serve_store(probe, workers=2)
+        host, port = server.address
+        store = open_store(f"remote://{host}:{port}?workers=2")
+        try:
+            busy = store._submit(READ, 0)
+            assert probe.entered.wait(5.0)
+            pipelined = [store._submit(READ, 1), store._submit(READ, 2)]
+            store._await(busy)
+            start = time.perf_counter()
+            for pending in pipelined:
+                store._await(pending)
+            elapsed = time.perf_counter() - start
+        finally:
+            store.close()
+            server.close()
+        assert elapsed < 1.6 * delay, elapsed
+        served_by = [name.startswith("rpc-server-worker")
+                     for name in probe.threads[:3]]  # close() flushes
+        assert served_by[0] is False  # the lone first read
+        assert sorted(served_by[1:]) == [False, True]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_queue_wait_is_recorded_once_per_call(self, workers):
+        from repro.obs.metrics import get_registry
+
+        queue_wait = get_registry().histogram("rpc:server:queue_wait_seconds")
+        server = serve_store(MemoryBlockStore(BLOCKS, BS), workers=workers)
+        host, port = server.address
+        store = open_store(f"remote://{host}:{port}?workers=2")
+        transport = store._client.transport
+        calls, samples = transport.stats.calls, queue_wait.count
+        try:
+            _hammer_concurrently([store] * 4)
+        finally:
+            store.close()
+            server.close()
+        assert transport.stats.calls - calls == 4 * 10 * 2
+        assert queue_wait.count - samples == 4 * 10 * 2
