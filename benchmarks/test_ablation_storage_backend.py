@@ -1,11 +1,10 @@
 """Ablation: storage backend under the Bonnie workloads.
 
-The ROADMAP's scaling story (sharding, caching, multi-backend) makes the
-block layer an axis of the evaluation rather than a hard-coded constant.
-This bench runs the Bonnie block phases on the *same* filesystem stack
-over every registered backend family — memory, host file, SQLite, a
-consistent-hash shard fan-out at 2/4/8 ways, and a write-back cache
-overlay — so backend choice is a measured trade-off.
+Caching and multiple backends make the block layer an axis of the
+evaluation rather than a hard-coded constant.  This bench runs the
+Bonnie block phases on the *same* filesystem stack over every leaf
+backend family — memory, host file, SQLite — and a write-back cache
+overlay, so backend choice is a measured trade-off.
 
 ``test_backend_comparison_table`` additionally routes the full sweep
 through the report harness (``repro.bench.report``), emitting the same
@@ -27,9 +26,6 @@ BACKENDS = {
     "mem": "mem://",
     "file": "file://{tmp}/bonnie.img",
     "sqlite": "sqlite://{tmp}/bonnie.db",
-    "shard2": "shard://2",
-    "shard4": "shard://4",
-    "shard8": "shard://8",
     "cached-sqlite": "cached://sqlite://{tmp}/bonnie-cached.db#capacity=256",
 }
 

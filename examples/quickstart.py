@@ -14,7 +14,7 @@ Run:  python examples/quickstart.py [--backend URI]
 
 ``--backend`` picks the storage layer the server's filesystem lives on
 (default ``mem://``; try ``sqlite:///tmp/quickstart.db`` or
-``cached://shard://4``).
+``cached://replica://3``).
 """
 
 import argparse

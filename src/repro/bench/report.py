@@ -29,9 +29,8 @@ from repro.obs.trajectory import append_record
 from repro.rpc.server import RPCServer
 from repro.rpc.transport import InProcessTransport
 from repro.storage import (DelayedBlockStore, MemoryBlockStore,
-                           StoreBlockDevice, iter_stores, open_store, reshard,
+                           StoreBlockDevice, iter_stores, open_store,
                            serve_store)
-from repro.storage import spec as specs
 from repro.storage.auth import StoreAuthGate, issue_store_credential
 from repro.storage.net import BlockStoreProgram, RemoteBlockStore
 from repro.storage.tenant import TenantQuota
@@ -105,8 +104,7 @@ def _device_row(built: BuiltSystem) -> dict:
 
 
 #: The backend sweep the storage ablation reports by default.
-DEFAULT_BACKENDS = ("mem://", "shard://2", "shard://4", "shard://8",
-                    "cached://mem://#capacity=256")
+DEFAULT_BACKENDS = ("mem://", "cached://mem://#capacity=256")
 
 
 def _bonnie_sweep(configs: dict[str, str] | tuple[str, ...] = DEFAULT_BACKENDS,
@@ -252,49 +250,23 @@ def _journal(file_size: int = 1 << 20, char_size: int = 1 << 16,
     return rows
 
 
-#: Node counts the fanout ablation sweeps.
-FANOUT_NODE_COUNTS = (1, 2, 4, 8)
-
-
-def _fanout(node_counts: tuple[int, ...] = FANOUT_NODE_COUNTS,
-            blocks: int = 96, rounds: int = 12, delay_ms: float = 3.0,
+def _fanout(blocks: int = 96, rounds: int = 12, delay_ms: float = 3.0,
             slow_ms: float = 25.0, block_size: int = 4096) -> list[dict]:
     """Sequential vs concurrent fan-out over TCP nodes that charge
-    ``delay_ms`` per RPC: a ring at ``#fanout=1`` pays the *sum* of the
-    nodes' shares, at ``#fanout=N`` (pipelined connections) the *slowest*;
-    three replicas at ``w=2``, one ``slow_ms`` behind, pay the straggler
-    per write only when sequential (concurrent leaves it to a drained,
-    counted background lane)."""
-    def nodes(delays):
-        return _serving([DelayedBlockStore(MemoryBlockStore(
-            blocks * 4, block_size), delay_ms=d) for d in delays])
-
-    def mount(uri: str):
-        return open_store(uri, num_blocks=blocks * 4, block_size=block_size)
-
-    rows = []
-    for n in node_counts:
-        with nodes([delay_ms] * n) as addresses:
-            children = [f"remote://{h}:{p}" for h, p in addresses]
-            with mount(f"shard://{';'.join(children)}#fanout=1") as store:
-                seq = _vectored_rounds(store, blocks, rounds)
-            pipelined = ";".join(f"{child}?workers=2" for child in children)
-            with mount(f"shard://{pipelined}#fanout={n}") as store:
-                conc = _vectored_rounds(store, blocks, rounds)
-        rows.append({"label": f"{n} nodes",
-                     "sequential_write_s": seq["write_s"],
-                     "concurrent_write_s": conc["write_s"],
-                     "write_speedup": seq["write_s"] / conc["write_s"],
-                     "sequential_read_s": seq["read_s"],
-                     "concurrent_read_s": conc["read_s"],
-                     "read_speedup": seq["read_s"] / conc["read_s"]})
-
+    ``delay_ms`` per RPC: three replicas at ``w=2``, one ``slow_ms``
+    behind, pay the straggler per write only when sequential (concurrent
+    leaves it to a drained, counted background lane)."""
     payload = bytes(range(256)) * (block_size // 256)
     items = [(b, payload) for b in range(blocks)]
-    with nodes([delay_ms, delay_ms, slow_ms]) as addresses:
+    rows = []
+    with _serving([DelayedBlockStore(MemoryBlockStore(blocks * 4, block_size),
+                                     delay_ms=d)
+                   for d in (delay_ms, delay_ms, slow_ms)]) as addresses:
         children = ";".join(f"remote://{h}:{p}" for h, p in addresses)
         for label, fanout in (("sequential", 1), ("concurrent", 3)):
-            with mount(f"replica://{children}#w=2&r=2&fanout={fanout}") as store:
+            with open_store(f"replica://{children}#w=2&r=2&fanout={fanout}",
+                            num_blocks=blocks * 4,
+                            block_size=block_size) as store:
                 t0 = time.perf_counter()
                 for _round in range(rounds):
                     store.write_many(items)
@@ -305,55 +277,6 @@ def _fanout(node_counts: tuple[int, ...] = FANOUT_NODE_COUNTS,
                     "write_ms_per_round": (t1 - t0) * 1000 / rounds,
                     "drain_ms": (time.perf_counter() - t1) * 1000,
                     "background_writes": store.replica_stats.background_writes,
-                })
-    return rows
-
-
-#: (nodes_before, nodes_after) ring transitions the reshard ablation
-#: walks, in order, on one live mounted store (scale out, then in).
-RESHARD_TRANSITIONS = ((3, 4), (4, 3))
-
-
-def _reshard(transitions: tuple[tuple[int, int], ...] = RESHARD_TRANSITIONS,
-             blocks: int = 1536, block_size: int = 4096,
-             batch: int = 128) -> list[dict]:
-    """Each ring transition :func:`~repro.storage.control.reshard` makes
-    on a live, seeded ``shard://remote://...`` mount (verified): blocks
-    moved vs total (~1/4 on 3→4 with consistent hashing), wall-clock,
-    and whether every payload re-reads intact."""
-    def payload(block_no: int) -> bytes:
-        seed = b"reshard-%d" % block_no
-        return (seed * (block_size // len(seed) + 1))[:block_size]
-
-    windows = [range(start, min(start + batch, blocks))
-               for start in range(0, blocks, batch)]
-    max_nodes = max(n for transition in transitions for n in transition)
-    rows = []
-    with _serving([MemoryBlockStore(blocks * 2, block_size)
-                   for _ in range(max_nodes)], workers=2) as addresses:
-        def ring(n: int) -> specs.ShardSpec:
-            return specs.shard(*(specs.remote("%s:%d" % address, workers=2)
-                                 for address in addresses[:n]), fanout=n)
-
-        with open_store(ring(transitions[0][0]), num_blocks=blocks * 2,
-                        block_size=block_size) as store:
-            for window in windows:
-                store.write_many([(b, payload(b)) for b in window])
-            for before, after in transitions:
-                t0 = time.perf_counter()
-                report = reshard(store, ring(before), ring(after), verify=True)
-                wall_ms = (time.perf_counter() - t0) * 1000
-                reread = [store.read_many(list(window)) for window in windows]
-                rows.append({
-                    "label": f"{before}->{after}",
-                    "total_blocks": report.total_blocks,
-                    "moved_blocks": report.moved_blocks,
-                    "moved_fraction": report.moved_fraction,
-                    "wall_ms": wall_ms,
-                    "verified": report.verified,
-                    "intact": all(data == payload(b)
-                                  for window, datas in zip(windows, reread)
-                                  for b, data in zip(window, datas)),
                 })
     return rows
 
@@ -482,23 +405,10 @@ ABLATIONS: dict[str, Ablation] = {
     "fanout": Ablation(
         "Fan-out ablation — {blocks} blocks x {rounds} rounds per cell, "
         "node latency {delay_ms:g} ms, straggler {slow_ms:g} ms",
-        (_cols("Ring", ("sequential_write_s", "seq write s", ".3f"),
-               ("concurrent_write_s", "conc write s", ".3f"),
-               ("write_speedup", "speedup", ".1f"),
-               ("sequential_read_s", "seq read s", ".3f"),
-               ("concurrent_read_s", "conc read s", ".3f"),
-               ("read_speedup", "speedup", ".1f")),
-         _cols("Replica mode", ("write_ms_per_round", "write ms/round", ".1f"),
+        (_cols("Replica mode", ("write_ms_per_round", "write ms/round", ".1f"),
                ("drain_ms", "drain ms", ".1f"),
-               ("background_writes", "bg writes"))),
+               ("background_writes", "bg writes")),),
         _fanout),
-    "reshard": Ablation(
-        "Reshard ablation — {blocks} blocks x {block_size}B on live "
-        "remote:// rings, verified",
-        (_cols("Ring", ("total_blocks", "total"), ("moved_blocks", "moved"),
-               ("moved_fraction", "moved %", ".1%"),
-               ("wall_ms", "wall-clock ms", ".1f"), ("intact", "intact")),),
-        _reshard),
     "auth": Ablation(
         "Auth ablation — {blocks} blocks x {rounds} rounds per cell, "
         "{block_size}B blocks, {mounts} mounts",

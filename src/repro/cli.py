@@ -297,7 +297,7 @@ def _import_host_tree(server: DisCFSServer, host_dir: str) -> int:
          arg("--cache", type=int, default=128),
          arg("--backend", default="mem://", metavar="URI",
              help="storage backend URI: mem://, file://PATH, "
-                  "sqlite://PATH, shard://N, cached://URI, "
+                  "sqlite://PATH, cached://URI, "
                   "remote://HOST:PORT, replica://N, journal://URI "
                   "(default mem://; see `discfs backends`)"),
          arg("--oneshot", action="store_true", help=argparse.SUPPRESS))
@@ -711,42 +711,6 @@ def cmd_store_trace(args) -> int:
         for root in roots:
             render(root, children, 1)
         print()
-    return 0
-
-
-@command("reshard",
-         "migrate a shard:// ring to a new layout "
-         "(moves only ring-owner-changed blocks)",
-         arg("old", metavar="OLD_URI",
-             help="the currently deployed shard:// layout"),
-         arg("new", metavar="NEW_URI", help="the target shard:// layout"),
-         arg("--no-verify", action="store_true",
-             help="skip re-reading moved blocks from their new "
-                  "owner before the swap"))
-def cmd_reshard(args) -> int:
-    """Migrate a shard:// ring to a new layout (the control plane's
-    flagship: only blocks whose consistent-hash owner changed move)."""
-    from repro.storage import open_store, parse_spec, reshard
-
-    old_spec = parse_spec(args.old)
-    new_spec = parse_spec(args.new)
-    store = open_store(old_spec)
-    try:
-        report = reshard(store, old_spec, new_spec,
-                         verify=not args.no_verify)
-        store.flush()
-    finally:
-        store.close()
-    pct = report.moved_fraction * 100.0
-    print(f"resharded {args.old}")
-    print(f"       -> {args.new}")
-    print(f"moved      : {report.moved_blocks}/{report.total_blocks} "
-          f"blocks ({pct:.1f}%)")
-    print(f"children   : {report.reused_children} reused, "
-          f"{report.added_children} added, "
-          f"{report.removed_children} removed")
-    print(f"verified   : {'yes' if report.verified else 'skipped'}")
-    print(f"wall-clock : {report.seconds * 1000:.1f} ms")
     return 0
 
 

@@ -27,14 +27,13 @@ import queue
 import threading
 import time
 import weakref
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Any, Callable, TypeVar
 
 __all__ = [
     "ContextExecutor",
     "ContextLane",
-    "InlineExecutor",
     "Span",
     "SpanContext",
     "TraceRecorder",
@@ -96,9 +95,9 @@ class use_context:
     """Context manager installing ``ctx`` as the active span context.
 
     Every pool that runs a caller's work is a :class:`ContextExecutor`
-    (``shard://`` fan-out, reshard movers, ``call_async``) or a
-    :class:`ContextLane` (``replica://``), so a context activated here
-    is visible to every child dispatch.
+    (``call_async``'s fallback pool) or a :class:`ContextLane`
+    (``replica://``), so a context activated here is visible to every
+    child dispatch.
     """
 
     def __init__(self, ctx: SpanContext | None) -> None:
@@ -180,27 +179,6 @@ def _run_lane(tasks: queue.SimpleQueue, ran: list[int]) -> None:
         task[0].run(task[1])
         ran[0] += 1
         del task  # idle, hold nothing that keeps the lane's owner alive
-
-
-class InlineExecutor(Executor):
-    """An executor that runs each task on the submitting thread.
-
-    ``submit`` returns an already-completed :class:`Future`, so code
-    written against a pool — submit, then read results or attach done
-    callbacks — runs strictly sequentially over this one, in the
-    caller's context, with no thread started.  The ``fanout=1`` mode of
-    ``shard://`` is this executor in place of its pool: one code path,
-    two schedules.
-    """
-
-    def submit(self, fn: Callable[..., _T], /, *args: Any,
-               **kwargs: Any) -> Future[_T]:
-        fut: Future[_T] = Future()
-        try:
-            fut.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            fut.set_exception(exc)
-        return fut
 
 
 # -- wire format ------------------------------------------------------------

@@ -4,24 +4,22 @@ The block layer under FFS is chosen by URI — or by a programmatic
 :mod:`~repro.storage.spec` builder::
 
     from repro.storage import open_device, open_store
-    from repro.storage.spec import shard, remote
+    from repro.storage.spec import replica, remote
 
     device = open_device("sqlite:///var/lib/discfs.db")
-    store = open_store(shard(remote("h1:9001"), remote("h2:9001"),
-                             fanout=4))
+    store = open_store(replica(remote("h1:9001"), remote("h2:9001"),
+                               remote("h3:9001"), w=2, r=2))
 
 Each scheme is *declared* once, as a :class:`~repro.storage.spec.StoreSpec`
 subclass (options, examples, ``build``); parsing, rendering, validation,
 ``discfs backends`` and the README table are *derived* from that — run
 ``discfs backends`` for the schemes and their grammar.  Backends compose
-(``cached://shard://4#capacity=512``), and the single-child layers share
+(``cached://replica://3#capacity=512``), and the single-child layers share
 one forwarding base, :class:`~repro.storage.base.WrapperBlockStore`.
 
-The control plane (:mod:`repro.storage.control`) inspects and
-reconfigures mounted topologies: :func:`describe` dumps the live tree
-with per-node capabilities and stats, and :func:`reshard` migrates a
-``shard://`` ring to a new layout moving only the blocks whose
-consistent-hash owner changed.
+The control plane (:mod:`repro.storage.control`) inspects mounted
+topologies: :func:`describe` dumps the live tree with per-node
+capabilities and stats.
 """
 
 from repro.storage.adapter import StoreBlockDevice
@@ -32,13 +30,7 @@ from repro.storage.auth import (
 )
 from repro.storage.base import BlockStore, Capabilities, StoreStats
 from repro.storage.cache import CachedBlockStore, CacheStats
-from repro.storage.control import (
-    ReshardReport,
-    SpecTree,
-    describe,
-    iter_stores,
-    reshard,
-)
+from repro.storage.control import SpecTree, describe, iter_stores
 from repro.storage.filestore import FileBlockStore
 from repro.storage.journal import (
     JournalBlockStore,
@@ -70,7 +62,6 @@ from repro.storage.replica import (
     ReplicaStats,
     ReplicatedBlockStore,
 )
-from repro.storage.shard import ShardedBlockStore
 from repro.storage.spec import SpecError, StoreSpec, parse_spec
 from repro.storage.sqlitestore import SQLiteBlockStore
 from repro.storage.tenant import TenantBlockStore
@@ -95,9 +86,7 @@ __all__ = [
     "RemoteBlockStore",
     "ReplicaStats",
     "ReplicatedBlockStore",
-    "ReshardReport",
     "SQLiteBlockStore",
-    "ShardedBlockStore",
     "SpecError",
     "SpecTree",
     "StoreAuthGate",
@@ -116,7 +105,6 @@ __all__ = [
     "open_store",
     "parse_spec",
     "registered_schemes",
-    "reshard",
     "serve_store",
     "split_uri",
 ]

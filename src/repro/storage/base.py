@@ -1,7 +1,7 @@
 """The abstract block store: what every storage backend implements.
 
 A :class:`BlockStore` is a flat array of fixed-size blocks addressed by
-integer block number.  Stores are *composable* (``shard://`` and
+integer block number.  Stores are *composable* (``replica://`` and
 ``cached://`` wrap other stores) and *URI-addressable* (see
 :mod:`repro.storage.registry`); FFS runs on one stack of them through
 :class:`~repro.storage.adapter.StoreBlockDevice`.
@@ -10,7 +10,7 @@ Every store — and the device above the stack — counts its operations in
 a :class:`BlockDeviceStats`, so the benchmark cost models that attribute
 simulated disk time keep working no matter which backend (or stack of
 backends) sits underneath, and composite stores can report per-layer and
-per-shard traffic.
+per-replica traffic.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class BlockDeviceStats:
 
     Increments are atomic (guarded by a per-instance lock, like the
     :mod:`repro.obs.metrics` instruments): the counters are shared by
-    concurrent paths — replica straggler lanes, shard fan-out pools,
-    ``store-serve --workers`` threads — where a bare ``x += 1``
+    concurrent paths — replica straggler lanes, pipelined ``remote://``
+    windows, ``store-serve --workers`` threads — where a bare ``x += 1``
     read-modify-write silently loses updates.
     """
 
@@ -160,8 +160,8 @@ class BlockStore:
     Stats increments are atomic: :class:`BlockDeviceStats.record_read`
     and friends hold a per-instance lock, so the counters stay exact
     even where concurrent paths share a store — replica straggler
-    lanes, shard fan-out pools, pipelined ``remote://`` windows and
-    ``store-serve --workers`` threads all drive the same child from
+    lanes, pipelined ``remote://`` windows and ``store-serve
+    --workers`` threads all drive the same child from
     several threads at once (a bare ``x += 1`` there silently loses
     updates; ``tests/unit/test_storage_concurrency.py`` regresses
     this).  Counters shared *across* layers (``ReplicaStats``) keep
@@ -220,8 +220,8 @@ class BlockStore:
         """Fetch several blocks; positions align with ``block_nos``.
 
         The default loops over :meth:`_get`.  Composite and remote stores
-        override this to batch — per owning child (``shard://``), per
-        cache miss set (``cached://``), or per RPC round trip
+        override this to batch — per child (``replica://``), per cache
+        miss set (``cached://``), or per RPC round trip
         (``remote://``) — which is what makes cold paths affordable once
         blocks live on other nodes.
         """
@@ -322,10 +322,9 @@ class BlockStore:
     def used_block_numbers(self) -> list[int]:
         """The distinct block numbers ever written, sorted.
 
-        The enumeration primitive the control plane's ``reshard`` is
-        built on: diffing two ring layouts needs to know *which* blocks
-        a child holds, not just how many.  Composites union their
-        children; ``remote://`` pages the listing over RPC.
+        ``tenant://`` rebuilds its per-tenant usage from it, which needs
+        *which* blocks a child holds, not just how many.  Composites
+        union their children; ``remote://`` pages the listing over RPC.
         """
         raise NotImplementedError
 
@@ -379,11 +378,11 @@ class BlockStore:
     def leaf_stores(self) -> list["BlockStore"]:
         """The physical stores at the bottom of this stack.
 
-        Composite stores (``shard://``, ``cached://``) override this to
+        Composite stores (``replica://``, ``cached://``) override this to
         descend; a leaf returns itself.  Summing ``leaf.stats`` over the
         result gives the *physical* I/O that reached backing storage, as
         opposed to the logical traffic counted at the top of the stack —
-        the difference is what cache/shard ablations measure.
+        the difference is what the cache ablations measure.
         """
         return [self]
 

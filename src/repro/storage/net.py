@@ -11,8 +11,7 @@ Two halves, both riding the existing :mod:`repro.rpc` stack:
   connect time (GEOM), so the remote node owns its configuration.
 
 Because a remote store is just another :class:`BlockStore`, it composes
-with everything else: ``shard://remote://h1:9001;remote://h2:9002``
-turns the consistent-hash ring into a real multi-node cluster, and
+with everything else:
 ``replica://remote://h1:9001;remote://h2:9002#w=1&r=1`` replicates
 across nodes.
 
@@ -185,8 +184,7 @@ PROCEDURES: tuple[Procedure, ...] = (
     USED := Procedure(7, "USED", "r", (), (uhyper,)),
     # Stats-free membership, for overlays.
     CONTAINS := Procedure(8, "CONTAINS", "r", (uint,), (boolean,)),
-    # start, limit -> one page of used block numbers (the reshard
-    # primitive).
+    # start, limit -> one page of used block numbers.
     LIST := Procedure(9, "LIST", "r", (uint, uint),
                       (array(uint, LIST_PAGE),)),
     # -> the served store's snapshot + capabilities as JSON, for

@@ -743,9 +743,9 @@ class DelayedBlockStore(WrapperBlockStore):
     """Pass-through wrapper that sleeps before every data operation.
 
     The injectable *straggler*: ``slow://<child-uri>#ms=N`` makes one
-    replica (or one shard node) pay ``N`` milliseconds per operation,
-    which is how the concurrency tests and the fanout ablation model a
-    loaded node or a slow link without real remote hosts.  The quorum
+    replica pay ``N`` milliseconds per operation, which is how the
+    concurrency tests and the fanout ablation model a loaded node or a
+    slow link without real remote hosts.  The quorum
     acceptance claim — ``w=2`` write latency tracks the 2nd-fastest
     replica, not the slowest — is demonstrated against exactly this
     wrapper.  ``delay_ms`` is writable at runtime so tests can slow a

@@ -12,7 +12,7 @@ several fields.
 and the cross-scheme did-you-mean pool, :meth:`StoreSpec.parse`,
 :meth:`StoreSpec.to_uri`, the range half of :meth:`StoreSpec.validate`,
 scheme registration, the lower-case builder functions
-(``shard(mem(), file("/x.img"), fanout=2)``), ``discfs backends`` and the
+(``replica(mem(), file("/x.img"), w=2)``), ``discfs backends`` and the
 README table (:func:`backend_rows`).
 
 ``parse_spec(s.to_uri()) == s`` holds for every spec that has a URI
@@ -20,9 +20,9 @@ form (``tests/property/test_prop_storage_spec.py``); a spec whose
 rendering could not re-parse to itself raises :class:`SpecError`.
 Hand-written per scheme is only what is irregular: ``remote://``'s
 ``host:port`` body, and the count / ``{i}``-template / ``;``-list child
-grammar that ``shard://`` and ``replica://`` share.  Adding a backend
-is one ``StoreSpec`` subclass in one file
-(``tests/unit/test_storage_toy_scheme.py`` does exactly that).
+grammar of ``replica://``.  Adding a backend is one ``StoreSpec``
+subclass in one file (``tests/unit/test_storage_toy_scheme.py`` does
+exactly that).
 """
 
 from __future__ import annotations
@@ -309,7 +309,7 @@ class StoreSpec:
     #: and the README table.
     examples: ClassVar[tuple[tuple[str, str], ...]] = ()
     #: Options a grammar form accepts that are not fields (the count
-    #: form of ``shard://``/``replica://`` expands them into children).
+    #: form of ``replica://`` expands them into children).
     form_options: ClassVar[dict[str, Option]] = {}
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
@@ -704,7 +704,7 @@ class RemoteSpec(StoreSpec):
 
 
 # ---------------------------------------------------------------------------
-# Multi-child composites: one child grammar, written once
+# The multi-child composite
 # ---------------------------------------------------------------------------
 
 #: base=... values the count form expands children from -> file suffix.
@@ -712,8 +712,8 @@ _COUNT_BASES = {"mem": "", "file": "blk", "sqlite": "db"}
 
 
 @dataclass
-class _MultiChildSpec(StoreSpec):
-    """The child grammar ``shard://`` and ``replica://`` share.
+class ReplicaSpec(StoreSpec):
+    """``replica://`` — quorum replication over child stores.
 
     ``<n>[?base=mem|file|sqlite&dir=PATH&blocks=N&bs=N]`` — *count*
     form: ``n`` children of one kind (path-addressed ones are created
@@ -725,6 +725,19 @@ class _MultiChildSpec(StoreSpec):
     may use their own queries.
     """
 
+    scheme: ClassVar[str] = "replica"
+    examples = (
+        ("replica://3?w=2&r=2",
+         "3-way replication with write/read quorums"),
+        ("replica://3/file:///d/r-{i}.img#w=2",
+         "3 copies from a child template (`{i}` = replica index)"),
+        ("replica://remote://h1:9001;remote://h2:9002#w=1&r=1",
+         "Explicit replica URIs (`#fanout=1` = sequential fan-out)"),
+        ("replica://...#hedge_ms=N",
+         "Hedged reads: recruit one extra replica after `N` ms"),
+        ("replica://...#stamps=P",
+         "Persist version stamps to sidecar `P` (repair survives restart)"),
+    )
     form_options = {
         "base": Option(str, query=True),
         "dir": Option(str, query=True),
@@ -732,11 +745,22 @@ class _MultiChildSpec(StoreSpec):
         "bs": Option(int, query=True),
     }
 
+    replicas: list[StoreSpec] = _role("children", default_factory=list)
+    w: int | None = opt(int, arg="write_quorum")
+    r: int | None = opt(int, arg="read_quorum")
+    fanout: int | None = opt(int, ">=1")
+    hedge_ms: float | None = opt(float, ">=0")
+    stamps: str | None = opt(str, arg="stamps_path")
+
     def _check(self) -> None:
-        if not self.children():
-            raise SpecError(
-                f"{self.scheme}:// needs at least one child store"
-            )
+        from repro.storage.replica import Quorum
+
+        if not self.replicas:
+            raise SpecError("replica:// needs at least one child store")
+        try:
+            Quorum(len(self.replicas), self.w, self.r)
+        except InvalidArgument as exc:
+            raise SpecError(f"replica:// {exc}") from None
 
     def _body(self) -> str:
         """Semicolon-joined child URIs, rejecting shapes the flat list
@@ -807,67 +831,6 @@ class _MultiChildSpec(StoreSpec):
             )
             for i in range(n)
         ]
-
-
-@dataclass
-class ShardSpec(_MultiChildSpec):
-    """``shard://`` — consistent-hash ring over child stores."""
-
-    scheme: ClassVar[str] = "shard"
-    examples = (
-        ("shard://4", "4 in-memory shards on a consistent-hash ring"),
-        ("shard://4?base=sqlite&dir=/data",
-         "4 SQLite shards created under `/data`"),
-        ("shard://mem://;sqlite:///s.db#fanout=2",
-         "Explicit child URIs, `;`-separated (`fanout` = children a batch "
-         "addresses concurrently)"),
-    )
-
-    shards: list[StoreSpec] = _role("children", default_factory=list)
-    fanout: int | None = opt(int, ">=1")
-
-    def build(self, num_blocks: int, block_size: int) -> BlockStore:
-        from repro.storage.shard import ShardedBlockStore
-
-        return self._over_children(
-            lambda built: ShardedBlockStore(built, **self._store_args()),
-            num_blocks, block_size,
-        )
-
-
-@dataclass
-class ReplicaSpec(_MultiChildSpec):
-    """``replica://`` — quorum replication over child stores."""
-
-    scheme: ClassVar[str] = "replica"
-    examples = (
-        ("replica://3?w=2&r=2",
-         "3-way replication with write/read quorums"),
-        ("replica://3/file:///d/r-{i}.img#w=2",
-         "3 copies from a child template (`{i}` = replica index)"),
-        ("replica://remote://h1:9001;remote://h2:9002#w=1&r=1",
-         "Explicit replica URIs (`#fanout=1` = sequential fan-out)"),
-        ("replica://...#hedge_ms=N",
-         "Hedged reads: recruit one extra replica after `N` ms"),
-        ("replica://...#stamps=P",
-         "Persist version stamps to sidecar `P` (repair survives restart)"),
-    )
-
-    replicas: list[StoreSpec] = _role("children", default_factory=list)
-    w: int | None = opt(int, arg="write_quorum")
-    r: int | None = opt(int, arg="read_quorum")
-    fanout: int | None = opt(int, ">=1")
-    hedge_ms: float | None = opt(float, ">=0")
-    stamps: str | None = opt(str, arg="stamps_path")
-
-    def _check(self) -> None:
-        from repro.storage.replica import Quorum
-
-        super()._check()
-        try:
-            Quorum(len(self.replicas), self.w, self.r)
-        except InvalidArgument as exc:
-            raise SpecError(f"replica:// {exc}") from None
 
     def build(self, num_blocks: int, block_size: int) -> BlockStore:
         from repro.storage.lazy import LazyBlockStore
@@ -1114,7 +1077,6 @@ def _builder(cls: type[_S]) -> Callable[..., _S]:
 mem = _builder(MemSpec)
 file = _builder(FileSpec)
 sqlite = _builder(SqliteSpec)
-shard = _builder(ShardSpec)
 replica = _builder(ReplicaSpec)
 cached = _builder(CachedSpec)
 metered = _builder(MeteredSpec)

@@ -159,7 +159,7 @@ class TenantBlockStore(WrapperBlockStore):
     def _written_set(self) -> set[int]:
         """The tenant-local numbers ever written, seeded from the child.
 
-        Seeding makes quotas survive re-serving an existing ring: blocks a
+        Seeding makes quotas survive re-serving an existing store: blocks a
         tenant wrote in a previous incarnation still count against it.
         """
         if self._written is None:

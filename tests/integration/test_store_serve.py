@@ -1,10 +1,10 @@
 """End-to-end distributed storage: real processes, real sockets.
 
 The acceptance path for the ``remote://`` subsystem: two ``discfs
-store-serve`` *processes* each export a block store over TCP, and a
-consistent-hash ring (``shard://remote://h1;remote://h2``) turns them
-into one cluster that the whole DisCFS stack — the quickstart example,
-verbatim — runs on top of.
+store-serve`` *processes* each export a block store over TCP, and
+``replica://remote://h1;remote://h2`` turns them into one cluster that
+the whole DisCFS stack — the quickstart example, verbatim — runs on top
+of.
 """
 
 from __future__ import annotations
@@ -74,14 +74,14 @@ def two_store_servers():
             proc.wait()
 
 
-class TestShardOverRemote:
+class TestReplicaOverRemote:
     def test_quickstart_example_runs_on_a_two_node_cluster(
             self, two_store_servers):
-        """examples/quickstart.py --backend shard://remote://A;remote://B
+        """examples/quickstart.py --backend replica://remote://A;remote://B
         — the paper's whole credential flow with every block on remote
         nodes."""
         h1, h2 = two_store_servers
-        backend = f"shard://remote://{h1};remote://{h2}"
+        backend = f"replica://remote://{h1};remote://{h2}"
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_DIR
         result = subprocess.run(
@@ -103,15 +103,15 @@ class TestShardOverRemote:
             )
             remote.close()
 
-    def test_filesystem_spreads_blocks_across_both_nodes(
+    def test_filesystem_replicates_blocks_to_both_nodes(
             self, two_store_servers):
-        """Drive FFS directly over the two-node ring and verify the
-        consistent-hash placement spread real traffic to both servers."""
+        """Drive FFS directly over the two-node cluster and verify that
+        write-all replication put every block on both servers."""
         from repro.fs.ffs import FFS
         from repro.storage import open_store
 
         h1, h2 = two_store_servers
-        fs = FFS(f"shard://remote://{h1};remote://{h2}")
+        fs = FFS(f"replica://remote://{h1};remote://{h2}")
         payload = bytes(range(256)) * 64  # 16 KiB, several blocks
         for i in range(8):
             fs.write_file(f"/f{i}.bin", payload)
@@ -124,4 +124,4 @@ class TestShardOverRemote:
             remote = open_store(f"remote://{endpoint}")
             used.append(remote.used_blocks())
             remote.close()
-        assert all(u > 0 for u in used), used
+        assert used[0] == used[1] > 0, used

@@ -122,12 +122,6 @@ def composite_specs(children, paths, tenant_names) -> st.SearchStrategy:
         )
 
     return st.one_of(
-        st.builds(
-            specs.ShardSpec,
-            shards=child_lists,
-            fanout=st.one_of(st.none(), st.integers(min_value=1,
-                                                    max_value=8)),
-        ),
         replica_specs(),
         st.builds(
             specs.CachedSpec, child=children,
@@ -211,8 +205,8 @@ def test_every_registered_scheme_appears_in_the_strategy():
 
     generated = {
         specs.MemSpec.scheme, specs.FileSpec.scheme, specs.SqliteSpec.scheme,
-        specs.RemoteSpec.scheme, specs.ShardSpec.scheme,
-        specs.ReplicaSpec.scheme, specs.CachedSpec.scheme,
+        specs.RemoteSpec.scheme, specs.ReplicaSpec.scheme,
+        specs.CachedSpec.scheme,
         specs.JournalSpec.scheme, specs.LazySpec.scheme,
         specs.SlowSpec.scheme, specs.FailingSpec.scheme,
         specs.TenantSpec.scheme, specs.MeteredSpec.scheme,

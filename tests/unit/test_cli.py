@@ -264,14 +264,14 @@ class TestClientCommands:
 
 
 class TestControlPlaneCommands:
-    """``store-inspect`` and ``reshard`` — the CLI over the control
-    plane (``repro.storage.control``)."""
+    """``store-inspect`` — the CLI over the control plane
+    (``repro.storage.control``)."""
 
     def test_store_inspect_renders_topology(self, capsys):
-        assert run(["store-inspect", "cached://shard://2#capacity=8",
+        assert run(["store-inspect", "cached://replica://2#capacity=8",
                     "--exercise"]) == 0
         out = capsys.readouterr().out
-        assert "backend: cached://shard://mem://;mem://#capacity=8" in out
+        assert "backend: cached://replica://mem://;mem://#capacity=8" in out
         assert "caps:" in out and "mem://" in out
         assert "hits=1" in out  # --exercise reads twice: miss then hit
 
@@ -323,49 +323,11 @@ class TestControlPlaneCommands:
         assert "mem    read" in out
 
     def test_store_inspect_parse_only(self, capsys):
-        assert run(["store-inspect", "shard://3", "--parse"]) == 0
-        assert "spec ok: shard://mem://;mem://;mem://" in \
+        assert run(["store-inspect", "replica://3", "--parse"]) == 0
+        assert "spec ok: replica://mem://;mem://;mem://" in \
             capsys.readouterr().out
 
     def test_store_inspect_rejects_typos_with_suggestion(self, capsys):
         assert run(["store-inspect", "cached://mem://#capasity=8"]) == 1
         err = capsys.readouterr().err
         assert "capacity" in err  # the did-you-mean hint
-
-    def test_reshard_three_to_four_file_ring(self, tmp_path, capsys):
-        old = f"shard://3?base=file&dir={tmp_path}&bs=512&blocks=512"
-        new = f"shard://4?base=file&dir={tmp_path}&bs=512&blocks=512"
-        seeded = run_store_writes(old, blocks=256)
-        assert run(["reshard", old, new]) == 0
-        out = capsys.readouterr().out
-        assert "moved" in out and "verified   : yes" in out
-        # and the data still reads back through the new layout
-        from repro.storage import open_store
-
-        store = open_store(new, num_blocks=512, block_size=512)
-        try:
-            for block_no, data in seeded.items():
-                assert store.read(block_no).startswith(data)
-        finally:
-            store.close()
-
-    def test_reshard_rejects_non_shard_specs(self, capsys):
-        assert run(["reshard", "mem://", "shard://4"]) == 1
-        assert "shard:// specs" in capsys.readouterr().err
-
-
-def run_store_writes(uri, blocks):
-    """Seed a backend with recognizable payloads; returns {block: data}."""
-    from repro.storage import open_store
-
-    store = open_store(uri, num_blocks=512, block_size=512)
-    payload = {}
-    try:
-        for block_no in range(blocks):
-            data = b"cli-%d" % block_no
-            payload[block_no] = data
-            store.write(block_no, data)
-        store.flush()
-    finally:
-        store.close()
-    return payload

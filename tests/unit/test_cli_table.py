@@ -30,8 +30,8 @@ def _help(argv, capsys, monkeypatch) -> str:
 
 
 def test_every_row_has_a_one_line_help():
-    assert len(COMMANDS) == 23
-    assert len({row.name for row in COMMANDS}) == 23
+    assert len(COMMANDS) == 22
+    assert len({row.name for row in COMMANDS}) == 22
     for row in COMMANDS:
         assert row.help.strip() and "\n" not in row.help, row.name
 

@@ -30,7 +30,6 @@ from repro.obs.trace import (
     TRACE_WIRE_MAGIC,
     ContextExecutor,
     ContextLane,
-    InlineExecutor,
     decode_context,
     encode_context,
     use_context,
@@ -287,33 +286,6 @@ class TestContextLane:
         assert not thread.is_alive()
 
 
-class TestInlineExecutor:
-    """The ``fanout=1`` schedule of the shard pool:
-    each task has run, on the caller's thread, when ``submit`` returns."""
-
-    def test_runs_on_the_callers_thread_before_submit_returns(self):
-        ran_on = []
-        fut = InlineExecutor().submit(
-            lambda: ran_on.append(threading.current_thread()) or 7)
-        assert ran_on == [threading.current_thread()]
-        assert fut.done() and fut.result() == 7
-
-    def test_sees_the_callers_context(self):
-        ctx = new_root_context()
-        with use_context(ctx):
-            assert InlineExecutor().submit(current_context).result() == ctx
-
-    def test_errors_arrive_through_the_future(self):
-        fut = InlineExecutor().submit(lambda: {}["missing"])
-        assert isinstance(fut.exception(), KeyError)
-
-    def test_done_callbacks_run_at_once(self):
-        seen = []
-        InlineExecutor().submit(int, "3").add_done_callback(
-            lambda fut: seen.append(fut.result()))
-        assert seen == [3]
-
-
 def _client_write_read(uri: str):
     """Mount ``uri``, run a traced write+read of block 0, return the
     root context the client used."""
@@ -334,7 +306,7 @@ def _client_write_read(uri: str):
 class TestPropagation:
     """One test per composite: the server-side span must carry the
     client's trace id across real TCP, including through worker pools
-    (replica lanes, shard fan-out) that run on long-lived threads."""
+    (replica lanes) that run on long-lived threads."""
 
     def test_remote(self):
         with StoreServer(open_store("mem://")) as server:
@@ -389,28 +361,6 @@ class TestPropagation:
         # lanes (FLUSH is sent from the caller's own thread).
         written = {s.node for s in server_spans if s.name.startswith("WRITE")}
         assert len(written) == 2, server_spans
-        assert all(s.trace_id == ctx.trace_id for s in server_spans)
-
-    def test_shard_over_remote(self):
-        """A vectored batch over both ring owners goes out on the fan-out
-        pool; single-block ops would run on the caller's thread."""
-        with StoreServer(open_store("mem://")) as s1, \
-                StoreServer(open_store("mem://")) as s2:
-            uri = ("shard://remote://{}:{};remote://{}:{}#fanout=2"
-                   .format(*s1.address, *s2.address))
-            store = open_store(uri)
-            ctx = new_root_context()
-            try:
-                with use_context(ctx):
-                    store.write_many([(b, b"T" * 256) for b in range(16)])
-                    assert None not in store.read_many(list(range(16)))
-            finally:
-                store.close()
-        server_spans = [s for s in get_recorder().spans()
-                        if s.kind == "server"]
-        for name in ("WRITE_MANY", "READ_MANY"):
-            nodes = {s.node for s in server_spans if s.name == name}
-            assert len(nodes) == 2, "16 blocks never hit both ring owners"
         assert all(s.trace_id == ctx.trace_id for s in server_spans)
 
     def test_cached_journal_over_remote(self, tmp_path):

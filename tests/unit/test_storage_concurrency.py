@@ -1,7 +1,7 @@
 """Concurrency regression suite for the fan-out storage stack.
 
-The concurrent paths (shard fan-out, replica quorum-W writes and racing
-reads, pipelined RPC) must be *behaviourally invisible*: the same
+The concurrent paths (replica quorum-W writes and racing reads,
+pipelined RPC) must be *behaviourally invisible*: the same
 answers as the sequential paths, just sooner.  This suite pins that
 down:
 
@@ -16,8 +16,8 @@ down:
   socket end);
 * one dead/slow node fails its own operations without starving its
   siblings;
-* a shard child that fails ``flush``/``close`` no longer prevents its
-  siblings from flushing/closing (the first error still propagates).
+* a replica child that fails ``flush``/``close`` does not stop its
+  siblings from flushing/closing (``flush`` raises only below W).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.storage import (
     MemoryBlockStore,
     RemoteBlockStore,
     ReplicatedBlockStore,
-    ShardedBlockStore,
     open_store,
     serve_store,
 )
@@ -108,21 +107,6 @@ class _Refusing(WrapperBlockStore):
 
 class TestParallelMatchesSequential:
     """Fan-out must never change answers, only latency."""
-
-    @pytest.mark.parametrize("seed", [7, 23, 99])
-    def test_shard_fanout_equals_sequential(self, seed):
-        sequential = ShardedBlockStore(
-            [MemoryBlockStore(BLOCKS, BS) for _ in range(4)], fanout=1)
-        concurrent = ShardedBlockStore(
-            [MemoryBlockStore(BLOCKS, BS) for _ in range(4)], fanout=4)
-        steps = _seeded_workload(seed)
-        assert _apply(sequential, steps) == _apply(concurrent, steps)
-        # Placement is the same ring: per-child contents must match too.
-        for seq_child, conc_child in zip(sequential.children,
-                                         concurrent.children):
-            assert seq_child.used_blocks() == conc_child.used_blocks()
-        sequential.close()
-        concurrent.close()
 
     @pytest.mark.parametrize("seed", [5, 41])
     def test_replica_fanout_equals_sequential(self, seed):
@@ -195,17 +179,6 @@ class TestParallelMatchesSequential:
         assert stats[0]["child_failures"] > 0
         assert stats[0]["repaired_blocks"] > 0
 
-    def test_shard_of_slow_children_still_correct(self):
-        store = ShardedBlockStore(
-            [DelayedBlockStore(MemoryBlockStore(BLOCKS, BS), delay_ms=1)
-             for _ in range(4)],
-            fanout=4,
-        )
-        payload = b"s" * BS
-        store.write_many([(b, payload) for b in range(32)])
-        assert store.read_many(list(range(32))) == [payload] * 32
-        store.close()
-
 
 class TestPoolLifetime:
     """Fan-out pools are built with their store, start threads only when
@@ -218,15 +191,6 @@ class TestPoolLifetime:
             write_quorum=2, read_quorum=2, fanout=1)
         store.write_many([(b, b"q" * BS) for b in range(8)])
         assert store.read_many(list(range(8))) == [b"q" * BS] * 8
-        assert set(threading.enumerate()) <= before
-        store.close()
-
-    def test_sequential_shard_starts_no_pool_thread(self):
-        before = set(threading.enumerate())
-        store = ShardedBlockStore(
-            [MemoryBlockStore(64, BS) for _ in range(4)], fanout=1)
-        store.write_many([(b, b"q" * BS) for b in range(32)])
-        assert store.read_many(list(range(32))) == [b"q" * BS] * 32
         assert set(threading.enumerate()) <= before
         store.close()
 
@@ -250,14 +214,6 @@ class TestPoolLifetime:
             store.close()
         alive = _wait_for_threads_to_end(before)
         assert not [t.name for t in alive if t.name.startswith("replica-")]
-
-    def test_shard_close_shuts_down_the_pool(self):
-        store = ShardedBlockStore(
-            [MemoryBlockStore(64, BS) for _ in range(4)], fanout=4)
-        store.write_many([(b, b"q" * BS) for b in range(32)])
-        store.close()
-        with pytest.raises(RuntimeError):
-            store._executor.submit(lambda: None)
 
 
 def _held_replica():
@@ -518,21 +474,6 @@ class TestOneConnection:
 class TestFailureIsolation:
     """One bad node must not starve or corrupt its siblings."""
 
-    def test_shard_child_failure_does_not_block_others(self):
-        children = [FailingBlockStore(MemoryBlockStore(BLOCKS, BS))
-                    for _ in range(4)]
-        store = ShardedBlockStore(children, fanout=4)
-        payload = b"i" * BS
-        store.write_many([(b, payload) for b in range(64)])
-        children[1].fail()
-        with pytest.raises(StoreUnavailable):
-            store.read_many(list(range(64)))
-        # Healthy children still answered their shares (fan-out ran them
-        # all); and with the node healed everything is intact.
-        children[1].heal()
-        assert store.read_many(list(range(64))) == [payload] * 64
-        store.close()
-
     def test_dead_node_timeout_does_not_starve_replica_reads(self):
         """A node stuck mid-request occupies only its own lane: reads
         racing the healthy replicas return while it is still stuck."""
@@ -545,21 +486,6 @@ class TestFailureIsolation:
         finally:
             held.release()
         store.drain()
-        store.close()
-
-    def test_sequential_shard_runs_every_child_before_raising(self):
-        """``fanout=1`` keeps the fan-out contract: a failing child does
-        not stop its siblings' portions, and its error still surfaces."""
-        mem = MemoryBlockStore(BLOCKS, BS)
-        store = ShardedBlockStore(
-            [FailingBlockStore(MemoryBlockStore(BLOCKS, BS), failing=True),
-             mem], fanout=1)
-        items = [(b, bytes([b]) * BS) for b in range(32)]
-        assert store.shard_for(items[0][0]) == 0  # the failing group first
-        with pytest.raises(StoreUnavailable):
-            store.write_many(items)
-        assert mem.used_block_numbers() == sorted(
-            b for b, _data in items if store.shard_for(b) == 1)
         store.close()
 
     def test_remote_timeout_surfaces_as_store_unavailable(self):
@@ -579,9 +505,26 @@ class TestFailureIsolation:
         store.close()
         server.close()
 
+    def test_sequential_replica_writes_every_child_before_raising(self):
+        """``fanout=1`` keeps the fan-out contract: a failing child does
+        not stop its siblings' copies, and the lost quorum still
+        surfaces."""
+        healthy = [MemoryBlockStore(BLOCKS, BS) for _ in range(2)]
+        store = ReplicatedBlockStore(
+            [FailingBlockStore(MemoryBlockStore(BLOCKS, BS), failing=True),
+             *healthy], write_quorum=3, read_quorum=1, fanout=1)
+        items = [(b, bytes([b]) * BS) for b in range(32)]
+        with pytest.raises(QuorumError):
+            store.write_many(items)
+        for child in healthy:
+            assert child.used_block_numbers() == list(range(32))
+        store.close()
 
-class TestShardFlushCloseErrorPropagation:
-    """The satellite fix: a raising child no longer truncates the loop."""
+
+class TestReplicaFlushCloseErrorPropagation:
+    """``flush`` and ``close`` visit every child even when one raises:
+    ``flush`` fails only once fewer than W children flushed, and
+    ``close`` releases the rest regardless."""
 
     class _TrackingStore(MemoryBlockStore):
         def __init__(self, *args, **kwargs):
@@ -596,38 +539,47 @@ class TestShardFlushCloseErrorPropagation:
             self.closed += 1
             super().close()
 
-    def test_flush_attempts_every_child_and_raises_first_error(self):
-        children = [
-            FailingBlockStore(self._TrackingStore(BLOCKS, BS))
-            for _ in range(4)
-        ]
-        store = ShardedBlockStore(children, fanout=4)
-        children[1].fail()
-        with pytest.raises(StoreUnavailable):
-            store.flush()
-        # Children after the failing one were still flushed.
-        assert children[2].child.flushed == 1
-        assert children[3].child.flushed == 1
+    def _replica(self, write_quorum: int):
+        children = [FailingBlockStore(self._TrackingStore(BLOCKS, BS))
+                    for _ in range(3)]
+        store = ReplicatedBlockStore(children, write_quorum=write_quorum,
+                                     read_quorum=1)
+        return store, children
 
-    def test_close_attempts_every_child_and_raises_first_error(self):
+    def test_flush_within_quorum_reaches_every_healthy_child(self):
+        store, children = self._replica(write_quorum=2)
+        children[0].fail()
+        store.flush()
+        assert [c.child.flushed for c in children] == [0, 1, 1]
+        assert store.replica_stats.child_failures == 1
+        children[0].heal()
+        store.close()
+
+    def test_flush_below_quorum_raises_after_trying_every_child(self):
+        store, children = self._replica(write_quorum=3)
+        children[0].fail()
+        with pytest.raises(QuorumError, match="flush reached 2"):
+            store.flush()
+        assert [c.child.flushed for c in children] == [0, 1, 1]
+        children[0].heal()
+        store.close()
+
+    def test_close_attempts_every_child_when_one_raises(self):
         class _ExplodingClose(MemoryBlockStore):
             def close(self):
                 raise StoreUnavailable("close failed")
 
         tracked = [self._TrackingStore(BLOCKS, BS) for _ in range(3)]
-        children = [_ExplodingClose(BLOCKS, BS), *tracked]
-        store = ShardedBlockStore(children, fanout=2)
-        with pytest.raises(StoreUnavailable):
-            store.close()
+        store = ReplicatedBlockStore([_ExplodingClose(BLOCKS, BS), *tracked],
+                                     write_quorum=2, read_quorum=1)
+        store.close()
         assert all(t.closed == 1 for t in tracked)
 
     def test_uri_failing_children_flush(self):
-        from repro.storage import open_store
-
-        store = open_store(
-            "shard://failing://mem://;failing://mem://;failing://mem://")
+        store = open_store("replica://failing://mem://;failing://mem://;"
+                           "failing://mem://#w=3&r=1")
         store.children[0].fail()
-        with pytest.raises(StoreUnavailable):
+        with pytest.raises(QuorumError):
             store.flush()
         store.children[0].heal()
         store.flush()
@@ -828,8 +780,7 @@ class TestHedgedReads:
 
 class TestAtomicStatsCounters:
     """The live per-store counters (``BlockDeviceStats``) are hit from
-    replica straggler lanes, shard fan-out pools and pipelined RPC
-    windows at once; a plain ``x += 1`` there is a read-modify-write
+    replica straggler lanes and pipelined RPC windows at once; a plain ``x += 1`` there is a read-modify-write
     race that silently loses updates.  The counters are lock-guarded
     now — these are the exact-count regressions proving no update is
     lost under real thread contention."""

@@ -3,8 +3,8 @@
 One parametrized battery runs against each backend the registry can
 resolve, so a new scheme gets the full read/write/round-trip contract
 checked by adding a single URI template here.  Backend-specific behaviour
-(shard placement determinism, persistence across close/reopen, cache
-write-back) is covered below the shared battery.
+(persistence across close/reopen, cache write-back) is covered below the
+shared battery.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.fs.ffs import FFS
 from repro.fs import persist
 from repro.storage import (
     CachedBlockStore,
-    ShardedBlockStore,
     open_device,
     open_store,
     registered_schemes,
@@ -38,7 +37,6 @@ URI_TEMPLATES = {
     "mem": "mem://",
     "file": "file://{tmp}/blocks.img",
     "sqlite": "sqlite://{tmp}/blocks.db",
-    "shard": "shard://3",
     "cached": "cached://mem://#capacity=16",
     "remote": "remote://{remote}",
     "replica": "replica://3?w=2&r=2",
@@ -51,11 +49,9 @@ URI_TEMPLATES = {
 }
 
 EXTRA_COMPOSITES = [
-    "shard://mem://;mem://;mem://",
-    "cached://shard://2#capacity=8",
+    "cached://replica://2#capacity=8",
     "cached://sqlite://{tmp}/nested.db#capacity=8",
     "remote://{remote}?batch=off",
-    "shard://remote://{remote};remote://{remote2}",
     "cached://remote://{remote}#capacity=8",
     "replica://remote://{remote};remote://{remote2}#w=1&r=1",
     "replica://2/failing://mem://#w=2&r=1",
@@ -64,9 +60,17 @@ EXTRA_COMPOSITES = [
     "cached://journal://file://{tmp}/cached-journal.img#capacity=8",
     "replica://2/journal://file://{tmp}/jrep-{i}.img#w=2&r=1",
     "lazy://remote://{remote}",
-    "shard://mem://;mem://;mem://#fanout=2",
+    "replica://mem://;mem://;mem://#fanout=1",
     "replica://slow://mem://#ms=1;mem://;mem://#w=2&r=2",
-    "shard://remote://{remote}?workers=2;remote://{remote2}?workers=2",
+    "replica://remote://{remote}?workers=2;remote://{remote2}?workers=2"
+    "#w=2&r=1",
+    "replica://2?base=file&dir={tmp}/conf-replicas",
+    "replica://mem://;file://{tmp}/mixed.img;sqlite://{tmp}/mixed.db#w=2&r=2",
+    "replica://2/cached://mem://#w=2&r=1",
+    "replica://lazy://remote://{remote};lazy://remote://{remote2}#w=2&r=1",
+    "tenant://replica://2?blocks=128#name=carve&offset=64",
+    "journal://replica://2?base=file&dir={tmp}/jreplicas"
+    "#path={tmp}/jreplicas.journal",
     "tenant://mem://?blocks=128#name=carve&offset=64",
     "metered://cached://mem://#capacity=8",
     "metered://remote://{remote}#slow_ms=250&ring=64",
@@ -244,8 +248,8 @@ class TestRegistry:
             open_store("bogus://")
 
     def test_typo_scheme_gets_a_suggestion(self):
-        with pytest.raises(InvalidArgument, match="did you mean 'shard'"):
-            open_store("shrad://2")
+        with pytest.raises(InvalidArgument, match="did you mean 'replica'"):
+            open_store("replicas://2")
         with pytest.raises(InvalidArgument, match="did you mean 'replica'"):
             open_store("replcia://3")
 
@@ -270,62 +274,25 @@ class TestRegistry:
         # The wrapped store counts the same physical traffic.
         assert dev.store.stats.reads == 1 and dev.store.stats.writes == 1
 
-    def test_shard_count_form_and_explicit_children_agree(self):
-        by_count = open_store("shard://3", num_blocks=BLOCKS, block_size=BS)
+    def test_replica_count_form_and_explicit_children_agree(self):
+        by_count = open_store("replica://3", num_blocks=BLOCKS, block_size=BS)
         explicit = open_store(
-            "shard://mem://;mem://;mem://", num_blocks=BLOCKS, block_size=BS
+            "replica://mem://;mem://;mem://", num_blocks=BLOCKS, block_size=BS
         )
-        for block_no in range(BLOCKS):
-            assert by_count.shard_for(block_no) == explicit.shard_for(block_no)
-
-
-class TestShardPlacement:
-    def test_placement_is_deterministic_across_instances(self):
-        a = open_store("shard://4", num_blocks=1024)
-        b = open_store("shard://4", num_blocks=1024)
-        assert [a.shard_for(i) for i in range(1024)] == [
-            b.shard_for(i) for i in range(1024)
-        ]
-
-    def test_every_shard_receives_traffic(self):
-        s: ShardedBlockStore = open_store("shard://4", num_blocks=1024)
-        for i in range(1024):
-            s.write(i, b"x")
-        distribution = s.shard_distribution()
-        assert sum(distribution) == 1024
-        assert all(count > 0 for count in distribution)
-        # Consistent hashing with vnodes keeps shards within a loose
-        # balance envelope (no shard over 2x the fair share).
-        assert max(distribution) < 2 * (1024 / 4)
-
-    def test_adding_a_shard_moves_few_blocks(self):
-        four = open_store("shard://4", num_blocks=4096)
-        five = open_store("shard://5", num_blocks=4096)
-        moved = sum(
-            1 for i in range(4096) if four.shard_for(i) != five.shard_for(i)
-        )
-        # Consistent hashing: ~1/5 of keys move; a modulo scheme would
-        # move ~4/5.  Allow slack for ring imbalance.
-        assert moved < 4096 * 0.4
-
-    def test_reads_route_to_owning_shard(self):
-        s: ShardedBlockStore = open_store("shard://4", num_blocks=256)
-        s.write(17, b"routed")
-        owner = s.shard_for(17)
-        assert s.children[owner].stats.writes == 1
-        s.read(17)
-        assert s.children[owner].stats.reads == 1
+        assert by_count.describe() == explicit.describe()
+        assert [c.describe() for c in by_count.child_stores()] == \
+            [c.describe() for c in explicit.child_stores()]
 
 
 @pytest.mark.parametrize("template", [
     "file://{tmp}/persist.img",
     "sqlite://{tmp}/persist.db",
-    "shard://2?base=file&dir={tmp}/shards",
-    "shard://2?base=sqlite&dir={tmp}/dbshards",
+    "replica://2?base=file&dir={tmp}/replicas",
+    "replica://2?base=sqlite&dir={tmp}/dbreplicas",
     "cached://sqlite://{tmp}/cached-persist.db#capacity=4",
     "journal://file://{tmp}/jpersist.img",
     "journal://sqlite://{tmp}/jpersist.db",
-], ids=["file", "sqlite", "shard-file", "shard-sqlite", "cached-sqlite",
+], ids=["file", "sqlite", "replica-file", "replica-sqlite", "cached-sqlite",
         "journal-file", "journal-sqlite"])
 def test_blocks_persist_across_close_and_reopen(template, tmp_path):
     uri = template.format(tmp=tmp_path)
@@ -586,7 +553,7 @@ class TestLeafStores:
         assert s.leaf_stores() == [s]
 
     def test_composites_descend_to_physical_leaves(self):
-        s = open_store("cached://shard://3#capacity=8")
+        s = open_store("cached://replica://3#capacity=8")
         leaves = s.leaf_stores()
         assert len(leaves) == 3
         assert all(leaf.scheme == "mem" for leaf in leaves)
@@ -645,7 +612,7 @@ class TestLeafStores:
 class TestBatchedIO:
     """read_many/write_many: same semantics as looping, fewer backend ops."""
 
-    @pytest.mark.parametrize("uri", ["mem://", "shard://3",
+    @pytest.mark.parametrize("uri", ["mem://",
                                      "cached://mem://#capacity=16",
                                      "replica://3?w=2&r=2"])
     def test_matches_per_block_semantics(self, uri):
@@ -672,15 +639,6 @@ class TestBatchedIO:
             s.read_many([0, BLOCKS])
         with pytest.raises(InvalidArgument):
             s.write_many([(0, b"x" * (BS + 1))])
-
-    def test_shard_batches_fan_out_once_per_child(self):
-        s: ShardedBlockStore = open_store("shard://4", num_blocks=1024)
-        s.write_many([(i, b"x") for i in range(64)])
-        datas = s.read_many(list(range(64)))
-        assert all(d.startswith(b"x") for d in datas)
-        # Every block landed on its owning shard, same as per-block writes.
-        for i in range(64):
-            assert s.children[s.shard_for(i)]._contains(i)
 
     def test_cached_batch_read_fetches_misses_in_one_child_call(self):
         s: CachedBlockStore = open_store("cached://mem://#capacity=32")

@@ -1,29 +1,18 @@
 """The store control plane: describe()/SpecTree, the uniform
-snapshot/capabilities protocol, block enumeration, and reshard.
-
-``reshard`` is the flagship: live shard add/remove on a mounted ring,
-moving only blocks whose consistent-hash owner changed, verified, with
-an atomic child-list swap.  The acceptance case (3→4 nodes over real
-``remote://`` TCP servers, ≈1/4 of blocks moved, data served afterward)
-lives here; the measured version is ``benchmarks/test_ablation_reshard.py``.
+snapshot/capabilities protocol, and block enumeration.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import InvalidArgument
 from repro.storage import (
     MemoryBlockStore,
     describe,
     iter_stores,
     open_store,
-    parse_spec,
-    reshard,
     serve_store,
 )
-from repro.storage import spec as specs
-from repro.storage.shard import ShardedBlockStore, build_ring, ring_owner
 
 BLOCKS = 512
 BS = 512
@@ -36,12 +25,12 @@ BS = 512
 
 class TestDescribe:
     def test_tree_mirrors_topology(self):
-        store = open_store("cached://shard://2#capacity=8",
+        store = open_store("cached://replica://2#capacity=8",
                            num_blocks=BLOCKS, block_size=BS)
         try:
             tree = describe(store)
             assert tree.scheme == "cached"
-            assert [c.scheme for c in tree.children] == ["shard"]
+            assert [c.scheme for c in tree.children] == ["replica"]
             assert [c.scheme for c in tree.children[0].children] == \
                 ["mem", "mem"]
         finally:
@@ -65,9 +54,9 @@ class TestDescribe:
             store.close()
 
     def test_capability_derivation_across_layers(self, tmp_path):
-        durable = open_store(f"shard://2?base=file&dir={tmp_path}",
+        durable = open_store(f"replica://2?base=file&dir={tmp_path}",
                              num_blocks=BLOCKS, block_size=BS)
-        mixed = open_store("shard://mem://;mem://",
+        mixed = open_store("replica://mem://;mem://",
                            num_blocks=BLOCKS, block_size=BS)
         try:
             assert durable.capabilities().durable
@@ -113,11 +102,11 @@ class TestDescribe:
 
     def test_iter_stores_walks_each_layer_once(self):
         store = open_store("journal://mem://#path=/dev/null&cap=4"
-                           if False else "cached://shard://2#capacity=4",
+                           if False else "cached://replica://2#capacity=4",
                            num_blocks=BLOCKS, block_size=BS)
         try:
             schemes = [s.scheme for s in iter_stores(store)]
-            assert schemes == ["cached", "shard", "mem", "mem"]
+            assert schemes == ["cached", "replica", "mem", "mem"]
         finally:
             store.close()
 
@@ -127,7 +116,7 @@ class TestUsedBlockNumbers:
         "mem://",
         "file://{tmp}/u.img",
         "sqlite://{tmp}/u.db",
-        "shard://3",
+        "replica://3",
         "cached://mem://#capacity=4",
         "replica://3?w=2&r=2",
         "journal://file://{tmp}/uj.img",
@@ -165,250 +154,3 @@ class TestUsedBlockNumbers:
                 store.close()
         finally:
             server.close()
-
-
-# ---------------------------------------------------------------------------
-# reshard
-# ---------------------------------------------------------------------------
-
-
-def _fill(store, count, stride=1):
-    payload = {}
-    items = []
-    for block_no in range(0, count, stride):
-        data = (b"blk-%d!" % block_no) * 8
-        items.append((block_no, data))
-        payload[block_no] = data
-    store.write_many(items)
-    return payload
-
-
-class TestReshard:
-    def test_three_to_four_moves_ring_share_only(self):
-        old = parse_spec("shard://3")
-        new = parse_spec("shard://4")
-        store = open_store(old, num_blocks=BLOCKS * 4, block_size=BS)
-        try:
-            payload = _fill(store, BLOCKS * 4)
-            report = reshard(store, old, new)
-            # consistent hashing: ~1/4 of the keyspace, never anywhere
-            # near the ~100% a modulo placement would shuffle
-            assert 0 < report.moved_blocks < 0.5 * report.total_blocks
-            assert report.total_blocks == len(payload)
-            assert report.verified
-            assert report.reused_children == 3
-            assert report.added_children == 1
-            assert len(store.children) == 4
-            for block_no, data in payload.items():
-                assert store.read(block_no).startswith(data)
-        finally:
-            store.close()
-
-    def test_moved_set_is_exactly_the_ring_diff(self):
-        old = parse_spec("shard://3")
-        new = parse_spec("shard://4")
-        store = open_store(old, num_blocks=BLOCKS * 4, block_size=BS)
-        try:
-            _fill(store, BLOCKS * 4)
-            old_ring = build_ring(3)
-            new_ring = build_ring(4)
-            expected = sum(
-                1 for b in range(BLOCKS * 4)
-                if ring_owner(*old_ring, b) != ring_owner(*new_ring, b)
-            )
-            report = reshard(store, old, new)
-            assert report.moved_blocks == expected
-        finally:
-            store.close()
-
-    def test_scale_in_drains_removed_node(self):
-        old = parse_spec("shard://4")
-        new = parse_spec("shard://3")
-        store = open_store(old, num_blocks=BLOCKS * 4, block_size=BS)
-        try:
-            payload = _fill(store, BLOCKS * 4)
-            removed = store.children[3]
-            report = reshard(store, old, new)
-            assert report.removed_children == 1
-            assert len(store.children) == 3
-            assert removed not in store.children
-            for block_no, data in payload.items():
-                assert store.read(block_no).startswith(data)
-        finally:
-            store.close()
-
-    def test_acceptance_remote_ring_three_to_four(self):
-        """The ISSUE acceptance: a real shard://remote:// ring grows
-        3→4; ≈1/4 of blocks move (asserted well under 50%), everything
-        is intact and served afterward."""
-        servers = [serve_store(MemoryBlockStore(BLOCKS * 4, BS))
-                   for _ in range(4)]
-        try:
-            def ring(n):
-                return specs.shard(*(
-                    specs.remote("%s:%d" % s.address) for s in servers[:n]
-                ))
-
-            store = open_store(ring(3), num_blocks=BLOCKS * 4,
-                               block_size=BS)
-            try:
-                payload = _fill(store, BLOCKS * 2)
-                report = reshard(store, ring(3), ring(4))
-                assert report.moved_blocks > 0
-                assert report.moved_blocks < 0.5 * report.total_blocks
-                assert report.verified
-                # served afterward, through the same mounted store
-                for block_no, data in payload.items():
-                    assert store.read(block_no).startswith(data)
-                # and the new node actually holds its share
-                fourth = store.children[3]
-                assert fourth.used_blocks() > 0
-            finally:
-                store.close()
-        finally:
-            for server in servers:
-                server.close()
-
-    def test_spec_mismatch_rejected(self):
-        store = open_store("shard://3", num_blocks=BLOCKS, block_size=BS)
-        try:
-            with pytest.raises(InvalidArgument, match="mounted ring has"):
-                reshard(store, "shard://2", "shard://4")
-            with pytest.raises(InvalidArgument, match="shard:// specs"):
-                reshard(store, "mem://", "shard://4")
-        finally:
-            store.close()
-
-    def test_non_shard_store_rejected(self):
-        store = open_store("mem://", num_blocks=BLOCKS, block_size=BS)
-        try:
-            with pytest.raises(InvalidArgument, match="mounted shard"):
-                reshard(store, "shard://1", "shard://2")
-        finally:
-            store.close()
-
-    def test_stale_copies_from_older_layouts_are_ignored(self):
-        """A block left behind on its pre-migration owner must neither
-        count as authoritative nor be resurrected by a later reshard."""
-        old = parse_spec("shard://3")
-        store = open_store(old, num_blocks=BLOCKS * 4, block_size=BS)
-        try:
-            payload = _fill(store, BLOCKS * 4)
-            total = len(payload)
-            reshard(store, old, "shard://4")
-            # Overwrite every block *after* the first migration; old
-            # owners still hold the stale first-generation copies.
-            for block_no in payload:
-                payload[block_no] = (b"gen2-%d!" % block_no) * 8
-                store.write(block_no, payload[block_no])
-            report = reshard(store, "shard://4", "shard://5")
-            assert report.total_blocks == total  # stale copies not counted
-            for block_no, data in payload.items():
-                assert store.read(block_no).startswith(data)
-        finally:
-            store.close()
-
-    def test_swap_retires_stale_fanout_pool(self):
-        """Raising fanout via reshard must not leave I/O capped at the
-        old pool width: the lazily built executor is retired on a
-        fanout change."""
-        store = open_store("shard://2", num_blocks=BLOCKS, block_size=BS)
-        try:
-            store.write_many([(b, b"warm the pool") for b in range(16)])
-            assert store._executor is not None  # pool built at width 2
-            old_pool = store._executor
-            reshard(store, "shard://2", "shard://8?fanout=8")
-            assert store.fanout == 8
-            assert store._executor is not old_pool
-            store.write_many([(b, b"wide now") for b in range(16)])
-            assert store._executor._max_workers == 8
-        finally:
-            store.close()
-
-    def test_swap_to_fewer_children_narrows_the_pool(self):
-        store = ShardedBlockStore(
-            [MemoryBlockStore(BLOCKS, BS) for _ in range(4)], fanout=4)
-        try:
-            old_pool = store._executor
-            store.swap_children([MemoryBlockStore(BLOCKS, BS)
-                                 for _ in range(2)])
-            assert store.fanout == 2
-            assert store._executor._max_workers == 2
-            with pytest.raises(RuntimeError):
-                old_pool.submit(lambda: None)  # retired, not leaked
-            store.write_many([(b, b"narrow") for b in range(16)])
-            assert all(data.startswith(b"narrow")
-                       for data in store.read_many(list(range(16))))
-        finally:
-            store.close()
-
-    def test_swap_at_the_same_width_keeps_the_pool(self):
-        store = ShardedBlockStore(
-            [MemoryBlockStore(BLOCKS, BS) for _ in range(4)], fanout=4)
-        try:
-            pool = store._executor
-            store.swap_children([MemoryBlockStore(BLOCKS, BS)
-                                 for _ in range(4)])
-            assert store._executor is pool
-        finally:
-            store.close()
-
-    def test_swap_preserves_geometry_guarantee(self):
-        store = open_store("shard://2", num_blocks=BLOCKS, block_size=BS)
-        try:
-            with pytest.raises(InvalidArgument, match="cover"):
-                store.swap_children(
-                    [MemoryBlockStore(BLOCKS // 2, BS)]
-                )
-        finally:
-            store.close()
-
-
-class TestReshardTracePropagation:
-    """The mover pool runs on fresh threads; an active trace span must
-    be copied into them (contextvars do not flow to pool threads by
-    themselves), or every child write the migration performs is
-    invisible to the trace that requested it."""
-
-    def test_movers_inherit_active_span(self, monkeypatch):
-        from repro.obs.trace import (
-            current_context,
-            new_root_context,
-            use_context,
-        )
-        from repro.storage import control as control_mod
-
-        built = []
-
-        class RecordingStore(MemoryBlockStore):
-            def __init__(self, num_blocks, block_size):
-                super().__init__(num_blocks, block_size)
-                self.write_contexts = []
-
-            def _put_many(self, items):
-                self.write_contexts.append(current_context())
-                super()._put_many(items)
-
-        def recording_build(spec, *, num_blocks, block_size):
-            store = RecordingStore(num_blocks, block_size)
-            built.append(store)
-            return store
-
-        monkeypatch.setattr(control_mod, "build", recording_build)
-
-        old = parse_spec("shard://3")
-        new = parse_spec("shard://4")
-        store = open_store(old, num_blocks=BLOCKS * 4, block_size=BS)
-        try:
-            _fill(store, BLOCKS * 4)
-            ctx = new_root_context()
-            with use_context(ctx):
-                report = reshard(store, old, new)
-            assert report.moved_blocks > 0
-            contexts = [c for s in built for c in s.write_contexts]
-            assert contexts, "no mover writes reached the new child"
-            assert all(c is not None and c.trace_id == ctx.trace_id
-                       for c in contexts), \
-                "reshard mover threads lost the active span context"
-        finally:
-            store.close()

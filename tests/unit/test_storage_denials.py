@@ -9,9 +9,10 @@ that missed a ``REVOKE`` (or enforces no quota) overrule the one that
 applied it.
 
 The matrix below runs every composite scheme the spec registry knows
-(both fan-out modes of ``replica://`` and ``shard://``; ``remote://``
+(both fan-out modes of ``replica://``; ``remote://``
 over an in-process ``store-serve``, so the wire's in-band status codes
-are exercised) over a test-local child that answers every operation
+are exercised, with ``replica://`` on either side of the wire) over a
+test-local child that answers every operation
 with one typed denial.  ``test_matrix_covers_every_composite_scheme``
 fails when a new wrapper scheme is registered without a row here.
 """
@@ -37,7 +38,6 @@ from repro.storage import (
     MemoryBlockStore,
     RemoteBlockStore,
     ReplicatedBlockStore,
-    ShardedBlockStore,
     TenantBlockStore,
     open_store,
     serve_store,
@@ -104,17 +104,18 @@ def _served(child: BlockStore, servers: list) -> BlockStore:
 
 
 #: Row id -> build(make_child, tmp_path, servers).  The scheme is the id
-#: up to ``#``; the fragment names the fan-out mode.
+#: up to ``#``; the fragment names the fan-out mode, or the layer across
+#: the wire when a denial crosses it between ``replica://`` and its
+#: children.
 STACKS = {
     "replica": lambda child, tmp, servers: ReplicatedBlockStore(
         [child() for _ in range(3)], write_quorum=2, read_quorum=2),
     "replica#fanout=1": lambda child, tmp, servers: ReplicatedBlockStore(
         [child() for _ in range(3)], write_quorum=2, read_quorum=2,
         fanout=1),
-    "shard": lambda child, tmp, servers: ShardedBlockStore(
-        [child(), child()]),
-    "shard#fanout=1": lambda child, tmp, servers: ShardedBlockStore(
-        [child(), child()], fanout=1),
+    "replica#children=remote": lambda child, tmp, servers:
+        ReplicatedBlockStore([_served(child(), servers) for _ in range(3)],
+                             write_quorum=2, read_quorum=2),
     "cached": lambda child, tmp, servers: CachedBlockStore(child()),
     "metered": lambda child, tmp, servers: InstrumentedBlockStore(child()),
     "failing": lambda child, tmp, servers: FailingBlockStore(child()),
@@ -125,6 +126,9 @@ STACKS = {
     "slow": lambda child, tmp, servers: DelayedBlockStore(child()),
     "tenant": lambda child, tmp, servers: TenantBlockStore(child(), "t"),
     "remote": lambda child, tmp, servers: _served(child(), servers),
+    "remote#child=replica": lambda child, tmp, servers: _served(
+        ReplicatedBlockStore([child() for _ in range(3)], write_quorum=2,
+                             read_quorum=2), servers),
 }
 
 #: Operations a caller issues; a write-back layer surfaces its child's
@@ -175,6 +179,7 @@ def stack(tmp_path):
         store.close()
     for server in servers:
         server.close()
+        server.store.close()
 
 
 @pytest.mark.parametrize("op", sorted(OPS))

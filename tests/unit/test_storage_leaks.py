@@ -44,10 +44,10 @@ def _raising(*args, **kwargs):
 
 
 class TestBuilderFailureClosesChildren:
-    def test_shard_ctor_failure_closes_built_children(self, closed_stores):
-        # Mismatched child block sizes make ShardedBlockStore itself
+    def test_replica_ctor_failure_closes_built_children(self, closed_stores):
+        # Mismatched child block sizes make ReplicatedBlockStore itself
         # raise — after both children were already built.
-        spec = parse_spec("shard://mem://?bs=512;mem://?bs=4096")
+        spec = parse_spec("replica://mem://?bs=512;mem://?bs=4096")
         with pytest.raises(InvalidArgument):
             build(spec, num_blocks=BLOCKS, block_size=BS)
         assert len(closed_stores) == 2

@@ -266,7 +266,7 @@ class TestHostileReplies:
     def test_a_malformed_reply_is_not_an_xdr_error(self, lying):
         """Shown on the parent of the table: results were decoded after
         ``_call`` had returned, so these three raised ``XDRError`` into
-        ``shard://`` and the block device."""
+        the composites and the block device."""
         transport, store = lying
         transport.hostile = ref.reply(opaque_of(1000))
         with pytest.raises(StoreUnavailable, match="exceeds maximum"):

@@ -24,7 +24,6 @@ from repro.storage.spec import (
     MemSpec,
     RemoteSpec,
     ReplicaSpec,
-    ShardSpec,
     SlowSpec,
     SpecError,
     SqliteSpec,
@@ -59,21 +58,21 @@ class TestParseLeafForms:
 
 
 class TestParseCompositeForms:
-    def test_shard_count_form_expands_children(self):
-        assert parse_spec("shard://3") == ShardSpec(
-            shards=[MemSpec(), MemSpec(), MemSpec()]
+    def test_replica_count_form_expands_children(self):
+        assert parse_spec("replica://3") == ReplicaSpec(
+            replicas=[MemSpec(), MemSpec(), MemSpec()]
         )
 
-    def test_shard_count_form_with_file_base(self, tmp_path):
-        spec = parse_spec(f"shard://2?base=file&dir={tmp_path}&bs=512")
-        assert spec == ShardSpec(shards=[
-            FileSpec(path=f"{tmp_path}/shard-0.blk", bs=512),
-            FileSpec(path=f"{tmp_path}/shard-1.blk", bs=512),
+    def test_replica_count_form_with_file_base(self, tmp_path):
+        spec = parse_spec(f"replica://2?base=file&dir={tmp_path}&bs=512")
+        assert spec == ReplicaSpec(replicas=[
+            FileSpec(path=f"{tmp_path}/replica-0.blk", bs=512),
+            FileSpec(path=f"{tmp_path}/replica-1.blk", bs=512),
         ])
 
-    def test_shard_explicit_children_and_fanout(self):
-        assert parse_spec("shard://mem://;mem://#fanout=2") == ShardSpec(
-            shards=[MemSpec(), MemSpec()], fanout=2
+    def test_replica_explicit_children_and_fanout(self):
+        assert parse_spec("replica://mem://;mem://#fanout=2") == ReplicaSpec(
+            replicas=[MemSpec(), MemSpec()], fanout=2
         )
 
     def test_replica_template_form(self):
@@ -136,7 +135,7 @@ class TestParseCompositeForms:
 
 class TestRendering:
     def test_count_form_canonicalizes_to_explicit(self):
-        assert parse_spec("shard://2").to_uri() == "shard://mem://;mem://"
+        assert parse_spec("replica://2").to_uri() == "replica://mem://;mem://"
 
     def test_options_render_only_when_set(self):
         assert parse_spec("cached://mem://").to_uri() == "cached://mem://"
@@ -144,13 +143,13 @@ class TestRendering:
             "cached://mem://#capacity=4"
 
     def test_ambiguous_nested_multichild_rejected(self):
-        nested = specs.cached(specs.shard(specs.mem(), specs.mem()))
+        nested = specs.cached(specs.replica(specs.mem(), specs.mem()))
         # legal as the sole child of a wrapper...
-        assert nested.to_uri() == "cached://shard://mem://;mem://"
+        assert nested.to_uri() == "cached://replica://mem://;mem://"
         # ...but not inside a semicolon list, where the parent would
         # re-split the child at its own semicolons.
         with pytest.raises(SpecError, match="semicolon"):
-            specs.shard(nested, specs.mem()).to_uri()
+            specs.replica(nested, specs.mem()).to_uri()
 
     def test_ambiguous_trailing_fragment_rejected(self):
         inner = specs.failing(specs.mem(), fail=True)
@@ -161,15 +160,15 @@ class TestRendering:
 
 class TestBuilders:
     def test_issue_example_shape(self):
-        spec = specs.shard(specs.remote("h1:9001"), specs.remote("h2:9001"),
-                           fanout=4)
-        assert spec == ShardSpec(
-            shards=[RemoteSpec(host="h1", port=9001),
-                    RemoteSpec(host="h2", port=9001)],
-            fanout=4,
+        spec = specs.replica(specs.remote("h1:9001"), specs.remote("h2:9001"),
+                             fanout=2)
+        assert spec == ReplicaSpec(
+            replicas=[RemoteSpec(host="h1", port=9001),
+                      RemoteSpec(host="h2", port=9001)],
+            fanout=2,
         )
         assert spec.to_uri() == \
-            "shard://remote://h1:9001;remote://h2:9001#fanout=4"
+            "replica://remote://h1:9001;remote://h2:9001#fanout=2"
 
     def test_builders_accept_uri_strings(self):
         assert specs.cached("mem://", capacity=4) == CachedSpec(
@@ -180,7 +179,7 @@ class TestBuilders:
         with pytest.raises(SpecError, match="write quorum"):
             specs.replica(specs.mem(), specs.mem(), w=3)
         with pytest.raises(SpecError, match="fanout"):
-            specs.shard(specs.mem(), fanout=0)
+            specs.replica(specs.mem(), fanout=0)
         with pytest.raises(SpecError, match="capacity"):
             specs.cached(specs.mem(), capacity=0)
 
@@ -195,13 +194,13 @@ class TestBuilders:
             store.close()
 
     def test_build_equals_uri_pipeline(self):
-        via_uri = open_store("shard://3", num_blocks=64, block_size=512)
-        via_spec = build(parse_spec("shard://3"), num_blocks=64,
+        via_uri = open_store("replica://3?w=2", num_blocks=64, block_size=512)
+        via_spec = build(parse_spec("replica://3?w=2"), num_blocks=64,
                          block_size=512)
         try:
-            for block_no in range(64):
-                assert via_uri.shard_for(block_no) == \
-                    via_spec.shard_for(block_no)
+            assert via_uri.describe() == via_spec.describe()
+            assert [child.describe() for child in via_uri.child_stores()] \
+                == [child.describe() for child in via_spec.child_stores()]
         finally:
             via_uri.close()
             via_spec.close()
@@ -211,8 +210,8 @@ class TestGoldenErrors:
     """Misspellings must point at the right name; unknown options raise."""
 
     def test_scheme_typo_suggestions(self):
-        with pytest.raises(InvalidArgument, match="did you mean 'shard'"):
-            parse_spec("shrad://2")
+        with pytest.raises(InvalidArgument, match="did you mean 'replica'"):
+            parse_spec("replicas://2")
         with pytest.raises(InvalidArgument, match="did you mean 'replica'"):
             parse_spec("replcia://3")
         with pytest.raises(InvalidArgument, match="did you mean 'cached'"):
@@ -226,7 +225,7 @@ class TestGoldenErrors:
 
     def test_fragment_option_typo_suggestion(self):
         with pytest.raises(SpecError, match="did you mean 'fanout'"):
-            parse_spec("shard://mem://;mem://#fanuot=2")
+            parse_spec("replica://mem://;mem://#fanuot=2")
         with pytest.raises(SpecError, match="did you mean 'capacity'"):
             parse_spec("cached://mem://#capasity=8")
         with pytest.raises(SpecError, match="did you mean 'hedge_ms'"):
@@ -293,9 +292,33 @@ class TestSchemeRegistry:
         assert set(registered_schemes()) == set(specs.known_schemes())
 
     def test_walk_visits_every_layer(self):
-        spec = parse_spec("cached://shard://2#capacity=4")
+        spec = parse_spec("cached://replica://2#capacity=4")
         schemes = [s.scheme for s in spec.walk()]
-        assert schemes == ["cached", "shard", "mem", "mem"]
+        assert schemes == ["cached", "replica", "mem", "mem"]
+
+    def test_option_census(self):
+        """Every (scheme, option) pair a URI may carry, pinned: adding or
+        removing a storage option shows up in this file's diff."""
+        census = {scheme: sorted(specs._shape(cls).names)
+                  for scheme, cls in specs.SPEC_TYPES.items()}
+        assert census == {
+            "cached": ["capacity"],
+            "failing": ["fail"],
+            "file": ["blocks", "bs"],
+            "journal": ["cap", "path"],
+            "lazy": ["retry"],
+            "mem": ["blocks", "bs"],
+            "metered": ["ring", "slow_ms"],
+            "remote": ["batch", "cred", "key", "rights", "tenant", "timeout",
+                       "workers"],
+            "replica": ["base", "blocks", "bs", "dir", "fanout", "hedge_ms",
+                        "r", "stamps", "w"],
+            "slow": ["ms"],
+            "sqlite": ["blocks", "bs"],
+            "tenant": ["blocks", "burst", "bytes", "name", "offset", "quota",
+                       "rate"],
+        }
+        assert sum(map(len, census.values())) == 37
 
 
 class TestProgrammaticOnlyTopologies:
@@ -304,8 +327,8 @@ class TestProgrammaticOnlyTopologies:
 
     def _nested(self):
         return specs.replica(
-            specs.shard(specs.mem(), specs.mem()),
-            specs.shard(specs.mem(), specs.mem()),
+            specs.replica(specs.mem(), specs.mem()),
+            specs.replica(specs.mem(), specs.mem()),
             w=1, r=1,
         )
 
@@ -340,10 +363,10 @@ class TestProgrammaticOnlyTopologies:
         probe.bind(("127.0.0.1", 0))
         host, port = probe.getsockname()
         probe.close()  # endpoint now refuses connections
-        nested_down = specs.shard(
-            specs.remote(f"{host}:{port}", timeout=0.2),
-            specs.remote(f"{host}:{port}", timeout=0.2),
-        )
+        # An option-less wrapper over one with a fragment renders a URI
+        # that would re-parse differently, so it has no URI form.
+        nested_down = specs.failing(specs.failing(
+            specs.remote(f"{host}:{port}", timeout=0.2), fail=True))
         store = open_store(
             specs.replica(nested_down, specs.mem(), w=1, r=1),
             num_blocks=64, block_size=512,
@@ -463,7 +486,7 @@ class TestValuesThatCannotRoundTrip:
 
     def test_count_form_dir_is_covered_through_the_child_path(self):
         with pytest.raises(SpecError, match="cannot contain"):
-            parse_spec("shard://2?base=file&dir=/tmp/a#b=1")
+            parse_spec("replica://2?base=file&dir=/tmp/a#b=1")
 
     def test_values_that_round_trip_today_keep_working(self):
         for spec in (
@@ -490,7 +513,7 @@ class TestDerivedListings:
         placeholders = ("<", "[", "...", "|")
         concrete = [uri for _, uri, _ in specs.backend_rows()
                     if not any(mark in uri for mark in placeholders)]
-        assert len(concrete) >= 8
+        assert len(concrete) >= 7
         for uri in concrete:
             parse_spec(uri)
 

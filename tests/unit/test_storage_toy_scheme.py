@@ -106,7 +106,7 @@ def test_typos_and_bad_values_are_named():
 def test_round_trips_through_to_uri(toy_spec):
     for uri in ("toy://", "toy://?shelves=8", "toy://?shelves=8&tag=demo",
                 "cached://toy://?tag=x#capacity=4",
-                "shard://toy://?tag=a;toy://?tag=b#fanout=2"):
+                "replica://toy://?tag=a;toy://?tag=b#fanout=2"):
         assert parse_spec(uri).to_uri() == uri
         assert parse_spec(parse_spec(uri).to_uri()) == parse_spec(uri)
     with pytest.raises(SpecError, match="option tag="):
