@@ -3,8 +3,8 @@
 Crash recovery is bought with fsyncs: ``journal://`` logs and syncs
 each batch's isolated blocks before they reach the child, and flushes
 the child after writing a batch's runs in place, so the interesting
-numbers are (a) what that does to Bonnie throughput on ``file://`` and
-``sqlite://`` children, (b) how group commit keeps the fsync count
+numbers are (a) what that does to Bonnie throughput on a ``file://``
+child, (b) how group commit keeps the fsync count
 proportional to *batches* rather than blocks, and (c) how long
 replaying a crashed journal takes.
 
@@ -27,8 +27,6 @@ from conftest import BONNIE_PATH, FILE_SIZE
 JOURNAL_SWEEP = {
     "file": "file://{d}/bench.img",
     "journal-file": "journal://file://{d}/bench.img",
-    "sqlite": "sqlite://{d}/bench.db",
-    "journal-sqlite": "journal://sqlite://{d}/bench.db",
 }
 
 

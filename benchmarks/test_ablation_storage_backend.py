@@ -3,8 +3,8 @@
 Caching and multiple backends make the block layer an axis of the
 evaluation rather than a hard-coded constant.  This bench runs the
 Bonnie block phases on the *same* filesystem stack over every leaf
-backend family — memory, host file, SQLite — and a write-back cache
-overlay, so backend choice is a measured trade-off.
+backend family — memory and host file — and a write-back cache overlay,
+so backend choice is a measured trade-off.
 
 ``test_backend_comparison_table`` additionally routes the full sweep
 through the report harness (``repro.bench.report``), emitting the same
@@ -25,8 +25,7 @@ from conftest import BONNIE_PATH, FILE_SIZE, prepare_file
 BACKENDS = {
     "mem": "mem://",
     "file": "file://{tmp}/bonnie.img",
-    "sqlite": "sqlite://{tmp}/bonnie.db",
-    "cached-sqlite": "cached://sqlite://{tmp}/bonnie-cached.db#capacity=256",
+    "cached-file": "cached://file://{tmp}/bonnie-cached.img#capacity=256",
 }
 
 
@@ -72,6 +71,6 @@ def test_backend_comparison_table(tmp_path, capsys):
         assert all(results[uri][p] > 0 for p in PHASES)
         assert results[uri]["writes"] > 0
     # The write-back cache must absorb physical I/O relative to logical.
-    cached_uri = BACKENDS["cached-sqlite"].format(tmp=tmp_path)
+    cached_uri = BACKENDS["cached-file"].format(tmp=tmp_path)
     cached_dev = results[cached_uri]
     assert cached_dev["physical_reads"] < cached_dev["reads"]

@@ -13,7 +13,7 @@ Demonstrates the core loop of the paper in ~40 lines:
 Run:  python examples/quickstart.py [--backend URI]
 
 ``--backend`` picks the storage layer the server's filesystem lives on
-(default ``mem://``; try ``sqlite:///tmp/quickstart.db`` or
+(default ``mem://``; try ``file:///tmp/quickstart.img`` or
 ``cached://replica://3``).
 """
 

@@ -3,11 +3,11 @@ failure paths between acquisition and ownership hand-off.
 
 The registry composes stores recursively, so a builder that raises
 *after* constructing a child but *before* anyone owns it strands the
-child — an fd, an sqlite handle, a TCP connection — with no close()
-left to call it.  The spec layer funnels every composite through one
-guarded helper (``StoreSpec._over_children``: build the children,
-``close_quietly`` them if the parent's constructor raises); this rule
-mechanizes the review for everyone else.
+child — an fd, a TCP connection — with no close() left to call it.
+The spec layer funnels every composite through one guarded helper
+(``StoreSpec._over_children``: build the children, ``close_quietly``
+them if the parent's constructor raises); this rule mechanizes the
+review for everyone else.
 
 An *acquisition* is ``name = <acquirer>(...)`` where the acquirer is
 one of the project's resource-creating entry points (``open_store``,

@@ -206,12 +206,10 @@ def _replication(configs: tuple[str, ...] = DEFAULT_REPLICA_CONFIGS,
 
 
 #: label -> backend URI template ({d} = scratch directory) the journal
-#: ablation sweeps: journaling on/off over both durable children.
+#: ablation sweeps: journaling on/off over the durable child.
 JOURNAL_CONFIGS = {
     "file (no journal)": "file://{d}/plain.img",
     "journal://file": "journal://file://{d}/journaled.img",
-    "sqlite (no journal)": "sqlite://{d}/plain.db",
-    "journal://sqlite": "journal://sqlite://{d}/journaled.db",
 }
 
 #: Blocks written (in batches) by the replay measurement.
@@ -221,7 +219,7 @@ REPLAY_BATCH = 64
 
 def _journal(file_size: int = 1 << 20, char_size: int = 1 << 16,
              workdir: str | None = None) -> list[dict]:
-    """Bonnie with journaling on/off over the durable backends (the cost:
+    """Bonnie with journaling on/off over ``file://`` (the cost:
     barriers per batch), then what it buys: the time to reopen an
     abandoned journal of stride-2 (so all logged) blocks.  Files go in
     ``workdir``, else in a temporary directory removed at the end."""

@@ -296,8 +296,7 @@ def _import_host_tree(server: DisCFSServer, host_dir: str) -> int:
          arg("--port", type=int, default=0),
          arg("--cache", type=int, default=128),
          arg("--backend", default="mem://", metavar="URI",
-             help="storage backend URI: mem://, file://PATH, "
-                  "sqlite://PATH, cached://URI, "
+             help="storage backend URI: mem://, file://PATH, cached://URI, "
                   "remote://HOST:PORT, replica://N, journal://URI "
                   "(default mem://; see `discfs backends`)"),
          arg("--oneshot", action="store_true", help=argparse.SUPPRESS))

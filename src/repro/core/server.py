@@ -171,7 +171,7 @@ class DisCFSServer:
     device:
         What the server's filesystem is built on when no ``fs`` is
         given: a device, or a storage-backend URI or spec (``mem://``,
-        ``file://``, ``sqlite://``, ``replica://``, ``cached://``) — see
+        ``file://``, ``replica://``, ``cached://``) — see
         :class:`~repro.fs.ffs.FFS`.  Default ``mem://``.
     cache_capacity / cache_ttl:
         Policy cache parameters (paper evaluation: 128 entries).

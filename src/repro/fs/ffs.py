@@ -50,7 +50,7 @@ class FFS:
 
     def __init__(self, device: StoreBlockDevice | SpecLike | None = None) -> None:
         # The one constructor taking a URI or spec ("mem://",
-        # "sqlite:///fs.db", "cached://replica://3", ...); None is mem://.
+        # "file:///fs.img", "cached://replica://3", ...); None is mem://.
         # Imported here: repro.storage reaches back to this module
         # (storage.auth -> repro.core -> core.server -> fs.ffs).
         from repro.storage import StoreBlockDevice, open_device

@@ -3,7 +3,7 @@
 ``FFS`` keeps inode and allocation metadata in memory; file *data* and
 directory blocks already live on the block device.  This module adds a
 checkpoint mechanism so a filesystem on a durable backend (``file://``,
-``sqlite://``, ``journal://...``) survives process restarts:
+``journal://...``) survives process restarts:
 
 * :func:`sync` serializes the inode table, allocator state and directory
   caches into blocks taken from the normal allocator, and records their
@@ -164,9 +164,8 @@ def sync(fs: FFS) -> int:
     for i, block_no in enumerate(block_list):
         fs.device.write_block(block_no, payload[i * block_size : (i + 1) * block_size])
     # The payload must be durable before the superblock points at it —
-    # this also pushes write-back layers (cached://) and buffered
-    # backends (sqlite://): a checkpoint that only reaches a cache is
-    # not a checkpoint.
+    # this also pushes write-back layers (cached://) to their child: a
+    # checkpoint that only reaches a cache is not a checkpoint.
     fs.device.flush()
 
     # Superblock: header + the checkpoint block list (must fit in block 0).

@@ -25,6 +25,7 @@ decoded after the next one has arrived; what a decoder hands on is
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import struct
 import threading
@@ -89,8 +90,9 @@ class TCPTransport:
     One call at a time on one socket.  Any failure inside :meth:`call`
     (a timeout included) closes the socket, so a late reply can never be
     read as the next call's; the next call dials a fresh one.  The failed
-    call itself is not retried.  ``timeout`` bounds connecting and every
-    send and receive.
+    call itself is not retried.  A peer that cannot be reached when the
+    transport is made leaves it in that same socketless state.
+    ``timeout`` bounds connecting and every send and receive.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
@@ -99,7 +101,9 @@ class TCPTransport:
         self._lock = threading.Lock()
         self._closed = False
         self.stats = TransportStats()
-        self._sock: socket.socket | None = self._dial()
+        self._sock: socket.socket | None = None
+        with contextlib.suppress(OSError):
+            self._sock = self._dial()
 
     def _dial(self) -> socket.socket:
         sock = socket.create_connection(self.address, timeout=self.timeout)
@@ -169,9 +173,11 @@ class PipelinedTCPTransport:
     A transport error (or :meth:`abandon`) fails every call in flight on
     the connection together and marks it broken (``broken`` is the
     error); the next :meth:`submit` dials a fresh socket and reader, and
-    ``dials`` counts how many were ever opened.  ``timeout`` bounds
-    connecting and the synchronous :meth:`call` path; future-based
-    callers apply their own deadline via ``Future.result(timeout)``.
+    ``dials`` counts how many were ever opened.  A peer that cannot be
+    reached when the transport is made leaves it broken the same way.
+    ``timeout`` bounds connecting and the synchronous :meth:`call` path;
+    future-based callers apply their own deadline via
+    ``Future.result(timeout)``.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
@@ -182,7 +188,12 @@ class PipelinedTCPTransport:
         self._send_lock = threading.Lock()
         self._lock = threading.Lock()
         self._closed = False
-        self._dial()
+        self._sock: socket.socket | None = None
+        self._pending: dict[int, Future] = {}
+        try:
+            self._dial()
+        except OSError as exc:
+            self.broken = TransportError(f"dial failed: {exc}")
 
     def _dial(self) -> None:
         """Connect a fresh socket and start its reader (``OSError`` if
@@ -193,7 +204,7 @@ class PipelinedTCPTransport:
         # so no per-recv timeout is needed once connected.
         sock.settimeout(None)
         self._sock = sock
-        self._pending: dict[int, Future] = {}
+        self._pending = {}
         self.broken: TransportError | None = None
         self.dials += 1
         self._reader = threading.Thread(
@@ -300,7 +311,8 @@ class PipelinedTCPTransport:
                 self.broken = exc
                 pending, self._pending = self._pending, {}
             try:
-                sock.shutdown(socket.SHUT_RDWR)
+                if sock is not None:  # None: never connected
+                    sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass  # already shut down, or closed by its reader
         for fut in pending.values():

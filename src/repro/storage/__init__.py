@@ -6,7 +6,7 @@ The block layer under FFS is chosen by URI — or by a programmatic
     from repro.storage import open_device, open_store
     from repro.storage.spec import replica, remote
 
-    device = open_device("sqlite:///var/lib/discfs.db")
+    device = open_device("file:///var/lib/discfs.img")
     store = open_store(replica(remote("h1:9001"), remote("h2:9001"),
                                remote("h3:9001"), w=2, r=2))
 
@@ -38,7 +38,6 @@ from repro.storage.journal import (
     JournalStats,
     inspect_journal,
 )
-from repro.storage.lazy import LazyBlockStore
 from repro.storage.memory import MemoryBlockStore
 from repro.storage.metered import InstrumentedBlockStore
 from repro.storage.net import (
@@ -63,7 +62,6 @@ from repro.storage.replica import (
     ReplicatedBlockStore,
 )
 from repro.storage.spec import SpecError, StoreSpec, parse_spec
-from repro.storage.sqlitestore import SQLiteBlockStore
 from repro.storage.tenant import TenantBlockStore
 
 __all__ = [
@@ -81,12 +79,10 @@ __all__ = [
     "JournalBlockStore",
     "JournalInfo",
     "JournalStats",
-    "LazyBlockStore",
     "MemoryBlockStore",
     "RemoteBlockStore",
     "ReplicaStats",
     "ReplicatedBlockStore",
-    "SQLiteBlockStore",
     "SpecError",
     "SpecTree",
     "StoreAuthGate",

@@ -24,6 +24,7 @@ from repro.errors import InvalidArgument, NoSpace
 T = TypeVar("T")
 
 DEFAULT_BLOCK_SIZE = 8192
+DEFAULT_NUM_BLOCKS = 16384
 
 
 @dataclass
@@ -92,11 +93,11 @@ class Capabilities:
     """
 
     #: Data operations tolerate concurrent callers (``mem://`` is
-    #: GIL-atomic, ``sqlite://`` locks internally).  ``serve_store``
-    #: serializes backends that do not claim this.
+    #: GIL-atomic).  ``serve_store`` serializes backends that do not
+    #: claim this.
     thread_safe: bool = False
-    #: Writes survive process exit once flushed (``file://``,
-    #: ``sqlite://``; composites derive from their children).
+    #: Writes survive process exit once flushed (``file://``;
+    #: composites derive from their children).
     durable: bool = False
     #: At least one layer crosses a network/RPC boundary.
     networked: bool = False
@@ -172,8 +173,7 @@ class BlockStore:
     scheme: str = ""
 
     #: Whether this store's *data* operations tolerate concurrent
-    #: callers (``mem://`` is GIL-atomic, ``sqlite://`` and
-    #: ``journal://`` lock internally).  ``serve_store(..., workers=N)``
+    #: callers (``mem://`` is GIL-atomic).  ``serve_store(..., workers=N)``
     #: serializes backends that do not claim this, so a worker-pool
     #: server never races an unlocked backend (``cached://``'s LRU
     #: mutates even on reads).  Surface through

@@ -3,7 +3,7 @@
 Keeps the hottest ``capacity`` blocks in memory in front of any child
 store.  Writes dirty the cache entry and only reach the child on LRU
 eviction or :meth:`flush` — the classic write-back discipline, so a
-``cached://sqlite://...`` stack absorbs Bonnie's rewrite phase at memory
+``cached://file://...`` stack absorbs Bonnie's rewrite phase at memory
 speed while the child still holds everything after a flush.
 
 The overlay's own :class:`~repro.storage.base.BlockDeviceStats` counts the

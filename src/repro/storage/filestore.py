@@ -7,9 +7,7 @@ the blocks a previous process wrote — the persistence story behind
 
 Geometry lives in a ``<path>.meta`` sidecar: reopening with a different
 block size is rejected (it would silently shift every block), and a
-reopened store never shrinks below the capacity it was created with —
-the same guarantees :class:`~repro.storage.sqlitestore.SQLiteBlockStore`
-gets from its meta table.
+reopened store never shrinks below the capacity it was created with.
 
 Hole detection is explicit: a block is "written" only if this process
 wrote it or the block overlaps an allocated data extent of the reopened

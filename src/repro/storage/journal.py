@@ -234,9 +234,9 @@ class JournalBlockStore(WrapperBlockStore):
         self._logged: set[int] = set()  # blocks with an image in the log
         self._end = 0  # append offset
         # ``discfs serve``/``store-serve`` dispatch each client on its
-        # own thread (the reason sqlite:// carries a lock): the append
-        # offset, sequence counter and truncation must be serialized or
-        # concurrent writers interleave records and garble the log.
+        # own thread: the append offset, sequence counter and truncation
+        # must be serialized or concurrent writers interleave records and
+        # garble the log.
         self._lock = threading.Lock()
         parent = os.path.dirname(journal_path)
         if parent:
@@ -426,8 +426,8 @@ class JournalBlockStore(WrapperBlockStore):
             if self._fd >= 0:
                 os.close(self._fd)
                 self._fd = -1
-        # Deliberately do NOT close the child: sqlite's close() commits,
-        # which would fake durability a real crash does not provide.
+        # Deliberately do NOT close the child: a close() that flushes
+        # would fake durability a real crash does not provide.
 
     # used_blocks()/used_block_numbers() need no journal view: every
     # write reaches the child before the call returns (a logged one right

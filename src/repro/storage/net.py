@@ -8,7 +8,7 @@ Two halves, both riding the existing :mod:`repro.rpc` stack:
   port; tests run it in-process.
 * :class:`RemoteBlockStore` — the client store, registered as
   ``remote://host:port``.  Geometry is learned from the server at
-  connect time (GEOM), so the remote node owns its configuration.
+  first contact (GEOM), so the remote node owns its configuration.
 
 Because a remote store is just another :class:`BlockStore`, it composes
 with everything else:
@@ -61,6 +61,7 @@ from typing import Any, Callable, Optional
 
 from repro.errors import (
     AuthError,
+    InvalidArgument,
     QuotaExceeded,
     RateLimited,
     RPCError,
@@ -108,7 +109,14 @@ from repro.obs.trace import (
     use_context,
 )
 from repro.storage.auth import StoreAuthGate, sign_session_request
-from repro.storage.base import BlockStore, StoreStats, T, WrapperBlockStore
+from repro.storage.base import (
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_NUM_BLOCKS,
+    BlockStore,
+    StoreStats,
+    T,
+    WrapperBlockStore,
+)
 
 #: DisCFS-private program number, next to AUTH_CHANNEL's 390000 range.
 BLOCKSTORE_PROGRAM = 390010
@@ -219,8 +227,7 @@ class BlockStoreProgram(RPCProgram):
     stores layer their *local* stats on top.  The program takes no
     lock: ``TCPServer`` answers each connection on its own thread, and
     :class:`StoreServer` serializes a backend that does not declare
-    ``thread_safe`` (``mem://`` is safe under the GIL, ``sqlite://``
-    serializes internally).
+    ``thread_safe`` (``mem://`` is safe under the GIL).
     """
 
     def __init__(self, store: BlockStore,
@@ -408,7 +415,7 @@ class SerializedBlockStore(WrapperBlockStore):
     pipelined backlog, from worker threads), but most composite stores
     (``cached://``'s LRU mutates even on reads) assume a single caller.
     This wrapper serializes every operation under one lock; backends
-    that declare ``thread_safe`` (``mem://``, ``sqlite://``) are served
+    that declare ``thread_safe`` (``mem://``) are served
     unwrapped so their operations still overlap.
     """
 
@@ -511,6 +518,17 @@ class RemoteBlockStore(BlockStore):
     not decode included, surface as
     :class:`~repro.errors.StoreUnavailable`, the signal ``replica://``
     treats as a down node.
+
+    Construction makes first contact — SESSION_OPEN when ``key`` is
+    given, then GEOM — and takes the node's geometry.  A node that is
+    down at that point does not fail the mount: ``num_blocks`` /
+    ``block_size`` stand in until the first call that reaches it makes
+    first contact, adopts its block count, and raises
+    :class:`~repro.errors.InvalidArgument` (closing the connection) if
+    its block size differs.  Until then every call raises
+    ``StoreUnavailable``, so ``replica://remote://…`` mounts with a node
+    down and read-repair heals it once it answers.  A typed denial at
+    construction still fails the mount.
     """
 
     scheme = "remote"
@@ -520,7 +538,9 @@ class RemoteBlockStore(BlockStore):
                  workers: int = 1, timeout: float | None = None,
                  endpoint: tuple[str, int] | None = None,
                  key=None, credentials: list[str] | None = None,
-                 tenant: str = "", rights: str = "rw"):
+                 tenant: str = "", rights: str = "rw",
+                 num_blocks: int = DEFAULT_NUM_BLOCKS,
+                 block_size: int = DEFAULT_BLOCK_SIZE):
         self._client = RPCClient(transport, BLOCKSTORE_PROGRAM,
                                  BLOCKSTORE_VERSION)
         self.batch = batch
@@ -540,57 +560,80 @@ class RemoteBlockStore(BlockStore):
         self.tenant = tenant
         #: Rights granted at SESSION_OPEN (None on an open mount).
         self.session_rights: str | None = None
+        self._session = None if key is None else (
+            key, list(credentials or []), tenant, rights)
+        self.remote_description = "not reached yet"
         #: Unknown until GEOM answers; no handshake reply carries a block.
         self.block_size = 0
-        if key is not None:
-            self._open_session(key, list(credentials or []), tenant, rights)
-        num_blocks, block_size, self.remote_description = self._call(GEOM)
+        self._contact_lock = threading.Lock()
+        try:
+            num_blocks, block_size = self._first_contact()
+            self._uncontacted = False
+        except StoreUnavailable:
+            self._uncontacted = True  # down at mount: the next call retries
         super().__init__(num_blocks, block_size)
 
-    def _open_session(self, key, credentials: list[str], tenant: str,
-                      rights: str) -> None:
-        """CHALLENGE + SESSION_OPEN: prove key possession over the
-        nonce, present credentials, and pocket the session token."""
-        nonce = self._call(CHALLENGE)
-        identity = encode_public_key(key)
-        signature = sign_session_request(key, nonce, identity, tenant,
-                                         rights)
-        self._token, self.session_rights = self._call(
-            SESSION_OPEN, identity, tenant, rights, credentials, nonce,
-            signature)
+    def _first_contact(self) -> tuple[int, int]:
+        """SESSION_OPEN when the mount carries a key, then GEOM: the
+        node's ``(num_blocks, block_size)``."""
+        if self._session is not None:
+            key, credentials, tenant, rights = self._session
+            nonce = self._rpc(CHALLENGE, ())
+            identity = encode_public_key(key)
+            signature = sign_session_request(key, nonce, identity, tenant,
+                                             rights)
+            self._token, self.session_rights = self._rpc(
+                SESSION_OPEN, (identity, tenant, rights, credentials, nonce,
+                               signature))
+        num_blocks, block_size, self.remote_description = self._rpc(GEOM, ())
+        return num_blocks, block_size
+
+    def _contact(self) -> None:
+        """First contact with a node that was down at mount — made once,
+        however many callers race it."""
+        with self._contact_lock:
+            if not self._uncontacted:
+                return
+            num_blocks, block_size = self._first_contact()
+            if block_size != self.block_size:
+                self.close()
+                raise InvalidArgument(
+                    f"{self._node_label} has block size {block_size}; "
+                    f"this mount expected {self.block_size}"
+                )
+            self.num_blocks = num_blocks
+            self._uncontacted = False
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: float = 10.0,
                 batch: bool = True, workers: int = 1,
                 key=None, credentials: list[str] | None = None,
-                tenant: str = "", rights: str = "rw") -> "RemoteBlockStore":
+                tenant: str = "", rights: str = "rw",
+                num_blocks: int = DEFAULT_NUM_BLOCKS,
+                block_size: int = DEFAULT_BLOCK_SIZE) -> "RemoteBlockStore":
         """Open a TCP client for the store at ``host:port``.
 
         ``workers=1`` (the default) is one classic blocking connection.
         ``workers=N`` opens one pipelined connection instead, so the
         windowed ``read_many``/``write_many`` batches keep up to ``2N``
-        windows in flight (and concurrent callers share it); a broken
-        connection is re-dialed on next use.  A dial failure is
-        :class:`~repro.errors.StoreUnavailable` either way.
+        windows in flight (and concurrent callers share it).  Either
+        way a connection that breaks — or that could not be dialed at
+        mount — is dialed again on next use.
 
         ``key``/``credentials`` authenticate the mount against a
         credential-gated server (``tenant`` selects the namespace,
-        ``rights`` what the session asks for).
+        ``rights`` what the session asks for).  ``num_blocks`` /
+        ``block_size`` stand in for the node's geometry while it is down.
         """
         dial = PipelinedTCPTransport if workers > 1 else TCPTransport
-        try:
-            transport = dial(host, port, timeout=timeout)
-        except OSError as exc:
-            raise StoreUnavailable(
-                f"cannot reach block store at {host}:{port}: {exc}"
-            ) from exc
+        transport = dial(host, port, timeout=timeout)
         try:
             return cls(transport, batch=batch, workers=workers,
                        timeout=timeout, endpoint=(host, port), key=key,
-                       credentials=credentials, tenant=tenant, rights=rights)
+                       credentials=credentials, tenant=tenant, rights=rights,
+                       num_blocks=num_blocks, block_size=block_size)
         except Exception:
-            # GEOM handshake failed: don't leak the connected socket
-            # (retry loops waiting for a node would pile up descriptors).
+            # A denied handshake: don't leak the connected socket.
             transport.close()
             raise
 
@@ -663,6 +706,11 @@ class RemoteBlockStore(BlockStore):
 
     def _call(self, proc: Procedure, *args: Any) -> Any:
         """One blocking RPC: ``proc``'s result for ``args``."""
+        if self._uncontacted:
+            self._contact()
+        return self._rpc(proc, args)
+
+    def _rpc(self, proc: Procedure, args: tuple) -> Any:
         request = self._request(proc, args)
         trace = self._trace_start()
         return self._finish(proc, trace, lambda: self._client.call(
@@ -676,6 +724,8 @@ class RemoteBlockStore(BlockStore):
         When a trace is active the client span is closed by
         :meth:`_await` (it covers the full in-flight window, queueing
         included — that is the latency the caller experienced)."""
+        if self._uncontacted:
+            self._contact()
         request = self._request(proc, args)
         trace = self._trace_start()
         try:

@@ -1,4 +1,4 @@
-"""Backend resolution: ``open_store("sqlite:///tmp/fs.db")`` and friends.
+"""Backend resolution: ``open_store("file:///tmp/fs.img")`` and friends.
 
 Nothing about any scheme is declared here.  A backend URI (or a spec
 object — every entry point takes either) is parsed by
@@ -14,7 +14,7 @@ raise :class:`~repro.storage.spec.SpecError` with a did-you-mean hint.
 from __future__ import annotations
 
 from repro.storage.adapter import StoreBlockDevice
-from repro.storage.base import DEFAULT_BLOCK_SIZE, BlockStore
+from repro.storage.base import DEFAULT_BLOCK_SIZE, DEFAULT_NUM_BLOCKS, BlockStore
 from repro.storage.spec import (
     SpecError,
     SpecLike,
@@ -22,8 +22,6 @@ from repro.storage.spec import (
     parse_spec,
     split_uri,
 )
-
-DEFAULT_NUM_BLOCKS = 16384
 
 #: All URI schemes ``open_store`` currently resolves.
 registered_schemes = known_schemes

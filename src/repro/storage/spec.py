@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields
 from functools import cache
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterator, TypeVar, Union
 
-from repro.errors import InvalidArgument, StoreUnavailable
+from repro.errors import InvalidArgument
 
 if TYPE_CHECKING:
     from repro.storage.base import BlockStore
@@ -459,7 +459,6 @@ class StoreSpec:
         make: Callable[[list[BlockStore]], BlockStore],
         num_blocks: int,
         block_size: int,
-        open_child: Callable[[StoreSpec], BlockStore] | None = None,
     ) -> BlockStore:
         """Build every child and hand the live stores to ``make``.  Until
         ``make`` returns nobody else holds them, so if a later child or
@@ -469,21 +468,11 @@ class StoreSpec:
         built: list[BlockStore] = []
         try:
             for child in self.children():
-                built.append(open_child(child) if open_child
-                             else child.build(num_blocks, block_size))
+                built.append(child.build(num_blocks, block_size))
             return make(built)
         except Exception:
             close_quietly(built)
             raise
-
-    def reopenable(self) -> SpecLike:
-        """What a lazy wrapper should reopen later: the canonical URI
-        where one exists, else this spec object (programmatic-only
-        topologies have no URI form, and ``open_store`` accepts specs)."""
-        try:
-            return self.to_uri()
-        except SpecError:
-            return self
 
 
 SpecLike = Union[StoreSpec, str]
@@ -585,22 +574,6 @@ class FileSpec(_GeometrySpec, _PathSpec):
             num_blocks=num_blocks, block_size=block_size))
 
 
-@dataclass
-class SqliteSpec(_GeometrySpec, _PathSpec):
-    """``sqlite://<path>`` — SQLite database file (``:memory:`` works)."""
-
-    scheme: ClassVar[str] = "sqlite"
-    examples = (
-        ("sqlite:///path/fs.db", "SQLite database, batched transactions"),
-    )
-
-    def build(self, num_blocks: int, block_size: int) -> BlockStore:
-        from repro.storage.sqlitestore import SQLiteBlockStore
-
-        return SQLiteBlockStore(self.path, **self._store_args(
-            num_blocks=num_blocks, block_size=block_size))
-
-
 #: Rights a ``remote://``/session mount may request.
 _SESSION_RIGHTS = ("r", "rw", "admin")
 
@@ -629,7 +602,8 @@ class RemoteSpec(StoreSpec):
     The ``?query`` tunes the transport; the ``#fragment`` authenticates
     the mount against a credential-gated server (``cred`` holds KeyNote
     credentials, ``key`` the private key that signs the session
-    challenge).  Geometry comes from the server.
+    challenge).  Geometry comes from the server; the mount-time
+    geometry stands in while the server is down.
     """
 
     scheme: ClassVar[str] = "remote"
@@ -686,7 +660,6 @@ class RemoteSpec(StoreSpec):
         )
 
     def build(self, num_blocks: int, block_size: int) -> BlockStore:
-        # num_blocks/block_size are ignored: the serving node owns geometry.
         from repro.crypto.keycodec import decode_key
         from repro.storage.net import RemoteBlockStore
 
@@ -700,7 +673,9 @@ class RemoteSpec(StoreSpec):
                 )
         if self.cred is not None:
             args["credentials"] = [_read_text(args.pop("cred"), "credential")]
-        return RemoteBlockStore.connect(self.host, self.port, **args)
+        return RemoteBlockStore.connect(self.host, self.port,
+                                        num_blocks=num_blocks,
+                                        block_size=block_size, **args)
 
 
 # ---------------------------------------------------------------------------
@@ -708,16 +683,16 @@ class RemoteSpec(StoreSpec):
 # ---------------------------------------------------------------------------
 
 #: base=... values the count form expands children from -> file suffix.
-_COUNT_BASES = {"mem": "", "file": "blk", "sqlite": "db"}
+_COUNT_BASES = {"mem": "", "file": "blk"}
 
 
 @dataclass
 class ReplicaSpec(StoreSpec):
     """``replica://`` — quorum replication over child stores.
 
-    ``<n>[?base=mem|file|sqlite&dir=PATH&blocks=N&bs=N]`` — *count*
-    form: ``n`` children of one kind (path-addressed ones are created
-    as ``PATH/<scheme>-<i>.blk``/``.db``), expanded to explicit
+    ``<n>[?base=mem|file&dir=PATH&blocks=N&bs=N]`` — *count* form:
+    ``n`` children of one kind (``file`` ones are created as
+    ``PATH/<scheme>-<i>.blk``), expanded to explicit
     children at parse time; the scheme's own options may ride in the
     query here.  ``<n>/<child-uri>`` — *template* form, ``{i}`` is the
     child index.  ``<uri>;<uri>;...`` — explicit list.  The last two
@@ -833,23 +808,11 @@ class ReplicaSpec(StoreSpec):
         ]
 
     def build(self, num_blocks: int, block_size: int) -> BlockStore:
-        from repro.storage.lazy import LazyBlockStore
         from repro.storage.replica import ReplicatedBlockStore
-
-        def open_child(child: StoreSpec) -> BlockStore:
-            # A child unreachable at mount time (a dead remote:// node)
-            # becomes a lazy wrapper instead of failing the whole mount:
-            # the quorum covers for it until it heals.
-            try:
-                return child.build(num_blocks, block_size)
-            except StoreUnavailable:
-                return LazyBlockStore(child.reopenable(),
-                                      num_blocks=num_blocks,
-                                      block_size=block_size)
 
         return self._over_children(
             lambda built: ReplicatedBlockStore(built, **self._store_args()),
-            num_blocks, block_size, open_child,
+            num_blocks, block_size,
         )
 
 
@@ -958,7 +921,7 @@ class JournalSpec(_WrapperSpec):
         log = self.path
         if not log:
             child = self.child
-            if not isinstance(child, _PathSpec) or child.path == ":memory:":
+            if not isinstance(child, _PathSpec):
                 raise InvalidArgument(
                     f"journal:// cannot derive a log path for a "
                     f"{child.scheme}:// child; pass an explicit "
@@ -967,27 +930,6 @@ class JournalSpec(_WrapperSpec):
             log = child.path + ".journal"
         return self._wrap(JournalBlockStore, num_blocks, block_size,
                           journal_path=log)
-
-
-@dataclass
-class LazySpec(_WrapperSpec):
-    """``lazy://<child>[#retry=S]`` — defer/retry opening the child."""
-
-    scheme: ClassVar[str] = "lazy"
-    examples = (
-        ("lazy://<child>[#retry=S]",
-         "Open/retry the child on use instead of at mount"),
-    )
-
-    retry: float | None = opt(float, ">=0", arg="retry_interval")
-
-    def build(self, num_blocks: int, block_size: int) -> BlockStore:
-        from repro.storage.lazy import LazyBlockStore
-
-        store = LazyBlockStore(self.child.reopenable(), num_blocks=num_blocks,
-                               block_size=block_size, **self._store_args())
-        store.try_connect()  # eager best effort; a down child is tolerated
-        return store
 
 
 @dataclass
@@ -1076,13 +1018,11 @@ def _builder(cls: type[_S]) -> Callable[..., _S]:
 
 mem = _builder(MemSpec)
 file = _builder(FileSpec)
-sqlite = _builder(SqliteSpec)
 replica = _builder(ReplicaSpec)
 cached = _builder(CachedSpec)
 metered = _builder(MeteredSpec)
 failing = _builder(FailingSpec)
 journal = _builder(JournalSpec)
-lazy = _builder(LazySpec)
 slow = _builder(SlowSpec)
 tenant = _builder(TenantSpec)
 

@@ -72,7 +72,6 @@ def leaf_specs(paths, tenant_names) -> st.SearchStrategy:
     return st.one_of(
         st.builds(specs.MemSpec, blocks=geometry, bs=block_sizes),
         st.builds(specs.FileSpec, path=paths, blocks=geometry, bs=block_sizes),
-        st.builds(specs.SqliteSpec, path=paths, blocks=geometry, bs=block_sizes),
         remote_specs(paths, tenant_names),
     )
 
@@ -134,8 +133,6 @@ def composite_specs(children, paths, tenant_names) -> st.SearchStrategy:
                                                  max_value=4096)),
             path=st.one_of(st.none(), paths),
         ),
-        st.builds(specs.LazySpec, child=children,
-                  retry=millis),
         st.builds(specs.SlowSpec, child=children, ms=millis),
         st.builds(specs.FailingSpec, child=children,
                   fail=st.one_of(st.none(), st.booleans())),
@@ -204,10 +201,10 @@ def test_every_registered_scheme_appears_in_the_strategy():
     from repro.storage import registered_schemes
 
     generated = {
-        specs.MemSpec.scheme, specs.FileSpec.scheme, specs.SqliteSpec.scheme,
+        specs.MemSpec.scheme, specs.FileSpec.scheme,
         specs.RemoteSpec.scheme, specs.ReplicaSpec.scheme,
         specs.CachedSpec.scheme,
-        specs.JournalSpec.scheme, specs.LazySpec.scheme,
+        specs.JournalSpec.scheme,
         specs.SlowSpec.scheme, specs.FailingSpec.scheme,
         specs.TenantSpec.scheme, specs.MeteredSpec.scheme,
     }

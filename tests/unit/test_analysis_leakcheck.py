@@ -125,8 +125,8 @@ class TestKnownGood:
         assert findings == []
 
     def test_conditional_close_counts_as_release(self, tmp_path):
-        # The lazy.py idiom: a mismatch branch that closes-and-raises
-        # is the fix, not the leak.
+        # A mismatch branch that closes-and-raises is the fix, not the
+        # leak.
         findings = _run(tmp_path, """
             def reuse_or_open(uri, expected_bs):
                 store = open_store(uri)

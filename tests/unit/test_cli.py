@@ -307,6 +307,11 @@ class TestControlPlaneCommands:
         the stable ``lat:<layer>:<op>:<quantile>`` key namespace."""
         import json
 
+        from repro.obs.metrics import get_registry
+
+        # The metered histograms live in the process-wide registry, so
+        # reads an earlier test made through a mem:// layer would count.
+        get_registry().reset()
         assert run(["store-inspect", "metered://mem://", "--exercise",
                     "--json"]) == 0
         tree = json.loads(capsys.readouterr().out)

@@ -956,6 +956,10 @@ class TestInlineService:
     def test_queue_wait_is_recorded_once_per_call(self, workers):
         from repro.obs.metrics import get_registry
 
+        # A fresh instrument for this node alone: a node an earlier test
+        # left answering a delayed backlog records into the process-wide
+        # registry's one, after its close().
+        get_registry().reset()
         queue_wait = get_registry().histogram("rpc:server:queue_wait_seconds")
         server = serve_store(MemoryBlockStore(BLOCKS, BS), workers=workers)
         host, port = server.address

@@ -10,7 +10,6 @@ shared battery.
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -36,13 +35,11 @@ BS = 512
 URI_TEMPLATES = {
     "mem": "mem://",
     "file": "file://{tmp}/blocks.img",
-    "sqlite": "sqlite://{tmp}/blocks.db",
     "cached": "cached://mem://#capacity=16",
     "remote": "remote://{remote}",
     "replica": "replica://3?w=2&r=2",
     "failing": "failing://mem://",
     "journal": "journal://file://{tmp}/journaled.img",
-    "lazy": "lazy://mem://",
     "slow": "slow://mem://#ms=0",
     "tenant": "tenant://mem://#name=conf",
     "metered": "metered://mem://",
@@ -50,30 +47,37 @@ URI_TEMPLATES = {
 
 EXTRA_COMPOSITES = [
     "cached://replica://2#capacity=8",
-    "cached://sqlite://{tmp}/nested.db#capacity=8",
+    "cached://file://{tmp}/nested.img#capacity=8",
     "remote://{remote}?batch=off",
     "cached://remote://{remote}#capacity=8",
     "replica://remote://{remote};remote://{remote2}#w=1&r=1",
     "replica://2/failing://mem://#w=2&r=1",
-    "journal://sqlite://{tmp}/journaled.db",
     "journal://mem://#path={tmp}/mem.journal&cap=8",
     "cached://journal://file://{tmp}/cached-journal.img#capacity=8",
     "replica://2/journal://file://{tmp}/jrep-{i}.img#w=2&r=1",
-    "lazy://remote://{remote}",
     "replica://mem://;mem://;mem://#fanout=1",
     "replica://slow://mem://#ms=1;mem://;mem://#w=2&r=2",
     "replica://remote://{remote}?workers=2;remote://{remote2}?workers=2"
     "#w=2&r=1",
     "replica://2?base=file&dir={tmp}/conf-replicas",
-    "replica://mem://;file://{tmp}/mixed.img;sqlite://{tmp}/mixed.db#w=2&r=2",
+    "replica://mem://;file://{tmp}/mixed.img;file://{tmp}/mixed-2.img#w=2&r=2",
     "replica://2/cached://mem://#w=2&r=1",
-    "replica://lazy://remote://{remote};lazy://remote://{remote2}#w=2&r=1",
+    "replica://remote://{remote};remote://{remote2}#w=2&r=1",
     "tenant://replica://2?blocks=128#name=carve&offset=64",
     "journal://replica://2?base=file&dir={tmp}/jreplicas"
     "#path={tmp}/jreplicas.journal",
     "tenant://mem://?blocks=128#name=carve&offset=64",
     "metered://cached://mem://#capacity=8",
     "metered://remote://{remote}#slow_ms=250&ring=64",
+    "journal://remote://{remote}#path={tmp}/remote.journal",
+    "tenant://file://{tmp}/tenant.img#name=conf-file",
+    # Nodes that are down when the store mounts: ``{late}`` comes up
+    # after ``open_store`` returns and before the first operation, so
+    # first contact happens inside that operation (on either transport);
+    # ``{down}`` never comes up, and the quorum serves without it.
+    "remote://{late}",
+    "remote://{late}?workers=2",
+    "replica://remote://{remote};remote://{remote2};remote://{down}#w=2&r=2",
     # The full battery over an *authenticated* session against a
     # KeyNote-gated server: proves authorization is transparent to the
     # storage contract, not a layer that changes semantics.
@@ -120,14 +124,33 @@ def auth_material(tmp_path_factory):
 def remote_servers(auth_material):
     """Start in-process TCP block-store servers on demand, keyed by
     placeholder name (``remote``, ``remote2``, or ``secure`` for a
-    KeyNote-gated one with an ``alice`` tenant); closed at teardown."""
+    KeyNote-gated one with an ``alice`` tenant); closed at teardown.
+    ``down`` and ``late`` name an endpoint with no listener; ``late``
+    gets its server from ``endpoint.start_late()``."""
     from repro.storage import MemoryBlockStore
     from repro.storage.auth import StoreAuthGate, TenantQuota
     from repro.storage.net import serve_store
 
     servers = {}
+    reserved = {}
+
+    def reserve(name: str) -> str:
+        if name not in reserved:
+            probe = serve_store(MemoryBlockStore(BLOCKS, BS))
+            reserved[name] = probe.address
+            probe.close()
+        host, port = reserved[name]
+        return f"{host}:{port}"
+
+    def start_late() -> None:
+        if "late" in reserved and "late" not in servers:
+            host, port = reserved["late"]
+            servers["late"] = serve_store(MemoryBlockStore(BLOCKS, BS),
+                                          host=host, port=port)
 
     def endpoint(name: str) -> str:
+        if name in ("down", "late"):
+            return reserve(name)
         if name not in servers:
             if name == "secure":
                 gate = StoreAuthGate(
@@ -141,6 +164,7 @@ def remote_servers(auth_material):
         host, port = servers[name].address
         return f"{host}:{port}"
 
+    endpoint.start_late = start_late
     yield endpoint
     for server in servers.values():
         server.close()
@@ -149,7 +173,8 @@ def remote_servers(auth_material):
 def fill_template(template: str, tmp_path, endpoint, authdir="") -> str:
     uri = template.replace("{tmp}", str(tmp_path))
     uri = uri.replace("{authdir}", authdir)
-    for name in ("remote2", "remote", "secure"):  # longest-first per prefix
+    # longest-first per prefix
+    for name in ("remote2", "remote", "secure", "down", "late"):
         uri = uri.replace("{%s}" % name, endpoint(name)) \
             if "{%s}" % name in uri else uri
     return uri
@@ -160,6 +185,7 @@ def store(request, tmp_path, remote_servers, auth_material):
     uri = fill_template(request.param, tmp_path, remote_servers,
                         authdir=auth_material["dir"])
     s = open_store(uri, num_blocks=BLOCKS, block_size=BS)
+    remote_servers.start_late()
     yield s
     s.close()
 
@@ -286,14 +312,14 @@ class TestRegistry:
 
 @pytest.mark.parametrize("template", [
     "file://{tmp}/persist.img",
-    "sqlite://{tmp}/persist.db",
     "replica://2?base=file&dir={tmp}/replicas",
-    "replica://2?base=sqlite&dir={tmp}/dbreplicas",
-    "cached://sqlite://{tmp}/cached-persist.db#capacity=4",
+    "cached://file://{tmp}/cached-persist.img#capacity=4",
     "journal://file://{tmp}/jpersist.img",
-    "journal://sqlite://{tmp}/jpersist.db",
-], ids=["file", "sqlite", "replica-file", "replica-sqlite", "cached-sqlite",
-        "journal-file", "journal-sqlite"])
+    "tenant://file://{tmp}/tpersist.img?blocks=72#name=p&offset=8",
+    "replica://file://{tmp}/rp-a.img;file://{tmp}/rp-b.img#w=2&r=2",
+    "journal://replica://2?base=file&dir={tmp}/jrp#path={tmp}/jrp.journal",
+], ids=["file", "replica-file", "cached-file", "journal-file", "tenant-file",
+        "replica-explicit-file", "journal-replica-file"])
 def test_blocks_persist_across_close_and_reopen(template, tmp_path):
     uri = template.format(tmp=tmp_path)
     s = open_store(uri, num_blocks=BLOCKS, block_size=BS)
@@ -309,9 +335,10 @@ def test_blocks_persist_across_close_and_reopen(template, tmp_path):
 
 @pytest.mark.parametrize("template", [
     "file://{tmp}/fsck.img",
-    "sqlite://{tmp}/fsck.db",
     "journal://file://{tmp}/fsck-j.img",
-], ids=["file", "sqlite", "journal-file"])
+    "replica://2?base=file&dir={tmp}/fsck-replicas",
+    "cached://file://{tmp}/fsck-c.img#capacity=8",
+], ids=["file", "journal-file", "replica-file", "cached-file"])
 def test_filesystem_checkpoint_survives_reopen(template, tmp_path):
     """FFS + persist.sync on a URI backend, reloaded by URI."""
     uri = template.format(tmp=tmp_path)
@@ -326,9 +353,9 @@ def test_filesystem_checkpoint_survives_reopen(template, tmp_path):
 
 
 @pytest.mark.parametrize("template", [
-    "sqlite://{tmp}/geom.db",
     "file://{tmp}/geom.img",
-], ids=["sqlite", "file"])
+    "journal://file://{tmp}/geom-j.img",
+], ids=["file", "journal-file"])
 def test_block_size_mismatch_on_reopen_rejected(template, tmp_path):
     uri = template.format(tmp=tmp_path)
     open_store(uri, block_size=512).close()
@@ -337,9 +364,9 @@ def test_block_size_mismatch_on_reopen_rejected(template, tmp_path):
 
 
 @pytest.mark.parametrize("template", [
-    "sqlite://{tmp}/grow.db",
     "file://{tmp}/grow.img",
-], ids=["sqlite", "file"])
+    "journal://file://{tmp}/grow-j.img",
+], ids=["file", "journal-file"])
 def test_reopen_never_shrinks_capacity(template, tmp_path):
     """A store reopened with a smaller num_blocks keeps its created size,
     so checkpoints referencing high block numbers stay readable."""
@@ -351,74 +378,6 @@ def test_reopen_never_shrinks_capacity(template, tmp_path):
     assert reopened.num_blocks == 128
     assert reopened.read(100).startswith(b"high block")
     reopened.close()
-
-
-class TestSQLiteThreading:
-    """``discfs serve`` hands each TCP client to its own thread, so the
-    sqlite store must accept statements from threads other than the one
-    that opened the connection."""
-
-    def test_reads_and_writes_from_a_second_thread(self, tmp_path):
-        s = open_store(
-            f"sqlite://{tmp_path}/threaded.db", num_blocks=BLOCKS, block_size=BS
-        )
-        errors: list[Exception] = []
-
-        def worker():
-            try:
-                for block_no in range(32):
-                    s.write(block_no, f"thread-{block_no}".encode())
-                    assert s.read(block_no).startswith(b"thread-")
-            except Exception as exc:  # surfaced to the main thread below
-                errors.append(exc)
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        assert errors == []
-        assert s.read(3).startswith(b"thread-3")
-        s.close()
-
-    def test_sqlite_backend_through_serve_tcp(self, tmp_path):
-        """End-to-end over real sockets: server connection threads hit a
-        store opened on the main thread (the durable-serve path)."""
-        from repro.rpc.transport import TCPTransport, serve_tcp
-
-        s = open_store(
-            f"sqlite://{tmp_path}/served.db", num_blocks=BLOCKS, block_size=BS
-        )
-
-        def handler(request: bytes) -> bytes:
-            op, _, rest = request.partition(b" ")
-            if op == b"W":
-                block_no, _, data = rest.partition(b" ")
-                s.write(int(block_no), data)
-                return b"ok"
-            return s.read(int(rest))
-
-        server = serve_tcp(handler)
-        try:
-            client = TCPTransport(*server.address)
-            try:
-                assert client.call(b"W 7 over-tcp") == b"ok"
-                assert client.call(b"R 7").startswith(b"over-tcp")
-            finally:
-                client.close()
-        finally:
-            server.close()
-            s.close()
-
-    def test_closed_store_fails_cleanly(self, tmp_path):
-        s = open_store(f"sqlite://{tmp_path}/closed.db", num_blocks=BLOCKS)
-        s.write(1, b"x")
-        s.close()
-        s.close()  # idempotent
-        s.flush()  # no-op, not an error
-        assert s.used_blocks() == 0
-        with pytest.raises(InvalidArgument, match="closed"):
-            s.read(1)
-        with pytest.raises(InvalidArgument, match="closed"):
-            s.write(1, b"y")
 
 
 class TestFileStoreMeta:
@@ -577,7 +536,6 @@ class TestLeafStores:
         "metered://mem://": (2, 1),
         "tenant://mem://#name=a": (2, 1),
         "journal://mem://#path={tmp}/leaf.journal": (2, 1),
-        "lazy://mem://": (2, 1),
         "cached://mem://#capacity=8": (1, 0),
     }
 
@@ -782,6 +740,10 @@ class TestRemoteStore:
         s.close()
 
     def test_connect_refused_surfaces_store_unavailable(self):
+        """A refused node does not fail ``open_store`` (the mount makes
+        first contact on a later call), but its first operation raises —
+        and ``FFS`` still fails at mount, since it writes the root
+        directory in its constructor."""
         import socket
 
         from repro.errors import StoreUnavailable
@@ -789,8 +751,12 @@ class TestRemoteStore:
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             free_port = probe.getsockname()[1]
+        s = open_store(f"remote://127.0.0.1:{free_port}")
         with pytest.raises(StoreUnavailable):
-            open_store(f"remote://127.0.0.1:{free_port}")
+            s.read(0)
+        s.close()
+        with pytest.raises(StoreUnavailable):
+            FFS(f"remote://127.0.0.1:{free_port}")
 
     def test_malformed_endpoint_rejected(self):
         with pytest.raises(InvalidArgument, match="host:port"):
@@ -1070,8 +1036,7 @@ class TestUniformProtocol:
         assert isinstance(caps.durable, bool)
         assert isinstance(caps.networked, bool)
         assert isinstance(caps.composite, bool)
-        # composite iff the store exposes live children (lazy:// may
-        # report no children while down, but stays composite)
+        # composite iff the store exposes live children
         if store.child_stores():
             assert caps.composite
 

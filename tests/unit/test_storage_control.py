@@ -115,14 +115,15 @@ class TestUsedBlockNumbers:
     @pytest.mark.parametrize("template", [
         "mem://",
         "file://{tmp}/u.img",
-        "sqlite://{tmp}/u.db",
         "replica://3",
         "cached://mem://#capacity=4",
         "replica://3?w=2&r=2",
         "journal://file://{tmp}/uj.img",
         "failing://mem://",
         "slow://mem://#ms=0",
-        "lazy://mem://",
+        "tenant://mem://#name=t",
+        "metered://mem://",
+        "replica://2?base=file&dir={tmp}/ur",
     ])
     def test_enumeration_matches_writes(self, template, tmp_path):
         uri = template.format(tmp=tmp_path)

@@ -11,7 +11,9 @@ applied it.
 The matrix below runs every composite scheme the spec registry knows
 (both fan-out modes of ``replica://``; ``remote://``
 over an in-process ``store-serve``, so the wire's in-band status codes
-are exercised, with ``replica://`` on either side of the wire) over a
+are exercised, with ``replica://`` on either side of the wire, and once
+mounted while its node was down, so the denial comes back from the
+operation that makes first contact) over a
 test-local child that answers every operation
 with one typed denial.  ``test_matrix_covers_every_composite_scheme``
 fails when a new wrapper scheme is registered without a row here.
@@ -20,7 +22,7 @@ fails when a new wrapper scheme is registered without a row here.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import pytest
 
@@ -34,7 +36,6 @@ from repro.storage import (
     FailingBlockStore,
     InstrumentedBlockStore,
     JournalBlockStore,
-    LazyBlockStore,
     MemoryBlockStore,
     RemoteBlockStore,
     ReplicatedBlockStore,
@@ -44,7 +45,7 @@ from repro.storage import (
 )
 from repro.storage.auth import StoreAuthGate, TenantQuota, issue_store_credential
 from repro.storage.base import BlockStore, WrapperBlockStore
-from repro.storage.spec import SPEC_TYPES, StoreSpec
+from repro.storage.spec import SPEC_TYPES
 
 BLOCKS = 64
 BS = 512
@@ -83,24 +84,23 @@ class _Denying(MemoryBlockStore):
         return super().used_block_numbers()
 
 
-@dataclass
-class _Built(StoreSpec):
-    """An unregistered spec (no scheme of its own) that builds a given
-    store: how ``lazy://``, which opens its child from a spec, reaches
-    a test-local child."""
-
-    store: BlockStore | None = None
-
-    def build(self, num_blocks: int, block_size: int) -> BlockStore:
-        assert self.store is not None
-        return self.store
-
-
 def _served(child: BlockStore, servers: list) -> BlockStore:
     server = serve_store(child)
     servers.append(server)
     host, port = server.address
     return RemoteBlockStore.connect(host, port)
+
+
+def _served_after_mount(child: BlockStore, servers: list) -> BlockStore:
+    """A ``remote://`` mount made while its node is down, whose node
+    then comes up: first contact happens inside the first operation."""
+    probe = serve_store(MemoryBlockStore(BLOCKS, BS))
+    host, port = probe.address
+    probe.close()
+    store = RemoteBlockStore.connect(host, port, num_blocks=BLOCKS,
+                                     block_size=BS)
+    servers.append(serve_store(child, host=host, port=port))
+    return store
 
 
 #: Row id -> build(make_child, tmp_path, servers).  The scheme is the id
@@ -121,14 +121,14 @@ STACKS = {
     "failing": lambda child, tmp, servers: FailingBlockStore(child()),
     "journal": lambda child, tmp, servers: JournalBlockStore(
         child(), journal_path=str(tmp / "denials.journal")),
-    "lazy": lambda child, tmp, servers: LazyBlockStore(
-        _Built(child()), num_blocks=BLOCKS, block_size=BS),
     "slow": lambda child, tmp, servers: DelayedBlockStore(child()),
     "tenant": lambda child, tmp, servers: TenantBlockStore(child(), "t"),
     "remote": lambda child, tmp, servers: _served(child(), servers),
     "remote#child=replica": lambda child, tmp, servers: _served(
         ReplicatedBlockStore([child() for _ in range(3)], write_quorum=2,
                              read_quorum=2), servers),
+    "remote#down-at-mount": lambda child, tmp, servers: _served_after_mount(
+        child(), servers),
 }
 
 #: Operations a caller issues; a write-back layer surfaces its child's

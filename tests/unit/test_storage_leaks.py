@@ -2,11 +2,10 @@
 
 The registry composes stores recursively, so a wrapper constructor
 that raises after its child was built must not strand the child (an
-fd, an sqlite handle, a TCP connection with no close() left pointing
-at it).  These are the regression tests for the windows the
-``resource-leak`` lint rule flagged: each one drives the *real* builder
-through a failing consumer and asserts every acquired child was closed
-on the way out.
+fd or a TCP connection with no close() left pointing at it).  These
+are the regression tests for the windows the ``resource-leak`` lint
+rule flagged: each one drives the *real* builder through a failing
+consumer and asserts every acquired child was closed on the way out.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
-"""Crash recovery: the journal:// write-ahead log and lazy replica mounts.
+"""Crash recovery: the journal:// write-ahead log and down-at-mount nodes.
 
 Covers the journaling contract (ordered mode: runs in place and flushed,
 isolated blocks group-committed and fsynced before the child, the
 stale-replay checkpoint; replay of committed-but-unapplied records,
 torn-tail discard, capped checkpointing, ``journal-inspect``), the
 real-crash case — a writer SIGKILLed mid-``write_many`` whose
-acknowledged batches must all survive reopen — and the lazy-connect
-wrapper that lets ``replica://remote://...`` mount with a node down and
-heal it on reconnect.  Tests of the log's mechanics write scattered
+acknowledged batches must all survive reopen — and the first contact
+that lets ``replica://remote://...`` mount with a node down and heal it
+on reconnect.  Tests of the log's mechanics write scattered
 (stride-2) blocks or use a ``mem://`` child, so every block is logged.
 """
 
@@ -17,13 +17,13 @@ import os
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
 from repro.errors import InvalidArgument, StoreUnavailable
 from repro.storage import (
     JournalBlockStore,
-    LazyBlockStore,
     MemoryBlockStore,
     inspect_journal,
     open_store,
@@ -498,102 +498,177 @@ def _reserve_endpoint():
     return host, port
 
 
-class TestLazyConnect:
-    def test_lazy_store_connects_on_first_use(self):
-        s = open_store("lazy://mem://", num_blocks=BLOCKS, block_size=BS)
-        assert s.connected  # registry factory connects eagerly when it can
-        s.write(1, b"through the wrapper")
-        assert s.read(1).startswith(b"through")
-        s.close()
+@pytest.fixture
+def geom_gate(monkeypatch):
+    """Count the GEOMs every node served from here on, and hold each
+    one until ``release`` is set (it is, unless a test clears it)."""
+    import threading
 
+    from repro.storage.net import BlockStoreProgram
+
+    gate = types.SimpleNamespace(count=0, started=threading.Event(),
+                                 release=threading.Event())
+    gate.release.set()
+    lock = threading.Lock()
+    served = BlockStoreProgram._proc_geom
+
+    def counted(self, store):
+        with lock:
+            gate.count += 1
+        gate.started.set()
+        assert gate.release.wait(timeout=10)
+        return served(self, store)
+
+    monkeypatch.setattr(BlockStoreProgram, "_proc_geom", counted)
+    return gate
+
+
+class TestLazyConnect:
     def test_down_child_raises_until_it_heals(self):
         from repro.storage.net import serve_store
 
         backing = MemoryBlockStore(BLOCKS, BS)
         host, port = _reserve_endpoint()
-        s = open_store(f"lazy://remote://{host}:{port}#retry=0",
+        s = open_store(f"remote://{host}:{port}",
                        num_blocks=BLOCKS, block_size=BS)
-        assert not s.connected
+        assert (s.num_blocks, s.block_size) == (BLOCKS, BS)  # provisional
         with pytest.raises(StoreUnavailable):
             s.read(0)
         server = serve_store(backing, host=host, port=port)
         try:
             s.write(1, b"after heal")
-            assert s.connected
             assert backing.read(1).startswith(b"after heal")
         finally:
             s.close()
             server.close()
 
-    def test_backoff_suppresses_reconnect_storms(self):
-        host, port = _reserve_endpoint()
-        s = LazyBlockStore(f"remote://{host}:{port}", num_blocks=BLOCKS,
-                           block_size=BS, retry_interval=3600.0)
-        with pytest.raises(StoreUnavailable):
-            s.read(0)
-        # Second failure comes from the backoff gate, not a new connect.
-        with pytest.raises(StoreUnavailable, match="retry"):
-            s.read(0)
-        s.close()
+    def test_first_contact_adopts_the_node_block_count(self):
+        from repro.storage.net import serve_store
 
-    def test_close_waits_for_inflight_connect(self, monkeypatch):
-        """Regression: close() racing a concurrent _ensure() must not
-        resurrect the freshly opened child.  close() used to swap the
-        child slot without _connect_lock, so a connect already past the
-        closed-check would install its child *after* the swap — a live
-        connection leaked on a store the caller believes shut down."""
+        host, port = _reserve_endpoint()
+        s = open_store(f"remote://{host}:{port}",
+                       num_blocks=BLOCKS, block_size=BS)
+        server = serve_store(MemoryBlockStore(2 * BLOCKS, BS),
+                             host=host, port=port)
+        try:
+            s.read(0)
+            assert s.num_blocks == 2 * BLOCKS
+            s.write(BLOCKS, b"past the provisional end")
+        finally:
+            s.close()
+            server.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_racing_callers_make_one_first_contact(self, geom_gate, workers):
         import threading
 
-        from repro.storage import registry
+        from repro.storage.net import serve_store
 
-        class TrackedStore(MemoryBlockStore):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.close_calls = 0
+        host, port = _reserve_endpoint()
+        s = open_store(f"remote://{host}:{port}?workers={workers}",
+                       num_blocks=BLOCKS, block_size=BS)
+        assert geom_gate.count == 0
+        backing = MemoryBlockStore(BLOCKS, BS)
+        backing.write(0, b"served")
+        server = serve_store(backing, host=host, port=port, workers=2)
+        geom_gate.release.clear()  # hold the first GEOM until both race
+        start = threading.Barrier(2)
+        results, errors = [], []
 
-            def close(self):
-                self.close_calls += 1
-                super().close()
+        def first_op():
+            start.wait(timeout=10)
+            try:
+                results.append(s.read(0))
+            except Exception as exc:  # surfaced by the assertions below
+                errors.append(exc)
 
-        child = TrackedStore(BLOCKS, BS)
-        connect_started = threading.Event()
-        release_connect = threading.Event()
+        threads = [threading.Thread(target=first_op) for _ in range(2)]
+        try:
+            for t in threads:
+                t.start()
+            assert geom_gate.started.wait(timeout=10)
+            time.sleep(0.05)  # the second caller reaches the contact lock
+            geom_gate.release.set()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            assert [r[:6] for r in results] == [b"served"] * 2
+            assert geom_gate.count == 1
+        finally:
+            geom_gate.release.set()
+            s.close()
+            server.close()
 
-        def slow_open(uri, **kwargs):
-            connect_started.set()
-            assert release_connect.wait(timeout=10)
-            return child
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_close_racing_first_contact_leaves_no_socket(self, geom_gate,
+                                                         workers):
+        """close() while first contact waits for its GEOM reply ends
+        that connection, and a closed mount never dials again."""
+        import threading
 
-        monkeypatch.setattr(registry, "open_store", slow_open)
-        s = LazyBlockStore("mem://", num_blocks=BLOCKS, block_size=BS)
+        from repro.storage.net import serve_store
 
-        def reader():
+        host, port = _reserve_endpoint()
+        s = open_store(f"remote://{host}:{port}?workers={workers}",
+                       num_blocks=BLOCKS, block_size=BS)
+        transport = s._client.transport
+        server = serve_store(MemoryBlockStore(BLOCKS, BS),
+                             host=host, port=port)
+        geom_gate.release.clear()
+        errors = []
+
+        def first_op():
             try:
                 s.read(0)
-            except Exception:
-                pass  # a read losing the race to close() may fail; fine
+            except StoreUnavailable as exc:
+                errors.append(exc)
 
-        t = threading.Thread(target=reader)
-        t.start()
-        assert connect_started.wait(timeout=10)
-        # The connect is in flight, holding _connect_lock.  close() must
-        # queue behind it rather than swap the (still-empty) slot now.
-        closer = threading.Thread(target=s.close)
-        closer.start()
-        release_connect.set()
-        t.join(timeout=10)
-        closer.join(timeout=10)
-        assert not t.is_alive() and not closer.is_alive()
-        assert s._child is None, "child resurrected after close()"
-        assert child.close_calls >= 1, "freshly opened child leaked"
-        with pytest.raises(InvalidArgument):
-            s.read(0)  # closed stays closed
+        reader = threading.Thread(target=first_op)
+        try:
+            reader.start()
+            assert geom_gate.started.wait(timeout=10)  # connected, in GEOM
+            closer = threading.Thread(target=s.close)
+            closer.start()
+            closer.join(timeout=10)
+            reader.join(timeout=10)
+            assert not closer.is_alive() and not reader.is_alive()
+            assert len(errors) == 1  # the contact lost the race to close()
+            if workers > 1:
+                transport._reader.join(timeout=10)
+                assert not transport._reader.is_alive()
+                assert transport._sock.fileno() == -1
+            else:
+                assert transport._sock is None
+            with pytest.raises(StoreUnavailable, match="closed"):
+                s.read(0)  # closed stays closed: no fresh dial
+            assert geom_gate.count == 1
+        finally:
+            geom_gate.release.set()
+            server.close()
+
+    def test_node_with_another_block_size_is_refused(self):
+        from repro.storage.net import serve_store
+
+        host, port = _reserve_endpoint()
+        s = open_store(f"remote://{host}:{port}",
+                       num_blocks=BLOCKS, block_size=BS)
+        server = serve_store(MemoryBlockStore(BLOCKS, 2 * BS),
+                             host=host, port=port)
+        try:
+            with pytest.raises(InvalidArgument, match="block size"):
+                s.read(0)
+            assert s._client.transport._sock is None  # connection closed
+            assert s.block_size == BS
+        finally:
+            s.close()
+            server.close()
 
     def test_replica_mounts_with_one_node_down_and_heals(self):
         """Acceptance: replica://remote://h1;h2;h3#w=2&r=2 mounts with a
         node down, serves through the outage, and heals the node when it
         reconnects."""
-        from repro.storage.net import serve_store
+        from repro.storage.net import RemoteBlockStore, serve_store
 
         live1 = serve_store(MemoryBlockStore(BLOCKS, BS))
         live2 = serve_store(MemoryBlockStore(BLOCKS, BS))
@@ -603,9 +678,8 @@ class TestLazyConnect:
                "#w=2&r=2" % (*live1.address, *live2.address, host3, port3))
         rep = open_store(uri, num_blocks=BLOCKS, block_size=BS)
         try:
-            lazy = rep.children[2]
-            assert isinstance(lazy, LazyBlockStore)
-            assert not lazy.connected
+            down = rep.children[2]
+            assert isinstance(down, RemoteBlockStore)
 
             rep.write(1, b"written during the outage")
             # The write returns at quorum W=2; the down child's failure
@@ -618,27 +692,16 @@ class TestLazyConnect:
             # Node 3 returns on the same endpoint.
             revived = serve_store(down_backing, host=host3, port=port3)
             try:
-                lazy.retry_interval = 0.0
-                lazy._next_attempt = 0.0
                 # The next read sees node 3 lagging and repairs it.
                 assert rep.read(1).startswith(b"written during")
                 assert rep.replica_stats.repaired_blocks >= 1
                 assert down_backing.read(1).startswith(b"written during")
-                assert lazy.connected
             finally:
                 revived.close()
         finally:
             rep.close()
             live1.close()
             live2.close()
-
-    def test_explicit_lazy_child_in_replica_uri(self):
-        """lazy:// composes by hand too (no auto-wrap needed)."""
-        rep = open_store("replica://lazy://mem://;mem://#w=1&r=1",
-                         num_blocks=BLOCKS, block_size=BS)
-        rep.write(0, b"both forms work")
-        assert rep.read(0).startswith(b"both forms")
-        rep.close()
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,11 @@ from repro.storage.spec import (
     FailingSpec,
     FileSpec,
     JournalSpec,
-    LazySpec,
     MemSpec,
     RemoteSpec,
     ReplicaSpec,
     SlowSpec,
     SpecError,
-    SqliteSpec,
 )
 
 
@@ -38,9 +36,8 @@ class TestParseLeafForms:
         assert parse_spec("mem://?blocks=7&bs=1024") == MemSpec(blocks=7,
                                                                bs=1024)
 
-    def test_file_and_sqlite_paths(self):
+    def test_file_path(self):
         assert parse_spec("file:///tmp/a.img") == FileSpec(path="/tmp/a.img")
-        assert parse_spec("sqlite://:memory:") == SqliteSpec(path=":memory:")
 
     def test_remote_endpoint_and_options(self):
         assert parse_spec(
@@ -51,8 +48,6 @@ class TestParseLeafForms:
     def test_missing_paths_rejected(self):
         with pytest.raises(SpecError, match="file:// needs a path"):
             parse_spec("file://")
-        with pytest.raises(SpecError, match="sqlite:// needs a path"):
-            parse_spec("sqlite://")
         with pytest.raises(SpecError, match="host:port"):
             parse_spec("remote://nohost")
 
@@ -106,9 +101,6 @@ class TestParseCompositeForms:
         assert parse_spec(
             f"journal://mem://#path={tmp_path}/j&cap=8"
         ) == JournalSpec(child=MemSpec(), cap=8, path=f"{tmp_path}/j")
-        assert parse_spec("lazy://mem://#retry=0.5") == LazySpec(
-            child=MemSpec(), retry=0.5
-        )
         assert parse_spec("slow://mem://#ms=5") == SlowSpec(child=MemSpec(),
                                                             ms=5.0)
         assert parse_spec("failing://mem://#fail=1") == FailingSpec(
@@ -237,7 +229,7 @@ class TestGoldenErrors:
         with pytest.raises(SpecError, match="did you mean 'capacity'"):
             parse_spec("cached://file:///tmp/fs.img#capasity=8")
         with pytest.raises(SpecError, match="no #fragment"):
-            parse_spec("sqlite:///tmp/fs.db#cap=8")
+            parse_spec("file:///tmp/fs.img#cap=8")
         # remote:// *does* take a fragment now (session options), so a
         # query option landing there gets redirected, not accepted.
         with pytest.raises(SpecError, match=r"belongs in the \?query"):
@@ -306,7 +298,6 @@ class TestSchemeRegistry:
             "failing": ["fail"],
             "file": ["blocks", "bs"],
             "journal": ["cap", "path"],
-            "lazy": ["retry"],
             "mem": ["blocks", "bs"],
             "metered": ["ring", "slow_ms"],
             "remote": ["batch", "cred", "key", "rights", "tenant", "timeout",
@@ -314,11 +305,10 @@ class TestSchemeRegistry:
             "replica": ["base", "blocks", "bs", "dir", "fanout", "hedge_ms",
                         "r", "stamps", "w"],
             "slow": ["ms"],
-            "sqlite": ["blocks", "bs"],
             "tenant": ["blocks", "burst", "bytes", "name", "offset", "quota",
                        "rate"],
         }
-        assert sum(map(len, census.values())) == 37
+        assert sum(map(len, census.values())) == 34
 
 
 class TestProgrammaticOnlyTopologies:
@@ -352,12 +342,11 @@ class TestProgrammaticOnlyTopologies:
             device.close()
 
     def test_replica_lazy_wraps_unrepresentable_down_child(self):
-        """A down child whose spec has no URI form must still become a
-        lazy wrapper (holding the spec object) instead of failing the
-        whole quorum mount."""
+        """A down child whose spec has no URI form mounts as built — no
+        wrapper added — instead of failing the whole quorum mount."""
         import socket
 
-        from repro.storage import LazyBlockStore
+        from repro.storage import FailingBlockStore, RemoteBlockStore
 
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -372,7 +361,10 @@ class TestProgrammaticOnlyTopologies:
             num_blocks=64, block_size=512,
         )
         try:
-            assert isinstance(store.children[0], LazyBlockStore)
+            down = store.children[0]
+            assert isinstance(down, FailingBlockStore)
+            assert isinstance(down.child, FailingBlockStore)
+            assert isinstance(down.child.child, RemoteBlockStore)
             store.write(2, b"served by the quorum")
             store.drain()
             assert store.read(2).startswith(b"served by the quorum")
@@ -435,11 +427,13 @@ class TestValuesThatCannotRoundTrip:
     @pytest.mark.parametrize("uri, option", [
         ("slow://mem://#ms=inf", "ms"),
         ("slow://mem://#ms=nan", "ms"),
-        ("lazy://mem://#retry=nan", "retry"),
         ("metered://mem://#slow_ms=nan", "slow_ms"),
         ("remote://h:1?timeout=nan", "timeout"),
+        ("remote://h:1?timeout=inf", "timeout"),
         ("tenant://mem://#name=a&rate=nan", "rate"),
+        ("tenant://mem://#name=a&rate=inf", "rate"),
         ("replica://3?hedge_ms=nan", "hedge_ms"),
+        ("replica://3?hedge_ms=inf", "hedge_ms"),
     ])
     def test_non_finite_floats_rejected_at_parse_time(self, uri, option):
         scheme = uri.partition("://")[0]
@@ -476,7 +470,7 @@ class TestValuesThatCannotRoundTrip:
         with pytest.raises(SpecError, match="option path="):
             specs.journal(specs.file("/x/a.img"), path="/tmp/a&cap=1")
 
-    @pytest.mark.parametrize("spec_cls", [FileSpec, SqliteSpec])
+    @pytest.mark.parametrize("spec_cls", [FileSpec])
     @pytest.mark.parametrize("path", ["/tmp/a?b", "/tmp/a#b", "/d?x=1#y=2"])
     def test_reserved_characters_in_a_leaf_path(self, spec_cls, path):
         with pytest.raises(SpecError, match=r"path .* cannot contain"):
@@ -513,7 +507,7 @@ class TestDerivedListings:
         placeholders = ("<", "[", "...", "|")
         concrete = [uri for _, uri, _ in specs.backend_rows()
                     if not any(mark in uri for mark in placeholders)]
-        assert len(concrete) >= 7
+        assert len(concrete) >= 6
         for uri in concrete:
             parse_spec(uri)
 
