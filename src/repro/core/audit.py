@@ -13,7 +13,8 @@ the DisCFS server, a tenant on a store node), the value policy
 authorizers of every credential that contributed authority, from the
 compliance checker's trace), the ``reason`` for a denial and the time
 ``ts``.  Cache hits reuse the chain recorded when the entry was filled,
-so auditing does not force the slow path.
+deduplicated there once (a :class:`Chain`), so auditing does not force
+the slow path.
 
 The log keeps the last ``capacity`` records in memory (what the DisCFS
 ``AUDITLOG`` procedure reads) and, given a path or stream
@@ -29,6 +30,13 @@ import threading
 import time
 from collections import deque
 from typing import Iterable, NamedTuple, Optional, TextIO
+
+
+class Chain(tuple):
+    """Authorizing keys, each once (``Chain(dict.fromkeys(keys))``), which
+    :meth:`AuditLog.record` takes as they are."""
+
+    __slots__ = ()
 
 
 class AuditRecord(NamedTuple):
@@ -88,9 +96,10 @@ class AuditLog:
     ) -> AuditRecord | None:
         if self.capacity == 0 and self._stream is None:
             return None
+        if type(authorized_by) is not Chain:
+            authorized_by = Chain(dict.fromkeys(authorized_by))
         entry = AuditRecord(principal, operation, target, granted, allowed,
-                            tuple(dict.fromkeys(authorized_by)), reason,
-                            time.time())
+                            authorized_by, reason, time.time())
         self._records.append(entry)
         if self._stream is not None:
             line = json.dumps(entry._asdict()) + "\n"

@@ -34,14 +34,15 @@ class HandleScheme(enum.Enum):
     INODE = "inode"
     INODE_GENERATION = "inode-generation"
 
-    def render(self, fh: FileHandle) -> str:
-        """The HANDLE attribute value for a file handle."""
+    def render(self, fh: FileHandle | Inode) -> str:
+        """The HANDLE attribute value for a file handle (or the inode it
+        names: both carry ``ino`` and ``generation``)."""
         if self is HandleScheme.INODE:
             return str(fh.ino)
         return f"{fh.ino}.{fh.generation}"
 
     def render_inode(self, inode: Inode) -> str:
-        return self.render(FileHandle.of(inode))
+        return self.render(inode)
 
 
 def ancestor_chain(fs, ino: int, scheme: HandleScheme) -> str:

@@ -137,6 +137,9 @@ OPERATION_REQUIREMENTS: dict[str, Permission] = {
 }
 
 
+_EVERYTHING = Permission.all()
+
+
 def required_permission(op: str) -> Permission:
     """Rights required for ``op``; unknown operations require everything."""
-    return OPERATION_REQUIREMENTS.get(op, Permission.all())
+    return OPERATION_REQUIREMENTS.get(op, _EVERYTHING)

@@ -24,7 +24,7 @@ import hashlib
 import time
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.core.audit import AuditLog
+from repro.core.audit import AuditLog, Chain
 from repro.core.cache import PolicyCache
 from repro.core.permissions import Permission
 from repro.core.revocation import RevocationStore
@@ -136,14 +136,15 @@ class PolicyEngine:
         with the clock attributes), and the keys that authorized it.  A
         revoked key holds the minimum."""
         if self.revocations.key_revoked(principal):
-            return self.values.minimum, ()
+            return self.values.minimum, Chain()
         self.queries += 1
         value, assertions = self.session.query_with_trace(
             action={**action, **self._clock_attributes()},
             action_authorizers=[principal],
             values=self.values,
         )
-        return value, tuple(a.authorizer for a in assertions if not a.is_policy)
+        return value, Chain(dict.fromkeys(
+            a.authorizer for a in assertions if not a.is_policy))
 
     def query_presenting(
         self, principal: str, action: Mapping[str, str],

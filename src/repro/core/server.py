@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.audit import AuditLog
+from repro.core.audit import AuditLog, Chain
 from repro.core.credentials import APP_DOMAIN, CredentialIssuer, CredentialSpec, issued_credential
 from repro.core.handles import HandleScheme, ancestor_chain
 from repro.core.permissions import PERMISSION_VALUES, Permission, required_permission
@@ -52,7 +52,7 @@ if TYPE_CHECKING:
 
 
 #: What a revoked key holds: nothing, authorized by nobody.
-NO_RIGHTS: Decision = (Permission.none(), ())
+NO_RIGHTS: Decision = (Permission.none(), Chain())
 
 
 class DisCFSController:
@@ -64,10 +64,10 @@ class DisCFSController:
     # -- the hot path ----------------------------------------------------
 
     def check(self, ctx: CallContext, op: str, fh: FileHandle,
-              inode: Inode | None) -> None:
+              inode: Inode | None) -> int | None:
         required = required_permission(op)
         if required.bits == 0:
-            return
+            return None
         server = self._server
         identity = server.principal_for(ctx)
         if identity is None:
@@ -81,6 +81,8 @@ class DisCFSController:
                             chain, reason)
         if not allowed:
             raise AccessDeniedSignal(reason)
+        # Unless an assertion reads OPERATION, this is getattr's decision too.
+        return None if server.session.reads("OPERATION") else granted.octal << 6
 
     def check_lookup(self, ctx: CallContext, dir_fh: FileHandle,
                      dir_inode: Inode, child: Inode) -> None:
@@ -202,6 +204,7 @@ class DisCFSServer:
         audit_capacity: int = 10_000,
     ):
         self.fs = fs if fs is not None else FFS(device)
+        self._renames = self.fs.renames  # as of the cache's ANCESTORS
         self.vfs = VFS(self.fs)
         self.admin_identity = normalize_principal(admin_identity)
         self.handle_scheme = handle_scheme
@@ -287,12 +290,16 @@ class DisCFSServer:
         reads ``OPERATION``, every operation on a file gets the same
         answer, and the cache key leaves it out.  Installing or removing
         an assertion flushes the cache, so entries keyed one way never
-        answer lookups keyed the other.  A revoked key is refused before
-        the cache, which a revocation made directly on the store does not
-        flush.
+        answer lookups keyed the other; so does a rename while one reads
+        ``ANCESTORS``.  A revoked key is refused before the cache, which a
+        revocation made directly on the store does not flush.
         """
         if self.revocations.key_revoked(identity):
             return NO_RIGHTS
+        if self.fs.renames != self._renames:
+            self._renames = self.fs.renames
+            if self.session.reads("ANCESTORS"):
+                self.cache.flush()
         keyed_op = op if self.session.reads("OPERATION") else ""
         cached = self.cache.get(identity, handle, keyed_op)
         if cached is not None:

@@ -48,6 +48,8 @@ class FFS:
     metadata change, atime on read).
     """
 
+    renames = 0  #: entries moved so far (what ``ANCESTORS`` caches age on)
+
     def __init__(self, device: StoreBlockDevice | SpecLike | None = None) -> None:
         # The one constructor taking a URI or spec ("mem://",
         # "file:///fs.img", "cached://replica://3", ...); None is mem://.
@@ -254,6 +256,7 @@ class FFS:
                 if existing.nlink <= 0:
                     self._release_inode(existing)
 
+        self.renames += 1
         del src_entries[sname]
         dst_entries[dname] = moving.ino
         moving.parent_ino = dst_parent.ino

@@ -485,10 +485,10 @@ PROCEDURES: tuple[Procedure, ...] = (
     CREATE := Procedure(9, "CREATE", "create", (fhandle, filename, sattr),
                         (diropres,)),
     REMOVE := Procedure(10, "REMOVE", "remove", (fhandle, filename), (ok(),)),
-    # Both directories resolve before either is checked.
+    # Each directory is checked before the next resolves.
     RENAME := Procedure(11, "RENAME", None,
                         (fhandle, filename, fhandle, filename), (ok(),)),
-    # target, directory, name: both resolve before either is checked.
+    # target, directory, name: each is checked before the next resolves.
     LINK := Procedure(12, "LINK", None, (fhandle, fhandle, filename), (ok(),)),
     # directory, name, target, attributes (ignored, RFC 1094)
     SYMLINK := Procedure(13, "SYMLINK", "symlink",

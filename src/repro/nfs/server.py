@@ -50,8 +50,10 @@ class AccessController(Protocol):
     """Hook points the server consults around each operation."""
 
     def check(self, ctx: CallContext, op: str, fh: FileHandle,
-              inode: Inode | None) -> None:
-        """Raise :class:`AccessDeniedSignal` to reject the operation."""
+              inode: Inode | None) -> int | None:
+        """Raise :class:`AccessDeniedSignal` to reject the operation, else
+        return the mode bits :meth:`effective_mode` would report for
+        ``inode``, if this decision settles them, or None."""
 
     def check_lookup(self, ctx: CallContext, dir_fh: FileHandle,
                      dir_inode: Inode, child: Inode) -> None:
@@ -86,6 +88,7 @@ class AllowAllController:
     """The pass-through controller: plain NFS semantics (CFS/CFS-NE)."""
 
     def check(self, ctx, op, fh, inode) -> None:  # noqa: D102
+        # The mode is inode.mode, which SETATTR changes inside the call.
         return None
 
     def check_lookup(self, ctx, dir_fh, dir_inode, child) -> None:  # noqa: D102
@@ -120,7 +123,7 @@ def serve_table(program: Any, procedures: Sequence[Procedure]) -> None:
 def _dispatcher(program: Any, proc: Procedure) -> Handler:
     """Unpack the arguments, all of them (a byte left over is
     GARBAGE_ARGS); check the row's ``access`` on the first file handle,
-    whose file id and inode the handler then gets in its place; run
+    whose file id, inode and checked mode the handler gets in its place; run
     ``_proc_<name>``; reply with its result, or with the status word
     alone for a denial or a filesystem error."""
     handler = getattr(program, proc.handler)
@@ -137,8 +140,8 @@ def _dispatcher(program: Any, proc: Procedure) -> Handler:
                 fh = args[0]
                 fid = fh.file_id()
                 inode = program.vfs.getattr(fid)
-                program.controller.check(ctx, access, fh, inode)
-                result = handler(ctx, fid, inode, *args[1:])
+                mode = program.controller.check(ctx, access, fh, inode)
+                result = handler(ctx, fid, inode, mode, *args[1:])
         except AccessDeniedSignal:
             return enc.pack_enum(NFSStat.NFSERR_ACCES).getvalue()
         except FSError as exc:
@@ -161,11 +164,14 @@ class NFSProgram(RPCProgram):
     def _inode_for(self, fh: FileHandle) -> Inode:
         return self.vfs.getattr(fh.file_id())
 
-    def _fattr_for(self, inode: Inode, ctx: CallContext) -> tuple[int, ...]:
+    def _fattr_for(self, inode: Inode, ctx: CallContext,
+                   mode: int | None = None) -> tuple[int, ...]:
         """The inode's fattr values, with the permission bits the
-        controller reports to this requester."""
-        return fattr_words(inode, self.vfs.fs.block_size,
-                           self.controller.effective_mode(ctx, inode))
+        controller reports to this requester: ``mode``, if the call's
+        check already decided them for this inode."""
+        if mode is None:
+            mode = self.controller.effective_mode(ctx, inode)
+        return fattr_words(inode, self.vfs.fs.block_size, mode)
 
     def _created(self, ctx: CallContext, inode: Inode) -> tuple:
         """CREATE's and MKDIR's result.  The creator credential comes
@@ -174,19 +180,20 @@ class NFSProgram(RPCProgram):
         return inode, self._fattr_for(inode, ctx), credential
 
     # -- procedures -------------------------------------------------------
-    # A row with an ``access`` hands its handler the checked file's id and
-    # inode in place of the handle.
+    # A row with an ``access`` hands its handler the checked file's id,
+    # inode and decided mode bits (or None) in place of the handle.
 
-    def _proc_getattr(self, ctx: CallContext, fid: FileId, inode: Inode):
-        return self._fattr_for(inode, ctx)
+    def _proc_getattr(self, ctx: CallContext, fid: FileId, inode: Inode,
+                      mode: int | None):
+        return self._fattr_for(inode, ctx, mode)
 
     def _proc_setattr(self, ctx: CallContext, fid: FileId, inode: Inode,
-                      sattr: SAttr):
+                      mode: int | None, sattr: SAttr):
         inode = self.vfs.setattr(
             fid, mode=sattr.mode, uid=sattr.uid, gid=sattr.gid,
             size=sattr.size, atime=sattr.atime, mtime=sattr.mtime,
         )
-        return self._fattr_for(inode, ctx)
+        return self._fattr_for(inode, ctx, mode)
 
     def _proc_lookup(self, ctx: CallContext, fh: FileHandle, name: str):
         dir_inode = self._inode_for(fh)
@@ -197,21 +204,22 @@ class NFSProgram(RPCProgram):
         self.controller.check_lookup(ctx, fh, dir_inode, inode)
         return inode, self._fattr_for(inode, ctx), None
 
-    def _proc_readlink(self, ctx: CallContext, fid: FileId, inode: Inode):
+    def _proc_readlink(self, ctx: CallContext, fid: FileId, inode: Inode,
+                       mode: int | None):
         return self.vfs.readlink(fid)
 
     def _proc_read(self, ctx: CallContext, fid: FileId, inode: Inode,
-                   offset: int, count: int):
+                   mode: int | None, offset: int, count: int):
         data = self.vfs.read(fid, offset, count)
-        return self._fattr_for(inode, ctx), data
+        return self._fattr_for(inode, ctx, mode), data
 
     def _proc_write(self, ctx: CallContext, fid: FileId, inode: Inode,
-                    offset: int, data: bytes):
+                    mode: int | None, offset: int, data: bytes):
         self.vfs.write(fid, offset, data)
-        return self._fattr_for(inode, ctx)
+        return self._fattr_for(inode, ctx, mode)
 
     def _proc_create(self, ctx: CallContext, dir_fid: FileId, dir_inode: Inode,
-                     name: str, sattr: SAttr):
+                     mode: int | None, name: str, sattr: SAttr):
         inode = self.vfs.create(dir_fid, name,
                                 mode=sattr.mode if sattr.mode is not None else 0o644)
         if sattr.size is not None:
@@ -219,42 +227,40 @@ class NFSProgram(RPCProgram):
         return self._created(ctx, inode)
 
     def _proc_remove(self, ctx: CallContext, dir_fid: FileId, dir_inode: Inode,
-                     name: str) -> None:
+                     mode: int | None, name: str) -> None:
         self.vfs.remove(dir_fid, name)
 
     def _proc_rename(self, ctx: CallContext, from_fh: FileHandle,
                      from_name: str, to_fh: FileHandle, to_name: str) -> None:
-        from_dir = self._inode_for(from_fh)
-        to_dir = self._inode_for(to_fh)
-        self.controller.check(ctx, "rename", from_fh, from_dir)
-        self.controller.check(ctx, "rename", to_fh, to_dir)
+        self.controller.check(ctx, "rename", from_fh, self._inode_for(from_fh))
+        self.controller.check(ctx, "rename", to_fh, self._inode_for(to_fh))
         self.vfs.rename(from_fh.file_id(), from_name, to_fh.file_id(), to_name)
 
     def _proc_link(self, ctx: CallContext, target_fh: FileHandle,
                    dir_fh: FileHandle, name: str) -> None:
-        target = self._inode_for(target_fh)
-        dir_inode = self._inode_for(dir_fh)
-        self.controller.check(ctx, "link_target", target_fh, target)
-        self.controller.check(ctx, "link", dir_fh, dir_inode)
+        self.controller.check(ctx, "link_target", target_fh,
+                              self._inode_for(target_fh))
+        self.controller.check(ctx, "link", dir_fh, self._inode_for(dir_fh))
         self.vfs.link(dir_fh.file_id(), name, target_fh.file_id())
 
     def _proc_symlink(self, ctx: CallContext, dir_fid: FileId,
-                      dir_inode: Inode, name: str, target: str,
-                      sattr: SAttr) -> None:
+                      dir_inode: Inode, mode: int | None, name: str,
+                      target: str, sattr: SAttr) -> None:
         self.vfs.symlink(dir_fid, name, target)
 
     def _proc_mkdir(self, ctx: CallContext, dir_fid: FileId, dir_inode: Inode,
-                    name: str, sattr: SAttr):
+                    mode: int | None, name: str, sattr: SAttr):
         inode = self.vfs.mkdir(dir_fid, name,
                                mode=sattr.mode if sattr.mode is not None else 0o755)
         return self._created(ctx, inode)
 
     def _proc_rmdir(self, ctx: CallContext, dir_fid: FileId, dir_inode: Inode,
-                    name: str) -> None:
+                    mode: int | None, name: str) -> None:
         self.vfs.rmdir(dir_fid, name)
 
     def _proc_readdir(self, ctx: CallContext, dir_fid: FileId,
-                      dir_inode: Inode, cookie: int, count: int):
+                      dir_inode: Inode, mode: int | None, cookie: int,
+                      count: int):
         """The entries from ``cookie`` on that fit ``count`` bytes (at
         least one, and a 512-byte budget at least), and eof."""
         entries = self.vfs.readdir(dir_fid)

@@ -282,11 +282,16 @@ class TestPolicyCacheKey:
                                                          shared):
         assert not discfs.session.reads("OPERATION")
         discfs.cache.flush()
+        discfs.cache.stats.reset()
         before = discfs.engine.queries
-        assert bob.read(shared, 0, 4) == b"data"  # check, then effective_mode
+        # One decision per call: READ's and WRITE's replies take their mode
+        # bits from the check, and GETATTR, which needs no rights, decides
+        # them alone.
+        assert bob.read(shared, 0, 4) == b"data"
         bob.getattr(shared)
         bob.write(shared, 0, b"DATA")
         assert discfs.engine.queries - before == 1
+        assert discfs.cache.stats.lookups == 3
         assert len(discfs.cache) == 1
 
     def test_operation_is_keyed_while_a_credential_reads_it(
@@ -321,6 +326,74 @@ class TestPolicyCacheKey:
         assert {key[2] for key in discfs.cache._entries} == {""}
         with pytest.raises(NFSError):
             alice.read(shared, 0, 4)
+
+
+class TestRenameFlushesAncestry:
+    """A subtree grant stops at the subtree: a file moved out of it is
+    refused, also when the grant was cached before the move."""
+
+    @pytest.fixture()
+    def moved(self, discfs, bob, administrator, bob_id):
+        fs = discfs.fs
+        a, b = fs.mkdir(fs.root_ino, "a"), fs.mkdir(fs.root_ino, "b")
+        f = fs.create(a.ino, "f")
+        fs.write(f.ino, 0, b"data")
+        bob.submit_credential(administrator.grant_inode(
+            bob_id, a, rights="R", scheme=discfs.handle_scheme, subtree=True))
+        fh = FileHandle.of(f)
+        assert bob.read(fh, 0, 4) == b"data"  # granted, and now cached
+        return a, b, fh
+
+    def _refused(self, bob, fh):
+        with pytest.raises(NFSError) as excinfo:
+            bob.read(fh, 0, 4)
+        assert excinfo.value.status == NFSStat.NFSERR_ACCES
+
+    def test_fs_rename(self, discfs, bob, moved):
+        a, b, fh = moved
+        discfs.fs.rename(a.ino, "f", b.ino, "f")
+        self._refused(bob, fh)
+
+    def test_nfs_rename(self, discfs, bob, moved, administrator):
+        a, b, fh = moved
+        admin = DisCFSClient.connect(discfs, administrator.key, secure=False)
+        admin.attach("/")
+        admin.nfs.rename(FileHandle.of(a), "f", FileHandle.of(b), "f")
+        self._refused(bob, fh)
+
+    def test_rename_back_grants_again(self, discfs, bob, moved):
+        a, b, fh = moved
+        discfs.fs.rename(a.ino, "f", b.ino, "f")
+        self._refused(bob, fh)
+        discfs.fs.rename(b.ino, "f", a.ino, "f")
+        assert bob.read(fh, 0, 4) == b"data"
+
+
+class TestStaleSecondHandle:
+    """RENAME and LINK check each handle before the next resolves: a
+    requester without rights is refused, and audited, whatever the second
+    handle is."""
+
+    STALE = FileHandle(ino=999, generation=1)
+
+    def _refused_once(self, discfs, bob_id, call, operation):
+        discfs.audit.clear()
+        with pytest.raises(NFSError) as excinfo:
+            call()
+        assert excinfo.value.status == NFSStat.NFSERR_ACCES
+        [record] = discfs.audit.records()
+        assert (record.principal, record.operation, record.allowed) == \
+            (bob_id, operation, False)
+
+    def test_rename(self, discfs, bob, bob_id):
+        discfs.fs.mkdir(discfs.fs.root_ino, "a")
+        self._refused_once(discfs, bob_id, lambda: bob.nfs.rename(
+            bob.root, "a", self.STALE, "x"), "rename")
+
+    def test_link(self, discfs, bob, bob_id):
+        target = FileHandle.of(discfs.fs.create(discfs.fs.root_ino, "f"))
+        self._refused_once(discfs, bob_id, lambda: bob.nfs.link(
+            target, self.STALE, "x"), "link_target")
 
 
 class TestDecisionsAreBounded:

@@ -269,3 +269,12 @@ class TestReportedMode:
                            client.root)
         assert masked.getattr(fh).permission_bits == 0o400
         assert fs.namei("/f").mode & 0o7777 == 0o640
+
+    def test_setattr_reply_carries_the_new_mode(self, stack):
+        """CFS-NE reports the inode's own mode, which SETATTR changes
+        inside the call: the reply shows the mode it set, not the one
+        the call was checked against."""
+        _fs, client = stack
+        fh, _, _ = client.create(client.root, "f", SAttr(mode=0o644))
+        assert client.setattr(fh, SAttr(mode=0o600)).permission_bits == 0o600
+        assert client.getattr(fh).permission_bits == 0o600
